@@ -22,7 +22,7 @@ func paperTree(b *testing.B, n int) (*Tree, *storage.Pager) {
 		binary.LittleEndian.PutUint64(r, uint64(i*2)) // gaps for later inserts
 		recs[i] = r
 	}
-	return BulkLoad(p, 100, 20, func(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) }, recs), p
+	return BulkLoad(p, 100, 20, Key{Hi: 4}, recs), p
 }
 
 func BenchmarkInsertDeleteChurn(b *testing.B) {
@@ -72,13 +72,12 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 		binary.LittleEndian.PutUint64(r, uint64(i))
 		recs[i] = r
 	}
-	key := func(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := metric.NewMeter(metric.DefaultCosts())
 		p := storage.NewPager(storage.NewDisk(4000), m)
 		p.SetCharging(false)
-		BulkLoad(p, 100, 20, key, recs)
+		BulkLoad(p, 100, 20, Key{Hi: 4}, recs)
 	}
 }

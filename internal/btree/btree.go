@@ -14,19 +14,31 @@
 // each charges its own meter. The tree's live directory state (meta table,
 // root, height) is not internally synchronized — mutations are serialized
 // by the engine's update locks, and snapshot readers traverse an immutable
-// published directory copy at their stamp instead (docs/MVCC.md).
+// published directory copy at their stamp instead (docs/MVCC.md). The
+// meta table is a persistent storage.Table, so a published copy shares
+// every chunk of node metas the update did not touch.
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dbproc/internal/storage"
 )
 
-// KeyFunc extracts the ordering key from a record's bytes. Keys must be
-// unique; compose a tiebreaker into the low bits if the indexed attribute
-// is not (see tuple.ClusterKey).
-type KeyFunc func(rec []byte) uint64
+// Key locates the ordering key inside a record: the little-endian 32-bit
+// word at byte offset Hi is the key's upper half and the one at Lo its
+// lower half, so leaf probes read the key in place instead of calling
+// out. Key{Hi: 4} is a plain little-endian uint64 at offset 0; a relation
+// clustered on one int64 attribute with another as the unique tiebreaker
+// (tuple.ClusterKey) points Hi and Lo at the two attributes. Keys must be
+// unique.
+type Key struct{ Hi, Lo int }
+
+// Of extracts the ordering key from a record's bytes.
+func (k Key) Of(rec []byte) uint64 {
+	return uint64(binary.LittleEndian.Uint32(rec[k.Hi:]))<<32 | uint64(binary.LittleEndian.Uint32(rec[k.Lo:]))
+}
 
 // Tree is a clustered B+-tree of fixed-size records.
 type Tree struct {
@@ -35,19 +47,20 @@ type Tree struct {
 	leafCap int // records per leaf page
 	fanout  int // index entries (children) per internal page
 	stride  int // bytes reserved per index entry (the paper's d)
-	keyOf   KeyFunc
+	key     Key
 
 	dir       treeDir
 	dv        *storage.DirVersions
 	noRootPin bool
 }
 
-// treeDir is the tree's in-memory directory: the node meta table and the
-// shape counters. The live copy is mutated in place by updates; published
-// copies are immutable and traversed by snapshot readers.
+// treeDir is the tree's in-memory directory: the node meta table (indexed
+// by page id) and the shape counters. Updates mutate the live copy through
+// metaMut; published copies are immutable and traversed by snapshot
+// readers.
 type treeDir struct {
 	root      storage.PageID
-	meta      map[storage.PageID]*nodeMeta
+	meta      storage.Table[nodeMeta]
 	height    int // levels including the leaf level; 1 = root is a leaf
 	n         int
 	numLeaves int
@@ -69,7 +82,7 @@ type nodeMeta struct {
 // New creates an empty tree. recSize is the record width; indexEntrySize
 // is the paper's d, the bytes reserved per internal index entry (at least
 // 12 are needed for the stored key and child id).
-func New(disk *storage.Disk, recSize, indexEntrySize int, keyOf KeyFunc) *Tree {
+func New(disk *storage.Disk, recSize, indexEntrySize int, key Key) *Tree {
 	pageSize := disk.PageSize()
 	leafCap := pageSize / recSize
 	fanout := pageSize / indexEntrySize
@@ -79,8 +92,8 @@ func New(disk *storage.Disk, recSize, indexEntrySize int, keyOf KeyFunc) *Tree {
 	if indexEntrySize < 12 || fanout < 3 {
 		panic(fmt.Sprintf("btree: index entry size %d invalid for page %d", indexEntrySize, pageSize))
 	}
-	if keyOf == nil {
-		panic("btree: nil KeyFunc")
+	if key.Hi < 0 || key.Lo < 0 || key.Hi+4 > recSize || key.Lo+4 > recSize {
+		panic(fmt.Sprintf("btree: key words at %d and %d do not fit a %d-byte record", key.Hi, key.Lo, recSize))
 	}
 	t := &Tree{
 		disk:    disk,
@@ -88,8 +101,8 @@ func New(disk *storage.Disk, recSize, indexEntrySize int, keyOf KeyFunc) *Tree {
 		leafCap: leafCap,
 		fanout:  fanout,
 		stride:  indexEntrySize,
-		keyOf:   keyOf,
-		dir:     treeDir{meta: make(map[storage.PageID]*nodeMeta), height: 1},
+		key:     key,
+		dir:     treeDir{height: 1},
 	}
 	t.dir.root = t.newNode(true)
 	t.dir.numLeaves = 1
@@ -97,21 +110,19 @@ func New(disk *storage.Disk, recSize, indexEntrySize int, keyOf KeyFunc) *Tree {
 	return t
 }
 
-// snapshotDir returns an immutable deep copy of the live directory.
+// snapshotDir freezes the live directory; the copy shares its meta chunks
+// with the live table until the next update rewrites them.
 func (t *Tree) snapshotDir() any {
-	d := &treeDir{
-		root:      t.dir.root,
-		meta:      make(map[storage.PageID]*nodeMeta, len(t.dir.meta)),
-		height:    t.dir.height,
-		n:         t.dir.n,
-		numLeaves: t.dir.numLeaves,
-	}
-	for id, m := range t.dir.meta {
-		cp := *m
-		d.meta[id] = &cp
-	}
-	return d
+	d := t.dir
+	d.meta = t.dir.meta.Snapshot()
+	return &d
 }
+
+// node returns node id's meta as directory d records it.
+func (d *treeDir) node(id storage.PageID) nodeMeta { return d.meta.Get(int(id)) }
+
+// metaMut returns node id's live meta for writing.
+func (t *Tree) metaMut(id storage.PageID) *nodeMeta { return t.dir.meta.Mut(int(id)) }
 
 // dirFor resolves the directory a reader should traverse: the newest
 // published copy at the pager's snapshot stamp, else the live directory.
@@ -141,7 +152,7 @@ func (t *Tree) Fanout() int { return t.fanout }
 
 func (t *Tree) newNode(leaf bool) storage.PageID {
 	id := t.disk.Alloc()
-	t.dir.meta[id] = &nodeMeta{leaf: leaf, next: storage.NilPage, prev: storage.NilPage}
+	*t.metaMut(id) = nodeMeta{leaf: leaf, next: storage.NilPage, prev: storage.NilPage}
 	return id
 }
 
@@ -227,13 +238,13 @@ func (t *Tree) leafSlot(buf []byte, count int, key uint64) (int, bool) {
 	lo, hi := 0, count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if t.keyOf(t.leafRec(buf, mid)) < key {
+		if t.key.Of(t.leafRec(buf, mid)) < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	found := lo < count && t.keyOf(t.leafRec(buf, lo)) == key
+	found := lo < count && t.key.Of(t.leafRec(buf, lo)) == key
 	return lo, found
 }
 
@@ -243,7 +254,7 @@ func (t *Tree) Insert(pg *storage.Pager, rec []byte) {
 		panic(fmt.Sprintf("btree: record of %d bytes, want %d", len(rec), t.recSize))
 	}
 	t.dv.MarkDirty()
-	key := t.keyOf(rec)
+	key := t.key.Of(rec)
 	newID, sep, split := t.insertAt(pg, t.dir.root, key, rec)
 	if split {
 		oldRoot := t.dir.root
@@ -255,7 +266,7 @@ func (t *Tree) Insert(pg *storage.Pager, rec []byte) {
 		buf := t.writeNode(pg, newRoot)
 		t.setEntry(buf, 0, 0, oldRoot) // leftmost separator is an open bound
 		t.setEntry(buf, 1, sep, newID)
-		t.dir.meta[newRoot].count = 2
+		t.metaMut(newRoot).count = 2
 	}
 	t.dir.n++
 }
@@ -263,9 +274,9 @@ func (t *Tree) Insert(pg *storage.Pager, rec []byte) {
 // insertAt inserts into the subtree rooted at id, returning a new right
 // sibling and its separator key if the node split.
 func (t *Tree) insertAt(pg *storage.Pager, id storage.PageID, key uint64, rec []byte) (storage.PageID, uint64, bool) {
-	m := t.dir.meta[id]
+	m := t.dir.node(id)
 	if m.leaf {
-		return t.insertLeaf(pg, id, m, key, rec)
+		return t.insertLeaf(pg, id, key, rec)
 	}
 	buf := t.readNode(pg, &t.dir, id)
 	ci := t.childIndex(buf, m.count, key)
@@ -274,10 +285,11 @@ func (t *Tree) insertAt(pg *storage.Pager, id storage.PageID, key uint64, rec []
 	if !split {
 		return storage.NilPage, 0, false
 	}
-	return t.insertEntry(pg, id, m, ci+1, sep, newChild)
+	return t.insertEntry(pg, id, ci+1, sep, newChild)
 }
 
-func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key uint64, rec []byte) (storage.PageID, uint64, bool) {
+func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, key uint64, rec []byte) (storage.PageID, uint64, bool) {
+	m := t.metaMut(id)
 	buf := t.writeNode(pg, id)
 	slot, found := t.leafSlot(buf, m.count, key)
 	if found {
@@ -292,7 +304,7 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key
 	// Split: upper half moves to a new right sibling.
 	rightID := t.newNode(true)
 	t.dir.numLeaves++
-	rm := t.dir.meta[rightID]
+	rm := t.metaMut(rightID)
 	half := m.count / 2
 	rbuf := pg.Overwrite(rightID)
 	copy(rbuf, buf[half*t.recSize:m.count*t.recSize])
@@ -302,11 +314,11 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key
 	// Fix the leaf chain.
 	rm.next, rm.prev = m.next, id
 	if m.next != storage.NilPage {
-		t.dir.meta[m.next].prev = rightID
+		t.metaMut(m.next).prev = rightID
 	}
 	m.next = rightID
 	// Insert into the proper side.
-	sep := t.keyOf(t.leafRec(rbuf, 0))
+	sep := t.key.Of(t.leafRec(rbuf, 0))
 	if key >= sep {
 		rslot, _ := t.leafSlot(rbuf, rm.count, key)
 		copy(rbuf[(rslot+1)*t.recSize:(rm.count+1)*t.recSize], rbuf[rslot*t.recSize:rm.count*t.recSize])
@@ -317,12 +329,13 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, m *nodeMeta, key
 		copy(buf[slot*t.recSize:], rec)
 		m.count++
 	}
-	return rightID, t.keyOf(t.leafRec(rbuf, 0)), true
+	return rightID, t.key.Of(t.leafRec(rbuf, 0)), true
 }
 
 // insertEntry inserts (sep, child) at position pos of internal node id,
 // splitting it if full.
-func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, m *nodeMeta, pos int, sep uint64, child storage.PageID) (storage.PageID, uint64, bool) {
+func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, pos int, sep uint64, child storage.PageID) (storage.PageID, uint64, bool) {
+	m := t.metaMut(id)
 	buf := t.writeNode(pg, id)
 	if m.count < t.fanout {
 		copy(buf[(pos+1)*t.stride:(m.count+1)*t.stride], buf[pos*t.stride:m.count*t.stride])
@@ -331,7 +344,7 @@ func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, m *nodeMeta, po
 		return storage.NilPage, 0, false
 	}
 	rightID := t.newNode(false)
-	rm := t.dir.meta[rightID]
+	rm := t.metaMut(rightID)
 	half := m.count / 2
 	rbuf := pg.Overwrite(rightID)
 	copy(rbuf, buf[half*t.stride:m.count*t.stride])
@@ -356,11 +369,12 @@ func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, m *nodeMeta, po
 func (t *Tree) Get(pg *storage.Pager, key uint64) ([]byte, bool) {
 	d := t.dirFor(pg)
 	id := d.root
-	for !d.meta[id].leaf {
+	m := d.node(id)
+	for !m.leaf {
 		buf := t.readNode(pg, d, id)
-		id = t.entryChild(buf, t.childIndex(buf, d.meta[id].count, key))
+		id = t.entryChild(buf, t.childIndex(buf, m.count, key))
+		m = d.node(id)
 	}
-	m := d.meta[id]
 	buf := t.readNode(pg, d, id)
 	slot, found := t.leafSlot(buf, m.count, key)
 	if !found {
@@ -383,13 +397,13 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 	}
 	var path []step
 	id := t.dir.root
-	for !t.dir.meta[id].leaf {
+	for nm := t.dir.node(id); !nm.leaf; nm = t.dir.node(id) {
 		buf := t.readNode(pg, &t.dir, id)
-		ci := t.childIndex(buf, t.dir.meta[id].count, key)
+		ci := t.childIndex(buf, nm.count, key)
 		path = append(path, step{id, ci})
 		id = t.entryChild(buf, ci)
 	}
-	m := t.dir.meta[id]
+	m := t.metaMut(id)
 	buf := t.writeNode(pg, id)
 	slot, found := t.leafSlot(buf, m.count, key)
 	if !found {
@@ -404,17 +418,17 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 	for m.count == 0 && id != t.dir.root {
 		if m.leaf {
 			if m.prev != storage.NilPage {
-				t.dir.meta[m.prev].next = m.next
+				t.metaMut(m.prev).next = m.next
 			}
 			if m.next != storage.NilPage {
-				t.dir.meta[m.next].prev = m.prev
+				t.metaMut(m.next).prev = m.prev
 			}
 			t.dir.numLeaves--
 		}
 		t.freeNode(pg, id)
 		parent := path[len(path)-1]
 		path = path[:len(path)-1]
-		pm := t.dir.meta[parent.id]
+		pm := t.metaMut(parent.id)
 		pbuf := t.writeNode(pg, parent.id)
 		copy(pbuf[parent.ci*t.stride:], pbuf[(parent.ci+1)*t.stride:pm.count*t.stride])
 		clear(pbuf[(pm.count-1)*t.stride : pm.count*t.stride])
@@ -429,7 +443,7 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 		t.freeNode(pg, id)
 		t.dir.root = child
 		t.dir.height--
-		id, m = child, t.dir.meta[child]
+		id, m = child, t.metaMut(child)
 	}
 	if m.count == 0 && m.leaf && id == t.dir.root {
 		// Tree is empty; keep the root leaf.
@@ -439,7 +453,7 @@ func (t *Tree) Delete(pg *storage.Pager, key uint64) bool {
 }
 
 func (t *Tree) freeNode(pg *storage.Pager, id storage.PageID) {
-	delete(t.dir.meta, id)
+	*t.metaMut(id) = nodeMeta{}
 	pg.Drop(id)
 	pg.FreePage(id)
 }
@@ -454,17 +468,17 @@ func (t *Tree) ScanRange(pg *storage.Pager, lo, hi uint64, fn func(rec []byte) b
 		return
 	}
 	id := d.root
-	for !d.meta[id].leaf {
+	for m := d.node(id); !m.leaf; m = d.node(id) {
 		buf := t.readNode(pg, d, id)
-		id = t.entryChild(buf, t.childIndex(buf, d.meta[id].count, lo))
+		id = t.entryChild(buf, t.childIndex(buf, m.count, lo))
 	}
 	for id != storage.NilPage {
-		m := d.meta[id]
+		m := d.node(id)
 		buf := t.readNode(pg, d, id)
 		start, _ := t.leafSlot(buf, m.count, lo)
 		for i := start; i < m.count; i++ {
 			rec := t.leafRec(buf, i)
-			if t.keyOf(rec) > hi {
+			if t.key.Of(rec) > hi {
 				return
 			}
 			if !fn(rec) {

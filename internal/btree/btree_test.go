@@ -14,6 +14,10 @@ import (
 // Test trees use 16-byte records (key in the first 8 bytes) on small pages
 // so splits and height growth happen quickly.
 
+// keyAt0 places the ordering key in the record's first eight bytes; keyOf
+// is the same key read by the tests themselves.
+var keyAt0 = Key{Hi: 4}
+
 func keyOf(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) }
 
 func recFor(key uint64, val uint64) []byte {
@@ -27,7 +31,7 @@ func newTestTree(pageSize int) (*Tree, *storage.Pager, *metric.Meter) {
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(pageSize), m)
 	// 4 records per leaf, 5 entries per internal node.
-	return New(p.Disk(), 16, pageSize/5, keyOf), p, m
+	return New(p.Disk(), 16, pageSize/5, keyAt0), p, m
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -226,7 +230,7 @@ func TestRangeScanIOCharges(t *testing.T) {
 		binary.LittleEndian.PutUint64(r, uint64(i))
 		recs[i] = r
 	}
-	tr := BulkLoad(p, 100, 20, func(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) }, recs)
+	tr := BulkLoad(p, 100, 20, Key{Hi: 4}, recs)
 	p.SetCharging(true)
 	if tr.Fanout() != 200 {
 		t.Fatalf("Fanout = %d, want 200", tr.Fanout())
@@ -273,10 +277,10 @@ func TestConstructorPanics(t *testing.T) {
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(64), m)
 	for name, fn := range map[string]func(){
-		"record too large": func() { New(p.Disk(), 40, 16, keyOf) },
-		"entry too small":  func() { New(p.Disk(), 16, 8, keyOf) },
-		"fanout too small": func() { New(p.Disk(), 16, 32, keyOf) },
-		"nil key func":     func() { New(p.Disk(), 16, 13, nil) },
+		"record too large": func() { New(p.Disk(), 40, 16, keyAt0) },
+		"entry too small":  func() { New(p.Disk(), 16, 8, keyAt0) },
+		"fanout too small": func() { New(p.Disk(), 16, 32, keyAt0) },
+		"key past record":  func() { New(p.Disk(), 16, 13, Key{Hi: 13}) },
 		"bad record size":  func() { tr, p, _ := newTestTree(64); tr.Insert(p, make([]byte, 8)) },
 	} {
 		func() {
@@ -351,7 +355,7 @@ func TestPaperGeometry(t *testing.T) {
 	}
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(4000), m)
-	tr := New(p.Disk(), 100, 20, func(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) })
+	tr := New(p.Disk(), 100, 20, Key{Hi: 4})
 	p.SetCharging(false)
 	rec := make([]byte, 100)
 	for i := uint64(0); i < 100_000; i++ {

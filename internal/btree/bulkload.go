@@ -15,8 +15,8 @@ import (
 // normal rules; load with charging disabled as usual for setup. The pager
 // is only the loading session's handle — the returned tree is bound to
 // its disk and serves any session's pager afterwards.
-func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, records [][]byte) *Tree {
-	t := New(pg.Disk(), recSize, indexEntrySize, keyOf)
+func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [][]byte) *Tree {
+	t := New(pg.Disk(), recSize, indexEntrySize, key)
 	if len(records) == 0 {
 		return t
 	}
@@ -26,7 +26,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, rec
 		if len(rec) != recSize {
 			panic(fmt.Sprintf("btree: record %d has %d bytes, want %d", i, len(rec), recSize))
 		}
-		if i > 0 && keyOf(rec) <= keyOf(records[i-1]) {
+		if i > 0 && key.Of(rec) <= key.Of(records[i-1]) {
 			panic(fmt.Sprintf("btree: bulk load records not strictly ascending at %d", i))
 		}
 	}
@@ -50,7 +50,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, rec
 			id = t.newNode(true)
 			t.dir.numLeaves++
 		}
-		m := t.dir.meta[id]
+		m := t.metaMut(id)
 		buf := pg.Overwrite(id)
 		for i := start; i < end; i++ {
 			copy(buf[(i-start)*t.recSize:], records[i])
@@ -58,10 +58,10 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, rec
 		m.count = end - start
 		m.prev = prevLeaf
 		if prevLeaf != storage.NilPage {
-			t.dir.meta[prevLeaf].next = id
+			t.metaMut(prevLeaf).next = id
 		}
 		prevLeaf = id
-		level = append(level, nodeRef{id, keyOf(records[start])})
+		level = append(level, nodeRef{id, key.Of(records[start])})
 	}
 	t.dir.n = len(records)
 
@@ -74,7 +74,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, keyOf KeyFunc, rec
 				end = len(level)
 			}
 			id := t.newNode(false)
-			m := t.dir.meta[id]
+			m := t.metaMut(id)
 			buf := pg.Overwrite(id)
 			for i := start; i < end; i++ {
 				t.setEntry(buf, i-start, level[i].min, level[i].id)

@@ -15,7 +15,7 @@ func TestBulkLoadPacksLeaves(t *testing.T) {
 	for i := range recs {
 		recs[i] = recFor(uint64(i), uint64(i)*3)
 	}
-	tr := BulkLoad(p, 16, 64/5, keyOf, recs)
+	tr := BulkLoad(p, 16, 64/5, keyAt0, recs)
 	if tr.Len() != 400 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
@@ -52,12 +52,12 @@ func TestBulkLoadPacksLeaves(t *testing.T) {
 func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(64), m)
-	tr := BulkLoad(p, 16, 64/5, keyOf, nil)
+	tr := BulkLoad(p, 16, 64/5, keyAt0, nil)
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatal("empty bulk load wrong")
 	}
 	p2 := storage.NewPager(storage.NewDisk(64), m)
-	tr2 := BulkLoad(p2, 16, 64/5, keyOf, [][]byte{recFor(9, 9)})
+	tr2 := BulkLoad(p2, 16, 64/5, keyAt0, [][]byte{recFor(9, 9)})
 	if tr2.Len() != 1 || tr2.Height() != 1 {
 		t.Fatal("single-record bulk load wrong")
 	}
@@ -80,7 +80,7 @@ func TestBulkLoadValidation(t *testing.T) {
 				}
 			}()
 			p := storage.NewPager(storage.NewDisk(64), m)
-			BulkLoad(p, 16, 64/5, keyOf, recs)
+			BulkLoad(p, 16, 64/5, keyAt0, recs)
 		}()
 	}
 }
@@ -98,7 +98,7 @@ func TestBulkLoadPaperGeometryExact(t *testing.T) {
 		binary.LittleEndian.PutUint64(r, uint64(i))
 		recs[i] = r
 	}
-	tr := BulkLoad(p, 100, 20, func(rec []byte) uint64 { return binary.LittleEndian.Uint64(rec) }, recs)
+	tr := BulkLoad(p, 100, 20, Key{Hi: 4}, recs)
 	if lp := tr.LeafPages(); lp != 2500 {
 		t.Fatalf("LeafPages = %d, want exactly 2500 (the model's b)", lp)
 	}

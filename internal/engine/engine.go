@@ -265,8 +265,8 @@ type Engine struct {
 	// the aggregate merge and span adoption form one atomic commit step,
 	// taken while the operation's 2PL footprint is still held. Nothing
 	// else runs under it — operation bodies execute in parallel against
-	// the striped substrate (disk page latches, subsystem mutexes), with
-	// the lock table providing logical isolation.
+	// the shared substrate (immutable page images, subsystem mutexes),
+	// with the lock table providing logical isolation.
 	commitMu sync.Mutex
 	seq      int
 	hist     []HistoryEntry

@@ -13,11 +13,12 @@
 //     ordering);
 //  2. subsystem mutexes inside ilock, cache, avm, rete and vlog that make
 //     each shared structure individually safe;
-//  3. striped latches in the storage layer — per-page reader/writer
-//     latches on the shared disk — plus a private pager and cost meter
-//     per session, so operation bodies run physically in parallel; a
-//     small commit mutex orders only the commit step itself (sequence
-//     draw, history append, aggregate merge).
+//  3. immutable page images in the storage layer — a page of the shared
+//     disk changes only by an atomic swap to a new image — plus a
+//     private pager and cost meter per session, so operation bodies run
+//     physically in parallel; a small commit mutex orders only the
+//     commit step itself (sequence draw, history append, aggregate
+//     merge).
 package engine
 
 import (

@@ -38,7 +38,7 @@ func NewBTree(disk *storage.Disk, schema *tuple.Schema, clusterField, idField st
 		clusterField: schema.MustFieldIndex(clusterField),
 		idField:      schema.MustFieldIndex(idField),
 	}
-	r.tree = btree.New(disk, schema.Width(), indexEntrySize, r.Key)
+	r.tree = btree.New(disk, schema.Width(), indexEntrySize, r.treeKey())
 	return r
 }
 
@@ -50,8 +50,18 @@ func BulkLoadBTree(pg *storage.Pager, schema *tuple.Schema, clusterField, idFiel
 		clusterField: schema.MustFieldIndex(clusterField),
 		idField:      schema.MustFieldIndex(idField),
 	}
-	r.tree = btree.BulkLoad(pg, schema.Width(), indexEntrySize, r.Key, tuples)
+	for _, tup := range tuples {
+		r.Key(tup) // range-checks the key parts
+	}
+	r.tree = btree.BulkLoad(pg, schema.Width(), indexEntrySize, r.treeKey(), tuples)
 	return r
+}
+
+// treeKey tells the B-tree where Key's two halves sit in a tuple, so leaf
+// probes read them in place: attribute i is the little-endian int64 at
+// byte 8*i, and both parts fit 32 bits (Key checks that on the way in).
+func (r *Relation) treeKey() btree.Key {
+	return btree.Key{Hi: 8 * r.clusterField, Lo: 8 * r.idField}
 }
 
 // NewHash creates an empty hash-organized relation on hashField with the
@@ -61,9 +71,7 @@ func NewHash(disk *storage.Disk, schema *tuple.Schema, hashField string, buckets
 		schema:    schema,
 		hashField: schema.MustFieldIndex(hashField),
 	}
-	r.hash = hashidx.New(disk, schema.Width(), buckets, func(rec []byte) uint64 {
-		return uint64(schema.Get(rec, r.hashField))
-	})
+	r.hash = hashidx.New(disk, schema.Width(), buckets, 8*r.hashField)
 	return r
 }
 
@@ -120,6 +128,7 @@ func (r *Relation) KeyField() int {
 // I/O to the calling session's pager.
 func (r *Relation) Insert(pg *storage.Pager, tup []byte) {
 	if r.tree != nil {
+		r.Key(tup) // range-checks the key parts the tree reads in place
 		r.tree.Insert(pg, tup)
 		return
 	}

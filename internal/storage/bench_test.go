@@ -79,30 +79,3 @@ func BenchmarkRecordFileAppend(b *testing.B) {
 		f.Append(p, rec)
 	}
 }
-
-// BenchmarkReadPageSeedBaseline is the seed's page-read route — a direct
-// live-page copy with no version-mode dispatch. The tier-4 MVCC-off
-// overhead guard (scripts/verify.sh) compares it against
-// BenchmarkReadPageMVCCOff below.
-func BenchmarkReadPageSeedBaseline(b *testing.B) {
-	p := benchPager(4000)
-	id := p.Disk().Alloc()
-	dst := make([]byte, 4000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.disk.readInto(id, dst)
-	}
-}
-
-// BenchmarkReadPageMVCCOff is the production page-read routing on a disk
-// where MVCC was never enabled: the only addition over the seed baseline
-// is the nil check on the disk's version state (docs/MVCC.md).
-func BenchmarkReadPageMVCCOff(b *testing.B) {
-	p := benchPager(4000)
-	id := p.Disk().Alloc()
-	dst := make([]byte, 4000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.readPage(id, dst)
-	}
-}

@@ -8,17 +8,28 @@
 // across operations (the model assumes no buffer-pool hits between
 // operations). Call Pager.BeginOp at each operation boundary.
 //
-// Concurrency: a Disk is safe for concurrent use by many Pagers — the
-// page directory (allocation state) is guarded by one RWMutex and page
-// contents by striped page latches, so readers of distinct pages do not
-// serialize. A Pager is single-session state (its frame table is the
-// per-operation distinct-page accounting) and must be confined to one
-// goroutine; concurrent sessions each own a Pager over the shared Disk.
+// Storage is copy-on-write. A page is an atomically swapped pointer to an
+// immutable image: once a byte slice has been linked into a page (by
+// WriteRaw, by a pager's Flush, by Publish) nobody writes it again.
+// Pager.Read therefore hands out the image itself — no buffer, no copy,
+// no latch — and the slice stays correct however many writers come
+// after. The only writable bytes are a pager's own dirty frames: Update
+// and Overwrite give the operation a private buffer (copied from the
+// image on first dirty), and Flush gives that buffer away to the disk,
+// after which it is an image like any other. See docs/MVCC.md for how
+// images are chained into versions.
+//
+// Concurrency: a Disk is safe for concurrent use by many Pagers. Reading
+// a page is two atomic loads; mu serializes only allocation. A Pager is
+// single-session state (its frame table is the per-operation
+// distinct-page accounting) and must be confined to one goroutine;
+// concurrent sessions each own a Pager over the shared Disk.
 package storage
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbproc/internal/metric"
@@ -30,25 +41,37 @@ type PageID int32
 // NilPage is the invalid page id.
 const NilPage PageID = -1
 
-// latchStripes is the number of page-latch stripes. Pages hash to
-// stripes by id, so two sessions touching different pages rarely share a
-// latch, while the latch array stays small and allocation-free.
-const latchStripes = 64
+// pageChunkLen is the number of page slots per chunk of the page table.
+// Slots never move, so growing the table copies chunk pointers only.
+const pageChunkLen = 256
+
+// page is one slot of the page table: the newest image (the head of the
+// version list, mvcc.go) plus the open epoch's staged write.
+type page struct {
+	head atomic.Pointer[pageVer]
+	// pending and queued belong to the MVCC layer: the epoch writer's
+	// unpublished image, and whether the page awaits version pruning
+	// (guarded by mvccState.mu).
+	pending []byte
+	queued  bool
+}
 
 // Disk is a volume of fixed-size pages held in memory. All metered access
 // goes through a Pager; the Disk's own read/write methods are raw
 // (uncharged) and intended for bulk loading and for the pager itself.
 type Disk struct {
 	pageSize int
+	// zero is the all-zero image every allocated page starts from; like
+	// any image it is shared and never written.
+	zero *pageVer
 
-	// mu guards the page directory: the pages slice header and the free
-	// list. Page *contents* are guarded by the striped latches below; the
-	// lock order is directory before latch, and no path holds two latches.
-	mu    sync.RWMutex
-	pages [][]byte
-	free  []PageID
-
-	latches [latchStripes]sync.RWMutex
+	// mu serializes allocation: growing the page table, the free list and
+	// the directory registry. Lookups take no lock — numPages is stored
+	// after the chunk slice that covers it.
+	mu       sync.Mutex
+	chunks   atomic.Pointer[[]*[pageChunkLen]page]
+	numPages atomic.Int32
+	free     []PageID
 
 	// dirs holds the registered in-memory directory version handles
 	// (guarded by mu); mvcc is non-nil once EnableMVCC has run. EnableMVCC
@@ -56,6 +79,11 @@ type Disk struct {
 	// without synchronization on the hot paths.
 	dirs []*DirVersions
 	mvcc *mvccState
+
+	// snapReadHook, when set by a test, runs inside a snapshot read
+	// between loading the page's newest image and walking back to the
+	// version the snapshot may see.
+	snapReadHook func()
 }
 
 // NewDisk creates an empty disk with the given page size in bytes.
@@ -63,7 +91,9 @@ func NewDisk(pageSize int) *Disk {
 	if pageSize <= 0 {
 		panic("storage: page size must be positive")
 	}
-	return &Disk{pageSize: pageSize}
+	d := &Disk{pageSize: pageSize, zero: &pageVer{val: make([]byte, pageSize)}}
+	d.chunks.Store(new([]*[pageChunkLen]page))
+	return d
 }
 
 // PageSize returns the size of every page in bytes.
@@ -71,16 +101,7 @@ func (d *Disk) PageSize() int { return d.pageSize }
 
 // NumPages returns the number of allocated pages (including freed ones,
 // which remain reserved until reused).
-func (d *Disk) NumPages() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.pages)
-}
-
-// latch returns the stripe latch guarding the page's contents.
-func (d *Disk) latch(id PageID) *sync.RWMutex {
-	return &d.latches[uint32(id)%latchStripes]
-}
+func (d *Disk) NumPages() int { return int(d.numPages.Load()) }
 
 // Alloc reserves a zeroed page and returns its id. Allocation itself is
 // not a charged I/O; the first write to the page is.
@@ -90,73 +111,56 @@ func (d *Disk) Alloc() PageID {
 	if n := len(d.free); n > 0 {
 		id := d.free[n-1]
 		d.free = d.free[:n-1]
-		l := d.latch(id)
-		l.Lock()
-		clear(d.pages[id])
-		l.Unlock()
+		d.page(id).head.Store(d.zero)
 		return id
 	}
-	d.pages = append(d.pages, make([]byte, d.pageSize))
-	return PageID(len(d.pages) - 1)
+	n := int(d.numPages.Load())
+	chunks := *d.chunks.Load()
+	if n == len(chunks)*pageChunkLen {
+		c := new([pageChunkLen]page)
+		for i := range c {
+			c[i].head.Store(d.zero)
+		}
+		grown := append(chunks[:len(chunks):len(chunks)], c)
+		d.chunks.Store(&grown)
+	}
+	d.numPages.Store(int32(n + 1))
+	return PageID(n)
 }
 
-// Free returns a page to the allocator. Accessing a freed page is a bug
-// and panics on the next checked access.
+// Free returns a page to the allocator. Its current image stays readable
+// by whoever already resolved it; the id is zeroed again when reused.
 func (d *Disk) Free(id PageID) {
+	d.page(id) // range check
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.check(id)
 	d.free = append(d.free, id)
+	d.mu.Unlock()
 }
 
-// lookup returns the page's backing slice under the directory read lock.
-// The slice itself must only be touched under the page's latch.
-func (d *Disk) lookup(id PageID) []byte {
-	d.mu.RLock()
-	d.check(id)
-	p := d.pages[id]
-	d.mu.RUnlock()
-	return p
+// page returns the slot of an allocated page, panicking on an id out of
+// range.
+func (d *Disk) page(id PageID) *page {
+	if n := d.numPages.Load(); id < 0 || int32(id) >= n {
+		panic(fmt.Sprintf("storage: page %d out of range [0,%d)", id, n))
+	}
+	return &(*d.chunks.Load())[id/pageChunkLen][id%pageChunkLen]
 }
 
-// readInto copies the page's contents into dst (which must be one page
-// long) without charging any cost.
-func (d *Disk) readInto(id PageID, dst []byte) {
-	p := d.lookup(id)
-	l := d.latch(id)
-	l.RLock()
-	copy(dst, p)
-	l.RUnlock()
-}
-
-// ReadRaw copies the page's contents into a fresh slice without charging
-// any cost. Use only for bulk setup and debugging.
+// ReadRaw copies the page's newest image into a fresh slice without
+// charging any cost. Use only for bulk setup and debugging.
 func (d *Disk) ReadRaw(id PageID) []byte {
-	out := make([]byte, d.pageSize)
-	d.readInto(id, out)
-	return out
+	return append([]byte(nil), d.page(id).head.Load().val...)
 }
 
 // WriteRaw replaces the page's contents without charging any cost. Use
-// only for bulk setup and by the pager's flush. The data must be at most
-// one page.
+// only for bulk setup. The data must be at most one page; it is copied.
 func (d *Disk) WriteRaw(id PageID, data []byte) {
 	if len(data) > d.pageSize {
 		panic(fmt.Sprintf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize))
 	}
-	p := d.lookup(id)
-	l := d.latch(id)
-	l.Lock()
-	clear(p)
-	copy(p, data)
-	l.Unlock()
-}
-
-// check validates id against the directory; callers hold d.mu.
-func (d *Disk) check(id PageID) {
-	if id < 0 || int(id) >= len(d.pages) {
-		panic(fmt.Sprintf("storage: page %d out of range [0,%d)", id, len(d.pages)))
-	}
+	img := make([]byte, d.pageSize)
+	copy(img, data)
+	d.page(id).setLive(img)
 }
 
 // Pager provides metered, operation-scoped access to a Disk. Within one
@@ -177,6 +181,11 @@ type Pager struct {
 	session  int
 	opToken  int
 	frames   map[PageID]*frame
+	// framesPeak is the most frames the current map has held at an
+	// operation boundary: clearing a Go map costs what it has grown to,
+	// not what it holds, so BeginOp replaces a map grown far past the
+	// operation it is closing.
+	framesPeak int
 	// snap/hasSnap route reads through the version chains at a fixed
 	// stamp; epoch routes this pager's reads and writes through the update
 	// epoch's pending buffers. At most one of the two modes is active.
@@ -210,6 +219,9 @@ func (w *WallStats) Reset() {
 }
 
 type frame struct {
+	// data is the operation's private buffer while dirty, and the shared
+	// immutable image the page resolved to (or the buffer Flush gave away)
+	// while clean.
 	data  []byte
 	dirty bool
 	// comp is the meter component that dirtied the frame; the write is
@@ -293,8 +305,9 @@ func (p *Pager) ClearSnapshot() { p.hasSnap = false }
 func (p *Pager) Snapshot() (uint64, bool) { return p.snap, p.hasSnap }
 
 // SetEpoch marks this pager as the update epoch's writer: its writes are
-// staged in pending version buffers and its reads observe them.
-func (p *Pager) SetEpoch(on bool) { p.epoch = on }
+// staged on their pages for Publish and its reads observe them. Without
+// MVCC there are no epochs and the mark stays off.
+func (p *Pager) SetEpoch(on bool) { p.epoch = on && p.disk.mvcc != nil }
 
 // Epoch reports whether the pager is the update epoch's writer.
 func (p *Pager) Epoch() bool { return p.epoch }
@@ -303,35 +316,38 @@ func (p *Pager) Epoch() bool { return p.epoch }
 // MVCC on) the free is deferred until the GC horizon passes the epoch's
 // commit stamp, because older directory snapshots may still name the page.
 func (p *Pager) FreePage(id PageID) {
-	if p.epoch && p.disk.mvcc != nil {
+	if p.epoch {
 		p.disk.freeEpoch(id)
 		return
 	}
 	p.disk.Free(id)
 }
 
-// readPage routes a page read through the pager's version mode.
-func (p *Pager) readPage(id PageID, dst []byte) {
-	if m := p.disk.mvcc; m != nil {
-		if p.epoch {
-			p.disk.readEpoch(id, dst)
-			return
+// image resolves the page to the immutable image this pager's version
+// mode may see: the epoch writer's own staged write, the newest version at
+// or below the snapshot stamp, or else the newest image.
+func (p *Pager) image(id PageID) []byte {
+	pg := p.disk.page(id)
+	if p.epoch {
+		if pg.pending != nil {
+			return pg.pending
 		}
-		if p.hasSnap {
-			p.disk.readAt(id, dst, p.snap)
-			return
-		}
+	} else if p.hasSnap {
+		return p.disk.imageAt(pg, id, p.snap)
 	}
-	p.disk.readInto(id, dst)
+	return pg.head.Load().val
 }
 
-// writePage routes a page write through the pager's version mode.
-func (p *Pager) writePage(id PageID, data []byte) {
-	if p.epoch && p.disk.mvcc != nil {
-		p.disk.writeEpoch(id, data)
+// handOver gives a flushed frame's buffer to the disk, which owns it from
+// here on: staged for Publish inside an epoch, the page's newest image
+// otherwise.
+func (p *Pager) handOver(id PageID, buf []byte) {
+	pg := p.disk.page(id)
+	if p.epoch {
+		p.disk.stageEpoch(pg, buf)
 		return
 	}
-	p.disk.WriteRaw(id, data)
+	pg.setLive(buf)
 }
 
 // Disk returns the underlying disk.
@@ -364,21 +380,31 @@ func (p *Pager) Charging() bool { return p.charging }
 // every cached frame, starting a fresh operation scope.
 func (p *Pager) BeginOp() {
 	p.Flush()
+	n := len(p.frames)
+	if n > p.framesPeak {
+		p.framesPeak = n
+	}
+	if p.framesPeak > 8*n+64 {
+		p.frames, p.framesPeak = make(map[PageID]*frame), 0
+		return
+	}
 	clear(p.frames)
 }
 
-// Flush writes every dirty frame back to disk, charging one page write
-// each — attributed to the component that dirtied the frame — and marks
-// them clean. Clean frames stay cached for the rest of the operation.
+// Flush hands every dirty frame's buffer to the disk, charging one page
+// write each — attributed to the component that dirtied the frame — and
+// marks them clean. Clean frames stay cached for the rest of the
+// operation; a flushed frame now aliases the image it became, so dirtying
+// it again copies first.
 func (p *Pager) Flush() {
 	for id, f := range p.frames {
 		if f.dirty {
 			if p.wall != nil {
 				t0 := time.Now()
-				p.writePage(id, f.data)
+				p.handOver(id, f.data)
 				p.wall.IONs += time.Since(t0).Nanoseconds()
 			} else {
-				p.writePage(id, f.data)
+				p.handOver(id, f.data)
 			}
 			if p.charging {
 				prev := p.meter.SetComponent(f.comp)
@@ -391,22 +417,26 @@ func (p *Pager) Flush() {
 }
 
 // Read returns the page contents for reading. The first access in this
-// operation charges one page read. The returned slice aliases the frame
-// buffer: do not retain it across BeginOp, and do not modify it (use
-// Update for that).
+// operation charges one page read. The returned slice is the page's
+// immutable image (or, once this operation has dirtied the page, its
+// private buffer): never write through it — use Update for that — and do
+// not retain it across BeginOp.
 func (p *Pager) Read(id PageID) []byte {
-	return p.fetch(id, true).data
+	return p.fetch(id).data
 }
 
 // Update returns the page contents for read-modify-write. It charges like
 // Read on first access and additionally marks the frame dirty, so the
 // operation's flush charges one page write, attributed to the component
-// that first dirtied the frame.
+// that first dirtied the frame. The first Update of a page in an operation
+// copies its image into a private buffer: slices returned by earlier Reads
+// keep the old bytes.
 func (p *Pager) Update(id PageID) []byte {
-	f := p.fetch(id, true)
+	f := p.fetch(id)
 	if !f.dirty {
-		f.dirty = true
-		f.comp = p.meter.Component()
+		buf := make([]byte, p.disk.pageSize)
+		copy(buf, f.data)
+		p.dirty(f, buf)
 	}
 	return f.data
 }
@@ -417,19 +447,21 @@ func (p *Pager) Update(id PageID) []byte {
 func (p *Pager) Overwrite(id PageID) []byte {
 	f, ok := p.frames[id]
 	if !ok {
-		f = &frame{data: make([]byte, p.disk.pageSize)}
-		p.disk.mu.RLock()
-		p.disk.check(id)
-		p.disk.mu.RUnlock()
+		p.disk.page(id) // range check
+		f = &frame{}
 		p.frames[id] = f
-	} else {
-		clear(f.data)
 	}
-	if !f.dirty {
-		f.dirty = true
-		f.comp = p.meter.Component()
+	if f.dirty {
+		clear(f.data)
+	} else {
+		p.dirty(f, make([]byte, p.disk.pageSize))
 	}
 	return f.data
+}
+
+// dirty gives a clean frame its private buffer.
+func (p *Pager) dirty(f *frame, buf []byte) {
+	f.data, f.dirty, f.comp = buf, true, p.meter.Component()
 }
 
 // Drop discards the page's frame without flushing it, even if dirty. Call
@@ -439,21 +471,22 @@ func (p *Pager) Drop(id PageID) {
 	delete(p.frames, id)
 }
 
-func (p *Pager) fetch(id PageID, charge bool) *frame {
+// fetch returns the page's frame, resolving its image and charging one
+// page read on the operation's first touch.
+func (p *Pager) fetch(id PageID) *frame {
 	if f, ok := p.frames[id]; ok {
 		return f
 	}
-	data := make([]byte, p.disk.pageSize)
+	f := &frame{}
 	if p.wall != nil {
 		t0 := time.Now()
-		p.readPage(id, data)
+		f.data = p.image(id)
 		p.wall.IONs += time.Since(t0).Nanoseconds()
 	} else {
-		p.readPage(id, data)
+		f.data = p.image(id)
 	}
-	f := &frame{data: data}
 	p.frames[id] = f
-	if charge && p.charging {
+	if p.charging {
 		p.meter.PageRead(1)
 	}
 	return f

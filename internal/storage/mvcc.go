@@ -7,62 +7,78 @@
 // load-bearing simplification here, as in LMDB or SQLite's WAL: versioning
 // only has to mediate one mutator against many lock-free readers.
 //
-// Two kinds of state are versioned:
+// Two kinds of state are versioned, both copy-on-write (docs/MVCC.md):
 //
-//   - Page contents. The first epoch write to a page seeds a version chain
-//     with the page's pre-epoch bytes at stamp 0; epoch writes then go to a
-//     pending buffer invisible to readers, and Publish links the pending
-//     bytes as the chain head stamped with the update's commit sequence
-//     number (and copies them to the live page, which stays in sync with
-//     the newest version for non-snapshot readers). A snapshot reader at
-//     stamp S walks the chain for the newest version with stamp <= S; a
-//     page with no chain has never been written by an epoch and its live
-//     bytes are valid at every stamp.
+//   - Page contents. A page's images form a list, newest first, each
+//     stamped with the commit sequence number that published it (0 for
+//     anything written outside an epoch, which is valid at every stamp).
+//     An epoch's flushed buffers are staged on their pages, invisible to
+//     readers; Publish links each as its page's new head — the same slice
+//     the pager filled, no copy. A snapshot reader at stamp S loads the
+//     head once and walks back to the newest version with stamp <= S.
 //
 //   - Directory state. The in-memory directories of the access methods
 //     (B-tree meta table and root, hash bucket table, ordered-file page
-//     list) are mutated in place by updates; readers cannot walk a live
-//     directory that is being rewritten. Each structure registers a
-//     DirVersions handle with its snapshot function; epoch mutations mark
-//     the handle dirty, and Publish deep-copies dirty directories as new
-//     immutable heads. Snapshot readers resolve the directory the same way
-//     they resolve pages: newest published copy with stamp <= S, falling
-//     back to the live directory when the structure is unversioned (cache
-//     entry files mutated at query time under their entry mutex) or MVCC
-//     is off.
+//     list) are persistent structures: each registers a DirVersions
+//     handle with a function that freezes the live directory in time
+//     proportional to what changed since the last freeze. Epoch mutations
+//     mark the handle dirty, and Publish links a frozen copy as the new
+//     head. Snapshot readers resolve the directory the same way they
+//     resolve pages, falling back to the live directory when the structure
+//     is unversioned (cache entry files mutated at query time under their
+//     entry mutex) or MVCC is off.
 //
 // Pages freed inside an epoch are deferred: they rejoin the allocator only
 // once the garbage-collection horizon (the oldest registered snapshot)
 // passes the freeing update's stamp, since older directory snapshots may
-// still name them. GCVersions also prunes chain tails below the horizon.
+// still name them. GCVersions also cuts version lists below the horizon,
+// visiting only the pages and directories published since it last ran.
 package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// pageVer is one published version of a page's contents.
-type pageVer struct {
+// ver is one immutable version of a page's contents or of a directory,
+// linked to the version it superseded.
+type ver[T any] struct {
 	stamp uint64
-	data  []byte
-	prev  atomic.Pointer[pageVer]
+	val   T
+	prev  atomic.Pointer[ver[T]]
 }
 
-// pageChain is the per-page version list plus the epoch writer's private
-// pending buffer. Only the (single) epoch writer touches pending; readers
-// only load head and walk prev pointers.
-type pageChain struct {
-	head    atomic.Pointer[pageVer]
-	pending []byte
+type (
+	pageVer = ver[[]byte]
+	dirVer  = ver[any]
+)
+
+// visible returns the newest version at or below snap, starting at v.
+func (v *ver[T]) visible(snap uint64) *ver[T] {
+	for v != nil && v.stamp > snap {
+		v = v.prev.Load()
+	}
+	return v
 }
 
-// dirVer is one published immutable copy of a structure's directory.
-type dirVer struct {
-	stamp uint64
-	dir   any
-	prev  atomic.Pointer[dirVer]
+// prune cuts the list after the newest version at or below horizon — no
+// registered snapshot can reach anything older — and reports whether
+// versions above the horizon remain for a later call to cut.
+func (v *ver[T]) prune(horizon uint64) bool {
+	last := v.visible(horizon)
+	if last != nil {
+		last.prev.Store(nil)
+	}
+	return last != v
+}
+
+// setLive makes img the page's only image, valid at every stamp: the
+// write path outside an epoch (bulk load, MVCC off, unversioned cache
+// pages rewritten at query time).
+func (pg *page) setLive(img []byte) {
+	pg.head.Store(&pageVer{val: img})
 }
 
 // DirVersions is the version handle one in-memory directory registers with
@@ -73,6 +89,7 @@ type DirVersions struct {
 	snap      func() any
 	head      atomic.Pointer[dirVer]
 	dirty     bool
+	queued    bool // awaiting version pruning; guarded by mvccState.mu
 }
 
 // deferredFree is a batch of pages freed by the update that committed at
@@ -84,26 +101,25 @@ type deferredFree struct {
 
 // mvccState hangs off a Disk once EnableMVCC is called.
 type mvccState struct {
-	// mu guards the snapshot registry, the deferred-free list and the
-	// commit stamp's publication point.
+	// mu guards the snapshot registry, the deferred-free list, the pruning
+	// queues and the commit stamp's publication point.
 	mu          sync.Mutex
 	commitStamp atomic.Uint64
 	active      map[uint64]int
 	epoch       atomic.Bool
 
-	// chMu guards the chains map header; chain contents are accessed via
-	// atomics (published versions) or by the single epoch writer (pending).
-	chMu   sync.RWMutex
-	chains map[PageID]*pageChain
-
 	// Epoch-writer private state: pages written and freed this epoch, and
 	// directories dirtied this epoch. Only the session holding the update
 	// footprint touches these.
-	epochPages []PageID
+	epochPages []*page
 	epochFrees []PageID
 	dirtyDirs  []*DirVersions
 
 	deferred []deferredFree
+	// gcPages and gcDirs hold what gained a version since GCVersions last
+	// cut it back to one.
+	gcPages []*page
+	gcDirs  []*DirVersions
 }
 
 // EnableMVCC switches the disk into multi-version mode: every registered
@@ -114,14 +130,10 @@ func (d *Disk) EnableMVCC() {
 	if d.mvcc != nil {
 		return
 	}
-	m := &mvccState{
-		active: make(map[uint64]int),
-		chains: make(map[PageID]*pageChain),
-	}
-	d.mvcc = m
-	d.mu.RLock()
+	d.mvcc = &mvccState{active: make(map[uint64]int)}
+	d.mu.Lock()
 	dirs := append([]*DirVersions(nil), d.dirs...)
-	d.mu.RUnlock()
+	d.mu.Unlock()
 	for _, dv := range dirs {
 		if dv.versioned {
 			dv.publish(0)
@@ -174,50 +186,57 @@ func (d *Disk) BeginEpoch() {
 	}
 }
 
-// Publish stamps everything the open epoch wrote — pending page versions,
+// Publish stamps everything the open epoch wrote — staged page images,
 // dirty directories, deferred frees — with the update's commit sequence
 // number and makes it visible: after the commit stamp advances, snapshots
 // taken at or beyond stamp see the new versions, older snapshots keep the
 // old ones. Call under the engine's commit mutex, which assigns the stamp.
+// The work is proportional to what the epoch touched.
 func (d *Disk) Publish(stamp uint64) {
 	m := d.mvcc
 	if m == nil {
 		return
 	}
-	m.chMu.RLock()
-	for _, id := range m.epochPages {
-		c := m.chains[id]
-		v := &pageVer{stamp: stamp, data: c.pending}
-		v.prev.Store(c.head.Load())
-		c.head.Store(v)
-		// Keep the live page in sync with the newest version so readers
-		// without a snapshot (and the next epoch's first read) see it.
-		d.WriteRaw(id, v.data)
-		c.pending = nil
-	}
-	m.chMu.RUnlock()
-	m.epochPages = m.epochPages[:0]
 	for _, dv := range m.dirtyDirs {
 		dv.publish(stamp)
 		dv.dirty = false
 	}
-	m.dirtyDirs = m.dirtyDirs[:0]
 	m.mu.Lock()
+	for _, pg := range m.epochPages {
+		v := &pageVer{stamp: stamp, val: pg.pending}
+		v.prev.Store(pg.head.Load())
+		pg.head.Store(v)
+		pg.pending = nil
+		if !pg.queued {
+			pg.queued = true
+			m.gcPages = append(m.gcPages, pg)
+		}
+	}
+	for _, dv := range m.dirtyDirs {
+		if !dv.queued {
+			dv.queued = true
+			m.gcDirs = append(m.gcDirs, dv)
+		}
+	}
 	if len(m.epochFrees) > 0 {
 		m.deferred = append(m.deferred, deferredFree{stamp: stamp, ids: m.epochFrees})
 		m.epochFrees = nil
 	}
 	m.commitStamp.Store(stamp)
 	m.mu.Unlock()
+	m.epochPages = m.epochPages[:0]
+	m.dirtyDirs = m.dirtyDirs[:0]
 	m.epoch.Store(false)
 }
 
-// GCVersions prunes version chains and reclaims deferred frees below the
+// GCVersions cuts version lists and reclaims deferred frees below the
 // horizon — the oldest registered snapshot (or the commit stamp when no
-// reader is active). It returns the number of pages returned to the
-// allocator. Safe to call concurrently with readers and with an open
-// epoch; the engine wraps calls in the "mvcc:gc" lock so residual waits
-// are attributable (see procdoctor).
+// reader is active). It visits only what was published since it last
+// ran, keeping queued whatever the horizon has not passed yet, and
+// returns the number of pages returned to the allocator. Safe to call
+// concurrently with readers and with an open epoch; the engine wraps
+// calls in the "mvcc:gc" lock so residual waits are attributable (see
+// procdoctor).
 func (d *Disk) GCVersions() int {
 	m := d.mvcc
 	if m == nil {
@@ -231,34 +250,22 @@ func (d *Disk) GCVersions() int {
 		}
 	}
 	var ready []PageID
-	rest := m.deferred[:0]
-	for _, df := range m.deferred {
-		if df.stamp <= horizon {
-			ready = append(ready, df.ids...)
-		} else {
-			rest = append(rest, df)
+	m.deferred = slices.DeleteFunc(m.deferred, func(df deferredFree) bool {
+		if df.stamp > horizon {
+			return false
 		}
-	}
-	m.deferred = rest
+		ready = append(ready, df.ids...)
+		return true
+	})
+	m.gcPages = slices.DeleteFunc(m.gcPages, func(pg *page) bool {
+		pg.queued = pg.head.Load().prune(horizon)
+		return !pg.queued
+	})
+	m.gcDirs = slices.DeleteFunc(m.gcDirs, func(dv *DirVersions) bool {
+		dv.queued = dv.head.Load().prune(horizon)
+		return !dv.queued
+	})
 	m.mu.Unlock()
-
-	m.chMu.Lock()
-	for _, id := range ready {
-		delete(m.chains, id)
-	}
-	m.chMu.Unlock()
-	m.chMu.RLock()
-	for _, c := range m.chains {
-		pruneBelow(c.head.Load(), horizon)
-	}
-	m.chMu.RUnlock()
-
-	d.mu.RLock()
-	dirs := append([]*DirVersions(nil), d.dirs...)
-	d.mu.RUnlock()
-	for _, dv := range dirs {
-		pruneDirBelow(dv.head.Load(), horizon)
-	}
 
 	if len(ready) > 0 {
 		d.mu.Lock()
@@ -268,32 +275,12 @@ func (d *Disk) GCVersions() int {
 	return len(ready)
 }
 
-// pruneBelow cuts the chain after the newest version at or below horizon:
-// no registered snapshot can reach anything older.
-func pruneBelow(v *pageVer, horizon uint64) {
-	for v != nil {
-		if v.stamp <= horizon {
-			v.prev.Store(nil)
-			return
-		}
-		v = v.prev.Load()
-	}
-}
-
-func pruneDirBelow(v *dirVer, horizon uint64) {
-	for v != nil {
-		if v.stamp <= horizon {
-			v.prev.Store(nil)
-			return
-		}
-		v = v.prev.Load()
-	}
-}
-
 // RegisterDir registers an in-memory directory with the disk and returns
-// its version handle. snap must return an immutable deep copy of the live
-// directory. Structures register at construction; cache entry files that
-// are rewritten at query time call Unversion on the handle instead.
+// its version handle. snap must return an immutable copy of the live
+// directory; the copy may share whatever the live directory will copy
+// before writing again (Table chunks, OrderedFile page entries).
+// Structures register at construction; cache entry files that are
+// rewritten at query time call Unversion on the handle instead.
 func (d *Disk) RegisterDir(snap func() any) *DirVersions {
 	dv := &DirVersions{disk: d, versioned: true, snap: snap}
 	d.mu.Lock()
@@ -340,90 +327,46 @@ func (dv *DirVersions) Lookup(snap uint64) any {
 	if dv == nil || !dv.versioned {
 		return nil
 	}
-	for v := dv.head.Load(); v != nil; v = v.prev.Load() {
-		if v.stamp <= snap {
-			return v.dir
-		}
+	if v := dv.head.Load().visible(snap); v != nil {
+		return v.val
 	}
 	return nil
 }
 
 // publish links a fresh directory copy as the new head.
 func (dv *DirVersions) publish(stamp uint64) {
-	v := &dirVer{stamp: stamp, dir: dv.snap()}
+	v := &dirVer{stamp: stamp, val: dv.snap()}
 	v.prev.Store(dv.head.Load())
 	dv.head.Store(v)
 }
 
-// readAt copies the newest version of the page with stamp <= snap into
-// dst. Pages without a chain have never been epoch-written: their live
-// bytes are valid at every stamp.
-func (d *Disk) readAt(id PageID, dst []byte, snap uint64) {
-	m := d.mvcc
-	m.chMu.RLock()
-	c := m.chains[id]
-	m.chMu.RUnlock()
-	if c == nil {
-		d.readInto(id, dst)
-		return
+// imageAt returns the newest image of the page with stamp <= snap. The
+// head is loaded once and the walk starts from it, so a Publish that lands
+// meanwhile cannot show through: whatever it links sits above the head
+// already in hand.
+func (d *Disk) imageAt(pg *page, id PageID, snap uint64) []byte {
+	v := pg.head.Load()
+	if d.snapReadHook != nil {
+		d.snapReadHook()
 	}
-	for v := c.head.Load(); v != nil; v = v.prev.Load() {
-		if v.stamp <= snap {
-			copy(dst, v.data)
-			return
-		}
+	if v = v.visible(snap); v != nil {
+		return v.val
 	}
 	panic(fmt.Sprintf("storage: page %d has no version visible at snapshot %d", id, snap))
 }
 
-// readEpoch serves the epoch writer its own pending writes, falling back
-// to the live page (which equals the newest published version).
-func (d *Disk) readEpoch(id PageID, dst []byte) {
-	m := d.mvcc
-	m.chMu.RLock()
-	c := m.chains[id]
-	m.chMu.RUnlock()
-	if c != nil && c.pending != nil {
-		copy(dst, c.pending)
-		return
+// stageEpoch stages a flushed buffer as the page's unpublished image; a
+// second flush of the same page within the epoch replaces the first.
+func (d *Disk) stageEpoch(pg *page, buf []byte) {
+	if pg.pending == nil {
+		d.mvcc.epochPages = append(d.mvcc.epochPages, pg)
 	}
-	d.readInto(id, dst)
-}
-
-// writeEpoch stages a page write in the epoch's pending buffer, seeding
-// the version chain with the pre-epoch contents on first touch.
-func (d *Disk) writeEpoch(id PageID, data []byte) {
-	if len(data) > d.pageSize {
-		panic(fmt.Sprintf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize))
-	}
-	m := d.mvcc
-	m.chMu.RLock()
-	c := m.chains[id]
-	m.chMu.RUnlock()
-	if c == nil {
-		base := &pageVer{stamp: 0, data: make([]byte, d.pageSize)}
-		d.readInto(id, base.data)
-		c = &pageChain{}
-		c.head.Store(base)
-		m.chMu.Lock()
-		m.chains[id] = c
-		m.chMu.Unlock()
-	}
-	if c.pending == nil {
-		c.pending = make([]byte, d.pageSize)
-		m.epochPages = append(m.epochPages, id)
-	} else {
-		clear(c.pending)
-	}
-	copy(c.pending, data)
+	pg.pending = buf
 }
 
 // freeEpoch defers a page freed inside the epoch until the GC horizon
 // passes the epoch's eventual stamp.
 func (d *Disk) freeEpoch(id PageID) {
-	m := d.mvcc
-	d.mu.RLock()
-	d.check(id)
-	d.mu.RUnlock()
-	m.epochFrees = append(m.epochFrees, id)
+	d.page(id) // range check
+	d.mvcc.epochFrees = append(d.mvcc.epochFrees, id)
 }

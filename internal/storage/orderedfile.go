@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -30,10 +31,14 @@ type OrderedFile struct {
 	perPage int
 	dir     ofDir
 	dv      *DirVersions
+	// gen counts published copies of the directory: they share every
+	// ofPage stamped below it, which ownPage copies before a write.
+	gen uint64
 }
 
-// ofDir is the file's directory: the page list and the record count. The
-// live copy is mutated in place; published copies are immutable.
+// ofDir is the file's directory: the page list and the record count.
+// Published copies are immutable and share unmodified pages with the live
+// one.
 type ofDir struct {
 	pages []*ofPage
 	n     int
@@ -42,6 +47,7 @@ type ofDir struct {
 type ofPage struct {
 	id   PageID
 	keys []uint64 // sorted; len(keys) = records on this page
+	gen  uint64   // the file's gen when this page was created or last copied
 }
 
 // NewOrderedFile creates an empty ordered file with recSize-byte records.
@@ -60,13 +66,23 @@ func NewOrderedFile(disk *Disk, recSize int) *OrderedFile {
 // time under their entry mutex use this (docs/MVCC.md).
 func (f *OrderedFile) Unversion() { f.dv.Unversion() }
 
-// snapshotDir returns an immutable deep copy of the live directory.
+// snapshotDir freezes the live directory: the copy gets its own page list
+// but shares every page entry, which the live side copies before writing.
 func (f *OrderedFile) snapshotDir() any {
-	d := &ofDir{pages: make([]*ofPage, len(f.dir.pages)), n: f.dir.n}
-	for i, p := range f.dir.pages {
-		d.pages[i] = &ofPage{id: p.id, keys: append([]uint64(nil), p.keys...)}
+	f.gen++
+	return &ofDir{pages: slices.Clone(f.dir.pages), n: f.dir.n}
+}
+
+// ownPage returns page pi of the live directory ready for in-place
+// mutation of its keys, copying it first when a published directory
+// shares it.
+func (f *OrderedFile) ownPage(pi int) *ofPage {
+	p := f.dir.pages[pi]
+	if p.gen != f.gen {
+		p = &ofPage{id: p.id, keys: slices.Clone(p.keys), gen: f.gen}
+		f.dir.pages[pi] = p
 	}
-	return d
+	return p
 }
 
 // dirFor resolves the directory a reader should walk: the newest published
@@ -116,7 +132,7 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 		id := f.disk.Alloc()
 		buf := pg.Overwrite(id)
 		copy(buf, rec)
-		f.dir.pages = append(f.dir.pages, &ofPage{id: id, keys: []uint64{key}})
+		f.dir.pages = append(f.dir.pages, &ofPage{id: id, keys: []uint64{key}, gen: f.gen})
 		f.dir.n = 1
 		return
 	}
@@ -133,6 +149,7 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 		p = f.dir.pages[pi]
 		slot = sort.Search(len(p.keys), func(i int) bool { return p.keys[i] >= key })
 	}
+	p = f.ownPage(pi)
 	buf := pg.Update(p.id)
 	// Shift records [slot, len) up one slot within the page.
 	copy(buf[(slot+1)*f.recSize:(len(p.keys)+1)*f.recSize], buf[slot*f.recSize:len(p.keys)*f.recSize])
@@ -146,14 +163,14 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 // split divides page pi in half, moving the upper half to a fresh page
 // inserted after it.
 func (f *OrderedFile) split(pg *Pager, pi int) {
-	p := f.dir.pages[pi]
+	p := f.ownPage(pi)
 	half := len(p.keys) / 2
 	newID := f.disk.Alloc()
 	oldBuf := pg.Update(p.id)
 	newBuf := pg.Overwrite(newID)
 	copy(newBuf, oldBuf[half*f.recSize:len(p.keys)*f.recSize])
 	clear(oldBuf[half*f.recSize : len(p.keys)*f.recSize])
-	newPage := &ofPage{id: newID, keys: append([]uint64(nil), p.keys[half:]...)}
+	newPage := &ofPage{id: newID, keys: slices.Clone(p.keys[half:]), gen: f.gen}
 	p.keys = p.keys[:half]
 	f.dir.pages = append(f.dir.pages, nil)
 	copy(f.dir.pages[pi+2:], f.dir.pages[pi+1:])
@@ -169,7 +186,7 @@ func (f *OrderedFile) Delete(pg *Pager, key uint64) bool {
 		return false
 	}
 	f.dv.MarkDirty()
-	p := f.dir.pages[pi]
+	p := f.ownPage(pi)
 	buf := pg.Update(p.id)
 	copy(buf[slot*f.recSize:], buf[(slot+1)*f.recSize:len(p.keys)*f.recSize])
 	clear(buf[(len(p.keys)-1)*f.recSize : len(p.keys)*f.recSize])
@@ -295,7 +312,7 @@ func (f *OrderedFile) Replace(pg *Pager, keys []uint64, recs [][]byte) {
 		// Update (not Overwrite) so the rebuild charges read+write per
 		// page, matching C_WriteCache = 2·C2·ProcSize.
 		buf := pg.Update(id)
-		p := &ofPage{id: id, keys: append([]uint64(nil), keys[i:end]...)}
+		p := &ofPage{id: id, keys: slices.Clone(keys[i:end]), gen: f.gen}
 		for s := i; s < end; s++ {
 			if len(recs[s]) != f.recSize {
 				panic(fmt.Sprintf("storage: record of %d bytes, want %d", len(recs[s]), f.recSize))

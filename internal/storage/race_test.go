@@ -53,8 +53,8 @@ func patternBaseline(t *testing.T, nPages, ops int) metric.Counters {
 // each on its own page set. Every session's per-op distinct-page counts
 // must be identical to the sequential baseline, and since the sets are
 // disjoint the page contents must come out exactly as a serial run would
-// leave them. Run under -race this also exercises the striped page
-// latches and the directory lock.
+// leave them. Run under -race this also exercises the atomically swapped
+// page images and the lock-free page table.
 func TestConcurrentPagersDisjointPages(t *testing.T) {
 	const sessions, perSession, ops = 8, 5, 40
 	want := patternBaseline(t, perSession, ops)
@@ -100,7 +100,7 @@ func TestConcurrentPagersDisjointPages(t *testing.T) {
 // the engine the 2PL lock table serializes such conflicts — but the C2
 // accounting is per-session frame-table state and must charge exactly
 // the sequential figure regardless of interleaving, and -race must stay
-// silent (page contents move only under the striped latches).
+// silent (a page changes only by swapping in a whole new image).
 func TestConcurrentPagersOverlappingPages(t *testing.T) {
 	const sessions, nPages, ops = 8, 5, 40
 	want := patternBaseline(t, nPages, ops)

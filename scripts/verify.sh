@@ -3,6 +3,10 @@
 #
 #   tier 1: go build ./... && go test ./...        (the seed contract)
 #   tier 2: go vet ./... && go test -race ./...    (static + race checks)
+#           plus the nested benchmark module (benchmark/README.md): vet
+#           and unit tests of the harness and the ladder, and a -quick
+#           run with every output check on, so an internal signature
+#           change cannot break the benchmark unnoticed
 #   tier 3: concurrency + parallel sweep guards     (docs/CONCURRENCY.md,
 #           docs/PARALLEL.md: serializability oracle, race-stress soak,
 #           determinism oracles, fuzz smokes), the telemetry smoke
@@ -24,9 +28,9 @@
 #           corpus, MVCC-off byte-identity and the open-loop arrival
 #           replay property)
 #   tier 4: zero-diagnosis overhead guards          (vs seed meter, seed
-#           lock table, blame-off acquire, ledger-off invalidate,
-#           trace-off wire frames and the MVCC-off page-read route;
-#           minima of VERIFY_OVERHEAD_RUNS interleaved runs)
+#           lock table, blame-off acquire, ledger-off invalidate and
+#           trace-off wire frames; minima of VERIFY_OVERHEAD_RUNS
+#           interleaved runs)
 #
 # Run from the repository root: sh scripts/verify.sh
 #
@@ -63,6 +67,12 @@ go vet ./...
 # helpers (deadlock watchdogs, soak gates) are vetted too.
 go vet -tags=race ./...
 go test -race ./...
+# The benchmark is a module of its own (dbproc/benchmark, replace =>
+# ../), so nothing above builds it: vet and test it, then run the
+# harness once at 1/50 of the time with its output checks on.
+(cd benchmark && go vet ./... && go test ./...)
+bash benchmark/run.sh -quick >/dev/null
+echo "benchmark module + quick run: OK"
 stop_after 2
 
 echo "== tier 3: concurrency + parallel sweep engine guards =="
@@ -321,16 +331,6 @@ else
         'BenchmarkFrameSeedBaseline|BenchmarkFrameTraceOff' ./internal/wire/
     overhead_guard /tmp/trace_bench.txt \
         '^BenchmarkFrameSeedBaseline' '^BenchmarkFrameTraceOff' 'trace-off' ratio 1.12
-
-    # MVCC off: the production page-read routing on a disk where MVCC was
-    # never enabled vs the seed's direct live-page read. The only addition
-    # is the nil check on the disk's version state (docs/MVCC.md); the
-    # byte-identity side of the same guarantee is pinned by
-    # TestMVCCOffMatchesSequential in tier 3.
-    bench_samples /tmp/mvcc_bench.txt \
-        'BenchmarkReadPageSeedBaseline|BenchmarkReadPageMVCCOff' ./internal/storage/
-    overhead_guard /tmp/mvcc_bench.txt \
-        '^BenchmarkReadPageSeedBaseline' '^BenchmarkReadPageMVCCOff' 'mvcc-off' ratio 1.05
 fi
 
 echo "== all tiers passed =="
