@@ -1,10 +1,12 @@
 package avm
 
 import (
+	"bytes"
 	"testing"
 
 	"dbproc/internal/cache"
 	"dbproc/internal/dbtest"
+	"dbproc/internal/dbtest/aliastest"
 	"dbproc/internal/ilock"
 	"dbproc/internal/query"
 	"dbproc/internal/tuple"
@@ -22,6 +24,13 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
+	return newFixtureOver(t, func(p query.Plan) query.Plan { return p })
+}
+
+// newFixtureOver builds the fixture with every plan the engine executes,
+// full and delta, passed through wrap.
+func newFixtureOver(t *testing.T, wrap func(query.Plan) query.Plan) *fixture {
+	t.Helper()
 	w := dbtest.NewWorld(dbtest.Config{})
 	store := cache.NewStore(w.Pager.Disk())
 	router := ilock.NewManager()
@@ -33,7 +42,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	p1 := &View{
 		ID:       1,
-		FullPlan: query.NewBTreeRangeScan(w.R1, 20, 39),
+		FullPlan: wrap(query.NewBTreeRangeScan(w.R1, 20, 39)),
 		Key:      key1,
 		Sources: []Source{{
 			Rel:  w.R1,
@@ -42,7 +51,7 @@ func newFixture(t *testing.T) *fixture {
 			// Rule indexing already restricted the deltas to the band,
 			// which is the whole P1 predicate: no further work (the
 			// paper's "no extra cost" for P1 changes).
-			DeltaPlan: func(vs *query.ValuesScan) query.Plan { return vs },
+			DeltaPlan: func(vs *query.ValuesScan) query.Plan { return wrap(vs) },
 		}},
 	}
 	store.Define(1, s1.Width())
@@ -64,7 +73,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	p2 := &View{
 		ID:       2,
-		FullPlan: mkJoin(query.NewBTreeRangeScan(w.R1, 50, 69), true),
+		FullPlan: wrap(mkJoin(query.NewBTreeRangeScan(w.R1, 50, 69), true)),
 		Key:      key2,
 		Sources: []Source{
 			{
@@ -72,7 +81,7 @@ func newFixture(t *testing.T) *fixture {
 				Attr: "skey",
 				Band: [2]int64{50, 69},
 				DeltaPlan: func(vs *query.ValuesScan) query.Plan {
-					return mkJoin(vs, false)
+					return wrap(mkJoin(vs, false))
 				},
 			},
 			{
@@ -82,9 +91,9 @@ func newFixture(t *testing.T) *fixture {
 				// An R2 delta joins back to the band's R1 tuples via a
 				// nested-loop over the band scan (R1 has no index on a).
 				DeltaPlan: func(vs *query.ValuesScan) query.Plan {
-					refined := &query.Refine{Child: vs, Pred: query.Range{Field: "p2", Lo: 0, Hi: 4}}
-					return query.NewNestedLoopJoin(
-						query.NewBTreeRangeScan(w.R1, 50, 69), refined, "a", "b", "r2_", 80)
+					refined := &query.Refine{Child: wrap(vs), Pred: query.Range{Field: "p2", Lo: 0, Hi: 4}}
+					return wrap(query.NewNestedLoopJoin(
+						query.NewBTreeRangeScan(w.R1, 50, 69), wrap(refined), "a", "b", "r2_", 80))
 				},
 			},
 		},
@@ -106,7 +115,7 @@ func (f *fixture) recompute(v *View) map[uint64][]byte {
 	defer f.w.Pager.SetCharging(prev)
 	out := map[uint64][]byte{}
 	v.FullPlan.Execute(&query.Ctx{Meter: f.w.Meter, Pager: f.w.Pager}, func(tup []byte) bool {
-		out[v.Key(tup)] = tup
+		out[v.Key(tup)] = bytes.Clone(tup) // emitted tuples are borrowed
 		return true
 	})
 	return out
@@ -370,7 +379,26 @@ func TestR2UpdateChargesBandScan(t *testing.T) {
 // TestManyRandomUpdatesStayConsistent drives a long random churn and
 // checks the views never drift from recomputation.
 func TestManyRandomUpdatesStayConsistent(t *testing.T) {
-	f := newFixture(t)
+	churn(t, newFixture(t))
+}
+
+// TestDeltaAppliersCopyWhatTheyKeep repeats the churn, and an R2 update
+// through the nested-loop source, with every plan's emitted tuples
+// overwritten as soon as emit returns: Prepare's Materialize and the delta
+// appliers (Delete by key, Insert into the view's page) must have taken
+// what they need by then.
+func TestDeltaAppliersCopyWhatTheyKeep(t *testing.T) {
+	f := newFixtureOver(t, aliastest.Borrowed)
+	f.assertConsistent(t, f.p1)
+	f.assertConsistent(t, f.p2)
+	churn(t, f)
+	f.applyR2Update(t, 15, 2)
+	f.applyR2Update(t, 12, 7)
+	f.assertConsistent(t, f.p2)
+}
+
+func churn(t *testing.T, f *fixture) {
+	t.Helper()
 	// Track current skey per tid (all start at skey = tid).
 	cur := map[int64]int64{}
 	for tid := int64(0); tid < 200; tid++ {

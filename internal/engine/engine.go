@@ -270,6 +270,9 @@ type Engine struct {
 	commitMu sync.Mutex
 	seq      int
 	hist     []HistoryEntry
+	// digest is Digest; a test substitutes a wrapper to observe where in
+	// Exec a result is digested.
+	digest func([][]byte) []byte
 
 	// agg accumulates every committed operation's per-component cost
 	// delta. Its counters are atomics: a telemetry scrape reads them
@@ -347,7 +350,7 @@ func New(cfg sim.Config, opt Options) *Engine {
 		// sees until the first update publishes.
 		w.Disk().EnableMVCC()
 	}
-	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs()}
+	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest}
 	e.sessions = make([]*Session, opt.Clients)
 	if opt.ProfileLocks {
 		e.locks.EnableProfiling()

@@ -13,6 +13,7 @@ import (
 	"dbproc/internal/dbtest"
 	"dbproc/internal/sim"
 	"dbproc/internal/telemetry"
+	"dbproc/internal/workload"
 )
 
 // testConfig is a scaled-down parameter point: populations small enough
@@ -294,5 +295,43 @@ func TestSessionAttribution(t *testing.T) {
 	}
 	if p50, p95 := res.Percentile(50), res.Percentile(95); p50 < 0 || p95 < p50 {
 		t.Fatalf("latency percentiles inconsistent: p50=%d p95=%d", p50, p95)
+	}
+}
+
+// TestResultDigestedOutsideCommit: the history digest sorts and hashes a
+// whole query result, and commitMu serializes every session's commit, so
+// a large result digested under it would extend all of them. The hook
+// observes the mutex from inside the digest call: with one session, it is
+// held there only if that session's own commit step took it first.
+func TestResultDigestedOutsideCommit(t *testing.T) {
+	cfg := testConfig(costmodel.AlwaysRecompute, costmodel.Model1, 5, 4, 12)
+	cfg.Params.F = 0.5 // 300-tuple results
+	e := New(cfg, Options{Clients: 1, RecordHistory: true})
+	digested, underCommit := 0, 0
+	e.digest = func(tuples [][]byte) []byte {
+		digested++
+		if e.commitMu.TryLock() {
+			e.commitMu.Unlock()
+		} else {
+			underCommit++
+		}
+		return Digest(tuples)
+	}
+	res := e.Run(context.Background())
+	if digested != res.Queries || digested == 0 {
+		t.Fatalf("%d results digested for %d queries", digested, res.Queries)
+	}
+	if underCommit != 0 {
+		t.Errorf("%d of %d results were digested with the commit mutex held", underCommit, digested)
+	}
+	largest := 0
+	for _, he := range res.History {
+		if he.Op.Kind == workload.Query && len(he.Result) == 0 {
+			t.Fatalf("query seq %d recorded no digest", he.Seq)
+		}
+		largest = max(largest, he.Tuples)
+	}
+	if largest < 200 {
+		t.Fatalf("the largest result has %d tuples: the run digests nothing large", largest)
 	}
 }

@@ -204,6 +204,14 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		RecomputeNs: recomputeNs,
 	}
 
+	// The history digest sorts and hashes the whole result. It is a pure
+	// function of it, so it is computed here and only stored under the
+	// commit mutex: a large result must not extend every other session's
+	// commit.
+	if e.opt.RecordHistory && op.Kind == workload.Query {
+		out.Digest = e.digest(r.Tuples)
+	}
+
 	// Commit: draw the sequence, adopt the operation's span, merge the
 	// session's cost delta into the run aggregate and append the history
 	// entry — one atomic step, taken while the 2PL footprint is still
@@ -263,10 +271,9 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 			he.Update = r.Update
 			he.Snap = stamp
 		} else {
-			he.Result = Digest(r.Tuples)
+			he.Result = out.Digest
 			he.Tuples = len(r.Tuples)
 			he.Snap = snap
-			out.Digest = he.Result
 		}
 		e.hist = append(e.hist, he)
 	}

@@ -2,6 +2,7 @@ package hashidx_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -16,14 +17,18 @@ import (
 // buckets, so random churn over 80 keys (duplicates allowed) grows and
 // shrinks overflow chains, freeing their pages, all the time.
 type cowTable struct {
+	tb    testing.TB
 	t     *hashidx.Table
 	count map[uint64]int
 }
 
+// cowKeys is the key space Mutate draws from.
+const cowKeys = 80
+
 func (c *cowTable) Mutate(pg *storage.Pager, rng *rand.Rand) {
 	growing := rng.Intn(100) < 55
 	for n := 1 + rng.Intn(8); n > 0; n-- {
-		key := uint64(rng.Intn(80))
+		key := uint64(rng.Intn(cowKeys))
 		if growing {
 			c.t.Insert(pg, cowtest.Rec(key, rng))
 			c.count[key]++
@@ -38,19 +43,40 @@ func (c *cowTable) Mutate(pg *storage.Pager, rng *rand.Rand) {
 	}
 }
 
+// Dump returns what ScanAll reads, having checked that the other access
+// path agrees: ScanAll walks the pages alone, a probe goes through the
+// bucket's key column, and both are part of what a snapshot must keep.
 func (c *cowTable) Dump(pg *storage.Pager) [][]byte {
 	var out [][]byte
+	byKey := make(map[uint64][][]byte)
 	c.t.ScanAll(pg, func(rec []byte) bool {
-		out = append(out, append([]byte(nil), rec...))
+		cp := append([]byte(nil), rec...)
+		out = append(out, cp)
+		key := binary.LittleEndian.Uint64(cp)
+		byKey[key] = append(byKey[key], cp)
 		return true
 	})
+	for key := uint64(0); key < cowKeys; key++ {
+		want := byKey[key]
+		n := 0
+		c.t.LookupEach(pg, key, func(rec []byte) bool {
+			if n >= len(want) || !bytes.Equal(rec, want[n]) {
+				c.tb.Errorf("probe of key %d: record %d is %x, not what ScanAll reads", key, n, rec)
+			}
+			n++
+			return true
+		})
+		if n != len(want) {
+			c.tb.Errorf("probe of key %d finds %d records, ScanAll reads %d", key, n, len(want))
+		}
+	}
 	return out
 }
 
 func TestTableSnapshotsSurviveUpdates(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		disk := storage.NewDisk(64)
-		c := &cowTable{t: hashidx.New(disk, 16, 5, 0), count: make(map[uint64]int)}
+		c := &cowTable{tb: t, t: hashidx.New(disk, 16, 5, 0), count: make(map[uint64]int)}
 		cowtest.Run(t, disk, c, 400, 3, seed)
 	}
 }

@@ -14,6 +14,17 @@
 // their stamp instead (docs/MVCC.md). The bucket table is a persistent
 // storage.Table, so a published copy shares every bucket chunk the update
 // did not touch.
+//
+// Every bucket also carries a dense key column: the hash keys of its
+// records in chain order, 8 bytes each, adjacent in memory. A probe
+// compares against the column and slices a record out of its page only on
+// a match, instead of striding the page a record at a time. The column
+// is an access path, not part of the cost model: a probe still reads (and
+// is charged for) every chain page it used to, in the same order. It
+// follows the same copy-on-write rule as the chain: Insert appends, which
+// a published copy never sees because it never reads past its own length;
+// Delete moves the bucket's last key into the vacated position, which a
+// published copy would see, so it writes a fresh column.
 package hashidx
 
 import (
@@ -45,10 +56,13 @@ type hashDir struct {
 
 // bucket is one chain. Published directories share the pages slice: it
 // may grow by append, but is clipped when truncated, so that a later append
-// cannot overwrite an element a published copy still reads.
+// cannot overwrite an element a published copy still reads. keys is the
+// key column, keys[i] the hash key of the chain's i-th record and
+// len(keys) the number of records across the chain; it is shared the same
+// way and never written in place.
 type bucket struct {
 	pages []storage.PageID
-	count int // records in this bucket across its chain
+	keys  []uint64
 }
 
 // New creates an empty hash file with the given number of primary buckets.
@@ -135,17 +149,18 @@ func (t *Table) Insert(pg *storage.Pager, rec []byte) {
 	}
 	t.dv.MarkDirty()
 	b := t.bucketMut(t.keyOf(rec))
-	slot := b.count % t.perPage
+	n := len(b.keys)
+	slot := n % t.perPage
 	var buf []byte
-	if slot == 0 && b.count == len(b.pages)*t.perPage {
+	if slot == 0 && n == len(b.pages)*t.perPage {
 		id := t.disk.Alloc()
 		b.pages = append(b.pages, id)
 		buf = pg.Overwrite(id)
 	} else {
-		buf = pg.Update(b.pages[b.count/t.perPage])
+		buf = pg.Update(b.pages[n/t.perPage])
 	}
 	copy(buf[slot*t.recSize:], rec)
-	b.count++
+	b.keys = append(b.keys, t.keyOf(rec))
 	t.dir.n++
 }
 
@@ -168,25 +183,21 @@ func (t *Table) Lookup(pg *storage.Pager, key uint64) ([]byte, bool) {
 // the results.
 func (t *Table) LookupEach(pg *storage.Pager, key uint64, fn func(rec []byte) bool) {
 	b := t.dirFor(pg).bucketFor(key)
-	remaining := b.count
+	keys := b.keys
 	for _, id := range b.pages {
-		if remaining <= 0 {
+		if len(keys) == 0 {
 			return
 		}
+		// Every chain page is read, and charged, whether or not the column
+		// holds a match on it.
 		buf := pg.Read(id)
-		limit := t.perPage
-		if remaining < limit {
-			limit = remaining
-		}
-		// The probe loop of every hash join: compare keys at a running
-		// offset and slice a record out only on a match (a tenth of a
-		// recompute-scan access against slicing every record first).
-		for s, off := 0, t.keyOff; s < limit; s, off = s+1, off+t.recSize {
-			if binary.LittleEndian.Uint64(buf[off:]) == key && !fn(buf[s*t.recSize:(s+1)*t.recSize]) {
+		limit := min(t.perPage, len(keys))
+		for s, k := range keys[:limit] {
+			if k == key && !fn(buf[s*t.recSize:(s+1)*t.recSize]) {
 				return
 			}
 		}
-		remaining -= limit
+		keys = keys[limit:]
 	}
 }
 
@@ -219,7 +230,7 @@ func (t *Table) deleteWhere(pg *storage.Pager, key uint64, match func([]byte) bo
 	b := t.bucketMut(key)
 	// Find the record's position in the chain.
 	pos := -1
-	remaining := b.count
+	remaining := len(b.keys)
 scan:
 	for pi, id := range b.pages {
 		if remaining <= 0 {
@@ -230,9 +241,8 @@ scan:
 		if remaining < limit {
 			limit = remaining
 		}
-		for s := 0; s < limit; s++ {
-			r := buf[s*t.recSize : (s+1)*t.recSize]
-			if t.keyOf(r) == key && match(r) {
+		for s, k := range b.keys[pi*t.perPage : pi*t.perPage+limit] {
+			if k == key && match(buf[s*t.recSize:(s+1)*t.recSize]) {
 				pos = pi*t.perPage + s
 				break scan
 			}
@@ -242,7 +252,7 @@ scan:
 	if pos < 0 {
 		return false
 	}
-	last := b.count - 1
+	last := len(b.keys) - 1
 	if pos != last {
 		lastBuf := pg.Read(b.pages[last/t.perPage])
 		rec := make([]byte, t.recSize)
@@ -255,9 +265,15 @@ scan:
 	}
 	lb := pg.Update(b.pages[last/t.perPage])
 	clear(lb[(last%t.perPage)*t.recSize : (last%t.perPage+1)*t.recSize])
-	b.count--
+	// A fresh column: snapshot readers share the old one and would see an
+	// in-place move.
+	keys := slices.Clone(b.keys[:last])
+	if pos != last {
+		keys[pos] = b.keys[last]
+	}
+	b.keys = keys
 	t.dir.n--
-	if b.count%t.perPage == 0 && len(b.pages) > 0 && b.count == (len(b.pages)-1)*t.perPage {
+	if last%t.perPage == 0 && len(b.pages) > 0 && last == (len(b.pages)-1)*t.perPage {
 		id := b.pages[len(b.pages)-1]
 		b.pages = slices.Clip(b.pages[:len(b.pages)-1])
 		pg.Drop(id)
@@ -272,7 +288,7 @@ func (t *Table) ScanAll(pg *storage.Pager, fn func(rec []byte) bool) {
 	d := t.dirFor(pg)
 	for i := 0; i < d.numBuckets; i++ {
 		b := d.buckets.Get(i)
-		remaining := b.count
+		remaining := len(b.keys)
 		for _, id := range b.pages {
 			if remaining <= 0 {
 				break

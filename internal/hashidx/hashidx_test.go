@@ -177,6 +177,43 @@ func TestProbeIOCharges(t *testing.T) {
 	}
 }
 
+// TestProbeReadsWholeChain: the key column tells a probe which chain
+// pages hold no match, and it must read them all the same — the model
+// charges a probe for the chain, so skipping would change simulated cost.
+// The counts are those of the probe loop before the column existed.
+func TestProbeReadsWholeChain(t *testing.T) {
+	tbl, p, m := newTestTable(64, 1)
+	p.SetCharging(false)
+	for i := uint64(0); i < 10; i++ { // one bucket, a chain of 3 pages (4+4+2)
+		tbl.Insert(p, recFor(i, i))
+	}
+	p.SetCharging(true)
+	reads := func(probe func()) int64 {
+		p.BeginOp()
+		m.Reset()
+		probe()
+		return m.Snapshot().PageReads
+	}
+	all := func(key uint64) func() {
+		return func() { tbl.LookupEach(p, key, func([]byte) bool { return true }) }
+	}
+	for _, c := range []struct {
+		what  string
+		probe func()
+		want  int64
+	}{
+		{"LookupEach of a key on the first page", all(1), 3},
+		{"LookupEach of an absent key", all(99), 3},
+		{"Lookup of a key on the second page", func() { tbl.Lookup(p, 5) }, 2},
+		{"Lookup of a key on the first page", func() { tbl.Lookup(p, 0) }, 1},
+		{"Delete of a key on the second page", func() { tbl.Delete(p, 6) }, 3},
+	} {
+		if got := reads(c.probe); got != c.want {
+			t.Errorf("%s charged %d reads, want %d", c.what, got, c.want)
+		}
+	}
+}
+
 func TestConstructorPanics(t *testing.T) {
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(64), m)

@@ -33,6 +33,10 @@ type DB struct {
 	// holds at most one open transaction (the server's statement gate
 	// serializes sessions, so this is a per-server invariant too).
 	tx *Tx
+
+	// wrapPlan, when set (by the aliasing oracle's test), is applied to
+	// every compiled plan before anything consumes it.
+	wrapPlan func(query.Plan) query.Plan
 }
 
 // Open creates an empty session. pageSize and width follow the paper's
@@ -211,7 +215,11 @@ func (db *DB) append_(s *AppendStmt) (*Result, error) {
 
 func (db *DB) compile(r *RetrieveStmt) (query.Plan, error) {
 	pl := &planner{cat: db.cat, width: db.width}
-	return pl.plan(r)
+	plan, err := pl.plan(r)
+	if err != nil || db.wrapPlan == nil {
+		return plan, err
+	}
+	return db.wrapPlan(plan), nil
 }
 
 func (db *DB) collect(plan query.Plan) *Result {

@@ -164,8 +164,8 @@ func (a *Aggregate) Execute(ctx *Ctx, emit func([]byte) bool) {
 		return false
 	})
 
+	out := a.out.New()
 	for _, st := range states {
-		out := a.out.New()
 		for i, v := range st.group {
 			a.out.Set(out, i, v)
 		}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 
 	"dbproc/internal/tuple"
@@ -25,7 +26,7 @@ type NestedLoopJoin struct {
 	out      *tuple.Schema
 	outerIdx int
 	innerIdx int
-	outerN   int
+	concat   concat
 }
 
 // NewNestedLoopJoin validates and builds the node. width is the output
@@ -42,7 +43,7 @@ func NewNestedLoopJoin(outer, inner Plan, outerField, innerField, innerPrefix st
 		out:        out,
 		outerIdx:   outer.Schema().MustFieldIndex(outerField),
 		innerIdx:   inner.Schema().MustFieldIndex(innerField),
-		outerN:     outer.Schema().NumFields(),
+		concat:     newConcat(outer.Schema(), inner.Schema()),
 	}
 }
 
@@ -58,22 +59,17 @@ func (j *NestedLoopJoin) Execute(ctx *Ctx, emit func([]byte) bool) {
 	byKey := make(map[int64][][]byte)
 	j.Inner.Execute(ctx, func(tup []byte) bool {
 		k := is.Get(tup, j.innerIdx)
-		byKey[k] = append(byKey[k], tup)
+		byKey[k] = append(byKey[k], bytes.Clone(tup))
 		return true
 	})
 	if len(byKey) == 0 {
 		return
 	}
 	os := j.Outer.Schema()
+	out := j.out.New()
 	j.Outer.Execute(ctx, func(otup []byte) bool {
 		for _, itup := range byKey[os.Get(otup, j.outerIdx)] {
-			out := j.out.New()
-			for i := 0; i < j.outerN; i++ {
-				j.out.Set(out, i, os.Get(otup, i))
-			}
-			for i := 0; i < is.NumFields(); i++ {
-				j.out.Set(out, j.outerN+i, is.Get(itup, i))
-			}
+			j.concat.into(out, otup, itup)
 			if !emit(out) {
 				return false
 			}

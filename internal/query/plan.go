@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -31,7 +32,19 @@ type Ctx struct {
 
 // Plan is a compiled, executable query plan node. Execute streams output
 // tuples to emit until the input is exhausted or emit returns false.
-// Emitted slices are freshly allocated and may be retained by the caller.
+//
+// Tuple lifetime: an emitted slice is borrowed. It is valid, and must be
+// treated as read-only, during the emit call it is passed to; whoever
+// keeps a tuple past that call copies it. Scans emit the stored bytes
+// themselves (a page image, a ValuesScan's input), and the joins, Project
+// and Aggregate each emit one scratch tuple per Execute call that the
+// next output overwrites, so a plan allocates nothing per tuple. The
+// retaining consumers copy: Run, Materialize, Sort, and the build (inner)
+// side of NestedLoopJoin.
+//
+// A plan node is shared: one procedure's plan is executed by every session
+// at once. Execute keeps its working state, scratch tuples included, in
+// the call, never on the node.
 type Plan interface {
 	// Schema describes the emitted tuples.
 	Schema() *tuple.Schema
@@ -84,9 +97,7 @@ func (s *BTreeRangeScan) Execute(ctx *Ctx, emit func([]byte) bool) {
 	hi := tuple.MaxKeyFor(s.Hi)
 	s.Rel.Tree().ScanRange(ctx.Pager, lo, hi, func(rec []byte) bool {
 		ctx.Meter.Screen(1)
-		out := make([]byte, len(rec))
-		copy(out, rec)
-		return emit(out)
+		return emit(rec)
 	})
 }
 
@@ -113,9 +124,7 @@ func (v *ValuesScan) Children() []Plan { return nil }
 // Execute implements Plan.
 func (v *ValuesScan) Execute(_ *Ctx, emit func([]byte) bool) {
 	for _, t := range v.Tuples {
-		out := make([]byte, len(t))
-		copy(out, t)
-		if !emit(out) {
+		if !emit(t) {
 			return
 		}
 	}
@@ -143,12 +152,12 @@ func (f *Filter) Children() []Plan { return []Plan{f.Child} }
 // component (plan-level predicate evaluation, distinct from the screens an
 // index scan performs itself).
 func (f *Filter) Execute(ctx *Ctx, emit func([]byte) bool) {
-	s := f.Child.Schema()
+	pred := bind(f.Pred, f.Child.Schema())
 	f.Child.Execute(ctx, func(tup []byte) bool {
 		prev := ctx.Meter.SetComponent(metric.CompQuery)
 		ctx.Meter.Screen(1)
 		ctx.Meter.SetComponent(prev)
-		if !f.Pred.Eval(s, tup) {
+		if !pred.eval(tup) {
 			return true
 		}
 		return emit(tup)
@@ -176,9 +185,9 @@ func (f *Refine) Children() []Plan { return []Plan{f.Child} }
 
 // Execute implements Plan.
 func (f *Refine) Execute(ctx *Ctx, emit func([]byte) bool) {
-	s := f.Child.Schema()
+	pred := bind(f.Pred, f.Child.Schema())
 	f.Child.Execute(ctx, func(tup []byte) bool {
-		if !f.Pred.Eval(s, tup) {
+		if !pred.eval(tup) {
 			return true
 		}
 		return emit(tup)
@@ -198,9 +207,27 @@ type HashJoinProbe struct {
 	Table      *relation.Relation
 	ProbeField string
 
-	out        *tuple.Schema
-	probeIdx   int
-	leftFields int
+	out      *tuple.Schema
+	probeIdx int
+	concat   concat
+}
+
+// concat writes a join's output tuple: tuple.Concat lays the left
+// schema's attributes and then the right's at the front of the output, so
+// the projection is the two inputs' attribute prefixes copied end to end.
+type concat struct {
+	left, right int // bytes of attributes taken from each side
+}
+
+func newConcat(left, right *tuple.Schema) concat {
+	return concat{left: 8 * left.NumFields(), right: 8 * right.NumFields()}
+}
+
+// into overwrites out's attributes; its padding is never written and
+// stays zero.
+func (c concat) into(out, ltup, rtup []byte) {
+	copy(out[:c.left], ltup[:c.left])
+	copy(out[c.left:c.left+c.right], rtup[:c.right])
 }
 
 // NewHashJoinProbe builds the join node. The output schema is the child's
@@ -220,7 +247,7 @@ func NewHashJoinProbe(child Plan, table *relation.Relation, probeField string, w
 		ProbeField: probeField,
 		out:        out,
 		probeIdx:   child.Schema().MustFieldIndex(probeField),
-		leftFields: child.Schema().NumFields(),
+		concat:     newConcat(child.Schema(), table.Schema()),
 	}
 }
 
@@ -234,29 +261,43 @@ func (j *HashJoinProbe) Children() []Plan { return []Plan{j.Child} }
 // hashidx component, scoped inside the emit callback so the child scan
 // keeps its own attribution.
 func (j *HashJoinProbe) Execute(ctx *Ctx, emit func([]byte) bool) {
-	ls := j.Child.Schema()
-	rs := j.Table.Schema()
-	j.Child.Execute(ctx, func(ltup []byte) bool {
-		key := uint64(ls.Get(ltup, j.probeIdx))
-		if ctx.Locks != nil {
-			ctx.Locks.ReadKey(j.Table.Schema().Name(), int64(key))
-		}
-		prev := ctx.Meter.SetComponent(metric.CompHashIdx)
-		defer ctx.Meter.SetComponent(prev)
-		cont := true
-		j.Table.Hash().LookupEach(ctx.Pager, key, func(rtup []byte) bool {
-			out := j.out.New()
-			for i := 0; i < j.leftFields; i++ {
-				j.out.Set(out, i, ls.Get(ltup, i))
-			}
-			for i := 0; i < rs.NumFields(); i++ {
-				j.out.Set(out, j.leftFields+i, rs.Get(rtup, i))
-			}
-			cont = emit(out)
-			return cont
-		})
-		return cont
-	})
+	p := &probe{j: j, ctx: ctx, ls: j.Child.Schema(), emit: emit, out: j.out.New(), cont: true}
+	p.match = p.matched
+	j.Child.Execute(ctx, p.probe)
+}
+
+// probe is the state of one Execute call, in one allocation rather than a
+// captured variable each.
+type probe struct {
+	j     *HashJoinProbe
+	ctx   *Ctx
+	ls    *tuple.Schema // the child's
+	emit  func([]byte) bool
+	match func(rtup []byte) bool // matched, bound once
+	out   []byte                 // the scratch tuple every output is written into
+	ltup  []byte                 // the child tuple being probed
+	cont  bool                   // what emit last returned
+}
+
+// probe looks one child tuple up in the table.
+func (p *probe) probe(ltup []byte) bool {
+	j, ctx := p.j, p.ctx
+	p.ltup = ltup
+	key := uint64(p.ls.Get(ltup, j.probeIdx))
+	if ctx.Locks != nil {
+		ctx.Locks.ReadKey(j.Table.Schema().Name(), int64(key))
+	}
+	prev := ctx.Meter.SetComponent(metric.CompHashIdx)
+	j.Table.Hash().LookupEach(ctx.Pager, key, p.match)
+	ctx.Meter.SetComponent(prev)
+	return p.cont
+}
+
+// matched emits the join of the probed tuple with one table record.
+func (p *probe) matched(rtup []byte) bool {
+	p.j.concat.into(p.out, p.ltup, rtup)
+	p.cont = p.emit(p.out)
+	return p.cont
 }
 
 // String implements Plan.
@@ -266,8 +307,8 @@ func (j *HashJoinProbe) String() string {
 		j.Table.Schema().FieldName(j.Table.HashField()))
 }
 
-// Materialize runs a plan and returns its results sorted by the given
-// cluster key, ready to Replace a cached object's contents.
+// Materialize runs a plan and returns copies of its results sorted by the
+// given cluster key, ready to Replace a cached object's contents.
 func Materialize(p Plan, key func([]byte) uint64, ctx *Ctx) ([]uint64, [][]byte) {
 	type row struct {
 		k uint64
@@ -275,7 +316,7 @@ func Materialize(p Plan, key func([]byte) uint64, ctx *Ctx) ([]uint64, [][]byte)
 	}
 	var rows []row
 	p.Execute(ctx, func(tup []byte) bool {
-		rows = append(rows, row{key(tup), tup})
+		rows = append(rows, row{key(tup), bytes.Clone(tup)})
 		return true
 	})
 	// Plans rooted at a clustered scan emit in key order already; sort
@@ -290,11 +331,11 @@ func Materialize(p Plan, key func([]byte) uint64, ctx *Ctx) ([]uint64, [][]byte)
 	return keys, recs
 }
 
-// Run executes the plan and collects every output tuple.
+// Run executes the plan and collects a copy of every output tuple.
 func Run(p Plan, ctx *Ctx) [][]byte {
 	var out [][]byte
 	p.Execute(ctx, func(tup []byte) bool {
-		out = append(out, tup)
+		out = append(out, bytes.Clone(tup))
 		return true
 	})
 	return out

@@ -75,6 +75,66 @@ type Predicate interface {
 	String() string
 }
 
+// bound is a predicate resolved against the schema of the tuples it will
+// be applied to: a Compare or a Range carries its field's index, so that
+// testing a tuple looks nothing up. It is a plain value, which the
+// per-tuple closure of Filter and Refine holds without a further
+// allocation per Execute (a delta plan is built and executed per update).
+type bound struct {
+	s      *tuple.Schema
+	kind   boundKind
+	op     Op
+	idx    int       // the field of a Compare or Range
+	lo, hi int64     // a Range's band; lo is a Compare's constant
+	parts  []bound   // an And's members
+	byName Predicate // any other predicate, evaluated by name
+}
+
+type boundKind uint8
+
+const (
+	boundByName boundKind = iota
+	boundCompare
+	boundRange
+	boundAnd
+)
+
+// bind resolves p against s. Filter and Refine call it once per Execute.
+func bind(p Predicate, s *tuple.Schema) bound {
+	switch p := p.(type) {
+	case Compare:
+		return bound{s: s, kind: boundCompare, idx: s.MustFieldIndex(p.Field), op: p.Op, lo: p.Value}
+	case Range:
+		return bound{s: s, kind: boundRange, idx: s.MustFieldIndex(p.Field), lo: p.Lo, hi: p.Hi}
+	case And:
+		parts := make([]bound, len(p))
+		for i, m := range p {
+			parts[i] = bind(m, s)
+		}
+		return bound{kind: boundAnd, parts: parts}
+	}
+	return bound{s: s, byName: p}
+}
+
+// eval is p.Eval(s, tup) for the predicate and schema b was bound from.
+func (b bound) eval(tup []byte) bool {
+	switch b.kind {
+	case boundCompare:
+		return b.op.Eval(b.s.Get(tup, b.idx), b.lo)
+	case boundRange:
+		v := b.s.Get(tup, b.idx)
+		return v >= b.lo && v <= b.hi
+	case boundAnd:
+		for _, m := range b.parts {
+			if !m.eval(tup) {
+				return false
+			}
+		}
+		return true
+	}
+	return b.byName.Eval(b.s, tup)
+}
+
 // Compare is "attribute op constant", the condition form of a t-const
 // node.
 type Compare struct {

@@ -51,8 +51,8 @@ func (p *Project) Children() []Plan { return []Plan{p.Child} }
 // Execute implements Plan.
 func (p *Project) Execute(ctx *Ctx, emit func([]byte) bool) {
 	cs := p.Child.Schema()
+	out := p.out.New()
 	p.Child.Execute(ctx, func(tup []byte) bool {
-		out := p.out.New()
 		for i, src := range p.srcIdx {
 			p.out.Set(out, i, cs.Get(tup, src))
 		}
@@ -101,9 +101,7 @@ func (s *HashScan) Execute(ctx *Ctx, emit func([]byte) bool) {
 	defer ctx.Meter.SetComponent(prev)
 	s.Rel.Hash().ScanAll(ctx.Pager, func(rec []byte) bool {
 		ctx.Meter.Screen(1)
-		out := make([]byte, len(rec))
-		copy(out, rec)
-		return emit(out)
+		return emit(rec)
 	})
 }
 

@@ -1,13 +1,14 @@
 package query
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 
 	"dbproc/internal/tuple"
 )
 
-// Sort materializes its input and emits it ordered by the given fields
+// Sort materializes a copy of its input and emits it ordered by the given fields
 // (ascending, field by field). QUEL's "sort by" clause compiles to it.
 // Sorting is query-processing machinery over the already-charged input: it
 // charges nothing itself.
@@ -42,7 +43,7 @@ func (s *Sort) Execute(ctx *Ctx, emit func([]byte) bool) {
 	cs := s.Child.Schema()
 	var rows [][]byte
 	s.Child.Execute(ctx, func(tup []byte) bool {
-		rows = append(rows, tup)
+		rows = append(rows, bytes.Clone(tup))
 		return true
 	})
 	sort.SliceStable(rows, func(i, j int) bool {

@@ -170,6 +170,17 @@ func (d *Disk) WriteRaw(id PageID, data []byte) {
 // boundary, matching the model's assumption of no cross-operation
 // buffering.
 //
+// The frame table is an array indexed by PageID (ids are dense: an int32
+// counter with a reused free list), so a warm read is an index and a cold
+// read allocates nothing. Two lists make the operation boundary cost what
+// the operation touched, not what the disk holds: touched names every
+// slot in use, and BeginOp zeroes exactly those; dirtied names every slot
+// that was ever dirty, in first-dirtied order, and Flush walks it, so
+// write-back order is deterministic. No-pinning rule: outside an
+// operation no slot references a page image. A slot left set would keep
+// a superseded image reachable for as long as the session lives, which
+// is what version GC exists to prevent.
+//
 // A Pager is not safe for concurrent use: it is one session's execution
 // handle, coupling the shared Disk to that session's private Meter and
 // per-operation frame table. The concurrent engine creates one per
@@ -180,12 +191,9 @@ type Pager struct {
 	charging bool
 	session  int
 	opToken  int
-	frames   map[PageID]*frame
-	// framesPeak is the most frames the current map has held at an
-	// operation boundary: clearing a Go map costs what it has grown to,
-	// not what it holds, so BeginOp replaces a map grown far past the
-	// operation it is closing.
-	framesPeak int
+	frames   []frame
+	touched  []PageID
+	dirtied  []PageID
 	// snap/hasSnap route reads through the version chains at a fixed
 	// stamp; epoch routes this pager's reads and writes through the update
 	// epoch's pending buffers. At most one of the two modes is active.
@@ -221,7 +229,7 @@ func (w *WallStats) Reset() {
 type frame struct {
 	// data is the operation's private buffer while dirty, and the shared
 	// immutable image the page resolved to (or the buffer Flush gave away)
-	// while clean.
+	// while clean; nil marks a slot the operation has not touched.
 	data  []byte
 	dirty bool
 	// comp is the meter component that dirtied the frame; the write is
@@ -233,7 +241,7 @@ type frame struct {
 // NewPager creates a pager over disk charging I/O to meter. Charging
 // starts enabled; the session tag starts at -1 (no session).
 func NewPager(disk *Disk, meter *metric.Meter) *Pager {
-	return &Pager{disk: disk, meter: meter, charging: true, session: -1, opToken: -1, frames: make(map[PageID]*frame)}
+	return &Pager{disk: disk, meter: meter, charging: true, session: -1, opToken: -1}
 }
 
 // SetOpToken tags the pager with the workload-order index of the
@@ -377,43 +385,43 @@ func (p *Pager) SetCharging(on bool) bool {
 func (p *Pager) Charging() bool { return p.charging }
 
 // BeginOp flushes all dirty frames (charging their writes) and forgets
-// every cached frame, starting a fresh operation scope.
+// every cached frame, starting a fresh operation scope. Zeroing the
+// touched slots is what keeps the table from pinning dead images.
 func (p *Pager) BeginOp() {
 	p.Flush()
-	n := len(p.frames)
-	if n > p.framesPeak {
-		p.framesPeak = n
+	for _, id := range p.touched {
+		p.frames[id] = frame{}
 	}
-	if p.framesPeak > 8*n+64 {
-		p.frames, p.framesPeak = make(map[PageID]*frame), 0
-		return
-	}
-	clear(p.frames)
+	p.touched = p.touched[:0]
 }
 
-// Flush hands every dirty frame's buffer to the disk, charging one page
-// write each — attributed to the component that dirtied the frame — and
-// marks them clean. Clean frames stay cached for the rest of the
-// operation; a flushed frame now aliases the image it became, so dirtying
-// it again copies first.
+// Flush hands every dirty frame's buffer to the disk in first-dirtied
+// order, charging one page write each — attributed to the component that
+// dirtied the frame — and marks them clean. Clean frames stay cached for
+// the rest of the operation; a flushed frame now aliases the image it
+// became, so dirtying it again copies first. A listed id whose slot is no
+// longer dirty was dropped since.
 func (p *Pager) Flush() {
-	for id, f := range p.frames {
-		if f.dirty {
-			if p.wall != nil {
-				t0 := time.Now()
-				p.handOver(id, f.data)
-				p.wall.IONs += time.Since(t0).Nanoseconds()
-			} else {
-				p.handOver(id, f.data)
-			}
-			if p.charging {
-				prev := p.meter.SetComponent(f.comp)
-				p.meter.PageWrite(1)
-				p.meter.SetComponent(prev)
-			}
-			f.dirty = false
+	for _, id := range p.dirtied {
+		f := &p.frames[id]
+		if !f.dirty {
+			continue
 		}
+		if p.wall != nil {
+			t0 := time.Now()
+			p.handOver(id, f.data)
+			p.wall.IONs += time.Since(t0).Nanoseconds()
+		} else {
+			p.handOver(id, f.data)
+		}
+		if p.charging {
+			prev := p.meter.SetComponent(f.comp)
+			p.meter.PageWrite(1)
+			p.meter.SetComponent(prev)
+		}
+		f.dirty = false
 	}
+	p.dirtied = p.dirtied[:0]
 }
 
 // Read returns the page contents for reading. The first access in this
@@ -436,7 +444,7 @@ func (p *Pager) Update(id PageID) []byte {
 	if !f.dirty {
 		buf := make([]byte, p.disk.pageSize)
 		copy(buf, f.data)
-		p.dirty(f, buf)
+		p.dirty(id, f, buf)
 	}
 	return f.data
 }
@@ -445,39 +453,51 @@ func (p *Pager) Update(id PageID) []byte {
 // charging a read: use it when the previous contents are irrelevant (a
 // freshly allocated or fully rewritten page).
 func (p *Pager) Overwrite(id PageID) []byte {
-	f, ok := p.frames[id]
-	if !ok {
-		p.disk.page(id) // range check
-		f = &frame{}
-		p.frames[id] = f
+	f := p.slot(id)
+	if f.data == nil {
+		p.touched = append(p.touched, id)
 	}
 	if f.dirty {
 		clear(f.data)
 	} else {
-		p.dirty(f, make([]byte, p.disk.pageSize))
+		p.dirty(id, f, make([]byte, p.disk.pageSize))
 	}
 	return f.data
 }
 
 // dirty gives a clean frame its private buffer.
-func (p *Pager) dirty(f *frame, buf []byte) {
+func (p *Pager) dirty(id PageID, f *frame, buf []byte) {
 	f.data, f.dirty, f.comp = buf, true, p.meter.Component()
+	p.dirtied = append(p.dirtied, id)
 }
 
 // Drop discards the page's frame without flushing it, even if dirty. Call
 // it before freeing a page so a stale dirty frame is not written back (and
 // charged) later.
 func (p *Pager) Drop(id PageID) {
-	delete(p.frames, id)
+	if int(id) < len(p.frames) {
+		p.frames[id] = frame{}
+	}
+}
+
+// slot returns the page's frame-table slot, growing the table to the
+// disk's size when the id lies past it and panicking on an id the disk
+// never allocated.
+func (p *Pager) slot(id PageID) *frame {
+	if uint(id) >= uint(len(p.frames)) {
+		p.disk.page(id) // range check
+		p.frames = append(p.frames, make([]frame, p.disk.NumPages()-len(p.frames))...)
+	}
+	return &p.frames[id]
 }
 
 // fetch returns the page's frame, resolving its image and charging one
 // page read on the operation's first touch.
 func (p *Pager) fetch(id PageID) *frame {
-	if f, ok := p.frames[id]; ok {
+	f := p.slot(id)
+	if f.data != nil {
 		return f
 	}
-	f := &frame{}
 	if p.wall != nil {
 		t0 := time.Now()
 		f.data = p.image(id)
@@ -485,7 +505,7 @@ func (p *Pager) fetch(id PageID) *frame {
 	} else {
 		f.data = p.image(id)
 	}
-	p.frames[id] = f
+	p.touched = append(p.touched, id)
 	if p.charging {
 		p.meter.PageRead(1)
 	}

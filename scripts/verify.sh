@@ -3,7 +3,8 @@
 #
 #   tier 1: go build ./... && go test ./...        (the seed contract)
 #   tier 2: go vet ./... && go test -race ./...    (static + race checks)
-#           plus the nested benchmark module (benchmark/README.md): vet
+#           plus the borrowed-tuple and key-column guards again at
+#           GOMAXPROCS=4, and the nested benchmark module (benchmark/README.md): vet
 #           and unit tests of the harness and the ladder, and a -quick
 #           run with every output check on, so an internal signature
 #           change cannot break the benchmark unnoticed
@@ -67,6 +68,15 @@ go vet ./...
 # helpers (deadlock watchdogs, soak gates) are vetted too.
 go vet -tags=race ./...
 go test -race ./...
+# The zero-copy read path's guards once more with GOMAXPROCS raised, so
+# that sessions interleave even on a single-core box: the borrowed-tuple
+# oracle (every retaining consumer over tuples overwritten when emit
+# returns, and one shared plan executed by four sessions at once) and the
+# hash key column read by snapshot readers while the writer inserts and
+# deletes.
+GOMAXPROCS=4 go test -race -count=3 \
+    -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates' \
+    ./internal/query/ ./internal/proc/ ./internal/avm/ ./internal/quel/ ./internal/hashidx/
 # The benchmark is a module of its own (dbproc/benchmark, replace =>
 # ../), so nothing above builds it: vet and test it, then run the
 # harness once at 1/50 of the time with its output checks on.
