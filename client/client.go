@@ -16,7 +16,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -30,12 +29,17 @@ import (
 // Conn is one wire-protocol connection.
 type Conn struct {
 	nc net.Conn
-	br *bufio.Reader
+	fr *wire.Reader
 
-	// wmu guards frame writes: the cancel watcher writes TCancel while
-	// the request goroutine is blocked reading the response.
+	// wmu guards frame writes: the cancel hook writes TCancel while the
+	// request goroutine is blocked reading the response.
 	wmu sync.Mutex
-	bw  *bufio.Writer
+	fw  *wire.Writer
+
+	// hook counts the cancel hook exchange armed for the request in
+	// flight; onCancel is sendCancel, bound once.
+	hook     sync.WaitGroup
+	onCancel func()
 
 	// mu serializes requests (one in flight per connection).
 	mu sync.Mutex
@@ -57,7 +61,8 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+	c := &Conn{nc: nc, fr: wire.NewReader(nc), fw: wire.NewWriter(nc)}
+	c.onCancel = c.sendCancel
 	if err := c.send(wire.THello, &wire.Hello{Version: wire.Version, Client: "dbproc/client"}); err != nil {
 		nc.Close()
 		return nil, err
@@ -84,19 +89,20 @@ func (c *Conn) Close() error { return c.nc.Close() }
 func (c *Conn) send(typ byte, msg any) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := wire.WriteFrame(c.bw, typ, msg); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	return c.fw.WriteFrame(typ, msg)
 }
 
 func (c *Conn) read() (any, error) {
-	typ, payload, err := wire.ReadFrame(c.br)
+	typ, payload, err := c.fr.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
 	return wire.Decode(typ, payload)
 }
+
+// cancelDeadline is how long a cancelled request keeps waiting for the
+// server's answer before the connection is declared broken.
+const cancelDeadline = 10 * time.Second
 
 // roundTrip sends one request and reads its response. If ctx is
 // cancelled while waiting, a TCancel frame goes out and the read
@@ -126,37 +132,39 @@ func (c *Conn) roundTrip(ctx context.Context, typ byte, msg any) (any, error) {
 	return c.exchange(ctx, typ, msg)
 }
 
-// exchange is the locked request/response cycle behind roundTrip.
+// exchange is the locked request/response cycle behind roundTrip. It
+// starts no goroutine: the cancel hook runs (on one of the context
+// package's) only if ctx ends while the response is outstanding.
 func (c *Conn) exchange(ctx context.Context, typ byte, msg any) (any, error) {
 	if err := c.send(typ, msg); err != nil {
 		c.broken = true
 		return nil, err
 	}
-	done := make(chan struct{})
-	cancelled := make(chan struct{})
-	go func() {
-		defer close(cancelled)
-		select {
-		case <-ctx.Done():
-			c.send(wire.TCancel, &wire.Cancel{})
-			c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-		case <-done:
-		}
-	}()
-	resp, err := c.read()
-	close(done)
-	<-cancelled
-	if ctx.Err() != nil {
-		c.nc.SetReadDeadline(time.Time{})
-		if err != nil {
-			// The backstop deadline fired; the stream is unusable.
-			c.broken = true
-		}
-		// Whether the server answered with CodeCancelled or with the
-		// completed result, the caller cancelled: surface the context
-		// error. The response was consumed, so the stream stays clean.
-		return nil, ctx.Err()
+	if ctx.Done() == nil {
+		return c.response()
 	}
+	c.hook.Add(1)
+	stop := context.AfterFunc(ctx, c.onCancel)
+	resp, err := c.response()
+	if stop() {
+		c.hook.Done() // it will never run
+		return resp, err
+	}
+	// The hook started: wait it out, so that its frame and its deadline
+	// are not left racing the next request.
+	c.hook.Wait()
+	c.nc.SetReadDeadline(time.Time{})
+	// Whether the server answered with CodeCancelled or with the
+	// completed result, the caller cancelled: surface the context error.
+	// The response was consumed, so the stream stays clean — unless the
+	// backstop deadline fired, and then response marked it broken.
+	return nil, ctx.Err()
+}
+
+// response reads the response frame; a server Error comes back as the
+// error, anything else that fails breaks the connection.
+func (c *Conn) response() (any, error) {
+	resp, err := c.read()
 	if err != nil {
 		c.broken = true
 		return nil, err
@@ -165,6 +173,16 @@ func (c *Conn) exchange(ctx context.Context, typ byte, msg any) (any, error) {
 		return nil, werr
 	}
 	return resp, nil
+}
+
+// sendCancel is the cancel hook: TCancel goes out and the outstanding
+// read gets its backstop deadline.
+func (c *Conn) sendCancel() {
+	defer c.hook.Done()
+	// A failed send needs no handling of its own: the response then
+	// arrives, or the read deadline breaks the connection.
+	_ = c.send(wire.TCancel, &wire.Cancel{})
+	c.nc.SetReadDeadline(time.Now().Add(cancelDeadline))
 }
 
 // expect runs roundTrip and asserts the response type.

@@ -122,6 +122,17 @@ func TestServerBreakdownSumsToWall(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The server exports a request's span after it has written the
+	// response, so a connection's last span may still be on its way when
+	// the client has its answer: drain the server — Shutdown returns once
+	// every connection goroutine has exited — before reading its sink.
+	for _, cn := range conns {
+		cn.Close()
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
 	// The exported JSONL must uphold the same invariant, and the two
 	// sides must merge into one timeline with cross-wire arrows.
 	st := tracer.Stats()
@@ -150,7 +161,6 @@ func TestServerBreakdownSumsToWall(t *testing.T) {
 	if merged.Pairs == 0 || merged.Arrows != 2*merged.Pairs {
 		t.Fatalf("merge stats %+v, want matched pairs with 2 arrows each", merged)
 	}
-	_ = srv
 }
 
 // TestPooledConnStats: per-connection accounting must follow the pool's

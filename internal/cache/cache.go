@@ -332,3 +332,14 @@ func (e *Entry) ReadAll(pg *storage.Pager, fn func(key uint64, rec []byte) bool)
 	defer m.SetComponent(prev)
 	e.file.Scan(pg, fn)
 }
+
+// Records returns the cached result in key order with ReadAll's charges,
+// regardless of validity. The tuples are borrowed from the page images
+// read (storage.OrderedFile.Records): read-only, valid until pg's next
+// BeginOp, copy to keep.
+func (e *Entry) Records(pg *storage.Pager) [][]byte {
+	m := pg.Meter()
+	prev := m.SetComponent(metric.CompCache)
+	defer m.SetComponent(prev)
+	return e.file.Records(pg)
+}

@@ -41,7 +41,7 @@ func (t *seedLockTable) lock(name string) *sync.RWMutex {
 }
 
 func (t *seedLockTable) acquire(f Footprint) ([]*sync.RWMutex, []bool) {
-	f.normalize()
+	f = f.normalized()
 	locks := make([]*sync.RWMutex, len(f.names))
 	for i, name := range f.names {
 		l := t.lock(name)

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strconv"
@@ -235,25 +233,6 @@ func (r *Result) Percentile(p float64) int64 {
 	return s[i]
 }
 
-// Digest canonicalizes a query result for equality comparison: the
-// multiset of tuple byte-images, independent of delivery order, hashed.
-func Digest(tuples [][]byte) []byte {
-	imgs := make([][]byte, len(tuples))
-	copy(imgs, tuples)
-	sort.Slice(imgs, func(i, j int) bool { return bytes.Compare(imgs[i], imgs[j]) < 0 })
-	h := sha256.New()
-	var n [8]byte
-	for _, t := range imgs {
-		l := len(t)
-		for i := 0; i < 8; i++ {
-			n[i] = byte(l >> (8 * i))
-		}
-		h.Write(n[:])
-		h.Write(t)
-	}
-	return h.Sum(nil)
-}
-
 // Engine drives N sessions against one world.
 type Engine struct {
 	w     *sim.World
@@ -273,6 +252,9 @@ type Engine struct {
 	// digest is Digest; a test substitutes a wrapper to observe where in
 	// Exec a result is digested.
 	digest func([][]byte) []byte
+	// updateFP is every update's footprint, canonical and shared by all
+	// sessions (AcquireAs only reads it).
+	updateFP Footprint
 
 	// agg accumulates every committed operation's per-component cost
 	// delta. Its counters are atomics: a telemetry scrape reads them
@@ -350,7 +332,8 @@ func New(cfg sim.Config, opt Options) *Engine {
 		// sees until the first update publishes.
 		w.Disk().EnableMVCC()
 	}
-	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest}
+	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest,
+		updateFP: updateFootprint(w)}
 	e.sessions = make([]*Session, opt.Clients)
 	if opt.ProfileLocks {
 		e.locks.EnableProfiling()
@@ -455,44 +438,52 @@ func (e *Engine) countPhase(idx int) {
 // may touch any shared α/β-memory. docs/CONCURRENCY.md discusses the
 // cost of this conservatism.
 func (e *Engine) footprint(op workload.Op) Footprint {
-	cfg := e.w.Config()
+	if op.Kind == workload.Update {
+		return e.updateFP
+	}
+	// With MVCC on, a query needs no locks at all: it reads base
+	// relations and maintained entry files through its snapshot, and
+	// the rewrite-at-query-time strategies (C&I, Adaptive) serialize on
+	// their own per-entry mutexes (docs/MVCC.md). The footprint below
+	// is the pure-2PL read path, kept for Options.DisableMVCC.
 	var f Footprint
-	switch op.Kind {
-	case workload.Update:
-		f.Exclusive(RelLock("r1"), RelLock("r2"))
-		f.Shared(RelLock("r3"))
-		if cfg.Adaptive || cfg.Strategy != costmodel.AlwaysRecompute {
-			for _, id := range e.w.ProcIDs() {
-				f.Exclusive(EntryLock(id))
-			}
+	if !e.opt.DisableMVCC {
+		return f
+	}
+	// A nested query accesses further procedures inside its body;
+	// the 2PL footprint must cover every one up front. InnerProcs
+	// derives them from the op alone, and normalized dedupes the
+	// repeated relation/entry names.
+	cfg := e.w.Config()
+	procs := append([]int{op.ProcID}, workload.InnerProcs(op, e.w.ProcIDs())...)
+	for _, id := range procs {
+		for _, rel := range e.w.ProcRelations(id) {
+			f.Shared(RelLock(rel))
 		}
-	case workload.Query:
-		// With MVCC on, a query needs no locks at all: it reads base
-		// relations and maintained entry files through its snapshot, and
-		// the rewrite-at-query-time strategies (C&I, Adaptive) serialize on
-		// their own per-entry mutexes (docs/MVCC.md). The footprint below
-		// is the pure-2PL read path, kept for Options.DisableMVCC.
-		if !e.opt.DisableMVCC {
-			return f
-		}
-		// A nested query accesses further procedures inside its body;
-		// the 2PL footprint must cover every one up front. InnerProcs
-		// derives them from the op alone, and normalize dedupes the
-		// repeated relation/entry names.
-		procs := append([]int{op.ProcID}, workload.InnerProcs(op, e.w.ProcIDs())...)
-		for _, id := range procs {
-			for _, rel := range e.w.ProcRelations(id) {
-				f.Shared(RelLock(rel))
-			}
-			switch {
-			case cfg.Adaptive || cfg.Strategy == costmodel.CacheInvalidate:
-				f.Exclusive(EntryLock(id))
-			case cfg.Strategy == costmodel.UpdateCacheAVM || cfg.Strategy == costmodel.UpdateCacheRVM:
-				f.Shared(EntryLock(id))
-			}
+		switch {
+		case cfg.Adaptive || cfg.Strategy == costmodel.CacheInvalidate:
+			f.Exclusive(EntryLock(id))
+		case cfg.Strategy == costmodel.UpdateCacheAVM || cfg.Strategy == costmodel.UpdateCacheRVM:
+			f.Shared(EntryLock(id))
 		}
 	}
 	return f
+}
+
+// updateFootprint builds the one footprint every update takes. It
+// depends on the configuration and the procedure ids only, so New builds
+// it once, in canonical order.
+func updateFootprint(w *sim.World) Footprint {
+	cfg := w.Config()
+	var f Footprint
+	f.Exclusive(RelLock("r1"), RelLock("r2"))
+	f.Shared(RelLock("r3"))
+	if cfg.Adaptive || cfg.Strategy != costmodel.AlwaysRecompute {
+		for _, id := range w.ProcIDs() {
+			f.Exclusive(EntryLock(id))
+		}
+	}
+	return f.normalized()
 }
 
 // OpFootprint exposes the 2PL lock footprint Run would acquire for op,

@@ -298,8 +298,8 @@ func TestSessionAttribution(t *testing.T) {
 	}
 }
 
-// TestResultDigestedOutsideCommit: the history digest sorts and hashes a
-// whole query result, and commitMu serializes every session's commit, so
+// TestResultDigestedOutsideCommit: the history digest reads a whole
+// query result, and commitMu serializes every session's commit, so
 // a large result digested under it would extend all of them. The hook
 // observes the mutex from inside the digest call: with one session, it is
 // held there only if that session's own commit step took it first.

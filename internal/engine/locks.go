@@ -24,6 +24,7 @@ package engine
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,9 @@ func EntryLock(id int) string { return fmt.Sprintf("ent:%08d", id) }
 type Footprint struct {
 	names []string
 	excl  []bool
+	// canonical marks names as sorted and deduplicated: what normalized
+	// returns, and what Acquire takes as it stands.
+	canonical bool
 }
 
 // Shared adds resources locked in shared (reader) mode.
@@ -53,6 +57,7 @@ func (f *Footprint) Shared(names ...string) {
 		f.names = append(f.names, n)
 		f.excl = append(f.excl, false)
 	}
+	f.canonical = false
 }
 
 // Exclusive adds resources locked in exclusive (writer) mode.
@@ -61,40 +66,42 @@ func (f *Footprint) Exclusive(names ...string) {
 		f.names = append(f.names, n)
 		f.excl = append(f.excl, true)
 	}
+	f.canonical = false
 }
 
-// normalize sorts the footprint into canonical acquisition order and
-// dedupes it; a resource named both shared and exclusive is exclusive.
-func (f *Footprint) normalize() {
-	type req struct {
-		name string
-		excl bool
+// normalized returns the footprint in canonical acquisition order —
+// sorted by name and deduplicated, a resource named both shared and
+// exclusive being exclusive — in slices of its own: the receiver's are
+// left untouched. A footprint that is already canonical, or too small not
+// to be, is returned as it stands.
+func (f Footprint) normalized() Footprint {
+	if f.canonical || len(f.names) < 2 {
+		f.canonical = true
+		return f
 	}
-	reqs := make([]req, len(f.names))
-	for i := range f.names {
-		reqs[i] = req{f.names[i], f.excl[i]}
-	}
-	sort.Slice(reqs, func(i, j int) bool { return reqs[i].name < reqs[j].name })
-	f.names = f.names[:0]
-	f.excl = f.excl[:0]
-	for _, r := range reqs {
-		if n := len(f.names); n > 0 && f.names[n-1] == r.name {
-			f.excl[n-1] = f.excl[n-1] || r.excl
+	c := &byName{names: slices.Clone(f.names), excl: slices.Clone(f.excl), canonical: true}
+	sort.Sort(c)
+	n := 0
+	for i, name := range c.names {
+		if n > 0 && c.names[n-1] == name {
+			c.excl[n-1] = c.excl[n-1] || c.excl[i]
 			continue
 		}
-		f.names = append(f.names, r.name)
-		f.excl = append(f.excl, r.excl)
+		c.names[n], c.excl[n] = name, c.excl[i]
+		n++
 	}
+	c.names, c.excl = c.names[:n:n], c.excl[:n:n] // clipped: a caller that adds to it reallocates
+	return Footprint(*c)
 }
 
-// normalized returns a canonical copy, leaving the receiver untouched.
-func (f Footprint) normalized() Footprint {
-	c := Footprint{
-		names: append([]string(nil), f.names...),
-		excl:  append([]bool(nil), f.excl...),
-	}
-	c.normalize()
-	return c
+// byName sorts a footprint's names, carrying each mode with its name.
+type byName Footprint
+
+func (s *byName) Len() int           { return len(s.names) }
+func (s *byName) Less(i, j int) bool { return s.names[i] < s.names[j] }
+func (s *byName) Swap(i, j int) {
+	s.names[i], s.names[j] = s.names[j], s.names[i]
+	s.excl[i], s.excl[j] = s.excl[j], s.excl[i]
 }
 
 // Conflicts reports whether two footprints cannot be held simultaneously:
@@ -270,8 +277,10 @@ func (t *LockTable) Acquire(f Footprint) *Held {
 // conflicting holder left, yielding the LockWait's blame edge. An empty
 // op disables tagging, making AcquireAs byte-for-byte Acquire — the
 // profiling-off path is untouched either way (tier-4 blame-off guard).
+// The footprint is read, never written: one canonical footprint may be
+// handed to concurrent acquirers.
 func (t *LockTable) AcquireAs(f Footprint, session int, op string) *Held {
-	f.normalize()
+	f = f.normalized()
 	h := &Held{excl: f.excl}
 	h.locks = h.lockSlots(len(f.names))
 	if !t.profile {

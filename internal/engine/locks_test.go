@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dbproc/internal/costmodel"
 	"dbproc/internal/dbtest"
+	"dbproc/internal/workload"
 )
 
 func TestFootprintNormalize(t *testing.T) {
@@ -15,7 +19,7 @@ func TestFootprintNormalize(t *testing.T) {
 	f.Exclusive(RelLock("r1"))
 	f.Shared(EntryLock(3))
 	f.Exclusive(EntryLock(12))
-	f.normalize()
+	f = f.normalized()
 
 	wantNames := []string{EntryLock(3), EntryLock(12), RelLock("r1"), RelLock("r2")}
 	wantExcl := []bool{false, true, true, false}
@@ -110,4 +114,57 @@ func TestLockTableNoDeadlockUnderInversion(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestUpdateFootprintBuiltOnce: an update's footprint depends on the
+// configuration and the procedure ids only, so the engine builds it once
+// (it used to format and sort ~200 lock names per update). Asking for it
+// allocates nothing, acquiring it sorts nothing and leaves it as it was,
+// and sessions may acquire the one copy concurrently.
+func TestUpdateFootprintBuiltOnce(t *testing.T) {
+	defer dbtest.Watchdog(t, 30*time.Second)()
+	e := New(testConfig(costmodel.UpdateCacheRVM, costmodel.Model1, 3, 4, 4), Options{Clients: 2})
+	var update workload.Op
+	for _, op := range e.World().WorkloadOps() {
+		if op.Kind == workload.Update {
+			update = op
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { e.OpFootprint(update) }); n != 0 {
+		t.Errorf("OpFootprint of an update made %.0f allocations, want 0", n)
+	}
+	f := e.OpFootprint(update)
+	if !f.canonical || len(f.names) != 3+len(e.World().ProcIDs()) || !sort.StringsAreSorted(f.names) {
+		t.Fatalf("the update footprint is not canonical: %d names, canonical=%v", len(f.names), f.canonical)
+	}
+	names, excl := slices.Clone(f.names), slices.Clone(f.excl)
+	tab := NewLockTable()
+	// Held and its lock slots; nothing sized by a sort or a copy.
+	if n := testing.AllocsPerRun(100, func() { tab.AcquireAs(f, 0, "").Release() }); n > 2 {
+		t.Errorf("acquiring the prebuilt footprint made %.0f allocations, want <= 2", n)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				tab.AcquireAs(e.OpFootprint(update), s, "").Release()
+			}
+		}(s)
+	}
+	wg.Wait()
+	if !slices.Equal(f.names, names) || !slices.Equal(f.excl, excl) {
+		t.Fatal("AcquireAs changed the footprint it was handed")
+	}
+
+	// An unsorted footprint is normalized in a copy, not in place.
+	var g Footprint
+	g.Shared(RelLock("r2"), RelLock("r1"))
+	g.Exclusive(RelLock("r1"))
+	before := slices.Clone(g.names)
+	tab.Acquire(g).Release()
+	if !slices.Equal(g.names, before) {
+		t.Fatalf("Acquire reordered its caller's footprint: %v", g.names)
+	}
 }

@@ -204,10 +204,11 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		RecomputeNs: recomputeNs,
 	}
 
-	// The history digest sorts and hashes the whole result. It is a pure
-	// function of it, so it is computed here and only stored under the
-	// commit mutex: a large result must not extend every other session's
-	// commit.
+	// The history digest reads the whole result — here, while the
+	// borrowed tuples are valid (before the pager's next BeginOp). It is
+	// a pure function of it, so it is computed here and only stored under
+	// the commit mutex: a large result must not extend every other
+	// session's commit.
 	if e.opt.RecordHistory && op.Kind == workload.Query {
 		out.Digest = e.digest(r.Tuples)
 	}

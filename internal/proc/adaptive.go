@@ -57,6 +57,11 @@ type Adaptive struct {
 	BypassAfterInvalidations int
 
 	states map[int]*adaptiveState
+
+	// afterUnlock, when a test sets it, runs right after an access
+	// releases the procedure's state mutex — where a second reader of
+	// the entry may first run.
+	afterUnlock func()
 }
 
 type adaptiveState struct {
@@ -150,6 +155,9 @@ func (s *Adaptive) Access(pg *storage.Pager, id int) [][]byte {
 		before = m.Snapshot()
 	}
 	out, kind, digest := s.access(pg, id)
+	if s.afterUnlock != nil {
+		s.afterUnlock()
+	}
 	if s.ledger != nil {
 		// Flush so deferred page-write charges land in this access's
 		// delta (idempotent; the op-level flush finds the frames clean).
@@ -169,6 +177,7 @@ func (s *Adaptive) Access(pg *storage.Pager, id int) [][]byte {
 func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) {
 	d := s.mgr.MustGet(id)
 	st := s.states[id]
+	snap, hasSnap := pg.Snapshot()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.bypass {
@@ -189,7 +198,7 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 		pg.BeginRecompute()
 		digest := s.refresh(pg, d)
 		pg.EndRecompute()
-		return s.readCache(pg, id), cache.KindComputed, digest
+		return s.readRefreshed(pg, id, hasSnap), cache.KindComputed, digest
 	}
 
 	e := s.store.MustEntry(cache.ID(id))
@@ -200,7 +209,6 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 	var digest uint64
 	var out [][]byte
 	served := false
-	snap, hasSnap := pg.Snapshot()
 	var usable bool
 	if hasSnap {
 		usable = e.UsableAt(snap)
@@ -216,12 +224,8 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 			// recompute at the snapshot, serve only this session, leave the
 			// newer shared value and its i-locks alone (docs/MVCC.md).
 			var keys []uint64
-			var recs [][]byte
-			keys, recs = query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: nil})
-			for _, rec := range recs {
-				out = append(out, append([]byte(nil), rec...))
-			}
-			digest = cache.ResultDigest(keys, recs)
+			keys, out = query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: nil})
+			digest = cache.ResultDigest(keys, out)
 			served = true
 		} else {
 			digest = s.refresh(pg, d)
@@ -232,7 +236,7 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 		s.tracer.Current().Set("cache", "hit")
 	}
 	if !served {
-		out = s.readCache(pg, id)
+		out = s.readRefreshed(pg, id, hasSnap && !usable)
 	}
 	if st.accesses >= s.Window {
 		if float64(st.cold) > s.ColdThreshold*float64(st.accesses) {
@@ -258,12 +262,17 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 	return out, kind, digest
 }
 
-func (s *Adaptive) readCache(pg *storage.Pager, id int) [][]byte {
-	var out [][]byte
-	s.store.MustEntry(cache.ID(id)).ReadAll(pg, func(_ uint64, rec []byte) bool {
-		out = append(out, append([]byte(nil), rec...))
-		return true
-	})
+// readRefreshed reads the cached result (borrowed tuples) and, after a
+// refresh under a snapshot, flushes the refresher's frames before the
+// state mutex is released: the refresh published the entry's new
+// directory, and its pages must be on the disk before the next reader of
+// the entry may follow it. (Idempotent: the op-level flush then finds
+// the frames clean, so no charge moves.)
+func (s *Adaptive) readRefreshed(pg *storage.Pager, id int, flush bool) [][]byte {
+	out := s.store.MustEntry(cache.ID(id)).Records(pg)
+	if flush {
+		pg.Flush()
+	}
 	return out
 }
 

@@ -36,6 +36,11 @@ type CacheInvalidate struct {
 	// and rewrites of one entry exclude each other. Accesses to different
 	// procedures, and readers vs. updates, never meet here (docs/MVCC.md).
 	entryMu sync.Map // proc id -> *sync.Mutex
+
+	// afterUnlock, when a test sets it, runs right after a snapshot-mode
+	// access releases the entry mutex — where a second reader of the
+	// entry may first run.
+	afterUnlock func()
 }
 
 func (s *CacheInvalidate) entryLock(id int) *sync.Mutex {
@@ -204,11 +209,9 @@ func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 			// recompute at the snapshot and serve only this session, leaving
 			// the newer shared value (and its i-locks) untouched.
 			sp.Set("mode", "self")
-			keys, recs := query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: nil})
-			for _, rec := range recs {
-				out = append(out, append([]byte(nil), rec...))
-			}
-			digest = cache.ResultDigest(keys, recs)
+			var keys []uint64
+			keys, out = query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: nil})
+			digest = cache.ResultDigest(keys, out)
 			served = true
 		} else {
 			digest = s.refresh(pg, d)
@@ -219,13 +222,20 @@ func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 		s.tracer.Current().Set("cache", "hit")
 	}
 	if !served {
-		e.ReadAll(pg, func(_ uint64, rec []byte) bool {
-			out = append(out, append([]byte(nil), rec...))
-			return true
-		})
+		out = e.Records(pg)
 	}
 	if mu != nil {
+		if cold && !served {
+			// The refresh published the entry's new directory; its pages
+			// must be on the disk before the next reader of this entry may
+			// follow it. (Idempotent: the op-level flush then finds the
+			// frames clean, so no charge moves.)
+			pg.Flush()
+		}
 		mu.Unlock()
+		if s.afterUnlock != nil {
+			s.afterUnlock()
+		}
 	}
 	if s.ledger != nil {
 		// Page writes are charged at flush time; flush now (idempotent —

@@ -147,7 +147,10 @@ type Strategy interface {
 	// setup cost is excluded from the model.
 	Prepare(pg *storage.Pager)
 	// Access processes a query that retrieves the value of procedure id,
-	// returning its result tuples.
+	// returning its result tuples. The tuples are borrowed — a cache hit
+	// returns sub-slices of the immutable page images it read — so they
+	// are read-only, valid until pg's next BeginOp, and a caller that
+	// keeps one copies it.
 	Access(pg *storage.Pager, id int) [][]byte
 	// OnUpdate is invoked after each update transaction commits.
 	OnUpdate(pg *storage.Pager, d Delta)

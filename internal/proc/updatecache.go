@@ -74,19 +74,14 @@ func (s *UpdateCache) SetLedger(l *cache.Ledger) {
 func (s *UpdateCache) Prepare(pg *storage.Pager) { s.maint.Prepare(pg) }
 
 // Access implements Strategy: one read of the (always valid) cached
-// result.
+// result, returned as borrowed tuples.
 func (s *UpdateCache) Access(pg *storage.Pager, id int) [][]byte {
 	m := pg.Meter()
 	var before metric.Counters
 	if s.ledger != nil {
 		before = m.Snapshot()
 	}
-	e := s.store.MustEntry(cache.ID(id))
-	var out [][]byte
-	e.ReadAll(pg, func(_ uint64, rec []byte) bool {
-		out = append(out, append([]byte(nil), rec...))
-		return true
-	})
+	out := s.store.MustEntry(cache.ID(id)).Records(pg)
 	if s.ledger != nil {
 		s.ledger.Record(cache.LedgerEvent{
 			Entry:   id,

@@ -2,24 +2,28 @@
 // wire-protocol connections onto one shared quel session and onto
 // engine-backed bench worlds.
 //
-// Concurrency model. The quel.DB is a single-threaded interpreter, so
-// the server serializes statement execution through a capacity-1 gate
-// channel. A connection acquires the gate per statement — except inside
-// an explicit transaction, where Begin holds the gate until
-// Commit/Rollback so no other connection can observe (or interleave
-// with) uncommitted state. Gate waits are context-cancellable: a TCancel
-// frame for the in-flight request aborts the wait and the request fails
-// with CodeCancelled. Bench worlds bypass the gate entirely — each world
-// owns an engine whose lock table isolates its sessions.
+// Concurrency model. Each connection is served by one goroutine, which
+// handles a request on the goroutine that read it. The quel.DB is a
+// single-threaded interpreter, so the server serializes statement
+// execution through a capacity-1 gate channel. A connection acquires the
+// gate per statement — except inside an explicit transaction, where
+// Begin holds the gate until Commit/Rollback so no other connection can
+// observe (or interleave with) uncommitted state. A request parked on
+// the gate is the one thing a TCancel frame can abort (it then fails
+// with CodeCancelled); a TCancel that arrives at any other time is
+// counted and dropped (conn.awaitGate). Bench worlds bypass the gate
+// entirely — each world owns an engine whose lock table isolates its
+// sessions.
 //
 // Admission. Connections, prepared statements, cursors, transactions and
 // worlds are all bounded (Options); admission is a single atomic
 // increment-then-check, so an over-limit request is rejected with
 // CodeLimit before it allocates anything.
 //
-// Drain. Shutdown stops the listener, lets every connection finish its
-// in-flight request, then closes them; stragglers are force-closed when
-// the context expires.
+// Drain. Shutdown stops the listener and wakes every idle connection
+// out of its read; a connection with a request in flight finishes and
+// answers it first. Stragglers are force-closed when the context
+// expires.
 package server
 
 import (
@@ -35,6 +39,7 @@ import (
 	"dbproc/internal/obs"
 	"dbproc/internal/quel"
 	"dbproc/internal/telemetry"
+	"dbproc/internal/wire"
 )
 
 // Options bounds and configures a Server. Zero values take defaults.
@@ -103,12 +108,12 @@ type Server struct {
 	mu      sync.Mutex
 	conns   map[*conn]struct{}
 	wg      sync.WaitGroup
-	drainCh chan struct{}
 	drained atomic.Bool
 
-	worldMu   sync.Mutex
-	worlds    map[int]*world
-	nextWorld int
+	// worlds maps a world handle (int) to its *world. Opened and closed
+	// rarely, looked up by every world step.
+	worlds    sync.Map
+	nextWorld atomic.Int64
 
 	// Gauges and counters (atomic; scraped by TelemetryMetrics).
 	nConns      atomic.Int64
@@ -123,11 +128,10 @@ type Server struct {
 	cancels     atomic.Int64
 	nextConnID  atomic.Int64
 
-	// Per-request-type service-time sketches (P²), always on: they feed
-	// the dbproc_server_request_seconds quantile series and the served
-	// SLO detector.
-	sketchMu sync.Mutex
-	sketches map[string]*telemetry.Sketch
+	// Per-request-type service-time sketches (P²), indexed by frame type
+	// and always on: they feed the dbproc_server_request_seconds quantile
+	// series and the served SLO detector.
+	sketches [wire.TWorldClose + 1]*telemetry.Sketch
 
 	det *telemetry.Detectors
 }
@@ -136,13 +140,13 @@ type Server struct {
 func New(opt Options) *Server {
 	opt.fill()
 	s := &Server{
-		opt:      opt,
-		db:       quel.Open(opt.PageSize, opt.Width, opt.Costs),
-		gate:     make(chan struct{}, 1),
-		conns:    make(map[*conn]struct{}),
-		drainCh:  make(chan struct{}),
-		worlds:   make(map[int]*world),
-		sketches: make(map[string]*telemetry.Sketch),
+		opt:   opt,
+		db:    quel.Open(opt.PageSize, opt.Width, opt.Costs),
+		gate:  make(chan struct{}, 1),
+		conns: make(map[*conn]struct{}),
+	}
+	for typ := range s.sketches {
+		s.sketches[typ] = telemetry.NewSketch()
 	}
 	if opt.Detect != nil {
 		s.det = telemetry.NewDetectors(*opt.Detect, opt.Recorder)
@@ -193,10 +197,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.drained.Swap(true) {
 		return nil
 	}
-	close(s.drainCh)
 	s.mu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
+	}
+	// A past read deadline takes an idle connection out of its read; one
+	// that is handling a request sees the flag when it has answered
+	// (serveConn checks it before every read, after any deadline of its
+	// own).
+	for c := range s.conns {
+		c.nc.SetReadDeadline(past)
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
@@ -229,23 +239,6 @@ func admit(n *atomic.Int64, max int) bool {
 		return false
 	}
 	return true
-}
-
-// acquireGate takes the statement gate, waiting until the holder (a
-// statement, or a whole transaction) releases it. The wait aborts when
-// ctx is cancelled — the caller maps that to CodeCancelled.
-func (s *Server) acquireGate(ctx context.Context) error {
-	select {
-	case s.gate <- struct{}{}:
-		return nil
-	default:
-	}
-	select {
-	case s.gate <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 func (s *Server) releaseGate() { <-s.gate }
@@ -298,14 +291,19 @@ func (s *Server) TelemetryMetrics() []telemetry.Metric {
 		telemetry.Counter("dbproc_server_errors_total", "Requests answered with an error frame.", float64(st.Errors), nil),
 		telemetry.Counter("dbproc_server_cancels_total", "TCancel frames received.", float64(st.Cancels), nil),
 	}
-	s.sketchMu.Lock()
-	types := make([]string, 0, len(s.sketches))
-	for name := range s.sketches {
-		types = append(types, name)
+	type named struct {
+		name string
+		sk   *telemetry.Sketch
 	}
-	sort.Strings(types)
-	for _, name := range types {
-		sk := s.sketches[name]
+	var observed []named
+	for typ, sk := range s.sketches {
+		if sk.Count() > 0 {
+			observed = append(observed, named{wire.Name(byte(typ)), sk})
+		}
+	}
+	sort.Slice(observed, func(i, j int) bool { return observed[i].name < observed[j].name })
+	for _, o := range observed {
+		name, sk := o.name, o.sk
 		ms = append(ms, telemetry.Counter("dbproc_server_request_seconds_count",
 			"Requests observed by the service-time sketch.", float64(sk.Count()),
 			map[string]string{"type": name}))
@@ -315,16 +313,9 @@ func (s *Server) TelemetryMetrics() []telemetry.Metric {
 				map[string]string{"type": name, "quantile": fmt.Sprintf("%g", q)}))
 		}
 	}
-	s.sketchMu.Unlock()
-	s.worldMu.Lock()
-	worlds := make(map[int]*world, len(s.worlds))
-	for id, w := range s.worlds {
-		worlds[id] = w
-	}
-	s.worldMu.Unlock()
-	for id, w := range worlds {
-		label := map[string]string{"world": strconv.Itoa(id)}
-		for _, m := range w.eng.TelemetryMetrics() {
+	s.worlds.Range(func(id, w any) bool {
+		label := map[string]string{"world": strconv.Itoa(id.(int))}
+		for _, m := range w.(*world).eng.TelemetryMetrics() {
 			if len(m.Labels) > 0 {
 				merged := make(map[string]string, len(m.Labels)+1)
 				for k, v := range m.Labels {
@@ -337,7 +328,8 @@ func (s *Server) TelemetryMetrics() []telemetry.Metric {
 			}
 			ms = append(ms, m)
 		}
-	}
+		return true
+	})
 	return ms
 }
 
@@ -373,14 +365,13 @@ func (s *Server) recordCancel(connID int64, traceID string) {
 
 // observe feeds one request's service time into its type's sketch and,
 // every 16th observation, tests the running p99 against the served SLO.
-func (s *Server) observe(name string, serviceNs int64) {
-	s.sketchMu.Lock()
-	sk := s.sketches[name]
-	if sk == nil {
-		sk = telemetry.NewSketch()
-		s.sketches[name] = sk
+// A frame type the protocol does not define has no sketch: it was
+// answered with a protocol error and the connection is closing.
+func (s *Server) observe(typ byte, name string, serviceNs int64) {
+	if int(typ) >= len(s.sketches) {
+		return
 	}
-	s.sketchMu.Unlock()
+	sk := s.sketches[typ]
 	sk.Observe(float64(serviceNs))
 	if n := sk.Count(); s.det != nil && n >= 16 && n%16 == 0 {
 		s.det.CheckServedLatency(name, sk.Quantile(0.99))

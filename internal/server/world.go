@@ -126,11 +126,8 @@ func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
 		}
 	}
 
-	c.srv.worldMu.Lock()
-	c.srv.nextWorld++
-	w.id = c.srv.nextWorld
-	c.srv.worlds[w.id] = w
-	c.srv.worldMu.Unlock()
+	w.id = int(c.srv.nextWorld.Add(1))
+	c.srv.worlds.Store(w.id, w)
 
 	counts := make([]int, clients)
 	for i, per := range w.ops {
@@ -140,9 +137,10 @@ func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
 }
 
 func (s *Server) lookupWorld(id int) *world {
-	s.worldMu.Lock()
-	defer s.worldMu.Unlock()
-	return s.worlds[id]
+	if w, ok := s.worlds.Load(id); ok {
+		return w.(*world)
+	}
+	return nil
 }
 
 // worldNext executes session's next dealt operation in world id. It is
@@ -247,13 +245,7 @@ func (c *conn) handleWorldStats(m *wire.WorldStats) error {
 }
 
 func (c *conn) handleWorldClose(m *wire.WorldClose) error {
-	c.srv.worldMu.Lock()
-	_, ok := c.srv.worlds[m.World]
-	if ok {
-		delete(c.srv.worlds, m.World)
-	}
-	c.srv.worldMu.Unlock()
-	if ok {
+	if _, ok := c.srv.worlds.LoadAndDelete(m.World); ok {
 		c.srv.nWorlds.Add(-1)
 	}
 	return c.write(wire.TOK, &wire.OK{})

@@ -248,6 +248,24 @@ func (f *OrderedFile) Scan(pg *Pager, fn func(key uint64, rec []byte) bool) {
 	}
 }
 
+// Records returns every record in key order, reading each page once like
+// Scan. The records are borrowed: capacity-clipped sub-slices of the page
+// images read, which are immutable, so they are read-only, stay valid
+// until pg's next BeginOp, and a caller that keeps one copies it. The
+// result slice is sized once from the directory pg resolves.
+func (f *OrderedFile) Records(pg *Pager) [][]byte {
+	d := f.dirFor(pg)
+	out := make([][]byte, 0, d.n)
+	for _, p := range d.pages {
+		buf := pg.Read(p.id)
+		for s := range p.keys {
+			lo, hi := s*f.recSize, (s+1)*f.recSize
+			out = append(out, buf[lo:hi:hi])
+		}
+	}
+	return out
+}
+
 // ScanRange calls fn for every record with lo <= key <= hi in ascending
 // order, reading only the pages that overlap the range.
 func (f *OrderedFile) ScanRange(pg *Pager, lo, hi uint64, fn func(key uint64, rec []byte) bool) {

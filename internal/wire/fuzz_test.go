@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,8 +11,11 @@ import (
 
 // seedFrames are the canonical corpus: one well-formed frame per major
 // message type plus adversarial shapes (truncations, wild lengths,
-// unknown types). TestRegenCorpus writes them to testdata; the checked
-// in corpus is what CI's fuzz smoke mutates from.
+// unknown types, and payloads aimed at the binary decoder's counts).
+// TestRegenCorpus writes them to testdata as v2-NN; the checked in
+// corpus is what CI's fuzz smoke mutates from. The seed-NN files beside
+// them are the version 1 corpus — JSON payloads, which no longer decode
+// for a binary frame type and must still not panic.
 func seedFrames(t testing.TB) [][]byte {
 	frame := func(typ byte, msg any) []byte {
 		var buf bytes.Buffer
@@ -21,6 +23,11 @@ func seedFrames(t testing.TB) [][]byte {
 			t.Fatalf("seed frame type %d: %v", typ, err)
 		}
 		return buf.Bytes()
+	}
+	// raw frames a payload no encoder produces.
+	raw := func(typ byte, payload string) []byte {
+		b := binary.BigEndian.AppendUint32(nil, uint32(1+len(payload)))
+		return append(append(b, typ), payload...)
 	}
 	seeds := [][]byte{
 		frame(THello, &Hello{Version: Version, Client: "fuzz"}),
@@ -36,7 +43,7 @@ func seedFrames(t testing.TB) [][]byte {
 		frame(TWorldStats, &WorldStats{World: 1}),
 		frame(TCancel, &Cancel{}),
 		// Trace-bearing requests and breakdown-bearing responses
-		// (docs/TRACING.md): the fuzzer mutates the trace/server fields
+		// (docs/TRACING.md): the fuzzer mutates the trace/server sections
 		// too, so the decoder's coverage includes the tracing shapes.
 		frame(TStmt, &Stmt{Text: "retrieve (emp.all)",
 			Trace: &TraceContext{TraceID: "3f2a9c1d00aa55ee", SpanID: "0000000000000001", Sampled: true}}),
@@ -56,9 +63,35 @@ func seedFrames(t testing.TB) [][]byte {
 	seeds = append(seeds,
 		wild[:],                     // 4 GiB length claim
 		[]byte{0, 0, 0, 0},          // zero length
-		[]byte{0, 0, 0, 2, 99, '{'}, // unknown type, truncated JSON
+		[]byte{0, 0, 0, 2, 99, '{'}, // unknown type
 		seeds[1][:len(seeds[1])/2],  // half a legitimate frame
 		[]byte{0, 0},                // half a header
+	)
+	// The rest of the version 2 corpus: the other frame shapes, then
+	// payloads aimed at each check the binary decoder makes before it
+	// allocates.
+	huge := string(binary.AppendUvarint(nil, 1<<40))
+	seeds = append(seeds,
+		frame(TFetched, &Fetched{Rows: [][]int64{{-1, 1 << 62}, {0, -1 << 63}}, More: true}),
+		frame(TResult, &Result{Message: "2 sections", Columns: []string{"a"}, Rows: [][]int64{{1}},
+			Sections: []Section{{Columns: []string{"b", "c"}, Rows: [][]int64{{2, 3}}}, {}}}),
+		frame(TWorldOpened, &WorldOpened{World: 1, Sessions: 2, Ops: []int{20000, 19999}}),
+		frame(TWorldStatsResult, &WorldStatsResult{Ops: 40, Queries: 25, Updates: 15, SimTotalMs: 1234.5, HistoryDigest: "00ff"}),
+		raw(TWorldNext, "\x80"), // truncated varint
+		raw(TWorldNext, "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"), // 11-byte varint
+		raw(TFetched, "\x00\xff\xff\xff\xff\x0f"),                       // row count past the bytes that remain
+		raw(TFetched, "\x00"+huge+"\x00"),                               // width 0 under a huge count
+		raw(TFetched, "\x00\x02\x7f\x01\x01"),                           // width past the bytes that remain
+		raw(TOK, "\x00"),                                                // trailing byte
+		raw(TWorldStats, "\x02\x01\x01t\x01s\x01\x00"),                  // trailing byte after the trace section
+		raw(TError, "\x7fabc"),                                          // string length past the end
+		raw(TResult, "\x00\x00"+huge),                                   // column count past the end
+		raw(TResult, "\x00\x00\x00\x00"+huge),                           // section count past the end
+		raw(TBegin, "\x02"),                                             // bad presence byte
+		raw(TStmt, "\xfe\x00\x00\x00"),                                  // unknown flag bits
+		raw(TWorldStep, "\x00\x00\x00\x00\x00\x00"),                     // truncated float
+		raw(TWorldOpened, "\x02\x04"+huge),                              // op count past the end
+		raw(TWorldOpen, "{\"params\":{\"N\":1e400}}"),                   // JSON type, number out of range
 	)
 	return seeds
 }
@@ -90,11 +123,12 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 // FuzzFrameRoundTrip: any payload that decodes re-encodes to a frame
-// that reads and decodes back to the same message (canonical-JSON
-// fixpoint), i.e. encode∘decode is idempotent on the wire.
+// that reads and decodes back to a message with the same encoding (a
+// fixpoint of the canonical encoding), i.e. encode∘decode is idempotent
+// on the wire.
 func FuzzFrameRoundTrip(f *testing.F) {
 	for _, s := range seedFrames(f) {
-		if len(s) > 5 {
+		if len(s) >= 5 {
 			f.Add(s[4], s[5:])
 		}
 	}
@@ -111,6 +145,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			t.Fatalf("re-encode wrote partial frame: %v", err)
 		}
+		canon := bytes.Clone(buf.Bytes())
 		typ2, payload2, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatalf("re-read: %v", err)
@@ -122,17 +157,20 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		want, _ := json.Marshal(msg)
-		got, _ := json.Marshal(msg2)
-		if !bytes.Equal(want, got) {
-			t.Fatalf("round trip changed message: %s -> %s", want, got)
+		var again bytes.Buffer
+		if err := WriteFrame(&again, typ2, msg2); err != nil {
+			t.Fatalf("encode of the re-decoded message: %v", err)
+		}
+		if !bytes.Equal(canon, again.Bytes()) {
+			t.Fatalf("round trip changed message: %+v -> %+v", msg, msg2)
 		}
 	})
 }
 
-// TestRegenCorpus rewrites the checked-in FuzzFrameDecode seed corpus
-// from seedFrames. Run with WIRE_REGEN_CORPUS=1 after changing the
-// frame format or message set.
+// TestRegenCorpus rewrites the version 2 part of the checked-in
+// FuzzFrameDecode seed corpus (the v2-NN files) from seedFrames. Run
+// with WIRE_REGEN_CORPUS=1 after changing the frame format or message
+// set.
 func TestRegenCorpus(t *testing.T) {
 	if os.Getenv("WIRE_REGEN_CORPUS") == "" {
 		t.Skip("set WIRE_REGEN_CORPUS=1 to rewrite testdata/fuzz/FuzzFrameDecode")
@@ -143,7 +181,7 @@ func TestRegenCorpus(t *testing.T) {
 	}
 	for i, s := range seedFrames(t) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+		name := filepath.Join(dir, fmt.Sprintf("v2-%02d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dbproc/internal/costmodel"
@@ -95,17 +94,17 @@ const (
 // TraceContext is the trace identity a client propagates with a
 // request (docs/TRACING.md). The server adopts it: the request's
 // server-side span is created with SpanID as its parent, under TraceID.
-// All trace fields are omitempty pointers appended after the
-// pre-tracing fields, so a request without one encodes byte-identically
-// to the pre-tracing protocol (TestTracingOffByteIdentity).
+// It is encoded after the request's own fields, behind a presence byte,
+// so a request without one is a strict prefix of the same request with
+// one (TestTracingOffByteIdentity).
 type TraceContext struct {
 	// TraceID names the end-to-end trace (one driver call, usually).
-	TraceID string `json:"trace_id"`
+	TraceID string
 	// SpanID is the client-side span the server's span nests under.
-	SpanID string `json:"span_id"`
+	SpanID string
 	// Sampled asks the server to export the request's span; an
 	// unsampled context still propagates identity for flight events.
-	Sampled bool `json:"sampled,omitempty"`
+	Sampled bool
 }
 
 // ServerBreakdown partitions a request's server-side wall time exactly:
@@ -124,14 +123,14 @@ type TraceContext struct {
 type ServerBreakdown struct {
 	// SpanID is the server-side span exported for this request, a child
 	// of the propagated TraceContext.SpanID.
-	SpanID      string `json:"span_id,omitempty"`
-	WallNs      int64  `json:"wall_ns"`
-	AdmissionNs int64  `json:"admission_ns,omitempty"`
-	GateNs      int64  `json:"gate_ns,omitempty"`
-	LockWaitNs  int64  `json:"lock_wait_ns,omitempty"`
-	IONs        int64  `json:"io_ns,omitempty"`
-	RecomputeNs int64  `json:"recompute_ns,omitempty"`
-	ComputeNs   int64  `json:"compute_ns"`
+	SpanID      string
+	WallNs      int64
+	AdmissionNs int64
+	GateNs      int64
+	LockWaitNs  int64
+	IONs        int64
+	RecomputeNs int64
+	ComputeNs   int64
 }
 
 // SegmentSum adds the six segments; it equals WallNs on any breakdown
@@ -149,8 +148,9 @@ type Hello struct {
 	Client string `json:"client,omitempty"`
 }
 
-// Version is the protocol version this package implements.
-const Version = 1
+// Version is the protocol version this package implements: 2, the
+// binary payload codec (codec.go). Version 1 carried JSON payloads.
+const Version = 2
 
 // HelloOK acknowledges Hello.
 type HelloOK struct {
@@ -162,8 +162,8 @@ type HelloOK struct {
 // Error is the failure response to any request. It implements error so
 // clients can surface it directly.
 type Error struct {
-	Code string `json:"code"`
-	Msg  string `json:"msg"`
+	Code string
+	Msg  string
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("dbproc: %s: %s", e.Code, e.Msg) }
@@ -182,131 +182,131 @@ type OK struct{}
 
 // Stmt executes one QUEL statement.
 type Stmt struct {
-	Text string `json:"text"`
+	Text string
 	// Tx scopes the statement to an open transaction handle; 0 runs it
 	// auto-committed.
-	Tx int `json:"tx,omitempty"`
+	Tx int
 	// Cursor asks for cursored delivery: the Result carries the first
 	// Fetch rows plus a cursor handle for the rest.
-	Cursor bool `json:"cursor,omitempty"`
+	Cursor bool
 	// Fetch is the first-batch row cap when Cursor is set (server
 	// default if 0).
-	Fetch int `json:"fetch,omitempty"`
+	Fetch int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Prepare parses a statement for repeated execution.
 type Prepare struct {
-	Text string `json:"text"`
+	Text string
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Prepared answers Prepare.
 type Prepared struct {
 	// Stmt is the statement handle.
-	Stmt int `json:"stmt"`
+	Stmt int
 }
 
 // StmtExec executes a prepared statement. Fields as in Stmt.
 type StmtExec struct {
-	Stmt   int  `json:"stmt"`
-	Tx     int  `json:"tx,omitempty"`
-	Cursor bool `json:"cursor,omitempty"`
-	Fetch  int  `json:"fetch,omitempty"`
+	Stmt   int
+	Tx     int
+	Cursor bool
+	Fetch  int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // StmtClose frees a statement handle.
 type StmtClose struct {
-	Stmt int `json:"stmt"`
+	Stmt int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Begin opens a transaction.
 type Begin struct {
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Begun answers Begin.
 type Begun struct {
-	Tx int `json:"tx"`
+	Tx int
 }
 
 // Commit commits a transaction.
 type Commit struct {
-	Tx int `json:"tx"`
+	Tx int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Rollback rolls a transaction back.
 type Rollback struct {
-	Tx int `json:"tx"`
+	Tx int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Fetch pulls the next rows of a cursor.
 type Fetch struct {
-	Cursor int `json:"cursor"`
+	Cursor int
 	// Max caps the batch (server default if 0).
-	Max int `json:"max,omitempty"`
+	Max int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Fetched answers Fetch.
 type Fetched struct {
-	Rows [][]int64 `json:"rows"`
+	Rows [][]int64
 	// More reports whether the cursor still holds rows; false means the
 	// server already freed the handle.
-	More bool `json:"more"`
+	More bool
 }
 
 // CursorClose frees a cursor handle.
 type CursorClose struct {
-	Cursor int `json:"cursor"`
+	Cursor int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // Section is one further result set of a multi-query procedure.
 type Section struct {
-	Columns []string  `json:"columns"`
-	Rows    [][]int64 `json:"rows"`
+	Columns []string
+	Rows    [][]int64
 }
 
 // Result is the response to Stmt / StmtExec.
 type Result struct {
 	// Message summarizes non-row results ("created emp", "appended", ...).
-	Message string `json:"message,omitempty"`
+	Message string
 	// Columns and Rows carry retrieve/execute output (the first batch
 	// under cursored delivery).
-	Columns []string  `json:"columns,omitempty"`
-	Rows    [][]int64 `json:"rows,omitempty"`
+	Columns []string
+	Rows    [][]int64
 	// Sections carries the further result sets of a multi-query
 	// procedure.
-	Sections []Section `json:"sections,omitempty"`
+	Sections []Section
 	// Affected counts tuples changed by append/delete/replace (the
 	// driver's RowsAffected).
-	Affected int64 `json:"affected,omitempty"`
+	Affected int64
 	// CostMs is the statement's simulated cost; WallNs its wall-clock
 	// service time on the server (per-op latency attribution surviving
 	// the hop).
-	CostMs float64 `json:"cost_ms,omitempty"`
-	WallNs int64   `json:"wall_ns,omitempty"`
+	CostMs float64
+	WallNs int64
 	// Cursor and More are set under cursored delivery: the handle to
 	// Fetch the remaining rows from, and whether any remain.
-	Cursor int  `json:"cursor,omitempty"`
-	More   bool `json:"more,omitempty"`
+	Cursor int
+	More   bool
 	// Server is the exact server-side wall-time partition, attached
 	// only when the request carried a trace context.
-	Server *ServerBreakdown `json:"server,omitempty"`
+	Server *ServerBreakdown
 }
 
 // WorldOpen builds a benchmark world on the server: sim.Build(cfg) plus
@@ -337,19 +337,19 @@ type WorldOpen struct {
 // WorldOpened answers WorldOpen.
 type WorldOpened struct {
 	// World is the world handle.
-	World int `json:"world"`
+	World int
 	// Sessions echoes the session count; Ops is the dealt per-session
 	// operation count (engine.Deal of the canonical stream).
-	Sessions int   `json:"sessions"`
-	Ops      []int `json:"ops"`
+	Sessions int
+	Ops      []int
 }
 
 // WorldNext executes session Session's next dealt operation.
 type WorldNext struct {
-	World   int `json:"world"`
-	Session int `json:"session"`
+	World   int
+	Session int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // WorldStep answers WorldNext: one committed operation's attributes, or
@@ -357,35 +357,34 @@ type WorldNext struct {
 type WorldStep struct {
 	// Done is set when the session has no operations left; the other
 	// fields are then zero.
-	Done bool `json:"done,omitempty"`
+	Done bool
 	// Seq is the engine's global commit sequence.
-	Seq int `json:"seq"`
+	Seq int
 	// Update distinguishes update ops from queries.
-	Update bool `json:"update,omitempty"`
+	Update bool
 	// Tuples counts the query's result tuples.
-	Tuples int `json:"tuples,omitempty"`
+	Tuples int
 	// CostMs is the op's simulated cost; the *Ns fields are the per-op
 	// wall-clock critical path (docs/DIAGNOSIS.md) — IONs, RecomputeNs
 	// and ComputeNs only under WorldOpen.CritPath.
-	CostMs      float64 `json:"cost_ms"`
-	WallNs      int64   `json:"wall_ns"`
-	WaitNs      int64   `json:"wait_ns,omitempty"`
-	IONs        int64   `json:"io_ns,omitempty"`
-	RecomputeNs int64   `json:"recompute_ns,omitempty"`
-	ComputeNs   int64   `json:"compute_ns,omitempty"`
-	// Phase names the op's scenario phase (empty on polite workloads,
-	// so 1-client polite steps stay byte-identical to pre-tracing runs).
-	Phase string `json:"phase,omitempty"`
+	CostMs      float64
+	WallNs      int64
+	WaitNs      int64
+	IONs        int64
+	RecomputeNs int64
+	ComputeNs   int64
+	// Phase names the op's scenario phase (empty on polite workloads).
+	Phase string
 	// Server is the exact server-side wall-time partition, attached
 	// only when the request carried a trace context.
-	Server *ServerBreakdown `json:"server,omitempty"`
+	Server *ServerBreakdown
 }
 
 // WorldStats seals the world's sessions and reports the run aggregate.
 type WorldStats struct {
-	World int `json:"world"`
+	World int
 	// Trace is the propagated trace context (nil when untraced).
-	Trace *TraceContext `json:"trace,omitempty"`
+	Trace *TraceContext
 }
 
 // WorldStatsResult answers WorldStats.
@@ -408,68 +407,25 @@ type WorldStatsResult struct {
 
 // WorldClose frees the world handle.
 type WorldClose struct {
-	World int `json:"world"`
+	World int
 }
 
 // Attach sets the trace context on a request message that carries one
 // and reports whether it did. Handshake, liveness and cancel frames
 // carry no context (TCancel aborts the request that did).
 func Attach(msg any, tc *TraceContext) bool {
-	switch m := msg.(type) {
-	case *Stmt:
-		m.Trace = tc
-	case *Prepare:
-		m.Trace = tc
-	case *StmtExec:
-		m.Trace = tc
-	case *StmtClose:
-		m.Trace = tc
-	case *Begin:
-		m.Trace = tc
-	case *Commit:
-		m.Trace = tc
-	case *Rollback:
-		m.Trace = tc
-	case *Fetch:
-		m.Trace = tc
-	case *CursorClose:
-		m.Trace = tc
-	case *WorldNext:
-		m.Trace = tc
-	case *WorldStats:
-		m.Trace = tc
-	default:
-		return false
+	t, ok := msg.(traced)
+	if ok {
+		*t.traceSlot() = tc
 	}
-	return true
+	return ok
 }
 
 // TraceOf returns the trace context a decoded request carries (nil when
 // untraced or the frame type has no trace field).
 func TraceOf(msg any) *TraceContext {
-	switch m := msg.(type) {
-	case *Stmt:
-		return m.Trace
-	case *Prepare:
-		return m.Trace
-	case *StmtExec:
-		return m.Trace
-	case *StmtClose:
-		return m.Trace
-	case *Begin:
-		return m.Trace
-	case *Commit:
-		return m.Trace
-	case *Rollback:
-		return m.Trace
-	case *Fetch:
-		return m.Trace
-	case *CursorClose:
-		return m.Trace
-	case *WorldNext:
-		return m.Trace
-	case *WorldStats:
-		return m.Trace
+	if t, ok := msg.(traced); ok {
+		return *t.traceSlot()
 	}
 	return nil
 }
@@ -511,72 +467,79 @@ func Name(typ byte) string {
 	}
 }
 
-// Decode unmarshals a frame payload into its message struct — the
-// single table tying type bytes to payload shapes. Unknown type bytes
-// are an error; FuzzFrameDecode drives every arm with adversarial
-// payloads.
+// Decode decodes a frame payload into its message struct. newMessage is
+// the single table tying type bytes to payload shapes; unknown type
+// bytes are an error. The message keeps no reference to payload.
+// FuzzFrameDecode drives every arm with adversarial payloads.
 func Decode(typ byte, payload []byte) (any, error) {
-	var msg any
-	switch typ {
-	case THello:
-		msg = &Hello{}
-	case THelloOK:
-		msg = &HelloOK{}
-	case TPing:
-		msg = &Ping{}
-	case TPong:
-		msg = &Pong{}
-	case TCancel:
-		msg = &Cancel{}
-	case TOK:
-		msg = &OK{}
-	case TError:
-		msg = &Error{}
-	case TStmt:
-		msg = &Stmt{}
-	case TPrepare:
-		msg = &Prepare{}
-	case TPrepared:
-		msg = &Prepared{}
-	case TStmtExec:
-		msg = &StmtExec{}
-	case TStmtClose:
-		msg = &StmtClose{}
-	case TBegin:
-		msg = &Begin{}
-	case TBegun:
-		msg = &Begun{}
-	case TCommit:
-		msg = &Commit{}
-	case TRollback:
-		msg = &Rollback{}
-	case TFetch:
-		msg = &Fetch{}
-	case TFetched:
-		msg = &Fetched{}
-	case TCursorClose:
-		msg = &CursorClose{}
-	case TResult:
-		msg = &Result{}
-	case TWorldOpen:
-		msg = &WorldOpen{}
-	case TWorldOpened:
-		msg = &WorldOpened{}
-	case TWorldNext:
-		msg = &WorldNext{}
-	case TWorldStep:
-		msg = &WorldStep{}
-	case TWorldStats:
-		msg = &WorldStats{}
-	case TWorldStatsResult:
-		msg = &WorldStatsResult{}
-	case TWorldClose:
-		msg = &WorldClose{}
-	default:
+	msg := newMessage(typ)
+	if msg == nil {
 		return nil, fmt.Errorf("wire: unknown frame type %d", typ)
 	}
-	if err := json.Unmarshal(payload, msg); err != nil {
+	if err := msg.decode(payload); err != nil {
 		return nil, fmt.Errorf("wire: decode type %d: %w", typ, err)
 	}
 	return msg, nil
+}
+
+// newMessage returns an empty message of the frame type, nil for a type
+// byte the protocol does not define.
+func newMessage(typ byte) message {
+	switch typ {
+	case THello:
+		return &Hello{}
+	case THelloOK:
+		return &HelloOK{}
+	case TPing:
+		return &Ping{}
+	case TPong:
+		return &Pong{}
+	case TCancel:
+		return &Cancel{}
+	case TOK:
+		return &OK{}
+	case TError:
+		return &Error{}
+	case TStmt:
+		return &Stmt{}
+	case TPrepare:
+		return &Prepare{}
+	case TPrepared:
+		return &Prepared{}
+	case TStmtExec:
+		return &StmtExec{}
+	case TStmtClose:
+		return &StmtClose{}
+	case TBegin:
+		return &Begin{}
+	case TBegun:
+		return &Begun{}
+	case TCommit:
+		return &Commit{}
+	case TRollback:
+		return &Rollback{}
+	case TFetch:
+		return &Fetch{}
+	case TFetched:
+		return &Fetched{}
+	case TCursorClose:
+		return &CursorClose{}
+	case TResult:
+		return &Result{}
+	case TWorldOpen:
+		return &WorldOpen{}
+	case TWorldOpened:
+		return &WorldOpened{}
+	case TWorldNext:
+		return &WorldNext{}
+	case TWorldStep:
+		return &WorldStep{}
+	case TWorldStats:
+		return &WorldStats{}
+	case TWorldStatsResult:
+		return &WorldStatsResult{}
+	case TWorldClose:
+		return &WorldClose{}
+	}
+	return nil
 }

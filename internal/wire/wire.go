@@ -1,16 +1,22 @@
 // Package wire is the framed protocol between a dbproc client and
 // cmd/procserved (docs/SERVING.md).
 //
-// A frame is a 4-byte big-endian length, one type byte, and a JSON
-// payload; the length covers the type byte plus the payload, so the
-// smallest legal frame is a bare type (length 1). The length field is
-// bounded by MaxFrame before any allocation happens, so a malformed or
-// adversarial prefix can never make ReadFrame allocate more than
-// MaxFrame bytes — FuzzFrameDecode holds the package to that.
+// A frame is a 4-byte big-endian length, one type byte, and a payload;
+// the length covers the type byte plus the payload, so the smallest legal
+// frame is a bare type (length 1). The length field is bounded by
+// MaxFrame before any allocation happens, so a malformed or adversarial
+// prefix can never make ReadFrame allocate more than MaxFrame bytes, and
+// the payload decoder checks every count against the bytes that remain
+// before it allocates for it (codec.go) — FuzzFrameDecode holds the
+// package to both.
 //
 //	+--------+--------+--------+--------+------+----------------+
-//	|        length (big endian)        | type |  JSON payload  |
+//	|        length (big endian)        | type |    payload     |
 //	+--------+--------+--------+--------+------+----------------+
+//
+// Each frame type has one payload encoding, fixed at compile time:
+// binary for every frame of a steady-state operation, JSON for the four
+// sent once per connection or world (codec.go says which and why).
 //
 // One request frame gets exactly one response frame, with a single
 // exception: Cancel is fire-and-forget (no response of its own — the
@@ -22,8 +28,8 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -35,44 +41,99 @@ const MaxFrame = 1 << 20
 // headerSize is the length prefix's width.
 const headerSize = 4
 
-// WriteFrame marshals msg and writes one frame. The msg must be one of
-// the package's message structs (its type tag is typ).
-func WriteFrame(w io.Writer, typ byte, msg any) error {
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		return fmt.Errorf("wire: marshal type %d: %w", typ, err)
+// keepBuffer is the largest buffer a Reader or Writer keeps between
+// frames; one that grew past it for a wide result is dropped afterwards,
+// so a single near-MaxFrame frame does not pin a megabyte per connection.
+const keepBuffer = 16 << 10
+
+// appendFrame appends one whole frame — header, type, payload — to b.
+// The msg must be one of the package's message structs (its type tag is
+// typ).
+func appendFrame(b []byte, typ byte, msg any) ([]byte, error) {
+	m, ok := msg.(message)
+	if !ok {
+		return b, fmt.Errorf("wire: %T is not a frame payload", msg)
 	}
-	return WriteRawFrame(w, typ, payload)
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, typ)
+	b, err := m.encode(b)
+	if err != nil {
+		return b, fmt.Errorf("wire: encode type %d: %w", typ, err)
+	}
+	n := len(b) - start - headerSize
+	if n > MaxFrame {
+		return b, fmt.Errorf("wire: frame too large (%d > %d)", n, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
 }
 
-// WriteRawFrame writes one frame with an already-encoded payload.
-func WriteRawFrame(w io.Writer, typ byte, payload []byte) error {
-	n := 1 + len(payload)
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame too large (%d > %d)", n, MaxFrame)
+// WriteFrame encodes msg and writes one frame with a single Write. It
+// allocates the frame (once, as a rule: the buffer is sized for a
+// rowless message, plus a guess per cell for one that carries rows); a
+// connection uses a Writer.
+func WriteFrame(w io.Writer, typ byte, msg any) error {
+	size := 128
+	switch m := msg.(type) {
+	case *Result:
+		size += 4 * cells(m.Rows)
+	case *Fetched:
+		size += 4 * cells(m.Rows)
 	}
-	buf := make([]byte, headerSize+n)
-	binary.BigEndian.PutUint32(buf, uint32(n))
-	buf[headerSize] = typ
-	copy(buf[headerSize+1:], payload)
-	_, err := w.Write(buf)
+	buf, err := appendFrame(make([]byte, 0, size), typ, msg)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
 	return err
 }
 
-// ReadFrame reads one frame, returning the type byte and payload. The
-// length field is validated against MaxFrame before the payload buffer
-// is allocated; truncated input surfaces as io.ErrUnexpectedEOF, a
-// clean EOF before any header byte as io.EOF.
-func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+// cells counts the values of a row block.
+func cells(rows [][]int64) int {
+	if len(rows) == 0 {
+		return 0
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	return len(rows) * len(rows[0])
+}
+
+// Writer writes frames to one connection through one reusable buffer:
+// each frame is encoded in place and sent with a single Write. Not safe
+// for concurrent use.
+type Writer struct {
+	w   io.Writer
+	buf []byte
+}
+
+// NewWriter returns a Writer on w.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+
+// WriteFrame encodes msg and writes one frame. Nothing is written when
+// encoding fails.
+func (fw *Writer) WriteFrame(typ byte, msg any) error {
+	buf, err := appendFrame(fw.buf[:0], typ, msg)
+	if cap(buf) <= keepBuffer {
+		fw.buf = buf
+	} else {
+		fw.buf = nil
+	}
+	if err != nil {
+		return err
+	}
+	_, err = fw.w.Write(buf)
+	return err
+}
+
+// frameLen validates a header's length field.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
 	if n < 1 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: bad frame length %d", n)
+		return 0, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	body := make([]byte, n)
+	return int(n), nil
+}
+
+// readBody reads the n bytes a validated header announced into body.
+func readBody(r io.Reader, body []byte) (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -80,4 +141,69 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 		return 0, nil, err
 	}
 	return body[0], body[1:], nil
+}
+
+// ReadFrame reads one frame, returning the type byte and payload. The
+// length field is validated against MaxFrame before the payload buffer
+// is allocated; truncated input surfaces as io.ErrUnexpectedEOF, a
+// clean EOF before any header byte as io.EOF. It allocates the payload;
+// a connection uses a Reader.
+func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
+	// One allocation holds the header and, for a small frame, the body
+	// behind it.
+	buf := make([]byte, headerSize, 64)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return 0, nil, err
+	}
+	n, err := frameLen(buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	if headerSize+n > cap(buf) {
+		return readBody(r, make([]byte, n))
+	}
+	return readBody(r, buf[headerSize:headerSize+n])
+}
+
+// Reader reads frames from one connection into one reusable buffer. Not
+// safe for concurrent use.
+type Reader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// NewReader returns a Reader on r.
+func NewReader(r io.Reader) *Reader { return &Reader{br: bufio.NewReader(r)} }
+
+// ReadFrame is the package's ReadFrame, except that the payload is only
+// valid until the next call (Decode keeps no reference to it).
+func (fr *Reader) ReadFrame() (typ byte, payload []byte, err error) {
+	_, n, err := fr.Peek()
+	if err != nil {
+		return 0, nil, err
+	}
+	fr.br.Discard(headerSize) // cannot fail: Peek buffered them
+	if n > cap(fr.buf) || cap(fr.buf) > keepBuffer {
+		fr.buf = make([]byte, max(n, 1024))
+	}
+	return readBody(fr.br, fr.buf[:n])
+}
+
+// Peek waits for the next frame's header and type byte and returns the
+// type and the frame's length (type byte plus payload) without consuming
+// anything: an error — a read deadline included — leaves every byte that
+// did arrive for the next call. The server watches for a Cancel with it
+// while a request is parked.
+func (fr *Reader) Peek() (typ byte, n int, err error) {
+	hdr, err := fr.br.Peek(headerSize + 1)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, err
+	}
+	if n, err = frameLen(hdr); err != nil {
+		return 0, 0, err
+	}
+	return hdr[headerSize], n, nil
 }

@@ -3,7 +3,8 @@
 #
 #   tier 1: go build ./... && go test ./...        (the seed contract)
 #   tier 2: go vet ./... && go test -race ./...    (static + race checks)
-#           plus the borrowed-tuple and key-column guards again at
+#           plus the borrowed-tuple and key-column guards, the server's
+#           connection tests and the wire allocation guards again at
 #           GOMAXPROCS=4, and the nested benchmark module (benchmark/README.md): vet
 #           and unit tests of the harness and the ladder, and a -quick
 #           run with every output check on, so an internal signature
@@ -29,9 +30,8 @@
 #           corpus, MVCC-off byte-identity and the open-loop arrival
 #           replay property)
 #   tier 4: zero-diagnosis overhead guards          (vs seed meter, seed
-#           lock table, blame-off acquire, ledger-off invalidate and
-#           trace-off wire frames; minima of VERIFY_OVERHEAD_RUNS
-#           interleaved runs)
+#           lock table, blame-off acquire and ledger-off invalidate;
+#           minima of VERIFY_OVERHEAD_RUNS interleaved runs)
 #
 # Run from the repository root: sh scripts/verify.sh
 #
@@ -77,6 +77,16 @@ go test -race ./...
 GOMAXPROCS=4 go test -race -count=3 \
     -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates' \
     ./internal/query/ ./internal/proc/ ./internal/avm/ ./internal/quel/ ./internal/hashidx/
+# The served path's own guards, with GOMAXPROCS raised so the connection
+# goroutine, the gate's cancel watcher and Shutdown interleave: cancel,
+# vanish, protocol violation and drain against a request parked on the
+# statement gate (internal/server/conn_test.go), the codec's round-trip
+# property, validate-before-allocate and allocation guards
+# (internal/wire), and an empty round trip's allocations end to end.
+GOMAXPROCS=4 go test -race -count=3 ./internal/server
+GOMAXPROCS=4 go test -count=1 \
+    -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations' \
+    ./internal/wire/ ./client/
 # The benchmark is a module of its own (dbproc/benchmark, replace =>
 # ../), so nothing above builds it: vet and test it, then run the
 # harness once at 1/50 of the time with its output checks on.
@@ -135,7 +145,10 @@ go test -fuzz='^FuzzPlan$' -fuzztime=10s -run '^FuzzPlan$' ./internal/quel/
 
 # Wire-frame fuzz smokes (docs/SERVING.md): the decoder must survive
 # malformed, truncated and adversarial length-prefixed frames without
-# panicking or over-allocating, and encode->decode must round-trip.
+# panicking or over-allocating, and decode->encode->decode must be a
+# fixpoint. The corpus holds the version 2 seeds (v2-NN: well-formed
+# frames and payloads aimed at each count the binary decoder validates)
+# beside the version 1 JSON ones (seed-NN), which must still fail cleanly.
 go test -fuzz='^FuzzFrameDecode$' -fuzztime=10s -run '^FuzzFrameDecode$' ./internal/wire/
 go test -fuzz='^FuzzFrameRoundTrip$' -fuzztime=10s -run '^FuzzFrameRoundTrip$' ./internal/wire/
 
@@ -326,21 +339,6 @@ else
         'BenchmarkInvalidateSeedBaseline|BenchmarkInvalidateLedgerOff' ./internal/cache/
     overhead_guard /tmp/ledger_bench.txt \
         '^BenchmarkInvalidateSeedBaseline' '^BenchmarkInvalidateLedgerOff' 'ledger-off' ratio 1.05
-
-    # Trace off: an untraced request/response frame round trip (encode +
-    # decode) vs the pre-tracing struct layouts. The bound is looser
-    # than the engine guards' 1.05 because the cost being admitted is
-    # encoding/json's per-field omitempty checks on the added pointer
-    # fields (~6% of an ~8us round trip) — the inherent price of the
-    # fields existing at all. A real regression on the untraced path
-    # (allocating trace state, eagerly building breakdowns) costs
-    # multiples of that and still trips the guard. Byte-identity of the
-    # untraced encoding is pinned separately by
-    # TestTracingOffByteIdentity (tier 1).
-    bench_samples /tmp/trace_bench.txt \
-        'BenchmarkFrameSeedBaseline|BenchmarkFrameTraceOff' ./internal/wire/
-    overhead_guard /tmp/trace_bench.txt \
-        '^BenchmarkFrameSeedBaseline' '^BenchmarkFrameTraceOff' 'trace-off' ratio 1.12
 fi
 
 echo "== all tiers passed =="
