@@ -336,7 +336,7 @@ func (e *Entry) ReadAll(pg *storage.Pager, fn func(key uint64, rec []byte) bool)
 // Records returns the cached result in key order with ReadAll's charges,
 // regardless of validity. The tuples are borrowed from the page images
 // read (storage.OrderedFile.Records): read-only, valid until pg's next
-// BeginOp, copy to keep.
+// BeginOp and (MVCC) the release of its snapshot, copy to keep.
 func (e *Entry) Records(pg *storage.Pager) [][]byte {
 	m := pg.Meter()
 	prev := m.SetComponent(metric.CompCache)

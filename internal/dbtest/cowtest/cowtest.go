@@ -36,6 +36,18 @@ func Rec(key uint64, rng *rand.Rand) []byte {
 	return rec
 }
 
+// Poison makes disk's version GC fill every page buffer with 0xDB the
+// moment it reclaims it — not later, when an update reuses it — so that
+// whoever still holds the image returns garbage instead of plausible stale
+// bytes. Call it before concurrent access starts.
+func Poison(disk *storage.Disk) {
+	disk.OnReclaim(func(buf []byte) {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	})
+}
+
 // Run drives steps update epochs over s, one commit stamp each, with
 // version GC after every publish — the engine's sequence. A deep copy of
 // the contents is taken at every publish. Meanwhile readers goroutines
@@ -43,7 +55,10 @@ func Rec(key uint64, rng *rand.Rand) []byte {
 // the copy of their stamp (run under -race, this is also the proof that
 // published state is never written), and every seventh snapshot is
 // retained to the end, pinning the GC horizon, and checked again after the
-// last epoch.
+// last epoch. Version GC poisons every page image it reclaims for reuse
+// (Poison), so a reader — concurrent or pinned — whose snapshot could
+// still reach a reclaimed image reads 0xDB bytes, and races with the
+// scribble under -race.
 func Run(t *testing.T, disk *storage.Disk, s Structure, steps, readers int, seed int64) {
 	t.Helper()
 	newPager := func() *storage.Pager {
@@ -52,6 +67,7 @@ func Run(t *testing.T, disk *storage.Disk, s Structure, steps, readers int, seed
 		return pg
 	}
 	disk.EnableMVCC()
+	Poison(disk)
 
 	var mu sync.Mutex // guards copies
 	w := newPager()

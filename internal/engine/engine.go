@@ -252,9 +252,10 @@ type Engine struct {
 	// digest is Digest; a test substitutes a wrapper to observe where in
 	// Exec a result is digested.
 	digest func([][]byte) []byte
-	// updateFP is every update's footprint, canonical and shared by all
-	// sessions (AcquireAs only reads it).
-	updateFP Footprint
+	// updateFP is every update's footprint and gcFP the version GC's
+	// (GCLock alone), canonical and shared by all sessions (AcquireAs only
+	// reads them).
+	updateFP, gcFP Footprint
 
 	// agg accumulates every committed operation's per-component cost
 	// delta. Its counters are atomics: a telemetry scrape reads them
@@ -333,7 +334,7 @@ func New(cfg sim.Config, opt Options) *Engine {
 		w.Disk().EnableMVCC()
 	}
 	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest,
-		updateFP: updateFootprint(w)}
+		updateFP: updateFootprint(w), gcFP: gcFootprint()}
 	e.sessions = make([]*Session, opt.Clients)
 	if opt.ProfileLocks {
 		e.locks.EnableProfiling()
@@ -483,6 +484,14 @@ func updateFootprint(w *sim.World) Footprint {
 			f.Exclusive(EntryLock(id))
 		}
 	}
+	return f.normalized()
+}
+
+// gcFootprint is what an update's version GC takes: GCLock alone. Built
+// once, like the update footprint.
+func gcFootprint() Footprint {
+	var f Footprint
+	f.Exclusive(GCLock)
 	return f.normalized()
 }
 
@@ -658,6 +667,20 @@ func (e *Engine) TelemetryMetrics() []telemetry.Metric {
 					float64(b.Waits), lbl),
 			)
 		}
+	}
+	if !e.opt.DisableMVCC {
+		// A reuse ratio (reused/reclaimed) well below 1 means updates are
+		// allocating page images again: look at the horizon lag first.
+		reclaimed, reused, pooled, lag := e.w.Disk().ReclaimStats()
+		ms = append(ms,
+			telemetry.Counter("dbproc_mvcc_images_reclaimed_total",
+				"Superseded page images version GC cut off below the horizon.", float64(reclaimed), nil),
+			telemetry.Counter("dbproc_mvcc_images_reused_total",
+				"Page buffers an update took from the reclaimed pool instead of allocating.", float64(reused), nil),
+			telemetry.Gauge("dbproc_mvcc_image_pool", "Reclaimed page buffers awaiting reuse.", float64(pooled), nil),
+			telemetry.Gauge("dbproc_mvcc_gc_horizon_lag",
+				"Commit stamp minus the GC horizon (oldest registered snapshot) at the last version GC.", float64(lag), nil),
+		)
 	}
 	// Simulated-cost counters come straight from the commit aggregate's
 	// atomics: no latch to try, no scrape ever skipped.

@@ -120,7 +120,8 @@ func TestLockTableNoDeadlockUnderInversion(t *testing.T) {
 // configuration and the procedure ids only, so the engine builds it once
 // (it used to format and sort ~200 lock names per update). Asking for it
 // allocates nothing, acquiring it sorts nothing and leaves it as it was,
-// and sessions may acquire the one copy concurrently.
+// and sessions may acquire the one copy concurrently. The same holds for
+// the "mvcc:gc" footprint every update takes for its version GC.
 func TestUpdateFootprintBuiltOnce(t *testing.T) {
 	defer dbtest.Watchdog(t, 30*time.Second)()
 	e := New(testConfig(costmodel.UpdateCacheRVM, costmodel.Model1, 3, 4, 4), Options{Clients: 2})
@@ -142,6 +143,14 @@ func TestUpdateFootprintBuiltOnce(t *testing.T) {
 	// Held and its lock slots; nothing sized by a sort or a copy.
 	if n := testing.AllocsPerRun(100, func() { tab.AcquireAs(f, 0, "").Release() }); n > 2 {
 		t.Errorf("acquiring the prebuilt footprint made %.0f allocations, want <= 2", n)
+	}
+	// The version GC's footprint (every update takes it after releasing its
+	// own) is prebuilt the same way.
+	if g := e.gcFP; !g.canonical || !slices.Equal(g.names, []string{GCLock}) || !slices.Equal(g.excl, []bool{true}) {
+		t.Fatalf("the GC footprint is %v excl %v canonical=%v, want %q exclusive", g.names, g.excl, g.canonical, GCLock)
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.AcquireAs(e.gcFP, 0, "gc").Release() }); n > 2 {
+		t.Errorf("acquiring the prebuilt GC footprint made %.0f allocations, want <= 2", n)
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < 4; s++ {

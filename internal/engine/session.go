@@ -205,7 +205,8 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	}
 
 	// The history digest reads the whole result — here, while the
-	// borrowed tuples are valid (before the pager's next BeginOp). It is
+	// borrowed tuples are valid: before releaseSnap below, after which
+	// version GC may hand the images they point into to an update. It is
 	// a pure function of it, so it is computed here and only stored under
 	// the commit mutex: a large result must not extend every other
 	// session's commit.
@@ -288,9 +289,7 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		// Version-chain GC runs outside the update's footprint under its
 		// own lock: waits here are MVCC bookkeeping, never update-footprint
 		// contention, and procdoctor classifies them by the mvcc: name.
-		var gcf Footprint
-		gcf.Exclusive(GCLock)
-		gcHeld := e.locks.AcquireAs(gcf, s.id, "gc")
+		gcHeld := e.locks.AcquireAs(e.gcFP, s.id, "gc")
 		disk.GCVersions()
 		if critOn {
 			gcWaits := gcHeld.Waits()

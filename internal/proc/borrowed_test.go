@@ -6,6 +6,7 @@ import (
 
 	"dbproc/internal/cache"
 	"dbproc/internal/costmodel"
+	"dbproc/internal/dbtest/cowtest"
 	"dbproc/internal/proc"
 	"dbproc/internal/sim"
 	"dbproc/internal/storage"
@@ -270,5 +271,106 @@ func TestCachedHitAllocations(t *testing.T) {
 		if allocs > 4 {
 			t.Errorf("procedure %d: a cached hit made %v allocations, want <= 4", id, allocs)
 		}
+	}
+}
+
+// TestAccessResultsSurviveReclamation: on a served (MVCC) disk version GC
+// reclaims the page images the horizon has passed and updates work in them
+// again, so Access's borrowed tuples are valid until the reader's snapshot
+// is released — and not a moment longer. Every update here is followed by
+// version GC, as in the engine, with reclaimed buffers poisoned the moment
+// GC takes them (cowtest.Poison). A reader holding a registered snapshot
+// keeps its tuples across 150 maintained updates under Update Cache, and
+// across invalidations and other sessions' refreshes of the entries it
+// read — which replace an entry's images outside any epoch, where GC must
+// not take them at all — under Cache and Invalidate and Adaptive.
+func TestAccessResultsSurviveReclamation(t *testing.T) {
+	// readAll accesses every procedure under a registered snapshot.
+	readAll := func(sw *servedWorld, what string) (all []kept, release func()) {
+		stamp, release := sw.w.Disk().AcquireSnapshot()
+		pg := sw.reader(stamp)
+		for _, id := range sw.w.ProcIDs() {
+			all = append(all, keep(what, false, sw.w.Strategy().Access(pg, id)))
+		}
+		return all, release
+	}
+	for name, strat := range map[string]costmodel.Strategy{
+		"uc-avm": costmodel.UpdateCacheAVM, "uc-rvm": costmodel.UpdateCacheRVM,
+	} {
+		t.Run(name, func(t *testing.T) {
+			sw := newServedWorld(t, strat, false)
+			disk := sw.w.Disk()
+			cowtest.Poison(disk)
+			update := func(n int) {
+				for ; n > 0; n-- {
+					sw.update()
+					disk.GCVersions()
+				}
+			}
+			update(50) // the entries' pages are reclaimed buffers by now
+			before, release := readAll(sw, name+" pinned hit")
+			update(150)
+			for _, k := range before {
+				k.check(t)
+			}
+			if _, reused, _, lag := disk.ReclaimStats(); reused == 0 || lag != 150 {
+				t.Fatalf("%d buffers reused, horizon lag %d: not the run this test is about", reused, lag)
+			}
+			// The other half of the contract: once the snapshot is released
+			// the images are GC's, and what was borrowed from them is gone.
+			release()
+			disk.GCVersions()
+			poisoned := 0
+			for _, k := range before {
+				for _, tup := range k.out {
+					if bytes.Equal(tup, bytes.Repeat([]byte{0xDB}, len(tup))) {
+						poisoned++
+					}
+				}
+			}
+			if poisoned == 0 {
+				t.Fatal("nothing borrowed under the released snapshot was reclaimed: the test has no teeth")
+			}
+		})
+	}
+	for name, adaptive := range map[string]bool{"ci": false, "adaptive": true} {
+		t.Run(name, func(t *testing.T) {
+			sw := newServedWorld(t, costmodel.CacheInvalidate, adaptive)
+			s, disk, store := sw.w.Strategy(), sw.w.Disk(), sw.w.CacheStore()
+			cowtest.Poison(disk)
+			rewritten := 0
+			for round := 0; round < 8; round++ {
+				// Twice: the first access after an invalidation refreshes an
+				// entry, the second hits it.
+				refreshed, release1 := readAll(sw, name+" refresh or hit")
+				hits, release2 := readAll(sw, name+" hit")
+				// Updates until some entry is invalidated, then another
+				// session refreshes it at the newer stamp.
+				id := -1
+				for id < 0 {
+					sw.update()
+					disk.GCVersions()
+					for _, p := range sw.w.ProcIDs() {
+						if !store.MustEntry(cache.ID(p)).UsableAt(disk.CommitStamp()) {
+							id = p
+						}
+					}
+				}
+				later, releaseLater := disk.AcquireSnapshot()
+				if got := s.Access(sw.reader(later), id); !sameTuples(got, refreshed[id].want) {
+					rewritten++
+				}
+				releaseLater()
+				disk.GCVersions()
+				for _, k := range append(refreshed, hits...) {
+					k.check(t)
+				}
+				release1()
+				release2()
+			}
+			if rewritten == 0 {
+				t.Fatal("no refresh changed an entry a reader held")
+			}
+		})
 	}
 }

@@ -149,8 +149,11 @@ type Strategy interface {
 	// Access processes a query that retrieves the value of procedure id,
 	// returning its result tuples. The tuples are borrowed — a cache hit
 	// returns sub-slices of the immutable page images it read — so they
-	// are read-only, valid until pg's next BeginOp, and a caller that
-	// keeps one copies it.
+	// are read-only, and a caller that keeps one copies it. They are valid
+	// until pg's next BeginOp; on an MVCC disk, where version GC reclaims
+	// the images the horizon has passed for later updates to work in, also
+	// no longer than the snapshot pg reads under stays registered (or, for
+	// the epoch's writer, than the epoch's publish).
 	Access(pg *storage.Pager, id int) [][]byte
 	// OnUpdate is invoked after each update transaction commits.
 	OnUpdate(pg *storage.Pager, d Delta)

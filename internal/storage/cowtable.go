@@ -3,8 +3,10 @@ package storage
 import "slices"
 
 // tableChunkLen is the number of entries per Table chunk: the unit a
-// mutation copies when the chunk is shared with a snapshot.
-const tableChunkLen = 64
+// mutation copies when the chunk is shared with a snapshot. It is short
+// (16 × 24 bytes of B-tree node meta; it was 64, 1.5 KB) because an
+// update touches ~45 scattered entries, one chunk each whatever its length.
+const tableChunkLen = 16
 
 // Table is a persistent array of T indexed by small non-negative ints
 // (page ids, bucket numbers), the building block of the copy-on-write

@@ -10,10 +10,12 @@
 //
 // Storage is copy-on-write. A page is an atomically swapped pointer to an
 // immutable image: once a byte slice has been linked into a page (by
-// WriteRaw, by a pager's Flush, by Publish) nobody writes it again.
-// Pager.Read therefore hands out the image itself — no buffer, no copy,
-// no latch — and the slice stays correct however many writers come
-// after. The only writable bytes are a pager's own dirty frames: Update
+// WriteRaw, by a pager's Flush, by Publish) nobody writes it while anybody
+// can read it. Pager.Read therefore hands out the image itself — no
+// buffer, no copy, no latch — valid until the next BeginOp or, on an MVCC
+// disk, until the reader's snapshot is released or its epoch publishes
+// (version GC then reclaims what the horizon has passed: docs/MVCC.md).
+// The only writable bytes are a pager's own dirty frames: Update
 // and Overwrite give the operation a private buffer (copied from the
 // image on first dirty), and Flush gives that buffer away to the disk,
 // after which it is an image like any other. See docs/MVCC.md for how
@@ -84,6 +86,8 @@ type Disk struct {
 	// between loading the page's newest image and walking back to the
 	// version the snapshot may see.
 	snapReadHook func()
+	// reclaimHook sees each buffer GCVersions reclaims, as it is taken.
+	reclaimHook func([]byte)
 }
 
 // NewDisk creates an empty disk with the given page size in bytes.
@@ -428,7 +432,7 @@ func (p *Pager) Flush() {
 // operation charges one page read. The returned slice is the page's
 // immutable image (or, once this operation has dirtied the page, its
 // private buffer): never write through it — use Update for that — and do
-// not retain it across BeginOp.
+// not retain it across BeginOp or (MVCC) past its snapshot or epoch.
 func (p *Pager) Read(id PageID) []byte {
 	return p.fetch(id).data
 }
@@ -442,7 +446,7 @@ func (p *Pager) Read(id PageID) []byte {
 func (p *Pager) Update(id PageID) []byte {
 	f := p.fetch(id)
 	if !f.dirty {
-		buf := make([]byte, p.disk.pageSize)
+		buf := p.disk.newImage()
 		copy(buf, f.data)
 		p.dirty(id, f, buf)
 	}
@@ -457,11 +461,10 @@ func (p *Pager) Overwrite(id PageID) []byte {
 	if f.data == nil {
 		p.touched = append(p.touched, id)
 	}
-	if f.dirty {
-		clear(f.data)
-	} else {
-		p.dirty(id, f, make([]byte, p.disk.pageSize))
+	if !f.dirty {
+		p.dirty(id, f, p.disk.newImage())
 	}
+	clear(f.data)
 	return f.data
 }
 

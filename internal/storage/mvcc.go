@@ -64,14 +64,14 @@ func (v *ver[T]) visible(snap uint64) *ver[T] {
 }
 
 // prune cuts the list after the newest version at or below horizon — no
-// registered snapshot can reach anything older — and reports whether
-// versions above the horizon remain for a later call to cut.
-func (v *ver[T]) prune(horizon uint64) bool {
+// registered snapshot can reach anything older — and returns what it cut
+// off, and whether versions above the horizon remain for a later call.
+func (v *ver[T]) prune(horizon uint64) (cut *ver[T], more bool) {
 	last := v.visible(horizon)
 	if last != nil {
-		last.prev.Store(nil)
+		cut = last.prev.Swap(nil)
 	}
-	return last != v
+	return cut, last != v
 }
 
 // setLive makes img the page's only image, valid at every stamp: the
@@ -120,7 +120,19 @@ type mvccState struct {
 	// cut it back to one.
 	gcPages []*page
 	gcDirs  []*DirVersions
+
+	// pool is the LIFO stack of page buffers GCVersions cut off below the
+	// horizon, for Update and Overwrite to work in (docs/MVCC.md). Its own
+	// mutex: whoever runs GC pushes, the next epoch's writer (or a query-time
+	// refresh) pops. The counters are ReclaimStats'.
+	poolMu sync.Mutex
+	pool   [][]byte
+
+	reclaimed, reused, pooled, gcLag atomic.Uint64
 }
+
+// imagePoolCap bounds the pool: a few updates' worth (one dirties ~75 pages).
+const imagePoolCap = 256
 
 // EnableMVCC switches the disk into multi-version mode: every registered
 // versioned directory is published at stamp 0 so snapshot readers always
@@ -257,12 +269,28 @@ func (d *Disk) GCVersions() int {
 		ready = append(ready, df.ids...)
 		return true
 	})
+	m.gcLag.Store(m.commitStamp.Load() - horizon)
+	m.poolMu.Lock()
 	m.gcPages = slices.DeleteFunc(m.gcPages, func(pg *page) bool {
-		pg.queued = pg.head.Load().prune(horizon)
+		var cut *pageVer
+		for cut, pg.queued = pg.head.Load().prune(horizon); cut != nil; cut = cut.prev.Load() {
+			if cut == d.zero {
+				continue // shared by every fresh page
+			}
+			if d.reclaimHook != nil {
+				d.reclaimHook(cut.val)
+			}
+			m.reclaimed.Add(1)
+			if len(m.pool) < imagePoolCap {
+				m.pool = append(m.pool, cut.val)
+			}
+		}
 		return !pg.queued
 	})
+	m.pooled.Store(uint64(len(m.pool)))
+	m.poolMu.Unlock()
 	m.gcDirs = slices.DeleteFunc(m.gcDirs, func(dv *DirVersions) bool {
-		dv.queued = dv.head.Load().prune(horizon)
+		_, dv.queued = dv.head.Load().prune(horizon)
 		return !dv.queued
 	})
 	m.mu.Unlock()
@@ -273,6 +301,34 @@ func (d *Disk) GCVersions() int {
 		d.mu.Unlock()
 	}
 	return len(ready)
+}
+
+// newImage returns a page buffer of arbitrary contents: the most recently
+// reclaimed one, else (always, without MVCC) a fresh one.
+func (d *Disk) newImage() (buf []byte) {
+	if m := d.mvcc; m != nil {
+		m.poolMu.Lock()
+		if n := len(m.pool); n > 0 {
+			buf, m.pool = m.pool[n-1], m.pool[:n-1]
+			m.pooled.Store(uint64(n - 1))
+			m.reused.Add(1)
+		}
+		m.poolMu.Unlock()
+	}
+	if buf == nil {
+		buf = make([]byte, d.pageSize)
+	}
+	return buf
+}
+
+// OnReclaim is a test aid (cowtest.Poison): GCVersions shows fn every buffer
+// the moment it reclaims it, under its locks. Set before concurrent access.
+func (d *Disk) OnReclaim(fn func([]byte)) { d.reclaimHook = fn }
+
+// ReclaimStats reports, for an MVCC disk: images GCVersions reclaimed,
+// buffers reused, the pool's size, and commit stamp − horizon at the last GC.
+func (d *Disk) ReclaimStats() (reclaimed, reused, pooled, horizonLag uint64) {
+	return d.mvcc.reclaimed.Load(), d.mvcc.reused.Load(), d.mvcc.pooled.Load(), d.mvcc.gcLag.Load()
 }
 
 // RegisterDir registers an in-memory directory with the disk and returns

@@ -65,9 +65,14 @@ func TestSnapshotReadNeverSeesLaterPublish(t *testing.T) {
 	}
 }
 
-// TestReadSliceSurvivesLaterUpdate: a slice handed out by Read is an
-// immutable image; dirtying the same page later in the same operation
-// works on a copy.
+// TestReadSliceSurvivesLaterUpdate pins the within-operation half of the
+// read contract, on a disk without MVCC: a slice handed out by Read stays
+// as it was until the pager's next BeginOp — dirtying the same page later
+// in the same operation, before or after a Flush, works on a copy. (How
+// long a slice lives *across* operations on an MVCC disk — until the
+// snapshot is released or the epoch publishes, after which version GC may
+// reclaim the image — is pinned by the reclaim tests and the poisoned
+// cowtest harness.)
 func TestReadSliceSurvivesLaterUpdate(t *testing.T) {
 	p, _ := newTestPager(32)
 	id := p.Disk().Alloc()

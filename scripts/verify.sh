@@ -87,6 +87,19 @@ GOMAXPROCS=4 go test -race -count=3 ./internal/server
 GOMAXPROCS=4 go test -count=1 \
     -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations' \
     ./internal/wire/ ./client/
+# Page-image reclamation (docs/MVCC.md, "Reclamation"): version GC hands
+# superseded images to later updates as their buffers, so a reader that
+# outlives its snapshot now reads somebody's write. The poison-on-reclaim
+# suite (every reclaimed buffer filled with 0xDB the moment GC takes it:
+# the cowtest harness per structure, every strategy with four sessions
+# against the SI oracle and an unpoisoned twin, borrowed tuples held
+# across reclaiming updates and refreshes) and the four guards (an update
+# reuses its pages, shared images are never pooled, the pool is bounded,
+# a directory mutation copies at most 512 bytes), with GOMAXPROCS raised
+# so GC, the epoch writer and snapshot readers interleave.
+GOMAXPROCS=4 go test -race -count=3 \
+    -run 'SnapshotsSurviveUpdates|TestPoisonOnReclaim|TestAccessResultsSurviveReclamation|TestUpdateReusesItsPages|TestReclaim|TestImagePoolBounded|TestDirectoryMutationCopiesAtMost512B' \
+    ./internal/storage/ ./internal/btree/ ./internal/hashidx/ ./internal/proc/ ./internal/engine/
 # The benchmark is a module of its own (dbproc/benchmark, replace =>
 # ../), so nothing above builds it: vet and test it, then run the
 # harness once at 1/50 of the time with its output checks on.
