@@ -1,64 +1,11 @@
 package cache
 
-import (
-	"sync"
-	"testing"
-
-	"dbproc/internal/metric"
-	"dbproc/internal/storage"
-)
-
-// seedEntry replicates the pre-ledger Invalidate hot path — validity
-// flip under the entry mutex, the C_inval meter charge, and the
-// journal/observer nil checks that predate the ledger, but no ledger
-// branch — as the baseline the ledger-off path is held to (within ~5%;
-// see scripts/verify.sh tier 4).
-type seedEntry struct {
-	id       ID
-	journal  Journal
-	observer func(event string, id, session int)
-
-	mu    sync.Mutex
-	valid bool
-}
-
-func (e *seedEntry) invalidate(pg *storage.Pager) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.valid = false
-	comp := metric.CompProc
-	if e.journal != nil {
-		comp = metric.CompVLog
-	}
-	m := pg.Meter()
-	prev := m.SetComponent(comp)
-	m.Invalidation(1)
-	m.SetComponent(prev)
-	if j := e.journal; j != nil {
-		if err := j.Invalidate(int(e.id)); err != nil {
-			panic("cache: journal write failed (simulated crash): " + err.Error())
-		}
-	}
-	if fn := e.observer; fn != nil {
-		fn("cache.invalidate", int(e.id), pg.Session())
-	}
-}
-
-// BenchmarkInvalidateSeedBaseline measures the pre-ledger invalidation
-// cycle: the denominator of the cache ledger overhead guard.
-func BenchmarkInvalidateSeedBaseline(b *testing.B) {
-	_, pg, _ := newStore(0.1)
-	e := &seedEntry{valid: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.invalidate(pg)
-	}
-}
+import "testing"
 
 // BenchmarkInvalidateLedgerOff measures the production Invalidate with
-// no ledger attached — the zero-diagnosis path. The guard in
-// scripts/verify.sh tier 4 asserts it stays within ~5% of
-// BenchmarkInvalidateSeedBaseline.
+// no ledger attached — the zero-diagnosis path: the validity flip under
+// the entry mutex and the C_inval charge. TestInvalidateLedgerOffAllocatesNothing
+// holds it to no allocation.
 func BenchmarkInvalidateLedgerOff(b *testing.B) {
 	s, pg, _ := newStore(0.1)
 	e := s.Define(1, 8)

@@ -140,3 +140,18 @@ func TestDifferentialMaintenanceTouchesOnePage(t *testing.T) {
 		t.Fatal("maintenance should not flip validity")
 	}
 }
+
+// TestInvalidateLedgerOffAllocatesNothing: with no ledger, journal or
+// observer attached, invalidating an entry is a validity flip and one
+// meter charge; the diagnosis hooks cost it a nil check each and no
+// allocation.
+func TestInvalidateLedgerOffAllocatesNothing(t *testing.T) {
+	s, pg, m := newStore(0.1)
+	e := s.Define(1, 8)
+	if allocs := testing.AllocsPerRun(100, func() { e.Invalidate(pg) }); allocs != 0 {
+		t.Fatalf("a ledger-off invalidation made %v allocations, want 0", allocs)
+	}
+	if s.LedgerRef() != nil || m.Snapshot().Invalidations == 0 {
+		t.Fatalf("ledger %v, %d invalidations charged: not the ledger-off path", s.LedgerRef(), m.Snapshot().Invalidations)
+	}
+}

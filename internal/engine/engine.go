@@ -80,7 +80,7 @@ type Options struct {
 	// MVCC gives every query a lock-free consistent snapshot — access
 	// footprints shrink to nothing and only updates serialize on the lock
 	// table (docs/MVCC.md). The flag exists for the before/after contention
-	// benchmark and the tier-4 cost-identity guard.
+	// benchmark.
 	DisableMVCC bool
 	// Detect, when non-nil, arms the always-on regression detectors
 	// (p99 wall latency, lock-contention share, ledger wasted-work

@@ -138,7 +138,7 @@ const lockShards = 16
 // With EnableProfiling the table additionally streams per-lock wall-clock
 // wait/hold statistics (the contention profiler); disabled, Acquire and
 // Release take the exact pre-profiler path — no clock reads, no atomics —
-// so the zero-telemetry cost stays at seed level (tier-4 guard).
+// so the zero-telemetry cost stays at seed level.
 type LockTable struct {
 	seed    maphash.Seed
 	shards  [lockShards]lockShard
@@ -238,7 +238,7 @@ type LockWait struct {
 // Held is a set of acquired locks; Release drops them all. Profiling
 // state lives behind one pointer, and inline backs locks for typical
 // footprints, so a profiling-off Acquire costs one allocation — the same
-// count as the pre-profiler path (tier-4 overhead guard).
+// count as the pre-profiler path (TestUpdateFootprintBuiltOnce).
 type Held struct {
 	locks  []*namedLock
 	excl   []bool
@@ -276,7 +276,7 @@ func (t *LockTable) Acquire(f Footprint) *Held {
 // (session, op) as its latest holder, and each wait resolves the tag the
 // conflicting holder left, yielding the LockWait's blame edge. An empty
 // op disables tagging, making AcquireAs byte-for-byte Acquire — the
-// profiling-off path is untouched either way (tier-4 blame-off guard).
+// profiling-off path is untouched either way.
 // The footprint is read, never written: one canonical footprint may be
 // handed to concurrent acquirers.
 func (t *LockTable) AcquireAs(f Footprint, session int, op string) *Held {

@@ -59,3 +59,41 @@ func BenchmarkProbeBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLookupEach and BenchmarkLookupBatch probe the same random keys,
+// one at a time and BatchLen at a time; ns/op is per key in both.
+func BenchmarkLookupEach(b *testing.B) {
+	t, p := paperTable(b)
+	keys := randomKeys(1 << 16)
+	n := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.LookupEach(p, keys[i%len(keys)], func([]byte) bool { n++; return true })
+	}
+	if n != b.N {
+		b.Fatalf("%d matches for %d keys", n, b.N)
+	}
+}
+
+func BenchmarkLookupBatch(b *testing.B) {
+	t, p := paperTable(b)
+	keys := randomKeys(1 << 16)
+	n := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i += BatchLen {
+		at := i % len(keys)
+		t.LookupBatch(p, keys[at:at+min(BatchLen, b.N-i)], func(int, []byte) bool { n++; return true })
+	}
+	if n != b.N {
+		b.Fatalf("%d matches for %d keys", n, b.N)
+	}
+}
+
+func randomKeys(n int) []uint64 {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(rng.Intn(10_000))
+	}
+	return keys
+}

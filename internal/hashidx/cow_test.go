@@ -44,8 +44,9 @@ func (c *cowTable) Mutate(pg *storage.Pager, rng *rand.Rand) {
 }
 
 // Dump returns what ScanAll reads, having checked that the other access
-// path agrees: ScanAll walks the pages alone, a probe goes through the
-// bucket's key column, and both are part of what a snapshot must keep.
+// paths agree: ScanAll walks the pages alone, a probe — one key at a time
+// and a batch at a time — goes through the bucket's key column, and all of
+// it is part of what a snapshot must keep.
 func (c *cowTable) Dump(pg *storage.Pager) [][]byte {
 	var out [][]byte
 	byKey := make(map[uint64][][]byte)
@@ -56,18 +57,32 @@ func (c *cowTable) Dump(pg *storage.Pager) [][]byte {
 		byKey[key] = append(byKey[key], cp)
 		return true
 	})
+	// found checks one probed record against ScanAll's n-th of its key.
+	found := func(how string, key uint64, n int, rec []byte) {
+		if want := byKey[key]; n >= len(want) || !bytes.Equal(rec, want[n]) {
+			c.tb.Errorf("%s of key %d: record %d is %x, not what ScanAll reads", how, key, n, rec)
+		}
+	}
+	var keys []uint64
+	var each, batch [cowKeys]int
 	for key := uint64(0); key < cowKeys; key++ {
-		want := byKey[key]
-		n := 0
 		c.t.LookupEach(pg, key, func(rec []byte) bool {
-			if n >= len(want) || !bytes.Equal(rec, want[n]) {
-				c.tb.Errorf("probe of key %d: record %d is %x, not what ScanAll reads", key, n, rec)
-			}
-			n++
+			found("probe", key, each[key], rec)
+			each[key]++
 			return true
 		})
-		if n != len(want) {
-			c.tb.Errorf("probe of key %d finds %d records, ScanAll reads %d", key, n, len(want))
+		if keys = append(keys, key); len(keys) == hashidx.BatchLen || key == cowKeys-1 {
+			c.t.LookupBatch(pg, keys, func(i int, rec []byte) bool {
+				found("batched probe", keys[i], batch[keys[i]], rec)
+				batch[keys[i]]++
+				return true
+			})
+			keys = keys[:0]
+		}
+	}
+	for key, want := range byKey {
+		if each[key] != len(want) || batch[key] != len(want) {
+			c.tb.Errorf("key %d: a probe finds %d records, a batched probe %d, ScanAll reads %d", key, each[key], batch[key], len(want))
 		}
 	}
 	return out

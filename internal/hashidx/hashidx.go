@@ -25,6 +25,21 @@
 // a published copy never sees because it never reads past its own length;
 // Delete moves the bucket's last key into the vacated position, which a
 // published copy would see, so it writes a fresh column.
+//
+// LookupBatch is the probe of an index-nested-loop join: it takes up to
+// BatchLen keys and stages the one part of a probe that touches no page.
+// It resolves the directory once and then every key's bucket — a division
+// and two dependent loads per key, independent across keys, so they
+// overlap instead of each waiting behind the previous key's join — and
+// only then walks the chains, one key after another, through the same walk
+// LookupEach uses. Nothing is staged past the bucket: touching each key
+// column and first page id a stage early was measured and bought nothing,
+// and a page may not be read early at all, since a consumer that stops
+// must leave the later keys' pages unread.
+// Charges therefore cannot change: a batch issues exactly the Pager.Read
+// calls, per key in chain order, that the same keys issue one at a time,
+// and the operation's frame table charges a page once however the reads of
+// different keys interleave with the caller's other reads.
 package hashidx
 
 import (
@@ -183,22 +198,53 @@ func (t *Table) Lookup(pg *storage.Pager, key uint64) ([]byte, bool) {
 // the results.
 func (t *Table) LookupEach(pg *storage.Pager, key uint64, fn func(rec []byte) bool) {
 	b := t.dirFor(pg).bucketFor(key)
+	t.walk(pg, &b, key, 0, func(_ int, rec []byte) bool { return fn(rec) })
+}
+
+// BatchLen is the most keys one LookupBatch call takes.
+const BatchLen = 32
+
+// LookupBatch probes keys, at most BatchLen of them, calling fn(i, rec) for
+// every record that matches keys[i] — in key order, then chain order —
+// until fn returns false. Each key's chain is read as LookupEach reads it,
+// and no key after the one fn stopped at is probed. rec is valid only
+// during the call.
+func (t *Table) LookupBatch(pg *storage.Pager, keys []uint64, fn func(i int, rec []byte) bool) {
+	// Resolving a bucket is a division and two dependent loads, and nothing
+	// in it waits on another key: done for the whole batch first, those
+	// overlap instead of each queueing behind the previous key's join.
+	var bs [BatchLen]bucket
+	d := t.dirFor(pg)
+	for i, key := range keys {
+		bs[i] = d.bucketFor(key)
+	}
+	for i, key := range keys {
+		if !t.walk(pg, &bs[i], key, i, fn) {
+			return
+		}
+	}
+}
+
+// walk reads b's chain page by page, calling fn(i, rec) for every record
+// whose key is key, and reports whether fn never returned false.
+func (t *Table) walk(pg *storage.Pager, b *bucket, key uint64, i int, fn func(i int, rec []byte) bool) bool {
 	keys := b.keys
 	for _, id := range b.pages {
 		if len(keys) == 0 {
-			return
+			break
 		}
 		// Every chain page is read, and charged, whether or not the column
 		// holds a match on it.
 		buf := pg.Read(id)
 		limit := min(t.perPage, len(keys))
 		for s, k := range keys[:limit] {
-			if k == key && !fn(buf[s*t.recSize:(s+1)*t.recSize]) {
-				return
+			if k == key && !fn(i, buf[s*t.recSize:(s+1)*t.recSize]) {
+				return false
 			}
 		}
 		keys = keys[limit:]
 	}
+	return true
 }
 
 // Delete removes the first record with the given key, reporting whether

@@ -2,55 +2,10 @@ package metric
 
 import "testing"
 
-// seedMeter replicates the pre-attribution meter's hot path — one muted
-// check and one field add per charge — as the baseline the attributed
-// meter is held to (within an absolute ns-per-charge budget; see
-// scripts/verify.sh tier 4).
-type seedMeter struct {
-	c     Counters
-	muted bool
-}
-
-func (m *seedMeter) PageRead(n int) {
-	if m.muted {
-		return
-	}
-	m.c.PageReads += int64(n)
-}
-
-func (m *seedMeter) Screen(n int) {
-	if m.muted {
-		return
-	}
-	m.c.Screens += int64(n)
-}
-
-func (m *seedMeter) DeltaOp(n int) {
-	if m.muted {
-		return
-	}
-	m.c.DeltaOps += int64(n)
-}
-
-// BenchmarkMeterSeedBaseline measures the seed meter's charge mix: the
-// denominator of the obs overhead guard.
-func BenchmarkMeterSeedBaseline(b *testing.B) {
-	m := &seedMeter{}
-	for i := 0; i < b.N; i++ {
-		m.Screen(1)
-		m.PageRead(1)
-		m.DeltaOp(1)
-		m.Screen(1)
-	}
-	if m.c.Screens == 0 {
-		b.Fatal("no events recorded")
-	}
-}
-
-// BenchmarkMeterAttributed measures the same charge mix on the
-// component-attributed meter with tracing disabled — the production hot
-// path. The guard in scripts/verify.sh asserts it stays within an
-// absolute per-charge budget of BenchmarkMeterSeedBaseline.
+// BenchmarkMeterAttributed measures the charge mix of an index scan on
+// the component-attributed meter with tracing disabled — the production
+// hot path, an indexed add per charge. TestChargesAllocateNothing holds it
+// to no allocation.
 func BenchmarkMeterAttributed(b *testing.B) {
 	m := NewMeter(DefaultCosts())
 	m.SetComponent(CompBTree)

@@ -81,3 +81,24 @@ func TestMillisecondsLinearInCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChargesAllocateNothing: with tracing off, a charge is an indexed add
+// under the current component and a scope switch is a field swap; neither
+// allocates, whatever the component.
+func TestChargesAllocateNothing(t *testing.T) {
+	m := NewMeter(DefaultCosts())
+	allocs := testing.AllocsPerRun(100, func() {
+		prev := m.SetComponent(CompHashIdx)
+		m.Screen(1)
+		m.PageRead(1)
+		m.DeltaOp(1)
+		m.Screen(1)
+		m.SetComponent(prev)
+	})
+	if allocs != 0 {
+		t.Fatalf("a scoped charge mix made %v allocations, want 0", allocs)
+	}
+	if got := m.Snapshot().Screens; got == 0 {
+		t.Fatal("no events recorded")
+	}
+}

@@ -10,3 +10,7 @@ func SetAfterUnlock(s Strategy, fn func()) {
 		s.afterUnlock = fn
 	}
 }
+
+// DefinitionOf returns the definition a Cache and Invalidate strategy
+// holds for a procedure.
+func DefinitionOf(s *CacheInvalidate, id int) *Definition { return s.mgr.MustGet(id) }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -108,22 +109,27 @@ type aggState struct {
 func (a *Aggregate) Execute(ctx *Ctx, emit func([]byte) bool) {
 	cs := a.Child.Schema()
 	groups := map[string]*aggState{}
+	// key is the tuple's group values, 8 bytes each, rebuilt in place for
+	// every tuple: looking a []byte up as a string allocates nothing, so
+	// only a group's first tuple does.
+	key := make([]byte, 0, 8*len(a.groupIdx))
 	a.Child.Execute(ctx, func(tup []byte) bool {
-		keyParts := make([]int64, len(a.groupIdx))
-		var key strings.Builder
-		for i, gi := range a.groupIdx {
-			keyParts[i] = cs.Get(tup, gi)
-			fmt.Fprintf(&key, "%d|", keyParts[i])
+		key = key[:0]
+		for _, gi := range a.groupIdx {
+			key = binary.LittleEndian.AppendUint64(key, uint64(cs.Get(tup, gi)))
 		}
-		st := groups[key.String()]
+		st := groups[string(key)]
 		if st == nil {
 			st = &aggState{
-				group: keyParts,
+				group: make([]int64, len(a.groupIdx)),
 				sum:   make([]int64, len(a.Aggs)),
 				min:   make([]int64, len(a.Aggs)),
 				max:   make([]int64, len(a.Aggs)),
 			}
-			groups[key.String()] = st
+			for i, gi := range a.groupIdx {
+				st.group[i] = cs.Get(tup, gi)
+			}
+			groups[string(key)] = st
 		}
 		st.count++
 		for i, ai := range a.aggIdx {

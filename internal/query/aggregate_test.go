@@ -68,6 +68,30 @@ func TestAggregateEmptyInput(t *testing.T) {
 	}
 }
 
+// TestAggregateAllocatesPerGroup: a grouped aggregate allocates for the
+// groups it finds, not for the tuples it reads — a tuple of a group already
+// seen costs no allocation at all.
+func TestAggregateAllocatesPerGroup(t *testing.T) {
+	w := dbtest.NewWorld(dbtest.Config{})
+	ctx := &Ctx{Meter: w.Meter, Pager: w.Pager}
+	vs := &ValuesScan{Sch: w.R1.Schema()}
+	for tid := int64(0); tid < 2000; tid++ {
+		vs.Tuples = append(vs.Tuples, w.R1Tuple(tid, tid%4-1, tid%3)) // 12 groups, negative values among them
+	}
+	agg := NewAggregate(vs, []string{"skey", "a"}, []AggSpec{{Fn: AggCount, Name: "n"}, {Fn: AggSum, Field: "tid", Name: "s"}})
+	rows := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		rows = 0
+		agg.Execute(ctx, func([]byte) bool { rows++; return true })
+	})
+	if rows != 12 {
+		t.Fatalf("%d groups, want 12", rows)
+	}
+	if allocs > 100 {
+		t.Fatalf("%v allocations for %d tuples in %d groups: the aggregate allocates per tuple", allocs, len(vs.Tuples), rows)
+	}
+}
+
 func TestAggregateNegativeValues(t *testing.T) {
 	w := dbtest.NewWorld(dbtest.Config{})
 	ctx := &Ctx{Meter: w.Meter, Pager: w.Pager}

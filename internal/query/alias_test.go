@@ -20,6 +20,17 @@ import (
 func TestConsumersCopyWhatTheyKeep(t *testing.T) {
 	w := dbtest.NewWorld(dbtest.Config{})
 	ctx := &query.Ctx{Meter: w.Meter, Pager: w.Pager}
+	// Six R2 keys get a second and a third record, so that a probe emits
+	// some slots of its row block more than once.
+	for j := int64(0); j < 12; j++ {
+		s2 := w.R2.Schema()
+		dup := s2.New()
+		s2.SetByName(dup, "tid", 100+j)
+		s2.SetByName(dup, "b", j%6*5)
+		s2.SetByName(dup, "c", j)
+		s2.SetByName(dup, "p2", j%10)
+		w.R2.Insert(w.Pager, dup)
+	}
 	var r2 [][]byte
 	w.R2.Hash().ScanAll(w.Pager, func(rec []byte) bool {
 		r2 = append(r2, bytes.Clone(rec))
@@ -53,6 +64,23 @@ func TestConsumersCopyWhatTheyKeep(t *testing.T) {
 				}
 			}
 			return recs
+		},
+		// A probe whose child is a probe: the child emits a slot of its row
+		// block, which its later matches overwrite, and the gather must have
+		// copied what it needs of it by then.
+		"HashJoinProbe": func(wrap wrapper) [][]byte {
+			j := query.NewHashJoinProbe(wrap(query.NewBTreeRangeScan(w.R1, 0, 199)), w.R2, "a", 80)
+			return query.Run(query.NewHashJoinProbe(wrap(j), w.R3, "r2_c", 80), ctx)
+		},
+		// The AVM delta plan's shape: the probed tuples are a ValuesScan's
+		// input, which the caller owns.
+		"HashJoinProbe(ValuesScan)": func(wrap wrapper) [][]byte {
+			vs := &query.ValuesScan{Sch: w.R1.Schema()}
+			for tid := int64(0); tid < 70; tid++ {
+				vs.Tuples = append(vs.Tuples, w.R1Tuple(tid, tid, (tid*7)%45))
+			}
+			j := query.NewHashJoinProbe(wrap(vs), w.R2, "a", 80)
+			return query.Run(query.NewHashJoinProbe(wrap(j), w.R3, "r2_c", 80), ctx)
 		},
 		"Sort": func(wrap wrapper) [][]byte {
 			return query.Run(wrap(query.NewSort(wrap(join3(wrap)), []string{"r2_p2", "a"})), ctx)

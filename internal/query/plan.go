@@ -1,11 +1,11 @@
 package query
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 
+	"dbproc/internal/hashidx"
 	"dbproc/internal/metric"
 	"dbproc/internal/relation"
 	"dbproc/internal/storage"
@@ -36,15 +36,24 @@ type Ctx struct {
 // Tuple lifetime: an emitted slice is borrowed. It is valid, and must be
 // treated as read-only, during the emit call it is passed to; whoever
 // keeps a tuple past that call copies it. Scans emit the stored bytes
-// themselves (a page image, a ValuesScan's input), and the joins, Project
-// and Aggregate each emit one scratch tuple per Execute call that the
-// next output overwrites, so a plan allocates nothing per tuple. The
-// retaining consumers copy: Run, Materialize, Sort, and the build (inner)
-// side of NestedLoopJoin.
+// themselves (a page image, a ValuesScan's input); NestedLoopJoin, Project
+// and Aggregate each emit one scratch tuple per Execute call that the next
+// output overwrites, and HashJoinProbe emits a slot of its row block that a
+// later match overwrites, so a plan allocates nothing per tuple. The
+// retaining consumers copy: Run, Materialize, Sort, the build (inner) side
+// of NestedLoopJoin, and HashJoinProbe's gather, which copies a child
+// tuple's attributes into the row block before returning to the child.
+//
+// Stopping: once emit has returned false no further tuple is emitted and
+// nothing more is read for the tuples not emitted, but a node may already
+// have consumed input it then drops: HashJoinProbe has scanned and
+// screened the rest of its current batch of child tuples, though it probes
+// no key after the one whose row said stop. No consumer outside this
+// package returns false today (Refine and Filter only pass it on).
 //
 // A plan node is shared: one procedure's plan is executed by every session
-// at once. Execute keeps its working state, scratch tuples included, in
-// the call, never on the node.
+// at once. Execute keeps its working state, scratch tuples and row blocks
+// included, in the call, never on the node.
 type Plan interface {
 	// Schema describes the emitted tuples.
 	Schema() *tuple.Schema
@@ -257,13 +266,18 @@ func (j *HashJoinProbe) Schema() *tuple.Schema { return j.out }
 // Children implements Plan.
 func (j *HashJoinProbe) Children() []Plan { return []Plan{j.Child} }
 
-// Execute implements Plan. Each probe's bucket I/O is attributed to the
-// hashidx component, scoped inside the emit callback so the child scan
+// Execute implements Plan. Child tuples are gathered hashidx.BatchLen at a
+// time and probed as one batch; each batch's bucket I/O is attributed to
+// the hashidx component, scoped inside the emit callback so the child scan
 // keeps its own attribution.
 func (j *HashJoinProbe) Execute(ctx *Ctx, emit func([]byte) bool) {
-	p := &probe{j: j, ctx: ctx, ls: j.Child.Schema(), emit: emit, out: j.out.New(), cont: true}
+	p := &probe{j: j, ctx: ctx, ls: j.Child.Schema(), emit: emit, width: j.out.Width(), cont: true}
+	p.rows = make([]byte, hashidx.BatchLen*p.width)
 	p.match = p.matched
-	j.Child.Execute(ctx, p.probe)
+	j.Child.Execute(ctx, p.gather)
+	if p.cont && p.n > 0 {
+		p.flush()
+	}
 }
 
 // probe is the state of one Execute call, in one allocation rather than a
@@ -273,30 +287,48 @@ type probe struct {
 	ctx   *Ctx
 	ls    *tuple.Schema // the child's
 	emit  func([]byte) bool
-	match func(rtup []byte) bool // matched, bound once
-	out   []byte                 // the scratch tuple every output is written into
-	ltup  []byte                 // the child tuple being probed
-	cont  bool                   // what emit last returned
+	match func(i int, rtup []byte) bool // matched, bound once
+	width int                           // of an output tuple
+	// rows is the batch's output tuples, one slot per gathered child tuple:
+	// gather fills a slot's left half, matched its right half, and the slot
+	// is what is emitted.
+	rows []byte
+	keys [hashidx.BatchLen]uint64 // the gathered tuples' probe keys
+	n    int                      // tuples gathered
+	cont bool                     // what emit last returned
 }
 
-// probe looks one child tuple up in the table.
-func (p *probe) probe(ltup []byte) bool {
-	j, ctx := p.j, p.ctx
-	p.ltup = ltup
-	key := uint64(p.ls.Get(ltup, j.probeIdx))
-	if ctx.Locks != nil {
-		ctx.Locks.ReadKey(j.Table.Schema().Name(), int64(key))
+// gather takes one child tuple into the batch, probing the batch when it
+// is full. ltup is borrowed — when the child is itself a probe, it is a
+// slot the child's next match overwrites — so what the join needs of it is
+// copied here and no reference kept.
+func (p *probe) gather(ltup []byte) bool {
+	key := uint64(p.ls.Get(ltup, p.j.probeIdx))
+	if p.ctx.Locks != nil {
+		p.ctx.Locks.ReadKey(p.j.Table.Schema().Name(), int64(key))
 	}
-	prev := ctx.Meter.SetComponent(metric.CompHashIdx)
-	j.Table.Hash().LookupEach(ctx.Pager, key, p.match)
-	ctx.Meter.SetComponent(prev)
+	copy(p.rows[p.n*p.width:][:p.j.concat.left], ltup)
+	p.keys[p.n] = key
+	if p.n++; p.n == hashidx.BatchLen {
+		p.flush()
+	}
 	return p.cont
 }
 
-// matched emits the join of the probed tuple with one table record.
-func (p *probe) matched(rtup []byte) bool {
-	p.j.concat.into(p.out, p.ltup, rtup)
-	p.cont = p.emit(p.out)
+// flush probes the gathered keys and empties the batch.
+func (p *probe) flush() {
+	prev := p.ctx.Meter.SetComponent(metric.CompHashIdx)
+	p.j.Table.Hash().LookupBatch(p.ctx.Pager, p.keys[:p.n], p.match)
+	p.ctx.Meter.SetComponent(prev)
+	p.n = 0
+}
+
+// matched emits the join of the i-th gathered tuple with one table record.
+func (p *probe) matched(i int, rtup []byte) bool {
+	c := p.j.concat
+	row := p.rows[i*p.width : (i+1)*p.width]
+	copy(row[c.left:c.left+c.right], rtup)
+	p.cont = p.emit(row)
 	return p.cont
 }
 
@@ -307,6 +339,22 @@ func (j *HashJoinProbe) String() string {
 		j.Table.Schema().FieldName(j.Table.HashField()))
 }
 
+// keeper copies the tuples a collector keeps, keepLen of them to an
+// allocation rather than one each. A kept tuple pins its block.
+type keeper struct{ free []byte }
+
+const keepLen = 32
+
+func (k *keeper) keep(tup []byte) []byte {
+	if len(k.free) < len(tup) {
+		k.free = make([]byte, keepLen*len(tup))
+	}
+	cp := k.free[:len(tup):len(tup)]
+	k.free = k.free[len(tup):]
+	copy(cp, tup)
+	return cp
+}
+
 // Materialize runs a plan and returns copies of its results sorted by the
 // given cluster key, ready to Replace a cached object's contents.
 func Materialize(p Plan, key func([]byte) uint64, ctx *Ctx) ([]uint64, [][]byte) {
@@ -315,8 +363,9 @@ func Materialize(p Plan, key func([]byte) uint64, ctx *Ctx) ([]uint64, [][]byte)
 		r []byte
 	}
 	var rows []row
+	var kept keeper
 	p.Execute(ctx, func(tup []byte) bool {
-		rows = append(rows, row{key(tup), bytes.Clone(tup)})
+		rows = append(rows, row{key(tup), kept.keep(tup)})
 		return true
 	})
 	// Plans rooted at a clustered scan emit in key order already; sort
@@ -334,8 +383,9 @@ func Materialize(p Plan, key func([]byte) uint64, ctx *Ctx) ([]uint64, [][]byte)
 // Run executes the plan and collects a copy of every output tuple.
 func Run(p Plan, ctx *Ctx) [][]byte {
 	var out [][]byte
+	var kept keeper
 	p.Execute(ctx, func(tup []byte) bool {
-		out = append(out, bytes.Clone(tup))
+		out = append(out, kept.keep(tup))
 		return true
 	})
 	return out

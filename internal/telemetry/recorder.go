@@ -8,8 +8,7 @@
 // process*: wall-clock waits and holds, sessions in flight, goroutines.
 // Every entry point is nil-safe, so a disabled recorder or sketch costs
 // one nil check at each instrumentation site and the zero-telemetry
-// engine path stays at its pre-telemetry cost (guarded by the tier-4
-// benchmarks in scripts/verify.sh).
+// engine path stays at its pre-telemetry cost.
 //
 // See docs/TELEMETRY.md for the endpoints, the flight-recorder dump
 // format, and the procmon dashboard.

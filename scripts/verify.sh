@@ -29,18 +29,16 @@
 #           watchdog flight dump kept as an artifact, the write-skew
 #           corpus, MVCC-off byte-identity and the open-loop arrival
 #           replay property)
-#   tier 4: zero-diagnosis overhead guards          (vs seed meter, seed
-#           lock table, blame-off acquire and ledger-off invalidate;
-#           minima of VERIFY_OVERHEAD_RUNS interleaved runs)
+#
+# What instrumentation costs when it is off is held by allocation guards
+# in tier 1 (metric.TestChargesAllocateNothing,
+# engine.TestUpdateFootprintBuiltOnce,
+# cache.TestInvalidateLedgerOffAllocatesNothing), not by timing ratios.
 #
 # Run from the repository root: sh scripts/verify.sh
 #
 # Environment knobs:
 #   VERIFY_MAX_TIER=N        stop after tier N (CI runs tiers 1-2)
-#   VERIFY_SKIP_OVERHEAD=1   skip tier 4's timing-sensitive benchmarks
-#                            (use on loaded or single-core boxes)
-#   VERIFY_OVERHEAD_RUNS=N   interleaved benchmark rounds per tier-4 guard
-#                            (default 8; raise on noisy shared boxes)
 #   VERIFY_ARTIFACTS=DIR     keep the tier-3 smoke artifacts (metrics
 #                            scrape, flight tail, ledger, doctor report)
 #                            in DIR instead of a deleted temp dir — CI
@@ -48,7 +46,7 @@
 
 set -e
 
-MAX_TIER="${VERIFY_MAX_TIER:-4}"
+MAX_TIER="${VERIFY_MAX_TIER:-3}"
 
 stop_after() {
     if [ "$MAX_TIER" -le "$1" ]; then
@@ -71,11 +69,13 @@ go test -race ./...
 # The zero-copy read path's guards once more with GOMAXPROCS raised, so
 # that sessions interleave even on a single-core box: the borrowed-tuple
 # oracle (every retaining consumer over tuples overwritten when emit
-# returns, and one shared plan executed by four sessions at once) and the
+# returns, and one shared plan executed by four sessions at once), the
 # hash key column read by snapshot readers while the writer inserts and
-# deletes.
+# deletes, and the batched probe's guards: a batch equals its keys probed
+# one by one (records, order, page reads), a probe stops at the row that
+# said stop, and a recomputed value allocates by the block.
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates' \
+    -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates|TestLookupBatch|TestProbeStopsAtTheRowThatSaidStop|JoinAccessAllocations|TestColdFillMaterializeAllocations|TestAggregateAllocatesPerGroup' \
     ./internal/query/ ./internal/proc/ ./internal/avm/ ./internal/quel/ ./internal/hashidx/
 # The served path's own guards, with GOMAXPROCS raised so the connection
 # goroutine, the gate's cancel watcher and Shutdown interleave: cancel,
@@ -258,100 +258,6 @@ grep -q 'dominant bottleneck:' "$ART/doctor.txt" || {
 echo "diagnosis smoke: OK"
 if [ -n "${VERIFY_ARTIFACTS:-}" ]; then
     echo "smoke artifacts kept in $ART"
-fi
-stop_after 3
-
-echo "== tier 4: zero-telemetry overhead guards =="
-# Each guard replays a hot path through the instrumented implementation
-# with instrumentation off against a baseline that replicates the
-# pre-instrumentation code. The 8 samples per side come from 8 separate
-# `go test -count=1` invocations, so baseline and candidate interleave in
-# time — a single `-count=8` run would time all baseline samples as one block
-# and all candidate samples as another, letting machine-state drift
-# between the blocks masquerade as overhead. The guard compares the
-# minimum of each side: timing noise on a shared box (steal time, GC,
-# thermal throttling) is strictly additive, so the min of several
-# interleaved runs is the best estimator of true cost for both sides,
-# while a real regression raises the candidate's floor and cannot hide.
-#
-# Two threshold modes, because the right criterion depends on the
-# denominator. The lock table's baseline is ~1us/op, so a 5% ratio is
-# meaningful. The meter's baseline is ~1.5ns/op — a single extra indexed
-# add (~0.3ns, the inherent cost of per-component attribution) is already
-# >5% of a denominator that small, while a real regression (a map lookup,
-# an interface call) costs several ns. So the meter guard bounds the
-# *absolute* per-iteration delta instead of the ratio.
-if [ -n "${VERIFY_SKIP_OVERHEAD:-}" ]; then
-    echo "overhead guards skipped (VERIFY_SKIP_OVERHEAD set)"
-else
-    # overhead_guard FILE BASE_RE ATTR_RE LABEL MODE BOUND
-    #   MODE=ratio: fail when median(attr)/median(base) > BOUND
-    #   MODE=delta: fail when median(attr)-median(base) > BOUND ns/op
-    overhead_guard() {
-        awk -v base_re="$2" -v attr_re="$3" -v label="$4" \
-            -v mode="$5" -v bound="$6" '
-            $0 ~ base_re { if (!nb++ || $3 < mb) mb = $3 }
-            $0 ~ attr_re { if (!na++ || $3 < ma) ma = $3 }
-            END {
-                if (nb == 0 || na == 0) { print "verify: benchmark output missing"; exit 1 }
-                printf "%s overhead: %.2f ns/op vs baseline %.2f ns/op (minima of %d/%d, ratio %.3f, delta %.2f ns/op)\n", \
-                    label, ma, mb, na, nb, ma / mb, ma - mb
-                if (mode == "ratio" && ma / mb > bound) {
-                    printf "verify: FAIL - %s overhead ratio %.3f exceeds %.2f\n", label, ma / mb, bound; exit 1
-                }
-                if (mode == "delta" && ma - mb > bound) {
-                    printf "verify: FAIL - %s overhead delta %.2f ns/op exceeds %.2f ns/op\n", label, ma - mb, bound; exit 1
-                }
-                printf "%s overhead guard: OK\n", label
-            }
-        ' "$1"
-    }
-
-    # bench_samples OUT BENCH_RE PKG — VERIFY_OVERHEAD_RUNS (default 8)
-    # interleaved base/candidate pairs. Enough rounds that both sides hit
-    # a quiet scheduling window on a shared box, so their minima are
-    # comparable.
-    RUNS="${VERIFY_OVERHEAD_RUNS:-8}"
-    bench_samples() {
-        : > "$1"
-        i=0
-        while [ "$i" -lt "$RUNS" ]; do
-            go test -run '^$' -bench "$2" -benchtime=1s -count=1 "$3" >> "$1"
-            i=$((i + 1))
-        done
-    }
-
-    # Meter attribution: the component-attributed meter vs the seed meter.
-    # Absolute-delta bound: 2 ns per 4-charge iteration (0.5 ns/charge)
-    # admits the one extra indexed add attribution inherently costs while
-    # still catching any real regression on the charge path.
-    bench_samples /tmp/meter_bench.txt \
-        'BenchmarkMeterSeedBaseline|BenchmarkMeterAttributed$' ./internal/metric/
-    overhead_guard /tmp/meter_bench.txt \
-        '^BenchmarkMeterSeedBaseline' '^BenchmarkMeterAttributed' 'meter' delta 2.0
-
-    # Lock table: Acquire/Release with the contention profiler off vs the
-    # pre-profiler lock table (ratio bound — the baseline is ~1us/op, so
-    # 5% is meaningful).
-    bench_samples /tmp/lock_bench.txt \
-        'BenchmarkAcquireSeedBaseline|BenchmarkAcquireProfilingOff' ./internal/engine/
-    overhead_guard /tmp/lock_bench.txt \
-        '^BenchmarkAcquireSeedBaseline' '^BenchmarkAcquireProfilingOff' 'lock table' ratio 1.05
-
-    # Blame attribution off: AcquireAs with a session id but no blame tag
-    # — the path every non-diagnosis run takes now that the lock table
-    # carries holder tags — vs the same seed lock table.
-    bench_samples /tmp/blame_bench.txt \
-        'BenchmarkAcquireSeedBaseline|BenchmarkAcquireBlameOff' ./internal/engine/
-    overhead_guard /tmp/blame_bench.txt \
-        '^BenchmarkAcquireSeedBaseline' '^BenchmarkAcquireBlameOff' 'blame-off' ratio 1.05
-
-    # Cache ledger off: the production Invalidate with no ledger attached
-    # vs the pre-ledger invalidation cycle.
-    bench_samples /tmp/ledger_bench.txt \
-        'BenchmarkInvalidateSeedBaseline|BenchmarkInvalidateLedgerOff' ./internal/cache/
-    overhead_guard /tmp/ledger_bench.txt \
-        '^BenchmarkInvalidateSeedBaseline' '^BenchmarkInvalidateLedgerOff' 'ledger-off' ratio 1.05
 fi
 
 echo "== all tiers passed =="
