@@ -452,8 +452,8 @@ const (
 	waitClassGC        = "waited on version-chain GC"
 )
 
-// waitClass classifies a lock name for blame output: rel:/ent: names are
-// an update's declared 2PL footprint; the mvcc: namespace (the
+// waitClass classifies a lock name for blame output: rel: names are an
+// update's declared 2PL footprint; the mvcc: namespace (the
 // version-chain GC lock, engine.GCLock) is MVCC housekeeping that runs
 // after an update's footprint is already released.
 func waitClass(lock string) string {

@@ -152,9 +152,6 @@ func TestFlightReportWaitClasses(t *testing.T) {
 	if got := waitClass("rel:r1"); got != waitClassFootprint {
 		t.Errorf("waitClass(rel:r1) = %q", got)
 	}
-	if got := waitClass("ent:proc:7"); got != waitClassFootprint {
-		t.Errorf("waitClass(ent:proc:7) = %q", got)
-	}
 	if got := waitClass(engine.GCLock); got != waitClassGC {
 		t.Errorf("waitClass(%s) = %q", engine.GCLock, got)
 	}

@@ -217,8 +217,7 @@ func renderConcurrent(paths []string) {
 		if rep.Served {
 			fmt.Printf(" %12s", "served")
 		}
-		fmt.Printf(" %10s %10s %-16s %5s\n", "p50 us", "p95 us", "acc-wait 2pl→mvcc", "seq")
-		hasDelta := false
+		fmt.Printf(" %10s %10s %8s %5s\n", "p50 us", "p95 us", "acc-wait", "seq")
 		for _, row := range rep.Rows {
 			bound := fmt.Sprintf("%.2fx", row.WallParallelSpeedup)
 			if row.Projected {
@@ -235,14 +234,7 @@ func renderConcurrent(paths []string) {
 			if scenario == "" {
 				scenario = "polite"
 			}
-			// The before/after wait-share delta: contention rows carry a
-			// paired pure-2PL measurement next to the MVCC one.
 			wait := fmt.Sprintf("%.1f%%", 100*row.AccessWaitShare)
-			if row.AccessWaitShare2PL > 0 {
-				wait = fmt.Sprintf("%.1f%% → %.1f%%",
-					100*row.AccessWaitShare2PL, 100*row.AccessWaitShare)
-				hasDelta = true
-			}
 			fmt.Printf("%-22s %-8s %8d %-18s %12.1f %8.2fx %11s",
 				row.Strategy, row.Model, row.Clients, scenario, row.ThroughputOps,
 				row.Speedup, bound)
@@ -253,15 +245,11 @@ func renderConcurrent(paths []string) {
 					fmt.Printf(" %12s", "-")
 				}
 			}
-			fmt.Printf(" %10.1f %10.1f %-16s %5s\n", row.P50LatencyUs, row.P95LatencyUs, wait, seq)
+			fmt.Printf(" %10.1f %10.1f %8s %5s\n", row.P50LatencyUs, row.P95LatencyUs, wait, seq)
 		}
 		note := `speedup counts overlapped think time; latch-free is the schedule bound over
-the committed history's 2PL conflicts ("~" = projected: sessions exceed cores).`
-		if hasDelta {
-			note += `
-acc-wait is the share of query wall time spent waiting on locks; contention rows
-show the pure-2PL figure (before) against the MVCC snapshot read path (after).`
-		}
+the committed history's 2PL conflicts ("~" = projected: sessions exceed cores).
+acc-wait is the share of query wall time spent waiting on locks.`
 		if rep.Served {
 			note += `
 served is measured ops/sec through procserved over the database/sql driver

@@ -81,6 +81,24 @@ func buildDB() *formsDB {
 	return &formsDB{meter: meter, pager: pager, widgets: widgets, styles: styles}
 }
 
+// read runs fn as one read operation, at a snapshot of the newest commit.
+func (db *formsDB) read(fn func()) {
+	db.pager.OpenScope(false)
+	defer db.pager.CloseScope(0)
+	db.pager.BeginOp()
+	fn()
+	db.pager.Flush()
+}
+
+// update runs fn as one update, inside the update epoch, published at the
+// next commit stamp.
+func (db *formsDB) update(fn func()) {
+	db.pager.OpenScope(true)
+	defer db.pager.CloseScope(db.pager.Disk().CommitStamp() + 1)
+	db.pager.BeginOp()
+	fn()
+}
+
 func (db *formsDB) formPlan(form int64) query.Plan {
 	scan := query.NewBTreeRangeScan(db.widgets, form, form)
 	return query.NewHashJoinProbe(scan, db.styles, "style", 128)
@@ -110,23 +128,24 @@ func cacheInvalidateDemo() {
 	db.pager.SetCharging(true)
 	db.meter.Reset()
 
-	db.pager.BeginOp()
-	out := strat.Access(db.pager, 2)
-	db.pager.Flush()
+	var out [][]byte
+	db.read(func() { out = strat.Access(db.pager, 2) })
 	fmt.Printf("  render form 2 (warm cache, %d widgets): %.0f ms\n",
 		len(out), db.meter.Milliseconds())
 
 	// Edit one widget of form 2: move widget tid=5 to style 0.
 	ws := db.widgets.Schema()
-	old, _ := db.widgets.Tree().Get(db.pager, tuple.ClusterKey(2, 5))
-	edited := append([]byte(nil), old...)
-	ws.SetByName(edited, "style", 0)
-	db.pager.SetCharging(false)
-	db.widgets.DeleteKeyed(db.pager, tuple.ClusterKey(2, 5))
-	db.widgets.Insert(db.pager, edited)
-	db.pager.BeginOp()
-	db.pager.SetCharging(true)
-	strat.OnUpdate(db.pager, proc.Delta{Rel: db.widgets, Inserted: [][]byte{edited}, Deleted: [][]byte{old}})
+	db.update(func() {
+		old, _ := db.widgets.Tree().Get(db.pager, tuple.ClusterKey(2, 5))
+		edited := append([]byte(nil), old...)
+		ws.SetByName(edited, "style", 0)
+		db.pager.SetCharging(false)
+		db.widgets.DeleteKeyed(db.pager, tuple.ClusterKey(2, 5))
+		db.widgets.Insert(db.pager, edited)
+		db.pager.BeginOp()
+		db.pager.SetCharging(true)
+		strat.OnUpdate(db.pager, proc.Delta{Rel: db.widgets, Inserted: [][]byte{edited}, Deleted: [][]byte{old}})
+	})
 
 	for _, form := range []int{1, 2} {
 		valid := store.MustEntry(cache.ID(form)).Valid()
@@ -134,9 +153,7 @@ func cacheInvalidateDemo() {
 	}
 
 	db.meter.Reset()
-	db.pager.BeginOp()
-	out = strat.Access(db.pager, 2)
-	db.pager.Flush()
+	db.read(func() { out = strat.Access(db.pager, 2) })
 	fmt.Printf("  re-render form 2 (recompute + refresh): %.0f ms\n", db.meter.Milliseconds())
 	fmt.Println("  form 2 now:")
 	renderForm(mgr.MustGet(2).Plan.Schema(), out)
@@ -188,11 +205,12 @@ func sharedReteDemo() {
 	db.pager.SetCharging(true)
 	db.meter.Reset()
 
-	read := func(form int64) [][]byte {
-		var out [][]byte
-		views[form].beta.File().Scan(db.pager, func(_ uint64, rec []byte) bool {
-			out = append(out, append([]byte(nil), rec...))
-			return true
+	read := func(form int64) (out [][]byte) {
+		db.read(func() {
+			views[form].beta.File().Scan(db.pager, func(_ uint64, rec []byte) bool {
+				out = append(out, append([]byte(nil), rec...))
+				return true
+			})
 		})
 		return out
 	}
@@ -201,14 +219,15 @@ func sharedReteDemo() {
 
 	// Restyle the library: style 1 gets a new color. One - token and one
 	// + token at the SHARED memory update every form that uses style 1.
-	oldStyle, _ := db.styles.Hash().Lookup(db.pager, 1)
+	var oldStyle []byte
+	db.read(func() { oldStyle, _ = db.styles.Hash().Lookup(db.pager, 1) })
 	newStyle := append([]byte(nil), oldStyle...)
 	ss.SetByName(newStyle, "color", 0x00AA55)
 	db.meter.Reset()
-	db.pager.BeginOp()
-	styleMem.Activate(db.pager, rete.Token{Tag: rete.Minus, Tuple: oldStyle})
-	styleMem.Activate(db.pager, rete.Token{Tag: rete.Plus, Tuple: newStyle})
-	db.pager.Flush()
+	db.update(func() {
+		styleMem.Activate(db.pager, rete.Token{Tag: rete.Minus, Tuple: oldStyle})
+		styleMem.Activate(db.pager, rete.Token{Tag: rete.Plus, Tuple: newStyle})
+	})
 	fmt.Printf("  restyled the shared library (every form maintained): %.0f ms\n", db.meter.Milliseconds())
 
 	fmt.Println("  form 3 after (style-1 widgets recolored in place):")

@@ -95,15 +95,13 @@ func publishAllocs(n int) float64 {
 	}
 	tr := btree.BulkLoad(pg, 100, 20, btree.Key{Hi: 4}, recs)
 	pg.BeginOp()
-	disk.EnableMVCC()
 
 	const runs = 50
 	var total uint64
 	rec := make([]byte, 100)
 	for i := 0; i < runs+1; i++ {
 		key := uint64(2 * (n / 2))
-		disk.BeginEpoch()
-		pg.SetEpoch(true)
+		pg.OpenScope(true)
 		pg.BeginOp()
 		tr.Delete(pg, key+uint64(i%2))
 		binary.LittleEndian.PutUint64(rec, key+uint64((i+1)%2))
@@ -111,10 +109,9 @@ func publishAllocs(n int) float64 {
 		pg.Flush()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		disk.Publish(uint64(i + 1))
+		pg.CloseScope(uint64(i + 1))
 		disk.GCVersions()
 		runtime.ReadMemStats(&after)
-		pg.SetEpoch(false)
 		if i > 0 { // the first publish grows the queues
 			total += after.Mallocs - before.Mallocs
 		}

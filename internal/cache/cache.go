@@ -150,7 +150,9 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Valid reports whether the cached result may be served.
+// Valid reports the entry's newest validity flag: false from an
+// invalidation until the next clean install. Whether a reader may serve
+// the contents is UsableAt's question, asked at the reader's snapshot.
 func (e *Entry) Valid() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -177,17 +179,15 @@ func (e *Entry) Invalidate(pg *storage.Pager) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.valid = false
-	if e.store.disk.MVCCEnabled() {
-		// Stamp the invalidation with a lower bound on the invalidating
-		// update's commit sequence: CommitStamp()+1. The update publishes at
-		// some csn >= that bound, and no snapshot can be acquired strictly
-		// between the bound and csn (stamps only advance at publish), so
-		// every visibility comparison against the bound decides exactly as
-		// it would against csn (docs/MVCC.md).
-		r := e.store.disk.CommitStamp() + 1
-		if n := len(e.invals); n == 0 || e.invals[n-1] < r {
-			e.invals = append(e.invals, r)
-		}
+	// Stamp the invalidation with a lower bound on the invalidating update's
+	// commit sequence: CommitStamp()+1. The update publishes at some csn >=
+	// that bound, and no snapshot can be acquired strictly between the
+	// bound and csn (stamps only advance at publish), so every visibility
+	// comparison against the bound decides exactly as it would against csn
+	// (docs/MVCC.md).
+	r := e.store.disk.CommitStamp() + 1
+	if n := len(e.invals); n == 0 || e.invals[n-1] < r {
+		e.invals = append(e.invals, r)
 	}
 	comp := metric.CompProc
 	if e.store.journal != nil {
@@ -279,14 +279,11 @@ func (e *Entry) ReplaceAt(pg *storage.Pager, keys []uint64, recs [][]byte, snap 
 
 // UsableAt reports whether a snapshot reader at stamp s may serve the
 // cached contents: they were computed at or before s and no invalidation
-// has been recorded in (computedAt, s]. With MVCC off it degenerates to
-// the plain validity flag.
+// has been recorded in (computedAt, s]: the paper's validity rule, read
+// at a snapshot.
 func (e *Entry) UsableAt(s uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.store.disk.MVCCEnabled() {
-		return e.valid
-	}
 	return e.hasData && e.computedAt <= s && (len(e.invals) == 0 || e.invals[0] > s)
 }
 
@@ -309,9 +306,7 @@ func (e *Entry) markValid(pg *storage.Pager) {
 	e.valid = true
 	e.hasData = true
 	e.invals = e.invals[:0]
-	if e.store.disk.MVCCEnabled() {
-		e.computedAt = e.store.disk.CommitStamp()
-	}
+	e.computedAt = e.store.disk.CommitStamp()
 	if j := e.store.journal; j != nil {
 		if err := j.Validate(int(e.id)); err != nil {
 			panic("cache: journal write failed (simulated crash): " + err.Error())
@@ -336,7 +331,7 @@ func (e *Entry) ReadAll(pg *storage.Pager, fn func(key uint64, rec []byte) bool)
 // Records returns the cached result in key order with ReadAll's charges,
 // regardless of validity. The tuples are borrowed from the page images
 // read (storage.OrderedFile.Records): read-only, valid until pg's next
-// BeginOp and (MVCC) the release of its snapshot, copy to keep.
+// BeginOp and the close of its scope, copy to keep.
 func (e *Entry) Records(pg *storage.Pager) [][]byte {
 	m := pg.Meter()
 	prev := m.SetComponent(metric.CompCache)

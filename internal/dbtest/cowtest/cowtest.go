@@ -66,18 +66,18 @@ func Run(t *testing.T, disk *storage.Disk, s Structure, steps, readers int, seed
 		pg.SetCharging(false)
 		return pg
 	}
-	disk.EnableMVCC()
 	Poison(disk)
 
 	var mu sync.Mutex // guards copies
 	w := newPager()
 	w.BeginOp()
 	copies := map[uint64][][]byte{0: s.Dump(w)}
+	// check compares what pg, reading at stamp, sees with the copy taken
+	// when stamp was published.
 	check := func(pg *storage.Pager, stamp uint64, when string) {
 		mu.Lock()
 		want := copies[stamp]
 		mu.Unlock()
-		pg.SetSnapshot(stamp)
 		pg.BeginOp()
 		got := s.Dump(pg)
 		if len(got) != len(want) {
@@ -105,22 +105,20 @@ func Run(t *testing.T, disk *storage.Disk, s Structure, steps, readers int, seed
 					return
 				default:
 				}
-				stamp, release := disk.AcquireSnapshot()
-				check(pg, stamp, "concurrent reader")
-				release()
+				check(pg, pg.OpenScope(false), "concurrent reader")
+				pg.CloseScope(0)
 			}
 		}()
 	}
 
 	type retained struct {
-		stamp   uint64
-		release func()
+		stamp uint64
+		pg    *storage.Pager
 	}
 	var kept []retained
 	rng := rand.New(rand.NewSource(seed))
 	for stamp := uint64(1); stamp <= uint64(steps); stamp++ {
-		disk.BeginEpoch()
-		w.SetEpoch(true)
+		w.OpenScope(true)
 		w.BeginOp()
 		s.Mutate(w, rng)
 		w.Flush()
@@ -128,22 +126,22 @@ func Run(t *testing.T, disk *storage.Disk, s Structure, steps, readers int, seed
 		mu.Lock()
 		copies[stamp] = now
 		mu.Unlock()
-		disk.Publish(stamp)
-		w.SetEpoch(false)
+		w.CloseScope(stamp)
 		if stamp%7 == 0 {
-			got, release := disk.AcquireSnapshot()
-			kept = append(kept, retained{got, release})
+			pg := newPager()
+			kept = append(kept, retained{pg.OpenScope(false), pg})
 		}
 		disk.GCVersions()
 	}
 	close(done)
 	wg.Wait()
 
-	pg := newPager()
 	for _, k := range kept {
-		check(pg, k.stamp, "retained snapshot")
-		k.release()
+		check(k.pg, k.stamp, "retained snapshot")
+		k.pg.CloseScope(0)
 	}
 	disk.GCVersions()
-	check(pg, uint64(steps), "after the last GC")
+	pg := newPager()
+	check(pg, pg.OpenScope(false), "after the last GC")
+	pg.CloseScope(0)
 }

@@ -130,6 +130,27 @@ func NewWorld(cfg Config) *World {
 	return &World{Meter: m, Pager: pager, Cat: cat, R1: r1, R2: r2, R3: r3, NextTID: int64(cfg.N1)}
 }
 
+// Read runs fn as one read operation on the world's pager: a fresh frame
+// scope at a snapshot of the newest commit, flushed and closed when fn
+// returns or panics.
+func (w *World) Read(fn func()) {
+	w.Pager.OpenScope(false)
+	defer w.Pager.CloseScope(0)
+	w.Pager.BeginOp()
+	fn()
+	w.Pager.Flush()
+}
+
+// Update runs fn as one update on the world's pager: a fresh frame scope
+// inside the update epoch, published at the next commit stamp when fn
+// returns or panics.
+func (w *World) Update(fn func()) {
+	w.Pager.OpenScope(true)
+	defer func() { w.Pager.CloseScope(w.Pager.Disk().CommitStamp() + 1) }()
+	w.Pager.BeginOp()
+	fn()
+}
+
 // R1Tuple builds (but does not insert) an R1 tuple.
 func (w *World) R1Tuple(tid, skey, a int64) []byte {
 	s := w.R1.Schema()

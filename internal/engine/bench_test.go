@@ -2,12 +2,12 @@ package engine
 
 import "testing"
 
-// benchFootprint is a representative query footprint: two shared
-// relation locks plus one exclusive cache-entry lock.
+// benchFootprint is the update footprint: two exclusive relation locks
+// plus one shared.
 func benchFootprint() Footprint {
 	var f Footprint
-	f.Shared(RelLock("r1"), RelLock("r2"))
-	f.Exclusive(EntryLock(17))
+	f.Exclusive(RelLock("r1"), RelLock("r2"))
+	f.Shared(RelLock("r3"))
 	return f
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dbproc/internal/costmodel"
 	"dbproc/internal/metric"
 	"dbproc/internal/obs"
 	"dbproc/internal/sim"
@@ -74,14 +73,6 @@ type Options struct {
 	// EvLockAcquire details, and as blame attributes on operation spans.
 	// Implies ProfileLocks.
 	CritPath bool
-	// DisableMVCC turns snapshot reads off, restoring the pure-2PL read
-	// path: queries then acquire shared relation locks and entry locks
-	// exactly as before the MVCC refactor. On by default (zero value),
-	// MVCC gives every query a lock-free consistent snapshot — access
-	// footprints shrink to nothing and only updates serialize on the lock
-	// table (docs/MVCC.md). The flag exists for the before/after contention
-	// benchmark.
-	DisableMVCC bool
 	// Detect, when non-nil, arms the always-on regression detectors
 	// (p99 wall latency, lock-contention share, ledger wasted-work
 	// ratio); a firing detector records an EvDetector flight event, which
@@ -108,7 +99,7 @@ type HistoryEntry struct {
 	// across the operation body, priced at the run's cost parameters.
 	CostMs float64
 	// Snap is the MVCC stamp the op ran at: the snapshot a query read at,
-	// or the commit stamp an update published. Zero when MVCC is off.
+	// or the commit stamp an update published.
 	Snap uint64
 }
 
@@ -327,14 +318,8 @@ func New(cfg sim.Config, opt Options) *Engine {
 		opt.ProfileLocks = true
 	}
 	w := sim.Build(cfg)
-	if !opt.DisableMVCC {
-		// Build is done: every file's directory is registered, so enabling
-		// MVCC publishes them all at stamp 0 — the snapshot every reader
-		// sees until the first update publishes.
-		w.Disk().EnableMVCC()
-	}
 	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest,
-		updateFP: updateFootprint(w), gcFP: gcFootprint()}
+		updateFP: updateFootprint(), gcFP: gcFootprint()}
 	e.sessions = make([]*Session, opt.Clients)
 	if opt.ProfileLocks {
 		e.locks.EnableProfiling()
@@ -369,9 +354,6 @@ func New(cfg sim.Config, opt Options) *Engine {
 
 // World exposes the engine's world (for post-run verification).
 func (e *Engine) World() *sim.World { return e.w }
-
-// MVCCEnabled reports whether the engine runs snapshot reads.
-func (e *Engine) MVCCEnabled() bool { return !e.opt.DisableMVCC }
 
 // GCLock is the lock-table resource serializing version-chain garbage
 // collection. Waits on it are MVCC bookkeeping, not update-footprint
@@ -424,66 +406,29 @@ func (e *Engine) countPhase(idx int) {
 	}
 }
 
-// footprint computes the conservative lock set of one operation.
-//
-// Queries lock the procedure's source relations shared plus its cache
-// entry — exclusive for strategies whose access may refresh the entry
-// (Cache and Invalidate, Adaptive), shared for Update Cache reads, and
-// no entry at all for Always Recompute.
-//
-// Updates lock r1 and r2 exclusive (the target relation is drawn at
-// execution time), r3 shared (model-2 maintenance plans probe it), and —
-// for every strategy with cached state — every cache entry exclusive:
-// invalidation and maintenance fan out to a conflict set that is only
-// known once the i-lock table is consulted, and RVM token propagation
-// may touch any shared α/β-memory. docs/CONCURRENCY.md discusses the
-// cost of this conservatism.
-func (e *Engine) footprint(op workload.Op) Footprint {
+// OpFootprint returns the 2PL lock set Exec acquires for op (benchmark
+// harnesses and the schedule bound read it too). A query needs none: it
+// reads base relations and maintained entry files through its snapshot,
+// and the rewrite-at-query-time strategies (C&I, Adaptive) serialize on
+// their own per-entry mutexes (docs/MVCC.md). Every update takes the one
+// prebuilt update footprint.
+func (e *Engine) OpFootprint(op workload.Op) Footprint {
 	if op.Kind == workload.Update {
 		return e.updateFP
 	}
-	// With MVCC on, a query needs no locks at all: it reads base
-	// relations and maintained entry files through its snapshot, and
-	// the rewrite-at-query-time strategies (C&I, Adaptive) serialize on
-	// their own per-entry mutexes (docs/MVCC.md). The footprint below
-	// is the pure-2PL read path, kept for Options.DisableMVCC.
-	var f Footprint
-	if !e.opt.DisableMVCC {
-		return f
-	}
-	// A nested query accesses further procedures inside its body;
-	// the 2PL footprint must cover every one up front. InnerProcs
-	// derives them from the op alone, and normalized dedupes the
-	// repeated relation/entry names.
-	cfg := e.w.Config()
-	procs := append([]int{op.ProcID}, workload.InnerProcs(op, e.w.ProcIDs())...)
-	for _, id := range procs {
-		for _, rel := range e.w.ProcRelations(id) {
-			f.Shared(RelLock(rel))
-		}
-		switch {
-		case cfg.Adaptive || cfg.Strategy == costmodel.CacheInvalidate:
-			f.Exclusive(EntryLock(id))
-		case cfg.Strategy == costmodel.UpdateCacheAVM || cfg.Strategy == costmodel.UpdateCacheRVM:
-			f.Shared(EntryLock(id))
-		}
-	}
-	return f
+	return Footprint{}
 }
 
-// updateFootprint builds the one footprint every update takes. It
-// depends on the configuration and the procedure ids only, so New builds
-// it once, in canonical order.
-func updateFootprint(w *sim.World) Footprint {
-	cfg := w.Config()
+// updateFootprint builds the one footprint every update takes: r1 and r2
+// exclusive (the target relation is drawn at execution time) and r3
+// shared (model-2 maintenance plans probe it). Holding r1 and r2
+// exclusive makes an update the only writer, so it serializes every
+// invalidation and maintenance fan-out with no per-entry lock
+// (docs/CONCURRENCY.md). New builds it once, in canonical order.
+func updateFootprint() Footprint {
 	var f Footprint
 	f.Exclusive(RelLock("r1"), RelLock("r2"))
 	f.Shared(RelLock("r3"))
-	if cfg.Adaptive || cfg.Strategy != costmodel.AlwaysRecompute {
-		for _, id := range w.ProcIDs() {
-			f.Exclusive(EntryLock(id))
-		}
-	}
 	return f.normalized()
 }
 
@@ -494,10 +439,6 @@ func gcFootprint() Footprint {
 	f.Exclusive(GCLock)
 	return f.normalized()
 }
-
-// OpFootprint exposes the 2PL lock footprint Run would acquire for op,
-// for conflict analysis by benchmark harnesses and scaling projections.
-func (e *Engine) OpFootprint(op workload.Op) Footprint { return e.footprint(op) }
 
 // Run executes the world's workload across Options.Clients sessions: the
 // canonical operation stream is dealt round-robin to the sessions, each
@@ -668,20 +609,18 @@ func (e *Engine) TelemetryMetrics() []telemetry.Metric {
 			)
 		}
 	}
-	if !e.opt.DisableMVCC {
-		// A reuse ratio (reused/reclaimed) well below 1 means updates are
-		// allocating page images again: look at the horizon lag first.
-		reclaimed, reused, pooled, lag := e.w.Disk().ReclaimStats()
-		ms = append(ms,
-			telemetry.Counter("dbproc_mvcc_images_reclaimed_total",
-				"Superseded page images version GC cut off below the horizon.", float64(reclaimed), nil),
-			telemetry.Counter("dbproc_mvcc_images_reused_total",
-				"Page buffers an update took from the reclaimed pool instead of allocating.", float64(reused), nil),
-			telemetry.Gauge("dbproc_mvcc_image_pool", "Reclaimed page buffers awaiting reuse.", float64(pooled), nil),
-			telemetry.Gauge("dbproc_mvcc_gc_horizon_lag",
-				"Commit stamp minus the GC horizon (oldest registered snapshot) at the last version GC.", float64(lag), nil),
-		)
-	}
+	// A reuse ratio (reused/reclaimed) well below 1 means updates are
+	// allocating page images again: look at the horizon lag first.
+	reclaimed, reused, pooled, lag := e.w.Disk().ReclaimStats()
+	ms = append(ms,
+		telemetry.Counter("dbproc_mvcc_images_reclaimed_total",
+			"Superseded page images version GC cut off below the horizon.", float64(reclaimed), nil),
+		telemetry.Counter("dbproc_mvcc_images_reused_total",
+			"Page buffers an update took from the reclaimed pool instead of allocating.", float64(reused), nil),
+		telemetry.Gauge("dbproc_mvcc_image_pool", "Reclaimed page buffers awaiting reuse.", float64(pooled), nil),
+		telemetry.Gauge("dbproc_mvcc_gc_horizon_lag",
+			"Commit stamp minus the GC horizon (oldest registered snapshot) at the last version GC.", float64(lag), nil),
+	)
 	// Simulated-cost counters come straight from the commit aggregate's
 	// atomics: no latch to try, no scrape ever skipped.
 	c := e.agg.Total()

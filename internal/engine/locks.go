@@ -8,21 +8,22 @@
 // Synchronization is layered:
 //
 //  1. a sharded lock table of named reader/writer locks — one per base
-//     relation, one per cache entry — acquired per operation in canonical
+//     relation, plus the version GC's — that updates acquire in canonical
 //     name order (conservative two-phase locking, deadlock-free by
-//     ordering);
+//     ordering); queries take none and read at a snapshot instead;
 //  2. subsystem mutexes inside ilock, cache, avm, rete and vlog that make
-//     each shared structure individually safe;
+//     each shared structure individually safe, and the C&I and Adaptive
+//     per-entry access mutexes;
 //  3. immutable page images in the storage layer — a page of the shared
-//     disk changes only by an atomic swap to a new image — plus a
+//     disk changes only by an atomic swap to a new image, and an update's
+//     images become visible all at once when its epoch publishes — plus a
 //     private pager and cost meter per session, so operation bodies run
 //     physically in parallel; a small commit mutex orders only the
-//     commit step itself (sequence draw, history append, aggregate
-//     merge).
+//     commit step itself (sequence draw, publish, history append,
+//     aggregate merge).
 package engine
 
 import (
-	"fmt"
 	"hash/maphash"
 	"slices"
 	"sort"
@@ -35,10 +36,6 @@ import (
 
 // RelLock names the lock-table resource for a base relation.
 func RelLock(rel string) string { return "rel:" + rel }
-
-// EntryLock names the lock-table resource for a cache entry. The id is
-// zero-padded so lexicographic acquisition order equals numeric order.
-func EntryLock(id int) string { return fmt.Sprintf("ent:%08d", id) }
 
 // Footprint is the set of named resources one operation locks, each in
 // shared or exclusive mode. Build it with Shared/Exclusive, then hand it

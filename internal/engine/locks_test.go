@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,12 +16,12 @@ func TestFootprintNormalize(t *testing.T) {
 	var f Footprint
 	f.Shared(RelLock("r2"), RelLock("r1"))
 	f.Exclusive(RelLock("r1"))
-	f.Shared(EntryLock(3))
-	f.Exclusive(EntryLock(12))
+	f.Shared(RelLock("r3"))
+	f.Exclusive(GCLock)
 	f = f.normalized()
 
-	wantNames := []string{EntryLock(3), EntryLock(12), RelLock("r1"), RelLock("r2")}
-	wantExcl := []bool{false, true, true, false}
+	wantNames := []string{GCLock, RelLock("r1"), RelLock("r2"), RelLock("r3")}
+	wantExcl := []bool{true, true, false, false}
 	if len(f.names) != len(wantNames) {
 		t.Fatalf("normalized to %d entries, want %d: %v", len(f.names), len(wantNames), f.names)
 	}
@@ -31,15 +30,6 @@ func TestFootprintNormalize(t *testing.T) {
 			t.Errorf("entry %d = (%s, excl=%v), want (%s, excl=%v)",
 				i, f.names[i], f.excl[i], wantNames[i], wantExcl[i])
 		}
-	}
-}
-
-func TestEntryLockOrdering(t *testing.T) {
-	// Zero-padding must make lexicographic order equal numeric order, or
-	// the canonical acquisition order breaks for ids past 9.
-	if !(EntryLock(9) < EntryLock(10) && EntryLock(10) < EntryLock(100)) {
-		t.Fatalf("entry lock names do not sort numerically: %q %q %q",
-			EntryLock(9), EntryLock(10), EntryLock(100))
 	}
 }
 
@@ -116,12 +106,12 @@ func TestLockTableNoDeadlockUnderInversion(t *testing.T) {
 	wg.Wait()
 }
 
-// TestUpdateFootprintBuiltOnce: an update's footprint depends on the
-// configuration and the procedure ids only, so the engine builds it once
-// (it used to format and sort ~200 lock names per update). Asking for it
-// allocates nothing, acquiring it sorts nothing and leaves it as it was,
-// and sessions may acquire the one copy concurrently. The same holds for
-// the "mvcc:gc" footprint every update takes for its version GC.
+// TestUpdateFootprintBuiltOnce: every update takes the same three locks —
+// r1 and r2 exclusive, r3 shared — so the engine builds the footprint
+// once. Asking for it allocates nothing, acquiring it sorts nothing and
+// leaves it as it was, and sessions may acquire the one copy
+// concurrently. The same holds for the "mvcc:gc" footprint every update
+// takes for its version GC.
 func TestUpdateFootprintBuiltOnce(t *testing.T) {
 	defer dbtest.Watchdog(t, 30*time.Second)()
 	e := New(testConfig(costmodel.UpdateCacheRVM, costmodel.Model1, 3, 4, 4), Options{Clients: 2})
@@ -135,8 +125,9 @@ func TestUpdateFootprintBuiltOnce(t *testing.T) {
 		t.Errorf("OpFootprint of an update made %.0f allocations, want 0", n)
 	}
 	f := e.OpFootprint(update)
-	if !f.canonical || len(f.names) != 3+len(e.World().ProcIDs()) || !sort.StringsAreSorted(f.names) {
-		t.Fatalf("the update footprint is not canonical: %d names, canonical=%v", len(f.names), f.canonical)
+	if want := []string{RelLock("r1"), RelLock("r2"), RelLock("r3")}; !f.canonical || !slices.Equal(f.names, want) ||
+		!slices.Equal(f.excl, []bool{true, true, false}) {
+		t.Fatalf("the update footprint is %v excl %v canonical=%v, want %v with r3 shared", f.names, f.excl, f.canonical, want)
 	}
 	names, excl := slices.Clone(f.names), slices.Clone(f.excl)
 	tab := NewLockTable()

@@ -12,7 +12,6 @@ import (
 	"dbproc/internal/dbtest"
 	"dbproc/internal/obs"
 	"dbproc/internal/sim"
-	"dbproc/internal/workload"
 )
 
 // scenarioConfig is testConfig with a hostile scenario attached. The
@@ -125,42 +124,6 @@ func TestScenarioConcurrentConsistent(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestScenarioNestedFootprintCoversInner: every lock a nested query's
-// inner accesses need must be in the op's declared 2PL footprint.
-func TestScenarioNestedFootprintCoversInner(t *testing.T) {
-	cfg := scenarioConfig("nested-naive", costmodel.CacheInvalidate, costmodel.Model2, 9, 0, 20)
-	// The declared-footprint invariant is a property of the pure-2PL read
-	// path; with MVCC on, query footprints are intentionally empty.
-	e := New(cfg, Options{Clients: 1, DisableMVCC: true})
-	w := e.World()
-	ops := w.WorkloadOps()
-	nested := 0
-	for _, op := range ops {
-		if op.Nest == 0 {
-			continue
-		}
-		nested++
-		f := e.OpFootprint(op).normalized()
-		have := map[string]bool{}
-		for _, name := range f.names {
-			have[name] = true
-		}
-		for _, id := range append([]int{op.ProcID}, workload.InnerProcs(op, w.ProcIDs())...) {
-			if !have[EntryLock(id)] {
-				t.Fatalf("op %d footprint misses entry lock for proc %d", op.Index, id)
-			}
-			for _, rel := range w.ProcRelations(id) {
-				if !have[RelLock(rel)] {
-					t.Fatalf("op %d footprint misses relation %s", op.Index, rel)
-				}
-			}
-		}
-	}
-	if nested == 0 {
-		t.Fatal("nested scenario generated no nested queries")
 	}
 }
 

@@ -123,11 +123,13 @@ func (s *Session) Close() {
 }
 
 // Exec executes one workload operation for this session: acquire the
-// op's 2PL footprint, run the operation body on the session's private
-// pager, and commit — sequence draw, span adoption, aggregate merge and
-// history append form one atomic step, taken while the footprint is
-// still held. This is the loop body of Run, exported so a wire
-// front-end can submit a session's operations one at a time.
+// op's 2PL footprint (none for a query), open the op's scope on the
+// session's private pager — a snapshot read, or the update epoch — run
+// the operation body in it, and commit — sequence draw, epoch publish,
+// span adoption, aggregate merge and history append form one atomic
+// step, taken while the footprint is still held. This is the loop body
+// of Run, exported so a wire front-end can submit a session's operations
+// one at a time.
 func (s *Session) Exec(op workload.Op) OpOutcome {
 	e := s.e
 	rec := e.opt.Recorder
@@ -151,27 +153,16 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		blameTag = opName
 	}
 	opStart := time.Now()
-	held := e.locks.AcquireAs(e.footprint(op), s.id, blameTag)
+	held := e.locks.AcquireAs(e.OpFootprint(op), s.id, blameTag)
 	waited := time.Since(opStart)
 	waits := held.Waits()
-	// MVCC threading (docs/MVCC.md): a query opens a snapshot — reads
-	// resolve version chains and published directory copies at that stamp,
+	// The op's scope (docs/MVCC.md): a query reads at a snapshot — version
+	// chains and published directory copies resolve at that stamp,
 	// lock-free. An update opens the write epoch (its exclusive r1/r2
 	// locks guarantee it is the only one): its writes stage privately and
 	// publish atomically at commit under the commit mutex.
-	disk := e.w.Disk()
-	mvccOn := !e.opt.DisableMVCC
-	var snap uint64
-	var releaseSnap func()
-	if mvccOn {
-		if op.Kind == workload.Update {
-			disk.BeginEpoch()
-			s.pg.SetEpoch(true)
-		} else {
-			snap, releaseSnap = disk.AcquireSnapshot()
-			s.pg.SetSnapshot(snap)
-		}
-	}
+	update := op.Kind == workload.Update
+	snap := s.pg.OpenScope(update)
 	if rec != nil {
 		for _, lw := range waits {
 			if critOn {
@@ -205,7 +196,7 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	}
 
 	// The history digest reads the whole result — here, while the
-	// borrowed tuples are valid: before releaseSnap below, after which
+	// borrowed tuples are valid: before the scope closes below, after which
 	// version GC may hand the images they point into to an update. It is
 	// a pure function of it, so it is computed here and only stored under
 	// the commit mutex: a large result must not extend every other
@@ -221,16 +212,14 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	e.commitMu.Lock()
 	seq := e.seq
 	e.seq++
-	var stamp uint64
-	if mvccOn && op.Kind == workload.Update {
+	if update {
 		// The commit stamp is drawn from the same counter as the commit
 		// sequence (stamp 0 is the pre-run state), so version visibility
 		// and commit order can never disagree. Publishing under commitMu
 		// makes the version-chain links and the stamp advance one atomic
 		// step from any snapshot acquirer's point of view.
-		stamp = uint64(seq) + 1
-		disk.Publish(stamp)
-		s.pg.SetEpoch(false)
+		snap = uint64(seq) + 1
+		s.pg.CloseScope(snap)
 	}
 	if t := e.opt.Tracer; t != nil {
 		name := "session.update"
@@ -268,29 +257,26 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	}
 	e.agg.AddBreakdown(deltaBd)
 	if e.opt.RecordHistory {
-		he := HistoryEntry{Session: s.id, Seq: seq, Op: op, CostMs: out.CostMs}
-		if op.Kind == workload.Update {
+		he := HistoryEntry{Session: s.id, Seq: seq, Op: op, CostMs: out.CostMs, Snap: snap}
+		if update {
 			he.Update = r.Update
-			he.Snap = stamp
 		} else {
 			he.Result = out.Digest
 			he.Tuples = len(r.Tuples)
-			he.Snap = snap
 		}
 		e.hist = append(e.hist, he)
 	}
 	e.commitMu.Unlock()
-	if releaseSnap != nil {
-		s.pg.ClearSnapshot()
-		releaseSnap()
+	if !update {
+		s.pg.CloseScope(0)
 	}
 	held.Release()
-	if mvccOn && op.Kind == workload.Update {
+	if update {
 		// Version-chain GC runs outside the update's footprint under its
 		// own lock: waits here are MVCC bookkeeping, never update-footprint
 		// contention, and procdoctor classifies them by the mvcc: name.
 		gcHeld := e.locks.AcquireAs(e.gcFP, s.id, "gc")
-		disk.GCVersions()
+		e.w.Disk().GCVersions()
 		if critOn {
 			gcWaits := gcHeld.Waits()
 			if len(gcWaits) > 0 {

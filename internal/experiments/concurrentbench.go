@@ -95,15 +95,9 @@ type ConcurrentBenchRow struct {
 	// sorted by total wait time descending.
 	Contention []telemetry.LockContentionJSON `json:"contention,omitempty"`
 	// AccessWaitShare is the fraction of access (query) wall time this
-	// row's sessions spent waiting on locks, as measured — under the
-	// default MVCC read path queries take no locks, so it collapses
-	// toward zero.
+	// row's sessions spent waiting on locks, as measured — queries read at
+	// a snapshot and take no locks, so it stays near zero.
 	AccessWaitShare float64 `json:"access_wait_share"`
-	// AccessWaitShare2PL is the same cell re-run with MVCC disabled
-	// (pure-2PL read path): the "before" of the before/after wait-share
-	// delta procstat -concurrent renders. Only contention cells — the
-	// ladder's top rung — pay for the paired run.
-	AccessWaitShare2PL float64 `json:"access_wait_share_2pl,omitempty"`
 }
 
 // wallParallelSpeedup bounds the wall-clock speedup the latch-free
@@ -267,12 +261,9 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 				}
 				row.WallParallelSpeedup = wallParallelSpeedup(e, res.History, clients)
 				row.Projected = clients > rep.Cores
-				// Contention cells (top rung, >1 session) get the paired
-				// pure-2PL run for the before/after wait-share delta.
+				// Contention cells (top rung, >1 session) get a
+				// storm-adversarial row below.
 				topRung := clients == ladder[len(ladder)-1] && clients > 1
-				if topRung {
-					row.AccessWaitShare2PL = accessWaitShare2PL(ctx, cfg, clients, think)
-				}
 				if i == 0 {
 					base = res.Throughput
 					if clients == 1 {
@@ -308,10 +299,7 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 
 				// Scenario axis: the same contention cell re-measured
 				// under the storm-adversarial workload (hot-key query
-				// storm stacked on adversarial invalidation), with its
-				// own MVCC/2PL wait-share pair. The polite top-rung row
-				// above and this one are the two scenario cells the
-				// wait-share delta is read from.
+				// storm stacked on adversarial invalidation).
 				if topRung {
 					scfg := cfg
 					scfg.Scenario = "storm-adversarial"
@@ -339,7 +327,6 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 					}
 					srow.WallParallelSpeedup = wallParallelSpeedup(se, sres.History, clients)
 					srow.Projected = clients > rep.Cores
-					srow.AccessWaitShare2PL = accessWaitShare2PL(ctx, scfg, clients, think)
 					if base > 0 {
 						srow.Speedup = sres.Throughput / base
 					}
@@ -349,18 +336,4 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 		}
 	}
 	return rep
-}
-
-// accessWaitShare2PL re-runs a cell with MVCC disabled and returns the
-// pure-2PL read path's access wait share — the "before" figure of the
-// wait-share delta.
-func accessWaitShare2PL(ctx context.Context, cfg sim.Config, clients int, think float64) float64 {
-	e := engine.New(cfg, engine.Options{
-		Clients:      clients,
-		ThinkMeanMs:  think,
-		DisableMVCC:  true,
-		ProfileLocks: true,
-	})
-	e.Run(ctx)
-	return e.WaitProfile().AccessWaitShare()
 }

@@ -28,9 +28,6 @@ func TestConcurrentBenchShape(t *testing.T) {
 			if row.Clients != 2 {
 				t.Errorf("%s/%s: scenario row at clients=%d, want top rung 2", row.Strategy, row.Model, row.Clients)
 			}
-			if row.AccessWaitShare2PL <= 0 {
-				t.Errorf("%s/%s: scenario row missing 2PL wait-share baseline", row.Strategy, row.Model)
-			}
 		}
 		if row.ThroughputOps <= 0 {
 			t.Errorf("%s/%s clients=%d: throughput %v", row.Strategy, row.Model, row.Clients, row.ThroughputOps)

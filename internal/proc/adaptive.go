@@ -33,8 +33,8 @@ import (
 // The states map is frozen after Prepare; each procedure's state is
 // mutated only under its per-state mutex, which also serializes accesses
 // and update fan-outs touching the same procedure's (unversioned) cached
-// file in snapshot mode — the Adaptive counterpart of C&I's entry access
-// mutex (docs/MVCC.md).
+// file — the Adaptive counterpart of C&I's entry access mutex
+// (docs/MVCC.md).
 type Adaptive struct {
 	mgr    *Manager
 	store  *cache.Store
@@ -67,10 +67,8 @@ type Adaptive struct {
 type adaptiveState struct {
 	// mu serializes this procedure's accesses and update fan-outs: mode
 	// state mutation, entry-file rewrites and reads of the (unversioned)
-	// cached file all happen under it in snapshot mode, replacing the
-	// engine entry locks that serialized them under 2PL. Lock order is
-	// st.mu before the entry's internal mutex, in both directions
-	// (docs/MVCC.md).
+	// cached file all happen under it. Lock order is st.mu before the
+	// entry's internal mutex, in both directions (docs/MVCC.md).
 	mu          sync.Mutex
 	bypass      bool
 	accesses    int
@@ -125,29 +123,13 @@ func (s *Adaptive) Prepare(pg *storage.Pager) {
 	for _, id := range s.mgr.IDs() {
 		d := s.mgr.MustGet(id)
 		s.store.Define(cache.ID(id), d.ResultWidth())
-		s.refresh(pg, d)
+		refresh(pg, d, setupStamp(pg), s.store, s.locks, s.ledger != nil)
 		s.states[id] = &adaptiveState{backoff: s.ProbeEvery}
 	}
 }
 
-func (s *Adaptive) refresh(pg *storage.Pager, d *Definition) uint64 {
-	owner := ilock.Owner(d.ID)
-	sink := &lockSink{}
-	keys, recs := query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: sink})
-	s.locks.ReplaceOwner(owner, sink.refs)
-	e := s.store.MustEntry(cache.ID(d.ID))
-	if snap, ok := pg.Snapshot(); ok {
-		e.ReplaceAt(pg, keys, recs, snap)
-	} else {
-		e.Replace(pg, keys, recs)
-	}
-	if s.ledger == nil {
-		return 0
-	}
-	return cache.ResultDigest(keys, recs)
-}
-
-// Access implements Strategy.
+// Access implements Strategy. Like CacheInvalidate.Access it decides at
+// pg's snapshot (Pager.ReadStamp), and panics without one.
 func (s *Adaptive) Access(pg *storage.Pager, id int) [][]byte {
 	m := pg.Meter()
 	var before metric.Counters
@@ -177,7 +159,7 @@ func (s *Adaptive) Access(pg *storage.Pager, id int) [][]byte {
 func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) {
 	d := s.mgr.MustGet(id)
 	st := s.states[id]
-	snap, hasSnap := pg.Snapshot()
+	snap := pg.ReadStamp()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.bypass {
@@ -196,9 +178,9 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 		st.accesses, st.cold, st.sinceBypass, st.stint = 0, 0, 0, 0
 		s.tracer.Current().Set("cache", "retry")
 		pg.BeginRecompute()
-		digest := s.refresh(pg, d)
+		digest := refresh(pg, d, snap, s.store, s.locks, s.ledger != nil)
 		pg.EndRecompute()
-		return s.readRefreshed(pg, id, hasSnap), cache.KindComputed, digest
+		return s.readRefreshed(pg, id, true), cache.KindComputed, digest
 	}
 
 	e := s.store.MustEntry(cache.ID(id))
@@ -209,17 +191,12 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 	var digest uint64
 	var out [][]byte
 	served := false
-	var usable bool
-	if hasSnap {
-		usable = e.UsableAt(snap)
-	} else {
-		usable = e.Valid()
-	}
+	usable := e.UsableAt(snap)
 	if !usable {
 		st.cold++
 		s.tracer.Current().Set("cache", "cold")
 		pg.BeginRecompute()
-		if hasSnap && e.ComputedAt() > snap {
+		if e.ComputedAt() > snap {
 			// The installed value postdates this reader's snapshot:
 			// recompute at the snapshot, serve only this session, leave the
 			// newer shared value and its i-locks alone (docs/MVCC.md).
@@ -228,7 +205,7 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 			digest = cache.ResultDigest(keys, out)
 			served = true
 		} else {
-			digest = s.refresh(pg, d)
+			digest = refresh(pg, d, snap, s.store, s.locks, s.ledger != nil)
 		}
 		pg.EndRecompute()
 		kind = cache.KindComputed
@@ -236,7 +213,7 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 		s.tracer.Current().Set("cache", "hit")
 	}
 	if !served {
-		out = s.readRefreshed(pg, id, hasSnap && !usable)
+		out = s.readRefreshed(pg, id, !usable)
 	}
 	if st.accesses >= s.Window {
 		if float64(st.cold) > s.ColdThreshold*float64(st.accesses) {
@@ -263,7 +240,7 @@ func (s *Adaptive) access(pg *storage.Pager, id int) ([][]byte, string, uint64) 
 }
 
 // readRefreshed reads the cached result (borrowed tuples) and, after a
-// refresh under a snapshot, flushes the refresher's frames before the
+// refresh, flushes the refresher's frames before the
 // state mutex is released: the refresh published the entry's new
 // directory, and its pages must be on the disk before the next reader of
 // the entry may follow it. (Idempotent: the op-level flush then finds
@@ -279,7 +256,7 @@ func (s *Adaptive) readRefreshed(pg *storage.Pager, id int, flush bool) [][]byte
 // OnUpdate implements Strategy: invalidate conflicting cached procedures,
 // exactly as Cache and Invalidate does. Bypassed procedures hold no locks,
 // so they cost nothing here. Each procedure's state mutates under its
-// per-state mutex, which snapshot-mode accesses also hold.
+// per-state mutex, which accesses also hold.
 func (s *Adaptive) OnUpdate(pg *storage.Pager, dl Delta) {
 	rel := dl.Rel.Schema().Name()
 	field := dl.Rel.KeyField()

@@ -30,11 +30,9 @@ func TestAdaptiveStaysCachingWhenUpdatesRare(t *testing.T) {
 		t.Fatal("name wrong")
 	}
 	for i := 0; i < 20; i++ {
-		w.Pager.BeginOp()
-		if got := len(s.Access(w.Pager, 1)); got != 10 {
+		if got := len(access(w, s, 1)); got != 10 {
 			t.Fatalf("Access returned %d", got)
 		}
-		w.Pager.Flush()
 	}
 	if s.BypassedCount() != 0 {
 		t.Fatal("quiet procedure dropped caching")
@@ -44,6 +42,7 @@ func TestAdaptiveStaysCachingWhenUpdatesRare(t *testing.T) {
 	if c := w.Meter.Snapshot(); c.PageReads != 60 || c.Screens != 0 || c.PageWrites != 0 {
 		t.Fatalf("warm accesses charged %v", c)
 	}
+	accessPanicsOutsideScope(t, w, s)
 }
 
 // churn invalidates procedure 1's band before every access.
@@ -58,16 +57,12 @@ func churn(t *testing.T, w *dbtest.World, s *Adaptive, rounds int) {
 			cur = 15
 		}
 		next := int64(500 + i)
-		d := moveTuple(t, w, tid, cur, next)
+		moveTuple(t, w, s, tid, cur, next)
 		skey[tid] = next
-		s.OnUpdate(w.Pager, d)
 		// Move it back so the band keeps changing.
-		d = moveTuple(t, w, tid, next, 15)
+		moveTuple(t, w, s, tid, next, 15)
 		skey[tid] = 15
-		s.OnUpdate(w.Pager, d)
-		w.Pager.BeginOp()
-		s.Access(w.Pager, 1)
-		w.Pager.Flush()
+		access(w, s, 1)
 	}
 }
 
@@ -80,9 +75,7 @@ func TestAdaptiveBypassesUnderChurnAndRecovers(t *testing.T) {
 
 	// Bypassed accesses recompute without write-backs.
 	w.Meter.Reset()
-	w.Pager.BeginOp()
-	out := s.Access(w.Pager, 1)
-	w.Pager.Flush()
+	out := access(w, s, 1)
 	if len(out) != 10 {
 		t.Fatalf("bypassed access returned %d", len(out))
 	}
@@ -92,18 +85,14 @@ func TestAdaptiveBypassesUnderChurnAndRecovers(t *testing.T) {
 
 	// With the churn gone, the probe access re-enables caching...
 	for i := 0; i < s.ProbeEvery; i++ {
-		w.Pager.BeginOp()
-		s.Access(w.Pager, 1)
-		w.Pager.Flush()
+		access(w, s, 1)
 	}
 	if s.BypassedCount() != 0 {
 		t.Fatal("procedure did not recover to caching mode")
 	}
 	// ...and subsequent accesses are warm reads again.
 	w.Meter.Reset()
-	w.Pager.BeginOp()
-	s.Access(w.Pager, 1)
-	w.Pager.Flush()
+	access(w, s, 1)
 	if c := w.Meter.Snapshot(); c.Screens != 0 {
 		t.Fatalf("recovered access should be a cached read: %v", c)
 	}
@@ -118,14 +107,12 @@ func TestAdaptiveBypassAvoidsInvalidationCost(t *testing.T) {
 	// Procedure 1 is bypassed: it holds no locks, so updates in its band
 	// record no invalidations.
 	w.Meter.Reset()
-	d := moveTuple(t, w, 12, 12, 600)
-	s.OnUpdate(w.Pager, d)
+	moveTuple(t, w, s, 12, 12, 600)
 	if c := w.Meter.Snapshot(); c.Invalidations != 0 {
 		t.Fatalf("bypassed procedure still charged %d invalidations", c.Invalidations)
 	}
 	// Procedure 2 still caches: its band being hit does charge.
-	d = moveTuple(t, w, 105, 105, 601)
-	s.OnUpdate(w.Pager, d)
+	moveTuple(t, w, s, 105, 105, 601)
 	if c := w.Meter.Snapshot(); c.Invalidations != 1 {
 		t.Fatalf("caching procedure charged %d invalidations, want 1", c.Invalidations)
 	}
@@ -140,9 +127,9 @@ func TestAdaptiveBypassesOnInvalidationBurst(t *testing.T) {
 	cur := int64(15)
 	for i := 0; i < 5; i++ {
 		next := int64(700 + i)
-		s.OnUpdate(w.Pager, moveTuple(t, w, 15, cur, next))
+		moveTuple(t, w, s, 15, cur, next)
 		cur = next
-		s.OnUpdate(w.Pager, moveTuple(t, w, 15, cur, 15))
+		moveTuple(t, w, s, 15, cur, 15)
 		cur = 15
 		if i < 2 && s.BypassedCount() != 0 {
 			t.Fatalf("bypassed after only %d update rounds", i+1)
@@ -153,7 +140,7 @@ func TestAdaptiveBypassesOnInvalidationBurst(t *testing.T) {
 	}
 	// Further updates in the band cost nothing (no locks held).
 	w.Meter.Reset()
-	s.OnUpdate(w.Pager, moveTuple(t, w, 12, 12, 800))
+	moveTuple(t, w, s, 12, 12, 800)
 	if c := w.Meter.Snapshot(); c.Invalidations != 0 {
 		t.Fatalf("burst-bypassed procedure still charged %d invalidations", c.Invalidations)
 	}
@@ -194,7 +181,7 @@ func TestCacheInvalidateCoarseLocks(t *testing.T) {
 	w.Pager.BeginOp()
 	w.Pager.SetCharging(true)
 	// An update touching NEITHER band still invalidates both procedures.
-	s.OnUpdate(w.Pager, moveTuple(t, w, 150, 150, 160))
+	moveTuple(t, w, s, 150, 150, 160)
 	if store.MustEntry(1).Valid() || store.MustEntry(2).Valid() {
 		t.Fatal("coarse locks should invalidate every procedure")
 	}
@@ -209,11 +196,7 @@ func TestAdaptiveResultsStayCorrect(t *testing.T) {
 	check := func() {
 		t.Helper()
 		for _, id := range []int{1, 2} {
-			w.Pager.BeginOp()
-			got := s.Access(w.Pager, id)
-			w.Pager.BeginOp()
-			want := rc.Access(w.Pager, id)
-			w.Pager.Flush()
+			got, want := access(w, s, id), access(w, rc, id)
 			if len(got) != len(want) {
 				t.Fatalf("proc %d: adaptive %d tuples vs recompute %d", id, len(got), len(want))
 			}
@@ -223,9 +206,7 @@ func TestAdaptiveResultsStayCorrect(t *testing.T) {
 	churn(t, w, s, 12) // forces proc 1 into bypass
 	check()
 	for i := 0; i < s.ProbeEvery+1; i++ {
-		w.Pager.BeginOp()
-		s.Access(w.Pager, 1)
-		w.Pager.Flush()
+		access(w, s, 1)
 	}
 	check() // after recovery
 }

@@ -30,16 +30,13 @@ func TestStrategiesCopyWhatTheyKeep(t *testing.T) {
 		w.Pager.BeginOp()
 		w.Pager.SetCharging(true)
 		var answers [][][]byte
-		access := func() {
-			answers = append(answers, s.Access(w.Pager, 2))
-			w.Pager.BeginOp()
-		}
-		access()
-		s.OnUpdate(w.Pager, moveTuple(t, w, 110, 110, 55)) // joins and passes C_f2
-		access()
-		access()
-		s.OnUpdate(w.Pager, moveTuple(t, w, 60, 60, 199))
-		access()
+		get := func() { answers = append(answers, access(w, s, 2)) }
+		get()
+		moveTuple(t, w, s, 110, 110, 55) // joins and passes C_f2
+		get()
+		get()
+		moveTuple(t, w, s, 60, 60, 199)
+		get()
 		return answers
 	}
 	plain := func(p query.Plan) query.Plan { return p }

@@ -14,8 +14,8 @@ import (
 )
 
 // servedWorld is a small world driven the way the engine drives one:
-// MVCC on, every reader on a session pager of its own pinned to a
-// snapshot, every update inside an epoch published at the next stamp.
+// every reader on a session pager of its own reading at a snapshot, every
+// update inside an epoch published at the next stamp.
 type servedWorld struct {
 	t       *testing.T
 	w       *sim.World
@@ -34,7 +34,6 @@ func newServedWorld(t *testing.T, strat costmodel.Strategy, adaptive bool) *serv
 	p.SF = 0.5
 	p.K, p.Q = 400, 1
 	w := sim.Build(sim.Config{Params: p, Model: costmodel.Model1, Strategy: strat, Adaptive: adaptive, Seed: 5})
-	w.Disk().EnableMVCC()
 	sw := &servedWorld{t: t, w: w}
 	for _, op := range w.WorkloadOps() {
 		if op.Kind == workload.Update {
@@ -44,12 +43,12 @@ func newServedWorld(t *testing.T, strat costmodel.Strategy, adaptive bool) *serv
 	return sw
 }
 
-// reader opens a session pager reading at stamp (a registered snapshot
-// is not needed: nothing here runs version GC).
-func (sw *servedWorld) reader(stamp uint64) *storage.Pager {
+// reader opens a session pager reading at a snapshot of the newest
+// commit; it stays open, pinning that stamp, until the test closes it.
+func (sw *servedWorld) reader() *storage.Pager {
 	sw.session++
 	pg := sw.w.SessionPager(sw.session)
-	pg.SetSnapshot(stamp)
+	pg.OpenScope(false)
 	return pg
 }
 
@@ -59,15 +58,12 @@ func (sw *servedWorld) update() {
 	if sw.next == len(sw.updates) {
 		sw.t.Fatal("out of update ops")
 	}
-	disk := sw.w.Disk()
 	sw.session++
 	pg := sw.w.SessionPager(sw.session)
-	disk.BeginEpoch()
-	pg.SetEpoch(true)
+	pg.OpenScope(true)
 	sw.w.ExecOpOn(pg, sw.updates[sw.next])
 	sw.next++
-	disk.Publish(disk.CommitStamp() + 1)
-	pg.SetEpoch(false)
+	pg.CloseScope(sw.w.Disk().CommitStamp() + 1)
 }
 
 // kept is what one access returned, and a deep copy taken at once.
@@ -127,7 +123,7 @@ func TestAccessResultsSurviveEntryRewrites(t *testing.T) {
 			sw := newServedWorld(t, strat, false)
 			s, ids := sw.w.Strategy(), sw.w.ProcIDs()
 			var before []kept
-			old := sw.reader(0)
+			old := sw.reader()
 			for _, id := range ids {
 				before = append(before, keep(name+" hit", true, s.Access(old, id)))
 			}
@@ -135,7 +131,7 @@ func TestAccessResultsSurviveEntryRewrites(t *testing.T) {
 				sw.update()
 			}
 			changed := 0
-			now := sw.reader(sw.w.Disk().CommitStamp())
+			now := sw.reader()
 			for i, id := range ids {
 				if len(before[i].want) > 0 && !sameTuples(s.Access(now, id), before[i].want) {
 					changed++
@@ -152,28 +148,30 @@ func TestAccessResultsSurviveEntryRewrites(t *testing.T) {
 			sw := newServedWorld(t, costmodel.CacheInvalidate, adaptive)
 			s, disk, store := sw.w.Strategy(), sw.w.Disk(), sw.w.CacheStore()
 			// invalidate runs updates until one invalidates an entry, and
-			// returns the procedure.
-			invalidate := func() int {
+			// returns the procedure and a reader opened just before that
+			// update: a snapshot the next refresh postdates.
+			invalidate := func() (int, *storage.Pager) {
 				for {
+					stale := sw.reader()
 					sw.update()
 					for _, id := range sw.w.ProcIDs() {
 						if !store.MustEntry(cache.ID(id)).UsableAt(disk.CommitStamp()) {
-							return id
+							return id, stale
 						}
 					}
+					stale.CloseScope(0)
 				}
 			}
 			var all []kept
-			id := invalidate()
+			id, stale := invalidate()
 			e := store.MustEntry(cache.ID(id))
-			stale := disk.CommitStamp() - 1 // a snapshot the next refresh postdates
 
-			refresh := keep(name+" refresh", true, s.Access(sw.reader(disk.CommitStamp()), id))
+			refresh := keep(name+" refresh", true, s.Access(sw.reader(), id))
 			if e.ComputedAt() != disk.CommitStamp() {
 				t.Fatalf("the cold access did not install: computed at %d, stamp %d", e.ComputedAt(), disk.CommitStamp())
 			}
-			hit := keep(name+" hit", true, s.Access(sw.reader(disk.CommitStamp()), id))
-			self := keep(name+" serve-self", false, s.Access(sw.reader(stale), id))
+			hit := keep(name+" hit", true, s.Access(sw.reader(), id))
+			self := keep(name+" serve-self", false, s.Access(stale, id))
 			if e.ComputedAt() != disk.CommitStamp() {
 				t.Fatal("the reader at the older snapshot replaced the shared entry instead of serving itself")
 			}
@@ -190,7 +188,7 @@ func TestAccessResultsSurviveEntryRewrites(t *testing.T) {
 				for e.UsableAt(disk.CommitStamp()) {
 					sw.update()
 				}
-				later := keep(name+" later refresh", true, s.Access(sw.reader(disk.CommitStamp()), id))
+				later := keep(name+" later refresh", true, s.Access(sw.reader(), id))
 				all = append(all, later)
 				if !sameTuples(later.want, refresh.want) {
 					break
@@ -206,7 +204,7 @@ func TestAccessResultsSurviveEntryRewrites(t *testing.T) {
 	}
 }
 
-// TestRefreshIsOnDiskBeforeTheEntryUnlocks: a snapshot-mode refresh
+// TestRefreshIsOnDiskBeforeTheEntryUnlocks: a query-time refresh
 // publishes the entry's new directory at once (entry files are
 // unversioned), so the refresher's dirty frames must reach the disk
 // before the entry mutex is released — else a second reader of the entry
@@ -227,8 +225,7 @@ func TestRefreshIsOnDiskBeforeTheEntryUnlocks(t *testing.T) {
 					}
 				}
 			}
-			stamp := disk.CommitStamp()
-			first, second := sw.reader(stamp), sw.reader(stamp)
+			first, second := sw.reader(), sw.reader()
 			var got [][]byte
 			ran := 0
 			proc.SetAfterUnlock(s, func() {
@@ -274,8 +271,7 @@ func TestCachedHitAllocations(t *testing.T) {
 	}
 }
 
-// TestAccessResultsSurviveReclamation: on a served (MVCC) disk version GC
-// reclaims the page images the horizon has passed and updates work in them
+// TestAccessResultsSurviveReclamation: version GC reclaims the page images the horizon has passed and updates work in them
 // again, so Access's borrowed tuples are valid until the reader's snapshot
 // is released — and not a moment longer. Every update here is followed by
 // version GC, as in the engine, with reclaimed buffers poisoned the moment
@@ -287,12 +283,11 @@ func TestCachedHitAllocations(t *testing.T) {
 func TestAccessResultsSurviveReclamation(t *testing.T) {
 	// readAll accesses every procedure under a registered snapshot.
 	readAll := func(sw *servedWorld, what string) (all []kept, release func()) {
-		stamp, release := sw.w.Disk().AcquireSnapshot()
-		pg := sw.reader(stamp)
+		pg := sw.reader()
 		for _, id := range sw.w.ProcIDs() {
 			all = append(all, keep(what, false, sw.w.Strategy().Access(pg, id)))
 		}
-		return all, release
+		return all, func() { pg.CloseScope(0) }
 	}
 	for name, strat := range map[string]costmodel.Strategy{
 		"uc-avm": costmodel.UpdateCacheAVM, "uc-rvm": costmodel.UpdateCacheRVM,
@@ -356,11 +351,11 @@ func TestAccessResultsSurviveReclamation(t *testing.T) {
 						}
 					}
 				}
-				later, releaseLater := disk.AcquireSnapshot()
-				if got := s.Access(sw.reader(later), id); !sameTuples(got, refreshed[id].want) {
+				later := sw.reader()
+				if got := s.Access(later, id); !sameTuples(got, refreshed[id].want) {
 					rewritten++
 				}
-				releaseLater()
+				later.CloseScope(0)
 				disk.GCVersions()
 				for _, k := range append(refreshed, hits...) {
 					k.check(t)

@@ -31,15 +31,14 @@ type CacheInvalidate struct {
 	accesses     atomic.Int64
 	coldAccesses atomic.Int64
 
-	// entryMu serializes snapshot-mode access to each entry's (unversioned)
-	// result file: refreshes rewrite it in place at query time, so reads
-	// and rewrites of one entry exclude each other. Accesses to different
-	// procedures, and readers vs. updates, never meet here (docs/MVCC.md).
+	// entryMu serializes access to each entry's (unversioned) result file:
+	// refreshes rewrite it in place at query time, so reads and rewrites of
+	// one entry exclude each other. Accesses to different procedures, and
+	// readers vs. updates, never meet here (docs/MVCC.md).
 	entryMu sync.Map // proc id -> *sync.Mutex
 
-	// afterUnlock, when a test sets it, runs right after a snapshot-mode
-	// access releases the entry mutex — where a second reader of the
-	// entry may first run.
+	// afterUnlock, when a test sets it, runs right after an access releases
+	// the entry mutex — where a second reader of the entry may first run.
 	afterUnlock func()
 }
 
@@ -108,8 +107,13 @@ func (s *CacheInvalidate) Adopt(pg *storage.Pager, id int) {
 	}
 	d := s.mgr.MustGet(id)
 	s.store.Define(cache.ID(id), d.ResultWidth())
-	s.refresh(pg, d)
+	refresh(pg, d, setupStamp(pg), s.store, s.locks, s.ledger != nil)
 }
+
+// setupStamp is the stamp a setup-time fill (Prepare, Adopt) computes at:
+// setup runs with no update in flight, so what pg reads is the newest
+// commit.
+func setupStamp(pg *storage.Pager) uint64 { return pg.Disk().CommitStamp() }
 
 // lockSink collects what a plan execution reads as i-lock refs for one
 // owner; the caller installs them afterwards with ReplaceOwner, so the old
@@ -142,69 +146,55 @@ func (ls *lockSink) ReadKey(rel string, key int64) {
 	ls.refs = append(ls.refs, ilock.Ref{Rel: rel, Lo: key, Hi: key, IsKey: true})
 }
 
-// refresh recomputes d's value, refreshes the cache entry, and swaps the
-// owner's i-locks to cover everything read (adds before removes, so the
-// footprint never transiently disappears). In snapshot mode the install
-// goes through ReplaceAt, which applies the install guard; callers hold
-// the entry's access mutex, so the recompute/replace sequence is
-// single-flight. It returns the result digest when a ledger is attached
-// (0 otherwise).
-func (s *CacheInvalidate) refresh(pg *storage.Pager, d *Definition) uint64 {
-	owner := ilock.Owner(d.ID)
+// refresh recomputes d's value at stamp snap, installs it in its entry of
+// store, and swaps the owner's i-locks in locks to cover everything read
+// (adds before removes, so the footprint never transiently disappears) —
+// the refresh both C&I and Adaptive run. The install goes through
+// ReplaceAt, which applies the install guard; callers hold the entry's
+// access mutex, so the recompute/replace sequence is single-flight. It
+// returns the result digest when digest is set (a ledger is attached), 0
+// otherwise.
+func refresh(pg *storage.Pager, d *Definition, snap uint64, store *cache.Store, locks *ilock.Manager, digest bool) uint64 {
 	sink := &lockSink{}
 	keys, recs := query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: sink})
-	s.locks.ReplaceOwner(owner, sink.refs)
-	e := s.store.MustEntry(cache.ID(d.ID))
-	if snap, ok := pg.Snapshot(); ok {
-		e.ReplaceAt(pg, keys, recs, snap)
-	} else {
-		e.Replace(pg, keys, recs)
-	}
-	if s.ledger == nil {
+	locks.ReplaceOwner(ilock.Owner(d.ID), sink.refs)
+	store.MustEntry(cache.ID(d.ID)).ReplaceAt(pg, keys, recs, snap)
+	if !digest {
 		return 0
 	}
 	return cache.ResultDigest(keys, recs)
 }
 
 // Access implements Strategy: serve the cache when usable at the
-// session's snapshot, otherwise recompute. In snapshot mode the entry's
-// access mutex serializes readers and refreshers of the same (unversioned)
-// result file; when the cached value was installed at a newer stamp than
-// this reader's snapshot, the reader recomputes at its own snapshot and
-// serves itself without touching the shared file or the owner's i-locks
-// (docs/MVCC.md). Without a snapshot this is exactly the validity-flag
-// protocol.
+// session's snapshot, otherwise recompute. The entry's access mutex
+// serializes readers and refreshers of the same (unversioned) result
+// file; when the cached value was installed at a newer stamp than this
+// reader's snapshot, the reader recomputes at its own snapshot and serves
+// itself without touching the shared file or the owner's i-locks
+// (docs/MVCC.md). pg must be reading at a snapshot (Pager.ReadStamp).
 func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 	d := s.mgr.MustGet(id)
 	e := s.store.MustEntry(cache.ID(id))
+	snap := pg.ReadStamp()
 	s.accesses.Add(1)
 	m := pg.Meter()
 	var before metric.Counters
 	if s.ledger != nil {
 		before = m.Snapshot()
 	}
-	snap, hasSnap := pg.Snapshot()
-	var mu *sync.Mutex
-	if hasSnap {
-		mu = s.entryLock(id)
-		mu.Lock()
-	}
+	mu := s.entryLock(id)
+	mu.Lock()
 	var digest uint64
 	var out [][]byte
 	served := false
-	var cold bool
-	if hasSnap {
-		cold = !e.UsableAt(snap)
-	} else {
-		cold = !e.Valid()
-	}
+	cold := !e.UsableAt(snap)
 	if cold {
 		s.coldAccesses.Add(1)
 		s.tracer.Current().Set("cache", "cold")
 		sp := s.tracer.Begin("ci.refresh")
 		sp.Set("proc", id)
 		pg.BeginRecompute()
-		if hasSnap && e.ComputedAt() > snap {
+		if e.ComputedAt() > snap {
 			// The installed value postdates this reader's snapshot:
 			// recompute at the snapshot and serve only this session, leaving
 			// the newer shared value (and its i-locks) untouched.
@@ -214,7 +204,7 @@ func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 			digest = cache.ResultDigest(keys, out)
 			served = true
 		} else {
-			digest = s.refresh(pg, d)
+			digest = refresh(pg, d, snap, s.store, s.locks, s.ledger != nil)
 		}
 		pg.EndRecompute()
 		s.tracer.End(sp)
@@ -224,18 +214,16 @@ func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 	if !served {
 		out = e.Records(pg)
 	}
-	if mu != nil {
-		if cold && !served {
-			// The refresh published the entry's new directory; its pages
-			// must be on the disk before the next reader of this entry may
-			// follow it. (Idempotent: the op-level flush then finds the
-			// frames clean, so no charge moves.)
-			pg.Flush()
-		}
-		mu.Unlock()
-		if s.afterUnlock != nil {
-			s.afterUnlock()
-		}
+	if cold && !served {
+		// The refresh published the entry's new directory; its pages must
+		// be on the disk before the next reader of this entry may follow
+		// it. (Idempotent: the op-level flush then finds the frames clean,
+		// so no charge moves.)
+		pg.Flush()
+	}
+	mu.Unlock()
+	if s.afterUnlock != nil {
+		s.afterUnlock()
 	}
 	if s.ledger != nil {
 		// Page writes are charged at flush time; flush now (idempotent —

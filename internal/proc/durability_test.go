@@ -53,13 +53,11 @@ func TestValidityTableSurvivesCrash(t *testing.T) {
 	moves := [][2]int64{{12, 99}, {44, 12}, {55, 44}, {12, 55}, {44, 200}, {55, 12}}
 	for i, mv := range moves {
 		tid := mv[0]
-		s.OnUpdate(w.Pager, moveTuple(t, w, tid, skey[tid], mv[1]))
+		moveTuple(t, w, s, tid, skey[tid], mv[1])
 		skey[tid] = mv[1]
 		checkRecovery("after update")
 		// Access one procedure (revalidates it if cold).
-		w.Pager.BeginOp()
-		s.Access(w.Pager, i%3)
-		w.Pager.Flush()
+		access(w, s, i%3)
 		checkRecovery("after access")
 	}
 
@@ -73,7 +71,7 @@ func TestValidityTableSurvivesCrash(t *testing.T) {
 				t.Fatal("journal failure should crash")
 			}
 		}()
-		s.OnUpdate(w.Pager, moveTuple(t, w, 15, 15, 300))
+		moveTuple(t, w, s, 15, 15, 300)
 	}()
 	recovered, err := vlog.Recover(dev.Contents())
 	if err != nil {

@@ -150,10 +150,12 @@ type Strategy interface {
 	// returning its result tuples. The tuples are borrowed — a cache hit
 	// returns sub-slices of the immutable page images it read — so they
 	// are read-only, and a caller that keeps one copies it. They are valid
-	// until pg's next BeginOp; on an MVCC disk, where version GC reclaims
-	// the images the horizon has passed for later updates to work in, also
-	// no longer than the snapshot pg reads under stays registered (or, for
-	// the epoch's writer, than the epoch's publish).
+	// until pg's next BeginOp, and, since version GC reclaims the images
+	// the horizon has passed for later updates to work in, no longer than
+	// pg's scope: the snapshot it reads under (Pager.OpenScope). The
+	// strategies that decide cache visibility (Cache and Invalidate,
+	// Adaptive) decide it at that snapshot, and panic on a pager reading
+	// at none.
 	Access(pg *storage.Pager, id int) [][]byte
 	// OnUpdate is invoked after each update transaction commits.
 	OnUpdate(pg *storage.Pager, d Delta)

@@ -21,21 +21,44 @@ func p2Def(w *dbtest.World, id int, lo, hi int64) *Definition {
 	return NewDefinition(id, "p2", plan, "skey", "tid")
 }
 
-// moveTuple rewrites R1 tuple tid to a new skey and returns the delta.
-func moveTuple(t *testing.T, w *dbtest.World, tid, oldSkey, newSkey int64) Delta {
+// moveTuple is one update transaction: it rewrites R1 tuple tid to a new
+// skey (uncharged, as the model excludes base-table cost) and hands the
+// delta to s, inside one update epoch.
+func moveTuple(t *testing.T, w *dbtest.World, s Strategy, tid, oldSkey, newSkey int64) {
 	t.Helper()
-	prev := w.Pager.SetCharging(false)
-	old, ok := w.R1.Tree().Get(w.Pager, tuple.ClusterKey(oldSkey, tid))
-	if !ok {
-		t.Fatalf("tuple %d at skey %d missing", tid, oldSkey)
-	}
-	newTup := append([]byte(nil), old...)
-	w.R1.Schema().SetByName(newTup, "skey", newSkey)
-	w.R1.DeleteKeyed(w.Pager, tuple.ClusterKey(oldSkey, tid))
-	w.R1.Insert(w.Pager, newTup)
+	w.Update(func() {
+		prev := w.Pager.SetCharging(false)
+		old, ok := w.R1.Tree().Get(w.Pager, tuple.ClusterKey(oldSkey, tid))
+		if !ok {
+			t.Fatalf("tuple %d at skey %d missing", tid, oldSkey)
+		}
+		newTup := append([]byte(nil), old...)
+		w.R1.Schema().SetByName(newTup, "skey", newSkey)
+		w.R1.DeleteKeyed(w.Pager, tuple.ClusterKey(oldSkey, tid))
+		w.R1.Insert(w.Pager, newTup)
+		w.Pager.BeginOp()
+		w.Pager.SetCharging(prev)
+		s.OnUpdate(w.Pager, Delta{Rel: w.R1, Inserted: [][]byte{newTup}, Deleted: [][]byte{old}})
+	})
+}
+
+// access is one procedure access, as one read operation.
+func access(w *dbtest.World, s Strategy, id int) (out [][]byte) {
+	w.Read(func() { out = s.Access(w.Pager, id) })
+	return out
+}
+
+// accessPanicsOutsideScope: a strategy that decides cache visibility must
+// refuse a pager reading at no snapshot rather than judge at stamp 0.
+func accessPanicsOutsideScope(t *testing.T, w *dbtest.World, s Strategy) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: Access outside a read scope did not panic", s.Name())
+		}
+	}()
 	w.Pager.BeginOp()
-	w.Pager.SetCharging(prev)
-	return Delta{Rel: w.R1, Inserted: [][]byte{newTup}, Deleted: [][]byte{old}}
+	s.Access(w.Pager, 1)
 }
 
 func TestManagerRegistry(t *testing.T) {
@@ -87,9 +110,8 @@ func TestAlwaysRecompute(t *testing.T) {
 	if s.Name() != "Always Recompute" {
 		t.Fatal("name wrong")
 	}
-	w.Pager.BeginOp()
 	w.Meter.Reset()
-	out := s.Access(w.Pager, 1)
+	out := access(w, s, 1)
 	if len(out) != 10 {
 		t.Fatalf("Access returned %d tuples, want 10", len(out))
 	}
@@ -98,10 +120,9 @@ func TestAlwaysRecompute(t *testing.T) {
 		t.Fatal("recompute charged nothing")
 	}
 	// Updates are free, and every access costs the same.
-	s.OnUpdate(w.Pager, moveTuple(t, w, 15, 15, 99))
-	w.Pager.BeginOp()
+	moveTuple(t, w, s, 15, 15, 99)
 	w.Meter.Reset()
-	out = s.Access(w.Pager, 1)
+	out = access(w, s, 1)
 	if len(out) != 9 {
 		t.Fatalf("after move-out, Access returned %d, want 9", len(out))
 	}
@@ -121,11 +142,10 @@ func TestCacheInvalidateLifecycle(t *testing.T) {
 
 	// Warm access: exactly the result pages are read (T2), nothing else.
 	w.Meter.Reset()
-	out := s.Access(w.Pager, 1)
+	out := access(w, s, 1)
 	if len(out) != 10 {
 		t.Fatalf("Access returned %d, want 10", len(out))
 	}
-	w.Pager.BeginOp()
 	c := w.Meter.Snapshot()
 	wantReads := int64(store.MustEntry(1).Pages())
 	if c.PageReads != wantReads || c.PageWrites != 0 || c.Screens != 0 {
@@ -134,7 +154,7 @@ func TestCacheInvalidateLifecycle(t *testing.T) {
 
 	// An in-band update invalidates procedure 1 only.
 	w.Meter.Reset()
-	s.OnUpdate(w.Pager, moveTuple(t, w, 12, 12, 99))
+	moveTuple(t, w, s, 12, 12, 99)
 	if got := w.Meter.Snapshot().Invalidations; got != 1 {
 		t.Fatalf("invalidations = %d, want 1", got)
 	}
@@ -147,8 +167,7 @@ func TestCacheInvalidateLifecycle(t *testing.T) {
 
 	// Cold access: recompute (plan screens + scan I/O) plus write-back.
 	w.Meter.Reset()
-	out = s.Access(w.Pager, 1)
-	w.Pager.BeginOp()
+	out = access(w, s, 1)
 	if len(out) != 9 {
 		t.Fatalf("cold access returned %d, want 9", len(out))
 	}
@@ -159,6 +178,7 @@ func TestCacheInvalidateLifecycle(t *testing.T) {
 	if !store.MustEntry(1).Valid() {
 		t.Fatal("entry 1 not revalidated")
 	}
+	accessPanicsOutsideScope(t, w, s)
 }
 
 func TestCacheInvalidateFalseInvalidation(t *testing.T) {
@@ -171,16 +191,16 @@ func TestCacheInvalidateFalseInvalidation(t *testing.T) {
 	s.Prepare(w.Pager)
 	w.Pager.BeginOp()
 	w.Pager.SetCharging(true)
-	before := s.Access(w.Pager, 2)
+	before := access(w, s, 2)
 
 	// tid 115 -> skey 56: enters the C_f band but fails C_f2 (p2 = 5), so
 	// the result does not change — yet the i-lock on the band breaks: a
 	// false invalidation.
-	s.OnUpdate(w.Pager, moveTuple(t, w, 115, 115, 56))
+	moveTuple(t, w, s, 115, 115, 56)
 	if store.MustEntry(2).Valid() {
 		t.Fatal("false invalidation did not mark the entry invalid")
 	}
-	after := s.Access(w.Pager, 2)
+	after := access(w, s, 2)
 	if len(after) != len(before) {
 		t.Fatalf("result changed from %d to %d tuples; should be identical", len(before), len(after))
 	}

@@ -106,12 +106,21 @@ func (db *DB) Run(input string) (*Result, error) {
 
 // RunParsed executes an already-parsed statement — the path a server
 // takes for prepared statements, where Parse ran once at Prepare time.
+// Append, delete and replace run as update epochs; every other statement
+// reads at a snapshot of the newest commit.
 func (db *DB) RunParsed(stmt Statement) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("quel: %v", r)
 		}
 	}()
+	update := false
+	switch stmt.(type) {
+	case *AppendStmt, *DeleteStmt, *ReplaceStmt:
+		update = true
+	}
+	db.pager.OpenScope(update)
+	defer db.closeScope(update)
 	db.pager.BeginOp()
 	before := db.meter.Snapshot()
 	res, err = db.exec(stmt)
@@ -121,6 +130,18 @@ func (db *DB) RunParsed(stmt Statement) (res *Result, err error) {
 	}
 	res.CostMs = db.meter.Since(before).Milliseconds(db.meter.Costs())
 	return res, nil
+}
+
+// closeScope closes a statement's scope, on every path out of it: a read
+// releases its snapshot; an update publishes at the next commit stamp —
+// also after a panic part way through, whose writes to the live
+// directories cannot be taken back — and version GC follows.
+func (db *DB) closeScope(update bool) {
+	disk := db.pager.Disk()
+	db.pager.CloseScope(disk.CommitStamp() + 1)
+	if update {
+		disk.GCVersions()
+	}
 }
 
 func (db *DB) exec(stmt Statement) (*Result, error) {

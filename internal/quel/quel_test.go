@@ -125,6 +125,23 @@ func TestProcedureLifecycle(t *testing.T) {
 	}
 	warmCost := res.CostMs
 
+	// A statement that panics inside its update epoch (a duplicate
+	// clustered key) still closes the epoch: nothing stays in flight, and
+	// the cache it never touched is served as before.
+	if _, err := db.Run("append to emp (tid = 5, age = 55, dept = 30, salary = 1)"); err == nil ||
+		!strings.Contains(err.Error(), "btree: duplicate key") {
+		t.Fatalf("append of a duplicate clustered key: err %v", err)
+	}
+	if db.pager.Disk().UpdateInFlight() {
+		t.Fatal("the panicking append left its update epoch open")
+	}
+	if res, err = db.Run("execute seniors"); err != nil {
+		t.Fatalf("execute after the failed append: %v", err)
+	}
+	if !strings.Contains(res.Message, "from cache") {
+		t.Fatalf("execute after the failed append: %q", res.Message)
+	}
+
 	// An irrelevant append leaves the cache valid.
 	if _, err := db.Run("append to emp (tid = 7, age = 22, dept = 10, salary = 1)"); err != nil {
 		t.Fatal(err)

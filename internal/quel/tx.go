@@ -12,7 +12,8 @@ import "fmt"
 // procedure) has no undo entries and is rejected inside a transaction.
 //
 // Rollback work is uncharged and unmetered — undo is bookkeeping, not
-// workload, exactly like the simulator's uncharged base-table updates.
+// workload, exactly like the simulator's uncharged base-table updates —
+// and runs as one update epoch.
 //
 // Isolation across connections is the server's job (cmd/procserved
 // holds its statement gate from Begin to Commit/Rollback); the DB
@@ -65,6 +66,8 @@ func (t *Tx) Rollback() (err error) {
 	}()
 	prevCharge := db.pager.SetCharging(false)
 	prevMute := db.meter.SetMuted(true)
+	db.pager.OpenScope(true)
+	defer db.closeScope(true)
 	db.pager.BeginOp()
 	for i := len(t.undo) - 1; i >= 0; i-- {
 		t.undo[i]()

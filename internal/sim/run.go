@@ -105,18 +105,37 @@ type OpResult struct {
 }
 
 // ExecOp executes one workload operation on the world's own sequential
-// pager. Run loops over it; see ExecOpOn for the concurrent form.
-func (w *World) ExecOp(op workload.Op) OpResult {
-	return w.ExecOpOn(w.pager, op)
+// pager, in the operation's scope: a query reads at a snapshot of the
+// newest commit, an update runs in the update epoch and publishes at stamp
+// op.Index+1 — the commit sequence + 1 a one-client engine draws for it.
+// Run loops over it; see ExecOpOn for the concurrent form.
+func (w *World) ExecOp(op workload.Op) (r OpResult) {
+	w.scoped(op.Kind == workload.Update, uint64(op.Index)+1, func() { r = w.ExecOpOn(w.pager, op) })
+	return r
 }
 
-// ExecOpOn executes one workload operation on the given session pager: one
-// pager operation scope, the op's tracing span, the base-table change plus
-// strategy maintenance for updates, the strategy access for queries. The
-// concurrent engine calls it once per session op under its 2PL locks;
+// scoped runs fn as one operation on the world's pager: the update epoch,
+// published at stamp and followed by version GC, when update is set, else
+// a read at a snapshot. The scope closes even if fn panics.
+func (w *World) scoped(update bool, stamp uint64, fn func()) {
+	w.pager.OpenScope(update)
+	defer func() {
+		w.pager.CloseScope(stamp)
+		if update {
+			w.Disk().GCVersions()
+		}
+	}()
+	fn()
+}
+
+// ExecOpOn executes the body of one workload operation on the given
+// session pager, whose scope the caller has opened (ExecOp, the engine's
+// Session.Exec): a fresh frame scope, the op's tracing span, the
+// base-table change plus strategy maintenance for updates, the strategy
+// access for queries. The concurrent engine calls it once per session op;
 // update ops consume the shared workload generator and mutate base
 // structures, which is safe because every update footprint is exclusive on
-// r1 and serializes against all other ops.
+// r1 and serializes against all other updates.
 func (w *World) ExecOpOn(pg *storage.Pager, op workload.Op) OpResult {
 	pg.BeginOp()
 	pg.SetOpToken(op.Index)
@@ -344,25 +363,29 @@ func (w *World) applyUpdate(pg *storage.Pager, rec UpdateRecord) (proc.Delta, Up
 }
 
 // ReplayUpdate re-executes a recorded update transaction — the base-table
-// change and the strategy maintenance hook — inside one pager operation
-// scope, and returns the inverse record. Replaying the inverse restores
-// the base tables only, not strategy-private cache state, so undo-based
-// search (the serializability oracle) must run on a recompute-style world
-// whose accesses carry no cached state.
-func (w *World) ReplayUpdate(rec UpdateRecord) UpdateRecord {
-	w.pager.BeginOp()
-	delta, undo := w.applyUpdate(w.pager, rec)
-	w.strat.OnUpdate(w.pager, delta)
-	w.pager.Flush()
+// change and the strategy maintenance hook — as one update epoch, and
+// returns the inverse record. Replaying the inverse restores the base
+// tables only, not strategy-private cache state, so undo-based search (the
+// serializability oracle) must run on a recompute-style world whose
+// accesses carry no cached state.
+func (w *World) ReplayUpdate(rec UpdateRecord) (undo UpdateRecord) {
+	w.scoped(true, w.Disk().CommitStamp()+1, func() {
+		w.pager.BeginOp()
+		var delta proc.Delta
+		delta, undo = w.applyUpdate(w.pager, rec)
+		w.strat.OnUpdate(w.pager, delta)
+	})
 	return undo
 }
 
-// Access runs one procedure query outside the workload loop (used by
-// examples and equivalence tests).
-func (w *World) Access(id int) [][]byte {
-	w.pager.BeginOp()
-	out := w.strat.Access(w.pager, id)
-	w.pager.Flush()
+// Access runs one procedure query outside the workload loop, as one read
+// at a snapshot (used by examples and equivalence tests).
+func (w *World) Access(id int) (out [][]byte) {
+	w.scoped(false, 0, func() {
+		w.pager.BeginOp()
+		out = w.strat.Access(w.pager, id)
+		w.pager.Flush()
+	})
 	return out
 }
 
@@ -403,13 +426,15 @@ func (w *World) BaseStateHash() uint64 {
 	return h
 }
 
-// Update applies one update transaction outside the workload loop.
+// Update applies one update transaction outside the workload loop, as
+// one update epoch.
 func (w *World) Update() {
-	w.pager.BeginOp()
-	rec := w.drawUpdate(workload.Op{Kind: workload.Update})
-	d, _ := w.applyUpdate(w.pager, rec)
-	w.strat.OnUpdate(w.pager, d)
-	w.pager.Flush()
+	w.scoped(true, w.Disk().CommitStamp()+1, func() {
+		w.pager.BeginOp()
+		rec := w.drawUpdate(workload.Op{Kind: workload.Update})
+		d, _ := w.applyUpdate(w.pager, rec)
+		w.strat.OnUpdate(w.pager, d)
+	})
 }
 
 // Strategy exposes the built strategy.
@@ -423,7 +448,7 @@ func (w *World) Config() Config { return w.cfg }
 
 // ProcRelations names the base relations procedure id's plan reads: r1
 // for every procedure, plus r2 (and, in model 2, r3) for P2 procedures.
-// The concurrent engine derives query lock footprints from it.
+// The snapshot-isolation oracle lifts a query's read set from it.
 func (w *World) ProcRelations(id int) []string {
 	spec := w.specs[id] // ids are assigned densely in definition order
 	if spec.id != id {

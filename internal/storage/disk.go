@@ -8,18 +8,24 @@
 // across operations (the model assumes no buffer-pool hits between
 // operations). Call Pager.BeginOp at each operation boundary.
 //
-// Storage is copy-on-write. A page is an atomically swapped pointer to an
-// immutable image: once a byte slice has been linked into a page (by
-// WriteRaw, by a pager's Flush, by Publish) nobody writes it while anybody
-// can read it. Pager.Read therefore hands out the image itself — no
-// buffer, no copy, no latch — valid until the next BeginOp or, on an MVCC
-// disk, until the reader's snapshot is released or its epoch publishes
-// (version GC then reclaims what the horizon has passed: docs/MVCC.md).
-// The only writable bytes are a pager's own dirty frames: Update
-// and Overwrite give the operation a private buffer (copied from the
-// image on first dirty), and Flush gives that buffer away to the disk,
-// after which it is an image like any other. See docs/MVCC.md for how
-// images are chained into versions.
+// Storage is copy-on-write and every disk is versioned (mvcc.go). A page
+// is an atomically swapped pointer to an immutable image: once a byte
+// slice has been linked into a page (by WriteRaw, by a pager's Flush, by
+// Publish) nobody writes it while anybody can read it. Pager.Read
+// therefore hands out the image itself — no buffer, no copy, no latch —
+// valid until the next BeginOp, and no longer than the reader's snapshot
+// stays open or the writer's epoch stays unpublished (version GC then
+// reclaims what the horizon has passed: docs/MVCC.md). The only writable
+// bytes are a pager's own dirty frames: Update and Overwrite give the
+// operation a private buffer (copied from the image on first dirty), and
+// Flush gives that buffer away to the disk, after which it is an image
+// like any other.
+//
+// Every metered operation runs in one of two modes, opened and closed by
+// Pager.OpenScope / CloseScope: a reader at a snapshot of the newest
+// commit, or the one writer inside the update epoch. Outside a scope a
+// pager reads the newest state; that is bulk load before the disk's
+// first scope, and uncharged oracle reads after it.
 //
 // Concurrency: a Disk is safe for concurrent use by many Pagers. Reading
 // a page is two atomic loads; mu serializes only allocation. A Pager is
@@ -76,11 +82,11 @@ type Disk struct {
 	free     []PageID
 
 	// dirs holds the registered in-memory directory version handles
-	// (guarded by mu); mvcc is non-nil once EnableMVCC has run. EnableMVCC
-	// must happen before concurrent access starts — the pointer is read
-	// without synchronization on the hot paths.
-	dirs []*DirVersions
-	mvcc *mvccState
+	// (guarded by mu). frozen is set once the disk's first snapshot or
+	// epoch has published every versioned directory at stamp 0 (freeze).
+	dirs   []*DirVersions
+	frozen atomic.Bool
+	mvcc   mvccState
 
 	// snapReadHook, when set by a test, runs inside a snapshot read
 	// between loading the page's newest image and walking back to the
@@ -97,6 +103,7 @@ func NewDisk(pageSize int) *Disk {
 	}
 	d := &Disk{pageSize: pageSize, zero: &pageVer{val: make([]byte, pageSize)}}
 	d.chunks.Store(new([]*[pageChunkLen]page))
+	d.mvcc.active = make(map[uint64]int)
 	return d
 }
 
@@ -172,7 +179,9 @@ func (d *Disk) WriteRaw(id PageID, data []byte) {
 // charges one C2 page read; dirtying a page charges one C2 page write when
 // the operation's frames are flushed. Nothing survives an operation
 // boundary, matching the model's assumption of no cross-operation
-// buffering.
+// buffering. Each metered operation also runs in one of the disk's two
+// version modes, opened by OpenScope and closed by CloseScope: a reader at
+// a snapshot, or the update epoch's writer.
 //
 // The frame table is an array indexed by PageID (ids are dense: an int32
 // counter with a reused free list), so a warm read is an index and a cold
@@ -198,9 +207,10 @@ type Pager struct {
 	frames   []frame
 	touched  []PageID
 	dirtied  []PageID
-	// snap/hasSnap route reads through the version chains at a fixed
-	// stamp; epoch routes this pager's reads and writes through the update
-	// epoch's pending buffers. At most one of the two modes is active.
+	// The open scope (OpenScope): snap/hasSnap route reads through the
+	// version chains at the reader's stamp; epoch routes this pager's reads
+	// and writes through the update epoch's pending buffers. At most one
+	// of the two is set.
 	snap    uint64
 	hasSnap bool
 	epoch   bool
@@ -302,31 +312,66 @@ func (p *Pager) EndRecompute() {
 	}
 }
 
-// SetSnapshot pins the pager's reads to the version world visible at
-// stamp s (obtained from Disk.AcquireSnapshot). Reads of versioned pages
-// and directories then resolve at s; writes still go to live pages (only
-// unversioned cache pages are written under a snapshot).
-func (p *Pager) SetSnapshot(s uint64) {
-	p.snap, p.hasSnap = s, true
+// OpenScope opens one operation in one of the disk's two modes. With
+// update set the pager becomes the update epoch's writer: its writes are
+// staged on their pages for Publish and its reads observe them; the
+// caller must hold whatever makes it the only writer (the engine's
+// exclusive base-relation locks, or a single-session front end). Without
+// it the pager becomes a reader at a snapshot of the newest commit, which
+// it registers (so version GC keeps what the snapshot reads) and returns;
+// reads of versioned pages and directories then resolve at that stamp,
+// and writes go to live pages (only unversioned cache entry pages are
+// written under a snapshot). Opening a scope inside another panics.
+func (p *Pager) OpenScope(update bool) (stamp uint64) {
+	if p.epoch || p.hasSnap {
+		panic("storage: OpenScope inside an open scope")
+	}
+	if update {
+		p.disk.BeginEpoch()
+		p.epoch = true
+		return 0
+	}
+	p.snap, p.hasSnap = p.disk.acquireSnapshot(), true
+	return p.snap
 }
 
-// ClearSnapshot returns the pager to reading live state.
-func (p *Pager) ClearSnapshot() { p.hasSnap = false }
+// CloseScope closes the scope OpenScope opened: a reader releases its
+// snapshot (stamp is ignored); the writer flushes its frames and
+// publishes the epoch at stamp, which must exceed every stamp published
+// before. Callers close the scope on every path out of the operation,
+// panics included: an epoch left open would hold UpdateInFlight true and
+// keep every later query-time cache install from being clean.
+func (p *Pager) CloseScope(stamp uint64) {
+	switch {
+	case p.epoch:
+		p.Flush()
+		p.disk.Publish(stamp)
+		p.epoch = false
+	case p.hasSnap:
+		p.hasSnap = false
+		p.disk.releaseSnapshot(p.snap)
+	default:
+		panic("storage: CloseScope outside a scope")
+	}
+}
 
-// Snapshot returns the pinned stamp and whether one is set.
+// Snapshot returns the reader's stamp and whether the pager is a reader.
+// Access methods use it to pick the directory copy to walk.
 func (p *Pager) Snapshot() (uint64, bool) { return p.snap, p.hasSnap }
 
-// SetEpoch marks this pager as the update epoch's writer: its writes are
-// staged on their pages for Publish and its reads observe them. Without
-// MVCC there are no epochs and the mark stays off.
-func (p *Pager) SetEpoch(on bool) { p.epoch = on && p.disk.mvcc != nil }
+// ReadStamp returns the reader's stamp and panics on a pager that is not
+// reading at a snapshot: a cache decision made without one would judge
+// visibility at stamp 0 and serve a stale result without any error.
+func (p *Pager) ReadStamp() uint64 {
+	if !p.hasSnap {
+		panic("storage: cache access outside a read scope")
+	}
+	return p.snap
+}
 
-// Epoch reports whether the pager is the update epoch's writer.
-func (p *Pager) Epoch() bool { return p.epoch }
-
-// FreePage returns a page to the allocator. Inside an update epoch (with
-// MVCC on) the free is deferred until the GC horizon passes the epoch's
-// commit stamp, because older directory snapshots may still name the page.
+// FreePage returns a page to the allocator. Inside an update epoch the
+// free is deferred until the GC horizon passes the epoch's commit stamp,
+// because older directory snapshots may still name the page.
 func (p *Pager) FreePage(id PageID) {
 	if p.epoch {
 		p.disk.freeEpoch(id)
@@ -432,7 +477,7 @@ func (p *Pager) Flush() {
 // operation charges one page read. The returned slice is the page's
 // immutable image (or, once this operation has dirtied the page, its
 // private buffer): never write through it — use Update for that — and do
-// not retain it across BeginOp or (MVCC) past its snapshot or epoch.
+// not retain it across BeginOp or past the pager's scope.
 func (p *Pager) Read(id PageID) []byte {
 	return p.fetch(id).data
 }

@@ -26,7 +26,14 @@
 //     head. Snapshot readers resolve the directory the same way they
 //     resolve pages, falling back to the live directory when the structure
 //     is unversioned (cache entry files mutated at query time under their
-//     entry mutex) or MVCC is off.
+//     entry mutex).
+//
+// Every disk is versioned from NewDisk on. Until its first snapshot or
+// epoch, writes outside an epoch are bulk load: the disk's first
+// AcquireSnapshot or BeginEpoch freezes it, publishing every versioned
+// directory at stamp 0. From then on a versioned directory changes only
+// inside an epoch — MarkDirty outside one panics, because the change
+// would never reach the published copy snapshot readers walk.
 //
 // Pages freed inside an epoch are deferred: they rejoin the allocator only
 // once the garbage-collection horizon (the oldest registered snapshot)
@@ -75,8 +82,8 @@ func (v *ver[T]) prune(horizon uint64) (cut *ver[T], more bool) {
 }
 
 // setLive makes img the page's only image, valid at every stamp: the
-// write path outside an epoch (bulk load, MVCC off, unversioned cache
-// pages rewritten at query time).
+// write path outside an epoch (bulk load, unversioned cache pages
+// rewritten at query time).
 func (pg *page) setLive(img []byte) {
 	pg.head.Store(&pageVer{val: img})
 }
@@ -99,7 +106,7 @@ type deferredFree struct {
 	ids   []PageID
 }
 
-// mvccState hangs off a Disk once EnableMVCC is called.
+// mvccState is a Disk's version bookkeeping.
 type mvccState struct {
 	// mu guards the snapshot registry, the deferred-free list, the pruning
 	// queues and the commit stamp's publication point.
@@ -134,68 +141,72 @@ type mvccState struct {
 // imagePoolCap bounds the pool: a few updates' worth (one dirties ~75 pages).
 const imagePoolCap = 256
 
-// EnableMVCC switches the disk into multi-version mode: every registered
-// versioned directory is published at stamp 0 so snapshot readers always
-// find a consistent copy. Call it once, after bulk load and strategy
-// preparation, before any concurrent access begins.
-func (d *Disk) EnableMVCC() {
-	if d.mvcc != nil {
+// EnableMVCC freezes the disk now rather than at its first snapshot or
+// epoch, which freeze it anyway; calling it only moves the end of bulk
+// load forward.
+func (d *Disk) EnableMVCC() { d.freeze() }
+
+// freeze ends bulk load, once: every registered versioned directory is
+// published at stamp 0, so snapshot readers always find a consistent
+// copy, and from then on MarkDirty outside an epoch panics.
+func (d *Disk) freeze() {
+	if d.frozen.Load() {
 		return
 	}
-	d.mvcc = &mvccState{active: make(map[uint64]int)}
 	d.mu.Lock()
-	dirs := append([]*DirVersions(nil), d.dirs...)
-	d.mu.Unlock()
-	for _, dv := range dirs {
+	defer d.mu.Unlock()
+	if d.frozen.Load() {
+		return
+	}
+	for _, dv := range d.dirs {
 		if dv.versioned {
 			dv.publish(0)
 		}
 	}
+	d.frozen.Store(true)
 }
-
-// MVCCEnabled reports whether the disk is in multi-version mode.
-func (d *Disk) MVCCEnabled() bool { return d.mvcc != nil }
 
 // CommitStamp returns the newest published version stamp (0 before any
 // update publishes).
-func (d *Disk) CommitStamp() uint64 {
-	if d.mvcc == nil {
-		return 0
-	}
-	return d.mvcc.commitStamp.Load()
-}
+func (d *Disk) CommitStamp() uint64 { return d.mvcc.commitStamp.Load() }
 
 // UpdateInFlight reports whether an update epoch is currently open. The
 // cache layer's optimistic install check reads it.
-func (d *Disk) UpdateInFlight() bool {
-	return d.mvcc != nil && d.mvcc.epoch.Load()
-}
+func (d *Disk) UpdateInFlight() bool { return d.mvcc.epoch.Load() }
 
 // AcquireSnapshot registers a reader at the current commit stamp and
 // returns the stamp plus a release function. The garbage-collection
-// horizon never passes a registered snapshot.
+// horizon never passes a registered snapshot. A pager's read scope
+// (Pager.OpenScope) does the same without the closure.
 func (d *Disk) AcquireSnapshot() (uint64, func()) {
-	m := d.mvcc
+	s := d.acquireSnapshot()
+	return s, func() { d.releaseSnapshot(s) }
+}
+
+func (d *Disk) acquireSnapshot() uint64 {
+	d.freeze()
+	m := &d.mvcc
 	m.mu.Lock()
 	s := m.commitStamp.Load()
 	m.active[s]++
 	m.mu.Unlock()
-	return s, func() {
-		m.mu.Lock()
-		if m.active[s]--; m.active[s] == 0 {
-			delete(m.active, s)
-		}
-		m.mu.Unlock()
-	}
+	return s
 }
 
-// BeginEpoch opens the update epoch. The caller must hold the update
-// footprint (the engine's exclusive base-relation locks), which guarantees
-// a single writer.
-func (d *Disk) BeginEpoch() {
-	if m := d.mvcc; m != nil {
-		m.epoch.Store(true)
+func (d *Disk) releaseSnapshot(s uint64) {
+	m := &d.mvcc
+	m.mu.Lock()
+	if m.active[s]--; m.active[s] == 0 {
+		delete(m.active, s)
 	}
+	m.mu.Unlock()
+}
+
+// BeginEpoch opens the update epoch. The caller must guarantee a single
+// writer (the engine's exclusive base-relation locks do).
+func (d *Disk) BeginEpoch() {
+	d.freeze()
+	d.mvcc.epoch.Store(true)
 }
 
 // Publish stamps everything the open epoch wrote — staged page images,
@@ -205,10 +216,7 @@ func (d *Disk) BeginEpoch() {
 // old ones. Call under the engine's commit mutex, which assigns the stamp.
 // The work is proportional to what the epoch touched.
 func (d *Disk) Publish(stamp uint64) {
-	m := d.mvcc
-	if m == nil {
-		return
-	}
+	m := &d.mvcc
 	for _, dv := range m.dirtyDirs {
 		dv.publish(stamp)
 		dv.dirty = false
@@ -250,10 +258,7 @@ func (d *Disk) Publish(stamp uint64) {
 // calls in the "mvcc:gc" lock so residual waits are attributable (see
 // procdoctor).
 func (d *Disk) GCVersions() int {
-	m := d.mvcc
-	if m == nil {
-		return 0
-	}
+	m := &d.mvcc
 	m.mu.Lock()
 	horizon := m.commitStamp.Load()
 	for s := range m.active {
@@ -304,17 +309,16 @@ func (d *Disk) GCVersions() int {
 }
 
 // newImage returns a page buffer of arbitrary contents: the most recently
-// reclaimed one, else (always, without MVCC) a fresh one.
+// reclaimed one, else a fresh one.
 func (d *Disk) newImage() (buf []byte) {
-	if m := d.mvcc; m != nil {
-		m.poolMu.Lock()
-		if n := len(m.pool); n > 0 {
-			buf, m.pool = m.pool[n-1], m.pool[:n-1]
-			m.pooled.Store(uint64(n - 1))
-			m.reused.Add(1)
-		}
-		m.poolMu.Unlock()
+	m := &d.mvcc
+	m.poolMu.Lock()
+	if n := len(m.pool); n > 0 {
+		buf, m.pool = m.pool[n-1], m.pool[:n-1]
+		m.pooled.Store(uint64(n - 1))
+		m.reused.Add(1)
 	}
+	m.poolMu.Unlock()
 	if buf == nil {
 		buf = make([]byte, d.pageSize)
 	}
@@ -325,8 +329,8 @@ func (d *Disk) newImage() (buf []byte) {
 // the moment it reclaims it, under its locks. Set before concurrent access.
 func (d *Disk) OnReclaim(fn func([]byte)) { d.reclaimHook = fn }
 
-// ReclaimStats reports, for an MVCC disk: images GCVersions reclaimed,
-// buffers reused, the pool's size, and commit stamp − horizon at the last GC.
+// ReclaimStats reports images GCVersions reclaimed, buffers reused, the
+// pool's size, and commit stamp − horizon at the last GC.
 func (d *Disk) ReclaimStats() (reclaimed, reused, pooled, horizonLag uint64) {
 	return d.mvcc.reclaimed.Load(), d.mvcc.reused.Load(), d.mvcc.pooled.Load(), d.mvcc.gcLag.Load()
 }
@@ -340,9 +344,9 @@ func (d *Disk) ReclaimStats() (reclaimed, reused, pooled, horizonLag uint64) {
 func (d *Disk) RegisterDir(snap func() any) *DirVersions {
 	dv := &DirVersions{disk: d, versioned: true, snap: snap}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.dirs = append(d.dirs, dv)
-	d.mu.Unlock()
-	if d.mvcc != nil {
+	if d.frozen.Load() {
 		dv.publish(d.CommitStamp())
 	}
 	return dv
@@ -361,14 +365,19 @@ func (dv *DirVersions) Unversion() {
 func (dv *DirVersions) Versioned() bool { return dv.versioned }
 
 // MarkDirty records that the live directory was mutated inside the open
-// update epoch, scheduling a fresh copy at Publish. No-op outside an
-// epoch (bulk load, unversioned cache rewrites, MVCC off).
+// update epoch, scheduling a fresh copy at Publish. Before the disk's
+// freeze a mutation outside an epoch is bulk load and needs nothing;
+// after it, such a mutation panics: snapshot readers would keep walking
+// the copy published before it. Unversioned directories are exempt.
 func (dv *DirVersions) MarkDirty() {
 	if !dv.versioned {
 		return
 	}
-	m := dv.disk.mvcc
-	if m == nil || !m.epoch.Load() {
+	m := &dv.disk.mvcc
+	if !m.epoch.Load() {
+		if dv.disk.frozen.Load() {
+			panic("storage: versioned directory mutated outside an update epoch")
+		}
 		return
 	}
 	if !dv.dirty {

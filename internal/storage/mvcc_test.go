@@ -12,13 +12,10 @@ import (
 // first byte, flush, publish at stamp — the way a session does.
 func epochWrite(d *Disk, id PageID, b byte, stamp uint64) {
 	w := pagerOn(d)
-	d.BeginEpoch()
-	w.SetEpoch(true)
+	w.OpenScope(true)
 	w.BeginOp()
 	w.Update(id)[0] = b
-	w.Flush()
-	d.Publish(stamp)
-	w.SetEpoch(false)
+	w.CloseScope(stamp)
 }
 
 func pagerOn(d *Disk) *Pager {
@@ -34,12 +31,10 @@ func TestSnapshotReadNeverSeesLaterPublish(t *testing.T) {
 	d := NewDisk(64)
 	id := d.Alloc()
 	d.WriteRaw(id, []byte{1})
-	d.EnableMVCC()
 
-	snap, release := d.AcquireSnapshot()
-	defer release()
 	r := pagerOn(d)
-	r.SetSnapshot(snap)
+	snap := r.OpenScope(false)
+	defer r.CloseScope(0)
 	r.BeginOp()
 
 	fired := false
@@ -55,23 +50,71 @@ func TestSnapshotReadNeverSeesLaterPublish(t *testing.T) {
 		t.Fatal("the snapshot read never reached the hook")
 	}
 
-	later, releaseLater := d.AcquireSnapshot()
-	defer releaseLater()
 	r2 := pagerOn(d)
-	r2.SetSnapshot(later)
+	later := r2.OpenScope(false)
+	defer r2.CloseScope(0)
 	r2.BeginOp()
 	if got := r2.Read(id)[0]; later != snap+1 || got != 2 {
 		t.Fatalf("reader at stamp %d read %d, want stamp %d and byte 2", later, got, snap+1)
 	}
 }
 
+// TestFreezeRule: until the disk's first snapshot or epoch, a write
+// outside an epoch is bulk load, and that first scope publishes it. From
+// then on a versioned directory changes only inside an epoch: a mutation
+// outside one panics, because snapshot readers would go on walking the
+// copy published before it. A cache entry file rewritten at query time
+// (an unversioned directory) is exempt.
+func TestFreezeRule(t *testing.T) {
+	d := NewDisk(64)
+	versioned, unversioned := NewOrderedFile(d, 8), NewOrderedFile(d, 8)
+	unversioned.Unversion()
+	p := pagerOn(d)
+	p.BeginOp()
+	versioned.Insert(p, 1, rec8(1))
+	p.Flush()
+
+	r := pagerOn(d)
+	r.OpenScope(false)
+	r.BeginOp()
+	if got := len(versioned.Records(r)); got != 1 {
+		t.Fatalf("the first snapshot reads %d records of the bulk load, want 1", got)
+	}
+	r.CloseScope(0)
+
+	unversioned.Insert(p, 1, rec8(1))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a versioned directory was mutated outside an epoch after the freeze without a panic")
+			}
+		}()
+		versioned.Insert(p, 2, rec8(2))
+	}()
+	if versioned.Len() != 1 {
+		t.Fatalf("the refused insert changed the directory: %d records", versioned.Len())
+	}
+
+	w := pagerOn(d)
+	w.OpenScope(true)
+	w.BeginOp()
+	versioned.Insert(w, 3, rec8(3))
+	w.CloseScope(1)
+	r.OpenScope(false)
+	r.BeginOp()
+	if got := len(versioned.Records(r)); got != 2 {
+		t.Fatalf("a snapshot after the epoch reads %d records, want 2", got)
+	}
+	r.CloseScope(0)
+}
+
 // TestReadSliceSurvivesLaterUpdate pins the within-operation half of the
-// read contract, on a disk without MVCC: a slice handed out by Read stays
-// as it was until the pager's next BeginOp — dirtying the same page later
-// in the same operation, before or after a Flush, works on a copy. (How
-// long a slice lives *across* operations on an MVCC disk — until the
-// snapshot is released or the epoch publishes, after which version GC may
-// reclaim the image — is pinned by the reclaim tests and the poisoned
+// read contract, on a pager outside any scope (bulk load): a slice handed
+// out by Read stays as it was until the pager's next BeginOp — dirtying
+// the same page later in the same operation, before or after a Flush,
+// works on a copy. (How long a slice lives *across* operations — until
+// the snapshot is released or the epoch publishes, after which version GC
+// may reclaim the image — is pinned by the reclaim tests and the poisoned
 // cowtest harness.)
 func TestReadSliceSurvivesLaterUpdate(t *testing.T) {
 	p, _ := newTestPager(32)
@@ -104,8 +147,7 @@ func TestGCVisitsOnlyWhatWasPublished(t *testing.T) {
 	for i := range ids {
 		ids[i] = d.Alloc()
 	}
-	d.EnableMVCC()
-	m := d.mvcc
+	m := &d.mvcc
 
 	epochWrite(d, ids[3], 1, 1)
 	if len(m.gcPages) != 1 {
@@ -116,20 +158,19 @@ func TestGCVisitsOnlyWhatWasPublished(t *testing.T) {
 		t.Fatal("GC with no reader left the page queued or its old version linked")
 	}
 
-	pinned, release := d.AcquireSnapshot() // stamp 1
+	r := pagerOn(d)
+	pinned := r.OpenScope(false) // stamp 1
 	epochWrite(d, ids[3], 2, 2)
 	epochWrite(d, ids[4], 2, 3)
 	d.GCVersions()
 	if len(m.gcPages) != 2 {
 		t.Fatalf("%d pages queued while snapshot %d pins their old versions, want 2", len(m.gcPages), pinned)
 	}
-	r := pagerOn(d)
-	r.SetSnapshot(pinned)
 	r.BeginOp()
 	if r.Read(ids[3])[0] != 1 || r.Read(ids[4])[0] != 0 {
 		t.Fatal("GC cut a version the pinned snapshot reads")
 	}
-	release()
+	r.CloseScope(0)
 	d.GCVersions()
 	if len(m.gcPages) != 0 {
 		t.Fatalf("%d pages still queued after the horizon passed them", len(m.gcPages))
@@ -179,10 +220,8 @@ func TestFlushWritesInFirstDirtiedOrder(t *testing.T) {
 	for i := range ids {
 		ids[i] = d.Alloc()
 	}
-	d.EnableMVCC()
 	w := pagerOn(d)
-	d.BeginEpoch()
-	w.SetEpoch(true)
+	w.OpenScope(true)
 	w.BeginOp()
 	order := []PageID{ids[9], ids[2], ids[14], ids[0], ids[7]}
 	for _, id := range ids {
@@ -205,8 +244,7 @@ func TestFlushWritesInFirstDirtiedOrder(t *testing.T) {
 	if want := []PageID{ids[9], ids[2], ids[0], ids[7]}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("Flush staged pages %v, want first-dirtied order %v", got, want)
 	}
-	d.Publish(1)
-	w.SetEpoch(false)
+	w.CloseScope(1)
 }
 
 // TestColdReadAllocatesOnlyItsFrame: a cold Read resolves the page to an
@@ -220,11 +258,9 @@ func TestColdReadAllocatesOnlyItsFrame(t *testing.T) {
 		id := d.Alloc()
 		d.WriteRaw(id, []byte{7})
 		if mode == "snapshot" {
-			d.EnableMVCC()
 			epochWrite(d, id, 8, 1)
-			s, release := d.AcquireSnapshot()
-			defer release()
-			p.SetSnapshot(s)
+			p.OpenScope(false)
+			defer p.CloseScope(0)
 		}
 		p.BeginOp()
 		p.Read(id)

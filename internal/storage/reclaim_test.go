@@ -20,17 +20,15 @@ func recorded(d *Disk) map[*byte]bool {
 func TestReclaimTakesWhatPruneCuts(t *testing.T) {
 	d := NewDisk(64)
 	id := d.Alloc()
-	d.EnableMVCC()
 	d.OnReclaim(func(buf []byte) { buf[0], buf[63] = 0xDB, 0xDB })
 	epochWrite(d, id, 1, 1) // over the zero image: nothing to take
 	d.GCVersions()
 	v1 := d.page(id).head.Load().val
 
-	snap, release := d.AcquireSnapshot() // pins stamp 1
+	r := pagerOn(d)
+	r.OpenScope(false) // pins stamp 1
 	epochWrite(d, id, 2, 2)
 	d.GCVersions()
-	r := pagerOn(d)
-	r.SetSnapshot(snap)
 	r.BeginOp()
 	if got := r.Read(id); unsafe.SliceData(got) != unsafe.SliceData(v1) || got[0] != 1 {
 		t.Fatalf("the pinned snapshot reads %x, want the untouched stamp-1 image", got[:2])
@@ -39,7 +37,7 @@ func TestReclaimTakesWhatPruneCuts(t *testing.T) {
 		t.Fatalf("with stamp 1 pinned: reclaimed %d pooled %d lag %d, want 0 0 1", reclaimed, pooled, lag)
 	}
 
-	release()
+	r.CloseScope(0)
 	d.GCVersions()
 	if reclaimed, _, pooled, lag := d.ReclaimStats(); reclaimed != 1 || pooled != 1 || lag != 0 {
 		t.Fatalf("after the release: reclaimed %d pooled %d lag %d, want 1 1 0", reclaimed, pooled, lag)
@@ -74,7 +72,6 @@ func TestReclaimSkipsSharedImages(t *testing.T) {
 	a, b, c, e := d.Alloc(), d.Alloc(), d.Alloc(), d.Alloc()
 	d.WriteRaw(b, []byte{1})
 	d.WriteRaw(c, []byte{1})
-	d.EnableMVCC()
 	taken := recorded(d)
 	addr := func(id PageID) *byte { return unsafe.SliceData(d.page(id).head.Load().val) }
 
@@ -105,12 +102,10 @@ func TestReclaimSkipsSharedImages(t *testing.T) {
 	epochWrite(d, c, 4, 3)
 	old := addr(c)
 	w := pagerOn(d)
-	d.BeginEpoch()
-	w.SetEpoch(true)
+	w.OpenScope(true)
 	w.BeginOp()
 	w.FreePage(c)
-	d.Publish(4)
-	w.SetEpoch(false)
+	w.CloseScope(4)
 	if d.GCVersions() != 1 || d.Alloc() != c {
 		t.Fatal("the freed page did not come back from the allocator")
 	}
@@ -127,16 +122,13 @@ func TestReclaimSkipsSharedImages(t *testing.T) {
 	}
 
 	// e: two flushes inside one epoch; the first staged image is dropped.
-	d.BeginEpoch()
-	w.SetEpoch(true)
+	w.OpenScope(true)
 	w.BeginOp()
 	w.Update(e)[0] = 6
 	w.Flush()
 	first := unsafe.SliceData(d.page(e).pending)
 	w.Update(e)[0] = 7
-	w.Flush()
-	d.Publish(6)
-	w.SetEpoch(false)
+	w.CloseScope(6)
 	d.GCVersions()
 	if taken[first] || len(taken) != 0 {
 		t.Fatalf("a staged image replaced inside the epoch was reclaimed (%d buffers)", len(taken))
@@ -173,18 +165,14 @@ func TestImagePoolBounded(t *testing.T) {
 	for i := range ids {
 		ids[i] = d.Alloc()
 	}
-	d.EnableMVCC()
 	write := func(stamp uint64) {
 		w := pagerOn(d)
-		d.BeginEpoch()
-		w.SetEpoch(true)
+		w.OpenScope(true)
 		w.BeginOp()
 		for _, id := range ids {
 			w.Update(id)[0] = byte(stamp)
 		}
-		w.Flush()
-		d.Publish(stamp)
-		w.SetEpoch(false)
+		w.CloseScope(stamp)
 	}
 	write(1)
 	_, release := d.AcquireSnapshot()

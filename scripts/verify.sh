@@ -3,7 +3,8 @@
 #
 #   tier 1: go build ./... && go test ./...        (the seed contract)
 #   tier 2: go vet ./... && go test -race ./...    (static + race checks)
-#           plus the borrowed-tuple and key-column guards, the server's
+#           plus a run of every example under examples/ (each must exit
+#           0), the borrowed-tuple and key-column guards, the server's
 #           connection tests and the wire allocation guards again at
 #           GOMAXPROCS=4, and the nested benchmark module (benchmark/README.md): vet
 #           and unit tests of the harness and the ladder, and a -quick
@@ -27,8 +28,8 @@
 #           snapshot guards (docs/MVCC.md: the 8-client storm-adversarial
 #           snapshot soak under -race with the SI-aware oracle and the
 #           watchdog flight dump kept as an artifact, the write-skew
-#           corpus, MVCC-off byte-identity and the open-loop arrival
-#           replay property)
+#           corpus, the access wait-share collapse and the open-loop
+#           arrival replay property)
 #
 # What instrumentation costs when it is off is held by allocation guards
 # in tier 1 (metric.TestChargesAllocateNothing,
@@ -66,6 +67,13 @@ go vet ./...
 # helpers (deadlock watchdogs, soak gates) are vetted too.
 go vet -tags=race ./...
 go test -race ./...
+# The runnable examples call the internal packages directly and no test
+# runs them, so a change that breaks one (a strategy access outside a
+# read scope, say) would go unnoticed: each must exit 0.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
+echo "examples: OK"
 # The zero-copy read path's guards once more with GOMAXPROCS raised, so
 # that sessions interleave even on a single-core box: the borrowed-tuple
 # oracle (every retaining consumer over tuples overwritten when emit
@@ -114,19 +122,18 @@ echo "== tier 3: concurrency + parallel sweep engine guards =="
 # watchdog armed (-short caps the soak matrix; GOMAXPROCS raised so
 # sessions genuinely interleave on single-core CI boxes).
 GOMAXPROCS=4 go test -race -short \
-    -run 'TestOracleSerializable|TestOracleRejectsCorruptedHistory|TestRaceStress|TestClientsOneMatchesSequential|TestLockTable|TestTelemetryPreservesSequentialIdentity|TestFlightRecorderCapturesRun|TestContentionProfile|TestCritPathSumsToWall|TestDiagnosisPreservesSequentialIdentity|TestScenarioOracleAdversarial|TestScenarioClientsOneMatchesSequential|TestScenarioConcurrentConsistent|TestScenarioRunReplayable|TestScenarioNestedFootprintCoversInner' \
+    -run 'TestOracleSerializable|TestOracleRejectsCorruptedHistory|TestRaceStress|TestClientsOneMatchesSequential|TestLockTable|TestTelemetryPreservesSequentialIdentity|TestFlightRecorderCapturesRun|TestContentionProfile|TestCritPathSumsToWall|TestDiagnosisPreservesSequentialIdentity|TestScenarioOracleAdversarial|TestScenarioClientsOneMatchesSequential|TestScenarioConcurrentConsistent|TestScenarioRunReplayable' \
     ./internal/engine/
 # MVCC snapshot soak (docs/MVCC.md): 8 sessions under storm-adversarial
 # traffic with snapshot reads ON — every lifted history checked by the
 # SI-aware oracle, every procedure checked against a fresh recompute —
 # plus the write-skew corpus the old commit-order check must miss, the
-# MVCC-off byte-identity guard and the open-loop arrival replay
-# property. TMPDIR points at the artifact dir so a stalled soak's
+# access wait-share collapse and the open-loop arrival replay property. TMPDIR points at the artifact dir so a stalled soak's
 # watchdog flight dump is kept for CI upload.
 MVCC_ART="${VERIFY_ARTIFACTS:-$(mktemp -d)}"
 mkdir -p "$MVCC_ART"
 TMPDIR="$MVCC_ART" GOMAXPROCS=4 go test -race \
-    -run 'TestMVCCSnapshotSoak|TestMVCCOffMatchesSequential|TestMVCCAccessWaitShareCollapse|TestSIOracleCorpus|TestSIOracleMinimalWindow|TestSIOracleSeeded|TestTxnsFromHistoryCleanRun|TestOpenLoopArrivals' \
+    -run 'TestMVCCSnapshotSoak|TestMVCCAccessWaitShareCollapse|TestSIOracleCorpus|TestSIOracleMinimalWindow|TestSIOracleSeeded|TestTxnsFromHistoryCleanRun|TestOpenLoopArrivals' \
     ./internal/engine/
 echo "mvcc snapshot soak: OK"
 
