@@ -407,7 +407,7 @@ func flightReport(w io.Writer, d *telemetry.Dump, topK int) {
 		switch ev.Kind {
 		case telemetry.EvDetector:
 			fmt.Fprintf(w, "  detector fired: %s — %s\n", ev.Name, ev.Detail)
-		case telemetry.EvWatchdog, telemetry.EvViolation, telemetry.EvVlogFault, telemetry.EvFault:
+		case telemetry.EvWatchdog, telemetry.EvViolation, telemetry.EvFault:
 			fmt.Fprintf(w, "  fault event: %s %s %s\n", ev.Kind, ev.Name, ev.Detail)
 		}
 	}

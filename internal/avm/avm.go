@@ -177,7 +177,7 @@ func (e *Engine) Prepare(pg *storage.Pager) {
 		v := e.views[id]
 		entry := e.store.MustEntry(cache.ID(id))
 		keys, recs := query.Materialize(v.FullPlan, v.Key, ctx)
-		entry.Replace(pg, keys, recs)
+		entry.ReplaceAt(pg, keys, recs, pg.Disk().CommitStamp())
 		entry.MarkValid(pg)
 	}
 }

@@ -1,6 +1,8 @@
-// Package cache stores materialized procedure results on disk pages, with
-// the validity flag that Cache and Invalidate toggles and the always-valid
-// contents that Update Cache maintains.
+// Package cache stores materialized procedure results on disk pages: the
+// entries Cache and Invalidate refreshes at query time and invalidates,
+// whose visibility a snapshot reader decides from the entry's stamps, and
+// the always-valid entries Update Cache maintains inside update epochs.
+// Validity lives in memory only; nothing survives a restart.
 //
 // Each entry is a key-clustered file of result tuples (storage.OrderedFile)
 // so differential maintenance touches only the pages holding the changed
@@ -24,15 +26,6 @@ import (
 // ID identifies a cached object; procedure IDs are used directly.
 type ID int
 
-// Journal durably records validity transitions, making the in-memory
-// validity table recoverable — the paper's low-C_inval alternative to
-// flagging the cached object's pages (see package vlog for the
-// write-ahead implementation). A nil journal means volatile validity.
-type Journal interface {
-	Invalidate(id int) error
-	Validate(id int) error
-}
-
 // Store is the set of cached procedure results. The entry table itself is
 // safe for concurrent lookup; each entry's validity transitions are
 // individually atomic (see Entry).
@@ -40,7 +33,6 @@ type Store struct {
 	mu         sync.RWMutex
 	disk       *storage.Disk
 	entries    map[ID]*Entry
-	journal    Journal
 	observer   func(event string, id, session int)
 	ledger     *Ledger
 	maintained bool
@@ -55,18 +47,12 @@ type Store struct {
 // (docs/MVCC.md).
 func (s *Store) SetMaintained() { s.maintained = true }
 
-// SetJournal attaches a durability journal; every subsequent validity
-// transition is logged. A journal write failure is a simulated crash and
-// panics — recovery is exercised by replaying the journal's contents.
-func (s *Store) SetJournal(j Journal) { s.journal = j }
-
 // SetObserver registers a callback notified on every validity transition
 // ("cache.invalidate" / "cache.refresh") — the flight recorder's cache
 // feed; session is the acting pager's session tag (-1 outside the
-// engine). Like SetJournal, set it before the store is shared between
-// sessions: the field is read without synchronization on the hot path,
-// and the callback runs with the entry's mutex held, so it must not call
-// back into the entry.
+// engine). Set it before the store is shared between sessions: the field
+// is read without synchronization on the hot path, and the callback runs
+// with the entry's mutex held, so it must not call back into the entry.
 func (s *Store) SetObserver(fn func(event string, id, session int)) { s.observer = fn }
 
 // SetLedger attaches a cache-efficacy ledger; every subsequent
@@ -78,13 +64,14 @@ func (s *Store) SetLedger(l *Ledger) { s.ledger = l }
 // LedgerRef returns the attached ledger (nil when none).
 func (s *Store) LedgerRef() *Ledger { return s.ledger }
 
-// Entry is one procedure's cached result. The mu mutex couples each
-// validity flip with its journal append, so a concurrent reader never
-// observes a validity state whose journal record is not yet written —
-// the write-ahead invariant the recoverable validity table depends on.
-// Contents (the result file) are guarded by the engine's per-entry
-// locks, not here: file I/O runs on the calling session's pager over the
-// shared disk.
+// Entry is one procedure's cached result. The mu mutex makes each
+// validity transition (an invalidation, an install) atomic against
+// concurrent visibility checks. It does not guard the contents: file I/O
+// runs on the calling session's pager over the shared disk. A maintained
+// entry's file is versioned and mutated only inside update epochs; an
+// unmaintained entry's file is rewritten at query time, so its strategy
+// serializes the reads and rewrites of one entry under its own per-entry
+// access mutex (docs/MVCC.md).
 type Entry struct {
 	id    ID
 	store *Store
@@ -172,9 +159,7 @@ func (e *Entry) Len() int { return e.file.Len() }
 // (the model's C_inval) to the acting session's meter. The paper's T3
 // term charges every conflicting update, so callers invoke this once per
 // update transaction that breaks one of the entry's i-locks, whether or
-// not the entry is already invalid. The charge is attributed to the
-// validity log when a journal is attached (the record is then a durable
-// log append), to proc/ci otherwise.
+// not the entry is already invalid. The charge is attributed to proc/ci.
 func (e *Entry) Invalidate(pg *storage.Pager) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -189,23 +174,14 @@ func (e *Entry) Invalidate(pg *storage.Pager) {
 	if n := len(e.invals); n == 0 || e.invals[n-1] < r {
 		e.invals = append(e.invals, r)
 	}
-	comp := metric.CompProc
-	if e.store.journal != nil {
-		comp = metric.CompVLog
-	}
 	m := pg.Meter()
 	var before metric.Counters
 	if e.store.ledger != nil {
 		before = m.Snapshot()
 	}
-	prev := m.SetComponent(comp)
+	prev := m.SetComponent(metric.CompProc)
 	m.Invalidation(1)
 	m.SetComponent(prev)
-	if j := e.store.journal; j != nil {
-		if err := j.Invalidate(int(e.id)); err != nil {
-			panic("cache: journal write failed (simulated crash): " + err.Error())
-		}
-	}
 	if l := e.store.ledger; l != nil {
 		l.Record(LedgerEvent{
 			Entry:   int(e.id),
@@ -220,22 +196,13 @@ func (e *Entry) Invalidate(pg *storage.Pager) {
 	}
 }
 
-// Replace refreshes the whole result from sorted (key, tuple) pairs and
-// marks it valid: the Cache and Invalidate refresh, costing two I/Os per
-// result page (read-modify-write, the model's C_WriteCache), attributed to
-// the cache component.
-func (e *Entry) Replace(pg *storage.Pager, keys []uint64, recs [][]byte) {
-	m := pg.Meter()
-	prev := m.SetComponent(metric.CompCache)
-	e.file.Replace(pg, keys, recs)
-	m.SetComponent(prev)
-	e.markValid(pg)
-}
-
-// ReplaceAt is the snapshot-aware install: it refreshes the contents from
-// a result computed at snapshot stamp snap (same charges as Replace), then
-// decides visibility. When no update committed or is in flight since snap
-// — the install guard — the result is current and the entry becomes
+// ReplaceAt installs a whole result — the Cache and Invalidate refresh,
+// and every entry's initial fill. It rewrites the contents from sorted
+// (key, tuple) pairs computed at snapshot stamp snap, costing two I/Os
+// per result page (read-modify-write, the model's C_WriteCache)
+// attributed to the cache component, then decides visibility. When no
+// update committed or is in flight since snap — the install guard — the
+// result is current and the entry becomes
 // usable from snap onward (clean install, returns true). Otherwise the
 // result may already be stale for later snapshots, so a synthetic
 // invalidation at snap+1 confines its visibility to snapshot snap exactly
@@ -264,13 +231,6 @@ func (e *Entry) ReplaceAt(pg *storage.Pager, keys []uint64, recs [][]byte, snap 
 		e.invals = append([]uint64{snap + 1}, e.invals...)
 	}
 	e.valid = clean && len(e.invals) == 0
-	if e.valid {
-		if j := e.store.journal; j != nil {
-			if err := j.Validate(int(e.id)); err != nil {
-				panic("cache: journal write failed (simulated crash): " + err.Error())
-			}
-		}
-	}
 	if fn := e.store.observer; fn != nil {
 		fn("cache.refresh", int(e.id), pg.Session())
 	}
@@ -298,20 +258,13 @@ func (e *Entry) ComputedAt() uint64 {
 // MarkValid marks the entry valid without touching its contents; Update
 // Cache uses it once after the initial load, after which maintenance keeps
 // the contents current.
-func (e *Entry) MarkValid(pg *storage.Pager) { e.markValid(pg) }
-
-func (e *Entry) markValid(pg *storage.Pager) {
+func (e *Entry) MarkValid(pg *storage.Pager) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.valid = true
 	e.hasData = true
 	e.invals = e.invals[:0]
 	e.computedAt = e.store.disk.CommitStamp()
-	if j := e.store.journal; j != nil {
-		if err := j.Validate(int(e.id)); err != nil {
-			panic("cache: journal write failed (simulated crash): " + err.Error())
-		}
-	}
 	if fn := e.store.observer; fn != nil {
 		fn("cache.refresh", int(e.id), pg.Session())
 	}

@@ -56,7 +56,7 @@ func TestReplaceValidatesAndStores(t *testing.T) {
 	s, p, m := newStore(0)
 	e := s.Define(1, 8)
 	p.BeginOp()
-	e.Replace(p, []uint64{1, 2, 3, 4, 5}, [][]byte{rec8(1), rec8(2), rec8(3), rec8(4), rec8(5)})
+	e.ReplaceAt(p, []uint64{1, 2, 3, 4, 5}, [][]byte{rec8(1), rec8(2), rec8(3), rec8(4), rec8(5)}, p.Disk().CommitStamp())
 	p.BeginOp()
 	if !e.Valid() || e.Len() != 5 || e.Pages() != 2 {
 		t.Fatalf("Valid=%v Len=%d Pages=%d", e.Valid(), e.Len(), e.Pages())
@@ -64,7 +64,7 @@ func TestReplaceValidatesAndStores(t *testing.T) {
 	// 2 pages, read-modify-write each.
 	c := m.Snapshot()
 	if c.PageReads != 2 || c.PageWrites != 2 {
-		t.Fatalf("Replace charged %v, want 2 reads 2 writes", c)
+		t.Fatalf("ReplaceAt charged %v, want 2 reads 2 writes", c)
 	}
 	m.Reset()
 	var got []uint64
@@ -124,7 +124,7 @@ func TestDifferentialMaintenanceTouchesOnePage(t *testing.T) {
 		keys[i] = uint64(i * 10)
 		recs[i] = rec8(uint64(i))
 	}
-	e.Replace(p, keys, recs) // 3 pages
+	e.ReplaceAt(p, keys, recs, p.Disk().CommitStamp()) // 3 pages
 	e.MarkValid(p)
 	p.BeginOp()
 	m.Reset()
@@ -141,10 +141,9 @@ func TestDifferentialMaintenanceTouchesOnePage(t *testing.T) {
 	}
 }
 
-// TestInvalidateLedgerOffAllocatesNothing: with no ledger, journal or
-// observer attached, invalidating an entry is a validity flip and one
-// meter charge; the diagnosis hooks cost it a nil check each and no
-// allocation.
+// TestInvalidateLedgerOffAllocatesNothing: with no ledger or observer
+// attached, invalidating an entry is a validity flip and one meter charge;
+// the diagnosis hooks cost it a nil check each and no allocation.
 func TestInvalidateLedgerOffAllocatesNothing(t *testing.T) {
 	s, pg, m := newStore(0.1)
 	e := s.Define(1, 8)

@@ -409,8 +409,8 @@ func (e *Engine) countPhase(idx int) {
 // OpFootprint returns the 2PL lock set Exec acquires for op (benchmark
 // harnesses and the schedule bound read it too). A query needs none: it
 // reads base relations and maintained entry files through its snapshot,
-// and the rewrite-at-query-time strategies (C&I, Adaptive) serialize on
-// their own per-entry mutexes (docs/MVCC.md). Every update takes the one
+// and the rewrite-at-query-time strategy (C&I, Adaptive included)
+// serializes on its own per-entry mutexes (docs/MVCC.md). Every update takes the one
 // prebuilt update footprint.
 func (e *Engine) OpFootprint(op workload.Op) Footprint {
 	if op.Kind == workload.Update {

@@ -11,9 +11,9 @@
 //     relation, plus the version GC's — that updates acquire in canonical
 //     name order (conservative two-phase locking, deadlock-free by
 //     ordering); queries take none and read at a snapshot instead;
-//  2. subsystem mutexes inside ilock, cache, avm, rete and vlog that make
-//     each shared structure individually safe, and the C&I and Adaptive
-//     per-entry access mutexes;
+//  2. subsystem mutexes inside ilock, cache, avm and rete that make each
+//     shared structure individually safe, and the per-entry access
+//     mutexes of C&I's access cycle (Adaptive's too);
 //  3. immutable page images in the storage layer — a page of the shared
 //     disk changes only by an atomic swap to a new image, and an update's
 //     images become visible all at once when its epoch publishes — plus a

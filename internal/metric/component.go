@@ -11,9 +11,9 @@ package metric
 // bucket reads are "hashidx", cached-result reads and refreshes are
 // "cache", Rete token screening and memory-node I/O are "rete", AVM
 // routing and delta merging are "avm", strategy bookkeeping (invalidation
-// records) is "proc/ci", validity-log I/O is "vlog", and plan-level
-// predicate screens (Filter nodes) are "query". Events charged with no
-// component set fall into "pager", the storage substrate.
+// records) is "proc/ci", and plan-level predicate screens (Filter nodes)
+// are "query". Events charged with no component set fall into "pager",
+// the storage substrate.
 type Component uint8
 
 // Components, in rendering order. CompPager is the zero value: cost
@@ -26,7 +26,6 @@ const (
 	CompRete
 	CompAVM
 	CompProc
-	CompVLog
 	CompQuery
 
 	// NumComponents bounds the per-component counter array.
@@ -41,7 +40,6 @@ var componentNames = [NumComponents]string{
 	CompRete:    "rete",
 	CompAVM:     "avm",
 	CompProc:    "proc/ci",
-	CompVLog:    "vlog",
 	CompQuery:   "query",
 }
 

@@ -14,7 +14,6 @@ func TestComponentNames(t *testing.T) {
 		{CompRete, "rete"},
 		{CompAVM, "avm"},
 		{CompProc, "proc/ci"},
-		{CompVLog, "vlog"},
 		{CompQuery, "query"},
 		{NumComponents, "unknown"},
 		{Component(200), "unknown"},

@@ -1,21 +1,20 @@
 package proc
 
 import (
+	"slices"
 	"testing"
 
 	"dbproc/internal/cache"
 	"dbproc/internal/dbtest"
 )
 
-func newAdaptiveFixture(t *testing.T) (*dbtest.World, *Adaptive, *Manager) {
+func newAdaptiveFixture(t *testing.T) (*dbtest.World, *CacheInvalidate, *Manager) {
 	t.Helper()
 	w := dbtest.NewWorld(dbtest.Config{})
 	m := NewManager()
 	m.Define(p1Def(w, 1, 10, 19))
 	m.Define(p1Def(w, 2, 100, 109))
 	s := NewAdaptive(m, cache.NewStore(w.Pager.Disk()))
-	s.Window = 4
-	s.ProbeEvery = 20
 	w.Pager.SetCharging(false)
 	s.Prepare(w.Pager)
 	w.Pager.BeginOp()
@@ -46,7 +45,7 @@ func TestAdaptiveStaysCachingWhenUpdatesRare(t *testing.T) {
 }
 
 // churn invalidates procedure 1's band before every access.
-func churn(t *testing.T, w *dbtest.World, s *Adaptive, rounds int) {
+func churn(t *testing.T, w *dbtest.World, s Strategy, rounds int) {
 	t.Helper()
 	skey := map[int64]int64{}
 	for i := 0; i < rounds; i++ {
@@ -84,7 +83,7 @@ func TestAdaptiveBypassesUnderChurnAndRecovers(t *testing.T) {
 	}
 
 	// With the churn gone, the probe access re-enables caching...
-	for i := 0; i < s.ProbeEvery; i++ {
+	for i := 0; i < probeEvery; i++ {
 		access(w, s, 1)
 	}
 	if s.BypassedCount() != 0 {
@@ -123,17 +122,13 @@ func TestAdaptiveBypassAvoidsInvalidationCost(t *testing.T) {
 // update path, before the next access even happens.
 func TestAdaptiveBypassesOnInvalidationBurst(t *testing.T) {
 	w, s, _ := newAdaptiveFixture(t)
-	s.BypassAfterInvalidations = 5
-	cur := int64(15)
-	for i := 0; i < 5; i++ {
-		next := int64(700 + i)
-		moveTuple(t, w, s, 15, cur, next)
-		cur = next
-		moveTuple(t, w, s, 15, cur, 15)
-		cur = 15
-		if i < 2 && s.BypassedCount() != 0 {
-			t.Fatalf("bypassed after only %d update rounds", i+1)
+	// Each round is two updates, each invalidating procedure 1 once.
+	for i := 0; i < bypassAfterInvalidations/2; i++ {
+		if s.BypassedCount() != 0 {
+			t.Fatalf("bypassed after only %d invalidations", 2*i)
 		}
+		moveTuple(t, w, s, 15, 15, int64(700+i))
+		moveTuple(t, w, s, 15, int64(700+i), 15)
 	}
 	if s.BypassedCount() != 1 {
 		t.Fatalf("BypassedCount = %d after burst, want 1", s.BypassedCount())
@@ -190,23 +185,47 @@ func TestCacheInvalidateCoarseLocks(t *testing.T) {
 	}
 }
 
+// TestAdaptiveResultsStayCorrect compares every adaptive access with a
+// recompute, tuple by tuple, across a drop to bypass and the retry. While
+// procedure 1 is bypassed it holds no i-locks, so an update to its band
+// leaves its entry stale yet usable: the retry must refresh it anyway.
 func TestAdaptiveResultsStayCorrect(t *testing.T) {
 	w, s, m := newAdaptiveFixture(t)
 	rc := NewAlwaysRecompute(m)
-	check := func() {
+	images := func(tuples [][]byte) []string {
+		out := make([]string, len(tuples))
+		for i, tup := range tuples {
+			out[i] = string(tup)
+		}
+		slices.Sort(out)
+		return out
+	}
+	check := func(id int) {
 		t.Helper()
-		for _, id := range []int{1, 2} {
-			got, want := access(w, s, id), access(w, rc, id)
-			if len(got) != len(want) {
-				t.Fatalf("proc %d: adaptive %d tuples vs recompute %d", id, len(got), len(want))
-			}
+		var got, want []string
+		w.Read(func() {
+			got = images(s.Access(w.Pager, id))
+			want = images(rc.Access(w.Pager, id))
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("proc %d: adaptive served %d tuples that are not the %d a recompute returns", id, len(got), len(want))
 		}
 	}
-	check()
+	check(1)
+	check(2)
 	churn(t, w, s, 12) // forces proc 1 into bypass
-	check()
-	for i := 0; i < s.ProbeEvery+1; i++ {
-		access(w, s, 1)
+	if s.BypassedCount() != 1 {
+		t.Fatalf("BypassedCount = %d after churn, want 1", s.BypassedCount())
 	}
-	check() // after recovery
+	moveTuple(t, w, s, 12, 12, 600)
+	if !s.store.MustEntry(1).UsableAt(w.Pager.Disk().CommitStamp()) {
+		t.Fatal("the bypassed entry saw the update: the retry below has nothing to prove")
+	}
+	for i := 0; i < probeEvery+1; i++ {
+		check(1)
+	}
+	if s.BypassedCount() != 0 {
+		t.Fatal("procedure 1 did not retry caching")
+	}
+	check(2)
 }

@@ -20,34 +20,101 @@ import (
 // everything the plan reads — the B-tree interval of the R1 scan and each
 // hash key probed — and a conflicting update invalidates the owning entry
 // at C_inval per (procedure, update transaction), the model's T3.
+//
+// NewAdaptive runs the same cycle under a bypass policy: the per-procedure
+// caching decision the paper's section 8 raises via Sellis's work and
+// leaves open. A procedure whose recent accesses were almost always cold
+// (the C&I plateau regime, where caching costs strictly more than
+// recomputing) drops to bypass: it holds no i-locks, and every access
+// recomputes with no write-back and no invalidation cost. A bypassed
+// procedure periodically retries caching, so it recovers when the update
+// rate falls. The paper notes C&I "does not degrade significantly if the
+// system makes a mistake"; the policy removes even that residual
+// degradation (the wasted write-backs and, with expensive invalidation,
+// the whole T3 term).
 type CacheInvalidate struct {
 	mgr    *Manager
 	store  *cache.Store
 	locks  *ilock.Manager
 	coarse bool
-	tracer *obs.Tracer
-	ledger *cache.Ledger
+	// adaptive selects the bypass policy; plain Cache and Invalidate
+	// always caches.
+	adaptive bool
+	tracer   *obs.Tracer
+	ledger   *cache.Ledger
 
 	accesses     atomic.Int64
 	coldAccesses atomic.Int64
 
-	// entryMu serializes access to each entry's (unversioned) result file:
-	// refreshes rewrite it in place at query time, so reads and rewrites of
-	// one entry exclude each other. Accesses to different procedures, and
-	// readers vs. updates, never meet here (docs/MVCC.md).
-	entryMu sync.Map // proc id -> *sync.Mutex
+	// states maps each procedure id to its *entryState, created on first
+	// use.
+	states sync.Map
 
 	// afterUnlock, when a test sets it, runs right after an access releases
 	// the entry mutex — where a second reader of the entry may first run.
 	afterUnlock func()
 }
 
-func (s *CacheInvalidate) entryLock(id int) *sync.Mutex {
-	if v, ok := s.entryMu.Load(id); ok {
-		return v.(*sync.Mutex)
+// The bypass policy's constants.
+const (
+	// adaptiveWindow is the number of accesses per mode evaluation.
+	adaptiveWindow = 4
+	// coldThreshold is the cold-access fraction above which a procedure
+	// drops to bypass, near the plateau crossover.
+	coldThreshold = 0.9
+	// probeEvery is the number of bypassed accesses before caching is
+	// retried. The interval doubles, up to 16x, each time a retry fails at
+	// once, so procedures under sustained churn spend almost all their time
+	// in the cheap bypass mode.
+	probeEvery = 16
+	// bypassAfterInvalidations drops a procedure to bypass as soon as this
+	// many invalidations arrive without an intervening access: with
+	// expensive invalidation recording, waiting for the next access to
+	// notice the churn wastes a C_inval per conflicting update.
+	bypassAfterInvalidations = 8
+)
+
+// entryState is one procedure's access mutex and bypass-policy state.
+type entryState struct {
+	// mu serializes access to the entry's (unversioned) result file:
+	// refreshes rewrite it in place at query time, so reads and rewrites of
+	// one entry exclude each other. Accesses to different procedures, and
+	// readers vs. updates, never meet here (docs/MVCC.md) — except under the
+	// bypass policy, whose update fan-out takes mu to mutate the fields
+	// below. Lock order is mu before the entry's internal mutex.
+	mu     sync.Mutex
+	bypass bool
+	// accesses and cold count the current evaluation window; sinceBypass
+	// counts bypassed accesses up to backoff, the current probe interval.
+	accesses, cold, sinceBypass, backoff int
+	// stint counts accesses since caching (re)started, and retried marks a
+	// caching period that began as a bypass retry, to detect retries that
+	// fail at once.
+	stint   int
+	retried bool
+	// invalSinceAccess counts invalidations with no intervening access.
+	invalSinceAccess int
+}
+
+// NewCacheInvalidate builds the strategy with its own cache store and lock
+// table.
+func NewCacheInvalidate(mgr *Manager, store *cache.Store) *CacheInvalidate {
+	return &CacheInvalidate{mgr: mgr, store: store, locks: ilock.NewManager()}
+}
+
+// NewAdaptive builds Cache and Invalidate under the bypass policy.
+func NewAdaptive(mgr *Manager, store *cache.Store) *CacheInvalidate {
+	s := NewCacheInvalidate(mgr, store)
+	s.adaptive = true
+	return s
+}
+
+func (s *CacheInvalidate) state(id int) *entryState {
+	if v, ok := s.states.Load(id); ok {
+		return v.(*entryState)
 	}
-	v, _ := s.entryMu.LoadOrStore(id, &sync.Mutex{})
-	return v.(*sync.Mutex)
+	v, _ := s.states.LoadOrStore(id, new(entryState))
+	return v.(*entryState)
 }
 
 // SetTracer attaches a tracer; accesses then tag the enclosing op span
@@ -55,8 +122,8 @@ func (s *CacheInvalidate) entryLock(id int) *sync.Mutex {
 func (s *CacheInvalidate) SetTracer(t *obs.Tracer) { s.tracer = t }
 
 // SetLedger attaches a cache-efficacy ledger; every access then records
-// a computed (cold, with result digest) or hit event carrying its meter
-// delta, so the ledger's event costs sum to the strategy's run total.
+// a computed (cold, with result digest), hit or bypass event carrying its
+// meter delta, so the ledger's event costs sum to the strategy's run total.
 func (s *CacheInvalidate) SetLedger(l *cache.Ledger) { s.ledger = l }
 
 // AccessStats reports how many procedure accesses the strategy served and
@@ -73,18 +140,13 @@ func (s *CacheInvalidate) AccessStats() (accesses, cold int) {
 // precision is worth.
 func (s *CacheInvalidate) SetCoarseLocks(on bool) { s.coarse = on }
 
-// NewCacheInvalidate builds the strategy with its own cache store and lock
-// table.
-func NewCacheInvalidate(mgr *Manager, store *cache.Store) *CacheInvalidate {
-	return &CacheInvalidate{
-		mgr:   mgr,
-		store: store,
-		locks: ilock.NewManager(),
-	}
-}
-
 // Name implements Strategy.
-func (s *CacheInvalidate) Name() string { return "Cache and Invalidate" }
+func (s *CacheInvalidate) Name() string {
+	if s.adaptive {
+		return "Adaptive Caching"
+	}
+	return "Cache and Invalidate"
+}
 
 // CacheStore exposes the strategy's cache store (telemetry observers
 // attach here).
@@ -107,7 +169,7 @@ func (s *CacheInvalidate) Adopt(pg *storage.Pager, id int) {
 	}
 	d := s.mgr.MustGet(id)
 	s.store.Define(cache.ID(id), d.ResultWidth())
-	refresh(pg, d, setupStamp(pg), s.store, s.locks, s.ledger != nil)
+	s.refresh(pg, d, setupStamp(pg))
 }
 
 // setupStamp is the stamp a setup-time fill (Prepare, Adopt) computes at:
@@ -146,20 +208,19 @@ func (ls *lockSink) ReadKey(rel string, key int64) {
 	ls.refs = append(ls.refs, ilock.Ref{Rel: rel, Lo: key, Hi: key, IsKey: true})
 }
 
-// refresh recomputes d's value at stamp snap, installs it in its entry of
-// store, and swaps the owner's i-locks in locks to cover everything read
-// (adds before removes, so the footprint never transiently disappears) —
-// the refresh both C&I and Adaptive run. The install goes through
-// ReplaceAt, which applies the install guard; callers hold the entry's
-// access mutex, so the recompute/replace sequence is single-flight. It
-// returns the result digest when digest is set (a ledger is attached), 0
-// otherwise.
-func refresh(pg *storage.Pager, d *Definition, snap uint64, store *cache.Store, locks *ilock.Manager, digest bool) uint64 {
+// refresh recomputes d's value at stamp snap, installs it in its entry,
+// and swaps the owner's i-locks to cover everything read (adds before
+// removes, so the footprint never transiently disappears). The install
+// goes through ReplaceAt, which applies the install guard; callers hold
+// the entry's access mutex, so the recompute/replace sequence is
+// single-flight. It returns the result digest when a ledger is attached,
+// 0 otherwise.
+func (s *CacheInvalidate) refresh(pg *storage.Pager, d *Definition, snap uint64) uint64 {
 	sink := &lockSink{}
 	keys, recs := query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: sink})
-	locks.ReplaceOwner(ilock.Owner(d.ID), sink.refs)
-	store.MustEntry(cache.ID(d.ID)).ReplaceAt(pg, keys, recs, snap)
-	if !digest {
+	s.locks.ReplaceOwner(ilock.Owner(d.ID), sink.refs)
+	s.store.MustEntry(cache.ID(d.ID)).ReplaceAt(pg, keys, recs, snap)
+	if s.ledger == nil {
 		return 0
 	}
 	return cache.ResultDigest(keys, recs)
@@ -173,8 +234,6 @@ func refresh(pg *storage.Pager, d *Definition, snap uint64, store *cache.Store, 
 // itself without touching the shared file or the owner's i-locks
 // (docs/MVCC.md). pg must be reading at a snapshot (Pager.ReadStamp).
 func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
-	d := s.mgr.MustGet(id)
-	e := s.store.MustEntry(cache.ID(id))
 	snap := pg.ReadStamp()
 	s.accesses.Add(1)
 	m := pg.Meter()
@@ -182,29 +241,81 @@ func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 	if s.ledger != nil {
 		before = m.Snapshot()
 	}
-	mu := s.entryLock(id)
-	mu.Lock()
-	var digest uint64
+	out, kind, digest := s.access(pg, id, snap)
+	if s.afterUnlock != nil {
+		s.afterUnlock()
+	}
+	if s.ledger != nil {
+		// Page writes are charged at flush time; flush now (idempotent —
+		// the op-level flush then finds the frames clean) so the deferred
+		// write charges land inside this access's delta.
+		pg.Flush()
+		s.ledger.Record(cache.LedgerEvent{
+			Entry:   id,
+			Kind:    kind,
+			Op:      pg.OpToken(),
+			Session: pg.Session(),
+			CostMs:  m.Since(before).Milliseconds(m.Costs()),
+			Digest:  digest,
+		})
+	}
+	return out
+}
+
+// access runs one access under the entry's mutex and returns the result,
+// its ledger kind and, for a recompute with a ledger attached, the result
+// digest.
+func (s *CacheInvalidate) access(pg *storage.Pager, id int, snap uint64) ([][]byte, string, uint64) {
+	d := s.mgr.MustGet(id)
+	e := s.store.MustEntry(cache.ID(id))
+	st := s.state(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	retry := false
+	if st.bypass {
+		if st.sinceBypass++; st.sinceBypass < st.backoff {
+			// Plain recomputation; no cache write, no locks.
+			s.tracer.Current().Set("cache", "bypass")
+			pg.BeginRecompute()
+			out := query.Run(d.Plan, &query.Ctx{Meter: pg.Meter(), Pager: pg})
+			pg.EndRecompute()
+			return out, cache.KindBypass, 0
+		}
+		// Retry caching. A bypassed procedure held no i-locks, so its stale
+		// entry may still read as usable: the retry refreshes whatever
+		// UsableAt says.
+		retry = true
+		st.bypass, st.retried = false, true
+		st.accesses, st.cold, st.sinceBypass, st.stint = 0, 0, 0, 0
+	}
+	kind, digest := cache.KindHit, uint64(0)
 	var out [][]byte
 	served := false
-	cold := !e.UsableAt(snap)
+	cold := retry || !e.UsableAt(snap)
 	if cold {
+		kind = cache.KindComputed
 		s.coldAccesses.Add(1)
-		s.tracer.Current().Set("cache", "cold")
+		if retry {
+			s.tracer.Current().Set("cache", "retry")
+		} else {
+			s.tracer.Current().Set("cache", "cold")
+		}
 		sp := s.tracer.Begin("ci.refresh")
 		sp.Set("proc", id)
 		pg.BeginRecompute()
-		if e.ComputedAt() > snap {
+		if !retry && e.ComputedAt() > snap {
 			// The installed value postdates this reader's snapshot:
 			// recompute at the snapshot and serve only this session, leaving
 			// the newer shared value (and its i-locks) untouched.
 			sp.Set("mode", "self")
 			var keys []uint64
-			keys, out = query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: nil})
-			digest = cache.ResultDigest(keys, out)
+			keys, out = query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg})
+			if s.ledger != nil {
+				digest = cache.ResultDigest(keys, out)
+			}
 			served = true
 		} else {
-			digest = refresh(pg, d, snap, s.store, s.locks, s.ledger != nil)
+			digest = s.refresh(pg, d, snap)
 		}
 		pg.EndRecompute()
 		s.tracer.End(sp)
@@ -221,43 +332,80 @@ func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 		// so no charge moves.)
 		pg.Flush()
 	}
-	mu.Unlock()
-	if s.afterUnlock != nil {
-		s.afterUnlock()
+	if s.adaptive && !retry {
+		s.tally(st, id, cold)
 	}
-	if s.ledger != nil {
-		// Page writes are charged at flush time; flush now (idempotent —
-		// the op-level flush then finds the frames clean) so the deferred
-		// write charges land inside this access's delta.
-		pg.Flush()
-		ev := cache.LedgerEvent{
-			Entry:   id,
-			Op:      pg.OpToken(),
-			Session: pg.Session(),
-			CostMs:  m.Since(before).Milliseconds(m.Costs()),
-		}
-		if cold {
-			ev.Kind, ev.Digest = cache.KindComputed, digest
-		} else {
-			ev.Kind = cache.KindHit
-		}
-		s.ledger.Record(ev)
-	}
-	return out
+	return out, kind, digest
 }
 
-// OnUpdate implements Strategy: find every procedure whose i-locks the
-// transaction's old or new tuple values conflict with and record one
-// invalidation per procedure per transaction.
+// tally feeds one caching-mode access to the bypass policy: every
+// adaptiveWindow accesses, a procedure more than coldThreshold of whose
+// accesses were cold drops to bypass.
+func (s *CacheInvalidate) tally(st *entryState, id int, cold bool) {
+	st.accesses++
+	st.stint++
+	st.invalSinceAccess = 0
+	if cold {
+		st.cold++
+	}
+	if st.accesses < adaptiveWindow {
+		return
+	}
+	if float64(st.cold) > coldThreshold*float64(st.accesses) {
+		s.drop(st, id)
+	} else {
+		st.backoff = probeEvery
+		st.retried = false
+	}
+	st.accesses, st.cold = 0, 0
+}
+
+// drop puts a procedure in bypass and releases its i-locks. A caching
+// stint that was a retry and failed within one window backs off harder.
+func (s *CacheInvalidate) drop(st *entryState, id int) {
+	st.bypass = true
+	st.sinceBypass, st.invalSinceAccess = 0, 0
+	if st.retried && st.stint <= adaptiveWindow {
+		st.backoff = min(2*st.backoff, 16*probeEvery)
+	} else {
+		st.backoff = probeEvery
+	}
+	s.locks.Release(ilock.Owner(id))
+}
+
+// OnUpdate implements Strategy: record one invalidation per procedure per
+// transaction for every procedure the update conflicts with. Cache and
+// Invalidate takes no access mutex here, so an update never waits behind
+// a query-time refresh. The bypass policy takes it to count invalidations
+// and drops a procedure that churns faster than it is read; bypassed
+// procedures hold no i-locks, so they cost nothing here.
 func (s *CacheInvalidate) OnUpdate(pg *storage.Pager, dl Delta) {
+	for _, id := range s.conflicts(dl) {
+		e := s.store.MustEntry(cache.ID(id))
+		if !s.adaptive {
+			e.Invalidate(pg)
+			continue
+		}
+		st := s.state(id)
+		st.mu.Lock()
+		e.Invalidate(pg)
+		if st.invalSinceAccess++; st.invalSinceAccess >= bypassAfterInvalidations {
+			s.drop(st, id)
+		}
+		st.mu.Unlock()
+	}
+}
+
+// conflicts returns the procedures an update invalidates, in a fixed
+// order (definition order under coarse locks, else ascending): the
+// conflict set's map order would otherwise leak into the ledger's event
+// sequence and break its byte-identity contract (docs/DIAGNOSIS.md).
+func (s *CacheInvalidate) conflicts(dl Delta) []int {
 	if s.coarse {
 		// Relation-granularity invalidation: every procedure read some
 		// relation this update touched (in this system all procedures
 		// read R1, and P2 procedures read R2/R3), so all are invalidated.
-		for _, id := range s.mgr.IDs() {
-			s.store.MustEntry(cache.ID(id)).Invalidate(pg)
-		}
-		return
+		return s.mgr.IDs()
 	}
 	rel := dl.Rel.Schema().Name()
 	field := dl.Rel.KeyField()
@@ -269,17 +417,12 @@ func (s *CacheInvalidate) OnUpdate(pg *storage.Pager, dl Delta) {
 	for _, tup := range dl.Inserted {
 		s.locks.ConflictSet(rel, sch.Get(tup, field), hit)
 	}
-	// Invalidate in sorted order: the set's map order would otherwise
-	// leak into the ledger's event sequence and break its byte-identity
-	// contract (docs/DIAGNOSIS.md).
 	owners := make([]int, 0, len(hit))
 	for owner := range hit {
 		owners = append(owners, int(owner))
 	}
 	sort.Ints(owners)
-	for _, owner := range owners {
-		s.store.MustEntry(cache.ID(owner)).Invalidate(pg)
-	}
+	return owners
 }
 
 // Locks exposes the lock table (for tests and diagnostics).

@@ -242,7 +242,7 @@ func TestUpdateCacheDelegates(t *testing.T) {
 	store := cache.NewStore(w.Pager.Disk())
 	entry := store.Define(1, d.ResultWidth())
 	keys, recs := query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: w.Meter, Pager: w.Pager})
-	entry.Replace(w.Pager, keys, recs)
+	entry.ReplaceAt(w.Pager, keys, recs, w.Pager.Disk().CommitStamp())
 	entry.MarkValid(w.Pager)
 
 	stub := &stubMaint{}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbproc/internal/cache"
 	"dbproc/internal/costmodel"
 )
 
@@ -17,7 +18,7 @@ import (
 const differentialCases = 50
 
 // randomDifferentialConfig draws one valid, test-sized parameter point.
-// Populations stay small enough that 50 cases x 4 worlds build in seconds,
+// Populations stay small enough that 50 cases x 5 worlds build in seconds,
 // but every structural degree of freedom the strategies disagree on —
 // band widths, sharing, R2 updates, both models, zero P1 or P2
 // populations — is in range.
@@ -80,16 +81,21 @@ func diffMultisets(want, got map[string]int) string {
 		len(missing), missing, len(extra), extra)
 }
 
-// TestDifferentialOracle drives Cache-and-Invalidate, Update Cache (AVM)
-// and Update Cache (RVM) through identical randomized op sequences in
-// differentialCases seeded configurations, and after every query op
-// requires each strategy's tuple set to equal a fresh brute-force
+// TestDifferentialOracle drives Cache-and-Invalidate, Update Cache (AVM),
+// Update Cache (RVM) and Adaptive through identical randomized op
+// sequences in differentialCases seeded configurations, and after every
+// query op requires each strategy's tuple set to equal a fresh brute-force
 // recompute (an Always Recompute world on the same base-table history) —
 // the strategy-equivalence invariant the paper's comparison rests on.
 //
 // The check runs after every query, so the first divergence reported is
 // the minimal op prefix that produces it; the failure message prints that
 // prefix verbatim for replay.
+//
+// A case runs about 200 ops: long enough that Adaptive drops procedures to
+// bypass and retries caching, where a bypassed entry, which held no
+// i-locks, can be stale yet still read as usable. The full sweep fails
+// unless both happen.
 func TestDifferentialOracle(t *testing.T) {
 	cases := differentialCases
 	if testing.Short() {
@@ -100,6 +106,7 @@ func TestDifferentialOracle(t *testing.T) {
 		costmodel.UpdateCacheAVM,
 		costmodel.UpdateCacheRVM,
 	}
+	bypasses, retries := 0, 0
 	for c := 0; c < cases; c++ {
 		c := c
 		t.Run(fmt.Sprintf("case%02d", c), func(t *testing.T) {
@@ -113,16 +120,24 @@ func TestDifferentialOracle(t *testing.T) {
 			oracleCfg := cfg
 			oracleCfg.Strategy = costmodel.AlwaysRecompute
 			oracle := Build(oracleCfg)
-			worlds := make([]*World, len(tested))
-			for i, s := range tested {
+			var worlds []*World
+			for _, s := range tested {
 				wc := cfg
 				wc.Strategy = s
-				worlds[i] = Build(wc)
+				worlds = append(worlds, Build(wc))
 			}
+			ac := cfg
+			ac.Adaptive, ac.Ledger = true, cache.NewLedger()
+			worlds = append(worlds, Build(ac))
+			defer func() {
+				b, r := bypassesAndRetries(ac.Ledger.Events())
+				bypasses += b
+				retries += r
+			}()
 
 			ids := oracle.ProcIDs()
 			var prefix []string
-			nOps := 10 + rng.Intn(8)
+			nOps := 190 + rng.Intn(20)
 			for op := 0; op < nOps; op++ {
 				if rng.Intn(100) < 45 {
 					prefix = append(prefix, "update()")
@@ -135,7 +150,7 @@ func TestDifferentialOracle(t *testing.T) {
 				id := ids[rng.Intn(len(ids))]
 				prefix = append(prefix, fmt.Sprintf("access(%d)", id))
 				want := tupleMultiset(oracle.Access(id))
-				for i, w := range worlds {
+				for _, w := range worlds {
 					got := tupleMultiset(w.Access(id))
 					if len(got) == len(want) {
 						equal := true
@@ -150,10 +165,35 @@ func TestDifferentialOracle(t *testing.T) {
 						}
 					}
 					t.Fatalf("config %+v\n%v diverged from fresh recompute at op %d: %s\nminimal diverging op prefix:\n  %s",
-						cfg, tested[i], op, diffMultisets(want, got),
+						cfg, w.Strategy().Name(), op, diffMultisets(want, got),
 						strings.Join(prefix, "\n  "))
 				}
 			}
 		})
 	}
+	t.Logf("adaptive: %d bypassed accesses, %d retries", bypasses, retries)
+	if cases == differentialCases && (bypasses == 0 || retries == 0) {
+		t.Fatalf("adaptive bypassed %d accesses and retried caching %d times over the sweep: the oracle never judged the bypass policy", bypasses, retries)
+	}
+}
+
+// bypassesAndRetries counts an Adaptive ledger's bypassed accesses and its
+// retries: the computed accesses that end a run of bypassed ones.
+func bypassesAndRetries(events []cache.LedgerEvent) (bypasses, retries int) {
+	last := map[int]string{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case cache.KindBypass:
+			bypasses++
+		case cache.KindComputed:
+			if last[ev.Entry] == cache.KindBypass {
+				retries++
+			}
+		case cache.KindHit:
+		default:
+			continue
+		}
+		last[ev.Entry] = ev.Kind
+	}
+	return bypasses, retries
 }

@@ -56,7 +56,7 @@ func (w *World) Run() Result {
 	res.Counters = w.meter.Snapshot()
 	res.TotalMs = w.meter.Milliseconds()
 	res.ColdFraction = math.NaN()
-	if ci, ok := w.strat.(*proc.CacheInvalidate); ok {
+	if ci, ok := w.strat.(*proc.CacheInvalidate); ok && !w.cfg.Adaptive {
 		if acc, cold := ci.AccessStats(); acc > 0 {
 			res.ColdFraction = float64(cold) / float64(acc)
 		}

@@ -29,20 +29,17 @@ import (
 // Event kinds recorded by the flight recorder. Kinds are dotted
 // component.event strings so dumps read like the obs span vocabulary.
 const (
-	EvOpBegin        = "op.begin"
-	EvOpCommit       = "op.commit"
-	EvLockAcquire    = "lock.acquire"
-	EvLockRelease    = "lock.release"
-	EvCacheInval     = "cache.invalidate"
-	EvCacheRefresh   = "cache.refresh"
-	EvVlogFlip       = "vlog.flip"
-	EvVlogCheckpoint = "vlog.checkpoint"
-	EvVlogFault      = "vlog.fault"
-	EvFault          = "fault"
-	EvWatchdog       = "watchdog.fire"
-	EvViolation      = "oracle.violation"
-	EvDetector       = "detector.fire"
-	EvCancel         = "server.cancel"
+	EvOpBegin      = "op.begin"
+	EvOpCommit     = "op.commit"
+	EvLockAcquire  = "lock.acquire"
+	EvLockRelease  = "lock.release"
+	EvCacheInval   = "cache.invalidate"
+	EvCacheRefresh = "cache.refresh"
+	EvFault        = "fault"
+	EvWatchdog     = "watchdog.fire"
+	EvViolation    = "oracle.violation"
+	EvDetector     = "detector.fire"
+	EvCancel       = "server.cancel"
 )
 
 // Event is one flight-recorder entry. I is the global record index (total
@@ -94,7 +91,7 @@ func NewRecorder(size int) *Recorder {
 
 // Record appends one event, stamping its index and wall-clock offset.
 // Safe for concurrent use and nil-safe. Recording a triggering kind
-// (watchdog fire, oracle violation, vlog fault, generic fault)
+// (watchdog fire, oracle violation, detector fire, generic fault)
 // snapshots the ring and writes the configured auto-dump, turning the
 // failure into a self-contained post-mortem.
 func (r *Recorder) Record(ev Event) {
@@ -105,7 +102,7 @@ func (r *Recorder) Record(ev Event) {
 	ev.TNs = time.Since(r.start).Nanoseconds()
 	r.slots[ev.I%int64(len(r.slots))].Store(&ev)
 	switch ev.Kind {
-	case EvWatchdog, EvViolation, EvVlogFault, EvFault, EvDetector:
+	case EvWatchdog, EvViolation, EvFault, EvDetector:
 		r.autoDump(ev.Kind)
 	}
 }
@@ -116,16 +113,6 @@ func (r *Recorder) Op(kind string, session, seq int, name string, waitNs, holdNs
 		return
 	}
 	r.Record(Event{Kind: kind, Session: session, Seq: seq, Name: name, WaitNs: waitNs, HoldNs: holdNs})
-}
-
-// VlogEvent adapts the recorder to vlog.Log.SetObserver: the validity
-// log's flip/checkpoint/fault notifications become flight events (a
-// fault triggers the auto-dump).
-func (r *Recorder) VlogEvent(event string, id int, detail string) {
-	if r == nil {
-		return
-	}
-	r.Record(Event{Kind: event, Session: -1, Seq: -1, Name: fmt.Sprintf("proc:%d", id), Detail: detail})
 }
 
 // Len reports how many events have been recorded in total (including any

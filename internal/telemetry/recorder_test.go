@@ -13,7 +13,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Kind: EvOpBegin})
 	r.Op(EvOpCommit, 1, 2, "x", 0, 0)
-	r.VlogEvent(EvVlogFlip, 3, "")
 	r.SetAutoDumpWriter(nil)
 	r.SetAutoDumpFile("")
 	if r.Len() != 0 {
@@ -158,15 +157,15 @@ func TestAutoDumpOnTriggerKinds(t *testing.T) {
 	}
 }
 
-func TestAutoDumpFileAndVlogAdapter(t *testing.T) {
+func TestAutoDumpFile(t *testing.T) {
 	r := NewRecorder(32)
 	path := filepath.Join(t.TempDir(), "flight.jsonl")
 	r.SetAutoDumpFile(path)
-	r.VlogEvent(EvVlogFlip, 3, "")
+	r.Op(EvOpCommit, 0, 0, "q", 0, 0)
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("dump file created before any trigger")
 	}
-	r.VlogEvent(EvVlogFault, 3, "device dead after 2 writes")
+	r.Record(Event{Kind: EvFault, Session: -1, Seq: -1, Detail: "device dead after 2 writes"})
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("auto-dump file: %v", err)
@@ -176,10 +175,10 @@ func TestAutoDumpFileAndVlogAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Headers[0].Reason != EvVlogFault {
+	if d.Headers[0].Reason != EvFault {
 		t.Fatalf("reason = %q", d.Headers[0].Reason)
 	}
-	if len(d.Events) != 2 || d.Events[0].Kind != EvVlogFlip || d.Events[1].Detail != "device dead after 2 writes" {
+	if len(d.Events) != 2 || d.Events[0].Kind != EvOpCommit || d.Events[1].Detail != "device dead after 2 writes" {
 		t.Fatalf("events = %+v", d.Events)
 	}
 }
