@@ -206,14 +206,17 @@ func (c *Conn) Ping(ctx context.Context) error {
 }
 
 // Exec runs one QUEL statement (no cursor: all rows come back in the
-// result).
+// result). A result too large for one frame fails with a CodeLimit
+// error, and the connection stays usable.
 func (c *Conn) Exec(ctx context.Context, text string) (*wire.Result, error) {
 	return roundTripAs[*wire.Result](c, ctx, wire.TStmt, &wire.Stmt{Text: text})
 }
 
-// Query runs one QUEL statement with a cursor: at most fetch rows come
-// back (server default batch when fetch <= 0), the rest stay behind the
-// result's cursor handle for Fetch.
+// Query runs one QUEL statement with a cursor. The result carries at
+// most fetch rows — when fetch <= 0, the server's FetchBatch if it sets
+// one, else every row that fits in one frame — and never more than fit;
+// the rest stay behind the result's cursor handle for Fetch. A result
+// that fits in one frame thus costs one round trip and opens no cursor.
 func (c *Conn) Query(ctx context.Context, text string, fetch int) (*wire.Result, error) {
 	return roundTripAs[*wire.Result](c, ctx, wire.TStmt, &wire.Stmt{Text: text, Cursor: true, Fetch: fetch})
 }
@@ -260,8 +263,10 @@ func (c *Conn) Rollback(ctx context.Context, tx int) error {
 	return err
 }
 
-// Fetch pulls the next batch from a cursor. The cursor closes itself
-// (server-side) when the response's More is false.
+// Fetch pulls the next batch from a cursor: at most max rows, chosen as
+// in Query when max <= 0, and never more than fit in one frame (a larger
+// max is clamped). The cursor closes itself (server-side) when the
+// response's More is false.
 func (c *Conn) Fetch(ctx context.Context, cursor, max int) (*wire.Fetched, error) {
 	return roundTripAs[*wire.Fetched](c, ctx, wire.TFetch, &wire.Fetch{Cursor: cursor, Max: max})
 }

@@ -262,6 +262,48 @@ func TestDriverConformance(t *testing.T) {
 	drained(t, srv, true)
 }
 
+// TestOneFrameResultIsOneRequest: with the default batch a result that
+// fits in one frame comes back in the reply to its statement, so a
+// database/sql query of a 600-row procedure costs one request and opens
+// no cursor. It used to cost three: a 256-row reply and two fetches.
+func TestOneFrameResultIsOneRequest(t *testing.T) {
+	defer dbtest.Watchdog(t, time.Minute)()
+	srv, addr := startServer(t, server.Options{})
+	script := []string{"create r1 (tid, skey, jkey) cluster on skey"}
+	for i := 0; i < 1000; i++ {
+		script = append(script, fmt.Sprintf("append to r1 (tid = %d, skey = %d, jkey = %d)", i, i, i%7))
+	}
+	script = append(script, "define procedure wide as retrieve (r1.all) where r1.skey >= 200 and r1.skey < 800")
+	for _, stmt := range script {
+		if _, err := srv.DB().Run(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	db, err := sql.Open("dbproc", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetMaxOpenConns(1)
+	if err := db.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Stat().Requests
+	rows, err := db.Query("execute wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stat(); st.Cursors != 0 {
+		t.Fatalf("a 600-row result opened %d cursors", st.Cursors)
+	}
+	if n := countRows(t, rows); n != 600 {
+		t.Fatalf("%d rows, want 600", n)
+	}
+	if got := srv.Stat().Requests - before; got != 1 {
+		t.Fatalf("a 600-row query took %d requests, want 1", got)
+	}
+}
+
 // TestAdmissionLimit: connections beyond MaxConns are refused at the
 // handshake with a limit error, and a freed slot admits again.
 func TestAdmissionLimit(t *testing.T) {

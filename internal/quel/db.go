@@ -22,12 +22,12 @@ type DB struct {
 	meter *metric.Meter
 	width int
 
-	procs    *proc.Manager
-	strategy *proc.CacheInvalidate
-	store    *cache.Store
-	procIDs  map[string][]int // procedure name -> leaf query ids
-	nextID   int
-	nextSeq  uint64
+	procs      *proc.Manager
+	strategy   *proc.CacheInvalidate
+	store      *cache.Store
+	procedures map[string][]part // procedure name -> its leaf queries
+	nextID     int
+	nextSeq    uint64
 
 	// tx is the open undo-log transaction, nil outside one. A session
 	// holds at most one open transaction (the server's statement gate
@@ -52,13 +52,13 @@ func Open(pageSize, width int, costs metric.Costs) *DB {
 	meter := metric.NewMeter(costs)
 	pager := storage.NewPager(storage.NewDisk(pageSize), meter)
 	db := &DB{
-		cat:     relation.NewCatalog(),
-		pager:   pager,
-		meter:   meter,
-		width:   width,
-		procs:   proc.NewManager(),
-		store:   cache.NewStore(pager.Disk()),
-		procIDs: make(map[string][]int),
+		cat:        relation.NewCatalog(),
+		pager:      pager,
+		meter:      meter,
+		width:      width,
+		procs:      proc.NewManager(),
+		store:      cache.NewStore(pager.Disk()),
+		procedures: make(map[string][]part),
 	}
 	db.strategy = proc.NewCacheInvalidate(db.procs, db.store)
 	return db
@@ -80,7 +80,10 @@ type Section struct {
 type Result struct {
 	// Message summarizes non-row results ("created emp", "appended", ...).
 	Message string
-	// Columns and Rows carry retrieve/execute output.
+	// Columns and Rows carry retrieve/execute output. The rows of one
+	// result set are headers over one block of values, each clipped to
+	// its own width. An execute's Columns are the procedure's own, shared
+	// by every execute of it: read them, do not write them.
 	Columns []string
 	Rows    [][]int64
 	// Sections carries the further result sets of a multi-query procedure
@@ -243,20 +246,48 @@ func (db *DB) compile(r *RetrieveStmt) (query.Plan, error) {
 	return db.wrapPlan(plan), nil
 }
 
+// columnsOf names a plan's output columns.
+func columnsOf(sch *tuple.Schema) []string {
+	cols := make([]string, sch.NumFields())
+	for i := range cols {
+		cols[i] = sch.FieldName(i)
+	}
+	return cols
+}
+
+// appendValues appends a tuple's field values to a block of rows.
+func appendValues(flat []int64, sch *tuple.Schema, tup []byte) []int64 {
+	for i := 0; i < sch.NumFields(); i++ {
+		flat = append(flat, sch.Get(tup, i))
+	}
+	return flat
+}
+
+// rowHeaders slices a block of rows of width w into one header per row,
+// each clipped to its own row — the shape wire's decoder produces. An
+// empty block has no rows (nil).
+func rowHeaders(flat []int64, w int) [][]int64 {
+	if len(flat) == 0 {
+		return nil
+	}
+	rows := make([][]int64, len(flat)/w)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// collect runs a plan and renders its rows as one block. The count is
+// not known up front, so the headers are sliced once the block has
+// stopped growing.
 func (db *DB) collect(plan query.Plan) *Result {
 	sch := plan.Schema()
-	res := &Result{}
-	for i := 0; i < sch.NumFields(); i++ {
-		res.Columns = append(res.Columns, sch.FieldName(i))
-	}
+	var flat []int64
 	plan.Execute(&query.Ctx{Meter: db.meter, Pager: db.pager}, func(tup []byte) bool {
-		row := make([]int64, sch.NumFields())
-		for i := range row {
-			row[i] = sch.Get(tup, i)
-		}
-		res.Rows = append(res.Rows, row)
+		flat = appendValues(flat, sch, tup)
 		return true
 	})
+	res := &Result{Columns: columnsOf(sch), Rows: rowHeaders(flat, sch.NumFields())}
 	res.Message = fmt.Sprintf("%d tuple(s)", len(res.Rows))
 	return res
 }
@@ -379,7 +410,7 @@ func (db *DB) replace(s *ReplaceStmt) (*Result, error) {
 }
 
 func (db *DB) defineProc(s *DefineProcStmt) (*Result, error) {
-	if _, dup := db.procIDs[s.Name]; dup {
+	if _, dup := db.procedures[s.Name]; dup {
 		return nil, fmt.Errorf("quel: procedure %q already defined", s.Name)
 	}
 	// Compile every query before defining anything, so a failed part
@@ -392,7 +423,7 @@ func (db *DB) defineProc(s *DefineProcStmt) (*Result, error) {
 		}
 		plans[i] = p
 	}
-	var ids []int
+	parts := make([]part, len(plans))
 	for i, plan := range plans {
 		id := db.nextID
 		db.nextID++
@@ -404,55 +435,62 @@ func (db *DB) defineProc(s *DefineProcStmt) (*Result, error) {
 				return db.nextSeq
 			})
 		db.procs.Define(def)
-		ids = append(ids, id)
+		parts[i] = part{id: id, sch: plan.Schema(), columns: columnsOf(plan.Schema())}
 	}
 	// Warming the caches is setup, not workload: mute both the pager's
 	// I/O charging and the meter's CPU events.
 	prevCharge := db.pager.SetCharging(false)
 	prevMute := db.meter.SetMuted(true)
-	for _, id := range ids {
-		db.strategy.Adopt(db.pager, id)
+	for _, p := range parts {
+		db.strategy.Adopt(db.pager, p.id)
 	}
 	db.pager.BeginOp()
 	db.meter.SetMuted(prevMute)
 	db.pager.SetCharging(prevCharge)
-	db.procIDs[s.Name] = ids
+	db.procedures[s.Name] = parts
 	plural := ""
-	if len(ids) > 1 {
-		plural = fmt.Sprintf(", %d queries", len(ids))
+	if len(parts) > 1 {
+		plural = fmt.Sprintf(", %d queries", len(parts))
 	}
 	return &Result{Message: fmt.Sprintf("defined procedure %s (cached, i-locks set%s)", s.Name, plural)}, nil
 }
 
-// accessPart runs one leaf query of a procedure and renders its rows.
-func (db *DB) accessPart(id int) (Section, bool) {
-	def := db.procs.MustGet(id)
-	sch := def.Plan.Schema()
-	var sec Section
-	for i := 0; i < sch.NumFields(); i++ {
-		sec.Columns = append(sec.Columns, sch.FieldName(i))
+// part is one leaf query of a defined procedure: its id in the
+// procedure manager, its output schema, and its column names, computed
+// once when the procedure is defined.
+type part struct {
+	id      int
+	sch     *tuple.Schema
+	columns []string
+}
+
+// accessPart runs one leaf query of a procedure through Cache and
+// Invalidate and renders its rows as one block — the count is known, so
+// the block is allocated once — reporting whether the cached value was
+// valid.
+func (db *DB) accessPart(p part) (Section, bool) {
+	valid := db.store.MustEntry(cache.ID(p.id)).Valid()
+	tuples := db.strategy.Access(db.pager, p.id)
+	flat := make([]int64, 0, len(tuples)*p.sch.NumFields())
+	for _, tup := range tuples {
+		flat = appendValues(flat, p.sch, tup)
 	}
-	valid := db.store.MustEntry(cache.ID(id)).Valid()
-	for _, tup := range db.strategy.Access(db.pager, id) {
-		row := make([]int64, sch.NumFields())
-		for i := range row {
-			row[i] = sch.Get(tup, i)
-		}
-		sec.Rows = append(sec.Rows, row)
-	}
-	return sec, valid
+	return Section{Columns: p.columns, Rows: rowHeaders(flat, p.sch.NumFields())}, valid
 }
 
 func (db *DB) execute(s *ExecuteStmt) (*Result, error) {
-	ids, ok := db.procIDs[s.Name]
+	parts, ok := db.procedures[s.Name]
 	if !ok {
 		return nil, fmt.Errorf("quel: unknown procedure %q", s.Name)
 	}
 	res := &Result{}
+	if len(parts) > 1 {
+		res.Sections = make([]Section, 0, len(parts)-1)
+	}
 	total := 0
 	allValid := true
-	for i, id := range ids {
-		sec, valid := db.accessPart(id)
+	for i, p := range parts {
+		sec, valid := db.accessPart(p)
 		allValid = allValid && valid
 		total += len(sec.Rows)
 		if i == 0 {
@@ -478,12 +516,12 @@ func (db *DB) explain(s *ExplainStmt) (*Result, error) {
 		}
 		plans = []query.Plan{plan}
 	} else {
-		ids, ok := db.procIDs[s.Proc]
+		parts, ok := db.procedures[s.Proc]
 		if !ok {
 			return nil, fmt.Errorf("quel: unknown procedure %q", s.Proc)
 		}
-		for _, id := range ids {
-			plans = append(plans, db.procs.MustGet(id).Plan)
+		for _, p := range parts {
+			plans = append(plans, db.procs.MustGet(p.id).Plan)
 		}
 	}
 	var out []string

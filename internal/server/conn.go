@@ -176,14 +176,21 @@ func (c *conn) recordCancel() {
 	c.srv.recordCancel(c.id, traceID)
 }
 
+// write sends one response. A response longer than one frame is not
+// sent — nothing of it reaches the socket — and the request is answered
+// with a CodeLimit error in its place, so the connection stays usable.
 func (c *conn) write(typ byte, msg any) error {
-	return c.fw.WriteFrame(typ, msg)
+	err := c.fw.WriteFrame(typ, msg)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		return c.writeError(wire.CodeLimit, "the response does not fit in one frame: "+err.Error())
+	}
+	return err
 }
 
 func (c *conn) writeError(code, msg string) error {
 	c.srv.errorsTotal.Add(1)
 	c.lastErr = code
-	return c.write(wire.TError, &wire.Error{Code: code, Msg: msg})
+	return c.fw.WriteFrame(wire.TError, &wire.Error{Code: code, Msg: msg})
 }
 
 // finishRequest closes out one handled request: the service time feeds
@@ -432,7 +439,10 @@ func (c *conn) handleStmtExec(m *wire.StmtExec) error {
 }
 
 // execParsed runs one parsed statement under the gate and answers with
-// TResult, slicing off a cursor when asked and more rows remain.
+// TResult. Under a cursor the reply carries the batch (fetch rows at
+// most, and never more than fit in its frame) and a cursor opens for
+// the rows left over, if any. Without one every row goes in the reply,
+// and a result too large for a frame is refused with CodeLimit.
 func (c *conn) execParsed(stmt quel.Statement, tx int, wantCursor bool, fetch int) error {
 	if tx != 0 && (c.tx == nil || tx != c.txHandle) {
 		return c.writeError(wire.CodeBadHandle, fmt.Sprintf("no transaction %d", tx))
@@ -450,38 +460,48 @@ func (c *conn) execParsed(stmt quel.Statement, tx int, wantCursor bool, fetch in
 	}
 	out := toWireResult(res)
 	out.WallNs = time.Since(start).Nanoseconds()
+	if c.trace != nil {
+		// Attached before the batch is sized, which counts it, and
+		// filled in last.
+		out.Server = &wire.ServerBreakdown{SpanID: c.spanID}
+	}
 	if wantCursor {
-		if fetch <= 0 {
-			fetch = c.srv.opt.FetchBatch
-		}
-		if len(out.Rows) > fetch {
+		if n := c.srv.batch(out.FrameRows(), fetch); n > 0 && len(out.Rows) > n {
 			if !admit(&c.srv.nCursors, c.srv.opt.MaxCursors) {
 				return c.writeError(wire.CodeLimit, "too many open cursors")
 			}
 			c.nextHandle++
-			c.cursors[c.nextHandle] = &cursor{rows: out.Rows[fetch:]}
+			c.cursors[c.nextHandle] = &cursor{rows: out.Rows[n:]}
 			out.Cursor = c.nextHandle
 			out.More = true
-			out.Rows = out.Rows[:fetch]
+			out.Rows = out.Rows[:n]
 		}
 	}
-	if c.trace != nil {
+	if bd := out.Server; bd != nil {
 		// Partition the service wall exactly: admission is dispatch to
 		// the gate attempt, gate is the wait for the statement gate, and
 		// compute is the remainder (execution plus response build), so
 		// the three always sum to WallNs.
-		wall := time.Since(c.reqStart).Nanoseconds()
-		bd := &wire.ServerBreakdown{
-			SpanID:      c.spanID,
-			WallNs:      wall,
-			AdmissionNs: preGate.Sub(c.reqStart).Nanoseconds(),
-			GateNs:      start.Sub(preGate).Nanoseconds(),
-		}
-		bd.ComputeNs = wall - bd.AdmissionNs - bd.GateNs
-		out.Server = bd
+		bd.WallNs = time.Since(c.reqStart).Nanoseconds()
+		bd.AdmissionNs = preGate.Sub(c.reqStart).Nanoseconds()
+		bd.GateNs = start.Sub(preGate).Nanoseconds()
+		bd.ComputeNs = bd.WallNs - bd.AdmissionNs - bd.GateNs
 		c.breakdown = bd
 	}
 	return c.write(wire.TResult, out)
+}
+
+// batch is the row count of a cursored reply: the rows the client asked
+// for — FetchBatch when it asked for none, every row that fits when that
+// is zero too — and never more than fit, the rows its frame holds.
+func (s *Server) batch(fit, asked int) int {
+	if asked <= 0 {
+		asked = s.opt.FetchBatch
+	}
+	if asked > 0 && asked < fit {
+		return asked
+	}
+	return fit
 }
 
 func (c *conn) handleBegin() error {
@@ -528,10 +548,8 @@ func (c *conn) handleFetch(m *wire.Fetch) error {
 	if !ok {
 		return c.writeError(wire.CodeBadHandle, fmt.Sprintf("no cursor %d", m.Cursor))
 	}
-	max := m.Max
-	if max <= 0 {
-		max = c.srv.opt.FetchBatch
-	}
+	// A cursor always holds rows: it closes when its last one is fetched.
+	max := c.srv.batch(wire.FetchedRows(len(cur.rows[0])), m.Max)
 	out := &wire.Fetched{}
 	if len(cur.rows) > max {
 		out.Rows = cur.rows[:max]
@@ -614,8 +632,11 @@ func toWireResult(res *quel.Result) *wire.Result {
 		Affected: res.Affected,
 		CostMs:   res.CostMs,
 	}
-	for _, s := range res.Sections {
-		out.Sections = append(out.Sections, wire.Section{Columns: s.Columns, Rows: s.Rows})
+	if len(res.Sections) > 0 {
+		out.Sections = make([]wire.Section, len(res.Sections))
+		for i, s := range res.Sections {
+			out.Sections[i] = wire.Section(s)
+		}
 	}
 	return out
 }

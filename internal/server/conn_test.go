@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -271,6 +272,68 @@ func TestMalformedPayload(t *testing.T) {
 			t.Fatalf("%s: response %+v, want a protocol error", name, resp)
 		}
 		p.wantClosed()
+	}
+}
+
+// TestOversizeResultKeepsTheConnection: a result that does not fit in
+// one frame used to fail the frame's encode, and the connection closed
+// without an answer. Now what cannot be sent whole is refused with
+// CodeLimit — an un-cursored retrieve, a procedure whose later section
+// (never cursored) is too large — and the connection serves on; a
+// cursored result comes back one frame at a time, however many rows a
+// Fetch asks for.
+func TestOversizeResultKeepsTheConnection(t *testing.T) {
+	defer dbtest.Watchdog(t, time.Minute)()
+	srv, addr := startServer(t, Options{})
+	const rows, width = 3000, 41
+	cols, set := []string{"k"}, []string{}
+	for i := 1; i < width; i++ {
+		cols = append(cols, fmt.Sprintf("c%d", i))
+		set = append(set, fmt.Sprintf("c%d = %d", i, int64(1)<<62)) // ten bytes on the wire
+	}
+	script := []string{fmt.Sprintf("create big (%s) hash on k width %d buckets 64", strings.Join(cols, ", "), 8*width)}
+	for i := 0; i < rows; i++ {
+		script = append(script, fmt.Sprintf("append to big (k = %d)", i))
+	}
+	script = append(script,
+		fmt.Sprintf("replace big (%s) where big.k >= 0", strings.Join(set, ", ")),
+		"define procedure two as { retrieve (big.k) where big.k = 1 retrieve (big.all) }")
+	for _, stmt := range script {
+		if _, err := srv.DB().Run(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	p := dial(t, addr)
+	alive := func(after string) {
+		t.Helper()
+		if _, ok := p.call(wire.TPing, &wire.Ping{}).(*wire.Pong); !ok {
+			t.Fatalf("no pong after %s", after)
+		}
+	}
+
+	wantError(t, p.call(wire.TStmt, &wire.Stmt{Text: "retrieve (big.all)"}), wire.CodeLimit)
+	alive("an oversize result")
+	wantError(t, p.call(wire.TStmt, &wire.Stmt{Text: "execute two", Cursor: true}), wire.CodeLimit)
+	alive("an oversize section")
+	if st := srv.Stat(); st.Errors != 2 || st.Cursors != 0 {
+		t.Fatalf("after two refused results: %+v, want 2 errors and no cursor", st)
+	}
+
+	res, ok := p.call(wire.TStmt, &wire.Stmt{Text: "retrieve (big.all)", Cursor: true, Fetch: 1}).(*wire.Result)
+	if !ok || len(res.Rows) != 1 || !res.More {
+		t.Fatalf("cursored retrieve with a first batch of 1: %+v", res)
+	}
+	got, fit := len(res.Rows), wire.FetchedRows(width)
+	for _, max := range []int{1 << 30, 0} {
+		batch, ok := p.call(wire.TFetch, &wire.Fetch{Cursor: res.Cursor, Max: max}).(*wire.Fetched)
+		if !ok || len(batch.Rows) != min(fit, rows-got) || batch.More != (got+fit < rows) {
+			t.Fatalf("fetch of max %d after %d rows: %d rows (more %v), want %d of what fits in a frame",
+				max, got, len(batch.Rows), batch.More, fit)
+		}
+		got += len(batch.Rows)
+	}
+	if st := srv.Stat(); got != rows || st.Cursors != 0 {
+		t.Fatalf("the cursor delivered %d of %d rows and left %d cursors open", got, rows, st.Cursors)
 	}
 }
 

@@ -52,8 +52,11 @@ type Options struct {
 	MaxCursors int
 	// MaxWorlds bounds concurrently open bench worlds (default 8).
 	MaxWorlds int
-	// FetchBatch is the default cursor batch when a Stmt/Fetch frame
-	// does not name one (default 256 rows).
+	// FetchBatch caps the rows of a cursored reply (a Stmt/StmtExec
+	// result or a Fetch) whose request names no cap. Zero, the default,
+	// means every row that fits in one frame, so a cursor opens only for
+	// a result larger than one frame; tests set a few rows to force one.
+	// No reply ever carries more rows than fit in one frame.
 	FetchBatch int
 	// PageSize and Width configure the shared quel session's pager;
 	// zero takes the paper defaults (4000-byte pages, 100-byte tuples),
@@ -88,9 +91,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxWorlds <= 0 {
 		o.MaxWorlds = 8
-	}
-	if o.FetchBatch <= 0 {
-		o.FetchBatch = 256
 	}
 	if o.Costs == (metric.Costs{}) {
 		o.Costs = metric.DefaultCosts()

@@ -93,6 +93,57 @@ func appendRows(b []byte, rows [][]int64) ([]byte, error) {
 	return b, nil
 }
 
+// maxVarint is the most bytes a varint takes: a row value, a count, a
+// length or an integer field at its worst.
+const maxVarint = binary.MaxVarintLen64
+
+// rowsThatFit returns how many rows of width values one frame holds
+// beside rest bytes of other fields, type byte included. The block's
+// row count and width and every value count at maxVarint bytes.
+func rowsThatFit(rest, width int) int {
+	room := MaxFrame - rest - 2*maxVarint
+	if room <= 0 || width <= 0 {
+		return 0
+	}
+	return room / (width * maxVarint)
+}
+
+// stringsBound bounds a string list's encoding.
+func stringsBound(ss []string) int {
+	n := maxVarint
+	for _, s := range ss {
+		n += maxVarint + len(s)
+	}
+	return n
+}
+
+// FrameRows returns how many of m's Rows one TResult frame holds beside
+// everything else m carries: more need a cursor, and none with rows to
+// send means the rest of m leaves no room for a row. Every integer
+// counts at its worst-case length, so filling in Cursor, WallNs or the
+// breakdown's times after sizing cannot push the frame past MaxFrame; a
+// breakdown must be attached, with its SpanID, before sizing.
+func (m *Result) FrameRows() int {
+	if len(m.Rows) == 0 {
+		return 0
+	}
+	// Type byte, flags, message, columns and the section count; then
+	// Affected, WallNs and Cursor, and CostMs's 8 bytes.
+	rest := 2 + maxVarint + len(m.Message) + stringsBound(m.Columns) + maxVarint
+	for _, s := range m.Sections {
+		rest += stringsBound(s.Columns) + (2+cells(s.Rows))*maxVarint
+	}
+	rest += 3*maxVarint + 8
+	if bd := m.Server; bd != nil {
+		rest += 1 + maxVarint + len(bd.SpanID) + 7*maxVarint
+	}
+	return rowsThatFit(rest, len(m.Rows[0]))
+}
+
+// FetchedRows returns how many rows of width values one TFetched frame
+// holds; the frame's only other bytes are its type and flags.
+func FetchedRows(width int) int { return rowsThatFit(2, width) }
+
 func appendTrace(b []byte, tc *TraceContext) []byte {
 	if tc == nil {
 		return b

@@ -282,16 +282,24 @@ func TestDecodeValidatesBeforeAllocating(t *testing.T) {
 		{"version 1 JSON payload", TStmt, `{"text":"retrieve (e.all)"}`, ""},
 	} {
 		payload := []byte(c.payload)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Decode(c.typ, payload)
-		runtime.ReadMemStats(&after)
+		// TotalAlloc moves by whole spans when a cache refills, which a
+		// loaded host can make happen inside any one Decode: take the
+		// least of a few. An allocation sized by the claim shows in all.
+		var err error
+		got := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = Decode(c.typ, payload)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Decode error %v, want one containing %q", c.name, err, c.want)
 		}
 		// The message struct, the error values and their text: small
 		// allocations, none sized by what the payload claims.
-		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		if got > 4096 {
 			t.Errorf("%s: Decode allocated %d bytes on the way to refusing a %d-byte payload", c.name, got, len(payload))
 		}
 	}
@@ -339,6 +347,61 @@ func TestCodecAllocations(t *testing.T) {
 		if decode > c.decode {
 			t.Errorf("%s: decode made %.0f allocations, want <= %.0f", c.name, decode, c.decode)
 		}
+	}
+}
+
+// TestFrameRowsFit: a batch of FrameRows (FetchedRows) rows always
+// encodes within MaxFrame, even when every value and integer field takes
+// its worst-case ten bytes and the integers a server fills in after
+// sizing are set afterwards; and the rule wastes less than a row plus the
+// slack of its length bounds.
+func TestFrameRowsFit(t *testing.T) {
+	g := gen{rand.New(rand.NewSource(29))}
+	worst := func(n, w int) [][]int64 {
+		flat := make([]int64, n*w)
+		for i := range flat {
+			flat[i] = math.MinInt64 // zigzag 2^64-1: ten bytes
+		}
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = flat[i*w : (i+1)*w]
+		}
+		return rows
+	}
+	check := func(what string, typ byte, msg any, w int) {
+		t.Helper()
+		var frame bytes.Buffer
+		if err := WriteFrame(&frame, typ, msg); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := frame.Len() - headerSize; MaxFrame-n >= w*maxVarint+512 {
+			t.Errorf("%s: the frame holds %d bytes, %d short of MaxFrame", what, n, MaxFrame-n)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		w := 1 + g.Intn(12)
+		m := g.message(TResult).(*Result)
+		for j := range m.Sections {
+			if rows := m.Sections[j].Rows; len(rows) > 0 {
+				m.Sections[j].Rows = worst(len(rows), len(rows[0]))
+			}
+		}
+		m.Rows = worst(MaxFrame/(w*maxVarint), w)
+		n := m.FrameRows()
+		if n <= 0 || n >= len(m.Rows) {
+			t.Fatalf("width %d: FrameRows %d of %d rows", w, n, len(m.Rows))
+		}
+		m.Rows = m.Rows[:n]
+		m.Affected, m.WallNs, m.Cursor, m.More = math.MinInt64, math.MinInt64, math.MinInt, true
+		if bd := m.Server; bd != nil {
+			*bd = ServerBreakdown{SpanID: bd.SpanID, WallNs: math.MinInt64, AdmissionNs: math.MinInt64, GateNs: math.MinInt64,
+				LockWaitNs: math.MinInt64, IONs: math.MinInt64, RecomputeNs: math.MinInt64, ComputeNs: math.MinInt64}
+		}
+		check("result", TResult, m, w)
+		check("fetched", TFetched, &Fetched{Rows: worst(FetchedRows(w), w), More: true}, w)
+	}
+	if n := (&Result{Rows: [][]int64{{1}}, Message: strings.Repeat("x", MaxFrame)}).FrameRows(); n != 0 {
+		t.Fatalf("a result whose message fills the frame has room for %d rows", n)
 	}
 }
 

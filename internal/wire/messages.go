@@ -77,7 +77,8 @@ const (
 	// CodeBusy: the target (a world session) already has a request in
 	// flight.
 	CodeBusy = "busy"
-	// CodeLimit: a bounded handle table or the admission gate is full.
+	// CodeLimit: a bounded handle table or the admission gate is full,
+	// or the response does not fit in one frame.
 	CodeLimit = "limit"
 	// CodeBadHandle: the request named a handle this connection does not
 	// hold.
@@ -190,7 +191,7 @@ type Stmt struct {
 	// Fetch rows plus a cursor handle for the rest.
 	Cursor bool
 	// Fetch is the first-batch row cap when Cursor is set (server
-	// default if 0).
+	// default if 0). No batch exceeds the rows that fit in its frame.
 	Fetch int
 	// Trace is the propagated trace context (nil when untraced).
 	Trace *TraceContext
@@ -254,7 +255,8 @@ type Rollback struct {
 // Fetch pulls the next rows of a cursor.
 type Fetch struct {
 	Cursor int
-	// Max caps the batch (server default if 0).
+	// Max caps the batch (server default if 0). No batch exceeds the
+	// rows that fit in its frame.
 	Max int
 	// Trace is the propagated trace context (nil when untraced).
 	Trace *TraceContext

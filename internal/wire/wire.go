@@ -30,6 +30,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -37,6 +38,11 @@ import (
 // MaxFrame bounds the length field: type byte plus payload. Frames
 // claiming more are rejected before allocation.
 const MaxFrame = 1 << 20
+
+// ErrFrameTooLarge is the encode error of a message longer than
+// MaxFrame. Nothing of such a frame is written, so the connection stays
+// in step: a server answers the request with a CodeLimit error instead.
+var ErrFrameTooLarge = errors.New("wire: frame too large")
 
 // headerSize is the length prefix's width.
 const headerSize = 4
@@ -62,7 +68,7 @@ func appendFrame(b []byte, typ byte, msg any) ([]byte, error) {
 	}
 	n := len(b) - start - headerSize
 	if n > MaxFrame {
-		return b, fmt.Errorf("wire: frame too large (%d > %d)", n, MaxFrame)
+		return b, fmt.Errorf("%w (%d > %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
 	binary.BigEndian.PutUint32(b[start:], uint32(n))
 	return b, nil

@@ -81,19 +81,23 @@ echo "examples: OK"
 # hash key column read by snapshot readers while the writer inserts and
 # deletes, and the batched probe's guards: a batch equals its keys probed
 # one by one (records, order, page reads), a probe stops at the row that
-# said stop, and a recomputed value allocates by the block.
+# said stop, and a recomputed value allocates by the block, as does a
+# cached QUEL execute (its allocations do not grow with its rows).
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates|TestLookupBatch|TestProbeStopsAtTheRowThatSaidStop|JoinAccessAllocations|TestColdFillMaterializeAllocations|TestAggregateAllocatesPerGroup' \
+    -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates|TestLookupBatch|TestProbeStopsAtTheRowThatSaidStop|JoinAccessAllocations|TestColdFillMaterializeAllocations|TestAggregateAllocatesPerGroup|TestCachedExecuteAllocatesByTheBlock' \
     ./internal/query/ ./internal/proc/ ./internal/avm/ ./internal/quel/ ./internal/hashidx/
 # The served path's own guards, with GOMAXPROCS raised so the connection
 # goroutine, the gate's cancel watcher and Shutdown interleave: cancel,
 # vanish, protocol violation and drain against a request parked on the
-# statement gate (internal/server/conn_test.go), the codec's round-trip
-# property, validate-before-allocate and allocation guards
-# (internal/wire), and an empty round trip's allocations end to end.
+# statement gate, and an oversize result answered CodeLimit
+# (internal/server/conn_test.go), the codec's round-trip property,
+# validate-before-allocate and allocation guards (internal/wire), an
+# empty round trip's allocations end to end, and the frame batching rule:
+# a batch never overflows its frame, and a result that fits in one frame
+# costs one request.
 GOMAXPROCS=4 go test -race -count=3 ./internal/server
 GOMAXPROCS=4 go test -count=1 \
-    -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations' \
+    -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
     ./internal/wire/ ./client/
 # Page-image reclamation (docs/MVCC.md, "Reclamation"): version GC hands
 # superseded images to later updates as their buffers, so a reader that
