@@ -133,26 +133,15 @@ func main() {
 
 	if *obsJSON != "" {
 		rep := experiments.ObsBench(ctx, opt)
-		// The served-path latency decomposition rides along: a loopback
-		// procserved driven through traced connections at 1 and 8
-		// clients (docs/TRACING.md). Wall-clock measurements, so these
-		// rows vary run to run; the simulated rows above do not.
-		served, err := experiments.ServedLatencyBench(ctx, opt, 1, 8)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "procbench: served latency decomposition: %v\n", err)
-			os.Exit(1)
-		}
-		rep.ServedLatency = served
-		writeJSON(*obsJSON, rep, fmt.Sprintf("observability benchmark (%d rows, %d served latency rows)",
-			len(rep.Rows), len(rep.ServedLatency)))
+		writeJSON(*obsJSON, rep, fmt.Sprintf("observability benchmark (%d rows)", len(rep.Rows)))
 		return
 	}
 
 	if *parallelJSON != "" {
 		rep := experiments.ParallelBench(ctx, opt)
 		writeJSON(*parallelJSON, rep,
-			fmt.Sprintf("parallel benchmark (%d cells, %.1fx measured / %.1fx projected@4, identical=%v)",
-				rep.Cells, rep.MeasuredSpeedup, rep.ProjectedSpeedup["4"], rep.OutputIdentical))
+			fmt.Sprintf("parallel benchmark (%.1fx measured, identical=%v)",
+				rep.MeasuredSpeedup, rep.OutputIdentical))
 		return
 	}
 

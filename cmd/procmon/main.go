@@ -306,7 +306,7 @@ func renderBlame(w io.Writer, m metricSet) {
 
 // renderServing draws the served-path panel from procserved's
 // dbproc_server_* series: the connection/request counters and, per
-// request type, the P² service-time quantiles
+// request type, the service-time histogram quantiles
 // (dbproc_server_request_seconds{type,quantile}).
 func renderServing(w io.Writer, m metricSet) {
 	fmt.Fprintf(w, "\n  serving:")

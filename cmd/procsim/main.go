@@ -428,12 +428,10 @@ type concurrentJSON struct {
 	Ops           int                            `json:"ops"`
 	WallSec       float64                        `json:"wall_sec"`
 	ThroughputOps float64                        `json:"throughput_ops_per_sec"`
-	P50LatencyUs  float64                        `json:"p50_latency_us"`
-	P95LatencyUs  float64                        `json:"p95_latency_us"`
 	SimTotalMs    float64                        `json:"sim_total_ms"`
 	Counters      obs.CountersJSON               `json:"counters"`
-	WallLatency   telemetry.SketchSummary        `json:"wall_latency"`
-	SimLatency    telemetry.SketchSummary        `json:"sim_latency"`
+	WallLatency   obs.Summary                    `json:"wall_latency"`
+	SimLatency    obs.Summary                    `json:"sim_latency"`
 	Contention    []telemetry.LockContentionJSON `json:"contention,omitempty"`
 	CritPathNs    map[string]int64               `json:"crit_path_ns,omitempty"`
 	TopBlockers   []blockerJSON                  `json:"top_blockers,omitempty"`
@@ -488,7 +486,6 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 			ThinkMeanMs:  think,
 			Recorder:     rec,
 			ProfileLocks: true,
-			Sketches:     true,
 			CritPath:     critpath,
 		}
 		if rec != nil {
@@ -568,8 +565,6 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 				Ops:           res.Ops,
 				WallSec:       res.WallSec,
 				ThroughputOps: res.Throughput,
-				P50LatencyUs:  float64(res.Percentile(50)) / 1e3,
-				P95LatencyUs:  float64(res.Percentile(95)) / 1e3,
 				SimTotalMs:    res.SimTotalMs,
 				Counters:      obs.ToCountersJSON(res.Counters),
 				WallLatency:   res.WallLatency,
@@ -582,7 +577,7 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 		}
 		fmt.Printf("%-22s %7.2fs %8.0f op/s %7.0f us %7.0f us %9.1f ms\n",
 			s, res.WallSec, res.Throughput,
-			float64(res.Percentile(50))/1e3, float64(res.Percentile(95))/1e3,
+			res.WallLatency.P50/1e3, res.WallLatency.P95/1e3,
 			res.SimTotalMs)
 		if critpath {
 			total := critNs["lock_wait"] + critNs["io"] + critNs["recompute"] + critNs["compute"]

@@ -25,10 +25,9 @@
 //
 // With -concurrent the inputs are BENCH_concurrent.json reports (written
 // by procbench -concurrent-json): procstat renders the session ladder per
-// strategy and model, contrasting the measured wall speedup — which
-// includes overlapped think time — against the latch-free schedule bound
-// (wall_parallel_speedup), and flags projected rows measured on fewer
-// cores than sessions. Reports written with procbench -serve carry an
+// strategy and model: the measured wall speedup, which includes
+// overlapped think time, and the p50/p95 of wall_latency. Reports
+// written with procbench -serve carry an
 // extra served column: the same cell measured through procserved over
 // the database/sql driver, wire round-trips included (docs/SERVING.md).
 //
@@ -195,9 +194,7 @@ func main() {
 
 // renderConcurrent renders multi-session engine benchmark reports: one
 // ladder table per file, with the measured speedup (think overlap
-// included) next to the latch-free schedule bound. Rows whose bound is
-// projected — more sessions than host cores — carry a "~" so the reader
-// knows measured throughput could not corroborate it there.
+// included) and the wall-clock latency quantiles.
 func renderConcurrent(paths []string) {
 	for i, path := range paths {
 		data, err := os.ReadFile(path)
@@ -213,16 +210,12 @@ func renderConcurrent(paths []string) {
 		}
 		fmt.Printf("%s: cores=%d scale=%g seed=%d think=%gms ops=%d\n",
 			path, rep.Cores, rep.Scale, rep.Seed, rep.ThinkMeanMs, rep.Ops)
-		fmt.Printf("%-22s %-8s %8s %-18s %12s %9s %11s", "strategy", "model", "clients", "scenario", "ops/sec", "speedup", "latch-free")
+		fmt.Printf("%-22s %-8s %8s %-18s %12s %9s", "strategy", "model", "clients", "scenario", "ops/sec", "speedup")
 		if rep.Served {
 			fmt.Printf(" %12s", "served")
 		}
 		fmt.Printf(" %10s %10s %8s %5s\n", "p50 us", "p95 us", "acc-wait", "seq")
 		for _, row := range rep.Rows {
-			bound := fmt.Sprintf("%.2fx", row.WallParallelSpeedup)
-			if row.Projected {
-				bound = "~" + bound
-			}
 			seq := ""
 			if row.MatchesSequential {
 				seq = "=sim"
@@ -235,9 +228,8 @@ func renderConcurrent(paths []string) {
 				scenario = "polite"
 			}
 			wait := fmt.Sprintf("%.1f%%", 100*row.AccessWaitShare)
-			fmt.Printf("%-22s %-8s %8d %-18s %12.1f %8.2fx %11s",
-				row.Strategy, row.Model, row.Clients, scenario, row.ThroughputOps,
-				row.Speedup, bound)
+			fmt.Printf("%-22s %-8s %8d %-18s %12.1f %8.2fx",
+				row.Strategy, row.Model, row.Clients, scenario, row.ThroughputOps, row.Speedup)
 			if rep.Served {
 				if row.WallServedOps > 0 {
 					fmt.Printf(" %12.1f", row.WallServedOps)
@@ -245,11 +237,10 @@ func renderConcurrent(paths []string) {
 					fmt.Printf(" %12s", "-")
 				}
 			}
-			fmt.Printf(" %10.1f %10.1f %8s %5s\n", row.P50LatencyUs, row.P95LatencyUs, wait, seq)
+			fmt.Printf(" %10.1f %10.1f %8s %5s\n", row.WallLatency.P50/1e3, row.WallLatency.P95/1e3, wait, seq)
 		}
-		note := `speedup counts overlapped think time; latch-free is the schedule bound over
-the committed history's 2PL conflicts ("~" = projected: sessions exceed cores).
-acc-wait is the share of query wall time spent waiting on locks.`
+		note := `speedup counts overlapped think time; p50/p95 are wall-clock histogram
+bucket edges. acc-wait is the share of query wall time spent waiting on locks.`
 		if rep.Served {
 			note += `
 served is measured ops/sec through procserved over the database/sql driver

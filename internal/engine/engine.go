@@ -58,11 +58,6 @@ type Options struct {
 	// ProfileLocks enables the lock table's wall-clock contention
 	// profiler; Result.Contention then reports per-lock wait/hold stats.
 	ProfileLocks bool
-	// Sketches enables O(1)-memory P² latency sketches per session and
-	// run-wide, in both domains: wall-clock nanoseconds (lock wait +
-	// latched service) and simulated milliseconds (the op's metered
-	// cost). Summaries land in Result and SessionStats.
-	Sketches bool
 	// CritPath enables per-operation critical-path decomposition
 	// (docs/DIAGNOSIS.md): every committed op's wall time is split
 	// exactly — the four segments sum bit-exactly to the op's recorded
@@ -76,8 +71,9 @@ type Options struct {
 	// Detect, when non-nil, arms the always-on regression detectors
 	// (p99 wall latency, lock-contention share, ledger wasted-work
 	// ratio); a firing detector records an EvDetector flight event, which
-	// triggers the recorder's auto-dump. Requires Recorder to be useful;
-	// the latency detector additionally needs Sketches.
+	// triggers the recorder's auto-dump. Requires Recorder to be useful.
+	// The latency detector compares the wall histogram's p99 bucket edge,
+	// so it can fire up to one bucket ratio (< 1.1x) early.
 	Detect *telemetry.Thresholds
 }
 
@@ -120,11 +116,6 @@ type SessionStats struct {
 	WaitNs    int64
 	ServiceNs int64
 	ThinkNs   int64
-	// WallLatency and SimLatency summarize this session's per-op latency
-	// sketches (wall-clock ns, simulated ms); zero unless
-	// Options.Sketches.
-	WallLatency telemetry.SketchSummary
-	SimLatency  telemetry.SketchSummary
 }
 
 // Result reports one concurrent run.
@@ -143,19 +134,17 @@ type Result struct {
 	SimTotalMs float64
 	Counters   metric.Counters
 	Sessions   []SessionStats
-	// LatencyNs holds every operation's wall-clock latency (lock wait +
-	// latched service), unordered. Use Percentile.
-	LatencyNs []int64
 	// History is the committed operation history in commit order; empty
 	// unless Options.RecordHistory.
 	History []HistoryEntry
 	// Contention is the lock table's wall-clock contention profile,
 	// sorted by total wait time; empty unless Options.ProfileLocks.
 	Contention []LockContention
-	// WallLatency and SimLatency summarize the run-wide per-op latency
-	// sketches; zero unless Options.Sketches.
-	WallLatency telemetry.SketchSummary
-	SimLatency  telemetry.SketchSummary
+	// WallLatency and SimLatency summarize every session's per-op latency
+	// histograms, merged: wall-clock nanoseconds (lock wait + latched
+	// service) and simulated milliseconds (the op's metered cost).
+	WallLatency obs.Summary
+	SimLatency  obs.Summary
 	// CritPaths is every committed op's wall-time decomposition in commit
 	// order; empty unless Options.CritPath.
 	CritPaths []OpCritPath
@@ -212,18 +201,6 @@ type blockerKey struct {
 	op      string
 }
 
-// Percentile returns the p-th (0..100) latency percentile in
-// nanoseconds, 0 if no operations ran.
-func (r *Result) Percentile(p float64) int64 {
-	if len(r.LatencyNs) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), r.LatencyNs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	i := int(p / 100 * float64(len(s)-1))
-	return s[i]
-}
-
 // Engine drives N sessions against one world.
 type Engine struct {
 	w     *sim.World
@@ -264,10 +241,6 @@ type Engine struct {
 	// are unchanged there.
 	phaseNames []string
 	phaseOps   []atomic.Int64
-
-	// Run-wide latency sketches; nil unless Options.Sketches.
-	wallSk *telemetry.Sketch
-	simSk  *telemetry.Sketch
 
 	// Critical-path state (Options.CritPath): per-op decompositions and
 	// the blame aggregation behind critMu; per-segment wall totals as
@@ -329,10 +302,6 @@ func New(cfg sim.Config, opt Options) *Engine {
 	}
 	if opt.Detect != nil {
 		e.det = telemetry.NewDetectors(*opt.Detect, opt.Recorder)
-	}
-	if opt.Sketches {
-		e.wallSk = telemetry.NewSketch()
-		e.simSk = telemetry.NewSketch()
 	}
 	if sched := w.Schedule(); sched != nil && sched.Scenario != "" {
 		for _, p := range sched.Phases {
@@ -407,7 +376,7 @@ func (e *Engine) countPhase(idx int) {
 }
 
 // OpFootprint returns the 2PL lock set Exec acquires for op (benchmark
-// harnesses and the schedule bound read it too). A query needs none: it
+// harnesses read it too). A query needs none: it
 // reads base relations and maintained entry files through its snapshot,
 // and the rewrite-at-query-time strategy (C&I, Adaptive included)
 // serializes on its own per-entry mutexes (docs/MVCC.md). Every update takes the one
@@ -475,7 +444,6 @@ func (e *Engine) Run(ctx context.Context) Result {
 		wg.Add(1)
 		go func(sess *Session, myOps []workload.Op) {
 			defer wg.Done()
-			defer sess.Close()
 			for _, op := range myOps {
 				if arrive != nil {
 					if d := time.Until(start.Add(arrive.Next())); d > 0 {
@@ -568,16 +536,15 @@ func (e *Engine) TelemetryMetrics() []telemetry.Metric {
 			telemetry.Counter("dbproc_lock_hold_seconds_total", "Wall-clock lock hold.", float64(c.HoldNs)/1e9, lbl),
 		)
 	}
-	if e.opt.Sketches {
-		for _, q := range e.wallSk.Quantiles() {
-			lbl := map[string]string{"quantile": fmt.Sprintf("%g", q)}
-			ms = append(ms,
-				telemetry.Gauge("dbproc_op_latency_wall_ns", "Per-op wall-clock latency (P² estimate).",
-					e.wallSk.Quantile(q), lbl),
-				telemetry.Gauge("dbproc_op_latency_sim_ms", "Per-op simulated cost (P² estimate).",
-					e.simSk.Quantile(q), lbl),
-			)
-		}
+	wall, simMs := e.latency()
+	for _, q := range obs.Quantiles {
+		lbl := map[string]string{"quantile": fmt.Sprintf("%g", q)}
+		ms = append(ms,
+			telemetry.Gauge("dbproc_op_latency_wall_ns", "Per-op wall-clock latency (histogram bucket upper edge).",
+				wall.Quantile(q), lbl),
+			telemetry.Gauge("dbproc_op_latency_sim_ms", "Per-op simulated cost (histogram bucket upper edge).",
+				simMs.Quantile(q), lbl),
+		)
 	}
 	if e.opt.CritPath {
 		for _, seg := range []struct {

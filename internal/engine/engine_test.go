@@ -293,8 +293,8 @@ func TestSessionAttribution(t *testing.T) {
 			t.Errorf("session %d did no work", st.Session)
 		}
 	}
-	if p50, p95 := res.Percentile(50), res.Percentile(95); p50 < 0 || p95 < p50 {
-		t.Fatalf("latency percentiles inconsistent: p50=%d p95=%d", p50, p95)
+	if wl := res.WallLatency; wl.Count != int64(res.Ops) || wl.P50 <= 0 || wl.P95 < wl.P50 {
+		t.Fatalf("latency summary inconsistent: %+v for %d ops", wl, res.Ops)
 	}
 }
 

@@ -101,29 +101,6 @@ func (s *byName) Swap(i, j int) {
 	s.excl[i], s.excl[j] = s.excl[j], s.excl[i]
 }
 
-// Conflicts reports whether two footprints cannot be held simultaneously:
-// they name a common resource that at least one side locks exclusively.
-func (f Footprint) Conflicts(g Footprint) bool {
-	f = f.normalized()
-	g = g.normalized()
-	i, j := 0, 0
-	for i < len(f.names) && j < len(g.names) {
-		switch {
-		case f.names[i] < g.names[j]:
-			i++
-		case f.names[i] > g.names[j]:
-			j++
-		default:
-			if f.excl[i] || g.excl[j] {
-				return true
-			}
-			i++
-			j++
-		}
-	}
-	return false
-}
-
 // lockShards stripes the name→lock map so sessions creating or looking up
 // locks for disjoint resources rarely contend on map access.
 const lockShards = 16

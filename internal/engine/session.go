@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"dbproc/internal/obs"
 	"dbproc/internal/storage"
 	"dbproc/internal/telemetry"
 	"dbproc/internal/workload"
@@ -14,7 +15,7 @@ import (
 
 // Session is one open client session of a live engine: a private pager
 // and meter over the shared disk, the session's running statistics, and
-// its latency sketches. Run opens one per configured client; a server
+// its latency histograms. Run opens one per configured client; a server
 // front-end (cmd/procserved) instead opens sessions up front and drives
 // each with Exec as operations arrive off the wire. A Session is not
 // safe for concurrent use — the engine's lock table isolates sessions
@@ -27,12 +28,10 @@ type Session struct {
 	// ws is the pager's wall-clock segment accumulator; nil unless
 	// Options.CritPath.
 	ws *storage.WallStats
-	// wallSk / simSk are the session's private latency sketches; nil
-	// unless Options.Sketches.
-	wallSk *telemetry.Sketch
-	simSk  *telemetry.Sketch
-
-	latencies []int64
+	// wall and sim are the session's per-op latency histograms: wall-clock
+	// nanoseconds and simulated milliseconds. Readers merge them across
+	// sessions (Engine.latency).
+	wall, sim *obs.Histogram
 }
 
 // OpOutcome reports one committed operation back to the submitter — the
@@ -88,14 +87,10 @@ func (e *Engine) OpenSession(id int) *Session {
 	if e.sessions[id] != nil {
 		panic(fmt.Sprintf("engine: session %d already open", id))
 	}
-	s := &Session{e: e, id: id, pg: e.w.SessionPager(id)}
+	s := &Session{e: e, id: id, pg: e.w.SessionPager(id), wall: obs.NewWallHistogram(), sim: obs.NewHistogram(nil)}
 	s.st.Session = id
 	if e.opt.CritPath {
 		s.ws = s.pg.EnableWallStats()
-	}
-	if e.opt.Sketches {
-		s.wallSk = telemetry.NewSketch()
-		s.simSk = telemetry.NewSketch()
 	}
 	e.sessions[id] = s
 	return s
@@ -104,23 +99,12 @@ func (e *Engine) OpenSession(id int) *Session {
 // ID returns the session's id.
 func (s *Session) ID() int { return s.id }
 
-// Stats snapshots the session's statistics so far. The sketch summaries
-// are filled in by Close.
+// Stats snapshots the session's statistics so far.
 func (s *Session) Stats() SessionStats { return s.st }
 
 // Think records d of think time against the session's wall-clock
 // decomposition (the closed-loop pause between operations).
 func (s *Session) Think(d time.Duration) { s.st.ThinkNs += int64(d) }
-
-// Close finalizes the session's statistics (latency sketch summaries).
-// Call once the session will submit no more operations; Finish reads
-// what Close sealed.
-func (s *Session) Close() {
-	if s.wallSk != nil {
-		s.st.WallLatency = s.wallSk.Summary()
-		s.st.SimLatency = s.simSk.Summary()
-	}
-}
 
 // Exec executes one workload operation for this session: acquire the
 // op's 2PL footprint (none for a query), open the op's scope on the
@@ -355,18 +339,12 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		}
 		e.critMu.Unlock()
 	}
+	s.wall.Observe(float64(waited + service))
+	s.sim.Observe(out.CostMs)
 	if e.det != nil && e.committed.Load()%16 == 0 {
-		if e.opt.Sketches {
-			e.det.CheckLatency(e.wallSk.Quantile(0.99))
-		}
+		wall, _ := e.latency()
+		e.det.CheckLatency(wall.Quantile(0.99))
 		e.det.CheckContention(e.waitNsTot.Load(), e.wallNsTot.Load())
-	}
-	if e.opt.Sketches {
-		wallNs := float64(waited + service)
-		e.wallSk.Observe(wallNs)
-		e.simSk.Observe(out.CostMs)
-		s.wallSk.Observe(wallNs)
-		s.simSk.Observe(out.CostMs)
 	}
 
 	s.st.Ops++
@@ -379,15 +357,27 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	s.st.Counters = s.st.Counters.Add(delta)
 	s.st.WaitNs += int64(waited)
 	s.st.ServiceNs += int64(service)
-	s.latencies = append(s.latencies, int64(waited+service))
 	return out
 }
 
+// latency merges every opened session's wall and sim histograms. Safe to
+// call while sessions execute.
+func (e *Engine) latency() (wall, sim *obs.Histogram) {
+	wall, sim = obs.NewWallHistogram(), obs.NewHistogram(nil)
+	e.sessMu.Lock()
+	defer e.sessMu.Unlock()
+	for _, s := range e.sessions {
+		if s != nil {
+			wall.Merge(s.wall)
+			sim.Merge(s.sim)
+		}
+	}
+	return wall, sim
+}
+
 // Finish assembles the run's Result from the opened sessions, in
-// session-id order. Sessions should be Closed first so their sketch
-// summaries are sealed; Run does this, and a server front-end does it
-// when the world is torn down. wall is the run's elapsed wall-clock in
-// seconds, measured by whoever drove the sessions.
+// session-id order. wall is the run's elapsed wall-clock in seconds,
+// measured by whoever drove the sessions.
 func (e *Engine) Finish(wall float64) Result {
 	e.sessMu.Lock()
 	sessions := append([]*Session(nil), e.sessions...)
@@ -406,7 +396,6 @@ func (e *Engine) Finish(wall float64) Result {
 		res.Updates += st.Updates
 		res.TuplesReturned += st.Tuples
 		res.Counters = res.Counters.Add(st.Counters)
-		res.LatencyNs = append(res.LatencyNs, sess.latencies...)
 	}
 	if res.WallSec > 0 {
 		res.Throughput = float64(res.Ops) / res.WallSec
@@ -416,10 +405,8 @@ func (e *Engine) Finish(wall float64) Result {
 	if e.opt.ProfileLocks {
 		res.Contention = e.locks.Contention()
 	}
-	if e.opt.Sketches {
-		res.WallLatency = e.wallSk.Summary()
-		res.SimLatency = e.simSk.Summary()
-	}
+	wallH, simH := e.latency()
+	res.WallLatency, res.SimLatency = wallH.Summary(), simH.Summary()
 	if e.opt.CritPath {
 		e.critMu.Lock()
 		res.CritPaths = append([]OpCritPath(nil), e.crits...)

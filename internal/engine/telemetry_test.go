@@ -21,7 +21,6 @@ func fullTelemetry(clients int, rec *telemetry.Recorder) Options {
 		RecordHistory: true,
 		Recorder:      rec,
 		ProfileLocks:  true,
-		Sketches:      true,
 	}
 }
 
@@ -141,23 +140,31 @@ func TestContentionProfile(t *testing.T) {
 		t.Fatalf("no wait but share %v", share)
 	}
 
-	// Latency sketches cover every op in both domains.
+	// The merged latency histograms cover every op in both domains.
 	if res.WallLatency.Count != int64(res.Ops) || res.SimLatency.Count != int64(res.Ops) {
-		t.Fatalf("sketch counts %d/%d, want %d", res.WallLatency.Count, res.SimLatency.Count, res.Ops)
+		t.Fatalf("histogram counts %d/%d, want %d", res.WallLatency.Count, res.SimLatency.Count, res.Ops)
 	}
 	if res.SimLatency.Max <= 0 || res.WallLatency.P50 <= 0 {
-		t.Fatalf("degenerate sketches: wall=%+v sim=%+v", res.WallLatency, res.SimLatency)
+		t.Fatalf("degenerate histograms: wall=%+v sim=%+v", res.WallLatency, res.SimLatency)
 	}
-	var sessOps int64
-	for _, st := range res.Sessions {
-		sessOps += st.WallLatency.Count
-		if st.WallLatency.Count != int64(st.Ops) {
-			t.Fatalf("session %d sketch count %d, ops %d", st.Session, st.WallLatency.Count, st.Ops)
+}
+
+// TestLatencyDetectorNeedsNoOtherOption: the p99 latency detector reads
+// the sessions' always-on wall histograms, so an absurdly low threshold
+// plus a recorder — and no other option — must fire it.
+func TestLatencyDetectorNeedsNoOtherOption(t *testing.T) {
+	defer dbtest.Watchdog(t, 2*time.Minute)()
+	rec := telemetry.NewRecorder(1 << 12)
+	cfg := testConfig(costmodel.CacheInvalidate, costmodel.Model1, 13, 10, 20)
+	e := New(cfg, Options{Detect: &telemetry.Thresholds{P99WallNs: 1}, Recorder: rec})
+	e.Run(context.Background())
+	events, _ := rec.Snapshot()
+	for _, ev := range events {
+		if ev.Kind == telemetry.EvDetector && ev.Name == "p99_latency" {
+			return
 		}
 	}
-	if sessOps != int64(res.Ops) {
-		t.Fatalf("session sketch counts sum to %d, want %d", sessOps, res.Ops)
-	}
+	t.Fatalf("no p99_latency detector event among %d recorded", len(events))
 }
 
 func TestTelemetryMetricsSource(t *testing.T) {
@@ -187,7 +194,7 @@ func TestTelemetryMetricsSource(t *testing.T) {
 			t.Fatalf("lock %s wait %v, profile %v", c.Name, got, float64(c.WaitNs)/1e9)
 		}
 	}
-	// Sketch quantile gauges exist for both domains.
+	// Latency quantile gauges exist for both domains.
 	if len(byName["dbproc_op_latency_wall_ns"]) != 4 || len(byName["dbproc_op_latency_sim_ms"]) != 4 {
 		t.Fatalf("quantile gauges: %d wall, %d sim",
 			len(byName["dbproc_op_latency_wall_ns"]), len(byName["dbproc_op_latency_sim_ms"]))

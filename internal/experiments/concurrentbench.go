@@ -7,6 +7,7 @@ import (
 
 	"dbproc/internal/costmodel"
 	"dbproc/internal/engine"
+	"dbproc/internal/obs"
 	"dbproc/internal/server"
 	"dbproc/internal/sim"
 	"dbproc/internal/telemetry"
@@ -51,10 +52,6 @@ type ConcurrentBenchRow struct {
 	// Speedup is this row's throughput over the same strategy/model's
 	// one-client throughput.
 	Speedup float64 `json:"speedup_vs_1"`
-	// P50LatencyUs / P95LatencyUs are wall-clock operation latencies
-	// (lock wait + latched service) in microseconds.
-	P50LatencyUs float64 `json:"p50_latency_us"`
-	P95LatencyUs float64 `json:"p95_latency_us"`
 	// SimTotalMs is the simulated cost of the whole workload — identical
 	// across the ladder for a serializable engine executing the same
 	// committed schedule amount of work.
@@ -62,20 +59,6 @@ type ConcurrentBenchRow struct {
 	// MatchesSequential is set on one-client rows: counters, tuple counts
 	// and simulated cost equal the sequential simulator's byte for byte.
 	MatchesSequential bool `json:"matches_sequential,omitempty"`
-	// WallParallelSpeedup bounds the wall-clock speedup the latch-free
-	// substrate admits at this session count: total simulated work over
-	// the makespan of a greedy list schedule of the committed history onto
-	// Clients workers, where operations whose 2PL footprints conflict may
-	// not overlap. Unlike Speedup (which also counts overlapped think
-	// time), this isolates genuine parallel execution of operation bodies.
-	WallParallelSpeedup float64 `json:"wall_parallel_speedup,omitempty"`
-	// Projected marks rows measured on a host with fewer cores than
-	// sessions: there the measured throughput cannot corroborate
-	// WallParallelSpeedup, so the figure is the schedule bound only. A
-	// served pass clears the flag — WallServedOps is then a genuine
-	// wall-clock measurement of real concurrent clients over the wire,
-	// not a schedule projection.
-	Projected bool `json:"projected,omitempty"`
 	// WallServedOps is the measured throughput (ops per wall-clock
 	// second, wire round-trips included) of the same cell driven
 	// through procserved by concurrent database/sql clients — one
@@ -87,10 +70,11 @@ type ConcurrentBenchRow struct {
 	// across the wire.
 	ServedMatchesSequential bool `json:"served_matches_sequential,omitempty"`
 	// WallLatency / SimLatency summarize per-operation latency from the
-	// engine's streaming P² sketches: wall-clock nanoseconds (lock wait +
-	// latched service) and simulated milliseconds.
-	WallLatency telemetry.SketchSummary `json:"wall_latency"`
-	SimLatency  telemetry.SketchSummary `json:"sim_latency"`
+	// engine's histograms: wall-clock nanoseconds (lock wait + latched
+	// service) and simulated milliseconds. Each quantile is its bucket's
+	// upper edge (docs/TELEMETRY.md, "Latency histograms").
+	WallLatency obs.Summary `json:"wall_latency"`
+	SimLatency  obs.Summary `json:"sim_latency"`
 	// Contention is the run's per-lock wall-clock contention profile,
 	// sorted by total wait time descending.
 	Contention []telemetry.LockContentionJSON `json:"contention,omitempty"`
@@ -98,54 +82,6 @@ type ConcurrentBenchRow struct {
 	// row's sessions spent waiting on locks, as measured — queries read at
 	// a snapshot and take no locks, so it stays near zero.
 	AccessWaitShare float64 `json:"access_wait_share"`
-}
-
-// wallParallelSpeedup bounds the wall-clock speedup the latch-free
-// substrate could realize for a committed history on `workers` cores: a
-// greedy list schedule in commit order, where an operation may not
-// overlap any earlier operation whose 2PL footprint conflicts with its
-// own, priced in simulated milliseconds. Total work over makespan is the
-// speedup. One worker (or an empty history) trivially yields 1.
-func wallParallelSpeedup(e *engine.Engine, hist []engine.HistoryEntry, workers int) float64 {
-	if len(hist) == 0 || workers <= 1 {
-		return 1
-	}
-	fps := make([]engine.Footprint, len(hist))
-	var total float64
-	for i, he := range hist {
-		fps[i] = e.OpFootprint(he.Op)
-		total += he.CostMs
-	}
-	ends := make([]float64, len(hist))
-	free := make([]float64, workers)
-	var makespan float64
-	for i, he := range hist {
-		var ready float64
-		for j := 0; j < i; j++ {
-			if ends[j] > ready && fps[i].Conflicts(fps[j]) {
-				ready = ends[j]
-			}
-		}
-		w := 0
-		for k := 1; k < workers; k++ {
-			if free[k] < free[w] {
-				w = k
-			}
-		}
-		start := ready
-		if free[w] > start {
-			start = free[w]
-		}
-		ends[i] = start + he.CostMs
-		free[w] = ends[i]
-		if ends[i] > makespan {
-			makespan = ends[i]
-		}
-	}
-	if makespan <= 0 {
-		return 1
-	}
-	return total / makespan
 }
 
 // concurrentBenchParams is the measured workload: the paper's default
@@ -236,7 +172,6 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 					ThinkMeanMs:   think,
 					RecordHistory: true,
 					ProfileLocks:  true,
-					Sketches:      true,
 				}
 				if opt.Hub != nil {
 					eopt.Recorder = opt.Hub.Recorder()
@@ -251,16 +186,12 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 					Model:           model.String(),
 					Clients:         clients,
 					ThroughputOps:   res.Throughput,
-					P50LatencyUs:    float64(res.Percentile(50)) / float64(time.Microsecond),
-					P95LatencyUs:    float64(res.Percentile(95)) / float64(time.Microsecond),
 					SimTotalMs:      res.SimTotalMs,
 					WallLatency:     res.WallLatency,
 					SimLatency:      res.SimLatency,
 					Contention:      engine.ContentionJSON(res.Contention),
 					AccessWaitShare: e.WaitProfile().AccessWaitShare(),
 				}
-				row.WallParallelSpeedup = wallParallelSpeedup(e, res.History, clients)
-				row.Projected = clients > rep.Cores
 				// Contention cells (top rung, >1 session) get a
 				// storm-adversarial row below.
 				topRung := clients == ladder[len(ladder)-1] && clients > 1
@@ -286,9 +217,6 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 					})
 					if err == nil {
 						row.WallServedOps = sres.ThroughputOps
-						// A genuine wall measurement of real concurrent
-						// clients replaces the schedule projection.
-						row.Projected = false
 						if clients == 1 {
 							row.ServedMatchesSequential = sres.Counters == seq.Counters &&
 								sres.SimTotalMs == seq.TotalMs
@@ -308,7 +236,6 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 						ThinkMeanMs:   think,
 						RecordHistory: true,
 						ProfileLocks:  true,
-						Sketches:      true,
 					})
 					sres := se.Run(ctx)
 					srow := ConcurrentBenchRow{
@@ -317,16 +244,12 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 						Clients:         clients,
 						Scenario:        scfg.Scenario,
 						ThroughputOps:   sres.Throughput,
-						P50LatencyUs:    float64(sres.Percentile(50)) / float64(time.Microsecond),
-						P95LatencyUs:    float64(sres.Percentile(95)) / float64(time.Microsecond),
 						SimTotalMs:      sres.SimTotalMs,
 						WallLatency:     sres.WallLatency,
 						SimLatency:      sres.SimLatency,
 						Contention:      engine.ContentionJSON(sres.Contention),
 						AccessWaitShare: se.WaitProfile().AccessWaitShare(),
 					}
-					srow.WallParallelSpeedup = wallParallelSpeedup(se, sres.History, clients)
-					srow.Projected = clients > rep.Cores
 					if base > 0 {
 						srow.Speedup = sres.Throughput / base
 					}

@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"dbproc/internal/costmodel"
 	"dbproc/internal/parallel"
@@ -201,11 +200,7 @@ func scaled(p costmodel.Params, opt Options) costmodel.Params {
 // filled from the returned slice, never from completion order, so
 // Workers=1 and Workers=N render byte-identical output.
 func simCells(ctx context.Context, opt Options, cfgs []sim.Config) ([]sim.Result, error) {
-	tm := parallel.TimingsFrom(ctx)
 	return parallel.Map(ctx, parallel.Workers(opt.Workers), len(cfgs), func(ctx context.Context, i int) (sim.Result, error) {
-		start := time.Now()
-		res := sim.Run(cfgs[i])
-		tm.Observe(time.Since(start))
-		return res, nil
+		return sim.Run(cfgs[i]), nil
 	})
 }

@@ -14,8 +14,7 @@ import (
 
 // TestGoldenObsBench: the checked-in BENCH_obs.json must regenerate from
 // its own recorded (scale, seed), byte for byte as `procbench -obs-json`
-// encodes it, up to the served_latency key. That section is a wall-clock
-// measurement and varies run to run; everything before it is simulated.
+// encodes it. Every section is simulated.
 func TestGoldenObsBench(t *testing.T) {
 	defer dbtest.Watchdog(t, 4*time.Minute)()
 	data, err := os.ReadFile("../../BENCH_obs.json")
@@ -27,27 +26,20 @@ func TestGoldenObsBench(t *testing.T) {
 		t.Fatalf("BENCH_obs.json: %v", err)
 	}
 	got := ObsBench(context.Background(), Options{Scale: golden.Scale, SimSeed: golden.Seed})
-	got.ServedLatency = golden.ServedLatency // so both encodings carry the key
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(got); err != nil {
 		t.Fatal(err)
 	}
-	simulated := func(b []byte) []byte {
-		if i := bytes.Index(b, []byte(`"served_latency"`)); i >= 0 {
-			return b[:i]
-		}
-		return b
-	}
-	want, have := simulated(data), simulated(buf.Bytes())
+	want, have := data, buf.Bytes()
 	if !bytes.Equal(have, want) {
 		i := 0
 		for i < len(have) && i < len(want) && have[i] == want[i] {
 			i++
 		}
 		from := max(0, i-200)
-		t.Fatalf("BENCH_obs.json's simulated sections do not regenerate; first difference at byte %d:\n got  ...%s\n want ...%s",
+		t.Fatalf("BENCH_obs.json does not regenerate; first difference at byte %d:\n got  ...%s\n want ...%s",
 			i, have[from:min(len(have), i+200)], want[from:min(len(want), i+200)])
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -12,22 +11,16 @@ import (
 
 // ParallelBenchReport is the shape of BENCH_parallel.json: wall-clock
 // for regenerating every figure and table (simulated points included)
-// with one worker versus a full pool, a byte-identity verdict for the
-// two outputs, and pool-width projections replayed from the measured
-// per-cell durations. The projections matter on core-starved CI boxes:
-// MeasuredSpeedup can only reach min(Cores, Workers), while
-// ProjectedSpeedup reports what the same cells imply for a pool of
-// each width with real concurrency behind it.
+// with one worker versus a full pool, and a byte-identity verdict for
+// the two outputs. MeasuredSpeedup can only reach min(Cores, Workers).
 type ParallelBenchReport struct {
 	// Cores is runtime.NumCPU() — the concurrency the measured columns
 	// could actually use.
 	Cores int `json:"cores"`
 	// Workers is the pool width of the parallel pass.
 	Workers int `json:"workers"`
-	// Experiments counts the figures/tables regenerated per pass; Cells
-	// counts the simulation worlds each pass built and ran.
+	// Experiments counts the figures/tables regenerated per pass.
 	Experiments int `json:"experiments"`
-	Cells       int `json:"cells"`
 	// Scale and Seed are the simulation options both passes shared.
 	Scale float64 `json:"scale"`
 	Seed  int64   `json:"seed"`
@@ -36,16 +29,13 @@ type ParallelBenchReport struct {
 	ParallelWallMs   float64 `json:"parallel_wall_ms"`
 	// MeasuredSpeedup is SequentialWallMs / ParallelWallMs on this box.
 	MeasuredSpeedup float64 `json:"measured_speedup"`
-	// ProjectedSpeedup maps pool widths ("2", "4", "8") to the speedup the
-	// sequential pass's per-cell durations imply under greedy scheduling.
-	ProjectedSpeedup map[string]float64 `json:"projected_speedup"`
 	// OutputIdentical asserts the determinism contract: both passes
 	// rendered byte-identical tables.
 	OutputIdentical bool `json:"output_identical"`
 }
 
 // renderAll regenerates every experiment into one buffer, timing the
-// wall clock and (via ctx) every simulation cell.
+// wall clock.
 func renderAll(ctx context.Context, opt Options) (time.Duration, []byte, int) {
 	var buf bytes.Buffer
 	all := All()
@@ -59,8 +49,8 @@ func renderAll(ctx context.Context, opt Options) (time.Duration, []byte, int) {
 }
 
 // ParallelBench regenerates the full figure set twice — Workers=1, then
-// Workers=opt.Workers (default: one per CPU) — and reports wall-clock,
-// byte-identity, and projected pool speedups. It is the harness behind
+// Workers=opt.Workers (default: one per CPU) — and reports wall-clock
+// and byte-identity. It is the harness behind
 // `procbench -parallel-json BENCH_parallel.json`.
 func ParallelBench(ctx context.Context, opt Options) ParallelBenchReport {
 	if !opt.Sim {
@@ -70,8 +60,7 @@ func ParallelBench(ctx context.Context, opt Options) ParallelBenchReport {
 
 	seqOpt := opt
 	seqOpt.Workers = 1
-	seqTimings := &parallel.Timings{}
-	seqWall, seqOut, nExp := renderAll(parallel.WithTimings(ctx, seqTimings), seqOpt)
+	seqWall, seqOut, nExp := renderAll(ctx, seqOpt)
 
 	parOpt := opt
 	parOpt.Workers = workers
@@ -81,19 +70,14 @@ func ParallelBench(ctx context.Context, opt Options) ParallelBenchReport {
 		Cores:            runtime.NumCPU(),
 		Workers:          workers,
 		Experiments:      nExp,
-		Cells:            len(seqTimings.Cells()),
 		Scale:            opt.Scale,
 		Seed:             opt.SimSeed,
 		SequentialWallMs: float64(seqWall) / float64(time.Millisecond),
 		ParallelWallMs:   float64(parWall) / float64(time.Millisecond),
-		ProjectedSpeedup: make(map[string]float64),
 		OutputIdentical:  bytes.Equal(seqOut, parOut),
 	}
 	if parWall > 0 {
 		rep.MeasuredSpeedup = float64(seqWall) / float64(parWall)
-	}
-	for _, w := range []int{2, 4, 8} {
-		rep.ProjectedSpeedup[fmt.Sprintf("%d", w)] = seqTimings.ProjectedSpeedup(w)
 	}
 	return rep
 }

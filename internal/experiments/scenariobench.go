@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"dbproc/internal/cache"
 	"dbproc/internal/costmodel"
@@ -152,13 +151,10 @@ func ScenarioBench(ctx context.Context, opt Options) ScenarioBenchReport {
 		}
 	}
 
-	tm := parallel.TimingsFrom(ctx)
 	cells, err := parallel.Map(ctx, parallel.Workers(opt.Workers), len(cfgs), func(ctx context.Context, i int) (scenarioCell, error) {
-		start := time.Now()
 		cfg := cfgs[i]
 		cfg.Ledger = cache.NewLedger() // per-cell: workers must not share
 		res := sim.Run(cfg)
-		tm.Observe(time.Since(start))
 		return scenarioCell{
 			res: res, led: cfg.Ledger.Stats(), ledEvents: len(cfg.Ledger.Events()),
 		}, nil

@@ -10,14 +10,12 @@ import (
 	"dbproc/client"
 	"dbproc/internal/costmodel"
 	"dbproc/internal/metric"
-	"dbproc/internal/server"
 	"dbproc/internal/wire"
 )
 
 // ServedResult is one workload measured through procserved: the same
 // aggregate quantities an in-process engine run reports, but produced by
-// real wire round-trips — the first multi-client numbers on this
-// codebase that are measured rather than schedule-projected.
+// real wire round-trips.
 type ServedResult struct {
 	Clients int
 	Ops     int
@@ -138,168 +136,4 @@ func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*Serve
 		out.ThroughputOps = float64(stats.Ops) / wall
 	}
 	return out, nil
-}
-
-// ServedLatencyRow is one row of the served-path latency decomposition
-// in BENCH_obs.json (docs/TRACING.md): a mixed gated-statement plus
-// bench-world workload driven through traced driver connections, with
-// the driver-observed client wall split into its wire and server-side
-// shares. NetworkShare is derived time on the wire (client wall minus
-// server wall, per request); GateShare and LockWaitShare surface the
-// two served-path queueing segments — the capacity-1 statement gate and
-// the engine's lock table — as fractions of the same client wall, so
-// the 1-client and 8-client rows show where added concurrency goes.
-type ServedLatencyRow struct {
-	Clients int `json:"clients"`
-	// Requests counts traced round trips; WithServer the subset whose
-	// response carried a server breakdown (and therefore contributes to
-	// the share columns' numerators).
-	Requests   int64 `json:"requests"`
-	WithServer int64 `json:"with_server"`
-	// ClientWallMs / ServerWallMs are the summed driver-stamped and
-	// server-reported walls across all traced requests.
-	ClientWallMs  float64 `json:"client_wall_ms"`
-	ServerWallMs  float64 `json:"server_wall_ms"`
-	NetworkShare  float64 `json:"network_share"`
-	GateShare     float64 `json:"gate_share"`
-	LockWaitShare float64 `json:"lock_wait_share"`
-}
-
-// ServedLatencyBench measures the served path's latency decomposition
-// against a loopback procserved at each requested client count. Unlike
-// the report's simulated rows these are wall-clock measurements — the
-// shares vary run to run; the simulated rows stay byte-identical.
-func ServedLatencyBench(ctx context.Context, opt Options, clientCounts ...int) ([]ServedLatencyRow, error) {
-	srv := server.New(server.Options{})
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("served latency: listen: %w", err)
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}()
-	p := scaled(costmodel.Default(), opt)
-	var rows []ServedLatencyRow
-	for _, n := range clientCounts {
-		row, err := servedLatencyCell(ctx, addr, p, opt.SimSeed, n)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, *row)
-	}
-	return rows, nil
-}
-
-// servedLatencyCell drives one client count: every connection is traced,
-// so each response carries the server's exact wall partition and the
-// tracer aggregates the decomposition for free.
-func servedLatencyCell(ctx context.Context, addr string, p costmodel.Params, seed int64, clients int) (*ServedLatencyRow, error) {
-	tracer := client.NewTracer(nil)
-	control, err := client.DialTraced(addr, tracer)
-	if err != nil {
-		return nil, fmt.Errorf("served latency: dial: %w", err)
-	}
-	defer control.Close()
-
-	// Phase 1 — gated statements: the server serializes statement
-	// execution through a capacity-1 gate, so concurrent appenders
-	// accumulate GateNs in their breakdowns. A per-cell relation keeps
-	// the cells independent on the shared server database.
-	rel := fmt.Sprintf("lat%d", clients)
-	if _, err := control.Exec(ctx, fmt.Sprintf("create %s (tid, v) cluster on v", rel)); err != nil {
-		return nil, fmt.Errorf("served latency: create: %w", err)
-	}
-	const appendsPerClient = 12
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cn, err := client.DialTraced(addr, tracer)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			defer cn.Close()
-			for i := 0; i < appendsPerClient; i++ {
-				stmt := fmt.Sprintf("append to %s (tid = %d, v = %d)", rel, c*appendsPerClient+i, i)
-				if _, err := cn.Exec(ctx, stmt); err != nil {
-					errs[c] = err
-					return
-				}
-			}
-			if _, err := cn.Query(ctx, fmt.Sprintf("retrieve (%s.all)", rel), 0); err != nil {
-				errs[c] = err
-			}
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("served latency: statements: %w", err)
-		}
-	}
-
-	// Phase 2 — a hostile bench world with the critical path armed:
-	// world.next breakdowns carry the engine's lock-wait / io /
-	// recompute split, and hot-key-storm traffic makes the lock table
-	// genuinely queue once several sessions drive it (a polite workload
-	// barely contends here — each session has at most one step in
-	// flight, paced by its own wire round trips).
-	opened, err := control.WorldOpen(ctx, &wire.WorldOpen{
-		Params: p, Model: "1", Strategy: "ci",
-		Seed: seed, Clients: clients, CritPath: true,
-		Scenario: "hot-key-storm", R2UpdateFraction: 0.3,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("served latency: open world: %w", err)
-	}
-	defer control.WorldClose(context.Background(), opened.World)
-	for c := 0; c < opened.Sessions; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cn, err := client.DialTraced(addr, tracer)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			defer cn.Close()
-			for {
-				step, err := cn.WorldNext(ctx, opened.World, c)
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				if step.Done {
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("served latency: world: %w", err)
-		}
-	}
-
-	st := tracer.Stats()
-	row := &ServedLatencyRow{
-		Clients:      clients,
-		Requests:     st.Requests,
-		WithServer:   st.WithServer,
-		ClientWallMs: float64(st.ClientWallNs) / 1e6,
-		ServerWallMs: float64(st.ServerWallNs) / 1e6,
-	}
-	if st.ClientWallNs > 0 {
-		wall := float64(st.ClientWallNs)
-		row.NetworkShare = float64(st.NetworkNs) / wall
-		row.GateShare = float64(st.GateNs) / wall
-		row.LockWaitShare = float64(st.LockWaitNs) / wall
-	}
-	return row, nil
 }

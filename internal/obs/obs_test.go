@@ -198,10 +198,11 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Min() != 0.5 || h.Max() != 500 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	sum := h.Summary()
+	if sum.Min != 0.5 || sum.Max != 500 {
+		t.Fatalf("min/max = %v/%v", sum.Min, sum.Max)
 	}
-	if got := h.Mean(); math.Abs(got-111.24) > 0.01 {
+	if got := sum.Mean; math.Abs(got-111.24) > 0.01 {
 		t.Fatalf("mean = %v", got)
 	}
 	if q := h.Quantile(0.5); q != 10 { // 3rd of 5 obs is in (1,10]

@@ -154,46 +154,3 @@ func TestEmptyAndDegenerate(t *testing.T) {
 		t.Fatalf("n=1: %v %v", out, err)
 	}
 }
-
-func TestTimingsMakespan(t *testing.T) {
-	tm := &Timings{}
-	for _, d := range []time.Duration{4, 3, 2, 1, 4, 3, 2, 1} {
-		tm.Observe(d * time.Second)
-	}
-	if got := tm.Total(); got != 20*time.Second {
-		t.Fatalf("total = %v", got)
-	}
-	// One worker: makespan == total.
-	if got := tm.Makespan(1); got != 20*time.Second {
-		t.Fatalf("makespan(1) = %v", got)
-	}
-	// Greedy order 4,3,2,1,4,3,2,1 on 4 workers balances perfectly:
-	// first wave fills workers to 4,3,2,1; the mirrored second wave tops
-	// each up to 5.
-	if got := tm.Makespan(4); got != 5*time.Second {
-		t.Fatalf("makespan(4) = %v", got)
-	}
-	if s := tm.ProjectedSpeedup(4); s < 3.9 || s > 4.1 {
-		t.Fatalf("projected speedup = %v, want 4", s)
-	}
-	// More workers than cells clamps.
-	if got := tm.Makespan(100); got != 4*time.Second {
-		t.Fatalf("makespan(100) = %v", got)
-	}
-	var nilT *Timings
-	nilT.Observe(time.Second) // must not panic
-	if nilT.Total() != 0 || nilT.Makespan(4) != 0 {
-		t.Fatal("nil Timings should be inert")
-	}
-}
-
-func TestTimingsContext(t *testing.T) {
-	if TimingsFrom(context.Background()) != nil {
-		t.Fatal("empty context carried timings")
-	}
-	tm := &Timings{}
-	ctx := WithTimings(context.Background(), tm)
-	if TimingsFrom(ctx) != tm {
-		t.Fatal("timings not recovered from context")
-	}
-}

@@ -194,7 +194,7 @@ func (c *conn) writeError(code, msg string) error {
 }
 
 // finishRequest closes out one handled request: the service time feeds
-// the per-type sketch and the flight recorder, and a sampled traced
+// the per-type histogram and the flight recorder, and a sampled traced
 // request exports its server span. When the response carried a
 // breakdown the span's duration is the breakdown's WallNs — the wall
 // the segments partition exactly — rather than the slightly larger

@@ -128,10 +128,10 @@ type Server struct {
 	cancels     atomic.Int64
 	nextConnID  atomic.Int64
 
-	// Per-request-type service-time sketches (P²), indexed by frame type
-	// and always on: they feed the dbproc_server_request_seconds quantile
-	// series and the served SLO detector.
-	sketches [wire.TWorldClose + 1]*telemetry.Sketch
+	// Per-request-type service-time histograms (wall-clock ns), indexed by
+	// frame type and always on: they feed the dbproc_server_request_seconds
+	// quantile series and the served SLO detector.
+	hists [wire.TWorldClose + 1]*obs.Histogram
 
 	det *telemetry.Detectors
 }
@@ -145,8 +145,8 @@ func New(opt Options) *Server {
 		gate:  make(chan struct{}, 1),
 		conns: make(map[*conn]struct{}),
 	}
-	for typ := range s.sketches {
-		s.sketches[typ] = telemetry.NewSketch()
+	for typ := range s.hists {
+		s.hists[typ] = obs.NewWallHistogram()
 	}
 	if opt.Detect != nil {
 		s.det = telemetry.NewDetectors(*opt.Detect, opt.Recorder)
@@ -293,23 +293,23 @@ func (s *Server) TelemetryMetrics() []telemetry.Metric {
 	}
 	type named struct {
 		name string
-		sk   *telemetry.Sketch
+		h    *obs.Histogram
 	}
 	var observed []named
-	for typ, sk := range s.sketches {
-		if sk.Count() > 0 {
-			observed = append(observed, named{wire.Name(byte(typ)), sk})
+	for typ, h := range s.hists {
+		if h.Count() > 0 {
+			observed = append(observed, named{wire.Name(byte(typ)), h})
 		}
 	}
 	sort.Slice(observed, func(i, j int) bool { return observed[i].name < observed[j].name })
 	for _, o := range observed {
-		name, sk := o.name, o.sk
+		name, h := o.name, o.h
 		ms = append(ms, telemetry.Counter("dbproc_server_request_seconds_count",
-			"Requests observed by the service-time sketch.", float64(sk.Count()),
+			"Requests observed by the service-time histogram.", float64(h.Count()),
 			map[string]string{"type": name}))
-		for _, q := range sk.Quantiles() {
+		for _, q := range obs.Quantiles {
 			ms = append(ms, telemetry.Gauge("dbproc_server_request_seconds",
-				"Per-type request service time (P² estimate).", sk.Quantile(q)/1e9,
+				"Per-type request service time (histogram bucket upper edge).", h.Quantile(q)/1e9,
 				map[string]string{"type": name, "quantile": fmt.Sprintf("%g", q)}))
 		}
 	}
@@ -363,17 +363,20 @@ func (s *Server) recordCancel(connID int64, traceID string) {
 	}
 }
 
-// observe feeds one request's service time into its type's sketch and,
-// every 16th observation, tests the running p99 against the served SLO.
-// A frame type the protocol does not define has no sketch: it was
-// answered with a protocol error and the connection is closing.
+// observe feeds one request's service time into its type's histogram
+// and, every 16th observation, tests the running p99 against the served
+// SLO. A frame type the protocol does not define has no histogram: it
+// was answered with a protocol error and the connection is closing.
 func (s *Server) observe(typ byte, name string, serviceNs int64) {
-	if int(typ) >= len(s.sketches) {
+	if int(typ) >= len(s.hists) {
 		return
 	}
-	sk := s.sketches[typ]
-	sk.Observe(float64(serviceNs))
-	if n := sk.Count(); s.det != nil && n >= 16 && n%16 == 0 {
-		s.det.CheckServedLatency(name, sk.Quantile(0.99))
+	h := s.hists[typ]
+	h.Observe(float64(serviceNs))
+	if s.det == nil {
+		return
+	}
+	if n := h.Count(); n >= 16 && n%16 == 0 {
+		s.det.CheckServedP99(name, h.Quantile(0.99))
 	}
 }

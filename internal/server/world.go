@@ -42,8 +42,8 @@ type world struct {
 
 	started time.Time
 
-	// statsOnce seals the world: the first WorldStats closes every
-	// session, finishes the engine, and caches the result.
+	// statsOnce seals the world: the first WorldStats finishes the engine
+	// and caches the result.
 	statsOnce sync.Once
 	stats     *wire.WorldStatsResult
 	statsErr  *wire.Error
@@ -209,9 +209,6 @@ func (c *conn) handleWorldStats(m *wire.WorldStats) error {
 				w.semu[i].Unlock()
 			}
 		}()
-		for _, sess := range w.sessions {
-			sess.Close()
-		}
 		res := w.eng.Finish(time.Since(w.started).Seconds())
 		stats := &wire.WorldStatsResult{
 			Ops:           res.Ops,

@@ -95,9 +95,9 @@ func (d *Detectors) CheckWastedWork(wastedMs, computeMs float64) {
 		fmt.Sprintf("wasted-work ratio %.2f exceeds %.2f (%.1fms of %.1fms)", ratio, d.th.WastedWorkRatio, wastedMs, computeMs))
 }
 
-// CheckServedLatency tests one request type's running p99 service time
+// CheckServedP99 tests one request type's running p99 service time
 // (ns) against the served-path SLO.
-func (d *Detectors) CheckServedLatency(reqType string, p99Ns float64) {
+func (d *Detectors) CheckServedP99(reqType string, p99Ns float64) {
 	if d == nil || d.th.ServedP99Ns <= 0 || p99Ns <= d.th.ServedP99Ns {
 		return
 	}

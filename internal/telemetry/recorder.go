@@ -1,12 +1,13 @@
 // Package telemetry is the live ops surface of the concurrent engine: a
-// lock-free flight recorder of recent engine events, O(1)-memory P²
-// quantile sketches for operation latency, and an HTTP hub serving
-// Prometheus-text metrics, expvar, pprof and the flight-recorder tail.
+// lock-free flight recorder of recent engine events, the always-on
+// regression detectors, and an HTTP hub serving Prometheus-text metrics,
+// expvar, pprof and the flight-recorder tail. Latency quantiles come
+// from obs.Histogram.
 //
 // Unlike package obs — which measures *simulated* milliseconds and is
 // exactly reproducible per seed — this package observes the *running
 // process*: wall-clock waits and holds, sessions in flight, goroutines.
-// Every entry point is nil-safe, so a disabled recorder or sketch costs
+// Every entry point is nil-safe, so a disabled recorder or detector costs
 // one nil check at each instrumentation site and the zero-telemetry
 // engine path stays at its pre-telemetry cost.
 //

@@ -433,7 +433,7 @@ func TraceOf(msg any) *TraceContext {
 }
 
 // Name returns the short request name used for span names, flight
-// events and the per-type latency sketches ("stmt", "world.next", ...).
+// events and the per-type latency histograms ("stmt", "world.next", ...).
 func Name(typ byte) string {
 	switch typ {
 	case TPing:

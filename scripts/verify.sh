@@ -94,8 +94,14 @@ GOMAXPROCS=4 go test -race -count=3 \
 # validate-before-allocate and allocation guards (internal/wire), an
 # empty round trip's allocations end to end, and the frame batching rule:
 # a batch never overflows its frame, and a result that fits in one frame
-# costs one request.
+# costs one request. Every request type's service time and every engine
+# op lands in an obs.Histogram, so its guards ride here too: the stated
+# one-bucket bound, exact merging, observers racing a scraper, and the
+# p99 detector firing with no option but Detect set.
 GOMAXPROCS=4 go test -race -count=3 ./internal/server
+GOMAXPROCS=4 go test -race -count=3 \
+    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption' \
+    ./internal/obs/ ./internal/engine/
 GOMAXPROCS=4 go test -count=1 \
     -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
     ./internal/wire/ ./client/
