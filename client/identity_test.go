@@ -132,7 +132,7 @@ func TestServedIdentity(t *testing.T) {
 			}
 			// ...and against the in-process engine: same committed
 			// history, byte-identical ledger.
-			if want := server.HistoryDigest(local.History); stats.HistoryDigest != want {
+			if want := engine.HistoryDigest(local.History); stats.HistoryDigest != want {
 				t.Fatalf("history digest %s, in-process %s", stats.HistoryDigest, want)
 			}
 			if !bytes.Equal(stats.Ledger, localLedger.Bytes()) {

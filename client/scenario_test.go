@@ -53,7 +53,7 @@ func TestServedScenarioSmoke(t *testing.T) {
 		t.Fatalf("served op mix %d/%d, sequential %d/%d",
 			res.Queries, res.Updates, seq.Queries, seq.Updates)
 	}
-	if want := server.HistoryDigest(local.History); res.HistoryDigest != want {
+	if want := engine.HistoryDigest(local.History); res.HistoryDigest != want {
 		t.Fatalf("served scenario history digest %s, in-process %s", res.HistoryDigest, want)
 	}
 	drained(t, srv, false)

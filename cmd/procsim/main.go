@@ -540,13 +540,8 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 		var critNs map[string]int64
 		var blockers []blockerJSON
 		if critpath {
-			critNs = map[string]int64{"lock_wait": 0, "io": 0, "recompute": 0, "compute": 0}
-			for _, cp := range res.CritPaths {
-				critNs["lock_wait"] += cp.WaitNs
-				critNs["io"] += cp.IONs
-				critNs["recompute"] += cp.RecomputeNs
-				critNs["compute"] += cp.ComputeNs
-			}
+			critNs = map[string]int64{"lock_wait": res.SegWaitNs, "io": res.SegIONs,
+				"recompute": res.SegRecomputeNs, "compute": res.SegComputeNs}
 			for _, b := range res.TopBlockers {
 				blockers = append(blockers, blockerJSON{
 					Lock: b.Lock, HolderSession: b.HolderSession, HolderOp: b.HolderOp,

@@ -25,7 +25,7 @@ func TestCritPathSumsToWall(t *testing.T) {
 		t.Run(fmt.Sprintf("%v", strat), func(t *testing.T) {
 			cfg := testConfig(strat, costmodel.Model1, 90210, 32, 48)
 			cfg.Ledger = cache.NewLedger()
-			e := New(cfg, Options{Clients: 8, CritPath: true})
+			e := New(cfg, Options{Clients: 8, CritPath: true, RecordHistory: true})
 
 			// Organic collisions are scheduler-dependent (on one CPU,
 			// sub-millisecond ops essentially never overlap), so force
@@ -45,7 +45,9 @@ func TestCritPathSumsToWall(t *testing.T) {
 				t.Fatalf("%d crit paths for %d ops", len(res.CritPaths), res.Ops)
 			}
 			waited := false
+			var wait, io, recompute, compute int64
 			for _, cp := range res.CritPaths {
+				wait, io, recompute, compute = wait+cp.WaitNs, io+cp.IONs, recompute+cp.RecomputeNs, compute+cp.ComputeNs
 				if sum := cp.WaitNs + cp.IONs + cp.RecomputeNs + cp.ComputeNs; sum != cp.WallNs {
 					t.Fatalf("seq %d: segments sum to %d, wall %d", cp.Seq, sum, cp.WallNs)
 				}
@@ -73,6 +75,12 @@ func TestCritPathSumsToWall(t *testing.T) {
 			}
 			if !waited {
 				t.Fatal("run produced no lock waits despite the holdout; property vacuous")
+			}
+			// The totals are what a run without per-op records reports
+			// (procsim -critpath): they must be the per-op sums exactly.
+			if res.SegWaitNs != wait || res.SegIONs != io || res.SegRecomputeNs != recompute || res.SegComputeNs != compute {
+				t.Fatalf("segment totals wait %d io %d recompute %d compute %d, per-op sums %d %d %d %d",
+					res.SegWaitNs, res.SegIONs, res.SegRecomputeNs, res.SegComputeNs, wait, io, recompute, compute)
 			}
 			if len(res.TopBlockers) == 0 {
 				t.Fatal("waits occurred but TopBlockers is empty")

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -67,4 +69,59 @@ func Digest(tuples [][]byte) []byte {
 	binary.LittleEndian.PutUint64(out[8:], s1)
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(tuples)))
 	return out
+}
+
+// historyDigest is the running digest of a committed history: the commit
+// step folds each op in, in commit order, under the commit mutex. It
+// covers what identifies a committed op and what it returned — sequence,
+// session, kind, procedure, workload index, tuple count, the bits of the
+// simulated cost and the result digest — and mixes them two words per
+// step into both lanes, as Digest mixes a tuple. Unlike Digest it chains:
+// each step reads the lanes the last one left, so the same ops in another
+// order fold to another digest. It formats nothing and allocates nothing,
+// so an engine can digest a history of any length while keeping none of
+// it; HistoryDigest replays the same fold over a recorded history.
+type historyDigest struct{ h0, h1, n uint64 }
+
+func newHistoryDigest() historyDigest { return historyDigest{h0: dk0, h1: dk3} }
+
+// add folds one committed op in.
+func (d *historyDigest) add(he *HistoryEntry) {
+	h0, h1 := step(d.h0, d.h1, uint64(he.Seq), uint64(he.Session))
+	h0, h1 = step(h0, h1, uint64(he.Op.Kind), uint64(he.Op.ProcID))
+	h0, h1 = step(h0, h1, uint64(he.Op.Index), uint64(he.Tuples))
+	h0, h1 = step(h0, h1, math.Float64bits(he.CostMs), uint64(len(he.Result)))
+	r := he.Result
+	for len(r) >= 16 {
+		h0, h1 = step(h0, h1, binary.LittleEndian.Uint64(r), binary.LittleEndian.Uint64(r[8:]))
+		r = r[16:]
+	}
+	if len(r) > 0 {
+		// The zero padding is unambiguous because the length is folded too.
+		var tail [16]byte
+		copy(tail[:], r)
+		h0, h1 = step(h0, h1, binary.LittleEndian.Uint64(tail[:]), binary.LittleEndian.Uint64(tail[8:]))
+	}
+	d.h0, d.h1 = h0, h1
+	d.n++
+}
+
+// String renders both lanes and the op count in hex.
+func (d historyDigest) String() string {
+	return fmt.Sprintf("%016x%016x%016x", d.h0, d.h1, d.n)
+}
+
+// HistoryDigest replays the running fold over a recorded history, in
+// slice order: for the history a run recorded under
+// Options.RecordHistory it equals that run's Result.HistoryDigest. A
+// served run and an in-process run that committed identical histories
+// report identical digests, which is how the identity tests compare them
+// without shipping the history over the wire. Like Digest it is a
+// comparison within one build, not a stored format.
+func HistoryDigest(h []HistoryEntry) string {
+	d := newHistoryDigest()
+	for i := range h {
+		d.add(&h[i])
+	}
+	return d.String()
 }

@@ -2,10 +2,18 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
+
+	"dbproc/internal/costmodel"
+	"dbproc/internal/dbtest"
+	"dbproc/internal/workload"
 )
 
 // referenceDigest is Digest's previous definition, kept as the reference
@@ -140,6 +148,118 @@ func TestDigestAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { Digest(tuples) }); n > 1 {
 		t.Fatalf("Digest of 100 tuples made %.0f allocations, want 1", n)
+	}
+}
+
+// TestHistoryDigestReplaysTheFold: the digest a run folds at commit is
+// the one HistoryDigest replays from the run's recorded history, for
+// every strategy, Adaptive included, with one session and with four. A
+// one-session run commits a deterministic history, so keeping no history
+// must leave its digest unchanged too.
+func TestHistoryDigestReplaysTheFold(t *testing.T) {
+	defer dbtest.Watchdog(t, 2*time.Minute)()
+	type world struct {
+		name     string
+		strat    costmodel.Strategy
+		adaptive bool
+	}
+	worlds := []world{{"adaptive", costmodel.CacheInvalidate, true}}
+	for _, s := range allStrategies {
+		worlds = append(worlds, world{s.String(), s, false})
+	}
+	for _, w := range worlds {
+		for _, clients := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/clients=%d", w.name, clients), func(t *testing.T) {
+				cfg := testConfig(w.strat, costmodel.Model2, 23, 12, 28)
+				cfg.Adaptive = w.adaptive
+				res := New(cfg, Options{Clients: clients, RecordHistory: true}).Run(context.Background())
+				if len(res.History) != res.Ops || res.Ops != 40 {
+					t.Fatalf("history holds %d entries for %d ops, want 40", len(res.History), res.Ops)
+				}
+				if got := HistoryDigest(res.History); got != res.HistoryDigest {
+					t.Fatalf("replayed digest %s, folded at commit %s", got, res.HistoryDigest)
+				}
+				if clients > 1 {
+					return
+				}
+				bare := New(cfg, Options{Clients: 1}).Run(context.Background())
+				if len(bare.History) != 0 {
+					t.Fatalf("a run without RecordHistory kept %d entries", len(bare.History))
+				}
+				if bare.HistoryDigest != res.HistoryDigest {
+					t.Fatalf("digest without a recorded history %s, with %s", bare.HistoryDigest, res.HistoryDigest)
+				}
+			})
+		}
+	}
+}
+
+// foldHistory is a short recorded history with every field the digest
+// covers set and distinct across entries.
+func foldHistory(t *testing.T) []HistoryEntry {
+	t.Helper()
+	cfg := testConfig(costmodel.CacheInvalidate, costmodel.Model1, 31, 4, 8)
+	h := New(cfg, Options{Clients: 1, RecordHistory: true}).Run(context.Background()).History
+	for i := 1; i < len(h); i++ {
+		if h[i].Op.Kind == workload.Query && h[i-1].Op.Kind == workload.Query && h[i].CostMs != h[i-1].CostMs {
+			return h
+		}
+	}
+	t.Fatal("the history has no two adjacent queries of different cost")
+	return nil
+}
+
+// TestHistoryDigestIsOrderSensitive: the same committed ops in another
+// order are another history. A commutative fold (a per-entry sum, say)
+// would miss the swap.
+func TestHistoryDigestIsOrderSensitive(t *testing.T) {
+	h := foldHistory(t)
+	want := HistoryDigest(h)
+	for i := 1; i < len(h); i++ {
+		sw := append([]HistoryEntry(nil), h...)
+		sw[i-1], sw[i] = sw[i], sw[i-1]
+		if HistoryDigest(sw) == want {
+			t.Fatalf("swapping entries %d and %d left the digest at %s", i-1, i, want)
+		}
+	}
+}
+
+// TestHistoryDigestCoversEveryField: changing any one covered field of
+// any one entry changes the digest — the simulated cost by a single ulp
+// included, since the fold takes its bits, not a rounding of them — and
+// folding an entry allocates nothing.
+func TestHistoryDigestCoversEveryField(t *testing.T) {
+	h := foldHistory(t)
+	want := HistoryDigest(h)
+	edits := map[string]func(*HistoryEntry){
+		"seq":     func(he *HistoryEntry) { he.Seq++ },
+		"session": func(he *HistoryEntry) { he.Session++ },
+		"kind":    func(he *HistoryEntry) { he.Op.Kind ^= 1 },
+		"proc":    func(he *HistoryEntry) { he.Op.ProcID++ },
+		"index":   func(he *HistoryEntry) { he.Op.Index++ },
+		"tuples":  func(he *HistoryEntry) { he.Tuples++ },
+		"cost":    func(he *HistoryEntry) { he.CostMs = math.Nextafter(he.CostMs, math.Inf(1)) },
+		"result": func(he *HistoryEntry) {
+			he.Result = append([]byte(nil), he.Result...)
+			if len(he.Result) == 0 {
+				he.Result = []byte{0}
+			} else {
+				he.Result[len(he.Result)-1] ^= 1
+			}
+		},
+	}
+	for name, edit := range edits {
+		for i := range h {
+			ed := append([]HistoryEntry(nil), h...)
+			edit(&ed[i])
+			if HistoryDigest(ed) == want {
+				t.Fatalf("editing the %s of entry %d left the digest at %s", name, i, want)
+			}
+		}
+	}
+	d := newHistoryDigest()
+	if n := testing.AllocsPerRun(100, func() { d.add(&h[0]) }); n != 0 {
+		t.Fatalf("folding one entry made %.0f allocations, want 0", n)
 	}
 }
 

@@ -37,9 +37,12 @@ type Options struct {
 	// slow-consumer scaling divides the session's rate the way it
 	// multiplies closed-loop think time.
 	ArrivalRatePerSec float64
-	// RecordHistory retains a HistoryEntry per operation (the
-	// serializability oracle's input). Off, the engine keeps only
-	// aggregate statistics.
+	// RecordHistory retains the per-operation records: a HistoryEntry per
+	// operation (the oracles' input) and, under CritPath, an OpCritPath
+	// per operation. It is the only option that keeps anything per
+	// operation. Off, the engine keeps aggregate statistics and the
+	// running history digest, so its memory does not grow with the
+	// number of operations it commits.
 	RecordHistory bool
 	// Tracer, when non-nil, records one obs span per operation, named
 	// session.query / session.update and tagged with the session id and
@@ -63,7 +66,8 @@ type Options struct {
 	// exactly — the four segments sum bit-exactly to the op's recorded
 	// wall time — into lock-wait, I/O, cache-miss recompute, and compute,
 	// and each lock wait carries a blame edge naming the session/op that
-	// held the lock. Results land in Result.CritPaths/TopBlockers, on
+	// held the lock. Results land in Result's segment totals and
+	// TopBlockers (and, under RecordHistory, Result.CritPaths), on
 	// /metrics (dbproc_critpath_seconds_total, dbproc_blame_*), in flight
 	// EvLockAcquire details, and as blame attributes on operation spans.
 	// Implies ProfileLocks.
@@ -137,6 +141,9 @@ type Result struct {
 	// History is the committed operation history in commit order; empty
 	// unless Options.RecordHistory.
 	History []HistoryEntry
+	// HistoryDigest is the running digest every commit folds into, set
+	// whether or not History is kept: HistoryDigest(History) equals it.
+	HistoryDigest string
 	// Contention is the lock table's wall-clock contention profile,
 	// sorted by total wait time; empty unless Options.ProfileLocks.
 	Contention []LockContention
@@ -146,8 +153,12 @@ type Result struct {
 	WallLatency obs.Summary
 	SimLatency  obs.Summary
 	// CritPaths is every committed op's wall-time decomposition in commit
-	// order; empty unless Options.CritPath.
+	// order; empty unless both Options.CritPath and Options.RecordHistory.
 	CritPaths []OpCritPath
+	// SegWaitNs, SegIONs, SegRecomputeNs and SegComputeNs total the four
+	// critical-path segments over every committed op; zero unless
+	// Options.CritPath.
+	SegWaitNs, SegIONs, SegRecomputeNs, SegComputeNs int64
 	// TopBlockers aggregates blame edges by (lock, holder), sorted by
 	// total wait descending; empty unless Options.CritPath.
 	TopBlockers []BlockerStat
@@ -208,14 +219,15 @@ type Engine struct {
 	locks *LockTable
 	costs metric.Costs
 
-	// commitMu orders commits: the sequence counter, the history append,
-	// the aggregate merge and span adoption form one atomic commit step,
-	// taken while the operation's 2PL footprint is still held. Nothing
-	// else runs under it — operation bodies execute in parallel against
-	// the shared substrate (immutable page images, subsystem mutexes),
-	// with the lock table providing logical isolation.
+	// commitMu orders commits: the sequence counter, the history digest
+	// fold (and append), the aggregate merge and span adoption form one
+	// atomic commit step, taken while the operation's 2PL footprint is
+	// still held. Nothing else runs under it — operation bodies execute in
+	// parallel against the shared substrate (immutable page images,
+	// subsystem mutexes), with the lock table providing logical isolation.
 	commitMu sync.Mutex
 	seq      int
+	histDig  historyDigest
 	hist     []HistoryEntry
 	// digest is Digest; a test substitutes a wrapper to observe where in
 	// Exec a result is digested.
@@ -242,9 +254,10 @@ type Engine struct {
 	phaseNames []string
 	phaseOps   []atomic.Int64
 
-	// Critical-path state (Options.CritPath): per-op decompositions and
-	// the blame aggregation behind critMu; per-segment wall totals as
-	// atomics so a live scrape reads them without the mutex.
+	// Critical-path state (Options.CritPath): the blame aggregation and,
+	// under RecordHistory, the per-op decompositions behind critMu;
+	// per-segment wall totals as atomics so a live scrape reads them
+	// without the mutex.
 	critMu   sync.Mutex
 	crits    []OpCritPath
 	blockers map[blockerKey]*BlockerStat
@@ -292,7 +305,7 @@ func New(cfg sim.Config, opt Options) *Engine {
 	}
 	w := sim.Build(cfg)
 	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest,
-		updateFP: updateFootprint(), gcFP: gcFootprint()}
+		histDig: newHistoryDigest(), updateFP: updateFootprint(), gcFP: gcFootprint()}
 	e.sessions = make([]*Session, opt.Clients)
 	if opt.ProfileLocks {
 		e.locks.EnableProfiling()
@@ -410,16 +423,16 @@ func gcFootprint() Footprint {
 }
 
 // Run executes the world's workload across Options.Clients sessions: the
-// canonical operation stream is dealt round-robin to the sessions, each
-// session submits its operations in order — closed loop with think times
-// by default, or open loop at pre-drawn Poisson arrival instants when
-// Options.ArrivalRatePerSec is set — and every operation executes
-// atomically under its lock footprint. The run ends when every session
-// drains or ctx is cancelled.
+// canonical operation stream is dealt round-robin to the sessions in
+// place — session i of n executes ops i, i+n, i+2n, … of the one slice,
+// in that order, which is how a served world deals too — closed loop with
+// think times by default, or open loop at pre-drawn Poisson arrival
+// instants when Options.ArrivalRatePerSec is set, and every operation
+// executes atomically under its lock footprint. The run ends when every
+// session drains or ctx is cancelled.
 func (e *Engine) Run(ctx context.Context) Result {
 	ops := e.w.WorkloadOps()
 	n := e.opt.Clients
-	perSession := Deal(ops, n)
 	if e.opt.RecordHistory {
 		e.hist = make([]HistoryEntry, 0, len(ops))
 	}
@@ -442,9 +455,10 @@ func (e *Engine) Run(ctx context.Context) Result {
 				e.opt.ArrivalRatePerSec/sched.ThinkScale(s))
 		}
 		wg.Add(1)
-		go func(sess *Session, myOps []workload.Op) {
+		go func(sess *Session) {
 			defer wg.Done()
-			for _, op := range myOps {
+			for i := sess.id; i < len(ops); i += n {
+				op := ops[i]
 				if arrive != nil {
 					if d := time.Until(start.Add(arrive.Next())); d > 0 {
 						sess.Think(d)
@@ -470,7 +484,7 @@ func (e *Engine) Run(ctx context.Context) Result {
 					}
 				}
 			}
-		}(sess, perSession[s])
+		}(sess)
 	}
 	wg.Wait()
 	return e.Finish(time.Since(start).Seconds())

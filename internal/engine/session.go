@@ -43,8 +43,8 @@ type Session struct {
 type OpOutcome struct {
 	Seq    int
 	Tuples int
-	// Digest is the canonical query-result digest; nil for updates and
-	// when Options.RecordHistory is off.
+	// Digest is the canonical query-result digest: always set for
+	// queries, nil for updates.
 	Digest []byte
 	// CostMs is the op's simulated cost (the session meter's delta priced
 	// at the run's cost constants).
@@ -54,22 +54,6 @@ type OpOutcome struct {
 	IONs        int64
 	RecomputeNs int64
 	ComputeNs   int64
-}
-
-// Deal splits the canonical operation stream round-robin across n
-// sessions — op i goes to session i mod n, preserving each session's
-// program order. Run deals this way, and a served bench harness must
-// deal identically for a served run to commit the same per-session
-// streams (docs/SERVING.md).
-func Deal(ops []workload.Op, n int) [][]workload.Op {
-	if n < 1 {
-		n = 1
-	}
-	per := make([][]workload.Op, n)
-	for i, op := range ops {
-		per[i%n] = append(per[i%n], op)
-	}
-	return per
 }
 
 // OpenSession opens session id (0 <= id < Options.Clients); each id may
@@ -110,8 +94,8 @@ func (s *Session) Think(d time.Duration) { s.st.ThinkNs += int64(d) }
 // op's 2PL footprint (none for a query), open the op's scope on the
 // session's private pager — a snapshot read, or the update epoch — run
 // the operation body in it, and commit — sequence draw, epoch publish,
-// span adoption, aggregate merge and history append form one atomic
-// step, taken while the footprint is still held. This is the loop body
+// span adoption, aggregate merge and history fold form one atomic step,
+// taken while the footprint is still held. This is the loop body
 // of Run, exported so a wire front-end can submit a session's operations
 // one at a time.
 func (s *Session) Exec(op workload.Op) OpOutcome {
@@ -179,20 +163,21 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		RecomputeNs: recomputeNs,
 	}
 
-	// The history digest reads the whole result — here, while the
+	// The result digest reads the whole result — here, while the
 	// borrowed tuples are valid: before the scope closes below, after which
 	// version GC may hand the images they point into to an update. It is
-	// a pure function of it, so it is computed here and only stored under
+	// a pure function of it, so it is computed here and only folded under
 	// the commit mutex: a large result must not extend every other
 	// session's commit.
-	if e.opt.RecordHistory && op.Kind == workload.Query {
+	if op.Kind == workload.Query {
 		out.Digest = e.digest(r.Tuples)
 	}
 
 	// Commit: draw the sequence, adopt the operation's span, merge the
-	// session's cost delta into the run aggregate and append the history
-	// entry — one atomic step, taken while the 2PL footprint is still
-	// held so commit order serializes conflicting operations.
+	// session's cost delta into the run aggregate and fold the history
+	// entry into the running digest (keeping it under RecordHistory) — one
+	// atomic step, taken while the 2PL footprint is still held so commit
+	// order serializes conflicting operations.
 	e.commitMu.Lock()
 	seq := e.seq
 	e.seq++
@@ -240,14 +225,15 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		}
 	}
 	e.agg.AddBreakdown(deltaBd)
+	he := HistoryEntry{Session: s.id, Seq: seq, Op: op, CostMs: out.CostMs, Snap: snap}
+	if update {
+		he.Update = r.Update
+	} else {
+		he.Result = out.Digest
+		he.Tuples = len(r.Tuples)
+	}
+	e.histDig.add(&he)
 	if e.opt.RecordHistory {
-		he := HistoryEntry{Session: s.id, Seq: seq, Op: op, CostMs: out.CostMs, Snap: snap}
-		if update {
-			he.Update = r.Update
-		} else {
-			he.Result = out.Digest
-			he.Tuples = len(r.Tuples)
-		}
 		e.hist = append(e.hist, he)
 	}
 	e.commitMu.Unlock()
@@ -326,7 +312,9 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		e.segRecompute.Add(cp.RecomputeNs)
 		e.segCompute.Add(cp.ComputeNs)
 		e.critMu.Lock()
-		e.crits = append(e.crits, cp)
+		if e.opt.RecordHistory {
+			e.crits = append(e.crits, cp)
+		}
 		for _, b := range cp.Blame {
 			k := blockerKey{b.Lock, b.HolderSession, b.HolderOp}
 			bs := e.blockers[k]
@@ -401,7 +389,10 @@ func (e *Engine) Finish(wall float64) Result {
 		res.Throughput = float64(res.Ops) / res.WallSec
 	}
 	res.SimTotalMs = res.Counters.Milliseconds(e.costs)
+	e.commitMu.Lock()
 	res.History = e.hist
+	res.HistoryDigest = e.histDig.String()
+	e.commitMu.Unlock()
 	if e.opt.ProfileLocks {
 		res.Contention = e.locks.Contention()
 	}
@@ -412,6 +403,8 @@ func (e *Engine) Finish(wall float64) Result {
 		res.CritPaths = append([]OpCritPath(nil), e.crits...)
 		e.critMu.Unlock()
 		sort.Slice(res.CritPaths, func(i, j int) bool { return res.CritPaths[i].Seq < res.CritPaths[j].Seq })
+		res.SegWaitNs, res.SegIONs = e.segWait.Load(), e.segIO.Load()
+		res.SegRecomputeNs, res.SegComputeNs = e.segRecompute.Load(), e.segCompute.Load()
 		res.TopBlockers = e.TopBlockers(0)
 	}
 	if e.det != nil {

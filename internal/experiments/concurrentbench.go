@@ -66,8 +66,9 @@ type ConcurrentBenchRow struct {
 	WallServedOps float64 `json:"wall_served_ops_per_sec,omitempty"`
 	// ServedMatchesSequential is set on served 1-client rows: the
 	// served world's counters and simulated cost equal the sequential
-	// simulator's byte for byte, extending the MatchesSequential anchor
-	// across the wire.
+	// simulator's byte for byte, and its history digest equals the
+	// in-process 1-client run's, extending the MatchesSequential anchor
+	// across the wire to the commit stream itself.
 	ServedMatchesSequential bool `json:"served_matches_sequential,omitempty"`
 	// WallLatency / SimLatency summarize per-operation latency from the
 	// engine's histograms: wall-clock nanoseconds (lock wait + latched
@@ -168,10 +169,9 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 					return rep
 				}
 				eopt := engine.Options{
-					Clients:       clients,
-					ThinkMeanMs:   think,
-					RecordHistory: true,
-					ProfileLocks:  true,
+					Clients:      clients,
+					ThinkMeanMs:  think,
+					ProfileLocks: true,
 				}
 				if opt.Hub != nil {
 					eopt.Recorder = opt.Hub.Recorder()
@@ -219,7 +219,8 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 						row.WallServedOps = sres.ThroughputOps
 						if clients == 1 {
 							row.ServedMatchesSequential = sres.Counters == seq.Counters &&
-								sres.SimTotalMs == seq.TotalMs
+								sres.SimTotalMs == seq.TotalMs &&
+								sres.HistoryDigest == res.HistoryDigest
 						}
 					}
 				}
@@ -232,10 +233,9 @@ func ConcurrentBench(ctx context.Context, opt Options) ConcurrentBenchReport {
 					scfg := cfg
 					scfg.Scenario = "storm-adversarial"
 					se := engine.New(scfg, engine.Options{
-						Clients:       clients,
-						ThinkMeanMs:   think,
-						RecordHistory: true,
-						ProfileLocks:  true,
+						Clients:      clients,
+						ThinkMeanMs:  think,
+						ProfileLocks: true,
 					})
 					sres := se.Run(ctx)
 					srow := ConcurrentBenchRow{

@@ -31,8 +31,9 @@ type ServedResult struct {
 	// to sim.Run on the same Config.
 	SimTotalMs float64
 	Counters   metric.Counters
-	// HistoryDigest canonically hashes the committed history
-	// (server.HistoryDigest), comparable against an in-process run.
+	// HistoryDigest is the served world's running history digest
+	// (engine.Result.HistoryDigest): equal to an in-process run's when
+	// both committed the same history.
 	HistoryDigest string
 }
 

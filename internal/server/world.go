@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -17,24 +15,28 @@ import (
 )
 
 // world is one served bench world: an engine with its sessions opened up
-// front and the canonical workload dealt round-robin across them, so a
-// served run commits the same per-session operation streams as
-// engine.Run with the same client count — and, with one session, the
-// same byte stream as sim.Run.
+// front and the canonical workload dealt round-robin across them in
+// place, exactly as engine.Run deals it, so a served run commits the same
+// per-session operation streams as engine.Run with the same client count
+// — and, with one session, the same byte stream as sim.Run. A world holds
+// the canonical stream, the engine's aggregates and its running history
+// digest; nothing it keeps grows with the steps it serves.
 type world struct {
 	id  int
 	cfg sim.Config
 	eng *engine.Engine
 
 	sessions []*engine.Session
-	ops      [][]workload.Op
+	// ops is the canonical stream; session i executes ops i, i+n, i+2n, …
+	// for n sessions.
+	ops []workload.Op
 	// scenario and phases label steps with the workload phase they
 	// belong to; both stay empty on polite (scenario-less) workloads so
 	// a polite served run's frames are byte-identical to before phases
 	// existed.
 	scenario string
 	phases   []string
-	// pos[i] is session i's next operation; semu[i] serializes the
+	// pos[i] is session i's next index into ops; semu[i] serializes the
 	// session (a session is single-submitter by contract, but wire
 	// clients may race — TryLock maps the race to CodeBusy).
 	pos  []int
@@ -102,22 +104,26 @@ func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
 	}
 
 	eng := engine.New(cfg, engine.Options{
-		Clients:       clients,
-		RecordHistory: true,
-		CritPath:      m.CritPath,
-		Recorder:      c.srv.opt.Recorder,
+		Clients:  clients,
+		CritPath: m.CritPath,
+		Recorder: c.srv.opt.Recorder,
 	})
 	w := &world{
 		cfg:      cfg,
 		eng:      eng,
 		sessions: make([]*engine.Session, clients),
-		ops:      engine.Deal(eng.World().WorkloadOps(), clients),
+		ops:      eng.World().WorkloadOps(),
 		pos:      make([]int, clients),
 		semu:     make([]sync.Mutex, clients),
 		started:  time.Now(),
 	}
+	// Session i's share of the stream is the ops at i, i+n, …: there are
+	// ceil((len(ops)-i)/n) of them.
+	counts := make([]int, clients)
 	for i := 0; i < clients; i++ {
 		w.sessions[i] = eng.OpenSession(i)
+		w.pos[i] = i
+		counts[i] = (len(w.ops) - i + clients - 1) / clients
 	}
 	if sched := eng.World().Schedule(); sched != nil && sched.Scenario != "" {
 		w.scenario = sched.Scenario
@@ -128,11 +134,6 @@ func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
 
 	w.id = int(c.srv.nextWorld.Add(1))
 	c.srv.worlds.Store(w.id, w)
-
-	counts := make([]int, clients)
-	for i, per := range w.ops {
-		counts[i] = len(per)
-	}
 	return c.write(wire.TWorldOpened, &wire.WorldOpened{World: w.id, Sessions: clients, Ops: counts})
 }
 
@@ -161,11 +162,11 @@ func (s *Server) worldNext(id, session int) (*wire.WorldStep, *wire.Error) {
 	if w.stats != nil {
 		return nil, &wire.Error{Code: wire.CodeExec, Msg: fmt.Sprintf("world %d already finished", id)}
 	}
-	if w.pos[session] >= len(w.ops[session]) {
+	if w.pos[session] >= len(w.ops) {
 		return &wire.WorldStep{Done: true}, nil
 	}
-	op := w.ops[session][w.pos[session]]
-	w.pos[session]++
+	op := w.ops[w.pos[session]]
+	w.pos[session] += len(w.sessions)
 	out := w.sessions[session].Exec(op)
 	step := &wire.WorldStep{
 		Seq:         out.Seq,
@@ -217,7 +218,7 @@ func (c *conn) handleWorldStats(m *wire.WorldStats) error {
 			Tuples:        res.TuplesReturned,
 			SimTotalMs:    res.SimTotalMs,
 			Counters:      res.Counters,
-			HistoryDigest: HistoryDigest(res.History),
+			HistoryDigest: res.HistoryDigest,
 		}
 		if w.cfg.Ledger != nil {
 			var buf bytes.Buffer
@@ -246,19 +247,4 @@ func (c *conn) handleWorldClose(m *wire.WorldClose) error {
 		c.srv.nWorlds.Add(-1)
 	}
 	return c.write(wire.TOK, &wire.OK{})
-}
-
-// HistoryDigest canonically hashes a committed history: one line per
-// entry in commit order covering session, sequence, op identity, tuple
-// count, simulated cost, and the query-result digest. A served run and
-// an in-process run that committed identical histories produce identical
-// digests, which is how the end-to-end identity test compares them
-// without shipping the whole history over the wire.
-func HistoryDigest(h []engine.HistoryEntry) string {
-	sum := sha256.New()
-	for _, e := range h {
-		fmt.Fprintf(sum, "%d %d %d %d %d %d %.6f %x\n",
-			e.Seq, e.Session, int(e.Op.Kind), e.Op.ProcID, e.Op.Index, e.Tuples, e.CostMs, e.Result)
-	}
-	return hex.EncodeToString(sum.Sum(nil))
 }

@@ -399,8 +399,9 @@ type WorldStatsResult struct {
 	// quantities the identity test compares against sim.Run.
 	SimTotalMs float64         `json:"sim_total_ms"`
 	Counters   metric.Counters `json:"counters"`
-	// HistoryDigest hashes the committed history in commit order
-	// (session, seq, op kind, proc, result digest, tuple count, cost).
+	// HistoryDigest is the world engine's running digest of the committed
+	// history in commit order (session, seq, op kind, proc, index, result
+	// digest, tuple count, cost): engine.Result.HistoryDigest.
 	HistoryDigest string `json:"history_digest,omitempty"`
 	// Ledger is the cache-efficacy ledger serialized by
 	// cache.WriteLedger; nil unless WorldOpen.Ledger.

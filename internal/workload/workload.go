@@ -12,7 +12,7 @@ import (
 )
 
 // Kind distinguishes the two operation types.
-type Kind int
+type Kind uint8
 
 // Operation kinds.
 const (
@@ -25,9 +25,16 @@ const (
 //
 // Op is a comparable value type: scenario attributes are scalars, never
 // slices, so histories and replay records can compare ops directly and
-// ops serialize losslessly through the wire protocol's JSON.
+// ops serialize losslessly through the wire protocol's JSON. The one-byte
+// fields lead so they share a word: an Op is 56 bytes (TestOpPacks), and
+// a world holds hundreds of thousands of them.
 type Op struct {
 	Kind Kind
+	// Adversarial marks an update whose footprint is chosen to hit the
+	// densest i-lock region instead of being drawn uniformly.
+	Adversarial bool
+	// Batch dedupes a nested query's inner calls (see Nest).
+	Batch bool
 	// ProcID is the procedure accessed; meaningful for Query ops.
 	ProcID int
 	// Index is the op's position in the generated sequence, assigned
@@ -43,9 +50,6 @@ type Op struct {
 	// L overrides the per-update modified-tuple count for this op (the
 	// bulk-load scenario); zero keeps the configured L.
 	L int
-	// Adversarial marks an update whose footprint is chosen to hit the
-	// densest i-lock region instead of being drawn uniformly.
-	Adversarial bool
 	// Nest makes a query a nested procedure call: after the outer
 	// access, the executor performs Nest inner accesses to procedures
 	// derived deterministically from NestSeed via InnerProcs. Batch
@@ -53,7 +57,6 @@ type Op struct {
 	// without it every inner call runs, duplicates included.
 	Nest     int
 	NestSeed int64
-	Batch    bool
 }
 
 // Generator produces a deterministic operation stream for a seed.

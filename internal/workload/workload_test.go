@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func ids(n int) []int {
@@ -11,6 +12,15 @@ func ids(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// TestOpPacks: a served world holds its whole canonical stream (504 000
+// ops for hot-read), so the one-byte fields must share the word Kind
+// starts instead of each padding one of its own.
+func TestOpPacks(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 56 {
+		t.Fatalf("workload.Op is %d bytes, want 56", n)
+	}
 }
 
 func TestSequenceCounts(t *testing.T) {

@@ -97,11 +97,15 @@ GOMAXPROCS=4 go test -race -count=3 \
 # costs one request. Every request type's service time and every engine
 # op lands in an obs.Histogram, so its guards ride here too: the stated
 # one-bucket bound, exact merging, observers racing a scraper, and the
-# p99 detector firing with no option but Detect set.
+# p99 detector firing with no option but Detect set. So do the
+# bounded-memory world's: a stepped world retains nothing per op
+# (./internal/server), the running history digest replays, is
+# order-sensitive and covers every field, and workload.Op packs to 56
+# bytes.
 GOMAXPROCS=4 go test -race -count=3 ./internal/server
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption' \
-    ./internal/obs/ ./internal/engine/
+    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestOpPacks' \
+    ./internal/obs/ ./internal/engine/ ./internal/workload/
 GOMAXPROCS=4 go test -count=1 \
     -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
     ./internal/wire/ ./client/
