@@ -12,6 +12,7 @@ import (
 	"dbproc/internal/costmodel"
 	"dbproc/internal/dbtest"
 	"dbproc/internal/engine"
+	"dbproc/internal/experiments"
 	"dbproc/internal/obs"
 	"dbproc/internal/server"
 	"dbproc/internal/sim"
@@ -54,95 +55,91 @@ func TestServedIdentity(t *testing.T) {
 	ctx := context.Background()
 	params := identityParams(15, 25)
 
-	for _, tc := range []struct {
-		strategy string
-		strat    costmodel.Strategy
-		model    string
-		m        costmodel.Model
-	}{
-		{"ci", costmodel.CacheInvalidate, "1", costmodel.Model1},
-		{"uc-avm", costmodel.UpdateCacheAVM, "2", costmodel.Model2},
-		{"recompute", costmodel.AlwaysRecompute, "1", costmodel.Model1},
-	} {
-		t.Run(fmt.Sprintf("%s/model%s", tc.strategy, tc.model), func(t *testing.T) {
-			cfg := sim.Config{
-				Params: params, Model: tc.m, Strategy: tc.strat,
-				Seed: 41, R2UpdateFraction: 0.3,
-			}
-			seq := sim.Run(cfg)
+	// Every strategy under both procedure models: the full grid the
+	// sequential-identity anchor covers in-process.
+	for _, strat := range costmodel.Strategies {
+		for _, m := range []costmodel.Model{costmodel.Model1, costmodel.Model2} {
+			strategy, model := experiments.WireStrategy(strat), experiments.WireModel(m)
+			t.Run(fmt.Sprintf("%s/model%s", strategy, model), func(t *testing.T) {
+				cfg := sim.Config{
+					Params: params, Model: m, Strategy: strat,
+					Seed: 41, R2UpdateFraction: 0.3,
+				}
+				seq := sim.Run(cfg)
 
-			// In-process reference: engine, 1 client, diagnosis on —
-			// the configuration the served world must reproduce.
-			lcfg := cfg
-			lcfg.Ledger = cache.NewLedger()
-			e := engine.New(lcfg, engine.Options{Clients: 1, RecordHistory: true, CritPath: true})
-			local := e.Run(context.Background())
-			var localLedger bytes.Buffer
-			meta := cache.LedgerMeta{
-				Strategy: lcfg.Strategy.String(), Model: int(tc.m), Clients: 1,
-				Seed: lcfg.Seed, Queries: local.Queries, Updates: local.Updates,
-				TotalMs: local.SimTotalMs,
-			}
-			if err := cache.WriteLedger(&localLedger, meta, lcfg.Ledger); err != nil {
-				t.Fatal(err)
-			}
+				// In-process reference: engine, 1 client, diagnosis on —
+				// the configuration the served world must reproduce.
+				lcfg := cfg
+				lcfg.Ledger = cache.NewLedger()
+				e := engine.New(lcfg, engine.Options{Clients: 1, RecordHistory: true, CritPath: true})
+				local := e.Run(context.Background())
+				var localLedger bytes.Buffer
+				meta := cache.LedgerMeta{
+					Strategy: lcfg.Strategy.String(), Model: int(m), Clients: 1,
+					Seed: lcfg.Seed, Queries: local.Queries, Updates: local.Updates,
+					TotalMs: local.SimTotalMs,
+				}
+				if err := cache.WriteLedger(&localLedger, meta, lcfg.Ledger); err != nil {
+					t.Fatal(err)
+				}
 
-			// Served run: open a world, drive session 0 to exhaustion.
-			opened, err := cn.WorldOpen(ctx, &wire.WorldOpen{
-				Params: params, Model: tc.model, Strategy: tc.strategy,
-				Seed: 41, R2UpdateFraction: 0.3, Clients: 1,
-				Ledger: true, CritPath: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cn.WorldClose(ctx, opened.World)
-			if opened.Sessions != 1 || len(opened.Ops) != 1 {
-				t.Fatalf("world shape %+v, want 1 session", opened)
-			}
-			steps := 0
-			for {
-				step, err := cn.WorldNext(ctx, opened.World, 0)
+				// Served run: open a world, drive session 0 to exhaustion.
+				opened, err := cn.WorldOpen(ctx, &wire.WorldOpen{
+					Params: params, Model: model, Strategy: strategy,
+					Seed: 41, R2UpdateFraction: 0.3, Clients: 1,
+					Ledger: true, CritPath: true,
+				})
 				if err != nil {
-					t.Fatalf("step %d: %v", steps, err)
+					t.Fatal(err)
 				}
-				if step.Done {
-					break
+				defer cn.WorldClose(ctx, opened.World)
+				if opened.Sessions != 1 || len(opened.Ops) != 1 {
+					t.Fatalf("world shape %+v, want 1 session", opened)
 				}
-				steps++
-				if steps > opened.Ops[0] {
-					t.Fatalf("world never drained after %d steps", steps)
+				steps := 0
+				for {
+					step, err := cn.WorldNext(ctx, opened.World, 0)
+					if err != nil {
+						t.Fatalf("step %d: %v", steps, err)
+					}
+					if step.Done {
+						break
+					}
+					steps++
+					if steps > opened.Ops[0] {
+						t.Fatalf("world never drained after %d steps", steps)
+					}
 				}
-			}
-			if steps != opened.Ops[0] {
-				t.Fatalf("executed %d ops, world advertised %d", steps, opened.Ops[0])
-			}
-			stats, err := cn.WorldStats(ctx, opened.World)
-			if err != nil {
-				t.Fatal(err)
-			}
+				if steps != opened.Ops[0] {
+					t.Fatalf("executed %d ops, world advertised %d", steps, opened.Ops[0])
+				}
+				stats, err := cn.WorldStats(ctx, opened.World)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			// Identity against the sequential simulator...
-			if stats.Counters != seq.Counters {
-				t.Fatalf("served counters diverge from sequential:\n served     %v\n sequential %v",
-					stats.Counters, seq.Counters)
-			}
-			if stats.SimTotalMs != seq.TotalMs {
-				t.Fatalf("served cost %v, sequential %v", stats.SimTotalMs, seq.TotalMs)
-			}
-			// ...and against the in-process engine: same committed
-			// history, byte-identical ledger.
-			if want := engine.HistoryDigest(local.History); stats.HistoryDigest != want {
-				t.Fatalf("history digest %s, in-process %s", stats.HistoryDigest, want)
-			}
-			if !bytes.Equal(stats.Ledger, localLedger.Bytes()) {
-				t.Fatalf("served ledger differs from in-process ledger:\n--- served\n%s\n--- local\n%s",
-					stats.Ledger, localLedger.Bytes())
-			}
-			if stats.Ops != local.Ops || stats.Queries != local.Queries || stats.Updates != local.Updates {
-				t.Fatalf("op counts diverge: served %d/%d/%d, local %d/%d/%d",
-					stats.Ops, stats.Queries, stats.Updates, local.Ops, local.Queries, local.Updates)
-			}
-		})
+				// Identity against the sequential simulator...
+				if stats.Counters != seq.Counters {
+					t.Fatalf("served counters diverge from sequential:\n served     %v\n sequential %v",
+						stats.Counters, seq.Counters)
+				}
+				if stats.SimTotalMs != seq.TotalMs {
+					t.Fatalf("served cost %v, sequential %v", stats.SimTotalMs, seq.TotalMs)
+				}
+				// ...and against the in-process engine: same committed
+				// history, byte-identical ledger.
+				if want := engine.HistoryDigest(local.History); stats.HistoryDigest != want {
+					t.Fatalf("history digest %s, in-process %s", stats.HistoryDigest, want)
+				}
+				if !bytes.Equal(stats.Ledger, localLedger.Bytes()) {
+					t.Fatalf("served ledger differs from in-process ledger:\n--- served\n%s\n--- local\n%s",
+						stats.Ledger, localLedger.Bytes())
+				}
+				if stats.Ops != local.Ops || stats.Queries != local.Queries || stats.Updates != local.Updates {
+					t.Fatalf("op counts diverge: served %d/%d/%d, local %d/%d/%d",
+						stats.Ops, stats.Queries, stats.Updates, local.Ops, local.Queries, local.Updates)
+				}
+			})
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"dbproc/internal/experiments"
-	"dbproc/internal/telemetry"
 	"dbproc/internal/workload"
 )
 
@@ -38,15 +37,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "concurrent simulation cells (0 = one per CPU); output is identical for any value")
 	obsJSON := flag.String("obs-json", "", "write the per-strategy observability benchmark (BENCH_obs.json) to this file and exit")
-	parallelJSON := flag.String("parallel-json", "", "write the parallel sweep-engine benchmark (BENCH_parallel.json) to this file and exit")
-	concurrentJSON := flag.String("concurrent-json", "", "write the multi-session engine benchmark (BENCH_concurrent.json) to this file and exit")
 	scenariosJSON := flag.String("scenarios-json", "", "write the hostile-workload scenario benchmark (BENCH_scenarios.json) to this file and exit")
 	scenarioFilter := flag.String("scenario-filter", "", "comma-separated scenario names to restrict -scenarios-json to (default: full catalog)")
-	clients := flag.Int("clients", 0, "cap the concurrent benchmark's session ladder (0 = full 1/2/4/8)")
-	think := flag.Float64("think", 0, "mean per-session think time in ms for the concurrent benchmark (0 = none)")
-	serve := flag.Bool("serve", false, "add a measured wall_served pass to each concurrent-benchmark cell via a loopback procserved")
-	connect := flag.String("connect", "", "drive the wall_served pass against this external procserved address (implies -serve)")
-	listen := flag.String("listen", "", "serve live /metrics, /debug/pprof and /events on this address while benchmarks run")
 	flag.Parse()
 
 	// Ctrl-C stops claiming new simulation cells; in-flight cells finish
@@ -62,15 +54,11 @@ func main() {
 	}
 
 	opt := experiments.Options{
-		Sim:         *simFlag,
-		SimPoints:   *simPoints,
-		SimSeed:     *seed,
-		Scale:       *scale,
-		Workers:     *workers,
-		Clients:     *clients,
-		ThinkMeanMs: *think,
-		Served:      *serve || *connect != "",
-		ServedAddr:  *connect,
+		Sim:       *simFlag,
+		SimPoints: *simPoints,
+		SimSeed:   *seed,
+		Scale:     *scale,
+		Workers:   *workers,
 	}
 	if *scenarioFilter != "" {
 		for _, name := range strings.Split(*scenarioFilter, ",") {
@@ -85,16 +73,6 @@ func main() {
 			}
 			opt.Scenarios = append(opt.Scenarios, name)
 		}
-	}
-	if *listen != "" {
-		hub := telemetry.NewHub()
-		hub.SetRecorder(telemetry.NewRecorder(1 << 14))
-		if _, err := hub.ListenAndServe(*listen); err != nil {
-			fmt.Fprintf(os.Stderr, "procbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer hub.Close()
-		opt.Hub = hub
 	}
 
 	writeJSON := func(path string, v any, desc string) {
@@ -134,33 +112,6 @@ func main() {
 	if *obsJSON != "" {
 		rep := experiments.ObsBench(ctx, opt)
 		writeJSON(*obsJSON, rep, fmt.Sprintf("observability benchmark (%d rows)", len(rep.Rows)))
-		return
-	}
-
-	if *parallelJSON != "" {
-		rep := experiments.ParallelBench(ctx, opt)
-		writeJSON(*parallelJSON, rep,
-			fmt.Sprintf("parallel benchmark (%.1fx measured, identical=%v)",
-				rep.MeasuredSpeedup, rep.OutputIdentical))
-		return
-	}
-
-	if *concurrentJSON != "" {
-		rep := experiments.ConcurrentBench(ctx, opt)
-		matches, servedMatches := true, true
-		for _, row := range rep.Rows {
-			if row.Clients == 1 && !row.MatchesSequential {
-				matches = false
-			}
-			if rep.Served && row.Clients == 1 && !row.ServedMatchesSequential {
-				servedMatches = false
-			}
-		}
-		desc := fmt.Sprintf("concurrent benchmark (%d rows, matches_sequential=%v", len(rep.Rows), matches)
-		if rep.Served {
-			desc += fmt.Sprintf(", served_matches_sequential=%v", servedMatches)
-		}
-		writeJSON(*concurrentJSON, rep, desc+")")
 		return
 	}
 

@@ -12,22 +12,20 @@
 //   - top blockers: who held the locks everyone else waited on, from
 //     the flight dump's blame-annotated lock.acquire events,
 //   - a strategy-winner verdict per (model, clients, seed) group from
-//     ledger evidence alone — cross-checkable against
-//     BENCH_concurrent.json with -bench, and against the analytic model
-//     with procadvisor.
+//     ledger evidence alone — the winner by the ledgered runs' simulated
+//     totals (TestLedgerVerdictMatchesSimulatedWinner), cross-checkable
+//     against the analytic model with procadvisor.
 //
 // Usage:
 //
 //	procsim -clients 8 -critpath -ledger ledger.jsonl -flight flight.jsonl
 //	procdoctor -ledger ledger.jsonl -flight flight.jsonl
-//	procdoctor -ledger ledger.jsonl -bench BENCH_concurrent.json
 //
 // See docs/DIAGNOSIS.md for the artifact formats and the decomposition
 // semantics behind each section.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +35,6 @@ import (
 
 	"dbproc/internal/cache"
 	"dbproc/internal/costmodel"
-	"dbproc/internal/experiments"
 	"dbproc/internal/obs"
 	"dbproc/internal/telemetry"
 )
@@ -46,7 +43,6 @@ func main() {
 	ledgerPath := flag.String("ledger", "", "cache-efficacy ledger (JSONL) written by procsim -ledger")
 	flightPath := flag.String("flight", "", "flight-recorder dump (JSONL) written by procsim -flight or an auto-dump")
 	tracePath := flag.String("trace", "", "span trace (JSONL) written by procsim -trace")
-	benchPath := flag.String("bench", "", "BENCH_concurrent.json to cross-check the ledger verdict against")
 	topK := flag.Int("topk", 5, "rows per leaderboard")
 	flag.Parse()
 
@@ -57,16 +53,10 @@ func main() {
 	}
 
 	out := os.Stdout
-	var verdicts []verdict
 	if *ledgerPath != "" {
 		runs := mustReadLedger(*ledgerPath)
 		ledgerReport(out, runs, *topK)
-		verdicts = ledgerVerdicts(runs)
-		verdictReport(out, verdicts)
-	}
-	if *benchPath != "" {
-		rep := mustReadBench(*benchPath)
-		benchCrossCheck(out, verdicts, rep)
+		verdictReport(out, ledgerVerdicts(runs))
 	}
 	if *flightPath != "" {
 		f := mustOpen(*flightPath)
@@ -107,16 +97,6 @@ func mustReadLedger(path string) []cache.LedgerRun {
 		fatal(fmt.Errorf("%s: no ledger sections", path))
 	}
 	return runs
-}
-
-func mustReadBench(path string) experiments.ConcurrentBenchReport {
-	f := mustOpen(path)
-	defer f.Close()
-	var rep experiments.ConcurrentBenchReport
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	return rep
 }
 
 func fatal(err error) {
@@ -304,48 +284,6 @@ func verdictReport(w io.Writer, verdicts []verdict) {
 		}
 		fmt.Fprintf(w, "  confirm the parameter regime with procadvisor (analytic model).\n\n")
 	}
-}
-
-// benchCrossCheck compares each ledger verdict against the matching
-// BENCH_concurrent.json rows: the winner by ledger event cost should be
-// the winner by simulated total among the same caching strategies.
-func benchCrossCheck(w io.Writer, verdicts []verdict, rep experiments.ConcurrentBenchReport) {
-	for _, v := range verdicts {
-		if len(v.Ranked) < 2 {
-			continue
-		}
-		want, ok := benchWinner(rep, costmodel.Model(v.Model).String(), v.Clients)
-		if !ok {
-			fmt.Fprintf(w, "bench cross-check: no %s %d-client rows in benchmark file\n",
-				costmodel.Model(v.Model), v.Clients)
-			continue
-		}
-		got := v.Winner()
-		if got == want {
-			fmt.Fprintf(w, "bench cross-check: ledger verdict %q agrees with BENCH_concurrent.json (%s, %d clients)\n",
-				got, costmodel.Model(v.Model), v.Clients)
-		} else {
-			fmt.Fprintf(w, "bench cross-check: MISMATCH — ledger says %q, benchmark says %q (%s, %d clients)\n",
-				got, want, costmodel.Model(v.Model), v.Clients)
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// benchWinner is the cheapest caching strategy by SimTotalMs among the
-// polite-baseline benchmark rows at (model, clients). Scenario rows run
-// a different workload, so their totals are not comparable here.
-func benchWinner(rep experiments.ConcurrentBenchReport, model string, clients int) (string, bool) {
-	best, bestMs := "", 0.0
-	for _, row := range rep.Rows {
-		if row.Model != model || row.Clients != clients || row.Scenario != "" || !cachingStrategies[row.Strategy] {
-			continue
-		}
-		if best == "" || row.SimTotalMs < bestMs {
-			best, bestMs = row.Strategy, row.SimTotalMs
-		}
-	}
-	return best, best != ""
 }
 
 // ---------------------------------------------------------------------------

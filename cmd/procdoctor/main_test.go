@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -16,44 +14,35 @@ import (
 	"dbproc/internal/telemetry"
 )
 
-// TestVerdictReproducesConcurrentBench is the acceptance gate for the
-// ledger verdict: regenerate the ledger evidence for the
-// BENCH_concurrent.json 8-client contention rows (same parameter point,
-// same seed, same client count) and require that the winner procdoctor
-// derives from ledger evidence alone (a) matches the winner by the
-// regenerated runs' simulated totals for both procedure models, and
-// (b) agrees with the checked-in artifact on at least one 8-client row.
-// (Only "at least one": Cache and Invalidate's simulated total is
-// schedule-dependent — which accesses run cold depends on the commit
-// interleaving — so the artifact's model-1 row, where CI and AVM are
-// within a schedule's variance of each other, need not reproduce on a
-// different scheduler. Model 2's margin is far wider than the variance.)
-func TestVerdictReproducesConcurrentBench(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_concurrent.json")
-	if err != nil {
-		t.Skipf("benchmark artifact not present: %v", err)
-	}
-	var rep experiments.ConcurrentBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_concurrent.json: %v", err)
-	}
-
-	const clients = 8
-	p := experiments.BenchParams(experiments.Options{Scale: rep.Scale, SimSeed: rep.Seed})
+// TestLedgerVerdictMatchesSimulatedWinner is the acceptance gate for the
+// ledger verdict: regenerate the ledger evidence for the three caching
+// strategies at 8 clients (the paper's defaults at scale 5, seed 1,
+// 0.5 ms mean think time) and require that the winner procdoctor derives
+// from ledger evidence alone matches the winner by the same runs'
+// simulated totals, for both procedure models. The multi-client totals
+// are schedule-dependent, so the ledger is judged against the runs it
+// ledgered, never against a recorded number.
+func TestLedgerVerdictMatchesSimulatedWinner(t *testing.T) {
+	const (
+		clients = 8
+		seed    = 1
+		thinkMs = 0.5
+	)
+	p := experiments.BenchParams(experiments.Options{Scale: 5})
 	var buf bytes.Buffer
-	simWinner := map[string]string{} // model name -> cheapest strategy by regenerated SimTotalMs
+	simWinner := map[string]string{} // model name -> cheapest strategy by SimTotalMs
 	simBest := map[string]float64{}
 	for _, model := range []costmodel.Model{costmodel.Model1, costmodel.Model2} {
 		for _, strat := range []costmodel.Strategy{
 			costmodel.CacheInvalidate, costmodel.UpdateCacheAVM, costmodel.UpdateCacheRVM,
 		} {
-			cfg := sim.Config{Params: p, Model: model, Strategy: strat, Seed: rep.Seed}
+			cfg := sim.Config{Params: p, Model: model, Strategy: strat, Seed: seed}
 			cfg.Ledger = cache.NewLedger()
-			e := engine.New(cfg, engine.Options{Clients: clients, ThinkMeanMs: rep.ThinkMeanMs})
+			e := engine.New(cfg, engine.Options{Clients: clients, ThinkMeanMs: thinkMs})
 			res := e.Run(context.Background())
 			meta := cache.LedgerMeta{
 				Strategy: strat.String(), Model: int(model), Clients: clients,
-				Seed: rep.Seed, Queries: res.Queries, Updates: res.Updates,
+				Seed: seed, Queries: res.Queries, Updates: res.Updates,
 				TotalMs: res.SimTotalMs,
 			}
 			if err := cache.WriteLedger(&buf, meta, cfg.Ledger); err != nil {
@@ -74,40 +63,22 @@ func TestVerdictReproducesConcurrentBench(t *testing.T) {
 	if len(verdicts) != 2 {
 		t.Fatalf("got %d verdict groups, want 2 (one per model)", len(verdicts))
 	}
-	agreed := 0
 	for _, v := range verdicts {
 		model := costmodel.Model(v.Model).String()
 		if len(v.Ranked) != 3 {
 			t.Fatalf("%s: ranked %d strategies, want 3", model, len(v.Ranked))
 		}
-		// Ledger evidence alone must reproduce the simulated verdict of
-		// the runs it ledgered.
 		if got := v.Winner(); got != simWinner[model] {
 			t.Errorf("%s: ledger verdict %q, simulated-total winner %q\nranking: %+v",
 				model, got, simWinner[model], v.Ranked)
 		}
-		want, ok := benchWinner(rep, model, clients)
-		if !ok {
-			t.Fatalf("no %s %d-client caching rows in BENCH_concurrent.json", model, clients)
-		}
-		if v.Winner() == want {
-			agreed++
-		}
-	}
-	if agreed == 0 {
-		t.Errorf("ledger verdicts agree with no BENCH_concurrent.json 8-client row")
 	}
 
-	// The rendered report must carry the verdict and the cross-check.
+	// The rendered report must carry the verdict.
 	var out bytes.Buffer
 	verdictReport(&out, verdicts)
-	benchCrossCheck(&out, verdicts, rep)
-	txt := out.String()
-	if !strings.Contains(txt, "winner by ledger evidence") {
+	if txt := out.String(); !strings.Contains(txt, "winner by ledger evidence") {
 		t.Errorf("verdict report missing winner marker:\n%s", txt)
-	}
-	if !strings.Contains(txt, "agrees with BENCH_concurrent.json") {
-		t.Errorf("bench cross-check reported no agreement:\n%s", txt)
 	}
 }
 

@@ -10,7 +10,6 @@
 //	procstat -span op.query out.jsonl   # one span name only
 //	procstat -chrome t.json out.jsonl   # export for chrome://tracing
 //	procstat -flight dump.jsonl         # render a flight-recorder dump
-//	procstat -concurrent BENCH_concurrent.json  # session-ladder table
 //	procstat -scenarios BENCH_scenarios.json    # hostile-workload winner regions
 //
 // Multiple trace files aggregate: histograms and drift entries accumulate
@@ -22,14 +21,6 @@
 // a live /events endpoint): procstat renders the event timeline — marking
 // the serializability oracle's minimal non-serializable window when the
 // dump carries a violation — plus any lock-contention records.
-//
-// With -concurrent the inputs are BENCH_concurrent.json reports (written
-// by procbench -concurrent-json): procstat renders the session ladder per
-// strategy and model: the measured wall speedup, which includes
-// overlapped think time, and the p50/p95 of wall_latency. Reports
-// written with procbench -serve carry an
-// extra served column: the same cell measured through procserved over
-// the database/sql driver, wire round-trips included (docs/SERVING.md).
 //
 // With -scenarios the inputs are BENCH_scenarios.json reports (written by
 // procbench -scenarios-json): procstat renders the hostile-workload
@@ -71,7 +62,6 @@ func main() {
 	spanFilter := flag.String("span", "", "restrict histograms to one span name (e.g. op.query)")
 	chromePath := flag.String("chrome", "", "also write a Chrome trace-event file (chrome://tracing, perfetto)")
 	flight := flag.Bool("flight", false, "treat inputs as flight-recorder dumps and render event timelines")
-	concurrent := flag.Bool("concurrent", false, "treat inputs as BENCH_concurrent.json reports and render session-ladder tables")
 	scenarios := flag.Bool("scenarios", false, "treat inputs as BENCH_scenarios.json reports and render winner-region tables")
 	topK := flag.Int("topk", 10, "locks shown per contention report in -flight mode (0 = all)")
 	driftThreshold := flag.Float64("drift-threshold", obs.DefaultDriftThreshold,
@@ -84,10 +74,6 @@ func main() {
 
 	if *flight {
 		renderFlight(flag.Args(), *topK)
-		return
-	}
-	if *concurrent {
-		renderConcurrent(flag.Args())
 		return
 	}
 	if *scenarios {
@@ -189,64 +175,6 @@ func main() {
 			fail("%v", err)
 		}
 		fmt.Printf("\nchrome trace written to %s\n", *chromePath)
-	}
-}
-
-// renderConcurrent renders multi-session engine benchmark reports: one
-// ladder table per file, with the measured speedup (think overlap
-// included) and the wall-clock latency quantiles.
-func renderConcurrent(paths []string) {
-	for i, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fail("%v", err)
-		}
-		var rep experiments.ConcurrentBenchReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			fail("%s: %v", path, err)
-		}
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Printf("%s: cores=%d scale=%g seed=%d think=%gms ops=%d\n",
-			path, rep.Cores, rep.Scale, rep.Seed, rep.ThinkMeanMs, rep.Ops)
-		fmt.Printf("%-22s %-8s %8s %-18s %12s %9s", "strategy", "model", "clients", "scenario", "ops/sec", "speedup")
-		if rep.Served {
-			fmt.Printf(" %12s", "served")
-		}
-		fmt.Printf(" %10s %10s %8s %5s\n", "p50 us", "p95 us", "acc-wait", "seq")
-		for _, row := range rep.Rows {
-			seq := ""
-			if row.MatchesSequential {
-				seq = "=sim"
-			}
-			if row.ServedMatchesSequential {
-				seq += "=srv"
-			}
-			scenario := row.Scenario
-			if scenario == "" {
-				scenario = "polite"
-			}
-			wait := fmt.Sprintf("%.1f%%", 100*row.AccessWaitShare)
-			fmt.Printf("%-22s %-8s %8d %-18s %12.1f %8.2fx",
-				row.Strategy, row.Model, row.Clients, scenario, row.ThroughputOps, row.Speedup)
-			if rep.Served {
-				if row.WallServedOps > 0 {
-					fmt.Printf(" %12.1f", row.WallServedOps)
-				} else {
-					fmt.Printf(" %12s", "-")
-				}
-			}
-			fmt.Printf(" %10.1f %10.1f %8s %5s\n", row.WallLatency.P50/1e3, row.WallLatency.P95/1e3, wait, seq)
-		}
-		note := `speedup counts overlapped think time; p50/p95 are wall-clock histogram
-bucket edges. acc-wait is the share of query wall time spent waiting on locks.`
-		if rep.Served {
-			note += `
-served is measured ops/sec through procserved over the database/sql driver
-(wire round-trips included); "=srv" marks served 1-client rows byte-equal to sim.Run.`
-		}
-		fmt.Println(note)
 	}
 }
 

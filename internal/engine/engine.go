@@ -272,15 +272,6 @@ type Engine struct {
 	waitNsTot atomic.Int64
 	wallNsTot atomic.Int64
 
-	// Per-op-kind wall decomposition: lock wait and wall time accumulated
-	// separately for accesses (queries) and updates. The access wait share
-	// is the quantity the MVCC refactor collapses (BENCH_concurrent.json's
-	// access_wait_share column).
-	accWaitNs atomic.Int64
-	accWallNs atomic.Int64
-	updWaitNs atomic.Int64
-	updWallNs atomic.Int64
-
 	det *telemetry.Detectors
 
 	// sessions holds the opened sessions, indexed by id (one slot per
@@ -341,35 +332,6 @@ func (e *Engine) World() *sim.World { return e.w }
 // collection. Waits on it are MVCC bookkeeping, not update-footprint
 // contention — procdoctor classifies the two separately.
 const GCLock = "mvcc:gc"
-
-// WaitProfile is the per-op-kind wall decomposition: how much of the
-// accesses' (queries') and updates' wall time went to lock waits.
-type WaitProfile struct {
-	AccessWaitNs int64
-	AccessWallNs int64
-	UpdateWaitNs int64
-	UpdateWallNs int64
-}
-
-// AccessWaitShare is the fraction of access wall time spent waiting on
-// locks (0 when no accesses ran).
-func (w WaitProfile) AccessWaitShare() float64 {
-	if w.AccessWallNs == 0 {
-		return 0
-	}
-	return float64(w.AccessWaitNs) / float64(w.AccessWallNs)
-}
-
-// WaitProfile snapshots the per-op-kind wait/wall aggregates. Safe to
-// call while a run is live.
-func (e *Engine) WaitProfile() WaitProfile {
-	return WaitProfile{
-		AccessWaitNs: e.accWaitNs.Load(),
-		AccessWallNs: e.accWallNs.Load(),
-		UpdateWaitNs: e.updWaitNs.Load(),
-		UpdateWallNs: e.updWallNs.Load(),
-	}
-}
 
 // phaseName resolves an op's phase index to its schedule name; empty on
 // polite workloads or out-of-range indices.

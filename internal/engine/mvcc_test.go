@@ -75,9 +75,9 @@ func TestMVCCAccessWaitShareCollapse(t *testing.T) {
 	defer dbtest.Watchdog(t, 4*time.Minute)()
 	cfg := scenarioConfig("storm-adversarial", costmodel.CacheInvalidate, costmodel.Model2, 1123, 24, 40)
 	e := New(cfg, Options{Clients: 8, ProfileLocks: true})
-	mvcc, mvccWaits := e.Run(context.Background()), e.WaitProfile()
-	if mvcc.Queries == 0 || mvcc.Updates == 0 || mvccWaits.AccessWallNs == 0 {
-		t.Fatalf("run has %d queries, %d updates, %d ns of access wall", mvcc.Queries, mvcc.Updates, mvccWaits.AccessWallNs)
+	mvcc := e.Run(context.Background())
+	if mvcc.Queries == 0 || mvcc.Updates == 0 {
+		t.Fatalf("run has %d queries, %d updates", mvcc.Queries, mvcc.Updates)
 	}
 	if len(mvcc.Contention) == 0 {
 		t.Fatal("no lock profile recorded")

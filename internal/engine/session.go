@@ -272,13 +272,6 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	e.countPhase(op.Phase)
 	e.waitNsTot.Add(int64(waited))
 	e.wallNsTot.Add(int64(waited + service))
-	if op.Kind == workload.Query {
-		e.accWaitNs.Add(int64(waited))
-		e.accWallNs.Add(int64(waited + service))
-	} else {
-		e.updWaitNs.Add(int64(waited))
-		e.updWallNs.Add(int64(waited + service))
-	}
 	out.Seq = seq
 	out.Tuples = len(r.Tuples)
 	out.WallNs = int64(waited + service)

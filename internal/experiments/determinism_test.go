@@ -6,40 +6,37 @@ import (
 	"testing"
 )
 
-// renderFig05 regenerates fig05 with simulated points into a buffer.
-func renderFig05(t *testing.T, opt Options) []byte {
-	t.Helper()
-	e, ok := Get("fig05")
-	if !ok {
-		t.Fatal("fig05 missing")
-	}
+// renderSweep regenerates every experiment in All(), simulated points
+// included, into one buffer: what `procbench -sim` prints.
+func renderSweep(opt Options) []byte {
 	var buf bytes.Buffer
-	for _, tb := range e.Run(context.Background(), opt) {
-		tb.Render(&buf)
+	for _, e := range All() {
+		for _, tb := range e.Run(context.Background(), opt) {
+			tb.Render(&buf)
+		}
 	}
 	return buf.Bytes()
 }
 
-// TestFig05WorkerCountInvariance is the sweep engine's determinism
-// contract at the experiment level: fig05 with simulated points renders
-// byte-identically whether its cells run sequentially or fan out over a
-// worker pool — the `-workers 1` == `-workers 4` guarantee behind
-// `procbench -workers`.
-func TestFig05WorkerCountInvariance(t *testing.T) {
+// TestSweepWorkerCountInvariance is the sweep engine's determinism
+// contract over the whole figure set: every experiment with simulated
+// points renders byte-identically whether its cells run sequentially or
+// fan out over a worker pool — the `-workers 1` == `-workers 4` guarantee
+// behind `procbench -sim -workers`.
+func TestSweepWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	opt := Options{Sim: true, SimPoints: 3, SimSeed: 5, Scale: 10}
+	opt := Options{Sim: true, Scale: 50, SimPoints: 2, SimSeed: 5}
 	opt.Workers = 1
-	seq := renderFig05(t, opt)
+	seq := renderSweep(opt)
 	opt.Workers = 4
-	par := renderFig05(t, opt)
+	par := renderSweep(opt)
 	if !bytes.Equal(seq, par) {
-		t.Fatalf("fig05 output depends on worker count:\n-- workers=1 --\n%s\n-- workers=4 --\n%s", seq, par)
+		t.Fatalf("sweep output depends on worker count:\n-- workers=1 --\n%s\n-- workers=4 --\n%s", seq, par)
 	}
 	// And run-to-run: a second parallel pass must reproduce the first.
-	again := renderFig05(t, opt)
-	if !bytes.Equal(par, again) {
-		t.Fatal("fig05 output differs between two workers=4 runs")
+	if again := renderSweep(opt); !bytes.Equal(par, again) {
+		t.Fatal("sweep output differs between two workers=4 runs")
 	}
 }

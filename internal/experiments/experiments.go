@@ -17,7 +17,6 @@ import (
 	"dbproc/internal/costmodel"
 	"dbproc/internal/parallel"
 	"dbproc/internal/sim"
-	"dbproc/internal/telemetry"
 )
 
 // Options control experiment execution.
@@ -36,26 +35,6 @@ type Options struct {
 	// negative means one worker per CPU. Results are reduced in canonical
 	// cell order, so any worker count renders byte-identical tables.
 	Workers int
-	// Clients caps the session ladder of the concurrent engine benchmark
-	// (ConcurrentBench): ladder points above it are dropped. Zero keeps
-	// the full 1/2/4/8 ladder.
-	Clients int
-	// ThinkMeanMs is the concurrent benchmark's mean per-session think
-	// time between operations (exponential); zero disables thinking and
-	// measures pure contention.
-	ThinkMeanMs float64
-	// Hub, when non-nil, exposes each concurrent-benchmark engine live:
-	// the engine becomes the hub's /metrics source and its events stream
-	// into the hub's flight recorder (procbench -listen).
-	Hub *telemetry.Hub
-	// Served adds a second, measured pass to each concurrent-benchmark
-	// cell: the same configuration driven through procserved over the
-	// database/sql driver (docs/SERVING.md), recorded as the row's
-	// wall_served throughput. ServedAddr names an external server;
-	// empty starts a loopback server in-process for the bench's
-	// duration.
-	Served     bool
-	ServedAddr string
 	// Scenarios restricts the hostile-workload scenario benchmark
 	// (ScenarioBench) to a subset of the catalog; empty sweeps it all.
 	// The polite baseline is always included.
@@ -191,6 +170,13 @@ func scaled(p costmodel.Params, opt Options) costmodel.Params {
 	q.K = math.Max(0, math.Round(p.K/s))
 	q.Q = math.Max(4, math.Round(p.Q/s))
 	return q
+}
+
+// BenchParams is the paper's defaults under opt.Scale: the parameter
+// point ObsBench measures, and the one external harnesses replay a cell
+// at (procdoctor's verdict test regenerates its ledger evidence here).
+func BenchParams(opt Options) costmodel.Params {
+	return scaled(costmodel.Default(), opt)
 }
 
 // simCells is the parallel sweep engine's entry point: it measures every

@@ -80,17 +80,6 @@ func (h *Hub) SetRecorder(rec *Recorder) {
 	h.mu.Unlock()
 }
 
-// Recorder returns the installed flight recorder (nil when none, or on a
-// nil hub) so callers can share one ring between the hub and the engine.
-func (h *Hub) Recorder() *Recorder {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.rec
-}
-
 // Handler returns the hub's mux. The pprof handlers are registered on
 // this mux explicitly rather than on http.DefaultServeMux, so importing
 // this package does not pollute the global mux.

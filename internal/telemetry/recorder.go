@@ -225,7 +225,7 @@ type EventRecord struct {
 }
 
 // LockContentionJSON is one lock's profile in a contention record and in
-// BENCH_concurrent.json: acquisition counts, how many acquisitions
+// procsim -json output: acquisition counts, how many acquisitions
 // actually waited, total/max wall-clock wait and hold, and this lock's
 // share of the run's total wait time.
 type LockContentionJSON struct {
@@ -391,7 +391,7 @@ func ReadDump(r io.Reader) (*Dump, error) {
 }
 
 // RenderContention writes one contention record as an aligned top-K
-// table (the BENCH_concurrent.json column set).
+// table (the columns procsim -clients prints).
 func RenderContention(w io.Writer, rec ContentionRecord, topK int) {
 	if topK <= 0 || topK > len(rec.Locks) {
 		topK = len(rec.Locks)

@@ -167,7 +167,7 @@ echo "rand audit: OK"
 # race detector with a multi-worker pool (GOMAXPROCS raised so the pool
 # genuinely interleaves even on single-core CI boxes).
 GOMAXPROCS=4 go test -race \
-    -run 'TestDifferentialOracle|TestRunDeterminism|TestFig05WorkerCountInvariance|TestMapOrderIsDeterministic' \
+    -run 'TestDifferentialOracle|TestRunDeterminism|TestSweepWorkerCountInvariance|TestMapOrderIsDeterministic' \
     ./internal/sim/ ./internal/experiments/ ./internal/parallel/
 
 # Parser/planner no-panic fuzz smoke.
