@@ -26,17 +26,6 @@ type Options struct {
 	// ThinkMeanMs is the mean of each session's exponentially distributed
 	// wall-clock think time between operations; zero disables thinking.
 	ThinkMeanMs float64
-	// ArrivalRatePerSec switches sessions from the closed loop to an
-	// open-loop Poisson arrival process: each session submits its i-th
-	// operation at a pre-drawn absolute instant (workload.Arrivals),
-	// regardless of when the previous one completed, so a congested
-	// engine accumulates queueing delay instead of throttling offered
-	// load. Positive values disable ThinkMeanMs pacing; the schedule is a
-	// pure function of (Config.Seed, session, rate), so reruns over the
-	// same scenario and seed replay identical arrival instants. Scenario
-	// slow-consumer scaling divides the session's rate the way it
-	// multiplies closed-loop think time.
-	ArrivalRatePerSec float64
 	// RecordHistory retains the per-operation records: a HistoryEntry per
 	// operation (the oracles' input) and, under CritPath, an OpCritPath
 	// per operation. It is the only option that keeps anything per
@@ -386,17 +375,15 @@ func gcFootprint() Footprint {
 
 // Run executes the world's workload across Options.Clients sessions: the
 // canonical operation stream is dealt round-robin to the sessions in
-// place — session i of n executes ops i, i+n, i+2n, … of the one slice,
+// place — session i of n executes ops i, i+n, i+2n, … of the one stream,
 // in that order, which is how a served world deals too — closed loop with
-// think times by default, or open loop at pre-drawn Poisson arrival
-// instants when Options.ArrivalRatePerSec is set, and every operation
-// executes atomically under its lock footprint. The run ends when every
-// session drains or ctx is cancelled.
+// think times, and every operation executes atomically under its lock
+// footprint. The run ends when every session drains or ctx is cancelled.
 func (e *Engine) Run(ctx context.Context) Result {
-	ops := e.w.WorkloadOps()
+	ops := e.w.Stream()
 	n := e.opt.Clients
 	if e.opt.RecordHistory {
-		e.hist = make([]HistoryEntry, 0, len(ops))
+		e.hist = make([]HistoryEntry, 0, ops.Len())
 	}
 
 	var wg sync.WaitGroup
@@ -408,41 +395,20 @@ func (e *Engine) Run(ctx context.Context) Result {
 		// mean think time is scaled up, stretching the closed-loop tail.
 		think := workload.NewThinker(e.w.Config().Seed+7001+int64(s),
 			e.opt.ThinkMeanMs*sched.ThinkScale(s))
-		// Open loop: pre-drawn Poisson arrival instants replace the
-		// completion-paced think loop. Slow consumers arrive at a
-		// proportionally lower rate.
-		var arrive *workload.Arrivals
-		if e.opt.ArrivalRatePerSec > 0 {
-			arrive = workload.NewArrivals(e.w.Config().Seed+8001+int64(s),
-				e.opt.ArrivalRatePerSec/sched.ThinkScale(s))
-		}
 		wg.Add(1)
 		go func(sess *Session) {
 			defer wg.Done()
-			for i := sess.id; i < len(ops); i += n {
-				op := ops[i]
-				if arrive != nil {
-					if d := time.Until(start.Add(arrive.Next())); d > 0 {
-						sess.Think(d)
-						select {
-						case <-time.After(d):
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
+			for i := sess.id; i < ops.Len(); i += n {
 				if ctx.Err() != nil {
 					return
 				}
-				sess.Exec(op)
-				if arrive == nil {
-					if d := think.Next(); d > 0 {
-						sess.Think(d)
-						select {
-						case <-time.After(d):
-						case <-ctx.Done():
-							return
-						}
+				sess.Exec(ops.At(i))
+				if d := think.Next(); d > 0 {
+					sess.Think(d)
+					select {
+					case <-time.After(d):
+					case <-ctx.Done():
+						return
 					}
 				}
 			}

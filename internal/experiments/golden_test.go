@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -45,11 +44,12 @@ func TestGoldenObsBench(t *testing.T) {
 }
 
 // TestGoldenScenarioVerdicts is the golden-verdict regression gate: the
-// checked-in BENCH_scenarios.json must be exactly reproducible from its
-// own recorded (scale, seed) — every row, every per-seed total, and
-// every winner verdict. A deliberate change to the workload, the
-// scenario catalog or the cost model shows up here as a diff to commit;
-// an accidental one shows up as a failure.
+// checked-in BENCH_scenarios.json must regenerate from its own recorded
+// (scale, seed), byte for byte as `procbench -scenarios-json` encodes it —
+// every row, every per-seed total, and every winner verdict. A
+// deliberate change to the workload, the scenario catalog or the cost
+// model shows up here as a diff to commit; an accidental one shows up as
+// a failure.
 func TestGoldenScenarioVerdicts(t *testing.T) {
 	defer dbtest.Watchdog(t, 4*time.Minute)()
 	data, err := os.ReadFile("../../BENCH_scenarios.json")
@@ -63,25 +63,21 @@ func TestGoldenScenarioVerdicts(t *testing.T) {
 	if len(golden.Scenarios) < 7 || len(golden.Verdicts) != len(golden.Scenarios)*2 {
 		t.Fatalf("artifact too small: %d scenarios, %d verdicts", len(golden.Scenarios), len(golden.Verdicts))
 	}
-
 	got := ScenarioBench(context.Background(), Options{Scale: golden.Scale, SimSeed: golden.Seed})
-	if !reflect.DeepEqual(got.Scenarios, golden.Scenarios) {
-		t.Fatalf("scenario axis drifted:\n got  %v\n want %v", got.Scenarios, golden.Scenarios)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(got); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows, golden.Rows) {
-		for i := range got.Rows {
-			if i < len(golden.Rows) && !reflect.DeepEqual(got.Rows[i], golden.Rows[i]) {
-				t.Fatalf("row %d diverges from the artifact:\n got  %+v\n want %+v", i, got.Rows[i], golden.Rows[i])
-			}
+	want, have := data, buf.Bytes()
+	if !bytes.Equal(have, want) {
+		i := 0
+		for i < len(have) && i < len(want) && have[i] == want[i] {
+			i++
 		}
-		t.Fatalf("rows diverge from the artifact (%d vs %d rows)", len(got.Rows), len(golden.Rows))
-	}
-	if !reflect.DeepEqual(got.Verdicts, golden.Verdicts) {
-		for i := range got.Verdicts {
-			if i < len(golden.Verdicts) && !reflect.DeepEqual(got.Verdicts[i], golden.Verdicts[i]) {
-				t.Fatalf("verdict %d diverges from the artifact:\n got  %+v\n want %+v", i, got.Verdicts[i], golden.Verdicts[i])
-			}
-		}
-		t.Fatalf("verdicts diverge from the artifact (%d vs %d)", len(got.Verdicts), len(golden.Verdicts))
+		from := max(0, i-200)
+		t.Fatalf("BENCH_scenarios.json does not regenerate; first difference at byte %d:\n got  ...%s\n want ...%s",
+			i, have[from:min(len(have), i+200)], want[from:min(len(want), i+200)])
 	}
 }

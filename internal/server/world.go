@@ -19,8 +19,9 @@ import (
 // place, exactly as engine.Run deals it, so a served run commits the same
 // per-session operation streams as engine.Run with the same client count
 // — and, with one session, the same byte stream as sim.Run. A world holds
-// the canonical stream, the engine's aggregates and its running history
-// digest; nothing it keeps grows with the steps it serves.
+// the canonical stream in its compact form (about 4 bytes per op), the
+// engine's aggregates and its running history digest; nothing it keeps
+// grows with the steps it serves.
 type world struct {
 	id  int
 	cfg sim.Config
@@ -29,7 +30,7 @@ type world struct {
 	sessions []*engine.Session
 	// ops is the canonical stream; session i executes ops i, i+n, i+2n, …
 	// for n sessions.
-	ops []workload.Op
+	ops *workload.Stream
 	// scenario and phases label steps with the workload phase they
 	// belong to; both stay empty on polite (scenario-less) workloads so
 	// a polite served run's frames are byte-identical to before phases
@@ -112,18 +113,18 @@ func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
 		cfg:      cfg,
 		eng:      eng,
 		sessions: make([]*engine.Session, clients),
-		ops:      eng.World().WorkloadOps(),
+		ops:      eng.World().Stream(),
 		pos:      make([]int, clients),
 		semu:     make([]sync.Mutex, clients),
 		started:  time.Now(),
 	}
 	// Session i's share of the stream is the ops at i, i+n, …: there are
-	// ceil((len(ops)-i)/n) of them.
+	// ceil((ops.Len()-i)/n) of them.
 	counts := make([]int, clients)
 	for i := 0; i < clients; i++ {
 		w.sessions[i] = eng.OpenSession(i)
 		w.pos[i] = i
-		counts[i] = (len(w.ops) - i + clients - 1) / clients
+		counts[i] = (w.ops.Len() - i + clients - 1) / clients
 	}
 	if sched := eng.World().Schedule(); sched != nil && sched.Scenario != "" {
 		w.scenario = sched.Scenario
@@ -162,10 +163,10 @@ func (s *Server) worldNext(id, session int) (*wire.WorldStep, *wire.Error) {
 	if w.stats != nil {
 		return nil, &wire.Error{Code: wire.CodeExec, Msg: fmt.Sprintf("world %d already finished", id)}
 	}
-	if w.pos[session] >= len(w.ops) {
+	if w.pos[session] >= w.ops.Len() {
 		return &wire.WorldStep{Done: true}, nil
 	}
-	op := w.ops[w.pos[session]]
+	op := w.ops.At(w.pos[session])
 	w.pos[session] += len(w.sessions)
 	out := w.sessions[session].Exec(op)
 	step := &wire.WorldStep{

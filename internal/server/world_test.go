@@ -10,6 +10,43 @@ import (
 	"dbproc/internal/wire"
 )
 
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestServedWorldStreamIsCompact: a served world holds its whole
+// canonical stream from open to close. Opening a world of the hot-read
+// benchmark's shape (uc-avm, model 1, the paper's defaults with K = 4 000
+// and Q = 500 000 at uniform access, two sessions) must retain less than
+// 25 MB of heap. The world keeps its pages, its cache and a 4-byte word
+// per op (~2 MB); a world that held the stream as Ops would keep 28 MB of
+// them on top and retain ~42 MB.
+func TestServedWorldStreamIsCompact(t *testing.T) {
+	defer dbtest.Watchdog(t, 2*time.Minute)()
+	srv, addr := startServer(t, Options{})
+	p := costmodel.Default()
+	p.K, p.Q, p.Z = 4_000, 500_000, 0.5
+	pr := dial(t, addr)
+	before := liveHeap()
+	pr.send(wire.TWorldOpen, &wire.WorldOpen{Params: p, Model: "1", Strategy: "uc-avm", Seed: 1, Clients: 2})
+	opened, ok := pr.recv().(*wire.WorldOpened)
+	if !ok || opened.Ops[0]+opened.Ops[1] != 504_000 {
+		t.Fatalf("world open answered %+v, want two sessions sharing 504 000 ops", opened)
+	}
+	retained := int64(liveHeap()) - int64(before)
+	if srv.lookupWorld(opened.World) == nil {
+		t.Fatal("world not registered")
+	}
+	if retained >= 25<<20 {
+		t.Fatalf("an open hot-read world retains %.1f MB of heap, want < 25 MB", float64(retained)/(1<<20))
+	}
+	t.Logf("an open hot-read world retains %.1f MB of heap", float64(retained)/(1<<20))
+}
+
 // TestServedWorldRetainsNothingPerOp: a bench world is stepped for as
 // long as a client keeps asking, so nothing it keeps may grow with the
 // steps it serves. It opens a traced (critical-path) uc-avm world over
@@ -35,12 +72,6 @@ func TestServedWorldRetainsNothingPerOp(t *testing.T) {
 		t.Fatalf("world open answered %+v, want one session of at least %d ops", opened, steps)
 	}
 
-	heap := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	var base uint64
 	var computeNs int64
 	for i := 1; i <= steps; i++ {
@@ -50,10 +81,10 @@ func TestServedWorldRetainsNothingPerOp(t *testing.T) {
 		}
 		computeNs += step.ComputeNs
 		if i == warm {
-			base = heap()
+			base = liveHeap()
 		}
 	}
-	grown := int64(heap()) - int64(base)
+	grown := int64(liveHeap()) - int64(base)
 
 	res := srv.lookupWorld(opened.World).eng.Finish(0)
 	if res.Ops != steps || computeNs <= 0 {

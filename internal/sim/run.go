@@ -40,10 +40,11 @@ func Run(cfg Config) Result {
 // fresh Build for another measurement.
 func (w *World) Run() Result {
 	p := w.cfg.Params
-	ops := w.WorkloadOps()
+	ops := w.Stream()
 
 	res := Result{Config: w.cfg}
-	for _, op := range ops {
+	for i := 0; i < ops.Len(); i++ {
+		op := ops.At(i)
 		r := w.ExecOp(op)
 		switch op.Kind {
 		case workload.Update:
@@ -78,19 +79,30 @@ func (w *World) Run() Result {
 	return res
 }
 
-// WorkloadOps draws the world's full operation stream: k update
-// transactions interleaved at random with q skewed procedure accesses,
-// consuming the workload generator exactly as the sequential Run loop
-// always has. With a scenario configured, the stream instead comes from
-// the scenario schedule's phased generation under the same seed
-// derivation, so (scenario, seed) fully determines the stream. Callers
-// (Run, the concurrent engine) execute the returned ops through ExecOp.
-func (w *World) WorkloadOps() []workload.Op {
+// Stream draws the world's full operation stream: k update transactions
+// interleaved at random with q skewed procedure accesses, consuming the
+// workload generator exactly as the sequential Run loop always has. With
+// a scenario configured, the stream instead comes from the scenario
+// schedule's phased generation under the same seed derivation, so
+// (scenario, seed) fully determines the stream. Callers (Run, the
+// concurrent engine, a served world) deal its ops through ExecOp.
+func (w *World) Stream() *workload.Stream {
 	if w.sched != nil {
-		return w.sched.Ops(w.cfg.Seed+2, w.mgr.IDs())
+		return w.sched.Stream(w.cfg.Seed+2, w.mgr.IDs())
 	}
 	p := w.cfg.Params
 	return w.gen.Sequence(int(p.K+0.5), int(p.Q+0.5))
+}
+
+// WorkloadOps is Stream expanded into one Op per operation, for callers
+// that pick ops out of the stream by kind.
+func (w *World) WorkloadOps() []workload.Op {
+	s := w.Stream()
+	ops := make([]workload.Op, s.Len())
+	for i := range ops {
+		ops[i] = s.At(i)
+	}
+	return ops
 }
 
 // OpResult reports one executed workload operation.

@@ -54,7 +54,7 @@ type Config struct {
 	// Scenario names a hostile-workload scenario from the workload
 	// catalog (docs/SCENARIOS.md). Empty runs the paper's polite
 	// workload; an unknown name panics in Build. The scenario reshapes
-	// WorkloadOps (phased k/q/skew, storm targeting, bulk L overrides,
+	// Stream (phased k/q/skew, storm targeting, bulk L overrides,
 	// adversarial update footprints, nested procedure calls) and, via
 	// Schedule, the engine's per-session think-time scaling.
 	Scenario string

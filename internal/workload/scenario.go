@@ -11,9 +11,10 @@
 //  1. Each phase draws from its own Generator, seeded by mixing the run
 //     seed with the phase index. No draw ever straddles a phase
 //     boundary: changing phase P's length cannot perturb phase P+1.
-//  2. Everything an op needs at execution time rides on the Op itself
-//     (comparable scalars only), so the engine can deal ops to any
-//     number of sessions without consulting shared scenario state.
+//  2. Everything an op needs at execution time rides on the Op that
+//     Stream.At rebuilds (comparable scalars only), so the engine can
+//     deal ops to any number of sessions without consulting shared
+//     scenario state.
 package workload
 
 import (
@@ -344,45 +345,27 @@ func phaseSeed(seed int64, phase int) int64 {
 	return int64(splitmix64(uint64(seed) ^ splitmix64(uint64(phase)+0x5ca1ab1e)))
 }
 
-// Ops generates the schedule's full operation stream. Each phase owns a
-// Generator seeded from (seed, phase index): draws are deterministic per
-// phase and never straddle a boundary. Ops are shuffled within their
-// phase only — a flash crowd stays a contiguous window — and Index is
-// assigned over the concatenated stream.
-func (s *Schedule) Ops(seed int64, procIDs []int) []Op {
-	var ops []Op
+// Stream generates the schedule's full operation stream. Each phase owns
+// a Generator seeded from (seed, phase index): draws are deterministic
+// per phase and never straddle a boundary. Ops are shuffled within their
+// phase only — a flash crowd stays a contiguous window — and Index counts
+// over the concatenated stream.
+func (s *Schedule) Stream(seed int64, procIDs []int) *Stream {
+	n, nest := 0, 0
+	for _, ph := range s.Phases {
+		n += ph.K + ph.Q
+		if ph.Nest > 0 {
+			nest += ph.K + ph.Q
+		}
+	}
+	st := &Stream{code: make([]uint32, 0, n)}
+	if nest > 0 {
+		st.nest = make([]uint32, 0, nest)
+	}
 	for pi, ph := range s.Phases {
-		g := New(phaseSeed(seed, pi), ph.Z, procIDs)
-		phase := make([]Op, 0, ph.K+ph.Q)
-		for i := 0; i < ph.K; i++ {
-			phase = append(phase, Op{
-				Kind:        Update,
-				Phase:       pi,
-				L:           ph.L,
-				Adversarial: ph.Adversarial,
-			})
-		}
-		for i := 0; i < ph.Q; i++ {
-			op := Op{Kind: Query, Phase: pi}
-			if ph.Theta > 0 && g.Float64() < ph.Theta {
-				op.ProcID = procIDs[ph.StormProc%len(procIDs)]
-			} else {
-				op.ProcID = g.PickProc()
-			}
-			if ph.Nest > 0 {
-				op.Nest = ph.Nest
-				op.Batch = ph.Batch
-				op.NestSeed = int64(splitmix64(uint64(g.Intn(1 << 30))))
-			}
-			phase = append(phase, op)
-		}
-		g.rng.Shuffle(len(phase), func(i, j int) { phase[i], phase[j] = phase[j], phase[i] })
-		ops = append(ops, phase...)
+		st.appendPhase(New(phaseSeed(seed, pi), ph.Z, procIDs), ph.Profile, procIDs)
 	}
-	for i := range ops {
-		ops[i].Index = i
-	}
-	return ops
+	return st
 }
 
 // ThinkScale returns the think-time multiplier for a session index —

@@ -51,8 +51,8 @@ func phaseOps(ops []Op, phase int) []Op {
 // checkSchedule verifies the standing scenario invariants on one
 // schedule and returns a description of the first violation.
 func checkSchedule(sch *Schedule, seed int64, procs []int) error {
-	ops := sch.Ops(seed, procs)
-	again := sch.Ops(seed, procs)
+	ops := expand(sch.Stream(seed, procs))
+	again := expand(sch.Stream(seed, procs))
 	if !reflect.DeepEqual(ops, again) {
 		return fmt.Errorf("ops not deterministic for seed %d", seed)
 	}
@@ -88,7 +88,7 @@ func checkSchedule(sch *Schedule, seed int64, procs []int) error {
 		alt.Phases = append([]Phase(nil), sch.Phases...)
 		alt.Phases[0].K = sch.Phases[0].K / 2
 		alt.Phases[0].Q = sch.Phases[0].Q/2 + 1
-		altOps := alt.Ops(seed, procs)
+		altOps := expand(alt.Stream(seed, procs))
 		for pi := 1; pi < len(sch.Phases); pi++ {
 			if !reflect.DeepEqual(phaseOps(ops, pi), phaseOps(altOps, pi)) {
 				return fmt.Errorf("phase %d draws changed when phase 0 was resized", pi)
@@ -117,8 +117,8 @@ func TestCatalogSchedulesHoldInvariants(t *testing.T) {
 
 func TestDifferentSeedsDiverge(t *testing.T) {
 	sch := BuildSchedule(HotKeyStorm{}, Base{K: 30, Q: 90, Z: 0.2, L: 5})
-	a := sch.Ops(1, ids(10))
-	b := sch.Ops(2, ids(10))
+	a := expand(sch.Stream(1, ids(10)))
+	b := expand(sch.Stream(2, ids(10)))
 	if reflect.DeepEqual(a, b) {
 		t.Fatal("seeds 1 and 2 produced identical scenario streams")
 	}
@@ -209,7 +209,7 @@ func TestFlashCrowdConcentratesQueries(t *testing.T) {
 
 func TestHotKeyStormHitsStormProc(t *testing.T) {
 	sch := BuildSchedule(HotKeyStorm{Theta: 0.95, StormProc: 4}, Base{K: 0, Q: 2000, Z: 0.2, L: 5})
-	ops := sch.Ops(5, ids(10))
+	ops := expand(sch.Stream(5, ids(10)))
 	stormHits, stormTotal := 0, 0
 	for _, op := range ops {
 		if op.Phase != 1 {
@@ -230,7 +230,7 @@ func TestHotKeyStormHitsStormProc(t *testing.T) {
 
 func TestBulkLoadOverridesL(t *testing.T) {
 	sch := BuildSchedule(BulkLoad{Factor: 16}, Base{K: 100, Q: 10, Z: 0.2, L: 5})
-	ops := sch.Ops(1, ids(10))
+	ops := expand(sch.Stream(1, ids(10)))
 	burst := 0
 	for _, op := range ops {
 		if op.Kind != Update {
@@ -255,7 +255,7 @@ func TestBulkLoadOverridesL(t *testing.T) {
 
 func TestAdversarialMarksUpdates(t *testing.T) {
 	sch := BuildSchedule(AdversarialInvalidation{}, Base{K: 50, Q: 50, Z: 0.2, L: 5})
-	for _, op := range sch.Ops(1, ids(10)) {
+	for _, op := range expand(sch.Stream(1, ids(10))) {
 		if op.Kind == Update && !op.Adversarial {
 			t.Fatal("update not marked adversarial")
 		}
@@ -268,7 +268,7 @@ func TestAdversarialMarksUpdates(t *testing.T) {
 func TestInnerProcs(t *testing.T) {
 	procs := ids(7)
 	sch := BuildSchedule(NestedCalls{Depth: 5}, Base{K: 0, Q: 50, Z: 0.2, L: 5})
-	ops := sch.Ops(3, procs)
+	ops := expand(sch.Stream(3, procs))
 	for _, op := range ops {
 		inner := InnerProcs(op, procs)
 		if len(inner) != 5 {
@@ -285,7 +285,7 @@ func TestInnerProcs(t *testing.T) {
 	}
 	// Batched mode dedupes and sorts.
 	bsch := BuildSchedule(NestedCalls{Depth: 5, Batch: true}, Base{K: 0, Q: 50, Z: 0.2, L: 5})
-	for _, op := range bsch.Ops(3, procs) {
+	for _, op := range expand(bsch.Stream(3, procs)) {
 		inner := InnerProcs(op, procs)
 		if len(inner) == 0 || len(inner) > 5 {
 			t.Fatalf("batched nest expanded to %d inner calls", len(inner))

@@ -23,11 +23,12 @@ const (
 // Op is one workload operation. Updates carry no payload here; the
 // simulator picks the l tuples to modify when the operation executes.
 //
-// Op is a comparable value type: scenario attributes are scalars, never
-// slices, so histories and replay records can compare ops directly and
-// ops serialize losslessly through the wire protocol's JSON. The one-byte
-// fields lead so they share a word: an Op is 56 bytes (TestOpPacks), and
-// a world holds hundreds of thousands of them.
+// Op is the form an operation takes while it executes and in the records
+// of it: a comparable value type whose scenario attributes are scalars,
+// never slices, so histories and replay records compare ops directly and
+// ops serialize losslessly through the wire protocol. A world does not
+// hold its stream as Ops: a Stream keeps it in about 4 bytes per op and
+// rebuilds each Op as it is dealt.
 type Op struct {
 	Kind Kind
 	// Adversarial marks an update whose footprint is chosen to hit the
@@ -93,10 +94,16 @@ func ClampZ(z float64) float64 {
 // New builds a generator over the given procedure ids with locality skew
 // z: ⌈z·n⌉ randomly chosen "hot" procedures receive a fraction 1−z of
 // accesses. Degenerate skews are folded into (0, 1) via ClampZ; an empty
-// id slice has no sensible reading and panics.
+// id slice has no sensible reading and panics, as does an id outside a
+// Stream's 31-bit ProcID.
 func New(seed int64, z float64, procIDs []int) *Generator {
 	if len(procIDs) == 0 {
 		panic("workload: no procedures")
+	}
+	for _, id := range procIDs {
+		if id < 0 || id >= updateBit {
+			panic(fmt.Sprintf("workload: procedure id %d outside a Stream's 31 bits", id))
+		}
 	}
 	z = ClampZ(z)
 	rng := rand.New(rand.NewSource(seed))
@@ -126,23 +133,15 @@ func (g *Generator) PickProc() int {
 }
 
 // Sequence returns a random interleaving of exactly q Query ops (each with
-// a skewed procedure pick) and k Update ops.
-func (g *Generator) Sequence(k, q int) []Op {
+// a skewed procedure pick) and k Update ops: q picks, then one shuffle of
+// all k+q ops.
+func (g *Generator) Sequence(k, q int) *Stream {
 	if k < 0 || q < 0 {
 		panic("workload: negative operation counts")
 	}
-	ops := make([]Op, 0, k+q)
-	for i := 0; i < k; i++ {
-		ops = append(ops, Op{Kind: Update})
-	}
-	for i := 0; i < q; i++ {
-		ops = append(ops, Op{Kind: Query, ProcID: g.PickProc()})
-	}
-	g.rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
-	for i := range ops {
-		ops[i].Index = i
-	}
-	return ops
+	s := &Stream{code: make([]uint32, 0, k+q)}
+	s.appendPhase(g, Profile{K: k, Q: q}, nil)
+	return s
 }
 
 // PickDistinct draws n distinct values from [0, limit). It panics if
@@ -198,42 +197,4 @@ func (t *Thinker) Next() time.Duration {
 		return 0
 	}
 	return time.Duration(t.rng.ExpFloat64() * t.mean * float64(time.Millisecond))
-}
-
-// Arrivals draws a deterministic open-loop arrival schedule for one
-// session: a Poisson process at a fixed rate, yielding absolute
-// submission offsets measured from the start of the run. Where the
-// closed-loop Thinker paces the next submission off the previous
-// completion (a slow server throttles its own offered load), an
-// open-loop session submits at the scheduled instant regardless of how
-// long the previous operation took — lateness accumulates as queueing
-// delay instead of vanishing into reduced demand, the standard open-loop
-// overload semantics. The schedule is a pure function of (seed, rate),
-// so two runs over the same scenario and seed replay identical arrival
-// instants no matter how the contended runs themselves interleave.
-type Arrivals struct {
-	rng   *rand.Rand
-	gapMs float64 // mean inter-arrival gap in ms; <= 0 → every arrival at t=0
-	at    time.Duration
-}
-
-// NewArrivals builds an arrival process submitting ratePerSec operations
-// per second on average. A non-positive rate degenerates to "submit
-// immediately" (every arrival at offset zero).
-func NewArrivals(seed int64, ratePerSec float64) *Arrivals {
-	a := &Arrivals{rng: rand.New(rand.NewSource(seed))}
-	if ratePerSec > 0 {
-		a.gapMs = 1000 / ratePerSec
-	}
-	return a
-}
-
-// Next returns the absolute offset from run start at which the next
-// operation is due. Successive offsets are nondecreasing.
-func (a *Arrivals) Next() time.Duration {
-	if a.gapMs <= 0 {
-		return a.at
-	}
-	a.at += time.Duration(a.rng.ExpFloat64() * a.gapMs * float64(time.Millisecond))
-	return a.at
 }

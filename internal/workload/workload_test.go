@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"testing"
-	"unsafe"
 )
 
 func ids(n int) []int {
@@ -14,18 +13,9 @@ func ids(n int) []int {
 	return out
 }
 
-// TestOpPacks: a served world holds its whole canonical stream (504 000
-// ops for hot-read), so the one-byte fields must share the word Kind
-// starts instead of each padding one of its own.
-func TestOpPacks(t *testing.T) {
-	if n := unsafe.Sizeof(Op{}); n != 56 {
-		t.Fatalf("workload.Op is %d bytes, want 56", n)
-	}
-}
-
 func TestSequenceCounts(t *testing.T) {
 	g := New(1, 0.2, ids(10))
-	ops := g.Sequence(30, 70)
+	ops := expand(g.Sequence(30, 70))
 	if len(ops) != 100 {
 		t.Fatalf("len = %d", len(ops))
 	}
@@ -46,14 +36,14 @@ func TestSequenceCounts(t *testing.T) {
 }
 
 func TestSequenceDeterministic(t *testing.T) {
-	a := New(7, 0.2, ids(10)).Sequence(20, 20)
-	b := New(7, 0.2, ids(10)).Sequence(20, 20)
+	a := expand(New(7, 0.2, ids(10)).Sequence(20, 20))
+	b := expand(New(7, 0.2, ids(10)).Sequence(20, 20))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sequences diverge at %d", i)
 		}
 	}
-	c := New(8, 0.2, ids(10)).Sequence(20, 20)
+	c := expand(New(8, 0.2, ids(10)).Sequence(20, 20))
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -130,10 +120,12 @@ func TestPickDistinct(t *testing.T) {
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"no procs":       func() { New(1, 0.2, nil) },
-		"no procs bad Z": func() { New(1, 0, nil) },
-		"negative k":     func() { New(1, 0.2, ids(5)).Sequence(-1, 2) },
-		"too many picks": func() { New(1, 0.2, ids(5)).PickDistinct(5, 4) },
+		"no procs":        func() { New(1, 0.2, nil) },
+		"no procs bad Z":  func() { New(1, 0, nil) },
+		"negative k":      func() { New(1, 0.2, ids(5)).Sequence(-1, 2) },
+		"too many picks":  func() { New(1, 0.2, ids(5)).PickDistinct(5, 4) },
+		"id past 31 bits": func() { New(1, 0.2, []int{0, 1 << 31}) },
+		"negative id":     func() { New(1, 0.2, []int{-1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -181,7 +173,7 @@ func TestClampZ(t *testing.T) {
 func TestDegenerateZGenerates(t *testing.T) {
 	for _, z := range []float64{0, 1, -0.5, 2, math.NaN()} {
 		g := New(11, z, ids(10))
-		ops := g.Sequence(5, 15)
+		ops := expand(g.Sequence(5, 15))
 		if len(ops) != 20 {
 			t.Fatalf("Z=%v: len = %d", z, len(ops))
 		}
@@ -190,7 +182,7 @@ func TestDegenerateZGenerates(t *testing.T) {
 				t.Fatalf("Z=%v: bad proc id %d", z, op.ProcID)
 			}
 		}
-		again := New(11, z, ids(10)).Sequence(5, 15)
+		again := expand(New(11, z, ids(10)).Sequence(5, 15))
 		for i := range ops {
 			if ops[i] != again[i] {
 				t.Fatalf("Z=%v: sequence not deterministic at %d", z, i)

@@ -28,8 +28,8 @@
 #           snapshot guards (docs/MVCC.md: the 8-client storm-adversarial
 #           snapshot soak under -race with the SI-aware oracle and the
 #           watchdog flight dump kept as an artifact, the write-skew
-#           corpus, the access wait-share collapse and the open-loop
-#           arrival replay property)
+#           corpus, the access wait-share collapse and the scenario
+#           replay property)
 #
 # What instrumentation costs when it is off is held by allocation guards
 # in tier 1 (metric.TestChargesAllocateNothing,
@@ -98,13 +98,15 @@ GOMAXPROCS=4 go test -race -count=3 \
 # op lands in an obs.Histogram, so its guards ride here too: the stated
 # one-bucket bound, exact merging, observers racing a scraper, and the
 # p99 detector firing with no option but Detect set. So do the
-# bounded-memory world's: a stepped world retains nothing per op
-# (./internal/server), the running history digest replays, is
-# order-sensitive and covers every field, and workload.Op packs to 56
-# bytes.
+# bounded-memory world's: a stepped world retains nothing per op and an
+# open hot-read world holds its stream compactly
+# (TestServedWorldStreamIsCompact, both in ./internal/server), the
+# running history digest replays, is order-sensitive and covers every
+# field, and the compact op stream rebuilds the reference ops in at most
+# 4 bytes per op.
 GOMAXPROCS=4 go test -race -count=3 ./internal/server
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestOpPacks' \
+    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestStreamBytesPerOp|TestSequenceMatchesReference|TestScheduleStreamMatchesReference' \
     ./internal/obs/ ./internal/engine/ ./internal/workload/
 GOMAXPROCS=4 go test -count=1 \
     -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
@@ -142,12 +144,13 @@ GOMAXPROCS=4 go test -race -short \
 # traffic with snapshot reads ON — every lifted history checked by the
 # SI-aware oracle, every procedure checked against a fresh recompute —
 # plus the write-skew corpus the old commit-order check must miss, the
-# access wait-share collapse and the open-loop arrival replay property. TMPDIR points at the artifact dir so a stalled soak's
+# access wait-share collapse and the scenario replay property (one
+# client reproduces sim.Run; reruns offer the same ops). TMPDIR points at the artifact dir so a stalled soak's
 # watchdog flight dump is kept for CI upload.
 MVCC_ART="${VERIFY_ARTIFACTS:-$(mktemp -d)}"
 mkdir -p "$MVCC_ART"
 TMPDIR="$MVCC_ART" GOMAXPROCS=4 go test -race \
-    -run 'TestMVCCSnapshotSoak|TestMVCCAccessWaitShareCollapse|TestSIOracleCorpus|TestSIOracleMinimalWindow|TestSIOracleSeeded|TestTxnsFromHistoryCleanRun|TestOpenLoopArrivals' \
+    -run 'TestMVCCSnapshotSoak|TestMVCCAccessWaitShareCollapse|TestSIOracleCorpus|TestSIOracleMinimalWindow|TestSIOracleSeeded|TestTxnsFromHistoryCleanRun|TestScenarioClientsOneMatchesSequential|TestScenarioRunReplayable' \
     ./internal/engine/
 echo "mvcc snapshot soak: OK"
 
