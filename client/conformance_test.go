@@ -256,6 +256,72 @@ func TestDriverConformance(t *testing.T) {
 		drained(t, srv, false)
 	})
 
+	t.Run("FailedStatementAbortsTx", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		conn, err := db.Conn(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx, err := conn.BeginTx(ctx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec("delete from emp where emp.age = 25"); err != nil {
+			t.Fatal(err)
+		}
+		// tid 3 already holds emp's cluster key (35, 3).
+		if _, err := tx.Exec("replace emp (tid = 3) where emp.tid = 6"); err == nil {
+			t.Fatal("duplicate-key replace succeeded")
+		}
+		if _, err := tx.Exec("append to emp (tid = 8, age = 70, dept = 10, salary = 800)"); err == nil {
+			t.Fatal("a statement after the failed one ran in the aborted transaction")
+		}
+		if err := tx.Commit(); err == nil {
+			t.Fatal("commit of an aborted transaction succeeded")
+		}
+		if err := conn.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A second connection gets through the statement gate and sees
+		// the table as it was before the transaction.
+		rows, err := db.QueryContext(ctx, "retrieve (emp.tid) where emp.age >= 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := countRows(t, rows); n != 7 {
+			t.Fatalf("%d rows after the aborted transaction, want 7", n)
+		}
+		drained(t, srv, false)
+	})
+
+	t.Run("FailedAutocommitIsAtomic", func(t *testing.T) {
+		mustExec(t, db, "define procedure mid as retrieve (emp.all) where emp.age = 35")
+		count := func(q string) int {
+			rows, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return countRows(t, rows)
+		}
+		if n := count("execute mid"); n != 2 {
+			t.Fatalf("mid returned %d rows, want 2", n)
+		}
+		if _, err := db.Exec("replace emp (tid = 3) where emp.tid = 6"); err == nil {
+			t.Fatal("duplicate-key replace succeeded")
+		}
+		if n := count("retrieve (emp.all) where emp.age = 35"); n != 2 {
+			t.Fatalf("the failed replace left %d rows at age 35, want 2", n)
+		}
+		if n := count("execute mid"); n != 2 {
+			t.Fatalf("mid serves %d rows after the failed replace, want 2", n)
+		}
+		if n := count("retrieve (emp.tid) where emp.age >= 0"); n != 7 {
+			t.Fatalf("%d rows after the failed replace, want 7", n)
+		}
+		drained(t, srv, false)
+	})
+
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

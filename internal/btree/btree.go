@@ -42,7 +42,6 @@ func (k Key) Of(rec []byte) uint64 {
 
 // Tree is a clustered B+-tree of fixed-size records.
 type Tree struct {
-	disk    *storage.Disk
 	recSize int
 	leafCap int // records per leaf page
 	fanout  int // index entries (children) per internal page
@@ -96,7 +95,6 @@ func New(disk *storage.Disk, recSize, indexEntrySize int, key Key) *Tree {
 		panic(fmt.Sprintf("btree: key words at %d and %d do not fit a %d-byte record", key.Hi, key.Lo, recSize))
 	}
 	t := &Tree{
-		disk:    disk,
 		recSize: recSize,
 		leafCap: leafCap,
 		fanout:  fanout,
@@ -104,9 +102,9 @@ func New(disk *storage.Disk, recSize, indexEntrySize int, key Key) *Tree {
 		key:     key,
 		dir:     treeDir{height: 1},
 	}
-	t.dir.root = t.newNode(true)
+	t.dir.root = t.newNode(disk.Alloc(), true)
 	t.dir.numLeaves = 1
-	t.dv = disk.RegisterDir(t.snapshotDir)
+	t.dv = disk.RegisterDir(t.snapshotDir, t.restoreDir)
 	return t
 }
 
@@ -116,6 +114,14 @@ func (t *Tree) snapshotDir() any {
 	d := t.dir
 	d.meta = t.dir.meta.Snapshot()
 	return &d
+}
+
+// restoreDir resets the live directory to the published copy v.
+func (t *Tree) restoreDir(v any) {
+	meta := t.dir.meta
+	t.dir = *v.(*treeDir)
+	meta.Restore(t.dir.meta)
+	t.dir.meta = meta
 }
 
 // node returns node id's meta as directory d records it.
@@ -150,8 +156,7 @@ func (t *Tree) LeafCapacity() int { return t.leafCap }
 // Fanout returns the maximum number of children of an internal node.
 func (t *Tree) Fanout() int { return t.fanout }
 
-func (t *Tree) newNode(leaf bool) storage.PageID {
-	id := t.disk.Alloc()
+func (t *Tree) newNode(id storage.PageID, leaf bool) storage.PageID {
 	*t.metaMut(id) = nodeMeta{leaf: leaf, next: storage.NilPage, prev: storage.NilPage}
 	return id
 }
@@ -258,7 +263,7 @@ func (t *Tree) Insert(pg *storage.Pager, rec []byte) {
 	newID, sep, split := t.insertAt(pg, t.dir.root, key, rec)
 	if split {
 		oldRoot := t.dir.root
-		newRoot := t.newNode(false)
+		newRoot := t.newNode(pg.AllocPage(), false)
 		// Temporarily make newRoot the root before writing so pin logic
 		// applies consistently; height grows by one level.
 		t.dir.root = newRoot
@@ -302,7 +307,7 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, key uint64, rec 
 		return storage.NilPage, 0, false
 	}
 	// Split: upper half moves to a new right sibling.
-	rightID := t.newNode(true)
+	rightID := t.newNode(pg.AllocPage(), true)
 	t.dir.numLeaves++
 	rm := t.metaMut(rightID)
 	half := m.count / 2
@@ -343,7 +348,7 @@ func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, pos int, sep ui
 		m.count++
 		return storage.NilPage, 0, false
 	}
-	rightID := t.newNode(false)
+	rightID := t.newNode(pg.AllocPage(), false)
 	rm := t.metaMut(rightID)
 	half := m.count / 2
 	rbuf := pg.Overwrite(rightID)

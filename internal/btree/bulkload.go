@@ -47,7 +47,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [
 		if len(level) == 0 {
 			id = t.dir.root // reuse the empty root leaf
 		} else {
-			id = t.newNode(true)
+			id = t.newNode(pg.AllocPage(), true)
 			t.dir.numLeaves++
 		}
 		m := t.metaMut(id)
@@ -73,7 +73,7 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [
 			if end > len(level) {
 				end = len(level)
 			}
-			id := t.newNode(false)
+			id := t.newNode(pg.AllocPage(), false)
 			m := t.metaMut(id)
 			buf := pg.Overwrite(id)
 			for i := start; i < end; i++ {

@@ -52,7 +52,6 @@ import (
 
 // Table is a static-hash file of fixed-size records.
 type Table struct {
-	disk    *storage.Disk
 	recSize int
 	perPage int
 	keyOff  int
@@ -95,13 +94,12 @@ func New(disk *storage.Disk, recSize, numBuckets, keyOff int) *Table {
 		panic(fmt.Sprintf("hashidx: key at offset %d does not fit a %d-byte record", keyOff, recSize))
 	}
 	t := &Table{
-		disk:    disk,
 		recSize: recSize,
 		perPage: perPage,
 		keyOff:  keyOff,
 		dir:     hashDir{numBuckets: numBuckets},
 	}
-	t.dv = disk.RegisterDir(t.snapshotDir)
+	t.dv = disk.RegisterDir(t.snapshotDir, t.restoreDir)
 	return t
 }
 
@@ -116,6 +114,14 @@ func (t *Table) snapshotDir() any {
 	d := t.dir
 	d.buckets = t.dir.buckets.Snapshot()
 	return &d
+}
+
+// restoreDir resets the live directory to the published copy v.
+func (t *Table) restoreDir(v any) {
+	buckets := t.dir.buckets
+	t.dir = *v.(*hashDir)
+	buckets.Restore(t.dir.buckets)
+	t.dir.buckets = buckets
 }
 
 // dirFor resolves the directory a reader should probe: the newest
@@ -168,7 +174,7 @@ func (t *Table) Insert(pg *storage.Pager, rec []byte) {
 	slot := n % t.perPage
 	var buf []byte
 	if slot == 0 && n == len(b.pages)*t.perPage {
-		id := t.disk.Alloc()
+		id := pg.AllocPage()
 		b.pages = append(b.pages, id)
 		buf = pg.Overwrite(id)
 	} else {

@@ -29,9 +29,9 @@ type DB struct {
 	nextID     int
 	nextSeq    uint64
 
-	// tx is the open undo-log transaction, nil outside one. A session
-	// holds at most one open transaction (the server's statement gate
-	// serializes sessions, so this is a per-server invariant too).
+	// tx is the open transaction, nil outside one. A session holds at
+	// most one open transaction (the server's statement gate serializes
+	// sessions, so this is a per-server invariant too).
 	tx *Tx
 
 	// wrapPlan, when set (by the aliasing oracle's test), is applied to
@@ -109,21 +109,40 @@ func (db *DB) Run(input string) (*Result, error) {
 
 // RunParsed executes an already-parsed statement — the path a server
 // takes for prepared statements, where Parse ran once at Prepare time.
-// Append, delete and replace run as update epochs; every other statement
-// reads at a snapshot of the newest commit.
+// Inside a transaction every statement runs in the transaction's epoch.
+// Outside one, append, delete and replace run as update epochs of their
+// own and every other statement reads at a snapshot of the newest commit.
+// An update that fails, by error or panic, abandons its epoch — the
+// statement's, or the transaction's, which it aborts — so it changes
+// nothing.
 func (db *DB) RunParsed(stmt Statement) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("quel: %v", r)
-		}
-	}()
+	tx := db.tx
+	if tx != nil && tx.aborted {
+		return nil, errAborted
+	}
 	update := false
 	switch stmt.(type) {
 	case *AppendStmt, *DeleteStmt, *ReplaceStmt:
 		update = true
 	}
-	db.pager.OpenScope(update)
-	defer db.closeScope(update)
+	if tx == nil {
+		db.pager.OpenScope(update)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("quel: %v", r)
+		}
+		switch {
+		case update && err != nil:
+			db.pager.AbortScope()
+			if tx != nil {
+				tx.aborted = true
+				err = fmt.Errorf("%w (transaction rolled back)", err)
+			}
+		case tx == nil:
+			db.closeScope(update)
+		}
+	}()
 	db.pager.BeginOp()
 	before := db.meter.Snapshot()
 	res, err = db.exec(stmt)
@@ -135,10 +154,9 @@ func (db *DB) RunParsed(stmt Statement) (res *Result, err error) {
 	return res, nil
 }
 
-// closeScope closes a statement's scope, on every path out of it: a read
-// releases its snapshot; an update publishes at the next commit stamp —
-// also after a panic part way through, whose writes to the live
-// directories cannot be taken back — and version GC follows.
+// closeScope closes a statement's or a transaction's scope: a read
+// releases its snapshot; an update publishes at the next commit stamp and
+// version GC follows.
 func (db *DB) closeScope(update bool) {
 	disk := db.pager.Disk()
 	db.pager.CloseScope(disk.CommitStamp() + 1)
@@ -149,8 +167,8 @@ func (db *DB) closeScope(update bool) {
 
 func (db *DB) exec(stmt Statement) (*Result, error) {
 	if db.tx != nil {
-		// DDL has no undo entries (catalog and procedure definitions are
-		// not logged), so a transaction may not issue it.
+		// Catalog and procedure definitions are not versioned, so a
+		// rollback could not take them back.
 		switch stmt.(type) {
 		case *CreateStmt, *DefineProcStmt:
 			return nil, fmt.Errorf("quel: DDL is not allowed inside a transaction")
@@ -228,12 +246,6 @@ func (db *DB) append_(s *AppendStmt) (*Result, error) {
 	// Tell the stored-procedure layer, so conflicting cached results are
 	// invalidated.
 	db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Inserted: [][]byte{tup}})
-	if db.tx != nil {
-		db.tx.log(func() {
-			db.removeBase(rel, tup)
-			db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Deleted: [][]byte{tup}})
-		})
-	}
 	return &Result{Message: "appended 1 tuple to " + s.Rel, Affected: 1}, nil
 }
 
@@ -353,14 +365,6 @@ func (db *DB) delete_(s *DeleteStmt) (*Result, error) {
 	}
 	if len(tuples) > 0 {
 		db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Deleted: tuples})
-		if db.tx != nil {
-			db.tx.log(func() {
-				for _, tup := range tuples {
-					rel.Insert(db.pager, tup)
-				}
-				db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Inserted: tuples})
-			})
-		}
 	}
 	return &Result{
 		Message:  fmt.Sprintf("deleted %d tuple(s) from %s", len(tuples), s.Rel),
@@ -391,17 +395,6 @@ func (db *DB) replace(s *ReplaceStmt) (*Result, error) {
 	}
 	if len(tuples) > 0 {
 		db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Deleted: tuples, Inserted: inserted})
-		if db.tx != nil {
-			db.tx.log(func() {
-				for _, tup := range inserted {
-					db.removeBase(rel, tup)
-				}
-				for _, tup := range tuples {
-					rel.Insert(db.pager, tup)
-				}
-				db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Deleted: inserted, Inserted: tuples})
-			})
-		}
 	}
 	return &Result{
 		Message:  fmt.Sprintf("replaced %d tuple(s) in %s", len(tuples), s.Rel),
@@ -467,10 +460,17 @@ type part struct {
 // accessPart runs one leaf query of a procedure through Cache and
 // Invalidate and renders its rows as one block — the count is known, so
 // the block is allocated once — reporting whether the cached value was
-// valid.
+// usable. Inside a transaction it recomputes the query over the
+// transaction's epoch instead and leaves the cache alone.
 func (db *DB) accessPart(p part) (Section, bool) {
-	valid := db.store.MustEntry(cache.ID(p.id)).Valid()
-	tuples := db.strategy.Access(db.pager, p.id)
+	var tuples [][]byte
+	valid := false
+	if db.tx != nil {
+		tuples = query.Run(db.procs.MustGet(p.id).Plan, &query.Ctx{Meter: db.meter, Pager: db.pager})
+	} else {
+		valid = db.store.MustEntry(cache.ID(p.id)).UsableAt(db.pager.ReadStamp())
+		tuples = db.strategy.Access(db.pager, p.id)
+	}
 	flat := make([]int64, 0, len(tuples)*p.sch.NumFields())
 	for _, tup := range tuples {
 		flat = appendValues(flat, p.sch, tup)
@@ -500,7 +500,10 @@ func (db *DB) execute(s *ExecuteStmt) (*Result, error) {
 		}
 	}
 	how := "from cache"
-	if !allValid {
+	switch {
+	case db.tx != nil:
+		how = "recomputed in transaction"
+	case !allValid:
 		how = "recomputed and cached"
 	}
 	res.Message = fmt.Sprintf("%d tuple(s) (%s)", total, how)

@@ -1,34 +1,46 @@
 package quel
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// Tx is an undo-log transaction over the session: every mutating
-// statement (append, delete, replace) executed while the transaction is
-// open logs an inverse closure, and Rollback applies the closures in
-// reverse. The inverses restore the base tables exactly and re-run the
-// strategy's OnUpdate hook with the inverse delta, so cached procedure
-// results that saw the rolled-back state are invalidated again and the
-// next access recomputes from the restored base. DDL (create, define
-// procedure) has no undo entries and is rejected inside a transaction.
+// Tx is a transaction over the session: one update epoch on the session's
+// pager (docs/MVCC.md), opened by Begin. Every statement until Commit runs
+// in that epoch and sees the transaction's own writes; Commit publishes
+// the epoch at the next commit stamp and Rollback abandons it, so the
+// base tables, and every snapshot reader, are as if it never ran. The
+// epoch is the only place uncommitted state lives.
 //
-// Rollback work is uncharged and unmetered — undo is bookkeeping, not
-// workload, exactly like the simulator's uncharged base-table updates —
-// and runs as one update epoch.
+// An execute inside the transaction recomputes the procedure over the
+// epoch and leaves its cache entry alone, so the cache never holds
+// uncommitted state. Entries the transaction's updates invalidated stay
+// invalid after a rollback: their invalidation is stamped for the next
+// commit, so they are still served at the current stamp and cost one
+// refresh once something commits. DDL (create, define procedure) is
+// rejected inside a transaction.
+//
+// A failed append, delete or replace abandons the epoch and aborts the
+// transaction: every later statement fails with errAborted, Commit
+// returns it and closes the transaction, and Rollback succeeds.
 //
 // Isolation across connections is the server's job (cmd/procserved
 // holds its statement gate from Begin to Commit/Rollback); the DB
 // itself supports one open transaction at a time.
 type Tx struct {
-	db   *DB
-	undo []func()
-	done bool
+	db      *DB
+	done    bool
+	aborted bool
 }
+
+var errAborted = errors.New("quel: transaction aborted; roll back")
 
 // Begin opens a transaction. It fails if one is already open.
 func (db *DB) Begin() (*Tx, error) {
 	if db.tx != nil {
 		return nil, fmt.Errorf("quel: transaction already open")
 	}
+	db.pager.OpenScope(true)
 	db.tx = &Tx{db: db}
 	return db.tx, nil
 }
@@ -36,45 +48,37 @@ func (db *DB) Begin() (*Tx, error) {
 // InTx reports whether a transaction is open.
 func (db *DB) InTx() bool { return db.tx != nil }
 
-// log records one inverse closure.
-func (t *Tx) log(undo func()) { t.undo = append(t.undo, undo) }
-
-// Commit makes the transaction's effects permanent (they are already
-// applied; commit just discards the undo log).
-func (t *Tx) Commit() error {
+// end closes the transaction, once.
+func (t *Tx) end() error {
 	if t.done {
 		return fmt.Errorf("quel: transaction already closed")
 	}
 	t.done = true
 	t.db.tx = nil
-	t.undo = nil
 	return nil
 }
 
-// Rollback undoes the transaction's statements in reverse order.
-func (t *Tx) Rollback() (err error) {
-	if t.done {
-		return fmt.Errorf("quel: transaction already closed")
+// Commit publishes the transaction's epoch. An aborted transaction
+// closes with errAborted instead: its epoch is gone already.
+func (t *Tx) Commit() error {
+	if err := t.end(); err != nil {
+		return err
 	}
-	t.done = true
-	db := t.db
-	db.tx = nil
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("quel: rollback: %v", r)
-		}
-	}()
-	prevCharge := db.pager.SetCharging(false)
-	prevMute := db.meter.SetMuted(true)
-	db.pager.OpenScope(true)
-	defer db.closeScope(true)
-	db.pager.BeginOp()
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.undo[i]()
+	if t.aborted {
+		return errAborted
 	}
-	db.pager.BeginOp() // flush the uncharged undo writes
-	db.meter.SetMuted(prevMute)
-	db.pager.SetCharging(prevCharge)
-	t.undo = nil
+	t.db.closeScope(true)
+	return nil
+}
+
+// Rollback abandons the transaction's epoch. It writes nothing and
+// charges nothing.
+func (t *Tx) Rollback() error {
+	if err := t.end(); err != nil {
+		return err
+	}
+	if !t.aborted {
+		t.db.pager.AbortScope()
+	}
 	return nil
 }

@@ -66,3 +66,10 @@ func (t *Table[T]) Snapshot() Table[T] {
 	t.gen++
 	return Table[T]{chunks: slices.Clone(t.chunks)}
 }
+
+// Restore makes t a copy of snap, a Snapshot taken of t, discarding every
+// mutation since. The chunks stay shared with snap; Snapshot moved t's gen
+// past every one of them, so the next Mut of each copies it first.
+func (t *Table[T]) Restore(snap Table[T]) {
+	t.chunks = slices.Clone(snap.chunks)
+}

@@ -369,6 +369,28 @@ func (p *Pager) ReadStamp() uint64 {
 	return p.snap
 }
 
+// AbortScope closes the update epoch unpublished: the frames are dropped
+// unflushed and the disk abandons the epoch (Disk.Abandon).
+func (p *Pager) AbortScope() {
+	if !p.epoch {
+		panic("storage: AbortScope outside an update epoch")
+	}
+	p.dirtied = p.dirtied[:0] // nothing to flush: BeginOp only clears
+	p.BeginOp()
+	p.disk.Abandon()
+	p.epoch = false
+}
+
+// AllocPage reserves a zeroed page, the twin of FreePage. Inside an update
+// epoch the disk records it, for Abandon to free.
+func (p *Pager) AllocPage() PageID {
+	id := p.disk.Alloc()
+	if p.epoch {
+		p.disk.mvcc.epochAllocs = append(p.disk.mvcc.epochAllocs, id)
+	}
+	return id
+}
+
 // FreePage returns a page to the allocator. Inside an update epoch the
 // free is deferred until the GC horizon passes the epoch's commit stamp,
 // because older directory snapshots may still name the page.

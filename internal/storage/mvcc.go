@@ -40,6 +40,8 @@
 // passes the freeing update's stamp, since older directory snapshots may
 // still name them. GCVersions also cuts version lists below the horizon,
 // visiting only the pages and directories published since it last ran.
+//
+// An epoch can be abandoned instead of published (Abandon).
 package storage
 
 import (
@@ -94,6 +96,7 @@ type DirVersions struct {
 	disk      *Disk
 	versioned bool
 	snap      func() any
+	restore   func(any)
 	head      atomic.Pointer[dirVer]
 	dirty     bool
 	queued    bool // awaiting version pruning; guarded by mvccState.mu
@@ -115,12 +118,13 @@ type mvccState struct {
 	active      map[uint64]int
 	epoch       atomic.Bool
 
-	// Epoch-writer private state: pages written and freed this epoch, and
-	// directories dirtied this epoch. Only the session holding the update
-	// footprint touches these.
-	epochPages []*page
-	epochFrees []PageID
-	dirtyDirs  []*DirVersions
+	// Epoch-writer private state: pages written, allocated (through
+	// Pager.AllocPage) and freed this epoch, and directories dirtied this
+	// epoch. Only the session holding the update footprint touches these.
+	epochPages  []*page
+	epochAllocs []PageID
+	epochFrees  []PageID
+	dirtyDirs   []*DirVersions
 
 	deferred []deferredFree
 	// gcPages and gcDirs hold what gained a version since GCVersions last
@@ -244,8 +248,30 @@ func (d *Disk) Publish(stamp uint64) {
 	}
 	m.commitStamp.Store(stamp)
 	m.mu.Unlock()
-	m.epochPages = m.epochPages[:0]
-	m.dirtyDirs = m.dirtyDirs[:0]
+	m.endEpoch()
+}
+
+// Abandon closes the open epoch unpublished, as if it never ran: staged
+// images are dropped, dirty directories restored from their published
+// heads, the epoch's allocations freed and its deferred frees forgotten.
+func (d *Disk) Abandon() {
+	m := &d.mvcc
+	for _, pg := range m.epochPages {
+		pg.pending = nil
+	}
+	for _, dv := range m.dirtyDirs {
+		dv.restore(dv.head.Load().val)
+		dv.dirty = false
+	}
+	d.mu.Lock()
+	d.free = append(d.free, m.epochAllocs...)
+	d.mu.Unlock()
+	m.endEpoch()
+}
+
+// endEpoch clears the writer's epoch state and closes the epoch.
+func (m *mvccState) endEpoch() {
+	m.epochPages, m.epochAllocs, m.epochFrees, m.dirtyDirs = m.epochPages[:0], m.epochAllocs[:0], m.epochFrees[:0], m.dirtyDirs[:0]
 	m.epoch.Store(false)
 }
 
@@ -338,11 +364,12 @@ func (d *Disk) ReclaimStats() (reclaimed, reused, pooled, horizonLag uint64) {
 // RegisterDir registers an in-memory directory with the disk and returns
 // its version handle. snap must return an immutable copy of the live
 // directory; the copy may share whatever the live directory will copy
-// before writing again (Table chunks, OrderedFile page entries).
-// Structures register at construction; cache entry files that are
-// rewritten at query time call Unversion on the handle instead.
-func (d *Disk) RegisterDir(snap func() any) *DirVersions {
-	dv := &DirVersions{disk: d, versioned: true, snap: snap}
+// before writing again (Table chunks, OrderedFile page entries); restore
+// resets the live directory to such a copy on the same terms. Structures
+// register at construction; cache entry files that are rewritten at query
+// time call Unversion on the handle instead.
+func (d *Disk) RegisterDir(snap func() any, restore func(any)) *DirVersions {
+	dv := &DirVersions{disk: d, versioned: true, snap: snap, restore: restore}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.dirs = append(d.dirs, dv)
@@ -360,9 +387,6 @@ func (dv *DirVersions) Unversion() {
 	dv.versioned = false
 	dv.head.Store(nil)
 }
-
-// Versioned reports whether the directory participates in snapshotting.
-func (dv *DirVersions) Versioned() bool { return dv.versioned }
 
 // MarkDirty records that the live directory was mutated inside the open
 // update epoch, scheduling a fresh copy at Publish. Before the disk's

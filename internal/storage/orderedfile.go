@@ -26,7 +26,6 @@ import (
 // cache layer's entry mutexes), and snapshot readers resolve an immutable
 // published directory copy instead (docs/MVCC.md).
 type OrderedFile struct {
-	disk    *Disk
 	recSize int
 	perPage int
 	dir     ofDir
@@ -56,8 +55,8 @@ func NewOrderedFile(disk *Disk, recSize int) *OrderedFile {
 	if recSize <= 0 || perPage < 1 {
 		panic(fmt.Sprintf("storage: record size %d does not fit page size %d", recSize, disk.PageSize()))
 	}
-	f := &OrderedFile{disk: disk, recSize: recSize, perPage: perPage}
-	f.dv = disk.RegisterDir(f.snapshotDir)
+	f := &OrderedFile{recSize: recSize, perPage: perPage}
+	f.dv = disk.RegisterDir(f.snapshotDir, f.restoreDir)
 	return f
 }
 
@@ -71,6 +70,13 @@ func (f *OrderedFile) Unversion() { f.dv.Unversion() }
 func (f *OrderedFile) snapshotDir() any {
 	f.gen++
 	return &ofDir{pages: slices.Clone(f.dir.pages), n: f.dir.n}
+}
+
+// restoreDir resets the live directory to the published copy v; ownPage
+// copies each shared entry before a write, as after snapshotDir.
+func (f *OrderedFile) restoreDir(v any) {
+	d := v.(*ofDir)
+	f.dir = ofDir{pages: slices.Clone(d.pages), n: d.n}
 }
 
 // ownPage returns page pi of the live directory ready for in-place
@@ -129,7 +135,7 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 	}
 	f.dv.MarkDirty()
 	if len(f.dir.pages) == 0 {
-		id := f.disk.Alloc()
+		id := pg.AllocPage()
 		buf := pg.Overwrite(id)
 		copy(buf, rec)
 		f.dir.pages = append(f.dir.pages, &ofPage{id: id, keys: []uint64{key}, gen: f.gen})
@@ -165,7 +171,7 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 func (f *OrderedFile) split(pg *Pager, pi int) {
 	p := f.ownPage(pi)
 	half := len(p.keys) / 2
-	newID := f.disk.Alloc()
+	newID := pg.AllocPage()
 	oldBuf := pg.Update(p.id)
 	newBuf := pg.Overwrite(newID)
 	copy(newBuf, oldBuf[half*f.recSize:len(p.keys)*f.recSize])
@@ -326,7 +332,7 @@ func (f *OrderedFile) Replace(pg *Pager, keys []uint64, recs [][]byte) {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		id := f.disk.Alloc()
+		id := pg.AllocPage()
 		// Update (not Overwrite) so the rebuild charges read+write per
 		// page, matching C_WriteCache = 2·C2·ProcSize.
 		buf := pg.Update(id)

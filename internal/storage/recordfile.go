@@ -45,7 +45,7 @@ func (f *RecordFile) Append(pg *Pager, rec []byte) int {
 	slot := f.n % f.perPage
 	var buf []byte
 	if slot == 0 {
-		id := f.disk.Alloc()
+		id := pg.AllocPage()
 		f.pages = append(f.pages, id)
 		buf = pg.Overwrite(id)
 	} else {

@@ -124,6 +124,14 @@ GOMAXPROCS=4 go test -count=1 \
 GOMAXPROCS=4 go test -race -count=3 \
     -run 'SnapshotsSurviveUpdates|TestPoisonOnReclaim|TestAccessResultsSurviveReclamation|TestUpdateReusesItsPages|TestReclaim|TestImagePoolBounded|TestDirectoryMutationCopiesAtMost512B' \
     ./internal/storage/ ./internal/btree/ ./internal/hashidx/ ./internal/proc/ ./internal/engine/
+# Transaction epochs (docs/MVCC.md, "Abandon"): an abandoned epoch leaves
+# every directory equal to its published copy, gives its pages back and
+# hides from a concurrent snapshot; a failed QUEL update changes nothing
+# and aborts its transaction; the seeded rollback-heavy property test; and
+# the driver's view of both, with GOMAXPROCS raised.
+GOMAXPROCS=4 go test -race -count=3 \
+    -run 'Abandon|TestTx|TestFailedUpdateIsAtomic|TestRollbackHeavyProperty|TestDriverConformance' \
+    ./internal/storage/ ./internal/btree/ ./internal/hashidx/ ./internal/quel/ ./client/
 # The benchmark is a module of its own (dbproc/benchmark, replace =>
 # ../), so nothing above builds it: vet and test it, then run the
 # harness once at 1/50 of the time with its output checks on.
