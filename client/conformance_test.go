@@ -5,6 +5,8 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,14 +220,14 @@ func TestDriverConformance(t *testing.T) {
 
 	t.Run("ContextCancellationMidQuery", func(t *testing.T) {
 		// Hold the statement gate through an open transaction, then
-		// cancel a query stuck behind it.
+		// cancel a write stuck behind it (a read would not queue).
 		tx, err := db.Begin()
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		_, qerr := db.QueryContext(ctx, "retrieve (emp.tid) where emp.age >= 0")
+		_, qerr := db.ExecContext(ctx, "delete from emp where emp.age < 0")
 		if !errors.Is(qerr, context.DeadlineExceeded) {
 			t.Fatalf("blocked query returned %v, want deadline exceeded", qerr)
 		}
@@ -319,6 +321,71 @@ func TestDriverConformance(t *testing.T) {
 		if n := count("retrieve (emp.tid) where emp.age >= 0"); n != 7 {
 			t.Fatalf("%d rows after the failed replace, want 7", n)
 		}
+		drained(t, srv, false)
+	})
+
+	t.Run("ReadDuringOpenTx", func(t *testing.T) {
+		// A read runs at a snapshot of the newest commit: it never queues
+		// behind another connection's open transaction, and sees none of
+		// it until it commits.
+		mustExec(t, db, "define procedure young as retrieve (emp.tid, emp.salary) where emp.age < 40")
+		read := func(stmt string) string {
+			t.Helper()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			rows, err := db.QueryContext(ctx, stmt)
+			if err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			defer rows.Close()
+			var got []string
+			for rows.Next() {
+				var tid, salary int64
+				if err := rows.Scan(&tid, &salary); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, fmt.Sprintf("%d:%d", tid, salary))
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatalf("%s: %v", stmt, err)
+			}
+			sort.Strings(got)
+			return strings.Join(got, " ")
+		}
+		check := func(when, want string) {
+			t.Helper()
+			for _, stmt := range []string{"retrieve (emp.tid, emp.salary) where emp.age < 40", "execute young"} {
+				if got := read(stmt); got != want {
+					t.Fatalf("%s: %q reads %q, want %q", when, stmt, got, want)
+				}
+			}
+		}
+		change := func() *sql.Tx {
+			t.Helper()
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tx.Rollback() })
+			for _, stmt := range []string{"delete from emp where emp.tid = 1", "replace emp (salary = 999) where emp.tid = 2"} {
+				if _, err := tx.Exec(stmt); err != nil {
+					t.Fatalf("%s: %v", stmt, err)
+				}
+			}
+			return tx
+		}
+		const before = "1:100 2:200 3:300 6:600"
+		check("before the transaction", before)
+		tx := change()
+		check("during the transaction", before)
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		check("after its rollback", before)
+		if err := change().Commit(); err != nil {
+			t.Fatal(err)
+		}
+		check("after a commit", "2:999 3:300 6:600")
 		drained(t, srv, false)
 	})
 

@@ -16,10 +16,9 @@ import (
 )
 
 // TestServedScenarioSmoke drives a hot-key-storm world through procserved
-// via the database/sql driver (DriveServed's "@bench next" loop) and
-// checks the served run is byte-equal to the in-process one — counters,
-// simulated cost, committed history digest — and that every server
-// handle drains to zero afterwards.
+// over TWorldNext frames (DriveServed) and checks the served run is
+// byte-equal to the in-process one — counters, simulated cost, committed
+// history digest — and that every server handle drains to zero afterwards.
 func TestServedScenarioSmoke(t *testing.T) {
 	defer dbtest.Watchdog(t, 4*time.Minute)()
 	srv, addr := startServer(t, server.Options{})

@@ -17,10 +17,10 @@ import (
 )
 
 // TestServedRaceSoak hammers one loopback procserved with 8 concurrent
-// database/sql clients — mixed DML, queries, cursors, procedures, and
-// transactions — while two more drive a 4-session bench world through
-// the "@bench next" statement dialect. Run under -race (verify.sh tier
-// 3) it is the data-race gate for the whole serving stack; on a stall
+// database/sql clients — mixed DML, snapshot reads, cursors, procedures,
+// and transactions — while two more drive a 4-session bench world
+// through TWorldNext frames. Run under -race (verify.sh tier 3) it is the
+// data-race gate for the whole serving stack; on a stall
 // the watchdog dumps goroutines and the flight recorder's tail lands in
 // TESTLOG_served_soak_flight.jsonl.
 func TestServedRaceSoak(t *testing.T) {
@@ -111,8 +111,8 @@ func TestServedRaceSoak(t *testing.T) {
 		}(c)
 	}
 
-	// Two drivers race over one 4-session world through plain SQL; busy
-	// responses (both drivers hitting one session) are expected and
+	// Two drivers, a connection each, race over one 4-session world;
+	// busy responses (both drivers hitting one session) are expected and
 	// retried on another session.
 	cn, err := client.Dial(addr)
 	if err != nil {
@@ -131,6 +131,12 @@ func TestServedRaceSoak(t *testing.T) {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
+			dc, err := client.Dial(addr)
+			if err != nil {
+				errCh <- fmt.Errorf("driver %d dial: %w", d, err)
+				return
+			}
+			defer dc.Close()
 			done := make([]bool, opened.Sessions)
 			for {
 				all := true
@@ -139,7 +145,7 @@ func TestServedRaceSoak(t *testing.T) {
 						continue
 					}
 					all = false
-					res, err := db.Exec(fmt.Sprintf("@bench next %d %d", opened.World, s))
+					step, err := dc.WorldNext(ctx, opened.World, s)
 					if err != nil {
 						if werr, ok := err.(*wire.Error); ok && werr.Code == wire.CodeBusy {
 							continue
@@ -147,7 +153,7 @@ func TestServedRaceSoak(t *testing.T) {
 						errCh <- fmt.Errorf("driver %d world step: %w", d, err)
 						return
 					}
-					if n, _ := res.RowsAffected(); n == 0 {
+					if step.Done {
 						done[s] = true
 					}
 				}

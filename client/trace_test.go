@@ -284,7 +284,7 @@ func TestCancelFlightEvent(t *testing.T) {
 	}
 	cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
-	if _, err := waiter.Exec(cctx, "retrieve (emp.all)"); err == nil {
+	if _, err := waiter.Exec(cctx, "delete from emp where emp.age < 0"); err == nil {
 		t.Fatal("gate-blocked exec did not cancel")
 	}
 	if err := holder.Commit(ctx, tx); err != nil {

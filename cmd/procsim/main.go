@@ -10,7 +10,7 @@
 //	procsim -seeds 5 -workers 4           # average 5 seeds, 4 cells at a time
 //	procsim -clients 8 -think 1           # 8 concurrent sessions (docs/CONCURRENCY.md)
 //	procsim -scenario hot-key-storm       # hostile-workload scenario (docs/SCENARIOS.md)
-//	procsim -serve -clients 4             # drive a loopback procserved via database/sql (docs/SERVING.md)
+//	procsim -serve -clients 4             # drive a loopback procserved over the wire (docs/SERVING.md)
 //	procsim -connect 127.0.0.1:7141       # same, against an external procserved
 //	procsim -clients 8 -listen :9090      # live /metrics, /debug/pprof, /events (docs/TELEMETRY.md)
 //	procsim -clients 8 -flight dump.jsonl # flight dump on watchdog/violation/fault
@@ -123,7 +123,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent (strategy x seed) cells (0 = one per CPU); output is identical for any value")
 	clients := flag.Int("clients", 1, "concurrent client sessions (>1 switches to the multi-session engine)")
 	think := flag.Float64("think", 0, "mean per-session think time in ms (exponential; concurrent mode)")
-	serve := flag.Bool("serve", false, "drive the workload through a loopback procserved over the database/sql driver (docs/SERVING.md)")
+	serve := flag.Bool("serve", false, "drive the workload through a loopback procserved over the wire (docs/SERVING.md)")
 	connect := flag.String("connect", "", "drive the workload against this external procserved address (implies -serve)")
 	tracePath := flag.String("trace", "", "write a per-operation JSONL trace to this file (render with procstat)")
 	ledgerPath := flag.String("ledger", "", "write a cache-efficacy ledger (JSONL) to this file (analyze with procdoctor; docs/DIAGNOSIS.md)")
@@ -635,7 +635,7 @@ type servedJSON struct {
 
 // runServed drives each strategy's workload through procserved: a bench
 // world is opened over the wire and every session steps through its
-// dealt operation stream via the standard database/sql driver, so the
+// dealt operation stream over a connection of its own, so the
 // printed throughput is a measured wall-clock figure that includes real
 // wire round-trips. With -connect the workload runs against an external
 // server; otherwise a loopback procserved lives for the run's duration.

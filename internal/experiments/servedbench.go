@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"database/sql"
 	"fmt"
 	"sync"
 	"time"
@@ -62,11 +61,10 @@ func WireModel(m costmodel.Model) string {
 
 // DriveServed runs one workload through the procserved at addr: it opens
 // a bench world over the control connection, then drives every session
-// concurrently through the standard database/sql driver — one pooled
-// connection per session, each step a "@bench next" statement — and
-// finally collects the world's sealed statistics. The server deals the
-// canonical operation stream exactly like engine.Run, so the committed
-// per-session streams match an in-process run's.
+// concurrently over a connection of its own, each step a TWorldNext
+// frame, and finally collects the world's sealed statistics. The server
+// deals the canonical operation stream exactly like engine.Run, so the
+// committed per-session streams match an in-process run's.
 func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*ServedResult, error) {
 	control, err := client.Dial(addr)
 	if err != nil {
@@ -79,13 +77,6 @@ func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*Serve
 	}
 	defer control.WorldClose(context.Background(), opened.World)
 
-	db, err := sql.Open("dbproc", addr)
-	if err != nil {
-		return nil, fmt.Errorf("served: open driver: %w", err)
-	}
-	defer db.Close()
-	db.SetMaxOpenConns(opened.Sessions)
-
 	errCh := make(chan error, opened.Sessions)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -93,18 +84,19 @@ func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*Serve
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			step := fmt.Sprintf("@bench next %d %d", opened.World, s)
+			cn, err := client.Dial(addr)
+			if err != nil {
+				errCh <- fmt.Errorf("served: session %d: dial: %w", s, err)
+				return
+			}
+			defer cn.Close()
 			for {
-				if ctx.Err() != nil {
-					errCh <- ctx.Err()
-					return
-				}
-				res, err := db.ExecContext(ctx, step)
+				step, err := cn.WorldNext(ctx, opened.World, s)
 				if err != nil {
 					errCh <- fmt.Errorf("served: session %d: %w", s, err)
 					return
 				}
-				if n, _ := res.RowsAffected(); n == 0 {
+				if step.Done {
 					return
 				}
 			}

@@ -3,6 +3,8 @@ package quel
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"dbproc/internal/cache"
 	"dbproc/internal/metric"
@@ -13,35 +15,52 @@ import (
 	"dbproc/internal/tuple"
 )
 
-// DB is an interactive database session: a catalog, a metered pager, and a
-// procedure manager running stored procedures under Cache and Invalidate
-// (with Always Recompute available through plain retrieves).
+// DB is a database: a catalog on one disk, and a procedure manager
+// running stored procedures under Cache and Invalidate (with Always
+// Recompute available through plain retrieves). It embeds its first
+// Session, so a DB runs statements itself; NewSession opens more.
 type DB struct {
+	*Session
+
 	cat   *relation.Catalog
-	pager *storage.Pager
-	meter *metric.Meter
+	disk  *storage.Disk
+	costs metric.Costs
 	width int
+
+	// ddl orders statements against DDL, because neither the catalog nor
+	// the procedure table is versioned: create and define procedure hold
+	// it exclusively, every other statement shares it while it runs.
+	ddl sync.RWMutex
 
 	procs      *proc.Manager
 	strategy   *proc.CacheInvalidate
 	store      *cache.Store
 	procedures map[string][]part // procedure name -> its leaf queries
 	nextID     int
-	nextSeq    uint64
-
-	// tx is the open transaction, nil outside one. A session holds at
-	// most one open transaction (the server's statement gate serializes
-	// sessions, so this is a per-server invariant too).
-	tx *Tx
+	nextSeq    atomic.Uint64 // result keys; readers refresh concurrently
 
 	// wrapPlan, when set (by the aliasing oracle's test), is applied to
 	// every compiled plan before anything consumes it.
 	wrapPlan func(query.Plan) query.Plan
 }
 
-// Open creates an empty session. pageSize and width follow the paper's
-// defaults when 0 (4000-byte pages, 100-byte tuples); costs price the
-// meter (metric.DefaultCosts for the paper's constants).
+// Session is one client of a DB, as engine.Session is of the engine: a
+// private pager and meter over the shared disk, and its open transaction.
+// Sessions run reads (retrieve, execute, explain) concurrently, each at a
+// snapshot of the newest commit, sharing only the DDL lock. The disk has
+// one update epoch, so the caller serializes the statements Writes
+// reports and each transaction from Begin to its end (procserved's
+// statement gate); a second writer panics in storage.Disk.BeginEpoch.
+type Session struct {
+	db    *DB
+	pager *storage.Pager
+	meter *metric.Meter
+	tx    *Tx // the open transaction, nil outside one
+}
+
+// Open creates an empty database. pageSize and width follow the paper's
+// defaults when 0 (4000-byte pages, 100-byte tuples); costs price each
+// session's meter (metric.DefaultCosts for the paper's constants).
 func Open(pageSize, width int, costs metric.Costs) *DB {
 	if pageSize == 0 {
 		pageSize = 4000
@@ -49,26 +68,47 @@ func Open(pageSize, width int, costs metric.Costs) *DB {
 	if width == 0 {
 		width = 100
 	}
-	meter := metric.NewMeter(costs)
-	pager := storage.NewPager(storage.NewDisk(pageSize), meter)
+	disk := storage.NewDisk(pageSize)
 	db := &DB{
 		cat:        relation.NewCatalog(),
-		pager:      pager,
-		meter:      meter,
+		disk:       disk,
+		costs:      costs,
 		width:      width,
 		procs:      proc.NewManager(),
-		store:      cache.NewStore(pager.Disk()),
+		store:      cache.NewStore(disk),
 		procedures: make(map[string][]part),
 	}
 	db.strategy = proc.NewCacheInvalidate(db.procs, db.store)
+	db.Session = db.NewSession()
 	return db
 }
 
-// Meter exposes the session's cost meter.
-func (db *DB) Meter() *metric.Meter { return db.meter }
+// NewSession opens another session on the database.
+func (db *DB) NewSession() *Session {
+	meter := metric.NewMeter(db.costs)
+	return &Session{db: db, pager: storage.NewPager(db.disk, meter), meter: meter}
+}
 
-// Catalog exposes the session's catalog.
-func (db *DB) Catalog() *relation.Catalog { return db.cat }
+// Meter exposes the session's cost meter.
+func (s *Session) Meter() *metric.Meter { return s.meter }
+
+// Writes reports whether stmt changes the database: append, delete and
+// replace update base tuples, create and define procedure are DDL. Every
+// other statement only reads.
+func Writes(stmt Statement) bool {
+	update, ddl := classify(stmt)
+	return update || ddl
+}
+
+func classify(stmt Statement) (update, ddl bool) {
+	switch stmt.(type) {
+	case *AppendStmt, *DeleteStmt, *ReplaceStmt:
+		return true, false
+	case *CreateStmt, *DefineProcStmt:
+		return false, true
+	}
+	return false, false
+}
 
 // Section is one result set of a multi-query procedure.
 type Section struct {
@@ -99,12 +139,12 @@ type Result struct {
 // Run parses and executes one statement. Engine-level panics (bad widths,
 // capacity violations) are converted to errors so an interactive session
 // survives bad input.
-func (db *DB) Run(input string) (*Result, error) {
+func (s *Session) Run(input string) (*Result, error) {
 	stmt, err := Parse(input)
 	if err != nil {
 		return nil, err
 	}
-	return db.RunParsed(stmt)
+	return s.RunParsed(stmt)
 }
 
 // RunParsed executes an already-parsed statement — the path a server
@@ -115,18 +155,21 @@ func (db *DB) Run(input string) (*Result, error) {
 // An update that fails, by error or panic, abandons its epoch — the
 // statement's, or the transaction's, which it aborts — so it changes
 // nothing.
-func (db *DB) RunParsed(stmt Statement) (res *Result, err error) {
-	tx := db.tx
+func (s *Session) RunParsed(stmt Statement) (res *Result, err error) {
+	update, ddl := classify(stmt)
+	if ddl {
+		s.db.ddl.Lock()
+		defer s.db.ddl.Unlock()
+	} else {
+		s.db.ddl.RLock()
+		defer s.db.ddl.RUnlock()
+	}
+	tx := s.tx
 	if tx != nil && tx.aborted {
 		return nil, errAborted
 	}
-	update := false
-	switch stmt.(type) {
-	case *AppendStmt, *DeleteStmt, *ReplaceStmt:
-		update = true
-	}
 	if tx == nil {
-		db.pager.OpenScope(update)
+		s.pager.OpenScope(update)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -134,119 +177,115 @@ func (db *DB) RunParsed(stmt Statement) (res *Result, err error) {
 		}
 		switch {
 		case update && err != nil:
-			db.pager.AbortScope()
+			s.pager.AbortScope()
 			if tx != nil {
 				tx.aborted = true
 				err = fmt.Errorf("%w (transaction rolled back)", err)
 			}
 		case tx == nil:
-			db.closeScope(update)
+			s.closeScope(update)
 		}
 	}()
-	db.pager.BeginOp()
-	before := db.meter.Snapshot()
-	res, err = db.exec(stmt)
-	db.pager.Flush()
+	s.pager.BeginOp()
+	before := s.meter.Snapshot()
+	res, err = s.exec(stmt, ddl)
+	s.pager.Flush()
 	if err != nil {
 		return nil, err
 	}
-	res.CostMs = db.meter.Since(before).Milliseconds(db.meter.Costs())
+	res.CostMs = s.meter.Since(before).Milliseconds(s.meter.Costs())
 	return res, nil
 }
 
 // closeScope closes a statement's or a transaction's scope: a read
 // releases its snapshot; an update publishes at the next commit stamp and
 // version GC follows.
-func (db *DB) closeScope(update bool) {
-	disk := db.pager.Disk()
-	db.pager.CloseScope(disk.CommitStamp() + 1)
+func (s *Session) closeScope(update bool) {
+	s.pager.CloseScope(s.db.disk.CommitStamp() + 1)
 	if update {
-		disk.GCVersions()
+		s.db.disk.GCVersions()
 	}
 }
 
-func (db *DB) exec(stmt Statement) (*Result, error) {
-	if db.tx != nil {
-		// Catalog and procedure definitions are not versioned, so a
-		// rollback could not take them back.
-		switch stmt.(type) {
-		case *CreateStmt, *DefineProcStmt:
-			return nil, fmt.Errorf("quel: DDL is not allowed inside a transaction")
-		}
+func (s *Session) exec(stmt Statement, ddl bool) (*Result, error) {
+	// Catalog and procedure definitions are not versioned, so a rollback
+	// could not take them back.
+	if s.tx != nil && ddl {
+		return nil, fmt.Errorf("quel: DDL is not allowed inside a transaction")
 	}
-	switch s := stmt.(type) {
+	switch st := stmt.(type) {
 	case *CreateStmt:
-		return db.create(s)
+		return s.create(st)
 	case *AppendStmt:
-		return db.append_(s)
+		return s.append_(st)
 	case *RetrieveStmt:
-		return db.retrieve(s)
+		return s.retrieve(st)
 	case *DeleteStmt:
-		return db.delete_(s)
+		return s.delete_(st)
 	case *ReplaceStmt:
-		return db.replace(s)
+		return s.replace(st)
 	case *DefineProcStmt:
-		return db.defineProc(s)
+		return s.defineProc(st)
 	case *ExecuteStmt:
-		return db.execute(s)
+		return s.execute(st)
 	case *ExplainStmt:
-		return db.explain(s)
+		return s.explain(st)
 	default:
 		return nil, fmt.Errorf("quel: unhandled statement %T", stmt)
 	}
 }
 
-func (db *DB) create(s *CreateStmt) (*Result, error) {
-	if db.cat.Lookup(s.Name) != nil {
-		return nil, fmt.Errorf("quel: relation %q already exists", s.Name)
+func (s *Session) create(st *CreateStmt) (*Result, error) {
+	if s.db.cat.Lookup(st.Name) != nil {
+		return nil, fmt.Errorf("quel: relation %q already exists", st.Name)
 	}
-	width := s.Width
+	width := st.Width
 	if width == 0 {
-		width = db.width
+		width = s.db.width
 	}
-	fields := make([]tuple.Field, len(s.Fields))
-	for i, f := range s.Fields {
+	fields := make([]tuple.Field, len(st.Fields))
+	for i, f := range st.Fields {
 		fields[i] = tuple.Field{Name: f}
 	}
-	sch := tuple.NewSchema(s.Name, width, fields...)
+	sch := tuple.NewSchema(st.Name, width, fields...)
 	var rel *relation.Relation
-	switch s.Org {
+	switch st.Org {
 	case "cluster":
 		if sch.FieldIndex("tid") < 0 {
 			return nil, fmt.Errorf("quel: clustered relations need a unique 'tid' field (the clustering tiebreaker)")
 		}
-		rel = relation.NewBTree(db.pager.Disk(), sch, s.Key, "tid", 20)
+		rel = relation.NewBTree(s.pager.Disk(), sch, st.Key, "tid", 20)
 	case "hash":
-		buckets := s.Buckets
+		buckets := st.Buckets
 		if buckets == 0 {
 			buckets = 16
 		}
-		rel = relation.NewHash(db.pager.Disk(), sch, s.Key, buckets)
+		rel = relation.NewHash(s.pager.Disk(), sch, st.Key, buckets)
 	default:
-		return nil, fmt.Errorf("quel: unknown organization %q", s.Org)
+		return nil, fmt.Errorf("quel: unknown organization %q", st.Org)
 	}
-	db.cat.Define(rel)
-	return &Result{Message: fmt.Sprintf("created %s (%s on %s, width %d)", s.Name, s.Org, s.Key, width)}, nil
+	s.db.cat.Define(rel)
+	return &Result{Message: fmt.Sprintf("created %s (%s on %s, width %d)", st.Name, st.Org, st.Key, width)}, nil
 }
 
-func (db *DB) append_(s *AppendStmt) (*Result, error) {
-	rel := db.cat.Lookup(s.Rel)
+func (s *Session) append_(st *AppendStmt) (*Result, error) {
+	rel := s.db.cat.Lookup(st.Rel)
 	if rel == nil {
-		return nil, fmt.Errorf("quel: unknown relation %q", s.Rel)
+		return nil, fmt.Errorf("quel: unknown relation %q", st.Rel)
 	}
 	sch := rel.Schema()
 	tup := sch.New()
-	for _, a := range s.Values {
+	for _, a := range st.Values {
 		if sch.FieldIndex(a.Field) < 0 {
-			return nil, fmt.Errorf("quel: relation %q has no attribute %q", s.Rel, a.Field)
+			return nil, fmt.Errorf("quel: relation %q has no attribute %q", st.Rel, a.Field)
 		}
 		sch.SetByName(tup, a.Field, a.Value)
 	}
-	rel.Insert(db.pager, tup)
+	rel.Insert(s.pager, tup)
 	// Tell the stored-procedure layer, so conflicting cached results are
 	// invalidated.
-	db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Inserted: [][]byte{tup}})
-	return &Result{Message: "appended 1 tuple to " + s.Rel, Affected: 1}, nil
+	s.db.strategy.OnUpdate(s.pager, proc.Delta{Rel: rel, Inserted: [][]byte{tup}})
+	return &Result{Message: "appended 1 tuple to " + st.Rel, Affected: 1}, nil
 }
 
 func (db *DB) compile(r *RetrieveStmt) (query.Plan, error) {
@@ -292,10 +331,10 @@ func rowHeaders(flat []int64, w int) [][]int64 {
 // collect runs a plan and renders its rows as one block. The count is
 // not known up front, so the headers are sliced once the block has
 // stopped growing.
-func (db *DB) collect(plan query.Plan) *Result {
+func (s *Session) collect(plan query.Plan) *Result {
 	sch := plan.Schema()
 	var flat []int64
-	plan.Execute(&query.Ctx{Meter: db.meter, Pager: db.pager}, func(tup []byte) bool {
+	plan.Execute(&query.Ctx{Meter: s.meter, Pager: s.pager}, func(tup []byte) bool {
 		flat = appendValues(flat, sch, tup)
 		return true
 	})
@@ -304,18 +343,18 @@ func (db *DB) collect(plan query.Plan) *Result {
 	return res
 }
 
-func (db *DB) retrieve(s *RetrieveStmt) (*Result, error) {
-	plan, err := db.compile(s)
+func (s *Session) retrieve(st *RetrieveStmt) (*Result, error) {
+	plan, err := s.db.compile(st)
 	if err != nil {
 		return nil, err
 	}
-	return db.collect(plan), nil
+	return s.collect(plan), nil
 }
 
 // matchTuples evaluates single-relation quals and returns the matching
 // base tuples, reconstructed in schema field order.
-func (db *DB) matchTuples(relName string, quals []Qual) (*relation.Relation, [][]byte, error) {
-	rel := db.cat.Lookup(relName)
+func (s *Session) matchTuples(relName string, quals []Qual) (*relation.Relation, [][]byte, error) {
+	rel := s.db.cat.Lookup(relName)
 	if rel == nil {
 		return nil, nil, fmt.Errorf("quel: unknown relation %q", relName)
 	}
@@ -324,7 +363,7 @@ func (db *DB) matchTuples(relName string, quals []Qual) (*relation.Relation, [][
 			return nil, nil, fmt.Errorf("quel: delete/replace quals may only reference %q", relName)
 		}
 	}
-	plan, err := db.compile(&RetrieveStmt{
+	plan, err := s.db.compile(&RetrieveStmt{
 		Targets: []Target{{Rel: relName, All: true}},
 		Quals:   quals,
 	})
@@ -333,7 +372,7 @@ func (db *DB) matchTuples(relName string, quals []Qual) (*relation.Relation, [][
 	}
 	sch := rel.Schema()
 	var tuples [][]byte
-	plan.Execute(&query.Ctx{Meter: db.meter, Pager: db.pager}, func(row []byte) bool {
+	plan.Execute(&query.Ctx{Meter: s.meter, Pager: s.pager}, func(row []byte) bool {
 		// The rel.all projection preserves field order, so rebuild the
 		// base tuple field by field.
 		tup := sch.New()
@@ -347,105 +386,103 @@ func (db *DB) matchTuples(relName string, quals []Qual) (*relation.Relation, [][
 	return rel, tuples, nil
 }
 
-func (db *DB) removeBase(rel *relation.Relation, tup []byte) {
+func (s *Session) removeBase(rel *relation.Relation, tup []byte) {
 	if rel.Tree() != nil {
-		rel.DeleteKeyed(db.pager, rel.Key(tup))
+		rel.DeleteKeyed(s.pager, rel.Key(tup))
 		return
 	}
-	rel.Hash().DeleteExact(db.pager, tup)
+	rel.Hash().DeleteExact(s.pager, tup)
 }
 
-func (db *DB) delete_(s *DeleteStmt) (*Result, error) {
-	rel, tuples, err := db.matchTuples(s.Rel, s.Quals)
+func (s *Session) delete_(st *DeleteStmt) (*Result, error) {
+	rel, tuples, err := s.matchTuples(st.Rel, st.Quals)
 	if err != nil {
 		return nil, err
 	}
 	for _, tup := range tuples {
-		db.removeBase(rel, tup)
+		s.removeBase(rel, tup)
 	}
 	if len(tuples) > 0 {
-		db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Deleted: tuples})
+		s.db.strategy.OnUpdate(s.pager, proc.Delta{Rel: rel, Deleted: tuples})
 	}
 	return &Result{
-		Message:  fmt.Sprintf("deleted %d tuple(s) from %s", len(tuples), s.Rel),
+		Message:  fmt.Sprintf("deleted %d tuple(s) from %s", len(tuples), st.Rel),
 		Affected: int64(len(tuples)),
 	}, nil
 }
 
-func (db *DB) replace(s *ReplaceStmt) (*Result, error) {
-	rel, tuples, err := db.matchTuples(s.Rel, s.Quals)
+func (s *Session) replace(st *ReplaceStmt) (*Result, error) {
+	rel, tuples, err := s.matchTuples(st.Rel, st.Quals)
 	if err != nil {
 		return nil, err
 	}
 	sch := rel.Schema()
-	for _, a := range s.Values {
+	for _, a := range st.Values {
 		if sch.FieldIndex(a.Field) < 0 {
-			return nil, fmt.Errorf("quel: relation %q has no attribute %q", s.Rel, a.Field)
+			return nil, fmt.Errorf("quel: relation %q has no attribute %q", st.Rel, a.Field)
 		}
 	}
 	var inserted [][]byte
 	for _, old := range tuples {
 		newTup := append([]byte(nil), old...)
-		for _, a := range s.Values {
+		for _, a := range st.Values {
 			sch.SetByName(newTup, a.Field, a.Value)
 		}
-		db.removeBase(rel, old)
-		rel.Insert(db.pager, newTup)
+		s.removeBase(rel, old)
+		rel.Insert(s.pager, newTup)
 		inserted = append(inserted, newTup)
 	}
 	if len(tuples) > 0 {
-		db.strategy.OnUpdate(db.pager, proc.Delta{Rel: rel, Deleted: tuples, Inserted: inserted})
+		s.db.strategy.OnUpdate(s.pager, proc.Delta{Rel: rel, Deleted: tuples, Inserted: inserted})
 	}
 	return &Result{
-		Message:  fmt.Sprintf("replaced %d tuple(s) in %s", len(tuples), s.Rel),
+		Message:  fmt.Sprintf("replaced %d tuple(s) in %s", len(tuples), st.Rel),
 		Affected: int64(len(tuples)),
 	}, nil
 }
 
-func (db *DB) defineProc(s *DefineProcStmt) (*Result, error) {
-	if _, dup := db.procedures[s.Name]; dup {
-		return nil, fmt.Errorf("quel: procedure %q already defined", s.Name)
+func (s *Session) defineProc(st *DefineProcStmt) (*Result, error) {
+	if _, dup := s.db.procedures[st.Name]; dup {
+		return nil, fmt.Errorf("quel: procedure %q already defined", st.Name)
 	}
 	// Compile every query before defining anything, so a failed part
 	// leaves no partial procedure behind.
-	plans := make([]query.Plan, len(s.Queries))
-	for i, q := range s.Queries {
-		p, err := db.compile(q)
+	plans := make([]query.Plan, len(st.Queries))
+	for i, q := range st.Queries {
+		p, err := s.db.compile(q)
 		if err != nil {
-			return nil, fmt.Errorf("query %d of %s: %w", i+1, s.Name, err)
+			return nil, fmt.Errorf("query %d of %s: %w", i+1, st.Name, err)
 		}
 		plans[i] = p
 	}
 	parts := make([]part, len(plans))
+	seq := &s.db.nextSeq
 	for i, plan := range plans {
-		id := db.nextID
-		db.nextID++
+		id := s.db.nextID
+		s.db.nextID++
 		// Sequence-valued result keys: unique and ascending in plan
 		// output order, all Cache and Invalidate needs.
-		def := proc.NewDefinitionWithKey(id, fmt.Sprintf("%s#%d", s.Name, i+1), plan,
-			func([]byte) uint64 {
-				db.nextSeq++
-				return db.nextSeq
-			})
-		db.procs.Define(def)
+		def := proc.NewDefinitionWithKey(id, fmt.Sprintf("%s#%d", st.Name, i+1), plan,
+			func([]byte) uint64 { return seq.Add(1) })
+		s.db.procs.Define(def)
 		parts[i] = part{id: id, sch: plan.Schema(), columns: columnsOf(plan.Schema())}
 	}
 	// Warming the caches is setup, not workload: mute both the pager's
 	// I/O charging and the meter's CPU events.
-	prevCharge := db.pager.SetCharging(false)
-	prevMute := db.meter.SetMuted(true)
+	prevCharge := s.pager.SetCharging(false)
+	prevMute := s.meter.SetMuted(true)
 	for _, p := range parts {
-		db.strategy.Adopt(db.pager, p.id)
+		s.db.strategy.Adopt(s.pager, p.id)
 	}
-	db.pager.BeginOp()
-	db.meter.SetMuted(prevMute)
-	db.pager.SetCharging(prevCharge)
-	db.procedures[s.Name] = parts
+	s.pager.BeginOp()
+	s.meter.SetMuted(prevMute)
+	s.pager.SetCharging(prevCharge)
+	s.db.procedures[st.Name] = parts
 	plural := ""
 	if len(parts) > 1 {
 		plural = fmt.Sprintf(", %d queries", len(parts))
 	}
-	return &Result{Message: fmt.Sprintf("defined procedure %s (cached, i-locks set%s)", s.Name, plural)}, nil
+	return &Result{Message: fmt.Sprintf("defined procedure %s (cached, i-locks set%s)", st.Name, plural)}, nil
 }
 
 // part is one leaf query of a defined procedure: its id in the
@@ -462,14 +499,14 @@ type part struct {
 // the block is allocated once — reporting whether the cached value was
 // usable. Inside a transaction it recomputes the query over the
 // transaction's epoch instead and leaves the cache alone.
-func (db *DB) accessPart(p part) (Section, bool) {
+func (s *Session) accessPart(p part) (Section, bool) {
 	var tuples [][]byte
 	valid := false
-	if db.tx != nil {
-		tuples = query.Run(db.procs.MustGet(p.id).Plan, &query.Ctx{Meter: db.meter, Pager: db.pager})
+	if s.tx != nil {
+		tuples = query.Run(s.db.procs.MustGet(p.id).Plan, &query.Ctx{Meter: s.meter, Pager: s.pager})
 	} else {
-		valid = db.store.MustEntry(cache.ID(p.id)).UsableAt(db.pager.ReadStamp())
-		tuples = db.strategy.Access(db.pager, p.id)
+		valid = s.db.store.MustEntry(cache.ID(p.id)).UsableAt(s.pager.ReadStamp())
+		tuples = s.db.strategy.Access(s.pager, p.id)
 	}
 	flat := make([]int64, 0, len(tuples)*p.sch.NumFields())
 	for _, tup := range tuples {
@@ -478,10 +515,10 @@ func (db *DB) accessPart(p part) (Section, bool) {
 	return Section{Columns: p.columns, Rows: rowHeaders(flat, p.sch.NumFields())}, valid
 }
 
-func (db *DB) execute(s *ExecuteStmt) (*Result, error) {
-	parts, ok := db.procedures[s.Name]
+func (s *Session) execute(st *ExecuteStmt) (*Result, error) {
+	parts, ok := s.db.procedures[st.Name]
 	if !ok {
-		return nil, fmt.Errorf("quel: unknown procedure %q", s.Name)
+		return nil, fmt.Errorf("quel: unknown procedure %q", st.Name)
 	}
 	res := &Result{}
 	if len(parts) > 1 {
@@ -490,7 +527,7 @@ func (db *DB) execute(s *ExecuteStmt) (*Result, error) {
 	total := 0
 	allValid := true
 	for i, p := range parts {
-		sec, valid := db.accessPart(p)
+		sec, valid := s.accessPart(p)
 		allValid = allValid && valid
 		total += len(sec.Rows)
 		if i == 0 {
@@ -501,7 +538,7 @@ func (db *DB) execute(s *ExecuteStmt) (*Result, error) {
 	}
 	how := "from cache"
 	switch {
-	case db.tx != nil:
+	case s.tx != nil:
 		how = "recomputed in transaction"
 	case !allValid:
 		how = "recomputed and cached"
@@ -510,21 +547,21 @@ func (db *DB) execute(s *ExecuteStmt) (*Result, error) {
 	return res, nil
 }
 
-func (db *DB) explain(s *ExplainStmt) (*Result, error) {
+func (s *Session) explain(st *ExplainStmt) (*Result, error) {
 	var plans []query.Plan
-	if s.Query != nil {
-		plan, err := db.compile(s.Query)
+	if st.Query != nil {
+		plan, err := s.db.compile(st.Query)
 		if err != nil {
 			return nil, err
 		}
 		plans = []query.Plan{plan}
 	} else {
-		parts, ok := db.procedures[s.Proc]
+		parts, ok := s.db.procedures[st.Proc]
 		if !ok {
-			return nil, fmt.Errorf("quel: unknown procedure %q", s.Proc)
+			return nil, fmt.Errorf("quel: unknown procedure %q", st.Proc)
 		}
 		for _, p := range parts {
-			plans = append(plans, db.procs.MustGet(p.id).Plan)
+			plans = append(plans, s.db.procs.MustGet(p.id).Plan)
 		}
 	}
 	var out []string

@@ -5,12 +5,13 @@ import (
 	"fmt"
 )
 
-// Tx is a transaction over the session: one update epoch on the session's
+// Tx is a transaction over a session: one update epoch on the session's
 // pager (docs/MVCC.md), opened by Begin. Every statement until Commit runs
 // in that epoch and sees the transaction's own writes; Commit publishes
 // the epoch at the next commit stamp and Rollback abandons it, so the
 // base tables, and every snapshot reader, are as if it never ran. The
-// epoch is the only place uncommitted state lives.
+// epoch is the only place uncommitted state lives: other sessions read at
+// snapshots while it is open and see none of it until Commit.
 //
 // An execute inside the transaction recomputes the procedure over the
 // epoch and leaves its cache entry alone, so the cache never holds
@@ -24,11 +25,11 @@ import (
 // transaction: every later statement fails with errAborted, Commit
 // returns it and closes the transaction, and Rollback succeeds.
 //
-// Isolation across connections is the server's job (cmd/procserved
-// holds its statement gate from Begin to Commit/Rollback); the DB
-// itself supports one open transaction at a time.
+// A session holds one open transaction at a time, and the disk one update
+// epoch: the caller keeps other sessions' writes out from Begin to
+// Commit or Rollback (procserved holds its statement gate).
 type Tx struct {
-	db      *DB
+	s       *Session
 	done    bool
 	aborted bool
 }
@@ -36,17 +37,17 @@ type Tx struct {
 var errAborted = errors.New("quel: transaction aborted; roll back")
 
 // Begin opens a transaction. It fails if one is already open.
-func (db *DB) Begin() (*Tx, error) {
-	if db.tx != nil {
+func (s *Session) Begin() (*Tx, error) {
+	if s.tx != nil {
 		return nil, fmt.Errorf("quel: transaction already open")
 	}
-	db.pager.OpenScope(true)
-	db.tx = &Tx{db: db}
-	return db.tx, nil
+	s.pager.OpenScope(true)
+	s.tx = &Tx{s: s}
+	return s.tx, nil
 }
 
 // InTx reports whether a transaction is open.
-func (db *DB) InTx() bool { return db.tx != nil }
+func (s *Session) InTx() bool { return s.tx != nil }
 
 // end closes the transaction, once.
 func (t *Tx) end() error {
@@ -54,7 +55,7 @@ func (t *Tx) end() error {
 		return fmt.Errorf("quel: transaction already closed")
 	}
 	t.done = true
-	t.db.tx = nil
+	t.s.tx = nil
 	return nil
 }
 
@@ -67,7 +68,7 @@ func (t *Tx) Commit() error {
 	if t.aborted {
 		return errAborted
 	}
-	t.db.closeScope(true)
+	t.s.closeScope(true)
 	return nil
 }
 
@@ -78,7 +79,7 @@ func (t *Tx) Rollback() error {
 		return err
 	}
 	if !t.aborted {
-		t.db.pager.AbortScope()
+		t.s.pager.AbortScope()
 	}
 	return nil
 }

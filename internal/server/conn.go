@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"dbproc/internal/obs"
@@ -20,11 +19,12 @@ import (
 // watcher, which exists while (and only while) a request is parked on
 // the statement gate (awaitGate).
 type conn struct {
-	srv *Server
-	id  int64
-	nc  net.Conn
-	fr  *wire.Reader
-	fw  *wire.Writer
+	srv  *Server
+	id   int64
+	nc   net.Conn
+	fr   *wire.Reader
+	fw   *wire.Writer
+	sess *quel.Session // the connection's quel session
 
 	// Handle tables.
 	stmts      map[int]quel.Statement
@@ -77,6 +77,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		nc:      nc,
 		fr:      wire.NewReader(nc),
 		fw:      wire.NewWriter(nc),
+		sess:    s.db.NewSession(),
 		stmts:   make(map[int]quel.Statement),
 		cursors: make(map[int]*cursor),
 	}
@@ -311,14 +312,14 @@ func (c *conn) handle(typ byte, payload []byte) bool {
 	}
 }
 
-// enterGate acquires the statement gate unless this connection already
-// holds it through an open transaction; the returned release is a no-op
-// in that case — the transaction keeps the gate until Commit/Rollback. A
-// nil release means the gate was not had and the request is over: err is
-// what the handler returns, nil when the client was answered with
-// CodeCancelled and the connection lives on.
-func (c *conn) enterGate() (release func(), err error) {
-	if c.tx != nil {
+// enterGate acquires the statement gate for a write unless this
+// connection already holds it through an open transaction; the returned
+// release is a no-op for a read and inside a transaction, which keeps the
+// gate until Commit/Rollback. A nil release means the gate was not had
+// and the request is over: err is what the handler returns, nil when the
+// client was answered with CodeCancelled and the connection lives on.
+func (c *conn) enterGate(write bool) (release func(), err error) {
+	if !write || c.tx != nil {
 		return func() {}, nil
 	}
 	select {
@@ -407,9 +408,6 @@ func (c *conn) awaitGate() gateVerdict {
 }
 
 func (c *conn) handleStmt(m *wire.Stmt) error {
-	if strings.HasPrefix(m.Text, "@bench ") {
-		return c.handleBench(m.Text)
-	}
 	stmt, err := quel.Parse(m.Text)
 	if err != nil {
 		return c.writeError(wire.CodeParse, err.Error())
@@ -438,22 +436,23 @@ func (c *conn) handleStmtExec(m *wire.StmtExec) error {
 	return c.execParsed(stmt, m.Tx, m.Cursor, m.Fetch)
 }
 
-// execParsed runs one parsed statement under the gate and answers with
-// TResult. Under a cursor the reply carries the batch (fetch rows at
-// most, and never more than fit in its frame) and a cursor opens for
-// the rows left over, if any. Without one every row goes in the reply,
-// and a result too large for a frame is refused with CodeLimit.
+// execParsed runs one parsed statement on the connection's session — a
+// write under the gate, a read at a snapshot — and answers with TResult.
+// Under a cursor the reply carries the batch (fetch rows at most, and
+// never more than fit in its frame) and a cursor opens for the rows left
+// over, if any. Without one every row goes in the reply, and a result too
+// large for a frame is refused with CodeLimit.
 func (c *conn) execParsed(stmt quel.Statement, tx int, wantCursor bool, fetch int) error {
 	if tx != 0 && (c.tx == nil || tx != c.txHandle) {
 		return c.writeError(wire.CodeBadHandle, fmt.Sprintf("no transaction %d", tx))
 	}
 	preGate := time.Now()
-	release, err := c.enterGate()
+	release, err := c.enterGate(quel.Writes(stmt))
 	if release == nil {
 		return err
 	}
 	start := time.Now()
-	res, err := c.srv.db.RunParsed(stmt)
+	res, err := c.sess.RunParsed(stmt)
 	release()
 	if err != nil {
 		return c.writeError(wire.CodeExec, err.Error())
@@ -479,9 +478,9 @@ func (c *conn) execParsed(stmt quel.Statement, tx int, wantCursor bool, fetch in
 	}
 	if bd := out.Server; bd != nil {
 		// Partition the service wall exactly: admission is dispatch to
-		// the gate attempt, gate is the wait for the statement gate, and
-		// compute is the remainder (execution plus response build), so
-		// the three always sum to WallNs.
+		// the gate attempt, gate is the wait for the statement gate (none
+		// for a read), and compute is the remainder (execution plus
+		// response build), so the three always sum to WallNs.
 		bd.WallNs = time.Since(c.reqStart).Nanoseconds()
 		bd.AdmissionNs = preGate.Sub(c.reqStart).Nanoseconds()
 		bd.GateNs = start.Sub(preGate).Nanoseconds()
@@ -508,10 +507,10 @@ func (c *conn) handleBegin() error {
 	if c.tx != nil {
 		return c.writeError(wire.CodeExec, "transaction already open on this connection")
 	}
-	if release, err := c.enterGate(); release == nil {
+	if release, err := c.enterGate(true); release == nil {
 		return err
 	}
-	tx, err := c.srv.db.Begin()
+	tx, err := c.sess.Begin()
 	if err != nil {
 		c.srv.releaseGate()
 		return c.writeError(wire.CodeExec, err.Error())
@@ -562,65 +561,6 @@ func (c *conn) handleFetch(m *wire.Fetch) error {
 		c.srv.nCursors.Add(-1)
 	}
 	return c.write(wire.TFetched, out)
-}
-
-// handleBench intercepts the "@bench ..." statement dialect that lets a
-// plain database/sql client drive an open bench world:
-//
-//	@bench next <world> <session>
-//
-// executes that session's next dealt operation (RowsAffected 1) or
-// reports exhaustion (RowsAffected 0). World steps bypass the statement
-// gate — the world's engine does its own locking.
-func (c *conn) handleBench(text string) error {
-	var worldID, session int
-	if _, err := fmt.Sscanf(text, "@bench next %d %d", &worldID, &session); err != nil {
-		return c.writeError(wire.CodeParse, fmt.Sprintf("bad @bench statement %q", text))
-	}
-	step, werr := c.srv.worldNext(worldID, session)
-	if werr != nil {
-		return c.writeError(werr.Code, werr.Msg)
-	}
-	out := &wire.Result{CostMs: step.CostMs, WallNs: step.WallNs}
-	if step.Done {
-		out.Message = "world session drained"
-	} else {
-		out.Message = fmt.Sprintf("committed seq %d", step.Seq)
-		out.Affected = 1
-	}
-	out.Server = c.worldBreakdown(step)
-	return c.write(wire.TResult, out)
-}
-
-// worldBreakdown partitions a traced world step's service wall. The
-// engine already decomposed the execution (WallNs = lock wait + io +
-// recompute + compute under the critical-path invariant; lock wait +
-// compute otherwise), so the server's own overhead — dispatch, dealing
-// the op, response build — lands in admission and the engine remainder
-// in compute, keeping the segments an exact partition. Returns nil on
-// untraced requests, and stashes the breakdown and scenario phase for
-// the span export.
-func (c *conn) worldBreakdown(step *wire.WorldStep) *wire.ServerBreakdown {
-	if c.trace == nil {
-		return nil
-	}
-	c.phase = step.Phase
-	wall := time.Since(c.reqStart).Nanoseconds()
-	adm := wall - step.WallNs
-	if adm < 0 {
-		adm = 0
-	}
-	bd := &wire.ServerBreakdown{
-		SpanID:      c.spanID,
-		WallNs:      wall,
-		AdmissionNs: adm,
-		LockWaitNs:  step.WaitNs,
-		IONs:        step.IONs,
-		RecomputeNs: step.RecomputeNs,
-	}
-	bd.ComputeNs = wall - adm - bd.LockWaitNs - bd.IONs - bd.RecomputeNs
-	c.breakdown = bd
-	return bd
 }
 
 // toWireResult converts a quel result for the wire.

@@ -130,7 +130,9 @@ func gateHolder(t *testing.T, addr string) (holder *peer, tx int) {
 	return holder, begun.Tx
 }
 
-const query = "retrieve (emp.all)"
+// query is the request the tests park on the gate: a write, since reads
+// run at a snapshot and never queue. It changes nothing.
+const query = "delete from emp where emp.age < 0"
 
 // TestCancelWhileParkedOnTheGate: a TCancel reaches a request parked on
 // the statement gate, which answers CodeCancelled; the gate slot is not

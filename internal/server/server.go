@@ -1,19 +1,21 @@
 // Package server implements procserved's TCP front-end: it multiplexes
-// wire-protocol connections onto one shared quel session and onto
+// wire-protocol connections onto one shared quel database and onto
 // engine-backed bench worlds.
 //
 // Concurrency model. Each connection is served by one goroutine, which
-// handles a request on the goroutine that read it. The quel.DB is a
-// single-threaded interpreter, so the server serializes statement
-// execution through a capacity-1 gate channel. A connection acquires the
-// gate per statement — except inside an explicit transaction, where
-// Begin holds the gate until Commit/Rollback so no other connection can
-// observe (or interleave with) uncommitted state. A request parked on
-// the gate is the one thing a TCancel frame can abort (it then fails
-// with CodeCancelled); a TCancel that arrives at any other time is
-// counted and dropped (conn.awaitGate). Bench worlds bypass the gate
-// entirely — each world owns an engine whose lock table isolates its
-// sessions.
+// handles a request on the goroutine that read it, on the connection's
+// own quel session. A read (retrieve, execute, explain) runs at a
+// snapshot of the newest commit and never waits for the gate, as an
+// engine query takes no lock. The disk has one update epoch, so a gate
+// channel of capacity 1 orders the writes (quel.Writes): a connection
+// acquires it per write, except inside an explicit transaction, where
+// Begin holds it until Commit/Rollback while other connections go on
+// reading the last commit.
+// A request parked on the gate — always a write — is the one thing a
+// TCancel frame can abort (it then fails with CodeCancelled); a TCancel
+// that arrives at any other time is counted and dropped
+// (conn.awaitGate). Bench worlds bypass the gate entirely — each world
+// owns an engine whose lock table isolates its sessions.
 //
 // Admission. Connections, prepared statements, cursors, transactions and
 // worlds are all bounded (Options); admission is a single atomic
@@ -58,12 +60,12 @@ type Options struct {
 	// a result larger than one frame; tests set a few rows to force one.
 	// No reply ever carries more rows than fit in one frame.
 	FetchBatch int
-	// PageSize and Width configure the shared quel session's pager;
+	// PageSize and Width configure the shared quel database;
 	// zero takes the paper defaults (4000-byte pages, 100-byte tuples),
 	// matching a local procshell session.
 	PageSize int
 	Width    int
-	// Costs prices the shared session's simulated work.
+	// Costs prices every quel session's simulated work.
 	Costs metric.Costs
 	// Recorder, when non-nil, receives one flight event per request
 	// (kind "server.request"), so a stalled served run can be diagnosed
@@ -102,7 +104,7 @@ type Server struct {
 	opt Options
 
 	db   *quel.DB
-	gate chan struct{} // capacity 1: serializes quel statement execution
+	gate chan struct{} // capacity 1: serializes quel writers
 
 	ln      net.Listener
 	mu      sync.Mutex
@@ -136,7 +138,7 @@ type Server struct {
 	det *telemetry.Detectors
 }
 
-// New builds an unstarted server with one fresh quel session.
+// New builds an unstarted server with one fresh quel database.
 func New(opt Options) *Server {
 	opt.fill()
 	s := &Server{
@@ -154,8 +156,8 @@ func New(opt Options) *Server {
 	return s
 }
 
-// DB exposes the shared quel session (tests inspect meter state through
-// it; the server itself only touches it under the gate).
+// DB exposes the shared quel database. Its own session is not one a
+// connection uses: tests load data through it before clients connect.
 func (s *Server) DB() *quel.DB { return s.db }
 
 // Serve accepts connections on ln until Shutdown closes it.

@@ -145,9 +145,8 @@ func (s *Server) lookupWorld(id int) *world {
 	return nil
 }
 
-// worldNext executes session's next dealt operation in world id. It is
-// shared by the TWorldNext frame handler and the "@bench next" statement
-// dialect.
+// worldNext executes session's next dealt operation in world id: the
+// TWorldNext frame, the one way into a world's sessions.
 func (s *Server) worldNext(id, session int) (*wire.WorldStep, *wire.Error) {
 	w := s.lookupWorld(id)
 	if w == nil {
@@ -186,12 +185,33 @@ func (s *Server) worldNext(id, session int) (*wire.WorldStep, *wire.Error) {
 	return step, nil
 }
 
+// handleWorldNext answers with the step. A traced step's service wall is
+// partitioned: the engine already decomposed the execution (WallNs = lock
+// wait + io + recompute + compute under the critical-path invariant; lock
+// wait + compute otherwise), so the server's own overhead — dispatch,
+// dealing the op, response build — lands in admission and the engine
+// remainder in compute, keeping the segments an exact partition. The
+// breakdown and scenario phase are stashed for the span export.
 func (c *conn) handleWorldNext(m *wire.WorldNext) error {
 	step, werr := c.srv.worldNext(m.World, m.Session)
 	if werr != nil {
 		return c.writeError(werr.Code, werr.Msg)
 	}
-	step.Server = c.worldBreakdown(step)
+	if c.trace != nil {
+		c.phase = step.Phase
+		wall := time.Since(c.reqStart).Nanoseconds()
+		adm := max(wall-step.WallNs, 0)
+		bd := &wire.ServerBreakdown{
+			SpanID:      c.spanID,
+			WallNs:      wall,
+			AdmissionNs: adm,
+			LockWaitNs:  step.WaitNs,
+			IONs:        step.IONs,
+			RecomputeNs: step.RecomputeNs,
+		}
+		bd.ComputeNs = wall - adm - bd.LockWaitNs - bd.IONs - bd.RecomputeNs
+		step.Server, c.breakdown = bd, bd
+	}
 	return c.write(wire.TWorldStep, step)
 }
 

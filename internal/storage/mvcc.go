@@ -207,10 +207,14 @@ func (d *Disk) releaseSnapshot(s uint64) {
 }
 
 // BeginEpoch opens the update epoch. The caller must guarantee a single
-// writer (the engine's exclusive base-relation locks do).
+// writer (the engine's exclusive base-relation locks do, and procserved's
+// statement gate for QUEL); a second writer panics rather than share the
+// epoch.
 func (d *Disk) BeginEpoch() {
 	d.freeze()
-	d.mvcc.epoch.Store(true)
+	if d.mvcc.epoch.Swap(true) {
+		panic("storage: BeginEpoch while another update epoch is open")
+	}
 }
 
 // Publish stamps everything the open epoch wrote — staged page images,

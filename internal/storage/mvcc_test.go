@@ -269,3 +269,46 @@ func TestColdReadAllocatesOnlyItsFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestBeginEpochRefusesASecondWriter: the disk has one update epoch, so a
+// second pager's OpenScope(true) while the first's is open panics instead
+// of sharing it; once the first publishes or abandons, the second opens.
+func TestBeginEpochRefusesASecondWriter(t *testing.T) {
+	for _, end := range []string{"publish", "abandon"} {
+		t.Run(end, func(t *testing.T) {
+			d := NewDisk(64)
+			id := d.Alloc()
+			first, second := pagerOn(d), pagerOn(d)
+			first.OpenScope(true)
+			first.BeginOp()
+			first.Update(id)[0] = 1
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("a second writer opened the update epoch")
+					}
+				}()
+				second.OpenScope(true)
+			}()
+			if !d.UpdateInFlight() {
+				t.Fatal("the refused writer closed the first writer's epoch")
+			}
+			if end == "publish" {
+				first.CloseScope(1)
+			} else {
+				first.AbortScope()
+			}
+			second.OpenScope(true)
+			second.BeginOp()
+			second.Update(id)[0] = 2
+			second.CloseScope(d.CommitStamp() + 1)
+			r := pagerOn(d)
+			r.OpenScope(false)
+			defer r.CloseScope(0)
+			r.BeginOp()
+			if got := r.Read(id)[0]; got != 2 {
+				t.Fatalf("the second writer's update reads %d, want 2", got)
+			}
+		})
+	}
+}

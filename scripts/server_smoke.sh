@@ -3,7 +3,7 @@
 #
 # Starts a real procserved process with its telemetry endpoint, then:
 #
-#   1. runs a workload through the standard database/sql driver
+#   1. runs a workload through TWorldNext steps over the wire
 #      (procsim -connect) and checks the 1-client identity line,
 #   2. runs interactive QUEL statements over the wire (procshell -connect),
 #   3. scrapes /metrics for the server's connection/handle gauges and

@@ -127,11 +127,14 @@ GOMAXPROCS=4 go test -race -count=3 \
 # Transaction epochs (docs/MVCC.md, "Abandon"): an abandoned epoch leaves
 # every directory equal to its published copy, gives its pages back and
 # hides from a concurrent snapshot; a failed QUEL update changes nothing
-# and aborts its transaction; the seeded rollback-heavy property test; and
-# the driver's view of both, with GOMAXPROCS raised.
+# and aborts its transaction; the seeded rollback-heavy property test; the
+# driver's view of both; a second writer cannot open the epoch; snapshot
+# readers on other connections neither queue behind an open transaction
+# nor see it; and a request parked on the gate is a write. GOMAXPROCS is
+# raised.
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'Abandon|TestTx|TestFailedUpdateIsAtomic|TestRollbackHeavyProperty|TestDriverConformance' \
-    ./internal/storage/ ./internal/btree/ ./internal/hashidx/ ./internal/quel/ ./client/
+    -run 'Abandon|TestTx|TestFailedUpdateIsAtomic|TestRollbackHeavyProperty|TestDriverConformance|ReadDuringOpenTx|TestSnapshotReadersUnderWriters|BeginEpoch|Parked' \
+    ./internal/storage/ ./internal/btree/ ./internal/hashidx/ ./internal/quel/ ./internal/server/ ./client/
 # The benchmark is a module of its own (dbproc/benchmark, replace =>
 # ../), so nothing above builds it: vet and test it, then run the
 # harness once at 1/50 of the time with its output checks on.
