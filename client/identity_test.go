@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,7 +13,6 @@ import (
 	"dbproc/internal/costmodel"
 	"dbproc/internal/dbtest"
 	"dbproc/internal/engine"
-	"dbproc/internal/experiments"
 	"dbproc/internal/obs"
 	"dbproc/internal/server"
 	"dbproc/internal/sim"
@@ -59,7 +59,7 @@ func TestServedIdentity(t *testing.T) {
 	// sequential-identity anchor covers in-process.
 	for _, strat := range costmodel.Strategies {
 		for _, m := range []costmodel.Model{costmodel.Model1, costmodel.Model2} {
-			strategy, model := experiments.WireStrategy(strat), experiments.WireModel(m)
+			strategy, model := strat.Short(), strconv.Itoa(int(m))
 			t.Run(fmt.Sprintf("%s/model%s", strategy, model), func(t *testing.T) {
 				cfg := sim.Config{
 					Params: params, Model: m, Strategy: strat,

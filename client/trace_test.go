@@ -359,37 +359,6 @@ func TestServedRequestMetrics(t *testing.T) {
 	}
 }
 
-// TestServedLatencyDetector: an absurdly low served SLO must latch the
-// detector once the sketch has enough observations.
-func TestServedLatencyDetector(t *testing.T) {
-	defer dbtest.Watchdog(t, time.Minute)()
-	rec := telemetry.NewRecorder(256)
-	th := telemetry.DefaultThresholds()
-	th.ServedP99Ns = 1 // everything breaches
-	_, addr := startServer(t, server.Options{Recorder: rec, Detect: &th})
-	cn, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cn.Close()
-	ctx := context.Background()
-	for i := 0; i < 40; i++ {
-		if err := cn.Ping(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fired := 0
-	evs, _ := rec.Snapshot()
-	for _, ev := range evs {
-		if ev.Kind == telemetry.EvDetector && ev.Name == "served_p99" {
-			fired++
-		}
-	}
-	if fired != 1 {
-		t.Fatalf("served_p99 fired %d times, want exactly once (latched)", fired)
-	}
-}
-
 // TestUntracedRequestsCarryNothing: a plain Dial must leave frames
 // trace-free end to end — no breakdown comes back, and the server
 // exports no spans. (The byte-level half of the contract is pinned in

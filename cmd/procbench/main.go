@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -81,9 +80,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "procbench: %v\n", err)
 			os.Exit(1)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
+		if err := experiments.WriteReport(f, v); err != nil {
 			f.Close()
 			fmt.Fprintf(os.Stderr, "procbench: %v\n", err)
 			os.Exit(1)

@@ -251,7 +251,8 @@ func render(w io.Writer, addr string, m metricSet, dump *telemetry.Dump, clear, 
 
 // renderBlame draws the causal diagnosis panel: the critical-path
 // segment split and the top blockers by attributed wall-clock wait.
-// Both series exist only when the observed process runs with critical
+// Every engine exports its blockers once a lock wait has happened; the
+// segment split exists only when the observed process runs with critical
 // path profiling on (procsim -critpath; docs/DIAGNOSIS.md).
 func renderBlame(w io.Writer, m metricSet) {
 	segs := m.byLabel("dbproc_critpath_seconds_total", "segment")
@@ -278,7 +279,7 @@ func renderBlame(w io.Writer, m metricSet) {
 	waits := m.samplesOf("dbproc_blame_wait_seconds_total")
 	if len(waits) == 0 {
 		if len(segs) == 0 {
-			fmt.Fprintf(w, "\n  blame: no critical-path series (run the observed process with -critpath)\n")
+			fmt.Fprintf(w, "\n  blame: no lock wait yet (run the observed process with -critpath for the critical-path split)\n")
 		}
 		return
 	}
@@ -361,7 +362,7 @@ func main() {
 	events := flag.Int("events", 8, "flight-recorder events to tail per frame (0 = none)")
 	raw := flag.Bool("raw", false, "poll /metrics once, print the raw scrape, and exit")
 	tail := flag.Int("tail", 0, "fetch the last K flight events as raw JSONL and exit (pipe into procstat -flight)")
-	blame := flag.Bool("blame", false, "add the causal-diagnosis panel: critical-path split and top blockers (needs -critpath on the observed process)")
+	blame := flag.Bool("blame", false, "add the causal-diagnosis panel: top blockers, and the critical-path split when the observed process runs with -critpath")
 	serving := flag.Bool("serving", false, "add the served-path panel: connection counters and per-request-type service-time quantiles (observe procserved -telemetry)")
 	flag.Parse()
 

@@ -8,7 +8,7 @@
 //	procserved                            # listen on 127.0.0.1:7141
 //	procserved -listen :7141              # all interfaces
 //	procserved -telemetry 127.0.0.1:9141  # live /metrics, /events, /debug/pprof
-//	procserved -flight flight.jsonl       # flight dump on fault
+//	procserved -flight flight.jsonl       # flight dump on fault or SLO breach
 //	procserved -trace server.jsonl        # server-side wire spans (docs/TRACING.md)
 //	procserved -max-conns 16              # admission bound
 //
@@ -48,6 +48,8 @@ func main() {
 		PageSize:  *page,
 		Width:     *width,
 	}
+	// The recorder also arms the served SLO detector and every world
+	// engine's detectors (docs/DIAGNOSIS.md, "Detectors").
 	var rec *telemetry.Recorder
 	if *flight != "" || *telemetryAddr != "" {
 		rec = telemetry.NewRecorder(4096)
@@ -65,8 +67,6 @@ func main() {
 		}
 		traceFile = f
 		opt.TraceSink = obs.NewWireSpanSink(f)
-		th := telemetry.DefaultThresholds()
-		opt.Detect = &th
 	}
 	srv := server.New(opt)
 

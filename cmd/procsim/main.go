@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"time"
 
@@ -49,23 +50,6 @@ import (
 	"dbproc/internal/wire"
 	"dbproc/internal/workload"
 )
-
-var strategyNames = map[string]costmodel.Strategy{
-	"recompute": costmodel.AlwaysRecompute,
-	"ci":        costmodel.CacheInvalidate,
-	"uc-avm":    costmodel.UpdateCacheAVM,
-	"uc-rvm":    costmodel.UpdateCacheRVM,
-}
-
-// shortName inverts strategyNames for run labels in trace files.
-func shortName(s costmodel.Strategy) string {
-	for k, v := range strategyNames {
-		if v == s {
-			return k
-		}
-	}
-	return s.String()
-}
 
 // runJSON is one strategy's result in -json output.
 type runJSON struct {
@@ -127,7 +111,7 @@ func main() {
 	connect := flag.String("connect", "", "drive the workload against this external procserved address (implies -serve)")
 	tracePath := flag.String("trace", "", "write a per-operation JSONL trace to this file (render with procstat)")
 	ledgerPath := flag.String("ledger", "", "write a cache-efficacy ledger (JSONL) to this file (analyze with procdoctor; docs/DIAGNOSIS.md)")
-	critpath := flag.Bool("critpath", false, "decompose each op's wall time into lock-wait/IO/recompute/compute with lock-wait blame (concurrent mode)")
+	critpath := flag.Bool("critpath", false, "time I/O and recompute and decompose each op's wall time into lock-wait/IO/recompute/compute (concurrent mode; lock-wait blame is always reported)")
 	listen := flag.String("listen", "", "serve /metrics, /debug/pprof and /events on this address (e.g. :9090) until interrupted")
 	flightPath := flag.String("flight", "", "write a flight-recorder dump to this file if the run trips a telemetry trigger")
 	breakdown := flag.Bool("breakdown", false, "print the per-component cost breakdown of each run")
@@ -157,7 +141,7 @@ func main() {
 	if *strategyFlag == "" {
 		strategies = costmodel.Strategies[:]
 	} else {
-		s, ok := strategyNames[strings.ToLower(*strategyFlag)]
+		s, ok := costmodel.ParseStrategy(strings.ToLower(*strategyFlag))
 		if !ok {
 			fmt.Fprintf(os.Stderr, "procsim: unknown strategy %q (want recompute, ci, uc-avm or uc-rvm)\n", *strategyFlag)
 			os.Exit(1)
@@ -237,9 +221,9 @@ func main() {
 
 	runLabel := func(c cellCfg) string {
 		if *seeds == 1 {
-			return shortName(c.strategy)
+			return c.strategy.Short()
 		}
-		return fmt.Sprintf("%s#%d", shortName(c.strategy), c.seed)
+		return fmt.Sprintf("%s#%d", c.strategy.Short(), c.seed)
 	}
 
 	cells, err := parallel.Map(ctx, parallel.Workers(*workers), len(cellCfgs),
@@ -453,8 +437,8 @@ type blockerJSON struct {
 // profile. With -trace, one span per operation is recorded, tagged with
 // its session and commit sequence, plus one contention record per run.
 // With -listen, each engine becomes the hub's metrics source and its
-// events stream into the flight recorder. With -critpath, each op's wall
-// time is decomposed and the top lock-wait blockers are reported; with
+// events stream into the flight recorder. The top lock-wait blockers are
+// always reported; with -critpath, each op's wall time is decomposed; with
 // -ledger, each strategy's cache-efficacy ledger is appended to the
 // ledger file as one section.
 func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Model,
@@ -481,19 +465,14 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 		if ledgerFile != nil {
 			cfg.Ledger = cache.NewLedger()
 		}
+		// A recorder arms the always-on detectors: a p99-latency,
+		// contention-share or wasted-work breach fires an EvDetector
+		// event, which auto-dumps the flight ring (docs/DIAGNOSIS.md).
 		opt := engine.Options{
-			Clients:      clients,
-			ThinkMeanMs:  think,
-			Recorder:     rec,
-			ProfileLocks: true,
-			CritPath:     critpath,
-		}
-		if rec != nil {
-			// Always-on detectors: a p99-latency, contention-share or
-			// wasted-work breach fires an EvDetector event, which
-			// auto-dumps the flight ring (docs/DIAGNOSIS.md).
-			th := telemetry.DefaultThresholds()
-			opt.Detect = &th
+			Clients:     clients,
+			ThinkMeanMs: think,
+			Recorder:    rec,
+			CritPath:    critpath,
 		}
 		if traceFile != nil {
 			opt.Tracer = obs.NewTracer()
@@ -506,13 +485,13 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 		contention := engine.ContentionJSON(res.Contention)
 		contRec := telemetry.ContentionRecord{
 			Type:  telemetry.RecordContention,
-			Run:   shortName(s),
+			Run:   s.Short(),
 			Locks: contention,
 		}
 		contRecs = append(contRecs, contRec)
 		if traceFile != nil {
 			records := make([]any, 0, res.Ops+1)
-			for _, sp := range opt.Tracer.Records(shortName(s)) {
+			for _, sp := range opt.Tracer.Records(s.Short()) {
 				records = append(records, sp)
 			}
 			records = append(records, contRec)
@@ -538,19 +517,16 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 			}
 		}
 		var critNs map[string]int64
-		var blockers []blockerJSON
 		if critpath {
 			critNs = map[string]int64{"lock_wait": res.SegWaitNs, "io": res.SegIONs,
 				"recompute": res.SegRecomputeNs, "compute": res.SegComputeNs}
-			for _, b := range res.TopBlockers {
-				blockers = append(blockers, blockerJSON{
-					Lock: b.Lock, HolderSession: b.HolderSession, HolderOp: b.HolderOp,
-					Waits: b.Waits, WaitNs: b.WaitNs,
-				})
-			}
-			if len(blockers) > 8 {
-				blockers = blockers[:8]
-			}
+		}
+		var blockers []blockerJSON
+		for _, b := range res.TopBlockers[:min(len(res.TopBlockers), 8)] {
+			blockers = append(blockers, blockerJSON{
+				Lock: b.Lock, HolderSession: b.HolderSession, HolderOp: b.HolderOp,
+				Waits: b.Waits, WaitNs: b.WaitNs,
+			})
 		}
 		if jsonOut {
 			jsonRows = append(jsonRows, concurrentJSON{
@@ -583,13 +559,10 @@ func runConcurrent(ctx context.Context, p costmodel.Params, model costmodel.Mode
 					100*float64(critNs["recompute"])/float64(total),
 					100*float64(critNs["compute"])/float64(total))
 			}
-			for i, b := range blockers {
-				if i >= 3 {
-					break
-				}
-				fmt.Printf("  blocker: %-14s held by session %d (%s): %d waits, %.2f ms\n",
-					b.Lock, b.HolderSession, b.HolderOp, b.Waits, float64(b.WaitNs)/1e6)
-			}
+		}
+		for _, b := range blockers[:min(len(blockers), 3)] {
+			fmt.Printf("  blocker: %-14s held by session %d (%s): %d waits, %.2f ms\n",
+				b.Lock, b.HolderSession, b.HolderOp, b.Waits, float64(b.WaitNs)/1e6)
 		}
 	}
 	if !jsonOut {
@@ -660,7 +633,7 @@ func runServed(ctx context.Context, p costmodel.Params, model costmodel.Model,
 		clients = 1
 	}
 	if !jsonOut {
-		fmt.Printf("%s, served by %s: %d sessions over database/sql, k=%.0f q=%.0f, seed = %d\n\n",
+		fmt.Printf("%s, served by %s: %d sessions over the wire, k=%.0f q=%.0f, seed = %d\n\n",
 			model, addr, clients, p.K, p.Q, seed)
 		fmt.Printf("%-22s %8s %14s %12s   %s\n",
 			"strategy", "wall", "throughput", "sim cost", "identity")
@@ -672,8 +645,8 @@ func runServed(ctx context.Context, p costmodel.Params, model costmodel.Model,
 		}
 		res, err := experiments.DriveServed(ctx, addr, &wire.WorldOpen{
 			Params:   p,
-			Model:    experiments.WireModel(model),
-			Strategy: experiments.WireStrategy(s),
+			Model:    strconv.Itoa(int(model)),
+			Strategy: s.Short(),
 			Seed:     seed,
 			Clients:  clients,
 			Scenario: scenario,

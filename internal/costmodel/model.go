@@ -66,6 +66,41 @@ func (s Strategy) String() string {
 	}
 }
 
+// shortNames are the strategies' short names, indexed by Strategy.
+var shortNames = [NumStrategies]string{"recompute", "ci", "uc-avm", "uc-rvm"}
+
+// Short returns the strategy's short name — recompute, ci, uc-avm or
+// uc-rvm — the vocabulary of procsim's -strategy flag, trace run labels
+// and the wire protocol.
+func (s Strategy) Short() string {
+	if s < 0 || s >= NumStrategies {
+		return s.String()
+	}
+	return shortNames[s]
+}
+
+// ParseStrategy resolves a short name (Short) to its strategy.
+func ParseStrategy(name string) (Strategy, bool) {
+	for _, s := range Strategies {
+		if shortNames[s] == name {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
+// ParseModel resolves a model's wire name: "1" or "model1", "2" or
+// "model2".
+func ParseModel(name string) (Model, bool) {
+	switch name {
+	case "1", "model1":
+		return Model1, true
+	case "2", "model2":
+		return Model2, true
+	}
+	return 0, false
+}
+
 // QueryP1Cost returns C_queryP1, the cost to compute a type-P1 procedure
 // from scratch: screen f·N tuples at C1 each, read ⌈f·b⌉ data pages and
 // descend H1 index levels at C2 each.

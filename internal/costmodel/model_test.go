@@ -403,3 +403,34 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestNameVocabulary pins the short names procsim's -strategy flag and
+// the wire protocol share: each strategy's Short parses back to it, the
+// wire accepts exactly "1"/"model1" and "2"/"model2" for the models, and
+// nothing else parses (procsim lower-cases its flag before parsing).
+func TestNameVocabulary(t *testing.T) {
+	for i, want := range []string{"recompute", "ci", "uc-avm", "uc-rvm"} {
+		s := Strategies[i]
+		if s.Short() != want {
+			t.Errorf("%v.Short() = %q, want %q", s, s.Short(), want)
+		}
+		if got, ok := ParseStrategy(want); !ok || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", want, got, ok, s)
+		}
+	}
+	for name, want := range map[string]Model{"1": Model1, "model1": Model1, "2": Model2, "model2": Model2} {
+		if got, ok := ParseModel(name); !ok || got != want {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", name, got, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "CI", "Recompute", "cache-invalidate"} {
+		if _, ok := ParseStrategy(bad); ok {
+			t.Errorf("ParseStrategy(%q) accepted", bad)
+		}
+	}
+	for _, bad := range []string{"", "3", "model 1", "Model1"} {
+		if _, ok := ParseModel(bad); ok {
+			t.Errorf("ParseModel(%q) accepted", bad)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"dbproc/internal/costmodel"
 	"dbproc/internal/dbtest"
 	"dbproc/internal/sim"
+	"dbproc/internal/telemetry"
 )
 
 // TestCritPathSumsToWall is the acceptance property for the critical-path
@@ -99,6 +100,46 @@ func TestCritPathSumsToWall(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBlameWithoutCritPath: lock waits are timed and blamed on every
+// engine, not only under CritPath. TestCritPathSumsToWall's holdout, run
+// with a recorder and no other option, must be named in TopBlockers, in
+// the contention profile's lock activity, and in the detail of a flight
+// lock.acquire event.
+func TestBlameWithoutCritPath(t *testing.T) {
+	defer dbtest.Watchdog(t, 2*time.Minute)()
+	rec := telemetry.NewRecorder(1 << 14)
+	cfg := testConfig(costmodel.CacheInvalidate, costmodel.Model1, 90210, 32, 48)
+	e := New(cfg, Options{Clients: 8, Recorder: rec})
+	var holdout Footprint
+	holdout.Exclusive(RelLock("r1"))
+	h := e.locks.AcquireAs(holdout, 99, "test holdout")
+	done := make(chan Result, 1)
+	go func() { done <- e.Run(context.Background()) }()
+	time.Sleep(20 * time.Millisecond)
+	h.Release()
+	res := <-done
+
+	blamed := false
+	for _, b := range res.TopBlockers {
+		if b.HolderSession == 99 && b.HolderOp == "test holdout" && b.Waits > 0 && b.WaitNs > 0 {
+			blamed = true
+		}
+	}
+	if !blamed {
+		t.Fatalf("holdout session missing from blockers: %+v", res.TopBlockers)
+	}
+	if len(res.Contention) == 0 {
+		t.Fatal("no contention profile without CritPath")
+	}
+	events, _ := rec.Snapshot()
+	for _, ev := range events {
+		if ev.Kind == telemetry.EvLockAcquire && ev.Detail == "held by session 99 (test holdout)" {
+			return
+		}
+	}
+	t.Fatalf("no lock.acquire event blames the holdout among %d events", len(events))
 }
 
 // TestDiagnosisPreservesSequentialIdentity is the no-observer-effect

@@ -38,36 +38,32 @@ type Options struct {
 	// commit sequence. Sessions meter work on private meters, so spans
 	// are adopted fully formed at commit time under the commit mutex: the
 	// trace lists operations in commit order, each placed at the run's
-	// cumulative committed cost. When a Recorder is also installed, each
-	// span additionally carries a wall_wait_ns attribute (lock wait, a
-	// wall-clock quantity absent from pure simulation traces).
+	// cumulative committed cost. An update's span additionally carries a
+	// wall_wait_ns attribute (its lock wait, a wall-clock quantity absent
+	// from pure simulation traces) and, when it waited, the blame
+	// attributes naming who held the locks.
 	Tracer *obs.Tracer
 	// Recorder, when non-nil, streams flight events: op begin/commit,
-	// per-lock waits, lock release, and — via the observers the engine
-	// installs on the cache store — validity transitions. Nil keeps the
-	// hot path at one pointer check per site.
+	// per-lock waits with their holders, lock release, and — via the
+	// observers the engine installs on the cache store — validity
+	// transitions. It also arms the regression detectors at
+	// telemetry.DefaultThresholds (p99 wall latency, lock-contention
+	// share, ledger wasted-work ratio): a firing detector records an
+	// EvDetector event, which triggers the recorder's auto-dump. The
+	// latency detector compares the wall histogram's p99 bucket edge, so
+	// it can fire up to one bucket ratio (< 1.1x) early. Nil keeps the hot
+	// path at one pointer check per site.
 	Recorder *telemetry.Recorder
-	// ProfileLocks enables the lock table's wall-clock contention
-	// profiler; Result.Contention then reports per-lock wait/hold stats.
-	ProfileLocks bool
 	// CritPath enables per-operation critical-path decomposition
-	// (docs/DIAGNOSIS.md): every committed op's wall time is split
+	// (docs/DIAGNOSIS.md): the pager times its I/O and cache-miss
+	// recompute scopes, and every committed op's wall time is split
 	// exactly — the four segments sum bit-exactly to the op's recorded
-	// wall time — into lock-wait, I/O, cache-miss recompute, and compute,
-	// and each lock wait carries a blame edge naming the session/op that
-	// held the lock. Results land in Result's segment totals and
-	// TopBlockers (and, under RecordHistory, Result.CritPaths), on
-	// /metrics (dbproc_critpath_seconds_total, dbproc_blame_*), in flight
-	// EvLockAcquire details, and as blame attributes on operation spans.
-	// Implies ProfileLocks.
+	// wall time — into lock-wait, I/O, recompute, and compute. Results
+	// land in Result's segment totals (and, under RecordHistory,
+	// Result.CritPaths), on /metrics (dbproc_critpath_seconds_total) and
+	// in OpOutcome's segments. Lock waits and their blame edges are
+	// measured without it.
 	CritPath bool
-	// Detect, when non-nil, arms the always-on regression detectors
-	// (p99 wall latency, lock-contention share, ledger wasted-work
-	// ratio); a firing detector records an EvDetector flight event, which
-	// triggers the recorder's auto-dump. Requires Recorder to be useful.
-	// The latency detector compares the wall histogram's p99 bucket edge,
-	// so it can fire up to one bucket ratio (< 1.1x) early.
-	Detect *telemetry.Thresholds
 }
 
 // HistoryEntry is one committed operation in the run's history. Seq is
@@ -134,7 +130,7 @@ type Result struct {
 	// whether or not History is kept: HistoryDigest(History) equals it.
 	HistoryDigest string
 	// Contention is the lock table's wall-clock contention profile,
-	// sorted by total wait time; empty unless Options.ProfileLocks.
+	// sorted by total wait time.
 	Contention []LockContention
 	// WallLatency and SimLatency summarize every session's per-op latency
 	// histograms, merged: wall-clock nanoseconds (lock wait + latched
@@ -148,17 +144,10 @@ type Result struct {
 	// critical-path segments over every committed op; zero unless
 	// Options.CritPath.
 	SegWaitNs, SegIONs, SegRecomputeNs, SegComputeNs int64
-	// TopBlockers aggregates blame edges by (lock, holder), sorted by
-	// total wait descending; empty unless Options.CritPath.
+	// TopBlockers aggregates blame edges — the update footprint's and
+	// the version GC's — by (lock, holder), sorted by total wait
+	// descending.
 	TopBlockers []BlockerStat
-}
-
-// BlameEdge names the holder a lock wait is attributed to.
-type BlameEdge struct {
-	Lock          string
-	WaitNs        int64
-	HolderSession int
-	HolderOp      string
 }
 
 // OpCritPath is one committed operation's critical-path decomposition.
@@ -181,8 +170,9 @@ type OpCritPath struct {
 	// ComputeNs is the remainder: plan evaluation, cache reads, commit
 	// bookkeeping.
 	ComputeNs int64
-	// Blame carries one edge per waited-for lock.
-	Blame []BlameEdge
+	// Blame carries one edge per waited-for lock; the edges' waits sum to
+	// WaitNs.
+	Blame []LockWait
 }
 
 // BlockerStat aggregates the blame edges pointing at one (lock, holder)
@@ -243,10 +233,11 @@ type Engine struct {
 	phaseNames []string
 	phaseOps   []atomic.Int64
 
-	// Critical-path state (Options.CritPath): the blame aggregation and,
-	// under RecordHistory, the per-op decompositions behind critMu;
-	// per-segment wall totals as atomics so a live scrape reads them
-	// without the mutex.
+	// Blame and critical-path state: the blame aggregation (keyed by
+	// lock, holder session and "update" or "gc", so it stays bounded)
+	// and, under CritPath and RecordHistory, the per-op decompositions
+	// behind critMu; per-segment wall totals (CritPath) as atomics so a
+	// live scrape reads them without the mutex.
 	critMu   sync.Mutex
 	crits    []OpCritPath
 	blockers map[blockerKey]*BlockerStat
@@ -261,6 +252,7 @@ type Engine struct {
 	waitNsTot atomic.Int64
 	wallNsTot atomic.Int64
 
+	// det is armed whenever a Recorder is installed.
 	det *telemetry.Detectors
 
 	// sessions holds the opened sessions, indexed by id (one slot per
@@ -280,21 +272,13 @@ func New(cfg sim.Config, opt Options) *Engine {
 	if opt.Clients < 1 {
 		opt.Clients = 1
 	}
-	if opt.CritPath {
-		opt.ProfileLocks = true
-	}
 	w := sim.Build(cfg)
 	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest,
-		histDig: newHistoryDigest(), updateFP: updateFootprint(), gcFP: gcFootprint()}
+		histDig: newHistoryDigest(), updateFP: updateFootprint(), gcFP: gcFootprint(),
+		blockers: make(map[blockerKey]*BlockerStat)}
 	e.sessions = make([]*Session, opt.Clients)
-	if opt.ProfileLocks {
-		e.locks.EnableProfiling()
-	}
-	if opt.CritPath {
-		e.blockers = make(map[blockerKey]*BlockerStat)
-	}
-	if opt.Detect != nil {
-		e.det = telemetry.NewDetectors(*opt.Detect, opt.Recorder)
+	if opt.Recorder != nil {
+		e.det = telemetry.NewDetectors(telemetry.DefaultThresholds(), opt.Recorder)
 	}
 	if sched := w.Schedule(); sched != nil && sched.Scenario != "" {
 		for _, p := range sched.Phases {
@@ -502,21 +486,21 @@ func (e *Engine) TelemetryMetrics() []telemetry.Metric {
 				"Wall-clock critical-path time by segment.", float64(seg.ns)/1e9,
 				map[string]string{"segment": seg.name}))
 		}
-		for _, b := range e.TopBlockers(8) {
-			lbl := map[string]string{
-				"lock":           b.Lock,
-				"holder_op":      b.HolderOp,
-				"holder_session": strconv.Itoa(b.HolderSession),
-			}
-			ms = append(ms,
-				telemetry.Counter("dbproc_blame_wait_seconds_total",
-					"Wall-clock lock wait attributed to the holding session/op.",
-					float64(b.WaitNs)/1e9, lbl),
-				telemetry.Counter("dbproc_blame_waits_total",
-					"Lock waits attributed to the holding session/op.",
-					float64(b.Waits), lbl),
-			)
+	}
+	for _, b := range e.TopBlockers(8) {
+		lbl := map[string]string{
+			"lock":           b.Lock,
+			"holder_op":      b.HolderOp,
+			"holder_session": strconv.Itoa(b.HolderSession),
 		}
+		ms = append(ms,
+			telemetry.Counter("dbproc_blame_wait_seconds_total",
+				"Wall-clock lock wait attributed to the holding session/op.",
+				float64(b.WaitNs)/1e9, lbl),
+			telemetry.Counter("dbproc_blame_waits_total",
+				"Lock waits attributed to the holding session/op.",
+				float64(b.Waits), lbl),
+		)
 	}
 	// A reuse ratio (reused/reclaimed) well below 1 means updates are
 	// allocating page images again: look at the horizon lag first.

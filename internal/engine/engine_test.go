@@ -238,7 +238,7 @@ func TestRaceStress(t *testing.T) {
 		for _, model := range models {
 			t.Run(fmt.Sprintf("%v/%v", strat, model), func(t *testing.T) {
 				cfg := testConfig(strat, model, 31337, 24, 40)
-				e := New(cfg, Options{Clients: 8, ThinkMeanMs: 0.2, Recorder: rec, ProfileLocks: true})
+				e := New(cfg, Options{Clients: 8, ThinkMeanMs: 0.2, Recorder: rec})
 				res := e.Run(context.Background())
 				if res.Ops != 64 {
 					t.Fatalf("ran %d ops, want 64", res.Ops)

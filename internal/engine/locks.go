@@ -109,14 +109,15 @@ const lockShards = 16
 // hash. Locks are created on first use and live for the table's lifetime
 // (the name space — relations plus cache entries — is small and fixed).
 //
-// With EnableProfiling the table additionally streams per-lock wall-clock
-// wait/hold statistics (the contention profiler); disabled, Acquire and
-// Release take the exact pre-profiler path — no clock reads, no atomics —
-// so the zero-telemetry cost stays at seed level.
+// Every acquisition feeds the contention profiler: a lock is tried
+// before it is waited for, so only a real wait is timed, and each lock
+// streams wall-clock wait/hold statistics. An uncontended set costs two
+// clock reads, one at acquire and one at release.
 type LockTable struct {
-	seed    maphash.Seed
-	shards  [lockShards]lockShard
-	profile bool
+	seed   maphash.Seed
+	shards [lockShards]lockShard
+	// epoch is the origin of the table's monotonic clock (now).
+	epoch time.Time
 }
 
 // namedLock is one named RWMutex plus its streaming contention profile.
@@ -126,7 +127,8 @@ type namedLock struct {
 	mu   sync.RWMutex
 	name string
 
-	acquires  atomic.Int64
+	// shared and exclusive count acquisitions by mode: one add each.
+	shared    atomic.Int64
 	exclusive atomic.Int64
 	contended atomic.Int64
 	waitNs    atomic.Int64
@@ -165,20 +167,15 @@ type lockShard struct {
 
 // NewLockTable returns an empty table.
 func NewLockTable() *LockTable {
-	t := &LockTable{seed: maphash.MakeSeed()}
+	t := &LockTable{seed: maphash.MakeSeed(), epoch: time.Now()}
 	for i := range t.shards {
 		t.shards[i].locks = make(map[string]*namedLock)
 	}
 	return t
 }
 
-// EnableProfiling turns the contention profiler on. Call before any
-// Acquire races it (the engine sets it at construction time): the flag
-// is read without synchronization on the hot path.
-func (t *LockTable) EnableProfiling() { t.profile = true }
-
-// Profiling reports whether the contention profiler is on.
-func (t *LockTable) Profiling() bool { return t.profile }
+// now reads the table's clock: ns since its epoch.
+func (t *LockTable) now() int64 { return time.Since(t.epoch).Nanoseconds() }
 
 // lock returns the lock for name, creating it if needed.
 func (t *LockTable) lock(name string) *namedLock {
@@ -194,47 +191,39 @@ func (t *LockTable) lock(name string) *namedLock {
 }
 
 // LockWait reports one lock's wall-clock acquisition wait within a Held
-// set (profiling runs only; zero waits are omitted). When the waited-for
-// lock's holder carried a blame tag (AcquireAs), HolderSession/HolderOp
-// name it: the session/op that held (or, for read-held locks, last
-// acquired) the lock when the wait began.
+// set (zero waits are omitted). When the waited-for lock's holder carried
+// a blame tag (AcquireAs), HolderSession/HolderOp name it: the session/op
+// that held (or, for read-held locks, last acquired) the lock when the
+// wait began.
 type LockWait struct {
-	Name   string
+	Lock   string
 	WaitNs int64
 	// HolderSession is -1 and HolderOp "unknown" when no tagged
-	// acquisition preceded the wait (possible only on a spurious TryRLock
-	// failure); on a real block the holder's tag store happens-before our
-	// acquisition, so the edge resolves.
+	// acquisition preceded the wait (an untagged holder, or a spurious
+	// TryRLock failure); on a real block behind a tagged holder, the
+	// holder's tag store happens-before our acquisition, so the edge
+	// resolves.
 	HolderSession int
 	HolderOp      string
 }
 
-// Held is a set of acquired locks; Release drops them all. Profiling
-// state lives behind one pointer, and inline backs locks for typical
-// footprints, so a profiling-off Acquire costs one allocation — the same
-// count as the pre-profiler path (TestUpdateFootprintBuiltOnce).
+// Held is a set of acquired locks; Release drops them all. The blame tag
+// and, for footprints of up to four locks, the lock slots and their
+// acquisition times live inline, so an uncontended Acquire costs one
+// allocation (TestUpdateFootprintBuiltOnce).
 type Held struct {
-	locks  []*namedLock
-	excl   []bool
-	prof   *heldProf
-	inline [4]*namedLock
-}
-
-// lockSlots returns storage for n acquired locks, using the inline array
-// when the footprint is small.
-func (h *Held) lockSlots(n int) []*namedLock {
-	if n <= len(h.inline) {
-		return h.inline[:n]
-	}
-	return make([]*namedLock, n)
-}
-
-// heldProf is a Held's profiling state: when each lock was acquired (for
-// hold measurement) and the nonzero waits observed during acquisition.
-type heldProf struct {
-	epoch    time.Time
-	acquired []int64 // ns offsets from epoch
+	t     *LockTable
+	locks []*namedLock
+	excl  []bool
+	// acquired[i] is when lock i was taken, on the table's clock, for
+	// hold measurement.
+	acquired []int64
 	waits    []LockWait
+	// tag is what the held locks' holder pointers point at. It is never
+	// written after acquisition: a waiter may resolve it after Release.
+	tag       holderTag
+	inline    [4]*namedLock
+	inlineAcq [4]int64
 }
 
 // Acquire takes every lock in the footprint — shared or exclusive as
@@ -249,35 +238,21 @@ func (t *LockTable) Acquire(f Footprint) *Held {
 // AcquireAs is Acquire with a blame tag: each lock taken records
 // (session, op) as its latest holder, and each wait resolves the tag the
 // conflicting holder left, yielding the LockWait's blame edge. An empty
-// op disables tagging, making AcquireAs byte-for-byte Acquire — the
-// profiling-off path is untouched either way.
+// op leaves the holders as they were.
 // The footprint is read, never written: one canonical footprint may be
 // handed to concurrent acquirers.
 func (t *LockTable) AcquireAs(f Footprint, session int, op string) *Held {
 	f = f.normalized()
-	h := &Held{excl: f.excl}
-	h.locks = h.lockSlots(len(f.names))
-	if !t.profile {
-		for i, name := range f.names {
-			l := t.lock(name)
-			if f.excl[i] {
-				l.mu.Lock()
-			} else {
-				l.mu.RLock()
-			}
-			h.locks[i] = l
-		}
-		return h
+	n := len(f.names)
+	h := &Held{t: t, excl: f.excl, tag: holderTag{session: session, op: op}}
+	if n <= len(h.inline) {
+		h.locks, h.acquired = h.inline[:n], h.inlineAcq[:n]
+	} else {
+		h.locks, h.acquired = make([]*namedLock, n), make([]int64, n)
 	}
-
-	var tag *holderTag
-	if op != "" {
-		tag = &holderTag{session: session, op: op}
-	}
-	// Profiling path: TryLock first so uncontended acquisitions cost two
-	// clock reads and no blocking; only actual waits are timed.
-	p := &heldProf{epoch: time.Now(), acquired: make([]int64, len(f.names))}
-	h.prof = p
+	// now is the latest clock read: it moves only when a wait is timed,
+	// so a lock taken without waiting is stamped with it.
+	now := t.now()
 	for i, name := range f.names {
 		l := t.lock(name)
 		var wait int64
@@ -287,18 +262,21 @@ func (t *LockTable) AcquireAs(f Footprint, session int, op string) *Held {
 				// Sample the holder before blocking: blame names who held
 				// the lock when the wait began, not whoever released last.
 				blame = l.holder.Load()
-				t0 := time.Now()
+				t0 := t.now()
 				l.mu.Lock()
-				wait = time.Since(t0).Nanoseconds()
+				now = t.now()
+				wait = now - t0
 			}
 			l.exclusive.Add(1)
 		} else {
 			if !l.mu.TryRLock() {
 				blame = l.holder.Load()
-				t0 := time.Now()
+				t0 := t.now()
 				l.mu.RLock()
-				wait = time.Since(t0).Nanoseconds()
+				now = t.now()
+				wait = now - t0
 			}
+			l.shared.Add(1)
 		}
 		if wait > 0 && blame == nil {
 			// The pre-block sample raced the holder's tag store; re-sample
@@ -306,59 +284,45 @@ func (t *LockTable) AcquireAs(f Footprint, session int, op string) *Held {
 			// stored its tag before releasing, which happens-before us.
 			blame = l.holder.Load()
 		}
-		if tag != nil {
-			l.holder.Store(tag)
+		if op != "" {
+			l.holder.Store(&h.tag)
 		}
-		l.acquires.Add(1)
 		if wait > 0 {
 			l.contended.Add(1)
 			l.waitNs.Add(wait)
 			atomicMax(&l.maxWaitNs, wait)
-			lw := LockWait{Name: name, WaitNs: wait, HolderSession: -1, HolderOp: "unknown"}
+			lw := LockWait{Lock: name, WaitNs: wait, HolderSession: -1, HolderOp: "unknown"}
 			if blame != nil {
 				lw.HolderSession, lw.HolderOp = blame.session, blame.op
 			}
-			p.waits = append(p.waits, lw)
+			h.waits = append(h.waits, lw)
 		}
-		p.acquired[i] = time.Since(p.epoch).Nanoseconds()
+		h.acquired[i] = now
 		h.locks[i] = l
 	}
 	return h
 }
 
 // Waits returns the nonzero wall-clock waits incurred acquiring this
-// set, in acquisition order (profiling runs only).
-func (h *Held) Waits() []LockWait {
-	if h.prof == nil {
-		return nil
-	}
-	return h.prof.waits
-}
+// set, in acquisition order.
+func (h *Held) Waits() []LockWait { return h.waits }
 
-// Release drops the held locks in reverse acquisition order.
+// Release drops the held locks in reverse acquisition order, charging
+// each its hold time.
 func (h *Held) Release() {
-	var heldNs []int64
-	if p := h.prof; p != nil {
-		now := time.Since(p.epoch).Nanoseconds()
-		heldNs = make([]int64, len(h.locks))
-		for i := range h.locks {
-			heldNs[i] = now - p.acquired[i]
-		}
-	}
+	end := h.t.now()
 	for i := len(h.locks) - 1; i >= 0; i-- {
+		l := h.locks[i]
 		if h.excl[i] {
-			h.locks[i].mu.Unlock()
+			l.mu.Unlock()
 		} else {
-			h.locks[i].mu.RUnlock()
+			l.mu.RUnlock()
 		}
-		if heldNs != nil {
-			h.locks[i].holdNs.Add(heldNs[i])
-			atomicMax(&h.locks[i].maxHoldNs, heldNs[i])
-		}
+		held := end - h.acquired[i]
+		l.holdNs.Add(held)
+		atomicMax(&l.maxHoldNs, held)
 	}
-	h.locks = nil
-	h.excl = nil
-	h.prof = nil
+	h.locks, h.excl, h.acquired = nil, nil, nil
 }
 
 // LockContention is one lock's accumulated contention profile.
@@ -374,21 +338,21 @@ type LockContention struct {
 }
 
 // Contention snapshots every lock's profile, sorted by total wait time
-// (descending) then name. Empty when profiling is off or nothing was
-// acquired. Safe to call while a run is live — the counters are atomics,
-// so a mid-run snapshot is approximate but internally consistent per
-// counter.
+// (descending) then name. Empty when nothing was acquired. Safe to call
+// while a run is live — the counters are atomics, so a mid-run snapshot
+// is approximate but internally consistent per counter.
 func (t *LockTable) Contention() []LockContention {
 	var out []LockContention
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
 		for _, l := range s.locks {
-			if n := l.acquires.Load(); n > 0 {
+			excl := l.exclusive.Load()
+			if n := excl + l.shared.Load(); n > 0 {
 				out = append(out, LockContention{
 					Name:      l.name,
 					Acquires:  n,
-					Exclusive: l.exclusive.Load(),
+					Exclusive: excl,
 					Contended: l.contended.Load(),
 					WaitNs:    l.waitNs.Load(),
 					HoldNs:    l.holdNs.Load(),

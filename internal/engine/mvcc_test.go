@@ -43,7 +43,7 @@ func TestMVCCSnapshotSoak(t *testing.T) {
 			cfg := scenarioConfig("storm-adversarial", strat, costmodel.Model2, 4242, 24, 40)
 			e := New(cfg, Options{
 				Clients: 8, ThinkMeanMs: 0.2,
-				RecordHistory: true, Recorder: rec, ProfileLocks: true,
+				RecordHistory: true, Recorder: rec,
 			})
 			res := e.Run(context.Background())
 			if res.Ops == 0 {
@@ -74,7 +74,7 @@ func TestMVCCSnapshotSoak(t *testing.T) {
 func TestMVCCAccessWaitShareCollapse(t *testing.T) {
 	defer dbtest.Watchdog(t, 4*time.Minute)()
 	cfg := scenarioConfig("storm-adversarial", costmodel.CacheInvalidate, costmodel.Model2, 1123, 24, 40)
-	e := New(cfg, Options{Clients: 8, ProfileLocks: true})
+	e := New(cfg, Options{Clients: 8})
 	mvcc := e.Run(context.Background())
 	if mvcc.Queries == 0 || mvcc.Updates == 0 {
 		t.Fatalf("run has %d queries, %d updates", mvcc.Queries, mvcc.Updates)

@@ -36,10 +36,10 @@ type Session struct {
 
 // OpOutcome reports one committed operation back to the submitter — the
 // per-op attributes a served client sees (docs/SERVING.md): the commit
-// sequence, the simulated cost, and the wall-clock decomposition. The
-// critical-path segments (IONs/RecomputeNs/ComputeNs) are populated only
-// under Options.CritPath — without it ComputeNs is zero and WaitNs is
-// the raw acquisition wait; WallNs is always measured.
+// sequence, the simulated cost, and the wall-clock decomposition. WallNs
+// and WaitNs (the sum of the op's measured lock waits) are always set;
+// the other critical-path segments (IONs/RecomputeNs/ComputeNs) are
+// populated only under Options.CritPath.
 type OpOutcome struct {
 	Seq    int
 	Tuples int
@@ -103,45 +103,44 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	rec := e.opt.Recorder
 	critOn := e.opt.CritPath
 	meter := s.pg.Meter()
+	update := op.Kind == workload.Update
 
-	var opName string
-	if rec != nil || critOn {
-		if op.Kind == workload.Query {
-			opName = fmt.Sprintf("query proc:%d", op.ProcID)
-		} else {
-			opName = "update"
-		}
+	// An update's name is also the blame tag its locks carry.
+	opName := "update"
+	if !update && (rec != nil || critOn) {
+		opName = fmt.Sprintf("query proc:%d", op.ProcID)
 	}
 	if rec != nil {
 		rec.Op(telemetry.EvOpBegin, s.id, -1, opName, 0, 0)
 	}
 	e.inflight.Add(1)
-	blameTag := ""
-	if critOn {
-		blameTag = opName
-	}
 	opStart := time.Now()
-	held := e.locks.AcquireAs(e.OpFootprint(op), s.id, blameTag)
-	waited := time.Since(opStart)
-	waits := held.Waits()
+	// A query takes no lock. An update takes the one update footprint; its
+	// wait is the sum of the measured blocking times, so the blame edges
+	// partition it exactly.
+	var held *Held
+	var waits []LockWait
+	var waitNs int64
+	if update {
+		held = e.locks.AcquireAs(e.updateFP, s.id, opName)
+		waits = held.Waits()
+		for _, lw := range waits {
+			waitNs += lw.WaitNs
+		}
+	}
 	// The op's scope (docs/MVCC.md): a query reads at a snapshot — version
 	// chains and published directory copies resolve at that stamp,
 	// lock-free. An update opens the write epoch (its exclusive r1/r2
 	// locks guarantee it is the only one): its writes stage privately and
 	// publish atomically at commit under the commit mutex.
-	update := op.Kind == workload.Update
 	snap := s.pg.OpenScope(update)
 	if rec != nil {
 		for _, lw := range waits {
-			if critOn {
-				rec.Record(telemetry.Event{
-					Kind: telemetry.EvLockAcquire, Session: s.id, Seq: -1,
-					Name: lw.Name, WaitNs: lw.WaitNs,
-					Detail: fmt.Sprintf("held by session %d (%s)", lw.HolderSession, lw.HolderOp),
-				})
-			} else {
-				rec.Op(telemetry.EvLockAcquire, s.id, -1, lw.Name, lw.WaitNs, 0)
-			}
+			rec.Record(telemetry.Event{
+				Kind: telemetry.EvLockAcquire, Session: s.id, Seq: -1,
+				Name: lw.Lock, WaitNs: lw.WaitNs,
+				Detail: fmt.Sprintf("held by session %d (%s)", lw.HolderSession, lw.HolderOp),
+			})
 		}
 	}
 
@@ -159,6 +158,7 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 
 	out := OpOutcome{
 		CostMs:      delta.Milliseconds(e.costs),
+		WaitNs:      waitNs,
 		IONs:        ioNs,
 		RecomputeNs: recomputeNs,
 	}
@@ -204,10 +204,10 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		if ph := e.phaseName(op.Phase); ph != "" {
 			sp.Set("phase", ph)
 		}
-		if rec != nil {
-			sp.Set("wall_wait_ns", int64(waited))
+		if update {
+			sp.Set("wall_wait_ns", waitNs)
 		}
-		if critOn && len(waits) > 0 {
+		if len(waits) > 0 {
 			// Blame attributes feed the Chrome-trace flow events
 			// (obs.WriteChromeTrace draws an arrow from the blamed
 			// session's latest span to this one).
@@ -218,7 +218,7 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 					bls.WriteByte(',')
 				}
 				bss.WriteString(strconv.Itoa(lw.HolderSession))
-				bls.WriteString(lw.Name)
+				bls.WriteString(lw.Lock)
 			}
 			sp.Set("blame_sessions", bss.String())
 			sp.Set("blame_locks", bls.String())
@@ -237,90 +237,56 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		e.hist = append(e.hist, he)
 	}
 	e.commitMu.Unlock()
-	if !update {
-		s.pg.CloseScope(0)
-	}
-	held.Release()
 	if update {
+		held.Release()
 		// Version-chain GC runs outside the update's footprint under its
 		// own lock: waits here are MVCC bookkeeping, never update-footprint
 		// contention, and procdoctor classifies them by the mvcc: name.
 		gcHeld := e.locks.AcquireAs(e.gcFP, s.id, "gc")
 		e.w.Disk().GCVersions()
-		if critOn {
-			gcWaits := gcHeld.Waits()
-			if len(gcWaits) > 0 {
-				e.critMu.Lock()
-				for _, lw := range gcWaits {
-					k := blockerKey{lw.Name, lw.HolderSession, lw.HolderOp}
-					bs := e.blockers[k]
-					if bs == nil {
-						bs = &BlockerStat{Lock: lw.Name, HolderSession: lw.HolderSession, HolderOp: lw.HolderOp}
-						e.blockers[k] = bs
-					}
-					bs.Waits++
-					bs.WaitNs += lw.WaitNs
-				}
-				e.critMu.Unlock()
-			}
-		}
 		gcHeld.Release()
+		e.blame(waits)
+		e.blame(gcHeld.Waits())
+	} else {
+		s.pg.CloseScope(0)
 	}
-	service := time.Since(opStart) - waited
+	wallNs := time.Since(opStart).Nanoseconds()
+	service := wallNs - waitNs
 	e.inflight.Add(-1)
 	e.committed.Add(1)
 	e.countPhase(op.Phase)
-	e.waitNsTot.Add(int64(waited))
-	e.wallNsTot.Add(int64(waited + service))
+	e.waitNsTot.Add(waitNs)
+	e.wallNsTot.Add(wallNs)
 	out.Seq = seq
 	out.Tuples = len(r.Tuples)
-	out.WallNs = int64(waited + service)
-	out.WaitNs = int64(waited)
+	out.WallNs = wallNs
 	if rec != nil {
-		rec.Op(telemetry.EvOpCommit, s.id, seq, opName, int64(waited), int64(service))
-		rec.Op(telemetry.EvLockRelease, s.id, seq, opName, 0, int64(waited+service))
+		rec.Op(telemetry.EvOpCommit, s.id, seq, opName, waitNs, service)
+		rec.Op(telemetry.EvLockRelease, s.id, seq, opName, 0, wallNs)
 	}
 	if critOn {
-		// The wait segment is the sum of measured per-lock blocking
-		// times, so the blame edges partition it exactly; the (tiny)
-		// non-blocking acquisition overhead inside `waited` lands in the
-		// compute remainder instead.
+		// The measured segments are durations of disjoint sub-intervals of
+		// the op's wall interval; compute is the remainder, so the four sum
+		// to the wall time exactly.
 		cp := OpCritPath{
 			Session: s.id, Seq: seq, Op: opName,
-			WallNs: int64(waited + service),
-			IONs:   ioNs, RecomputeNs: recomputeNs,
-		}
-		for _, lw := range waits {
-			cp.WaitNs += lw.WaitNs
-			cp.Blame = append(cp.Blame, BlameEdge{
-				Lock: lw.Name, WaitNs: lw.WaitNs,
-				HolderSession: lw.HolderSession, HolderOp: lw.HolderOp,
-			})
+			WallNs: wallNs, WaitNs: waitNs,
+			IONs: ioNs, RecomputeNs: recomputeNs,
+			Blame: waits,
 		}
 		cp.ComputeNs = cp.WallNs - cp.WaitNs - cp.IONs - cp.RecomputeNs
-		out.WaitNs = cp.WaitNs
 		out.ComputeNs = cp.ComputeNs
 		e.segWait.Add(cp.WaitNs)
 		e.segIO.Add(cp.IONs)
 		e.segRecompute.Add(cp.RecomputeNs)
 		e.segCompute.Add(cp.ComputeNs)
-		e.critMu.Lock()
 		if e.opt.RecordHistory {
+			e.critMu.Lock()
 			e.crits = append(e.crits, cp)
+			e.critMu.Unlock()
 		}
-		for _, b := range cp.Blame {
-			k := blockerKey{b.Lock, b.HolderSession, b.HolderOp}
-			bs := e.blockers[k]
-			if bs == nil {
-				bs = &BlockerStat{Lock: b.Lock, HolderSession: b.HolderSession, HolderOp: b.HolderOp}
-				e.blockers[k] = bs
-			}
-			bs.Waits++
-			bs.WaitNs += b.WaitNs
-		}
-		e.critMu.Unlock()
 	}
-	s.wall.Observe(float64(waited + service))
+	s.wall.Observe(float64(wallNs))
 	s.sim.Observe(out.CostMs)
 	if e.det != nil && e.committed.Load()%16 == 0 {
 		wall, _ := e.latency()
@@ -336,9 +302,29 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		s.st.Updates++
 	}
 	s.st.Counters = s.st.Counters.Add(delta)
-	s.st.WaitNs += int64(waited)
-	s.st.ServiceNs += int64(service)
+	s.st.WaitNs += waitNs
+	s.st.ServiceNs += service
 	return out
+}
+
+// blame folds lock waits into the blocker aggregation behind
+// TopBlockers, one blame edge per wait.
+func (e *Engine) blame(waits []LockWait) {
+	if len(waits) == 0 {
+		return
+	}
+	e.critMu.Lock()
+	for _, lw := range waits {
+		k := blockerKey{lw.Lock, lw.HolderSession, lw.HolderOp}
+		bs := e.blockers[k]
+		if bs == nil {
+			bs = &BlockerStat{Lock: lw.Lock, HolderSession: lw.HolderSession, HolderOp: lw.HolderOp}
+			e.blockers[k] = bs
+		}
+		bs.Waits++
+		bs.WaitNs += lw.WaitNs
+	}
+	e.critMu.Unlock()
 }
 
 // latency merges every opened session's wall and sim histograms. Safe to
@@ -386,9 +372,8 @@ func (e *Engine) Finish(wall float64) Result {
 	res.History = e.hist
 	res.HistoryDigest = e.histDig.String()
 	e.commitMu.Unlock()
-	if e.opt.ProfileLocks {
-		res.Contention = e.locks.Contention()
-	}
+	res.Contention = e.locks.Contention()
+	res.TopBlockers = e.TopBlockers(0)
 	wallH, simH := e.latency()
 	res.WallLatency, res.SimLatency = wallH.Summary(), simH.Summary()
 	if e.opt.CritPath {
@@ -398,7 +383,6 @@ func (e *Engine) Finish(wall float64) Result {
 		sort.Slice(res.CritPaths, func(i, j int) bool { return res.CritPaths[i].Seq < res.CritPaths[j].Seq })
 		res.SegWaitNs, res.SegIONs = e.segWait.Load(), e.segIO.Load()
 		res.SegRecomputeNs, res.SegComputeNs = e.segRecompute.Load(), e.segCompute.Load()
-		res.TopBlockers = e.TopBlockers(0)
 	}
 	if e.det != nil {
 		if l := e.w.Config().Ledger; l != nil {

@@ -20,7 +20,6 @@ func fullTelemetry(clients int, rec *telemetry.Recorder) Options {
 		Clients:       clients,
 		RecordHistory: true,
 		Recorder:      rec,
-		ProfileLocks:  true,
 	}
 }
 
@@ -150,13 +149,20 @@ func TestContentionProfile(t *testing.T) {
 }
 
 // TestLatencyDetectorNeedsNoOtherOption: the p99 latency detector reads
-// the sessions' always-on wall histograms, so an absurdly low threshold
-// plus a recorder — and no other option — must fire it.
+// the sessions' always-on wall histograms, so a recorder — and no other
+// option — arms it, and an absurdly low threshold must fire it.
 func TestLatencyDetectorNeedsNoOtherOption(t *testing.T) {
 	defer dbtest.Watchdog(t, 2*time.Minute)()
 	rec := telemetry.NewRecorder(1 << 12)
 	cfg := testConfig(costmodel.CacheInvalidate, costmodel.Model1, 13, 10, 20)
-	e := New(cfg, Options{Detect: &telemetry.Thresholds{P99WallNs: 1}, Recorder: rec})
+	if New(cfg, Options{}).det != nil {
+		t.Fatal("detectors armed without a recorder")
+	}
+	e := New(cfg, Options{Recorder: rec})
+	if e.det == nil {
+		t.Fatal("a recorder did not arm the detectors")
+	}
+	e.det = telemetry.NewDetectors(telemetry.Thresholds{P99WallNs: 1}, rec)
 	e.Run(context.Background())
 	events, _ := rec.Snapshot()
 	for _, ev := range events {
@@ -225,7 +231,7 @@ func TestTelemetryMetricsSource(t *testing.T) {
 func TestMidRunScrapeMonotone(t *testing.T) {
 	defer dbtest.Watchdog(t, 2*time.Minute)()
 	cfg := testConfig(costmodel.CacheInvalidate, costmodel.Model1, 37, 14, 22)
-	e := New(cfg, Options{Clients: 4, ThinkMeanMs: 0.2, ProfileLocks: true})
+	e := New(cfg, Options{Clients: 4, ThinkMeanMs: 0.2})
 
 	monotone := []string{
 		"dbproc_sim_events_total",

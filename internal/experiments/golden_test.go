@@ -5,42 +5,51 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"dbproc/internal/dbtest"
 )
 
-// TestGoldenObsBench: the checked-in BENCH_obs.json must regenerate from
-// its own recorded (scale, seed), byte for byte as `procbench -obs-json`
-// encodes it. Every section is simulated.
-func TestGoldenObsBench(t *testing.T) {
-	defer dbtest.Watchdog(t, 4*time.Minute)()
-	data, err := os.ReadFile("../../BENCH_obs.json")
+// checkGolden decodes the committed artifact at path into golden,
+// regenerates the report from it and requires WriteReport's encoding of
+// the result to equal the artifact byte for byte. It skips when the
+// artifact is absent.
+func checkGolden(t *testing.T, path string, golden any, regenerate func() any) {
+	t.Helper()
+	name := filepath.Base(path)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Skipf("benchmark artifact not present: %v", err)
 	}
-	var golden ObsBenchReport
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatalf("BENCH_obs.json: %v", err)
+	if err := json.Unmarshal(want, golden); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	got := ObsBench(context.Background(), Options{Scale: golden.Scale, SimSeed: golden.Seed})
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(got); err != nil {
+	if err := WriteReport(&buf, regenerate()); err != nil {
 		t.Fatal(err)
 	}
-	want, have := data, buf.Bytes()
-	if !bytes.Equal(have, want) {
+	if have := buf.Bytes(); !bytes.Equal(have, want) {
 		i := 0
 		for i < len(have) && i < len(want) && have[i] == want[i] {
 			i++
 		}
 		from := max(0, i-200)
-		t.Fatalf("BENCH_obs.json does not regenerate; first difference at byte %d:\n got  ...%s\n want ...%s",
-			i, have[from:min(len(have), i+200)], want[from:min(len(want), i+200)])
+		t.Fatalf("%s does not regenerate; first difference at byte %d:\n got  ...%s\n want ...%s",
+			name, i, have[from:min(len(have), i+200)], want[from:min(len(want), i+200)])
 	}
+}
+
+// TestGoldenObsBench: the checked-in BENCH_obs.json must regenerate from
+// its own recorded (scale, seed), byte for byte as `procbench -obs-json`
+// encodes it. Every section is simulated.
+func TestGoldenObsBench(t *testing.T) {
+	defer dbtest.Watchdog(t, 4*time.Minute)()
+	var golden ObsBenchReport
+	checkGolden(t, "../../BENCH_obs.json", &golden, func() any {
+		return ObsBench(context.Background(), Options{Scale: golden.Scale, SimSeed: golden.Seed})
+	})
 }
 
 // TestGoldenScenarioVerdicts is the golden-verdict regression gate: the
@@ -52,32 +61,11 @@ func TestGoldenObsBench(t *testing.T) {
 // a failure.
 func TestGoldenScenarioVerdicts(t *testing.T) {
 	defer dbtest.Watchdog(t, 4*time.Minute)()
-	data, err := os.ReadFile("../../BENCH_scenarios.json")
-	if err != nil {
-		t.Skipf("benchmark artifact not present: %v", err)
-	}
 	var golden ScenarioBenchReport
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatalf("BENCH_scenarios.json: %v", err)
-	}
-	if len(golden.Scenarios) < 7 || len(golden.Verdicts) != len(golden.Scenarios)*2 {
-		t.Fatalf("artifact too small: %d scenarios, %d verdicts", len(golden.Scenarios), len(golden.Verdicts))
-	}
-	got := ScenarioBench(context.Background(), Options{Scale: golden.Scale, SimSeed: golden.Seed})
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(got); err != nil {
-		t.Fatal(err)
-	}
-	want, have := data, buf.Bytes()
-	if !bytes.Equal(have, want) {
-		i := 0
-		for i < len(have) && i < len(want) && have[i] == want[i] {
-			i++
+	checkGolden(t, "../../BENCH_scenarios.json", &golden, func() any {
+		if len(golden.Scenarios) < 7 || len(golden.Verdicts) != len(golden.Scenarios)*2 {
+			t.Fatalf("artifact too small: %d scenarios, %d verdicts", len(golden.Scenarios), len(golden.Verdicts))
 		}
-		from := max(0, i-200)
-		t.Fatalf("BENCH_scenarios.json does not regenerate; first difference at byte %d:\n got  ...%s\n want ...%s",
-			i, have[from:min(len(have), i+200)], want[from:min(len(want), i+200)])
-	}
+		return ScenarioBench(context.Background(), Options{Scale: golden.Scale, SimSeed: golden.Seed})
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dbproc/client"
-	"dbproc/internal/costmodel"
 	"dbproc/internal/metric"
 	"dbproc/internal/wire"
 )
@@ -34,29 +33,6 @@ type ServedResult struct {
 	// (engine.Result.HistoryDigest): equal to an in-process run's when
 	// both committed the same history.
 	HistoryDigest string
-}
-
-// WireStrategy and WireModel name costmodel enums in the wire protocol's
-// vocabulary (the same short names cmd/procsim's -strategy flag takes).
-func WireStrategy(s costmodel.Strategy) string {
-	switch s {
-	case costmodel.AlwaysRecompute:
-		return "recompute"
-	case costmodel.CacheInvalidate:
-		return "ci"
-	case costmodel.UpdateCacheAVM:
-		return "uc-avm"
-	case costmodel.UpdateCacheRVM:
-		return "uc-rvm"
-	}
-	return s.String()
-}
-
-func WireModel(m costmodel.Model) string {
-	if m == costmodel.Model2 {
-		return "2"
-	}
-	return "1"
 }
 
 // DriveServed runs one workload through the procserved at addr: it opens

@@ -27,6 +27,13 @@ type peer struct {
 func startServer(t *testing.T, opt Options) (*Server, string) {
 	t.Helper()
 	srv := New(opt)
+	return srv, serve(t, srv)
+}
+
+// serve listens for srv on a loopback port and drains it when the test
+// ends.
+func serve(t *testing.T, srv *Server) string {
+	t.Helper()
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +43,7 @@ func startServer(t *testing.T, opt Options) (*Server, string) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return srv, addr
+	return addr
 }
 
 // dial connects and shakes hands.

@@ -69,16 +69,15 @@ type Options struct {
 	Costs metric.Costs
 	// Recorder, when non-nil, receives one flight event per request
 	// (kind "server.request"), so a stalled served run can be diagnosed
-	// from the same flight tail as an in-process one.
+	// from the same flight tail as an in-process one. It also arms the
+	// served-path SLO detector at telemetry.DefaultThresholds: a request
+	// type whose running p99 service time breaches ServedP99Ns records
+	// an EvDetector flight event (once per run). Worlds' engines share it.
 	Recorder *telemetry.Recorder
 	// TraceSink, when non-nil, receives one server-side wire span per
 	// sampled traced request (docs/TRACING.md). Nil keeps the served
 	// path span-free.
 	TraceSink *obs.WireSpanSink
-	// Detect, when non-nil, arms the served-path SLO detector: a request
-	// type whose running p99 service time breaches ServedP99Ns records
-	// an EvDetector flight event (once per run).
-	Detect *telemetry.Thresholds
 }
 
 func (o *Options) fill() {
@@ -150,8 +149,8 @@ func New(opt Options) *Server {
 	for typ := range s.hists {
 		s.hists[typ] = obs.NewWallHistogram()
 	}
-	if opt.Detect != nil {
-		s.det = telemetry.NewDetectors(*opt.Detect, opt.Recorder)
+	if opt.Recorder != nil {
+		s.det = telemetry.NewDetectors(telemetry.DefaultThresholds(), opt.Recorder)
 	}
 	return s
 }

@@ -52,26 +52,12 @@ type world struct {
 	statsErr  *wire.Error
 }
 
-// strategies and models name the costmodel enums on the wire, matching
-// cmd/procsim's flag vocabulary.
-var strategies = map[string]costmodel.Strategy{
-	"recompute": costmodel.AlwaysRecompute,
-	"ci":        costmodel.CacheInvalidate,
-	"uc-avm":    costmodel.UpdateCacheAVM,
-	"uc-rvm":    costmodel.UpdateCacheRVM,
-}
-
-var models = map[string]costmodel.Model{
-	"1": costmodel.Model1, "model1": costmodel.Model1,
-	"2": costmodel.Model2, "model2": costmodel.Model2,
-}
-
 func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
-	strat, ok := strategies[m.Strategy]
+	strat, ok := costmodel.ParseStrategy(m.Strategy)
 	if !ok && !m.Adaptive {
 		return c.writeError(wire.CodeParse, fmt.Sprintf("unknown strategy %q", m.Strategy))
 	}
-	model, ok := models[m.Model]
+	model, ok := costmodel.ParseModel(m.Model)
 	if !ok {
 		return c.writeError(wire.CodeParse, fmt.Sprintf("unknown model %q", m.Model))
 	}

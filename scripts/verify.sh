@@ -97,7 +97,10 @@ GOMAXPROCS=4 go test -race -count=3 \
 # costs one request. Every request type's service time and every engine
 # op lands in an obs.Histogram, so its guards ride here too: the stated
 # one-bucket bound, exact merging, observers racing a scraper, and the
-# p99 detector firing with no option but Detect set. So do the
+# p99 detector firing with no option but a Recorder set. So do the
+# lock table's: every wait timed and blamed with or without CritPath,
+# the contention profile, and an uncontended acquire held to two
+# allocations. So do the
 # bounded-memory world's: a stepped world retains nothing per op and an
 # open hot-read world holds its stream compactly
 # (TestServedWorldStreamIsCompact, both in ./internal/server), the
@@ -106,7 +109,7 @@ GOMAXPROCS=4 go test -race -count=3 \
 # 4 bytes per op.
 GOMAXPROCS=4 go test -race -count=3 ./internal/server
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestStreamBytesPerOp|TestSequenceMatchesReference|TestScheduleStreamMatchesReference' \
+    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestStreamBytesPerOp|TestSequenceMatchesReference|TestScheduleStreamMatchesReference|TestCritPathSumsToWall|TestUpdateFootprintBuiltOnce|TestContentionProfile|TestBlameWithoutCritPath' \
     ./internal/obs/ ./internal/engine/ ./internal/workload/
 GOMAXPROCS=4 go test -count=1 \
     -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
