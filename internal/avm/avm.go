@@ -23,6 +23,7 @@ package avm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dbproc/internal/cache"
@@ -84,10 +85,10 @@ type Engine struct {
 	router *ilock.Manager
 	views  map[int]*View
 	order  []int
-	// attrsByRel lists the distinct routing attributes registered per
-	// relation, so Apply extracts each changed tuple's routing values
-	// once.
-	attrsByRel map[string][]string
+	// routes lists the distinct routing attributes registered per
+	// relation, field index and lock namespace resolved, so Apply extracts
+	// each changed tuple's routing values once and looks nothing up.
+	routes map[string][]route
 
 	// Scratch delta sets, reused across transactions: view id -> A_net and
 	// D_net tuple sets for the current transaction.
@@ -112,21 +113,25 @@ func (e *Engine) SetLedger(l *cache.Ledger) { e.ledger = l }
 // using router for rule-indexed change screening.
 func NewEngine(store *cache.Store, router *ilock.Manager) *Engine {
 	return &Engine{
-		store:      store,
-		router:     router,
-		views:      make(map[int]*View),
-		attrsByRel: make(map[string][]string),
-		anet:       make(map[int][][]byte),
-		dnet:       make(map[int][][]byte),
+		store:  store,
+		router: router,
+		views:  make(map[int]*View),
+		routes: make(map[string][]route),
+		anet:   make(map[int][][]byte),
+		dnet:   make(map[int][][]byte),
 	}
 }
 
 // Name identifies the maintenance algorithm.
 func (e *Engine) Name() string { return "AVM" }
 
-// routeKey qualifies a relation's lock namespace with the routed
-// attribute, so bands on different attributes of one relation do not mix.
-func routeKey(rel, attr string) string { return rel + "\x00" + attr }
+// route is one routing attribute of a relation: its field index and its
+// lock namespace, the relation's qualified with the attribute so that
+// bands on different attributes of one relation do not mix.
+type route struct {
+	field int
+	key   string
+}
 
 // Register adds a view. Its cache entry must already be defined.
 func (e *Engine) Register(v *View) {
@@ -146,20 +151,14 @@ func (e *Engine) Register(v *View) {
 			panic(fmt.Sprintf("avm: view %d has two sources on %s", v.ID, rel))
 		}
 		seen[rel] = true
-		if src.Rel.Schema().FieldIndex(src.Attr) < 0 {
+		field := src.Rel.Schema().FieldIndex(src.Attr)
+		if field < 0 {
 			panic(fmt.Sprintf("avm: view %d routes %s on unknown attribute %q", v.ID, rel, src.Attr))
 		}
-		e.router.LockRange(routeKey(rel, src.Attr), src.Band[0], src.Band[1], ilock.Owner(v.ID))
-		attrs := e.attrsByRel[rel]
-		found := false
-		for _, a := range attrs {
-			if a == src.Attr {
-				found = true
-				break
-			}
-		}
-		if !found {
-			e.attrsByRel[rel] = append(attrs, src.Attr)
+		r := route{field: field, key: rel + "\x00" + src.Attr}
+		e.router.LockRange(r.key, src.Band[0], src.Band[1], ilock.Owner(v.ID))
+		if !slices.Contains(e.routes[rel], r) {
+			e.routes[rel] = append(e.routes[rel], r)
 		}
 	}
 	e.views[v.ID] = v
@@ -200,8 +199,8 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 	// sets at C3 per entry.
 	relName := rel.Schema().Name()
 	sch := rel.Schema()
-	attrs := e.attrsByRel[relName]
-	if len(attrs) == 0 {
+	routes := e.routes[relName]
+	if len(routes) == 0 {
 		return
 	}
 	routed := 0
@@ -210,9 +209,8 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 		routedBy = make(map[int]int)
 	}
 	route := func(tup []byte, into map[int][][]byte) {
-		for _, attr := range attrs {
-			v := sch.GetByName(tup, attr)
-			e.router.Conflicts(routeKey(relName, attr), v, func(o ilock.Owner) {
+		for _, r := range routes {
+			e.router.Conflicts(r.key, sch.Get(tup, r.field), func(o ilock.Owner) {
 				id := int(o)
 				if _, ours := e.views[id]; !ours {
 					return // lock owned by another subsystem sharing the router
@@ -272,12 +270,9 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 		if da {
 			plan := src.DeltaPlan(&query.ValuesScan{Sch: sch, Tuples: a})
 			plan.Execute(ctx, func(tup []byte) bool {
-				key := v.Key(tup)
 				// An update that moves a tuple within the band deletes and
 				// reinserts the same key; Delete above already removed it.
-				if !file.Contains(key) {
-					file.Insert(pg, key, tup)
-				}
+				file.Add(pg, v.Key(tup), tup)
 				return true
 			})
 			delete(e.anet, id)

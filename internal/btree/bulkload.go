@@ -16,19 +16,21 @@ import (
 // is only the loading session's handle — the returned tree is bound to
 // its disk and serves any session's pager afterwards.
 func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [][]byte) *Tree {
-	t := New(pg.Disk(), recSize, indexEntrySize, key)
-	if len(records) == 0 {
-		return t
-	}
+	return BulkLoadFunc(pg, recSize, indexEntrySize, key, len(records), func(i int, rec []byte) {
+		if len(records[i]) != recSize {
+			panic(fmt.Sprintf("btree: record %d has %d bytes, want %d", i, len(records[i]), recSize))
+		}
+		copy(rec, records[i])
+	})
+}
 
-	// Validate widths and strict key order up front.
-	for i, rec := range records {
-		if len(rec) != recSize {
-			panic(fmt.Sprintf("btree: record %d has %d bytes, want %d", i, len(rec), recSize))
-		}
-		if i > 0 && key.Of(rec) <= key.Of(records[i-1]) {
-			panic(fmt.Sprintf("btree: bulk load records not strictly ascending at %d", i))
-		}
+// BulkLoadFunc is BulkLoad for n records that fill writes in place:
+// fill(i, rec) writes record i into rec, its zeroed slot on a leaf page,
+// in ascending i. Keys must ascend strictly with i.
+func BulkLoadFunc(pg *storage.Pager, recSize, indexEntrySize int, key Key, n int, fill func(i int, rec []byte)) *Tree {
+	t := New(pg.Disk(), recSize, indexEntrySize, key)
+	if n == 0 {
+		return t
 	}
 
 	// Level 0: packed leaves.
@@ -38,11 +40,9 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [
 	}
 	var level []nodeRef
 	var prevLeaf storage.PageID = storage.NilPage
-	for start := 0; start < len(records); start += t.leafCap {
-		end := start + t.leafCap
-		if end > len(records) {
-			end = len(records)
-		}
+	var prevKey uint64
+	for start := 0; start < n; start += t.leafCap {
+		end := min(start+t.leafCap, n)
 		var id storage.PageID
 		if len(level) == 0 {
 			id = t.dir.root // reuse the empty root leaf
@@ -53,7 +53,13 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [
 		m := t.metaMut(id)
 		buf := pg.Overwrite(id)
 		for i := start; i < end; i++ {
-			copy(buf[(i-start)*t.recSize:], records[i])
+			rec := t.leafRec(buf, i-start)
+			fill(i, rec)
+			k := key.Of(rec)
+			if i > 0 && k <= prevKey {
+				panic(fmt.Sprintf("btree: bulk load records not strictly ascending at %d", i))
+			}
+			prevKey = k
 		}
 		m.count = end - start
 		m.prev = prevLeaf
@@ -61,18 +67,15 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [
 			t.metaMut(prevLeaf).next = id
 		}
 		prevLeaf = id
-		level = append(level, nodeRef{id, key.Of(records[start])})
+		level = append(level, nodeRef{id, key.Of(t.leafRec(buf, 0))})
 	}
-	t.dir.n = len(records)
+	t.dir.n = n
 
 	// Upper levels: packed internal nodes until a single root remains.
 	for len(level) > 1 {
 		var upper []nodeRef
 		for start := 0; start < len(level); start += t.fanout {
-			end := start + t.fanout
-			if end > len(level) {
-				end = len(level)
-			}
+			end := min(start+t.fanout, len(level))
 			id := t.newNode(pg.AllocPage(), false)
 			m := t.metaMut(id)
 			buf := pg.Overwrite(id)

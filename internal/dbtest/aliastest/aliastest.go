@@ -35,9 +35,19 @@ func (b borrowed) Execute(ctx *query.Ctx, emit func([]byte) bool) {
 	b.Plan.Execute(ctx, func(tup []byte) bool {
 		cp := bytes.Clone(tup)
 		cont := emit(cp)
-		for i := range cp {
-			cp[i] = scribble
-		}
+		Scribble(cp)
 		return cont
 	})
+}
+
+// Scribble overwrites each tuple with what a borrowed tuple's bytes become
+// once the call that lent it has returned. A test that lends its own
+// copies to a consumer scribbles them after the call; whatever the
+// consumer kept by reference is then garbage.
+func Scribble(tups ...[]byte) {
+	for _, t := range tups {
+		for i := range t {
+			t[i] = scribble
+		}
+	}
 }

@@ -45,15 +45,28 @@ func NewBTree(disk *storage.Disk, schema *tuple.Schema, clusterField, idField st
 // BulkLoadBTree creates a B-tree relation from tuples already sorted by
 // (clusterField, idField), packing pages completely full.
 func BulkLoadBTree(pg *storage.Pager, schema *tuple.Schema, clusterField, idField string, indexEntrySize int, tuples [][]byte) *Relation {
+	return BulkLoadBTreeFunc(pg, schema, clusterField, idField, indexEntrySize, len(tuples), func(i int, tup []byte) {
+		if len(tuples[i]) != len(tup) {
+			panic(fmt.Sprintf("relation: tuple %d has %d bytes, want %d", i, len(tuples[i]), len(tup)))
+		}
+		copy(tup, tuples[i])
+	})
+}
+
+// BulkLoadBTreeFunc is BulkLoadBTree for n tuples that fill writes
+// straight into the packed leaves: fill(i, tup) sets tuple i's attributes
+// in tup, a zeroed schema-width slot on a leaf page, in ascending i. The
+// tuples must ascend by (clusterField, idField) with i.
+func BulkLoadBTreeFunc(pg *storage.Pager, schema *tuple.Schema, clusterField, idField string, indexEntrySize, n int, fill func(i int, tup []byte)) *Relation {
 	r := &Relation{
 		schema:       schema,
 		clusterField: schema.MustFieldIndex(clusterField),
 		idField:      schema.MustFieldIndex(idField),
 	}
-	for _, tup := range tuples {
+	r.tree = btree.BulkLoadFunc(pg, schema.Width(), indexEntrySize, r.treeKey(), n, func(i int, tup []byte) {
+		fill(i, tup)
 		r.Key(tup) // range-checks the key parts
-	}
-	r.tree = btree.BulkLoad(pg, schema.Width(), indexEntrySize, r.treeKey(), tuples)
+	})
 	return r
 }
 

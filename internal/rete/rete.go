@@ -28,6 +28,7 @@ package rete
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,7 +55,10 @@ func (t Tag) String() string {
 	return "-"
 }
 
-// Token is one change flowing through the network.
+// Token is one change flowing through the network. Its Tuple is borrowed
+// for the length of the Submit or Activate call that carries it: a scan's
+// page record, a caller's delta, an and-node's scratch. A node that keeps
+// the tuple copies it, as a memory does into its file's page.
 type Token struct {
 	Tag   Tag
 	Tuple []byte
@@ -74,8 +78,9 @@ type Network struct {
 	mu   sync.Mutex
 	disk *storage.Disk
 
-	// dispatchers index t-const nodes by (relation, attribute) band.
-	dispatchers map[dispatchKey]*dispatcher
+	// byRel lists each relation's dispatchers, one per attribute its
+	// t-consts test, in creation order: the root reads one entry per token.
+	byRel map[string][]*dispatcher
 	// shared t-const lookup for subexpression sharing.
 	tconsts map[tcKey]*TConst
 	// naive disables rule-indexed dispatch: the root broadcasts to every
@@ -91,21 +96,21 @@ type Network struct {
 // N·C1·2fl. It exists for the ablation experiment.
 func (n *Network) SetNaiveDispatch(on bool) { n.naive = on }
 
-type dispatchKey struct {
-	rel   string
-	field int
-}
-
 type tcKey struct {
 	rel    string
 	field  int
 	lo, hi int64
 }
 
+// dispatcher is the interval index of one (relation, attribute): its
+// t-const bands sorted by lo, and reach[i], the largest hi among the
+// first i+1 bands. Bands before the first whose reach covers a value all
+// end below it, so a token's scan starts there.
 type dispatcher struct {
 	sch       *tuple.Schema
 	field     int
-	intervals []dispatchInterval // sorted by lo
+	intervals []dispatchInterval
+	reach     []int64
 }
 
 type dispatchInterval struct {
@@ -117,9 +122,9 @@ type dispatchInterval struct {
 // allocated on disk.
 func NewNetwork(disk *storage.Disk) *Network {
 	return &Network{
-		disk:        disk,
-		dispatchers: make(map[dispatchKey]*dispatcher),
-		tconsts:     make(map[tcKey]*TConst),
+		disk:    disk,
+		byRel:   make(map[string][]*dispatcher),
+		tconsts: make(map[tcKey]*TConst),
 	}
 }
 
@@ -147,18 +152,36 @@ func (n *Network) TConst(sch *tuple.Schema, fieldName string, lo, hi int64) *TCo
 		hi:    hi,
 	}
 	n.tconsts[key] = tc
-	dk := dispatchKey{sch.Name(), field}
-	d := n.dispatchers[dk]
-	if d == nil {
-		d = &dispatcher{sch: sch, field: field}
-		n.dispatchers[dk] = d
-	}
-	iv := dispatchInterval{lo: lo, hi: hi, node: tc}
-	pos := sort.Search(len(d.intervals), func(i int) bool { return d.intervals[i].lo >= lo })
-	d.intervals = append(d.intervals, dispatchInterval{})
-	copy(d.intervals[pos+1:], d.intervals[pos:])
-	d.intervals[pos] = iv
+	n.dispatcher(sch, field).add(dispatchInterval{lo: lo, hi: hi, node: tc})
 	return tc
+}
+
+// dispatcher returns the interval index of (sch's relation, field),
+// creating it on first use.
+func (n *Network) dispatcher(sch *tuple.Schema, field int) *dispatcher {
+	rel := sch.Name()
+	for _, d := range n.byRel[rel] {
+		if d.field == field {
+			return d
+		}
+	}
+	d := &dispatcher{sch: sch, field: field}
+	n.byRel[rel] = append(n.byRel[rel], d)
+	return d
+}
+
+// add inserts iv before the first band whose lo is not lower, and
+// rebuilds reach from there.
+func (d *dispatcher) add(iv dispatchInterval) {
+	pos := sort.Search(len(d.intervals), func(i int) bool { return d.intervals[i].lo >= iv.lo })
+	d.intervals = slices.Insert(d.intervals, pos, iv)
+	d.reach = append(d.reach, 0)
+	for i := pos; i < len(d.intervals); i++ {
+		d.reach[i] = d.intervals[i].hi
+		if i > 0 {
+			d.reach[i] = max(d.reach[i], d.reach[i-1])
+		}
+	}
 }
 
 // TConstChained creates a t-const node that is NOT dispatched from the
@@ -191,10 +214,7 @@ func (n *Network) submit(pg *storage.Pager, rel string, tok Token) {
 	meter := pg.Meter()
 	prev := meter.SetComponent(metric.CompRete)
 	defer meter.SetComponent(prev)
-	for key, d := range n.dispatchers {
-		if key.rel != rel {
-			continue
-		}
+	for _, d := range n.byRel[rel] {
 		if n.naive {
 			for _, iv := range d.intervals {
 				iv.node.Activate(pg, tok)
@@ -202,7 +222,8 @@ func (n *Network) submit(pg *storage.Pager, rel string, tok Token) {
 			continue
 		}
 		v := d.sch.Get(tok.Tuple, d.field)
-		for _, iv := range d.intervals {
+		for i := sort.Search(len(d.reach), func(i int) bool { return d.reach[i] >= v }); i < len(d.intervals); i++ {
+			iv := &d.intervals[i]
 			if iv.lo > v {
 				break
 			}
@@ -297,9 +318,7 @@ func (m *Memory) Len() int { return m.file.Len() }
 func (m *Memory) Activate(pg *storage.Pager, tok Token) {
 	k := m.key(tok.Tuple)
 	if tok.Tag == Plus {
-		if !m.file.Contains(k) {
-			m.file.Insert(pg, k, tok.Tuple)
-		}
+		m.file.Add(pg, k, tok.Tuple)
 	} else {
 		m.file.Delete(pg, k)
 	}
@@ -347,6 +366,9 @@ type AndNode struct {
 	out        *tuple.Schema
 	leftN      int
 	succs      []Node
+	// joined is the output tuple combine rewrites for every match; the
+	// network mutex makes it the one token in flight from this node.
+	joined []byte
 }
 
 // NewAndNode wires an and-node between two memories, returning it after
@@ -364,6 +386,7 @@ func (n *Network) NewAndNode(left, right *Memory, leftField, rightField, rightPr
 			left.sch, right.sch, rightPrefix),
 		leftN: left.sch.NumFields(),
 	}
+	a.joined = a.out.New()
 	left.Attach(leftInput{a})
 	right.Attach(rightInput{a})
 	return a
@@ -383,15 +406,13 @@ type rightInput struct{ a *AndNode }
 
 func (r rightInput) Activate(pg *storage.Pager, tok Token) { r.a.activateRight(pg, tok) }
 
+// combine writes the join of ltup and rtup into a.joined: left's
+// attributes, then right's, then zero padding (never written).
 func (a *AndNode) combine(ltup, rtup []byte) []byte {
-	out := a.out.New()
-	for i := 0; i < a.leftN; i++ {
-		a.out.Set(out, i, a.left.sch.Get(ltup, i))
-	}
-	for i := 0; i < a.right.sch.NumFields(); i++ {
-		a.out.Set(out, a.leftN+i, a.right.sch.Get(rtup, i))
-	}
-	return out
+	ln, rn := 8*a.leftN, 8*a.right.sch.NumFields()
+	copy(a.joined, ltup[:ln])
+	copy(a.joined[ln:], rtup[:rn])
+	return a.joined
 }
 
 func (a *AndNode) emit(pg *storage.Pager, tok Token) {

@@ -41,18 +41,20 @@ func (w *World) buildRVM() proc.Strategy {
 	net.SetNaiveDispatch(w.cfg.Ablations.NaiveReteDispatch)
 	s1, s2, s3 := w.r1.Schema(), w.r2.Schema(), w.r3.Schema()
 
-	r1Key := func(tup []byte) uint64 {
-		return tuple.ClusterKey(s1.GetByName(tup, "skey"), s1.GetByName(tup, "tid"))
+	// clusterKey clusters a memory of sch on (field, tid), resolving both
+	// names once rather than per token.
+	clusterKey := func(sch *tuple.Schema, field string) func([]byte) uint64 {
+		f, id := sch.MustFieldIndex(field), sch.MustFieldIndex("tid")
+		return func(tup []byte) uint64 { return tuple.ClusterKey(sch.Get(tup, f), sch.Get(tup, id)) }
 	}
+	r1Key := clusterKey(s1, "skey")
 
 	// Model 2 only: one α-memory of all of R3, keyed by the join attribute
 	// d, shared by every P2 procedure's right-side join.
 	var alphaR3 *rete.Memory
 	if w.cfg.Model == costmodel.Model2 && p.N2 > 0 {
 		tcR3 := net.TConst(s3, "d", 0, math.MaxInt32)
-		alphaR3 = net.NewMemory(s3, nil, func(tup []byte) uint64 {
-			return tuple.ClusterKey(s3.GetByName(tup, "d"), s3.GetByName(tup, "tid"))
-		})
+		alphaR3 = net.NewMemory(s3, nil, clusterKey(s3, "d"))
 		tcR3.Attach(alphaR3)
 	}
 
@@ -86,47 +88,35 @@ func (w *World) buildRVM() proc.Strategy {
 		tc2 := net.TConst(s2, "p2", spec.p2Band[0], spec.p2Band[1])
 		var right *rete.Memory
 		if w.cfg.Model == costmodel.Model1 {
-			right = net.NewMemory(s2, nil, func(tup []byte) uint64 {
-				return tuple.ClusterKey(s2.GetByName(tup, "b"), s2.GetByName(tup, "tid"))
-			})
+			right = net.NewMemory(s2, nil, clusterKey(s2, "b"))
 			tc2.Attach(right)
 		} else {
-			alphaR2 := net.NewMemory(s2, nil, func(tup []byte) uint64 {
-				return tuple.ClusterKey(s2.GetByName(tup, "c"), s2.GetByName(tup, "tid"))
-			})
+			alphaR2 := net.NewMemory(s2, nil, clusterKey(s2, "c"))
 			tc2.Attach(alphaR2)
 			and23 := net.NewAndNode(alphaR2, alphaR3, "c", "d", "r3_", width)
-			right = net.NewMemory(and23.Schema(), nil, func(tup []byte) uint64 {
-				sch := and23.Schema()
-				return tuple.ClusterKey(sch.GetByName(tup, "b"), sch.GetByName(tup, "tid"))
-			})
+			right = net.NewMemory(and23.Schema(), nil, clusterKey(and23.Schema(), "b"))
 			and23.Attach(right)
 		}
 
 		and := net.NewAndNode(left, right, "a", "b", "r2_", width)
-		beta := net.NewMemory(and.Schema(), entry.File(), func(tup []byte) uint64 {
-			sch := and.Schema()
-			return tuple.ClusterKey(sch.GetByName(tup, "skey"), sch.GetByName(tup, "tid"))
-		})
+		beta := net.NewMemory(and.Schema(), entry.File(), clusterKey(and.Schema(), "skey"))
 		and.Attach(beta)
 	}
 
 	// Prepare loads the entire database through the network root, bottom
 	// relation first so joins find their partners; then marks every
-	// procedure's cache entry valid. The caller runs it uncharged.
+	// procedure's cache entry valid. The caller runs it uncharged. Each
+	// token carries the scanned record itself: nodes copy what they keep.
 	prepare := func(pg *storage.Pager) {
-		w.r3.Hash().ScanAll(pg, func(rec []byte) bool {
-			net.Submit(pg, "r3", rete.Token{Tag: rete.Plus, Tuple: append([]byte(nil), rec...)})
-			return true
-		})
-		w.r2.Hash().ScanAll(pg, func(rec []byte) bool {
-			net.Submit(pg, "r2", rete.Token{Tag: rete.Plus, Tuple: append([]byte(nil), rec...)})
-			return true
-		})
-		w.r1.Tree().ScanAll(pg, func(rec []byte) bool {
-			net.Submit(pg, "r1", rete.Token{Tag: rete.Plus, Tuple: append([]byte(nil), rec...)})
-			return true
-		})
+		submit := func(rel string) func([]byte) bool {
+			return func(rec []byte) bool {
+				net.Submit(pg, rel, rete.Token{Tag: rete.Plus, Tuple: rec})
+				return true
+			}
+		}
+		w.r3.Hash().ScanAll(pg, submit("r3"))
+		w.r2.Hash().ScanAll(pg, submit("r2"))
+		w.r1.Tree().ScanAll(pg, submit("r1"))
 		for _, e := range entries {
 			e.MarkValid(pg)
 		}

@@ -244,48 +244,48 @@ func (w *World) loadRelations() {
 	width := int(p.S)
 	rng := rand.New(rand.NewSource(w.cfg.Seed))
 
+	// Tuples are written by field index, in the order each schema below
+	// declares its fields, and R1's straight into its bulk-loaded leaves.
 	s1 := tuple.NewSchema("r1", width,
 		tuple.Field{Name: "tid"}, tuple.Field{Name: "skey"}, tuple.Field{Name: "a"})
 	n2 := int(math.Max(1, p.FR2*p.N))
 	n3 := int(math.Max(1, p.FR3*p.N))
-	tuples := make([][]byte, n)
 	w.skey = make([]int64, n)
-	for i := range tuples {
-		t := s1.New()
-		s1.SetByName(t, "tid", int64(i))
-		s1.SetByName(t, "skey", int64(i))
-		s1.SetByName(t, "a", int64(rng.Intn(n2)))
-		tuples[i] = t
+	w.r1 = relation.BulkLoadBTreeFunc(w.pager, s1, "skey", "tid", int(p.D), n, func(i int, t []byte) {
+		s1.Set(t, 0, int64(i))
+		s1.Set(t, 1, int64(i))
+		s1.Set(t, 2, int64(rng.Intn(n2)))
 		w.skey[i] = int64(i)
-	}
-	w.r1 = relation.BulkLoadBTree(w.pager, s1, "skey", "tid", int(p.D), tuples)
+	})
 	if w.cfg.Ablations.NoRootPin {
 		w.r1.Tree().SetRootPinned(false)
 	}
 
+	// R2 and R3 load through one reused tuple: Insert copies it into the
+	// bucket page.
 	perPage := int(p.B / p.S)
 	s2 := tuple.NewSchema("r2", width,
 		tuple.Field{Name: "tid"}, tuple.Field{Name: "b"},
 		tuple.Field{Name: "c"}, tuple.Field{Name: "p2"})
 	w.r2 = relation.NewHash(w.pager.Disk(), s2, "b", (n2+perPage-1)/perPage)
 	w.p2 = make([]int64, n2)
+	t := s2.New()
 	for j := 0; j < n2; j++ {
-		t := s2.New()
-		s2.SetByName(t, "tid", int64(j))
-		s2.SetByName(t, "b", int64(j))
-		s2.SetByName(t, "c", int64(rng.Intn(n3)))
+		s2.Set(t, 0, int64(j))
+		s2.Set(t, 1, int64(j))
+		s2.Set(t, 2, int64(rng.Intn(n3)))
 		w.p2[j] = int64(rng.Intn(p2Max))
-		s2.SetByName(t, "p2", w.p2[j])
+		s2.Set(t, 3, w.p2[j])
 		w.r2.Insert(w.pager, t)
 	}
 
 	s3 := tuple.NewSchema("r3", width,
 		tuple.Field{Name: "tid"}, tuple.Field{Name: "d"})
 	w.r3 = relation.NewHash(w.pager.Disk(), s3, "d", (n3+perPage-1)/perPage)
+	t = s3.New()
 	for j := 0; j < n3; j++ {
-		t := s3.New()
-		s3.SetByName(t, "tid", int64(j))
-		s3.SetByName(t, "d", int64(j))
+		s3.Set(t, 0, int64(j))
+		s3.Set(t, 1, int64(j))
 		w.r3.Insert(w.pager, t)
 	}
 }

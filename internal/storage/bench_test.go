@@ -68,14 +68,3 @@ func BenchmarkOrderedFileScan(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkRecordFileAppend(b *testing.B) {
-	p := benchPager(4000)
-	f := NewRecordFile(p.Disk(), 100)
-	rec := make([]byte, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Append(p, rec)
-	}
-}

@@ -1,6 +1,6 @@
 // Package storage provides the simulated disk substrate: fixed-size pages,
-// an operation-scoped pager that meters page I/O, and two file
-// abstractions — an append-only RecordFile and a key-clustered OrderedFile.
+// an operation-scoped pager that meters page I/O, and a key-clustered
+// file, OrderedFile.
 //
 // Cost fidelity follows the paper's model: every *distinct* page touched by
 // one logical operation costs one C2 read (plus one C2 write if dirtied);
@@ -36,6 +36,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -513,7 +514,7 @@ func (p *Pager) Read(id PageID) []byte {
 func (p *Pager) Update(id PageID) []byte {
 	f := p.fetch(id)
 	if !f.dirty {
-		buf := p.disk.newImage()
+		buf := p.disk.newImage(false)
 		copy(buf, f.data)
 		p.dirty(id, f, buf)
 	}
@@ -528,10 +529,11 @@ func (p *Pager) Overwrite(id PageID) []byte {
 	if f.data == nil {
 		p.touched = append(p.touched, id)
 	}
-	if !f.dirty {
-		p.dirty(id, f, p.disk.newImage())
+	if f.dirty {
+		clear(f.data)
+	} else {
+		p.dirty(id, f, p.disk.newImage(true))
 	}
-	clear(f.data)
 	return f.data
 }
 
@@ -556,7 +558,8 @@ func (p *Pager) Drop(id PageID) {
 func (p *Pager) slot(id PageID) *frame {
 	if uint(id) >= uint(len(p.frames)) {
 		p.disk.page(id) // range check
-		p.frames = append(p.frames, make([]frame, p.disk.NumPages()-len(p.frames))...)
+		n := p.disk.NumPages()
+		p.frames = slices.Grow(p.frames, n-len(p.frames))[:n]
 	}
 	return &p.frames[id]
 }

@@ -338,9 +338,10 @@ func (d *Disk) GCVersions() int {
 	return len(ready)
 }
 
-// newImage returns a page buffer of arbitrary contents: the most recently
-// reclaimed one, else a fresh one.
-func (d *Disk) newImage() (buf []byte) {
+// newImage returns a page buffer: the most recently reclaimed one, else a
+// fresh one. Its contents are arbitrary unless zero is set; a fresh
+// buffer is zero already.
+func (d *Disk) newImage(zero bool) (buf []byte) {
 	m := &d.mvcc
 	m.poolMu.Lock()
 	if n := len(m.pool); n > 0 {
@@ -350,7 +351,10 @@ func (d *Disk) newImage() (buf []byte) {
 	}
 	m.poolMu.Unlock()
 	if buf == nil {
-		buf = make([]byte, d.pageSize)
+		return make([]byte, d.pageSize)
+	}
+	if zero {
+		clear(buf)
 	}
 	return buf
 }

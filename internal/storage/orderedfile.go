@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // OrderedFile is a key-clustered file of fixed-size records: records live
@@ -111,17 +110,19 @@ func (f *OrderedFile) Pages() int { return len(f.dir.pages) }
 // RecordSize returns the fixed record width in bytes.
 func (f *OrderedFile) RecordSize() int { return f.recSize }
 
-// pageFor returns the index of the page that does or should contain key.
+// pageFor returns the index of the page that does or should contain key:
+// the first page whose max key >= key, otherwise the last page.
 func (d *ofDir) pageFor(key uint64) int {
-	// First page whose max key >= key; otherwise the last page.
-	i := sort.Search(len(d.pages), func(i int) bool {
-		ks := d.pages[i].keys
-		return ks[len(ks)-1] >= key
-	})
-	if i == len(d.pages) {
-		i--
+	lo, hi := 0, len(d.pages)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ks := d.pages[mid].keys; ks[len(ks)-1] >= key {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
 	}
-	return i
+	return lo
 }
 
 // Insert stores rec under key, keeping key order. Inserting into an
@@ -130,30 +131,40 @@ func (d *ofDir) pageFor(key uint64) int {
 // present panics: result and memory files hold sets, and a duplicate
 // insertion indicates a maintenance bug upstream.
 func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
+	if !f.Add(pg, key, rec) {
+		panic(fmt.Sprintf("storage: duplicate key %d", key))
+	}
+}
+
+// Add is Insert for a caller that treats the file as a set: a key already
+// present leaves the file untouched and Add reports false. One directory
+// search decides and places the insertion.
+func (f *OrderedFile) Add(pg *Pager, key uint64, rec []byte) bool {
 	if len(rec) != f.recSize {
 		panic(fmt.Sprintf("storage: record of %d bytes, want %d", len(rec), f.recSize))
 	}
-	f.dv.MarkDirty()
 	if len(f.dir.pages) == 0 {
+		f.dv.MarkDirty()
 		id := pg.AllocPage()
 		buf := pg.Overwrite(id)
 		copy(buf, rec)
-		f.dir.pages = append(f.dir.pages, &ofPage{id: id, keys: []uint64{key}, gen: f.gen})
+		f.dir.pages = append(f.dir.pages, &ofPage{id: id, keys: f.newKeys(key), gen: f.gen})
 		f.dir.n = 1
-		return
+		return true
 	}
 	pi := f.dir.pageFor(key)
 	p := f.dir.pages[pi]
-	slot := sort.Search(len(p.keys), func(i int) bool { return p.keys[i] >= key })
-	if slot < len(p.keys) && p.keys[slot] == key {
-		panic(fmt.Sprintf("storage: duplicate key %d", key))
+	slot, found := slices.BinarySearch(p.keys, key)
+	if found {
+		return false
 	}
+	f.dv.MarkDirty()
 	if len(p.keys) == f.perPage {
 		f.split(pg, pi)
 		// Re-locate after the split.
 		pi = f.dir.pageFor(key)
 		p = f.dir.pages[pi]
-		slot = sort.Search(len(p.keys), func(i int) bool { return p.keys[i] >= key })
+		slot, _ = slices.BinarySearch(p.keys, key)
 	}
 	p = f.ownPage(pi)
 	buf := pg.Update(p.id)
@@ -164,6 +175,13 @@ func (f *OrderedFile) Insert(pg *Pager, key uint64, rec []byte) {
 	copy(p.keys[slot+1:], p.keys[slot:])
 	p.keys[slot] = key
 	f.dir.n++
+	return true
+}
+
+// newKeys returns the key column of a page that starts out holding keys,
+// sized for a full page so that inserts into it never reallocate.
+func (f *OrderedFile) newKeys(keys ...uint64) []uint64 {
+	return append(make([]uint64, 0, f.perPage), keys...)
 }
 
 // split divides page pi in half, moving the upper half to a fresh page
@@ -176,7 +194,7 @@ func (f *OrderedFile) split(pg *Pager, pi int) {
 	newBuf := pg.Overwrite(newID)
 	copy(newBuf, oldBuf[half*f.recSize:len(p.keys)*f.recSize])
 	clear(oldBuf[half*f.recSize : len(p.keys)*f.recSize])
-	newPage := &ofPage{id: newID, keys: slices.Clone(p.keys[half:]), gen: f.gen}
+	newPage := &ofPage{id: newID, keys: f.newKeys(p.keys[half:]...), gen: f.gen}
 	p.keys = p.keys[:half]
 	f.dir.pages = append(f.dir.pages, nil)
 	copy(f.dir.pages[pi+2:], f.dir.pages[pi+1:])
@@ -232,8 +250,8 @@ func (d *ofDir) find(key uint64) (pi, slot int, ok bool) {
 	}
 	pi = d.pageFor(key)
 	ks := d.pages[pi].keys
-	slot = sort.Search(len(ks), func(i int) bool { return ks[i] >= key })
-	if slot == len(ks) || ks[slot] != key {
+	slot, ok = slices.BinarySearch(ks, key)
+	if !ok {
 		return 0, 0, false
 	}
 	return pi, slot, true

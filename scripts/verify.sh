@@ -82,10 +82,14 @@ echo "examples: OK"
 # deletes, and the batched probe's guards: a batch equals its keys probed
 # one by one (records, order, page reads), a probe stops at the row that
 # said stop, and a recomputed value allocates by the block, as does a
-# cached QUEL execute (its allocations do not grow with its rows).
+# cached QUEL execute (its allocations do not grow with its rows). Opening
+# a world leans on the same rule: the Rete fill submits the scanned
+# records themselves, so every node must copy what it keeps
+# (TestReteNodesCopyWhatTheyKeep), and the faster load must lay out the
+# same world (TestBuildLayoutPinned).
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates|TestLookupBatch|TestProbeStopsAtTheRowThatSaidStop|JoinAccessAllocations|TestColdFillMaterializeAllocations|TestAggregateAllocatesPerGroup|TestCachedExecuteAllocatesByTheBlock' \
-    ./internal/query/ ./internal/proc/ ./internal/avm/ ./internal/quel/ ./internal/hashidx/
+    -run 'CopyWhatTheyKeep|TestSharedPlanExecutesConcurrently|TestTableSnapshotsSurviveUpdates|TestLookupBatch|TestProbeStopsAtTheRowThatSaidStop|JoinAccessAllocations|TestColdFillMaterializeAllocations|TestAggregateAllocatesPerGroup|TestCachedExecuteAllocatesByTheBlock|TestBuildLayoutPinned' \
+    ./internal/query/ ./internal/proc/ ./internal/avm/ ./internal/quel/ ./internal/hashidx/ ./internal/rete/ ./internal/sim/
 # The served path's own guards, with GOMAXPROCS raised so the connection
 # goroutine, the gate's cancel watcher and Shutdown interleave: cancel,
 # vanish, protocol violation and drain against a request parked on the
