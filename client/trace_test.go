@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dbproc/client"
+	"dbproc/internal/artifact"
 	"dbproc/internal/dbtest"
 	"dbproc/internal/obs"
 	"dbproc/internal/server"
@@ -142,15 +143,15 @@ func TestServerBreakdownSumsToWall(t *testing.T) {
 	if st.ClientWallNs < st.ServerWallNs {
 		t.Fatalf("client wall %d below server wall %d", st.ClientWallNs, st.ServerWallNs)
 	}
-	srvTrace, err := obs.ReadTrace(bytes.NewReader(srvSpans.Bytes()))
-	if err != nil {
+	srvTrace := &artifact.Set{}
+	if err := srvTrace.Add("server.jsonl", srvSpans.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if errs := obs.CheckWireSpans(srvTrace.WireSpans); len(errs) != 0 {
 		t.Fatalf("server spans violate sum-to-total: %v", errs[0])
 	}
-	cliTrace, err := obs.ReadTrace(bytes.NewReader(cliSpans.Bytes()))
-	if err != nil {
+	cliTrace := &artifact.Set{}
+	if err := cliTrace.Add("client.jsonl", cliSpans.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	merged, err2 := obs.MergeWireTrace(&bytes.Buffer{},

@@ -8,25 +8,17 @@
 //
 //	procadvisor -P 0.1 -f 0.0001          # small objects, few updates
 //	procadvisor -P 0.8 -f 0.01 -model 2
-//	procadvisor -scenarios BENCH_scenarios.json                # hostile-workload advice
-//	procadvisor -scenarios BENCH_scenarios.json -scenario hot-key-storm
 //
-// With -scenarios the advice is conditioned on measured hostile-workload
-// evidence instead of the analytic model: procadvisor re-derives every
-// winner from the report's per-strategy rows — the same ranking
-// ScenarioBench records — refuses the report if a recorded verdict does
-// not match its own evidence, and explains where hostile traffic flips
-// the polite recommendation (docs/SCENARIOS.md).
+// Measured hostile-workload evidence (BENCH_scenarios.json) is read by
+// procstat, which re-derives every recorded verdict from its rows
+// (docs/SCENARIOS.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"dbproc/internal/costmodel"
-	"dbproc/internal/experiments"
 )
 
 func main() {
@@ -41,17 +33,7 @@ func main() {
 	flag.Float64Var(&p.CInval, "cinval", p.CInval, "invalidation cost (ms)")
 	upd := flag.Float64("P", 0.5, "update probability")
 	modelFlag := flag.Int("model", 1, "procedure model: 1 or 2")
-	scenariosPath := flag.String("scenarios", "", "BENCH_scenarios.json report: advise from measured hostile-workload evidence instead of the analytic model")
-	scenarioName := flag.String("scenario", "", "restrict -scenarios advice to one scenario")
 	flag.Parse()
-
-	if *scenariosPath != "" {
-		if err := adviseScenarios(*scenariosPath, *scenarioName); err != nil {
-			fmt.Fprintf(os.Stderr, "procadvisor: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	p = p.WithUpdateProbability(*upd)
 	model := costmodel.Model(*modelFlag)
@@ -88,73 +70,4 @@ func main() {
 		fmt.Printf("Note: Cache and Invalidate is within %.1fx of the winner; the paper\n", ci/w.Costs[w.Best])
 		fmt.Println("recommends it as the pragmatic second implementation step.")
 	}
-}
-
-// adviseScenarios conditions the recommendation on hostile-workload
-// evidence: for every scenario × model cell of the report (or the one
-// named by -scenario) it re-derives the winner from the per-strategy
-// rows, verifies the report's recorded verdict agrees with that
-// evidence, and explains the cells where hostile traffic dethrones the
-// polite workload's recommendation.
-func adviseScenarios(path, only string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep experiments.ScenarioBenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(rep.Verdicts) == 0 {
-		return fmt.Errorf("%s: no verdicts", path)
-	}
-	if only != "" {
-		found := false
-		for _, s := range rep.Scenarios {
-			if s == only {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("scenario %q not in report (have %v)", only, rep.Scenarios)
-		}
-	}
-
-	fmt.Printf("Hostile-workload advice from %s (%d scenarios, %d seeds/cell)\n\n",
-		path, len(rep.Scenarios), rep.SeedsPerCell)
-	matched := 0
-	for _, v := range rep.Verdicts {
-		if only != "" && v.Scenario != only {
-			continue
-		}
-		var rows []experiments.ScenarioBenchRow
-		for _, r := range rep.Rows {
-			if r.Scenario == v.Scenario && r.Model == v.Model {
-				rows = append(rows, r)
-			}
-		}
-		// The trust step: the recorded verdict must be re-derivable from
-		// the rows shipped beside it, or the report is inconsistent.
-		got := experiments.DeriveScenarioVerdict(v.Scenario, v.Model, rows)
-		if got.Winner != v.Winner || got.CachingWinner != v.CachingWinner {
-			return fmt.Errorf("%s/%s: recorded verdict (%s, caching %s) does not match its evidence (%s, caching %s)",
-				v.Scenario, v.Model, v.Winner, v.CachingWinner, got.Winner, got.CachingWinner)
-		}
-		matched++
-
-		fmt.Printf("%s, %s: use %s (%.1f ms/query, %.1f%% ahead of %s)\n",
-			v.Scenario, v.Model, v.Winner, v.WinnerMsPerQuery, v.MarginPct, v.RunnerUp)
-		if v.Flipped {
-			fmt.Printf("  hostile traffic flips the polite verdict: %s wins the polite workload,\n", v.PoliteWinner)
-			fmt.Printf("  but under %s it loses to %s — condition the choice on traffic shape.\n", v.Scenario, v.Winner)
-		}
-		if v.CachingWinner != "" && v.CachingWinner != v.Winner {
-			fmt.Printf("  if a cache is mandatory, ledger evidence ranks %s cheapest.\n", v.CachingWinner)
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("no verdicts matched scenario %q", only)
-	}
-	fmt.Printf("\nall %d verdict(s) re-derived from their row evidence and confirmed.\n", matched)
-	return nil
 }

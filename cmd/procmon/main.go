@@ -14,8 +14,8 @@
 //	procmon -addr ... -serving            # + served request-type latency quantiles
 //
 // -raw prints a single scrape verbatim and exits; -tail fetches the
-// flight recorder's newest events as JSONL, ready to pipe into
-// `procstat -flight`. Both are the scriptable modes scripts/verify.sh's
+// flight recorder's newest events as JSONL, ready to save and render
+// with `procstat`. Both are the scriptable modes scripts/verify.sh's
 // telemetry smoke test uses.
 package main
 
@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"dbproc/internal/artifact"
 	"dbproc/internal/telemetry"
 )
 
@@ -361,7 +362,7 @@ func main() {
 	polls := flag.Int("n", 0, "number of polls before exiting (0 = until interrupted)")
 	events := flag.Int("events", 8, "flight-recorder events to tail per frame (0 = none)")
 	raw := flag.Bool("raw", false, "poll /metrics once, print the raw scrape, and exit")
-	tail := flag.Int("tail", 0, "fetch the last K flight events as raw JSONL and exit (pipe into procstat -flight)")
+	tail := flag.Int("tail", 0, "fetch the last K flight events as raw JSONL and exit (save and render with procstat)")
 	blame := flag.Bool("blame", false, "add the causal-diagnosis panel: top blockers, and the critical-path split when the observed process runs with -critpath")
 	serving := flag.Bool("serving", false, "add the served-path panel: connection counters and per-request-type service-time quantiles (observe procserved -telemetry)")
 	flag.Parse()
@@ -407,7 +408,10 @@ func main() {
 		var dump *telemetry.Dump
 		if *events > 0 {
 			if tail, err := fetch(ctx, client, fmt.Sprintf("%s/events?n=%d", base, *events)); err == nil {
-				dump, _ = telemetry.ReadDump(strings.NewReader(tail))
+				a := &artifact.Set{}
+				if a.Add("/events", []byte(tail)) == nil && len(a.Dumps) > 0 {
+					dump = &a.Dumps[0]
+				}
 			}
 		}
 		render(os.Stdout, base, metricSet{parseMetrics(body)}, dump, n > 0 || *polls != 1, *blame, *serving)

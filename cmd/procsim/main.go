@@ -13,7 +13,8 @@
 //	procsim -serve -clients 4             # drive a loopback procserved over the wire (docs/SERVING.md)
 //	procsim -connect 127.0.0.1:7141       # same, against an external procserved
 //	procsim -clients 8 -listen :9090      # live /metrics, /debug/pprof, /events (docs/TELEMETRY.md)
-//	procsim -clients 8 -flight dump.jsonl # flight dump on watchdog/violation/fault
+//	procsim -clients 8 -flight dump.jsonl # flight dump on watchdog/violation/fault (see procstat)
+//	procsim -ledger ledger.jsonl          # cache-efficacy ledger (see procstat)
 //	procsim -breakdown                    # per-component cost tables
 //	procsim -trace out.jsonl              # per-operation trace (see procstat)
 //	procsim -json                         # machine-readable results
@@ -110,7 +111,7 @@ func main() {
 	serve := flag.Bool("serve", false, "drive the workload through a loopback procserved over the wire (docs/SERVING.md)")
 	connect := flag.String("connect", "", "drive the workload against this external procserved address (implies -serve)")
 	tracePath := flag.String("trace", "", "write a per-operation JSONL trace to this file (render with procstat)")
-	ledgerPath := flag.String("ledger", "", "write a cache-efficacy ledger (JSONL) to this file (analyze with procdoctor; docs/DIAGNOSIS.md)")
+	ledgerPath := flag.String("ledger", "", "write a cache-efficacy ledger (JSONL) to this file (analyze with procstat; docs/DIAGNOSIS.md)")
 	critpath := flag.Bool("critpath", false, "time I/O and recompute and decompose each op's wall time into lock-wait/IO/recompute/compute (concurrent mode; lock-wait blame is always reported)")
 	listen := flag.String("listen", "", "serve /metrics, /debug/pprof and /events on this address (e.g. :9090) until interrupted")
 	flightPath := flag.String("flight", "", "write a flight-recorder dump to this file if the run trips a telemetry trigger")
@@ -387,7 +388,7 @@ func main() {
 		fmt.Printf("\ntrace written to %s (render with procstat)\n", *tracePath)
 	}
 	if ledgerFile != nil && !*jsonOut {
-		fmt.Printf("ledger written to %s (analyze with procdoctor)\n", *ledgerPath)
+		fmt.Printf("ledger written to %s (analyze with procstat)\n", *ledgerPath)
 	}
 	waitServe(ctx, hub)
 }

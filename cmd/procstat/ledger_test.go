@@ -3,21 +3,23 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
+	"dbproc/internal/artifact"
 	"dbproc/internal/cache"
 	"dbproc/internal/costmodel"
 	"dbproc/internal/engine"
 	"dbproc/internal/experiments"
 	"dbproc/internal/sim"
-	"dbproc/internal/telemetry"
 )
 
 // TestLedgerVerdictMatchesSimulatedWinner is the acceptance gate for the
 // ledger verdict: regenerate the ledger evidence for the three caching
 // strategies at 8 clients (the paper's defaults at scale 5, seed 1,
-// 0.5 ms mean think time) and require that the winner procdoctor derives
+// 0.5 ms mean think time) and require that the winner procstat derives
 // from ledger evidence alone matches the winner by the same runs'
 // simulated totals, for both procedure models. The multi-client totals
 // are schedule-dependent, so the ledger is judged against the runs it
@@ -55,11 +57,11 @@ func TestLedgerVerdictMatchesSimulatedWinner(t *testing.T) {
 		}
 	}
 
-	runs, err := cache.ReadLedger(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	a := &artifact.Set{}
+	if err := a.Add("ledger.jsonl", buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	verdicts := ledgerVerdicts(runs)
+	verdicts := ledgerVerdicts(a.Ledgers)
 	if len(verdicts) != 2 {
 		t.Fatalf("got %d verdict groups, want 2 (one per model)", len(verdicts))
 	}
@@ -82,28 +84,6 @@ func TestLedgerVerdictMatchesSimulatedWinner(t *testing.T) {
 	}
 }
 
-// TestTopBlockers checks the flight-dump blocker aggregation: grouping
-// by (lock, holder), wait totals, and the wait-descending sort.
-func TestTopBlockers(t *testing.T) {
-	d := &telemetry.Dump{Events: []telemetry.Event{
-		{Kind: telemetry.EvLockAcquire, Name: "rel:r1", WaitNs: 100, Detail: "held by session 2 (update)"},
-		{Kind: telemetry.EvLockAcquire, Name: "rel:r1", WaitNs: 300, Detail: "held by session 2 (update)"},
-		{Kind: telemetry.EvLockAcquire, Name: "rel:r2", WaitNs: 900, Detail: "held by session 0 (query proc:7)"},
-		{Kind: telemetry.EvLockAcquire, Name: "rel:r3", WaitNs: 0}, // uncontended: excluded
-		{Kind: telemetry.EvOpCommit, Name: "update", WaitNs: 500},  // wrong kind: excluded
-	}}
-	got := topBlockers(d)
-	if len(got) != 2 {
-		t.Fatalf("got %d blockers, want 2: %+v", len(got), got)
-	}
-	if got[0].Lock != "rel:r2" || got[0].WaitNs != 900 || got[0].Waits != 1 {
-		t.Errorf("top blocker = %+v", got[0])
-	}
-	if got[1].Lock != "rel:r1" || got[1].WaitNs != 400 || got[1].Waits != 2 || got[1].MaxWaitNs != 300 {
-		t.Errorf("second blocker = %+v", got[1])
-	}
-}
-
 // TestBottleneck pins the dominant-bottleneck selection.
 func TestBottleneck(t *testing.T) {
 	name, ms := bottleneck(cache.LedgerStats{ComputeMs: 5, HitMs: 2, MaintainMs: 9, InvalMs: 1})
@@ -116,27 +96,82 @@ func TestBottleneck(t *testing.T) {
 	}
 }
 
-// TestFlightReportWaitClasses: the flight report must causally separate
-// waits on an update's declared 2PL footprint from waits on the MVCC
-// version-chain GC lock, both per blocker line and in the summary split.
-func TestFlightReportWaitClasses(t *testing.T) {
-	if got := waitClass("rel:r1"); got != waitClassFootprint {
-		t.Errorf("waitClass(rel:r1) = %q", got)
+// TestScenarioVerdictReproducesGolden closes the loop between the two
+// verdict paths: for the adversarial-invalidation scenario it
+// regenerates the 1-client ledger evidence for every caching strategy
+// and golden seed, runs it through procstat's ledgerVerdicts ranking,
+// and requires the per-seed winners to equal the
+// per_seed_caching_winners recorded in BENCH_scenarios.json. One-client
+// scenario runs are replayable from (scenario, seed) alone, so exact
+// agreement is required — no schedule-variance allowance.
+func TestScenarioVerdictReproducesGolden(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_scenarios.json")
+	if err != nil {
+		t.Skipf("benchmark artifact not present: %v", err)
 	}
-	if got := waitClass(engine.GCLock); got != waitClassGC {
-		t.Errorf("waitClass(%s) = %q", engine.GCLock, got)
+	var rep experiments.ScenarioBenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("BENCH_scenarios.json: %v", err)
 	}
-	d := &telemetry.Dump{Events: []telemetry.Event{
-		{Kind: telemetry.EvLockAcquire, Name: "rel:r1", WaitNs: 4_000_000, Detail: "held by session 2 (update)"},
-		{Kind: telemetry.EvLockAcquire, Name: engine.GCLock, WaitNs: 1_000_000, Detail: "held by session 1 (gc)"},
-	}}
+
+	const scenario = "adversarial-inval"
+	models := []costmodel.Model{costmodel.Model1, costmodel.Model2}
+	caching := []costmodel.Strategy{
+		costmodel.CacheInvalidate, costmodel.UpdateCacheAVM, costmodel.UpdateCacheRVM,
+	}
+	p := experiments.ScenarioBenchParams(experiments.Options{Scale: rep.Scale})
+
 	var buf bytes.Buffer
-	flightReport(&buf, d, 10)
-	out := buf.String()
-	if !strings.Contains(out, "4.000 ms waited on update footprints, 1.000 ms on version-chain GC") {
-		t.Errorf("missing wait split:\n%s", out)
+	for _, model := range models {
+		for _, strat := range caching {
+			for i := 0; i < rep.SeedsPerCell; i++ {
+				cfg := sim.Config{
+					Params: p, Model: model, Strategy: strat,
+					Seed: rep.Seed + int64(i), Scenario: scenario,
+				}
+				cfg.Ledger = cache.NewLedger()
+				res := sim.Run(cfg)
+				meta := cache.LedgerMeta{
+					Strategy: strat.String(), Model: int(model), Clients: 1,
+					Seed: cfg.Seed, Queries: res.Queries, Updates: res.Updates,
+					TotalMs: res.TotalMs,
+				}
+				if err := cache.WriteLedger(&buf, meta, cfg.Ledger); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
-	if !strings.Contains(out, "[waited on update footprint]") || !strings.Contains(out, "[waited on version-chain GC]") {
-		t.Errorf("blocker lines missing wait classes:\n%s", out)
+	a := &artifact.Set{}
+	if err := a.Add("ledger.jsonl", buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	verdicts := ledgerVerdicts(a.Ledgers)
+
+	for _, model := range models {
+		want, ok := rep.FindScenarioVerdict(scenario, model.String())
+		if !ok {
+			t.Fatalf("artifact has no %s verdict for %s", model, scenario)
+		}
+		if len(want.PerSeedCachingWinners) != rep.SeedsPerCell {
+			t.Fatalf("artifact verdict %s/%s has %d per-seed caching winners, want %d",
+				scenario, model, len(want.PerSeedCachingWinners), rep.SeedsPerCell)
+		}
+		for i := 0; i < rep.SeedsPerCell; i++ {
+			seed := rep.Seed + int64(i)
+			got := ""
+			for _, v := range verdicts {
+				if v.Model == int(model) && v.Clients == 1 && v.Seed == seed {
+					got = v.Winner()
+				}
+			}
+			if got == "" {
+				t.Fatalf("no ledger verdict for %s seed %d", model, seed)
+			}
+			if got != want.PerSeedCachingWinners[i] {
+				t.Errorf("%s seed %d: ledger evidence says %q, artifact says %q",
+					model, seed, got, want.PerSeedCachingWinners[i])
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,19 +12,19 @@ import (
 )
 
 // TestAdviseScenariosGolden: the checked-in BENCH_scenarios.json must
-// pass procadvisor's trust step — every recorded winner verdict
+// pass procstat's trust step — every recorded winner verdict
 // re-derivable from the row evidence shipped beside it.
 func TestAdviseScenariosGolden(t *testing.T) {
 	if _, err := os.Stat("../../BENCH_scenarios.json"); err != nil {
 		t.Skipf("benchmark artifact not present: %v", err)
 	}
-	if err := adviseScenarios("../../BENCH_scenarios.json", ""); err != nil {
+	if err := readScenarios("../../BENCH_scenarios.json", ""); err != nil {
 		t.Fatalf("golden report rejected: %v", err)
 	}
-	if err := adviseScenarios("../../BENCH_scenarios.json", "adversarial-inval"); err != nil {
+	if err := readScenarios("../../BENCH_scenarios.json", "adversarial-inval"); err != nil {
 		t.Fatalf("golden report rejected for one scenario: %v", err)
 	}
-	if err := adviseScenarios("../../BENCH_scenarios.json", "no-such-scenario"); err == nil {
+	if err := readScenarios("../../BENCH_scenarios.json", "no-such-scenario"); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }
@@ -60,11 +61,20 @@ func TestAdviseScenariosRejectsTamperedVerdict(t *testing.T) {
 	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = adviseScenarios(path, "")
+	err = readScenarios(path, "")
 	if err == nil {
 		t.Fatal("tampered report accepted")
 	}
 	if !strings.Contains(err.Error(), "does not match its evidence") {
 		t.Fatalf("unexpected rejection: %v", err)
 	}
+}
+
+// readScenarios runs procstat on a scenarios report, restricted to one
+// scenario when only is set.
+func readScenarios(path, only string) error {
+	if only != "" {
+		return run([]string{"-run", only, path}, io.Discard)
+	}
+	return run([]string{path}, io.Discard)
 }

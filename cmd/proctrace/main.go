@@ -1,23 +1,14 @@
-// Command proctrace works with end-to-end wire traces (docs/TRACING.md).
-// Its main job is the merge: the client-side and server-side wire-span
-// JSONL files of one served run — written by a client.Tracer and by
-// procserved -trace — become a single clock-aligned Chrome trace with
-// cross-wire flow arrows (load it in chrome://tracing or
-// ui.perfetto.dev).
+// Command proctrace drives a traced workload against a procserved
+// instance (docs/TRACING.md): pooled database/sql statements, a cursored
+// query closed mid-read, a transaction, and a 2-session critical-path
+// bench world. It writes the client half of the wire trace; run
+// procserved with -trace to capture the matching server half, then check
+// and merge the two with procstat.
 //
 // Usage:
 //
-//	proctrace client.jsonl server.jsonl -o merged.json   # merge
-//	proctrace -check client.jsonl server.jsonl           # verify sum-to-total, no output
-//	proctrace -drive 127.0.0.1:7141 -o client.jsonl      # run a traced workload
-//
-// -check verifies every server span's segments partition its wall time
-// exactly and exits nonzero on a violation (it composes with merging:
-// -check -o merged.json does both). -drive runs a small mixed workload
-// against a procserved instance — pooled database/sql statements, a
-// cursored query closed mid-read, a transaction, and a 2-session
-// critical-path bench world — writing the client half of the trace; run
-// procserved with -trace to capture the matching server half.
+//	proctrace -drive 127.0.0.1:7141 -o client.jsonl
+//	procstat -chrome merged.json client.jsonl server.jsonl
 package main
 
 import (
@@ -35,73 +26,18 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "", "output file (merged Chrome trace, or client JSONL under -drive); empty = stdout")
-	check := flag.Bool("check", false, "verify the server-side sum-to-total invariant; exit 1 on violation")
-	drive := flag.String("drive", "", "drive a traced workload against this procserved address instead of merging")
+	out := flag.String("o", "", "client wire-span JSONL output file; empty = stdout")
+	drive := flag.String("drive", "", "procserved address to drive the traced workload against")
 	flag.Parse()
 
-	if *drive != "" {
-		if err := driveWorkload(*drive, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "proctrace: drive: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "proctrace: no trace files (usage: proctrace [-check] [-o merged.json] client.jsonl server.jsonl)")
+	if *drive == "" || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "proctrace: usage: proctrace -drive ADDR [-o client.jsonl] (check and merge traces with procstat)")
 		os.Exit(2)
 	}
-	var spans []obs.WireSpanRecord
-	for _, name := range flag.Args() {
-		f, err := os.Open(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "proctrace: %v\n", err)
-			os.Exit(1)
-		}
-		tr, err := obs.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "proctrace: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		spans = append(spans, tr.WireSpans...)
-	}
-	if len(spans) == 0 {
-		fmt.Fprintln(os.Stderr, "proctrace: no wire spans in the given files")
+	if err := driveWorkload(*drive, *out); err != nil {
+		fmt.Fprintf(os.Stderr, "proctrace: drive: %v\n", err)
 		os.Exit(1)
 	}
-
-	if *check {
-		if errs := obs.CheckWireSpans(spans); len(errs) > 0 {
-			for _, err := range errs {
-				fmt.Fprintf(os.Stderr, "proctrace: check: %v\n", err)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "proctrace: check: %d spans, server segments sum to wall\n", len(spans))
-		if *out == "" {
-			return
-		}
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "proctrace: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	st, err := obs.MergeWireTrace(w, spans)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "proctrace: merge: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "proctrace: merged %d client + %d server spans, %d pairs, %d flow arrows, clock offset %dns\n",
-		st.ClientSpans, st.ServerSpans, st.Pairs, st.Arrows, st.MeanOffsetNs)
 }
 
 // driveWorkload exercises every traced wire path against addr and

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"sort"
@@ -173,10 +172,12 @@ type EntryStats struct {
 	WastedMs float64 `json:"wasted_ms"`
 	// BaselineMs is the from-scratch recompute cost of this entry.
 	BaselineMs float64 `json:"baseline_ms"`
-	// NetBenefitMs = Hits×BaselineMs − (ComputeMs + HitMs + MaintainMs
-	// + InvalMs): simulated milliseconds saved versus recomputing every
-	// access from scratch. Aggregate (entry −1) maintenance is
-	// apportioned equally across entries before this is computed.
+	// NetBenefitMs = (Hits+Computed)×BaselineMs − (ComputeMs + HitMs +
+	// MaintainMs + InvalMs): simulated milliseconds saved versus
+	// recomputing every access from scratch. An access that recomputes
+	// is still an access Always Recompute would pay a baseline for.
+	// Aggregate (entry −1) maintenance is apportioned equally across
+	// entries before this is computed.
 	NetBenefitMs float64 `json:"net_benefit_ms"`
 }
 
@@ -322,7 +323,7 @@ func Analyze(events []LedgerEvent, baselines map[int]float64) LedgerStats {
 		e := per[id]
 		e.BaselineMs = baselines[id]
 		e.MaintainMs += share
-		e.NetBenefitMs = float64(e.Hits)*e.BaselineMs -
+		e.NetBenefitMs = float64(e.Hits+e.Computed)*e.BaselineMs -
 			(e.ComputeMs + e.HitMs + e.MaintainMs + e.InvalMs)
 		st.NetBenefitMs += e.NetBenefitMs
 		st.Entries = append(st.Entries, *e)
@@ -414,48 +415,4 @@ func (r *LedgerRun) BaselineMap() map[int]float64 {
 // Stats analyzes the run's events against its baselines.
 func (r *LedgerRun) Stats() LedgerStats {
 	return Analyze(r.Events, r.BaselineMap())
-}
-
-// ReadLedger parses a (possibly multi-section) ledger file. Unknown
-// record types are skipped so ledger sections can share a stream with
-// flight records.
-func ReadLedger(r io.Reader) ([]LedgerRun, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var runs []LedgerRun
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, fmt.Errorf("cache: ledger line %d: %w", line, err)
-		}
-		switch probe.Type {
-		case RecordLedger:
-			var meta LedgerMeta
-			if err := json.Unmarshal(raw, &meta); err != nil {
-				return nil, fmt.Errorf("cache: ledger line %d: %w", line, err)
-			}
-			runs = append(runs, LedgerRun{Meta: meta})
-		case RecordLedgerEvent:
-			var rec ledgerEventRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return nil, fmt.Errorf("cache: ledger line %d: %w", line, err)
-			}
-			if len(runs) == 0 {
-				return nil, fmt.Errorf("cache: ledger line %d: event before header", line)
-			}
-			runs[len(runs)-1].Events = append(runs[len(runs)-1].Events, rec.LedgerEvent)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return runs, nil
 }

@@ -1,9 +1,7 @@
 package cache
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -38,8 +36,10 @@ func TestAnalyzeLifecycle(t *testing.T) {
 	if e.Computed != 2 || e.Hits != 2 || e.Invalidations != 1 {
 		t.Fatalf("entry counts: %+v", e)
 	}
-	// NetBenefit = 2 hits × 10ms baseline − (20 compute + 2 hit + 0.5 inval).
-	if !approx(e.NetBenefitMs, 2*10-(20+2+0.5)) {
+	// NetBenefit = (2 hits + 2 computes) × 10ms baseline − (20 compute +
+	// 2 hit + 0.5 inval): a recompute is an access Always Recompute pays
+	// for too.
+	if !approx(e.NetBenefitMs, (2+2)*10-(20+2+0.5)) {
 		t.Fatalf("net benefit = %v", e.NetBenefitMs)
 	}
 	if !approx(st.TotalMs, 22.5) {
@@ -111,69 +111,6 @@ func TestResultDigest(t *testing.T) {
 	}
 	if ResultDigest(nil, nil) == 0 {
 		t.Fatal("empty digest must not be 0 (reserved for 'no digest')")
-	}
-}
-
-// TestLedgerRoundTrip serializes two runs into one stream and parses
-// them back, checking section boundaries, baselines and stats survive.
-func TestLedgerRoundTrip(t *testing.T) {
-	l1 := NewLedger()
-	l1.SetBaseline(1, 7)
-	l1.SetBaseline(0, 3)
-	l1.Record(LedgerEvent{Entry: 0, Kind: KindComputed, Op: 2, Session: 1, CostMs: 3, Digest: 42})
-	l1.Record(LedgerEvent{Entry: 0, Kind: KindHit, Op: 5, Session: 0, CostMs: 0.5})
-	l2 := NewLedger()
-	l2.Record(LedgerEvent{Entry: -1, Kind: KindMaintained, CostMs: 2})
-
-	var buf bytes.Buffer
-	if err := WriteLedger(&buf, LedgerMeta{Strategy: "CI", Model: 1, Clients: 1, Seed: 9, Queries: 2, TotalMs: 3.5}, l1); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteLedger(&buf, LedgerMeta{Strategy: "RVM", Model: 2, Clients: 8}, l2); err != nil {
-		t.Fatal(err)
-	}
-
-	runs, err := ReadLedger(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("parsed %d runs, want 2", len(runs))
-	}
-	r1 := runs[0]
-	if r1.Meta.Strategy != "CI" || r1.Meta.Seed != 9 || len(r1.Events) != 2 {
-		t.Fatalf("run 1: %+v", r1.Meta)
-	}
-	// Baselines sorted by entry.
-	if len(r1.Meta.Baselines) != 2 || r1.Meta.Baselines[0].Entry != 0 || r1.Meta.Baselines[1].CostMs != 7 {
-		t.Fatalf("baselines: %+v", r1.Meta.Baselines)
-	}
-	if bm := r1.BaselineMap(); bm[1] != 7 {
-		t.Fatalf("baseline map: %v", bm)
-	}
-	if ev := r1.Events[0]; ev.Digest != 42 || ev.Op != 2 || ev.Session != 1 {
-		t.Fatalf("event round-trip: %+v", ev)
-	}
-	if st := r1.Stats(); !approx(st.TotalMs, 3.5) {
-		t.Fatalf("stats after round-trip: %+v", st)
-	}
-	if runs[1].Meta.Strategy != "RVM" || len(runs[1].Events) != 1 {
-		t.Fatalf("run 2: %+v", runs[1])
-	}
-}
-
-// TestReadLedgerErrors: an event line before any header is a corrupt
-// stream; unknown record types interleave harmlessly.
-func TestReadLedgerErrors(t *testing.T) {
-	if _, err := ReadLedger(strings.NewReader(`{"type":"ledger.event","entry":0,"kind":"hit","op":0,"session":0,"cost_ms":1}` + "\n")); err == nil {
-		t.Fatal("event before header accepted")
-	}
-	runs, err := ReadLedger(strings.NewReader(
-		`{"type":"flight","reason":"tail"}` + "\n" +
-			`{"type":"ledger","strategy":"CI","model":1,"clients":1,"seed":1,"queries":0,"updates":0,"total_ms":0,"baselines":null}` + "\n" +
-			`{"type":"span","name":"op.query"}` + "\n"))
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("interleaved stream: %v, %d runs", err, len(runs))
 	}
 }
 

@@ -303,7 +303,7 @@ func (e *Engine) World() *sim.World { return e.w }
 
 // GCLock is the lock-table resource serializing version-chain garbage
 // collection. Waits on it are MVCC bookkeeping, not update-footprint
-// contention — procdoctor classifies the two separately.
+// contention — procstat classifies the two separately.
 const GCLock = "mvcc:gc"
 
 // phaseName resolves an op's phase index to its schedule name; empty on

@@ -217,7 +217,7 @@ func TestOracleRejectsCorruptedHistory(t *testing.T) {
 // The soak runs with the flight recorder attached and a watchdog hook
 // that records a watchdog.fire event on a stall: because watchdog.fire is
 // an auto-dump trigger, a deadlocked soak leaves a flight dump on disk
-// (render with procstat -flight) before the goroutine dump panics.
+// (render with procstat) before the goroutine dump panics.
 func TestRaceStress(t *testing.T) {
 	rec := telemetry.NewRecorder(1 << 14)
 	dumpPath := filepath.Join(os.TempDir(), fmt.Sprintf("dbproc-race-stress-flight-%d.jsonl", os.Getpid()))

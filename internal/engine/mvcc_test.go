@@ -21,7 +21,7 @@ import (
 // as fast as they can. Meant for -race (scripts/verify.sh tier 3). After
 // each run the lifted history must pass the SI-aware oracle and every
 // procedure must agree with a fresh recompute. A stall leaves a flight
-// dump on disk via the watchdog hook (render with procstat -flight).
+// dump on disk via the watchdog hook (render with procstat).
 func TestMVCCSnapshotSoak(t *testing.T) {
 	rec := telemetry.NewRecorder(1 << 14)
 	dumpPath := filepath.Join(os.TempDir(), fmt.Sprintf("dbproc-mvcc-soak-flight-%d.jsonl", os.Getpid()))

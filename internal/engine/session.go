@@ -241,7 +241,7 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		held.Release()
 		// Version-chain GC runs outside the update's footprint under its
 		// own lock: waits here are MVCC bookkeeping, never update-footprint
-		// contention, and procdoctor classifies them by the mvcc: name.
+		// contention, and procstat classifies them by the mvcc: name.
 		gcHeld := e.locks.AcquireAs(e.gcFP, s.id, "gc")
 		e.w.Disk().GCVersions()
 		gcHeld.Release()

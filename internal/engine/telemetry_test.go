@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dbproc/internal/artifact"
 	"dbproc/internal/costmodel"
 	"dbproc/internal/dbtest"
 	"dbproc/internal/sim"
@@ -52,10 +53,11 @@ func TestFlightRecorderCapturesRun(t *testing.T) {
 	if err := rec.DumpJSONL(&buf, "test"); err != nil {
 		t.Fatal(err)
 	}
-	d, err := telemetry.ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
+	a := &artifact.Set{}
+	if err := a.Add("dump.jsonl", buf.Bytes()); err != nil || len(a.Dumps) != 1 {
+		t.Fatalf("dump: %v, %d dumps", err, len(a.Dumps))
 	}
+	d := a.Dumps[0]
 	kinds := map[string]int{}
 	commits := map[int]bool{}
 	for _, ev := range d.Events {
@@ -345,10 +347,11 @@ func TestViolationTriggersFlightDump(t *testing.T) {
 	if dump.Len() == 0 {
 		t.Fatal("violation did not auto-dump")
 	}
-	d, err := telemetry.ReadDump(bytes.NewReader(dump.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	a := &artifact.Set{}
+	if err := a.Add("dump.jsonl", dump.Bytes()); err != nil || len(a.Dumps) != 1 {
+		t.Fatalf("dump: %v, %d dumps", err, len(a.Dumps))
 	}
+	d := a.Dumps[0]
 	vs := d.Violations()
 	if len(vs) != 1 || vs[0].Detail == "" {
 		t.Fatalf("violations in dump: %+v", vs)

@@ -174,7 +174,7 @@ func scaled(p costmodel.Params, opt Options) costmodel.Params {
 
 // BenchParams is the paper's defaults under opt.Scale: the parameter
 // point ObsBench measures, and the one external harnesses replay a cell
-// at (procdoctor's verdict test regenerates its ledger evidence here).
+// at (procstat's verdict test regenerates its ledger evidence here).
 func BenchParams(opt Options) costmodel.Params {
 	return scaled(costmodel.Default(), opt)
 }

@@ -69,3 +69,41 @@ func TestGoldenScenarioVerdicts(t *testing.T) {
 		return ScenarioBench(context.Background(), Options{Scale: golden.Scale, SimSeed: golden.Seed})
 	})
 }
+
+// TestObsBenchNetBenefitIsMeasuredSaving: each caching row's ledger net
+// benefit in BENCH_obs.json must agree within 5% with the saving the
+// same report measures for it — (Always Recompute ms/query − row
+// ms/query) × queries per cell — so the ledger's answer to "should this
+// procedure be cached?" is the one the simulated totals give.
+func TestObsBenchNetBenefitIsMeasuredSaving(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_obs.json")
+	if err != nil {
+		t.Skipf("benchmark artifact not present: %v", err)
+	}
+	var rep ObsBenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	queriesPerCell := float64(rep.Totals["queries"]) / float64(len(rep.Rows)*rep.SeedsPerRow)
+	recompute := map[string]float64{}
+	for _, r := range rep.Rows {
+		if r.NetBenefitMs == nil {
+			recompute[r.Model] = r.MsPerQuery
+		}
+	}
+	checked := 0
+	for _, r := range rep.Rows {
+		if r.NetBenefitMs == nil {
+			continue
+		}
+		saving := (recompute[r.Model] - r.MsPerQuery) * queriesPerCell
+		if ratio := *r.NetBenefitMs / saving; ratio < 0.95 || ratio > 1.05 {
+			t.Errorf("%s/%s: net benefit %.0f ms, measured saving %.0f ms (ratio %.3f)",
+				r.Model, r.Strategy, *r.NetBenefitMs, saving, ratio)
+		}
+		checked++
+	}
+	if checked != 6 {
+		t.Fatalf("checked %d caching rows, want 6", checked)
+	}
+}

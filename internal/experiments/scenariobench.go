@@ -37,7 +37,7 @@ type ScenarioBenchRow struct {
 	MsPerQuery     float64   `json:"ms_per_query"`
 	PerSeedTotalMs []float64 `json:"per_seed_total_ms"`
 	// LedgerEventMs is the mean cache-lifecycle event cost from the
-	// per-cell efficacy ledger — the evidence procdoctor ranks caching
+	// per-cell efficacy ledger — the evidence procstat ranks caching
 	// strategies by. Nil for Always Recompute (no cache, no events).
 	LedgerEventMs  *float64  `json:"ledger_event_ms,omitempty"`
 	PerSeedLedger  []float64 `json:"per_seed_ledger_event_ms,omitempty"`
@@ -59,7 +59,7 @@ type ScenarioVerdict struct {
 	MarginPct        float64  `json:"margin_pct"`
 	PerSeedWinners   []string `json:"per_seed_winners"`
 	// CachingWinner ranks only the ledger-recording strategies by mean
-	// ledger event cost — the same evidence and ordering procdoctor's
+	// ledger event cost — the same evidence and ordering procstat's
 	// ledger verdict uses, so the two must agree.
 	CachingWinner         string   `json:"caching_winner"`
 	PerSeedCachingWinners []string `json:"per_seed_caching_winners"`
@@ -243,7 +243,7 @@ func ScenarioBench(ctx context.Context, opt Options) ScenarioBenchReport {
 
 // deriveVerdict ranks one scenario × model's strategy rows. Winners are
 // strict minima walked in canonical strategy order, so ties break to
-// the earlier strategy — the same stable ordering procdoctor's
+// the earlier strategy — the same stable ordering procstat's
 // sort.SliceStable ledger ranking produces.
 func deriveVerdict(scenario, model string, rows []ScenarioBenchRow) ScenarioVerdict {
 	v := ScenarioVerdict{Scenario: scenario, Model: model}
@@ -280,7 +280,7 @@ func deriveVerdict(scenario, model string, rows []ScenarioBenchRow) ScenarioVerd
 			v.PerSeedWinners = append(v.PerSeedWinners, rows[best].Strategy)
 		}
 	}
-	// Caching-only ranking by ledger event cost (procdoctor's metric).
+	// Caching-only ranking by ledger event cost (procstat's metric).
 	best := -1
 	for i, r := range rows {
 		if r.LedgerEventMs == nil {
@@ -312,7 +312,7 @@ func deriveVerdict(scenario, model string, rows []ScenarioBenchRow) ScenarioVerd
 
 // DeriveScenarioVerdict re-derives the winner verdict for one
 // scenario × model cell from its rows alone — the same procedure
-// ScenarioBench runs, exported so procadvisor -scenarios can check a
+// ScenarioBench runs, exported so procstat can check a
 // report's recorded verdicts against the evidence that produced them.
 // The returned verdict carries no polite baseline (PoliteWinner and
 // Flipped are cross-scenario facts the caller fills in).

@@ -82,7 +82,7 @@ func TestScenarioBenchShape(t *testing.T) {
 }
 
 // TestScenarioBenchVerdictMatchesRows re-derives every verdict from the
-// report's rows alone — the same re-derivation procadvisor -scenarios
+// report's rows alone — the same re-derivation procstat
 // performs — and checks it reproduces the recorded winners.
 func TestScenarioBenchVerdictMatchesRows(t *testing.T) {
 	defer dbtest.Watchdog(t, 4*time.Minute)()

@@ -92,70 +92,6 @@ func TestTracerEndMismatchPanics(t *testing.T) {
 	tr.End(outer)
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	m := metric.NewMeter(metric.DefaultCosts())
-	tr := NewTracer()
-	tr.Bind(m)
-	sp := tr.Begin("op.update")
-	m.DeltaOp(3)
-	sp.Set("cache", "cold")
-	tr.End(sp)
-
-	cf := 0.25
-	run := RunRecord{
-		Type: RecordRun, Run: "Cache and Invalidate", Strategy: "Cache and Invalidate",
-		Model: "model 1", Seed: 1, Queries: 10, Updates: 5,
-		MeasuredMsPerQuery: 100, PredictedMsPerQuery: 90, ColdFraction: &cf,
-	}
-	bd := m.Breakdown()
-	var buf bytes.Buffer
-	recs := []any{run, BreakdownToRecord("Cache and Invalidate", bd, m.Costs())}
-	for _, s := range tr.Records("Cache and Invalidate") {
-		recs = append(recs, s)
-	}
-	if err := WriteJSONL(&buf, recs...); err != nil {
-		t.Fatal(err)
-	}
-
-	tc, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tc.Runs) != 1 || len(tc.Breakdowns) != 1 || len(tc.Spans) != 1 {
-		t.Fatalf("parsed %d runs, %d breakdowns, %d spans", len(tc.Runs), len(tc.Breakdowns), len(tc.Spans))
-	}
-	if tc.Runs[0].ColdFraction == nil || *tc.Runs[0].ColdFraction != 0.25 {
-		t.Fatalf("cold fraction lost: %+v", tc.Runs[0])
-	}
-	got := tc.Spans[0]
-	if got.Name != "op.update" || got.DurMs != 3 || got.Counters.DeltaOps != 3 {
-		t.Fatalf("span mangled: %+v", got)
-	}
-	if got.Attrs["cache"] != "cold" {
-		t.Fatalf("span attrs mangled: %+v", got.Attrs)
-	}
-	// The breakdown record's component sums must reproduce the aggregate.
-	var total metric.Counters
-	for _, c := range tc.Breakdowns[0].Components {
-		total = total.Add(c.Counters())
-	}
-	if total != m.Snapshot() {
-		t.Fatalf("breakdown record total %v != snapshot %v", total, m.Snapshot())
-	}
-}
-
-func TestReadTraceSkipsUnknownTypes(t *testing.T) {
-	in := strings.NewReader(`{"type":"future-record","x":1}` + "\n" +
-		`{"type":"run","run":"r","strategy":"s","model":"m","measured_ms_per_query":1,"predicted_ms_per_query":1}` + "\n")
-	tc, err := ReadTrace(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tc.Runs) != 1 {
-		t.Fatalf("parsed %d runs, want 1", len(tc.Runs))
-	}
-}
-
 func TestChromeTraceExport(t *testing.T) {
 	spans := []SpanRecord{
 		{Type: RecordSpan, Run: "A", ID: 1, Name: "op.query", StartMs: 10, DurMs: 5,

@@ -8,7 +8,8 @@
 // reproducible for a given seed. The package depends only on internal/
 // metric; the execution stack (storage, query, proc, avm, rete, sim)
 // threads a *Tracer through its layers, and all tracing calls are nil-safe
-// so a disabled tracer costs one nil check.
+// so a disabled tracer costs one nil check. Package artifact reads the
+// records written here back.
 //
 // See docs/OBSERVABILITY.md for the trace schema and the procsim/procstat
 // workflow.
@@ -356,68 +357,6 @@ func EncodeJSONL(records ...any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// Trace is the parsed contents of one or more trace files.
-type Trace struct {
-	Spans      []SpanRecord
-	Runs       []RunRecord
-	Breakdowns []BreakdownRecord
-	// WireSpans are the wall-clock served-request spans
-	// (docs/TRACING.md); client and server files both contribute here.
-	WireSpans []WireSpanRecord
-}
-
-// ReadTrace parses a JSONL trace stream, dispatching lines on their "type"
-// field. Unknown record types are skipped so trace formats can grow.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	tr := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
-		}
-		switch probe.Type {
-		case RecordSpan:
-			var rec SpanRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
-			}
-			tr.Spans = append(tr.Spans, rec)
-		case RecordRun:
-			var rec RunRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
-			}
-			tr.Runs = append(tr.Runs, rec)
-		case RecordBreakdown:
-			var rec BreakdownRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
-			}
-			tr.Breakdowns = append(tr.Breakdowns, rec)
-		case RecordWireSpan:
-			var rec WireSpanRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
-			}
-			tr.WireSpans = append(tr.WireSpans, rec)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }
 
 // WriteChromeTrace renders span records in the Chrome trace-event format

@@ -17,8 +17,8 @@ import (
 // spans the driver call (send → response decoded), the server side
 // spans the request's service (dispatch → response build), and the two
 // are tied together by the trace context the request frame propagated.
-// Both sides write the same JSONL record type, so one reader
-// (ReadTrace) parses either file and proctrace merges them.
+// Both sides write the same JSONL record type, so the one loader
+// (artifact.Load) reads either file and procstat checks and merges them.
 
 // RecordWireSpan is the "type" field of a wire-span JSONL line.
 const RecordWireSpan = "wire_span"

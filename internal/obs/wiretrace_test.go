@@ -110,44 +110,6 @@ func TestCheckWireSpans(t *testing.T) {
 	}
 }
 
-func TestWireSpanSinkRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewWireSpanSink(&buf)
-	recs := []WireSpanRecord{
-		{Side: SideClient, TraceID: "t", SpanID: "c1", Name: "stmt", StartUnixNs: 10, DurNs: 5},
-		{Side: SideServer, TraceID: "t", SpanID: "s1", ParentSpanID: "c1", Name: "stmt",
-			StartUnixNs: 11, DurNs: 3, Phase: "crowd",
-			Segments: map[string]int64{"admission": 1, "compute": 2}},
-	}
-	for _, r := range recs {
-		if err := sink.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sink.Count() != 2 {
-		t.Fatalf("count = %d", sink.Count())
-	}
-	// A nil sink must be a no-op.
-	var nilSink *WireSpanSink
-	if err := nilSink.Write(recs[0]); err != nil || nilSink.Count() != 0 {
-		t.Fatal("nil sink not a no-op")
-	}
-	tr, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.WireSpans) != 2 {
-		t.Fatalf("ReadTrace parsed %d wire spans, want 2", len(tr.WireSpans))
-	}
-	got := tr.WireSpans[1]
-	if got.Phase != "crowd" || got.Segments["compute"] != 2 || got.ParentSpanID != "c1" {
-		t.Fatalf("round-tripped span = %+v", got)
-	}
-	if errs := CheckWireSpans(tr.WireSpans); len(errs) != 0 {
-		t.Fatalf("sink output violates sum-to-total: %v", errs)
-	}
-}
-
 func TestNewTraceIDUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {

@@ -198,8 +198,11 @@ func Build(cfg Config) *World {
 
 	// Attach the efficacy ledger after Prepare so setup work records no
 	// events, and measure each entry's from-scratch recompute baseline on
-	// a throwaway meter (the world's counters stay untouched).
+	// a throwaway meter (the world's counters stay untouched). The load's
+	// dirty frames are flushed first, so the measuring pager reads the
+	// loaded relations from the disk.
 	if l := cfg.Ledger; l != nil {
+		pager.BeginOp()
 		for _, id := range w.ProcIDs() {
 			bm := metric.NewMeter(costs)
 			bpg := storage.NewPager(pager.Disk(), bm)

@@ -286,7 +286,7 @@ func (m *mvccState) endEpoch() {
 // returns the number of pages returned to the allocator. Safe to call
 // concurrently with readers and with an open epoch; the engine wraps
 // calls in the "mvcc:gc" lock so residual waits are attributable (see
-// procdoctor).
+// procstat).
 func (d *Disk) GCVersions() int {
 	m := &d.mvcc
 	m.mu.Lock()

@@ -1,4 +1,4 @@
-package telemetry
+package telemetry_test
 
 import (
 	"bytes"
@@ -9,21 +9,23 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"dbproc/internal/telemetry"
 )
 
-type staticSource []Metric
+type staticSource []telemetry.Metric
 
-func (s staticSource) TelemetryMetrics() []Metric { return s }
+func (s staticSource) TelemetryMetrics() []telemetry.Metric { return s }
 
 func TestHubMetricsEndpoint(t *testing.T) {
-	h := NewHub()
-	rec := NewRecorder(16)
+	h := telemetry.NewHub()
+	rec := telemetry.NewRecorder(16)
 	h.SetRecorder(rec)
-	rec.Op(EvOpCommit, 0, 0, "q", 0, 0)
+	rec.Op(telemetry.EvOpCommit, 0, 0, "q", 0, 0)
 	h.SetSource(staticSource{
-		Counter("dbproc_ops_committed_total", "Committed ops.", 42, nil),
-		Counter("dbproc_lock_wait_seconds_total", "Lock wait.", 0.5, map[string]string{"lock": "rel:r1"}),
-		Counter("dbproc_lock_wait_seconds_total", "Lock wait.", 0.25, map[string]string{"lock": `we"ird\`}),
+		telemetry.Counter("dbproc_ops_committed_total", "Committed ops.", 42, nil),
+		telemetry.Counter("dbproc_lock_wait_seconds_total", "Lock wait.", 0.5, map[string]string{"lock": "rel:r1"}),
+		telemetry.Counter("dbproc_lock_wait_seconds_total", "Lock wait.", 0.25, map[string]string{"lock": `we"ird\`}),
 	})
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
@@ -50,49 +52,39 @@ func TestHubMetricsEndpoint(t *testing.T) {
 }
 
 func TestHubEventsEndpoint(t *testing.T) {
-	h := NewHub()
-	rec := NewRecorder(64)
+	h := telemetry.NewHub()
+	rec := telemetry.NewRecorder(64)
 	h.SetRecorder(rec)
 	for i := 0; i < 10; i++ {
-		rec.Op(EvOpCommit, i%2, i, "q", 0, 0)
+		rec.Op(telemetry.EvOpCommit, i%2, i, "q", 0, 0)
 	}
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 
-	d, err := ReadDump(strings.NewReader(get(t, srv.URL+"/events")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Events) != 10 || d.Headers[0].Reason != "tail" {
-		t.Fatalf("tail: %d events, header %+v", len(d.Events), d.Headers)
+	d := readDump(t, get(t, srv.URL+"/events"))
+	if len(d.Events) != 10 || d.Header.Reason != "tail" {
+		t.Fatalf("tail: %d events, header %+v", len(d.Events), d.Header)
 	}
 
-	d, err = ReadDump(strings.NewReader(get(t, srv.URL+"/events?n=3")))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d = readDump(t, get(t, srv.URL+"/events?n=3"))
 	if len(d.Events) != 3 || d.Events[0].Seq != 7 {
 		t.Fatalf("n=3 tail: %+v", d.Events)
 	}
-	if d.Headers[0].Dropped != 7 {
-		t.Fatalf("n=3 dropped = %d, want 7", d.Headers[0].Dropped)
+	if d.Header.Dropped != 7 {
+		t.Fatalf("n=3 dropped = %d, want 7", d.Header.Dropped)
 	}
 }
 
 func TestHubEventsWithoutRecorder(t *testing.T) {
-	srv := httptest.NewServer(NewHub().Handler())
+	srv := httptest.NewServer(telemetry.NewHub().Handler())
 	defer srv.Close()
-	d, err := ReadDump(strings.NewReader(get(t, srv.URL+"/events")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Headers) != 1 || d.Headers[0].Events != 0 {
-		t.Fatalf("header = %+v", d.Headers)
+	if d := readDump(t, get(t, srv.URL+"/events")); d.Header.Events != 0 || len(d.Events) != 0 {
+		t.Fatalf("dump = %+v", d)
 	}
 }
 
 func TestHubDebugEndpointsAndIndex(t *testing.T) {
-	srv := httptest.NewServer(NewHub().Handler())
+	srv := httptest.NewServer(telemetry.NewHub().Handler())
 	defer srv.Close()
 	if body := get(t, srv.URL+"/debug/vars"); !strings.Contains(body, "memstats") {
 		t.Errorf("/debug/vars missing memstats")
@@ -114,7 +106,7 @@ func TestHubDebugEndpointsAndIndex(t *testing.T) {
 }
 
 func TestHubListenAndServeClose(t *testing.T) {
-	h := NewHub()
+	h := telemetry.NewHub()
 	addr, err := h.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +121,7 @@ func TestHubListenAndServeClose(t *testing.T) {
 	if err := h.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	var nilHub *Hub
+	var nilHub *telemetry.Hub
 	if err := nilHub.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +131,10 @@ func TestHubListenAndServeClose(t *testing.T) {
 
 func TestWriteMetricsGrouping(t *testing.T) {
 	var buf bytes.Buffer
-	WriteMetrics(&buf, []Metric{
-		Gauge("b_metric", "B.", 2, nil),
-		Counter("a_metric", "A.", 1, map[string]string{"x": "1"}),
-		Counter("a_metric", "", 3, map[string]string{"x": "2"}),
+	telemetry.WriteMetrics(&buf, []telemetry.Metric{
+		telemetry.Gauge("b_metric", "B.", 2, nil),
+		telemetry.Counter("a_metric", "A.", 1, map[string]string{"x": "1"}),
+		telemetry.Counter("a_metric", "", 3, map[string]string{"x": "2"}),
 	})
 	out := buf.String()
 	// Families sorted by name, samples kept in insertion order.
@@ -159,8 +151,8 @@ func TestWriteMetricsGrouping(t *testing.T) {
 // the index. A missing header makes Go sniff the body, which misreports
 // JSONL tails as text/plain and breaks strict scrapers.
 func TestHubContentTypes(t *testing.T) {
-	h := NewHub()
-	h.SetRecorder(NewRecorder(16))
+	h := telemetry.NewHub()
+	h.SetRecorder(telemetry.NewRecorder(16))
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()
 
@@ -186,11 +178,11 @@ func TestHubContentTypes(t *testing.T) {
 // the body ends with a newline — the buffered writer must flush the
 // final event before the handler returns.
 func TestHubEventsTailComplete(t *testing.T) {
-	h := NewHub()
-	rec := NewRecorder(256)
+	h := telemetry.NewHub()
+	rec := telemetry.NewRecorder(256)
 	h.SetRecorder(rec)
 	for i := 0; i < 200; i++ {
-		rec.Op(EvOpCommit, i%4, i, "q", int64(i), 0)
+		rec.Op(telemetry.EvOpCommit, i%4, i, "q", int64(i), 0)
 	}
 	srv := httptest.NewServer(h.Handler())
 	defer srv.Close()

@@ -249,7 +249,7 @@ type ContentionRecord struct {
 }
 
 // DumpJSONL writes the dump header followed by every retained event, one
-// JSON object per line. The output round-trips through ReadDump and
+// JSON object per line. The output round-trips through artifact.Load and
 // renders with `procstat`.
 func (r *Recorder) DumpJSONL(w io.Writer, reason string) error {
 	if r == nil {
@@ -325,11 +325,11 @@ func WriteTimeline(w io.Writer, events []Event, dropped int64, mark func(Event) 
 	}
 }
 
-// Dump is the parsed contents of a flight-recorder JSONL dump.
+// Dump is one parsed flight-recorder dump: its header and the events
+// that follow it (artifact.Load reads them).
 type Dump struct {
-	Headers    []FlightRecord
-	Events     []Event
-	Contention []ContentionRecord
+	Header FlightRecord
+	Events []Event
 }
 
 // Violations returns the oracle-violation events in the dump.
@@ -341,53 +341,6 @@ func (d *Dump) Violations() []Event {
 		}
 	}
 	return out
-}
-
-// ReadDump parses a flight-recorder JSONL stream. Unknown record types
-// are skipped, so a dump can ride inside an obs trace file (and vice
-// versa) without either reader choking.
-func ReadDump(r io.Reader) (*Dump, error) {
-	d := &Dump{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("telemetry: dump line %d: %w", lineNo, err)
-		}
-		switch probe.Type {
-		case RecordFlight:
-			var rec FlightRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("telemetry: dump line %d: %w", lineNo, err)
-			}
-			d.Headers = append(d.Headers, rec)
-		case RecordEvent:
-			var rec EventRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("telemetry: dump line %d: %w", lineNo, err)
-			}
-			d.Events = append(d.Events, rec.Event)
-		case RecordContention:
-			var rec ContentionRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("telemetry: dump line %d: %w", lineNo, err)
-			}
-			d.Contention = append(d.Contention, rec)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // RenderContention writes one contention record as an aligned top-K

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -80,106 +78,6 @@ func TestRecorderConcurrent(t *testing.T) {
 		if events[i].I <= events[i-1].I {
 			t.Fatalf("snapshot not strictly ordered at %d", i)
 		}
-	}
-}
-
-func TestDumpRoundTrip(t *testing.T) {
-	r := NewRecorder(64)
-	r.Op(EvOpBegin, 0, -1, "query", 0, 0)
-	r.Op(EvLockAcquire, 0, -1, "rel:r1", 1500, 0)
-	r.Op(EvOpCommit, 0, 7, "query", 0, 2500)
-	r.Record(Event{Kind: EvViolation, Session: -1, Seq: -1, Detail: "no serial order", Seqs: []int{5, 7}})
-
-	var buf bytes.Buffer
-	if err := r.DumpJSONL(&buf, "test"); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Headers) != 1 || d.Headers[0].Reason != "test" || d.Headers[0].Events != 4 {
-		t.Fatalf("header = %+v", d.Headers)
-	}
-	if len(d.Events) != 4 {
-		t.Fatalf("events = %d, want 4", len(d.Events))
-	}
-	if d.Events[1].Kind != EvLockAcquire || d.Events[1].WaitNs != 1500 {
-		t.Fatalf("lock event = %+v", d.Events[1])
-	}
-	v := d.Violations()
-	if len(v) != 1 || len(v[0].Seqs) != 2 || v[0].Seqs[1] != 7 {
-		t.Fatalf("violations = %+v", v)
-	}
-	// Sessions and seqs survive as -1, not 0.
-	if d.Events[0].Seq != -1 || v[0].Session != -1 {
-		t.Fatalf("n/a fields lost: %+v %+v", d.Events[0], v[0])
-	}
-}
-
-func TestReadDumpSkipsUnknownTypes(t *testing.T) {
-	in := `{"type":"span","name":"x"}
-{"type":"flight","reason":"tail","events":1}
-
-{"type":"event","i":0,"t_ns":5,"kind":"op.commit","session":1,"seq":2}
-{"type":"contention","run":"ci","locks":[{"name":"rel:r1","acquires":3,"wait_share":1}]}
-{"type":"run","strategy":"ci"}`
-	d, err := ReadDump(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Headers) != 1 || len(d.Events) != 1 || len(d.Contention) != 1 {
-		t.Fatalf("parsed %d/%d/%d", len(d.Headers), len(d.Events), len(d.Contention))
-	}
-	if d.Contention[0].Locks[0].Name != "rel:r1" {
-		t.Fatalf("contention = %+v", d.Contention[0])
-	}
-}
-
-func TestAutoDumpOnTriggerKinds(t *testing.T) {
-	r := NewRecorder(32)
-	var buf bytes.Buffer
-	r.SetAutoDumpWriter(&buf)
-	r.Op(EvOpCommit, 0, 0, "q", 0, 0)
-	if buf.Len() != 0 {
-		t.Fatal("non-trigger kind dumped")
-	}
-	r.Record(Event{Kind: EvWatchdog, Session: -1, Seq: -1, Detail: "stall"})
-	d, err := ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Headers) != 1 || d.Headers[0].Reason != EvWatchdog {
-		t.Fatalf("header = %+v", d.Headers)
-	}
-	if len(d.Events) != 2 {
-		t.Fatalf("events = %d, want 2 (commit + watchdog)", len(d.Events))
-	}
-}
-
-func TestAutoDumpFile(t *testing.T) {
-	r := NewRecorder(32)
-	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	r.SetAutoDumpFile(path)
-	r.Op(EvOpCommit, 0, 0, "q", 0, 0)
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("dump file created before any trigger")
-	}
-	r.Record(Event{Kind: EvFault, Session: -1, Seq: -1, Detail: "device dead after 2 writes"})
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("auto-dump file: %v", err)
-	}
-	defer f.Close()
-	d, err := ReadDump(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Headers[0].Reason != EvFault {
-		t.Fatalf("reason = %q", d.Headers[0].Reason)
-	}
-	if len(d.Events) != 2 || d.Events[0].Kind != EvOpCommit || d.Events[1].Detail != "device dead after 2 writes" {
-		t.Fatalf("events = %+v", d.Events)
 	}
 }
 

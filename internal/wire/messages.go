@@ -120,7 +120,7 @@ type TraceContext struct {
 // RecomputeNs the engine critical-path segments, and ComputeNs the
 // remainder — computed as WallNs minus the others, so the sum-to-total
 // invariant holds by construction and is asserted end to end by
-// TestServerBreakdownSumsToWall and proctrace -check.
+// TestServerBreakdownSumsToWall and procstat.
 type ServerBreakdown struct {
 	// SpanID is the server-side span exported for this request, a child
 	// of the propagated TraceContext.SpanID.

@@ -10,10 +10,10 @@
 #      the trace,
 #   2. SIGINTs the server and requires a clean drain that reports the
 #      server half's span count,
-#   3. merges the two halves with proctrace -check -o: every server
-#      span's segments must sum exactly to its wall time, and the merged
-#      Chrome trace must pair client and server spans with cross-wire
-#      flow arrows.
+#   3. checks and merges the two halves with procstat -chrome: every
+#      server span's segments must sum exactly to its wall time, and the
+#      merged Chrome trace must pair client and server spans with
+#      cross-wire flow arrows.
 #
 # Run from the repository root: sh scripts/trace_smoke.sh
 # CI runs it as the trace-smoke job (.github/workflows/ci.yml);
@@ -29,6 +29,7 @@ mkdir -p "$ART"
 
 go build -o "$SMOKE/procserved" ./cmd/procserved
 go build -o "$SMOKE/proctrace" ./cmd/proctrace
+go build -o "$SMOKE/procstat" ./cmd/procstat
 
 "$SMOKE/procserved" -listen 127.0.0.1:0 -trace "$ART/server.jsonl" \
     >"$ART/served-out.txt" 2>"$ART/served-err.txt" &
@@ -60,13 +61,13 @@ grep -q '^procserved: bye$' "$ART/served-err.txt" || {
 grep -q 'procserved: wrote [1-9][0-9]* wire spans' "$ART/served-err.txt" || {
     echo "trace smoke: FAIL - procserved flushed no wire spans"; exit 1; }
 
-# Merge both halves. -check enforces the sum-to-total invariant on every
-# server span; a violation exits nonzero and fails the smoke.
-"$SMOKE/proctrace" -check -o "$ART/merged.json" \
-    "$ART/client.jsonl" "$ART/server.jsonl" 2>"$ART/merge-err.txt" || {
-    cat "$ART/merge-err.txt"
-    echo "trace smoke: FAIL - proctrace -check rejected the trace"; exit 1; }
-grep -q 'server segments sum to wall' "$ART/merge-err.txt" || {
+# Merge both halves. procstat enforces the sum-to-total invariant on
+# every server span; a violation exits nonzero and fails the smoke.
+"$SMOKE/procstat" -chrome "$ART/merged.json" \
+    "$ART/client.jsonl" "$ART/server.jsonl" >"$ART/merge-out.txt" 2>&1 || {
+    cat "$ART/merge-out.txt"
+    echo "trace smoke: FAIL - procstat rejected the trace"; exit 1; }
+grep -q 'server segments sum to wall' "$ART/merge-out.txt" || {
     echo "trace smoke: FAIL - no sum-to-total confirmation"; exit 1; }
 
 # The merged Chrome trace must actually pair the two processes: every
@@ -74,7 +75,7 @@ grep -q 'server segments sum to wall' "$ART/merge-err.txt" || {
 # each a flow start ("ph":"s") plus a flow finish ("ph":"f") — so both
 # counts must equal twice the pair count. The merge is a single JSON
 # line, so count matches with grep -o rather than per-line grep -c.
-PAIRS=$(sed -n 's/.*merged.*spans, \([0-9]*\) pairs.*/\1/p' "$ART/merge-err.txt")
+PAIRS=$(sed -n 's/.*merged.*spans, \([0-9]*\) pairs.*/\1/p' "$ART/merge-out.txt")
 case "$PAIRS" in
     ''|0) echo "trace smoke: FAIL - merge paired no spans (got '$PAIRS')"; exit 1 ;;
 esac

@@ -15,7 +15,7 @@
 #           determinism oracles, fuzz smokes), the telemetry smoke
 #           (docs/TELEMETRY.md: -listen endpoints, procmon, procstat),
 #           the diagnosis smoke (docs/DIAGNOSIS.md: -critpath,
-#           -ledger, procdoctor), and the serving guards
+#           -ledger, procstat), and the serving guards
 #           (docs/SERVING.md: wire-frame fuzz smokes, the served race
 #           soak + driver conformance under -race, the procserved
 #           process smoke via scripts/server_smoke.sh), the
@@ -41,7 +41,7 @@
 # Environment knobs:
 #   VERIFY_MAX_TIER=N        stop after tier N (CI runs tiers 1-2)
 #   VERIFY_ARTIFACTS=DIR     keep the tier-3 smoke artifacts (metrics
-#                            scrape, flight tail, ledger, doctor report)
+#                            scrape, flight tail, ledger, ledger report)
 #                            in DIR instead of a deleted temp dir — CI
 #                            uploads this directory when the soak fails
 
@@ -236,12 +236,12 @@ sh scripts/scenario_smoke.sh
 
 # Telemetry smoke: a live concurrent procsim must expose /metrics that
 # procmon can scrape (with the run's committed-op and per-lock counters),
-# a flight tail that round-trips through procstat -flight, and a clean
-# SIGINT shutdown.
-echo "telemetry smoke: procsim -listen / procmon / procstat -flight"
+# a flight tail that round-trips through procstat, and a clean SIGINT
+# shutdown.
+echo "telemetry smoke: procsim -listen / procmon / procstat"
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
-# Smoke artifacts (metrics scrape, flight tail, ledger, doctor report) go
+# Smoke artifacts (metrics scrape, flight tail, ledger, ledger report) go
 # to VERIFY_ARTIFACTS when set — kept for CI upload — else to the
 # deleted temp dir.
 ART="${VERIFY_ARTIFACTS:-$SMOKE}"
@@ -249,7 +249,6 @@ mkdir -p "$ART"
 go build -o "$SMOKE/procsim" ./cmd/procsim
 go build -o "$SMOKE/procmon" ./cmd/procmon
 go build -o "$SMOKE/procstat" ./cmd/procstat
-go build -o "$SMOKE/procdoctor" ./cmd/procdoctor
 "$SMOKE/procsim" -N 600 -f 0.0133 -N1 3 -N2 3 -k 15 -q 25 \
     -clients 8 -strategy ci -listen 127.0.0.1:0 \
     -critpath -ledger "$ART/ledger.jsonl" -flight "$ART/flight.jsonl" \
@@ -284,7 +283,7 @@ grep -q '^dbproc_critpath_seconds_total{segment="compute"}' "$ART/metrics.txt" |
 grep -q 'critical path:' "$ART/blame.txt" || {
     echo "verify: FAIL - procmon -blame rendered no critical-path panel"; exit 1; }
 "$SMOKE/procmon" -addr "$ADDR" -tail 32 >"$ART/flight-tail.jsonl"
-"$SMOKE/procstat" -flight "$ART/flight-tail.jsonl" >"$ART/flightview.txt"
+"$SMOKE/procstat" "$ART/flight-tail.jsonl" >"$ART/flightview.txt"
 grep -q 'op.commit' "$ART/flightview.txt" || {
     echo "verify: FAIL - flight tail did not round-trip through procstat"; exit 1; }
 kill -INT "$SIM_PID"
@@ -293,10 +292,10 @@ echo "telemetry smoke: OK"
 
 # Causal diagnosis smoke: the ledger the run just wrote must parse and
 # yield a strategy section with a dominant bottleneck (docs/DIAGNOSIS.md).
-echo "diagnosis smoke: procdoctor -ledger"
-"$SMOKE/procdoctor" -ledger "$ART/ledger.jsonl" >"$ART/doctor.txt"
-grep -q 'dominant bottleneck:' "$ART/doctor.txt" || {
-    echo "verify: FAIL - procdoctor found no dominant bottleneck in the smoke ledger"; exit 1; }
+echo "diagnosis smoke: procstat ledger"
+"$SMOKE/procstat" "$ART/ledger.jsonl" >"$ART/ledger-report.txt"
+grep -q 'dominant bottleneck:' "$ART/ledger-report.txt" || {
+    echo "verify: FAIL - procstat found no dominant bottleneck in the smoke ledger"; exit 1; }
 echo "diagnosis smoke: OK"
 if [ -n "${VERIFY_ARTIFACTS:-}" ]; then
     echo "smoke artifacts kept in $ART"
