@@ -36,7 +36,7 @@ func TestServedScenarioSmoke(t *testing.T) {
 	res, err := experiments.DriveServed(ctx, addr, &wire.WorldOpen{
 		Params: params, Model: "2", Strategy: "ci",
 		Seed: 61, Scenario: "hot-key-storm", R2UpdateFraction: 0.3, Clients: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestServedScenarioMultiSession(t *testing.T) {
 	res, err := experiments.DriveServed(context.Background(), addr, &wire.WorldOpen{
 		Params: identityParams(12, 20), Model: "2", Strategy: "uc-avm",
 		Seed: 62, Scenario: "storm-adversarial", Clients: 4,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

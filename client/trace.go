@@ -184,11 +184,12 @@ func (t *Tracer) finish(connID int64, tc *wire.TraceContext, name string, start 
 	t.sink.Write(rec)
 }
 
-// DialTraced is Dial with every request traced through t.
+// DialTraced is Dial with every request traced through t; a nil t
+// dials untraced, as Dial does.
 func DialTraced(addr string, t *Tracer) (*Conn, error) {
 	c, err := Dial(addr)
-	if err != nil {
-		return nil, err
+	if err != nil || t == nil {
+		return c, err
 	}
 	c.tracer = t
 	c.connID = t.register()

@@ -46,7 +46,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 
 	"dbproc/internal/artifact"
 	"dbproc/internal/obs"
@@ -134,15 +133,6 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// splitName mirrors the tracer's span-name convention: the component is
-// the part before the first dot.
-func splitName(name string) (comp, event string) {
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		return name[:i], name[i+1:]
-	}
-	return name, ""
-}
-
 // traceReport renders the span-trace sections: the run table, the span
 // view, the breakdowns and the drift summary, and the Chrome export of
 // the spans.
@@ -193,8 +183,8 @@ func traceReport(w io.Writer, a *artifact.Set, o options) error {
 	return writeChrome(w, o.chrome, func(f io.Writer) error { return obs.WriteChromeTrace(f, spans) })
 }
 
-// spanView renders span records in one pass: latency histograms keyed
-// component.event like the live registry, then per-run totals — spans,
+// spanView renders span records in one pass: a latency histogram per
+// span name, in first-seen order, then per-run totals — spans,
 // simulated ms, spans carrying lock-wait blame edges — with each run's
 // top span names by total cost.
 func spanView(w io.Writer, spans []obs.SpanRecord, topK int) {
@@ -208,12 +198,18 @@ func spanView(w io.Writer, spans []obs.SpanRecord, topK int) {
 		byName       map[string]float64
 		names        []string
 	}
-	reg := obs.NewRegistry()
+	hists := map[string]*obs.Histogram{}
+	var names []string
 	var runs []*runTotal
 	idx := map[string]*runTotal{}
 	for _, sp := range spans {
-		comp, event := splitName(sp.Name)
-		reg.Observe(comp, event, sp.DurMs)
+		h := hists[sp.Name]
+		if h == nil {
+			h = obs.NewHistogram(nil)
+			hists[sp.Name] = h
+			names = append(names, sp.Name)
+		}
+		h.Observe(sp.DurMs)
 		rt, ok := idx[sp.Run]
 		if !ok {
 			rt = &runTotal{run: sp.Run, byName: map[string]float64{}}
@@ -231,7 +227,10 @@ func spanView(w io.Writer, spans []obs.SpanRecord, topK int) {
 		}
 	}
 	fmt.Fprintf(w, "\nper-operation latency, %d spans (simulated ms):\n\n", len(spans))
-	reg.Render(w)
+	for _, name := range names {
+		fmt.Fprintf(w, "%s:\n", name)
+		hists[name].Render(w)
+	}
 	fmt.Fprintf(w, "\nspan totals by run:\n")
 	for _, rt := range runs {
 		fmt.Fprintf(w, "  run %q: %d spans, %.1f ms simulated, %d span(s) carrying lock-wait blame edges\n",

@@ -86,12 +86,20 @@ func sequentialTrace(t *testing.T) []byte {
 	return encode(t, records...)
 }
 
-// concurrentTrace is what procsim -clients 2 -trace writes: spans and
-// one contention record per run, and no run records.
+// concurrentTrace is what procsim -clients 2 -trace writes for one
+// strategy: its run record, breakdown and spans, then its contention
+// record.
 func concurrentTrace(t *testing.T) []byte {
+	cfg := smallConfig(costmodel.UpdateCacheRVM)
 	opt := engine.Options{Clients: 2, Tracer: obs.NewTracer()}
-	res := engine.New(smallConfig(costmodel.UpdateCacheRVM), opt).Run(context.Background())
-	records := []any{}
+	e := engine.New(cfg, opt)
+	res := e.Run(context.Background())
+	records := []any{
+		obs.RunRecord{Type: obs.RecordRun, Run: "uc-rvm", Strategy: cfg.Strategy.String(), Model: cfg.Model.String(),
+			Seed: cfg.Seed, Queries: res.Queries, Updates: res.Updates,
+			MeasuredMsPerQuery: res.SimTotalMs / float64(res.Queries), PredictedMsPerQuery: cfg.PredictedMs()},
+		obs.BreakdownToRecord("uc-rvm", res.Breakdown, e.World().Meter().Costs()),
+	}
 	for _, sp := range opt.Tracer.Records("uc-rvm") {
 		records = append(records, sp)
 	}
@@ -177,7 +185,7 @@ func scenarioFile(t *testing.T) []byte {
 
 // Section markers, one per artifact kind.
 var (
-	traceSections    = []string{"ci           Cache and Invalidate", "per-operation latency", "span totals by run:", "breakdown [ci]:", "model drift"}
+	traceSections    = []string{"ci           Cache and Invalidate", "per-operation latency", "\nop.query:\n", "span totals by run:", "breakdown [ci]:", "model drift"}
 	contentionMarker = "lock contention [uc-rvm]"
 	flightSections   = []string{`== flight dump, reason "test"`, "detector fired: p99", "rows marked *", "serializability violation", "top blockers", "[waited on update footprint]"}
 	ledgerSections   = []string{"== run 1: Cache and Invalidate", "dominant bottleneck:", "net benefit vs always-recompute baselines", "== strategy verdict: model 1"}
@@ -193,14 +201,20 @@ func TestTraceSections(t *testing.T) {
 	mustContain(t, out, traceSections...)
 }
 
-// TestConcurrentTraceContention: a -clients trace carries contention
-// records beside its spans, and they render.
+// TestConcurrentTraceContention: a -clients trace carries run,
+// breakdown and contention records beside its spans, and all of them
+// render: the run row, the drift entry, the breakdown and the
+// contention table.
 func TestConcurrentTraceContention(t *testing.T) {
 	out, err := procstat(t, nil, map[string][]byte{"trace.jsonl": concurrentTrace(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustContain(t, out, contentionMarker, "rel:r1", `run "uc-rvm"`)
+	mustContain(t, out, contentionMarker, "rel:r1", `run "uc-rvm"`,
+		"uc-rvm       Update Cache (RVM)", "breakdown [uc-rvm]:", "model drift", "  Update Cache (RVM)     model 1")
+	if strings.Contains(out, "(no run records)") {
+		t.Errorf("a -clients trace rendered no run records:\n%s", out)
+	}
 }
 
 func TestFlightSections(t *testing.T) {

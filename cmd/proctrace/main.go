@@ -18,9 +18,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"dbproc/client"
+	"dbproc/internal/experiments"
 	"dbproc/internal/obs"
 	"dbproc/internal/wire"
 )
@@ -96,52 +96,10 @@ func driveWorkload(addr, out string) error {
 	// A 2-session critical-path scenario world on the control plane:
 	// world.next breakdowns carry the engine's lock-wait/io/recompute
 	// split and scenario phase labels.
-	cn, err := client.DialTraced(addr, tracer)
-	if err != nil {
-		return err
-	}
-	defer cn.Close()
-	opened, err := cn.WorldOpen(ctx, &wire.WorldOpen{
+	if _, err := experiments.DriveServed(ctx, addr, &wire.WorldOpen{
 		Model: "1", Strategy: "ci", Seed: 11, Clients: 2,
 		Scenario: "hot-key-storm", R2UpdateFraction: 0.3, CritPath: true,
-	})
-	if err != nil {
-		return err
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, opened.Sessions)
-	for i := 0; i < opened.Sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sess, err := client.DialTraced(addr, tracer)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer sess.Close()
-			for {
-				step, err := sess.WorldNext(ctx, opened.World, i)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if step.Done {
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if _, err := cn.WorldStats(ctx, opened.World); err != nil {
-		return err
-	}
-	if err := cn.WorldClose(ctx, opened.World); err != nil {
+	}, tracer); err != nil {
 		return err
 	}
 

@@ -122,7 +122,9 @@ type Result struct {
 	// quantity sim.Result.TotalMs reports).
 	SimTotalMs float64
 	Counters   metric.Counters
-	Sessions   []SessionStats
+	// Breakdown attributes Counters to the components that charged them.
+	Breakdown metric.Breakdown
+	Sessions  []SessionStats
 	// History is the committed operation history in commit order; empty
 	// unless Options.RecordHistory.
 	History []HistoryEntry
@@ -178,11 +180,11 @@ type OpCritPath struct {
 // BlockerStat aggregates the blame edges pointing at one (lock, holder)
 // pair: how often and how long that holder made others wait on the lock.
 type BlockerStat struct {
-	Lock          string
-	HolderSession int
-	HolderOp      string
-	Waits         int
-	WaitNs        int64
+	Lock          string `json:"lock"`
+	HolderSession int    `json:"holder_session"`
+	HolderOp      string `json:"holder_op"`
+	Waits         int    `json:"waits"`
+	WaitNs        int64  `json:"wait_ns"`
 }
 
 type blockerKey struct {
@@ -257,9 +259,14 @@ type Engine struct {
 
 	// sessions holds the opened sessions, indexed by id (one slot per
 	// configured client). Run opens them itself; a server front-end opens
-	// them via OpenSession and drives each with Session.Exec.
+	// them via OpenSession and steps each with Session.Next.
 	sessMu   sync.Mutex
 	sessions []*Session
+
+	// ops is the world's one operation stream, drawn on first use (Deal or
+	// Session.Next) so an engine driven only through Exec never draws it.
+	opsOnce sync.Once
+	ops     *workload.Stream
 }
 
 // New builds the world for cfg and an engine over it. The Config's
@@ -357,23 +364,40 @@ func gcFootprint() Footprint {
 	return f.normalized()
 }
 
-// Run executes the world's workload across Options.Clients sessions: the
-// canonical operation stream is dealt round-robin to the sessions in
-// place — session i of n executes ops i, i+n, i+2n, … of the one stream,
-// in that order, which is how a served world deals too — closed loop with
-// think times, and every operation executes atomically under its lock
-// footprint. The run ends when every session drains or ctx is cancelled.
+// stream draws the world's operation stream once.
+func (e *Engine) stream() *workload.Stream {
+	e.opsOnce.Do(func() { e.ops = e.w.Stream() })
+	return e.ops
+}
+
+// Deal returns each session's share of the world's one operation stream:
+// session i of n executes ops i, i+n, i+2n, … in that order
+// (Session.Next), so it holds ceil((len-i)/n) of them. Every driver deals
+// this way — Run, and a served world through TWorldNext — so a given
+// client count commits the same per-session streams wherever it runs,
+// and one session commits sim.Run's stream.
+func (e *Engine) Deal() []int {
+	n, total := len(e.sessions), e.stream().Len()
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = (total - i + n - 1) / n
+	}
+	return counts
+}
+
+// Run executes the world's workload across Options.Clients sessions, each
+// stepping through its dealt ops (Deal) closed loop with think times;
+// every operation executes atomically under its lock footprint. The run
+// ends when every session drains or ctx is cancelled.
 func (e *Engine) Run(ctx context.Context) Result {
-	ops := e.w.Stream()
-	n := e.opt.Clients
 	if e.opt.RecordHistory {
-		e.hist = make([]HistoryEntry, 0, ops.Len())
+		e.hist = make([]HistoryEntry, 0, e.stream().Len())
 	}
 
 	var wg sync.WaitGroup
 	start := time.Now()
 	sched := e.w.Schedule()
-	for s := 0; s < n; s++ {
+	for s := 0; s < e.opt.Clients; s++ {
 		sess := e.OpenSession(s)
 		// Scenario schedules can mark sessions as slow consumers; their
 		// mean think time is scaled up, stretching the closed-loop tail.
@@ -382,11 +406,10 @@ func (e *Engine) Run(ctx context.Context) Result {
 		wg.Add(1)
 		go func(sess *Session) {
 			defer wg.Done()
-			for i := sess.id; i < ops.Len(); i += n {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				if _, done := sess.Next(); done {
 					return
 				}
-				sess.Exec(ops.At(i))
 				if d := think.Next(); d > 0 {
 					sess.Think(d)
 					select {

@@ -335,3 +335,57 @@ func TestResultDigestedOutsideCommit(t *testing.T) {
 		t.Fatalf("the largest result has %d tuples: the run digests nothing large", largest)
 	}
 }
+
+// TestSessionsStepTheirDealtOps: the engine deals one stream. Session i
+// of n commits ops i, i+n, i+2n, … of the world's stream, in that order,
+// then reports done (and keeps reporting it); each session's commits
+// number exactly its Deal count.
+func TestSessionsStepTheirDealtOps(t *testing.T) {
+	defer dbtest.Watchdog(t, time.Minute)()
+	const n = 3
+	cfg := testConfig(costmodel.UpdateCacheRVM, costmodel.Model1, 7, 10, 21)
+	stream := sim.Build(cfg).Stream()
+	e := New(cfg, Options{Clients: n, RecordHistory: true})
+	deal := e.Deal()
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		sessions[i] = e.OpenSession(i)
+	}
+	// Step the sessions in a scrambled order so a session's share cannot
+	// depend on when it runs.
+	committed := make([]int, n)
+	for live := n; live > 0; {
+		live = 0
+		for _, i := range []int{2, 0, 1} {
+			out, done := sessions[i].Next()
+			if done {
+				continue
+			}
+			live++
+			if want := stream.At(i + committed[i]*n); out.Kind != want.Kind {
+				t.Fatalf("session %d step %d ran a %v, its dealt op is a %v", i, committed[i], out.Kind, want.Kind)
+			}
+			committed[i]++
+		}
+	}
+	for i, s := range sessions {
+		if _, done := s.Next(); !done {
+			t.Fatalf("session %d stepped past its share", i)
+		}
+		if committed[i] != deal[i] {
+			t.Errorf("session %d committed %d ops, Deal gave it %d", i, committed[i], deal[i])
+		}
+	}
+	res := e.Finish(0)
+	if res.Ops != stream.Len() {
+		t.Fatalf("sessions committed %d ops, the stream has %d", res.Ops, stream.Len())
+	}
+	next := make([]int, n)
+	for _, he := range res.History {
+		i := he.Session
+		if want := stream.At(i + next[i]*n); he.Op != want {
+			t.Fatalf("session %d committed %+v as its op %d, want %+v", i, he.Op, next[i], want)
+		}
+		next[i]++
+	}
+}

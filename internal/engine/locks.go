@@ -308,9 +308,13 @@ func (t *LockTable) AcquireAs(f Footprint, session int, op string) *Held {
 func (h *Held) Waits() []LockWait { return h.waits }
 
 // Release drops the held locks in reverse acquisition order, charging
-// each its hold time.
-func (h *Held) Release() {
+// each its hold time, and returns the hold of the set as a whole: from
+// its last acquisition, when the footprint was complete, to now.
+func (h *Held) Release() (holdNs int64) {
 	end := h.t.now()
+	if n := len(h.acquired); n > 0 {
+		holdNs = end - h.acquired[n-1]
+	}
 	for i := len(h.locks) - 1; i >= 0; i-- {
 		l := h.locks[i]
 		if h.excl[i] {
@@ -323,6 +327,7 @@ func (h *Held) Release() {
 		atomicMax(&l.maxHoldNs, held)
 	}
 	h.locks, h.excl, h.acquired = nil, nil, nil
+	return holdNs
 }
 
 // LockContention is one lock's accumulated contention profile.

@@ -16,8 +16,8 @@ import (
 // Session is one open client session of a live engine: a private pager
 // and meter over the shared disk, the session's running statistics, and
 // its latency histograms. Run opens one per configured client; a server
-// front-end (cmd/procserved) instead opens sessions up front and drives
-// each with Exec as operations arrive off the wire. A Session is not
+// front-end (cmd/procserved) instead opens sessions up front and steps
+// each with Next as requests arrive off the wire. A Session is not
 // safe for concurrent use — the engine's lock table isolates sessions
 // from each other, but each session must submit one operation at a time.
 type Session struct {
@@ -32,6 +32,9 @@ type Session struct {
 	// nanoseconds and simulated milliseconds. Readers merge them across
 	// sessions (Engine.latency).
 	wall, sim *obs.Histogram
+	// next is the index of the session's next dealt op in the engine's
+	// stream (Next).
+	next int
 }
 
 // OpOutcome reports one committed operation back to the submitter — the
@@ -41,7 +44,10 @@ type Session struct {
 // the other critical-path segments (IONs/RecomputeNs/ComputeNs) are
 // populated only under Options.CritPath.
 type OpOutcome struct {
-	Seq    int
+	Seq  int
+	Kind workload.Kind
+	// Phase names the op's scenario phase; empty on polite workloads.
+	Phase  string
 	Tuples int
 	// Digest is the canonical query-result digest: always set for
 	// queries, nil for updates.
@@ -71,7 +77,7 @@ func (e *Engine) OpenSession(id int) *Session {
 	if e.sessions[id] != nil {
 		panic(fmt.Sprintf("engine: session %d already open", id))
 	}
-	s := &Session{e: e, id: id, pg: e.w.SessionPager(id), wall: obs.NewWallHistogram(), sim: obs.NewHistogram(nil)}
+	s := &Session{e: e, id: id, next: id, pg: e.w.SessionPager(id), wall: obs.NewWallHistogram(), sim: obs.NewHistogram(nil)}
 	s.st.Session = id
 	if e.opt.CritPath {
 		s.ws = s.pg.EnableWallStats()
@@ -90,14 +96,26 @@ func (s *Session) Stats() SessionStats { return s.st }
 // decomposition (the closed-loop pause between operations).
 func (s *Session) Think(d time.Duration) { s.st.ThinkNs += int64(d) }
 
+// Next executes the session's next dealt operation — session i of n runs
+// ops i, i+n, i+2n, … of the world's one stream (Engine.Deal) — or, with
+// the session's share exhausted, runs nothing and reports done.
+func (s *Session) Next() (out OpOutcome, done bool) {
+	ops := s.e.stream()
+	if s.next >= ops.Len() {
+		return OpOutcome{}, true
+	}
+	op := ops.At(s.next)
+	s.next += len(s.e.sessions)
+	return s.Exec(op), false
+}
+
 // Exec executes one workload operation for this session: acquire the
 // op's 2PL footprint (none for a query), open the op's scope on the
 // session's private pager — a snapshot read, or the update epoch — run
 // the operation body in it, and commit — sequence draw, epoch publish,
 // span adoption, aggregate merge and history fold form one atomic step,
-// taken while the footprint is still held. This is the loop body
-// of Run, exported so a wire front-end can submit a session's operations
-// one at a time.
+// taken while the footprint is still held. Next feeds it the session's
+// dealt ops; it is exported for harnesses that pick ops themselves.
 func (s *Session) Exec(op workload.Op) OpOutcome {
 	e := s.e
 	rec := e.opt.Recorder
@@ -157,6 +175,8 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	}
 
 	out := OpOutcome{
+		Kind:        op.Kind,
+		Phase:       e.phaseName(op.Phase),
 		CostMs:      delta.Milliseconds(e.costs),
 		WaitNs:      waitNs,
 		IONs:        ioNs,
@@ -201,8 +221,8 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		}
 		sp.Set("session", s.id)
 		sp.Set("seq", seq)
-		if ph := e.phaseName(op.Phase); ph != "" {
-			sp.Set("phase", ph)
+		if out.Phase != "" {
+			sp.Set("phase", out.Phase)
 		}
 		if update {
 			sp.Set("wall_wait_ns", waitNs)
@@ -237,8 +257,9 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		e.hist = append(e.hist, he)
 	}
 	e.commitMu.Unlock()
+	var holdNs int64
 	if update {
-		held.Release()
+		holdNs = held.Release()
 		// Version-chain GC runs outside the update's footprint under its
 		// own lock: waits here are MVCC bookkeeping, never update-footprint
 		// contention, and procstat classifies them by the mvcc: name.
@@ -262,7 +283,11 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 	out.WallNs = wallNs
 	if rec != nil {
 		rec.Op(telemetry.EvOpCommit, s.id, seq, opName, waitNs, service)
-		rec.Op(telemetry.EvLockRelease, s.id, seq, opName, 0, wallNs)
+		if update {
+			// A query takes no lock, so only an update releases one: its
+			// footprint's hold, acquisition to release.
+			rec.Op(telemetry.EvLockRelease, s.id, seq, opName, 0, holdNs)
+		}
 	}
 	if critOn {
 		// The measured segments are durations of disjoint sub-intervals of
@@ -368,6 +393,7 @@ func (e *Engine) Finish(wall float64) Result {
 		res.Throughput = float64(res.Ops) / res.WallSec
 	}
 	res.SimTotalMs = res.Counters.Milliseconds(e.costs)
+	res.Breakdown = e.agg.Breakdown()
 	e.commitMu.Lock()
 	res.History = e.hist
 	res.HistoryDigest = e.histDig.String()

@@ -91,6 +91,44 @@ func TestFlightRecorderCapturesRun(t *testing.T) {
 	}
 }
 
+// TestLockReleaseIsAnUpdatesHold: only an update takes locks, so only an
+// update records lock.release, and its hold runs from the footprint's
+// acquisition to its release — inside the op's wall time and after its
+// lock wait, so it is at most the op's service time (wall minus wait),
+// which op.commit records.
+func TestLockReleaseIsAnUpdatesHold(t *testing.T) {
+	defer dbtest.Watchdog(t, time.Minute)()
+	rec := telemetry.NewRecorder(1 << 14)
+	cfg := testConfig(costmodel.UpdateCacheRVM, costmodel.Model1, 23, 30, 30)
+	res := New(cfg, Options{Clients: 2, Recorder: rec}).Run(context.Background())
+	events, dropped := rec.Snapshot()
+	if dropped != 0 {
+		t.Fatalf("recorder dropped %d events", dropped)
+	}
+	service := map[int]int64{}
+	for _, ev := range events {
+		if ev.Kind == telemetry.EvOpCommit {
+			service[ev.Seq] = ev.HoldNs
+		}
+	}
+	releases := 0
+	for _, ev := range events {
+		if ev.Kind != telemetry.EvLockRelease {
+			continue
+		}
+		releases++
+		if ev.Name != "update" {
+			t.Errorf("seq %d (%s) released locks: only updates take any", ev.Seq, ev.Name)
+		}
+		if s, ok := service[ev.Seq]; !ok || ev.HoldNs > s {
+			t.Errorf("update seq %d held its locks %d ns, longer than its %d ns of service", ev.Seq, ev.HoldNs, s)
+		}
+	}
+	if releases != res.Updates {
+		t.Fatalf("%d lock releases for %d updates", releases, res.Updates)
+	}
+}
+
 func TestContentionProfile(t *testing.T) {
 	defer dbtest.Watchdog(t, 2*time.Minute)()
 	cfg := testConfig(costmodel.CacheInvalidate, costmodel.Model1, 23, 16, 24)

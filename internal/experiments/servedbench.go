@@ -19,6 +19,7 @@ type ServedResult struct {
 	Ops     int
 	Queries int
 	Updates int
+	Tuples  int
 	// WallSec is client-side elapsed wall-clock over the whole drive;
 	// ThroughputOps is Ops over it. Both include wire round-trip time,
 	// which is the point.
@@ -33,16 +34,24 @@ type ServedResult struct {
 	// (engine.Result.HistoryDigest): equal to an in-process run's when
 	// both committed the same history.
 	HistoryDigest string
+	// SegWaitNs, SegIONs, SegRecomputeNs and SegComputeNs total the
+	// steps' critical-path segments, as engine.Result's fields of the same
+	// names do; all but the lock wait are zero unless WorldOpen.CritPath.
+	SegWaitNs, SegIONs, SegRecomputeNs, SegComputeNs int64
+	// Ledger is the world's cache-efficacy ledger (JSONL) when the open
+	// asked for one (WorldOpen.Ledger).
+	Ledger []byte
 }
 
 // DriveServed runs one workload through the procserved at addr: it opens
 // a bench world over the control connection, then drives every session
 // concurrently over a connection of its own, each step a TWorldNext
-// frame, and finally collects the world's sealed statistics. The server
-// deals the canonical operation stream exactly like engine.Run, so the
-// committed per-session streams match an in-process run's.
-func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*ServedResult, error) {
-	control, err := client.Dial(addr)
+// frame, and finally collects the world's sealed statistics. The server's
+// engine deals the operation stream exactly as engine.Run does, so the
+// committed per-session streams match an in-process run's. Every
+// connection is dialed through tracer; nil drives untraced.
+func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen, tracer *client.Tracer) (_ *ServedResult, err error) {
+	control, err := client.DialTraced(addr, tracer)
 	if err != nil {
 		return nil, fmt.Errorf("served: dial control: %w", err)
 	}
@@ -51,16 +60,21 @@ func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*Serve
 	if err != nil {
 		return nil, fmt.Errorf("served: open world: %w", err)
 	}
-	defer control.WorldClose(context.Background(), opened.World)
+	defer func() {
+		if cerr := control.WorldClose(context.Background(), opened.World); cerr != nil && err == nil {
+			err = fmt.Errorf("served: close world: %w", cerr)
+		}
+	}()
 
 	errCh := make(chan error, opened.Sessions)
+	segs := make([][4]int64, opened.Sessions)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for s := 0; s < opened.Sessions; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			cn, err := client.Dial(addr)
+			cn, err := client.DialTraced(addr, tracer)
 			if err != nil {
 				errCh <- fmt.Errorf("served: session %d: dial: %w", s, err)
 				return
@@ -75,6 +89,11 @@ func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*Serve
 				if step.Done {
 					return
 				}
+				seg := &segs[s]
+				seg[0] += step.WaitNs
+				seg[1] += step.IONs
+				seg[2] += step.RecomputeNs
+				seg[3] += step.ComputeNs
 			}
 		}(s)
 	}
@@ -96,10 +115,18 @@ func DriveServed(ctx context.Context, addr string, open *wire.WorldOpen) (*Serve
 		Ops:           stats.Ops,
 		Queries:       stats.Queries,
 		Updates:       stats.Updates,
+		Tuples:        stats.Tuples,
 		WallSec:       wall,
 		SimTotalMs:    stats.SimTotalMs,
 		Counters:      stats.Counters,
 		HistoryDigest: stats.HistoryDigest,
+		Ledger:        stats.Ledger,
+	}
+	for _, seg := range segs {
+		out.SegWaitNs += seg[0]
+		out.SegIONs += seg[1]
+		out.SegRecomputeNs += seg[2]
+		out.SegComputeNs += seg[3]
 	}
 	if wall > 0 {
 		out.ThroughputOps = float64(stats.Ops) / wall

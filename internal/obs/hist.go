@@ -227,104 +227,3 @@ func (h *Histogram) Render(w io.Writer) {
 	fmt.Fprintf(w, "  n=%d mean=%.1f ms min=%.6g max=%.6g p50<=%.6g p95<=%.6g p99<=%.6g\n",
 		s.Count, s.Mean, s.Min, s.Max, s.P50, s.P95, s.P99)
 }
-
-// Key identifies one metric in a Registry: a (component, event) pair, e.g.
-// ("op", "query") for workload-operation latency or ("avm", "merge") for
-// the AVM delta-merge step.
-type Key struct {
-	Component string
-	Event     string
-}
-
-// String renders "component.event".
-func (k Key) String() string {
-	if k.Event == "" {
-		return k.Component
-	}
-	return k.Component + "." + k.Event
-}
-
-// Registry holds counters and bounded-bucket histograms keyed by
-// (component, event), in first-use order. The tracer feeds it one latency
-// histogram per span name; other code may add counters freely.
-type Registry struct {
-	counts map[Key]int64
-	hists  map[Key]*Histogram
-	order  []Key
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{counts: make(map[Key]int64), hists: make(map[Key]*Histogram)}
-}
-
-func (r *Registry) key(component, event string) Key {
-	k := Key{component, event}
-	if _, seen := r.counts[k]; !seen {
-		if _, seen := r.hists[k]; !seen {
-			r.order = append(r.order, k)
-		}
-	}
-	return k
-}
-
-// Add increments the counter for (component, event) by n.
-func (r *Registry) Add(component, event string, n int64) {
-	if r == nil {
-		return
-	}
-	r.counts[r.key(component, event)] += n
-}
-
-// Observe records a value into the histogram for (component, event),
-// creating it with default bounds on first use, and bumps its counter.
-func (r *Registry) Observe(component, event string, v float64) {
-	if r == nil {
-		return
-	}
-	k := r.key(component, event)
-	h := r.hists[k]
-	if h == nil {
-		h = NewHistogram(nil)
-		r.hists[k] = h
-	}
-	h.Observe(v)
-	r.counts[k]++
-}
-
-// Count returns the counter for (component, event).
-func (r *Registry) Count(component, event string) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.counts[Key{component, event}]
-}
-
-// Hist returns the histogram for (component, event), or nil.
-func (r *Registry) Hist(component, event string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.hists[Key{component, event}]
-}
-
-// Keys returns every registered key in first-use order.
-func (r *Registry) Keys() []Key {
-	if r == nil {
-		return nil
-	}
-	return append([]Key(nil), r.order...)
-}
-
-// Render writes every histogram in first-use order.
-func (r *Registry) Render(w io.Writer) {
-	if r == nil {
-		return
-	}
-	for _, k := range r.order {
-		if h := r.hists[k]; h != nil {
-			fmt.Fprintf(w, "%s:\n", k)
-			h.Render(w)
-		}
-	}
-}

@@ -55,13 +55,6 @@ func TestTracerSpansAndNesting(t *testing.T) {
 	if got, want := child.Attrs["proc"], 7; got != want {
 		t.Fatalf("child attr proc = %v, want %v", got, want)
 	}
-	// The registry accumulated one latency observation per span name.
-	if n := tr.Registry().Count("op", "query"); n != 1 {
-		t.Fatalf("registry count op.query = %d, want 1", n)
-	}
-	if h := tr.Registry().Hist("ci", "refresh"); h == nil || h.Count() != 1 {
-		t.Fatal("registry missing ci.refresh histogram")
-	}
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -72,7 +65,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	sp.Set("k", 1) // nil span: no-op
 	tr.End(sp)
-	if tr.Current() != nil || tr.Spans() != nil || tr.Registry() != nil || tr.Records("x") != nil {
+	if tr.Current() != nil || tr.Spans() != nil || tr.Records("x") != nil {
 		t.Fatal("nil tracer leaked state")
 	}
 	tr.Bind(nil)
@@ -151,28 +144,6 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	h.Render(&buf)
 	if !strings.Contains(buf.String(), "n=5") {
 		t.Fatalf("render missing summary: %q", buf.String())
-	}
-}
-
-func TestRegistryKeyedByComponentEvent(t *testing.T) {
-	r := NewRegistry()
-	r.Observe("op", "query", 30)
-	r.Observe("op", "query", 60)
-	r.Observe("avm", "merge", 5)
-	r.Add("rete", "tokens", 12)
-	if r.Count("op", "query") != 2 || r.Count("avm", "merge") != 1 || r.Count("rete", "tokens") != 12 {
-		t.Fatalf("counts wrong: %v %v %v",
-			r.Count("op", "query"), r.Count("avm", "merge"), r.Count("rete", "tokens"))
-	}
-	keys := r.Keys()
-	if len(keys) != 3 || keys[0] != (Key{"op", "query"}) || keys[2] != (Key{"rete", "tokens"}) {
-		t.Fatalf("keys order wrong: %v", keys)
-	}
-	if h := r.Hist("op", "query"); h == nil || h.Sum() != 90 {
-		t.Fatal("op.query histogram wrong")
-	}
-	if h := r.Hist("rete", "tokens"); h != nil {
-		t.Fatal("Add must not create a histogram")
 	}
 }
 

@@ -69,7 +69,6 @@ func (s *Span) Set(key string, v any) {
 // tracing is off.
 type Tracer struct {
 	meter  *metric.Meter
-	reg    *Registry
 	spans  []*Span
 	stack  []*Span
 	nextID int64
@@ -78,7 +77,7 @@ type Tracer struct {
 // NewTracer returns an empty tracer. Bind must be called (the simulator
 // does it) before spans are begun.
 func NewTracer() *Tracer {
-	return &Tracer{reg: NewRegistry(), nextID: 1}
+	return &Tracer{nextID: 1}
 }
 
 // Bind attaches the meter whose snapshots time the spans.
@@ -87,15 +86,6 @@ func (t *Tracer) Bind(m *metric.Meter) {
 		return
 	}
 	t.meter = m
-}
-
-// Registry returns the tracer's metrics registry, which accumulates one
-// bounded-bucket latency histogram per span name as spans end.
-func (t *Tracer) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
 }
 
 // Begin opens a span. It returns nil (still safe to use) when the tracer
@@ -119,8 +109,7 @@ func (t *Tracer) Begin(name string) *Span {
 }
 
 // End closes the innermost open span, which must be sp. It records the
-// span's event delta, prices its duration, and feeds the latency histogram
-// keyed by the span's name.
+// span's event delta and prices its duration.
 func (t *Tracer) End(sp *Span) {
 	if t == nil || sp == nil {
 		return
@@ -132,12 +121,9 @@ func (t *Tracer) End(sp *Span) {
 	t.stack = t.stack[:n-1]
 	sp.Counters = t.meter.Since(sp.start)
 	sp.DurMs = sp.Counters.Milliseconds(t.meter.Costs())
-	comp, event := splitName(sp.Name)
-	t.reg.Observe(comp, event, sp.DurMs)
 }
 
-// Adopt appends a completed root span assembled by the caller and feeds
-// the latency histogram, exactly as End would. It exists for the
+// Adopt appends a completed root span assembled by the caller. It exists for the
 // concurrent engine's commit path: sessions meter their operations on
 // private meters, so there is no shared meter for Begin/End to snapshot;
 // instead each commit hands the tracer the span's placement (startMs, the
@@ -157,8 +143,6 @@ func (t *Tracer) Adopt(name string, startMs float64, counters metric.Counters, c
 	}
 	t.nextID++
 	t.spans = append(t.spans, sp)
-	comp, event := splitName(name)
-	t.reg.Observe(comp, event, sp.DurMs)
 	return sp
 }
 
@@ -179,17 +163,6 @@ func (t *Tracer) Spans() []*Span {
 		return nil
 	}
 	return t.spans
-}
-
-// splitName splits a span name "component.event" at the first dot; a name
-// without a dot is its own component with event "".
-func splitName(name string) (comp, event string) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '.' {
-			return name[:i], name[i+1:]
-		}
-	}
-	return name, ""
 }
 
 // ---------------------------------------------------------------------------

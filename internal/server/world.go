@@ -15,32 +15,20 @@ import (
 )
 
 // world is one served bench world: an engine with its sessions opened up
-// front and the canonical workload dealt round-robin across them in
-// place, exactly as engine.Run deals it, so a served run commits the same
-// per-session operation streams as engine.Run with the same client count
-// — and, with one session, the same byte stream as sim.Run. A world holds
-// the canonical stream in its compact form (about 4 bytes per op), the
-// engine's aggregates and its running history digest; nothing it keeps
-// grows with the steps it serves.
+// front, each stepped through its dealt share of the workload by
+// Session.Next, so a served run commits the same per-session operation
+// streams as engine.Run with the same client count — and, with one
+// session, the same byte stream as sim.Run. The world adds only what the
+// server owns: one mutex per session and the WorldStats seal. Nothing it
+// keeps grows with the steps it serves.
 type world struct {
 	id  int
-	cfg sim.Config
 	eng *engine.Engine
 
 	sessions []*engine.Session
-	// ops is the canonical stream; session i executes ops i, i+n, i+2n, …
-	// for n sessions.
-	ops *workload.Stream
-	// scenario and phases label steps with the workload phase they
-	// belong to; both stay empty on polite (scenario-less) workloads so
-	// a polite served run's frames are byte-identical to before phases
-	// existed.
-	scenario string
-	phases   []string
-	// pos[i] is session i's next index into ops; semu[i] serializes the
-	// session (a session is single-submitter by contract, but wire
-	// clients may race — TryLock maps the race to CodeBusy).
-	pos  []int
+	// semu[i] serializes session i (a session is single-submitter by
+	// contract, but wire clients may race — TryLock maps the race to
+	// CodeBusy).
 	semu []sync.Mutex
 
 	started time.Time
@@ -96,32 +84,17 @@ func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
 		Recorder: c.srv.opt.Recorder,
 	})
 	w := &world{
-		cfg:      cfg,
 		eng:      eng,
 		sessions: make([]*engine.Session, clients),
-		ops:      eng.World().Stream(),
-		pos:      make([]int, clients),
 		semu:     make([]sync.Mutex, clients),
 		started:  time.Now(),
 	}
-	// Session i's share of the stream is the ops at i, i+n, …: there are
-	// ceil((ops.Len()-i)/n) of them.
-	counts := make([]int, clients)
-	for i := 0; i < clients; i++ {
+	for i := range w.sessions {
 		w.sessions[i] = eng.OpenSession(i)
-		w.pos[i] = i
-		counts[i] = (w.ops.Len() - i + clients - 1) / clients
 	}
-	if sched := eng.World().Schedule(); sched != nil && sched.Scenario != "" {
-		w.scenario = sched.Scenario
-		for _, p := range sched.Phases {
-			w.phases = append(w.phases, p.Name)
-		}
-	}
-
 	w.id = int(c.srv.nextWorld.Add(1))
 	c.srv.worlds.Store(w.id, w)
-	return c.write(wire.TWorldOpened, &wire.WorldOpened{World: w.id, Sessions: clients, Ops: counts})
+	return c.write(wire.TWorldOpened, &wire.WorldOpened{World: w.id, Sessions: clients, Ops: eng.Deal()})
 }
 
 func (s *Server) lookupWorld(id int) *world {
@@ -148,15 +121,13 @@ func (s *Server) worldNext(id, session int) (*wire.WorldStep, *wire.Error) {
 	if w.stats != nil {
 		return nil, &wire.Error{Code: wire.CodeExec, Msg: fmt.Sprintf("world %d already finished", id)}
 	}
-	if w.pos[session] >= w.ops.Len() {
+	out, done := w.sessions[session].Next()
+	if done {
 		return &wire.WorldStep{Done: true}, nil
 	}
-	op := w.ops.At(w.pos[session])
-	w.pos[session] += len(w.sessions)
-	out := w.sessions[session].Exec(op)
-	step := &wire.WorldStep{
+	return &wire.WorldStep{
 		Seq:         out.Seq,
-		Update:      op.Kind == workload.Update,
+		Update:      out.Kind == workload.Update,
 		Tuples:      out.Tuples,
 		CostMs:      out.CostMs,
 		WallNs:      out.WallNs,
@@ -164,18 +135,15 @@ func (s *Server) worldNext(id, session int) (*wire.WorldStep, *wire.Error) {
 		IONs:        out.IONs,
 		RecomputeNs: out.RecomputeNs,
 		ComputeNs:   out.ComputeNs,
-	}
-	if w.scenario != "" && op.Phase >= 0 && op.Phase < len(w.phases) {
-		step.Phase = w.phases[op.Phase]
-	}
-	return step, nil
+		Phase:       out.Phase,
+	}, nil
 }
 
 // handleWorldNext answers with the step. A traced step's service wall is
 // partitioned: the engine already decomposed the execution (WallNs = lock
 // wait + io + recompute + compute under the critical-path invariant; lock
-// wait + compute otherwise), so the server's own overhead — dispatch,
-// dealing the op, response build — lands in admission and the engine
+// wait + compute otherwise), so the server's own overhead — dispatch
+// and response build — lands in admission and the engine
 // remainder in compute, keeping the segments an exact partition. The
 // breakdown and scenario phase are stashed for the span export.
 func (c *conn) handleWorldNext(m *wire.WorldNext) error {
@@ -227,15 +195,15 @@ func (c *conn) handleWorldStats(m *wire.WorldStats) error {
 			Counters:      res.Counters,
 			HistoryDigest: res.HistoryDigest,
 		}
-		if w.cfg.Ledger != nil {
+		if cfg := w.eng.World().Config(); cfg.Ledger != nil {
 			var buf bytes.Buffer
 			meta := cache.LedgerMeta{
-				Strategy: w.cfg.Strategy.String(), Model: int(w.cfg.Model),
-				Clients: len(w.sessions), Seed: w.cfg.Seed,
+				Strategy: cfg.Strategy.String(), Model: int(cfg.Model),
+				Clients: len(w.sessions), Seed: cfg.Seed,
 				Queries: res.Queries, Updates: res.Updates,
 				TotalMs: res.SimTotalMs,
 			}
-			if err := cache.WriteLedger(&buf, meta, w.cfg.Ledger); err != nil {
+			if err := cache.WriteLedger(&buf, meta, cfg.Ledger); err != nil {
 				w.statsErr = &wire.Error{Code: wire.CodeExec, Msg: err.Error()}
 				return
 			}

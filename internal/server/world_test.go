@@ -98,3 +98,38 @@ func TestServedWorldRetainsNothingPerOp(t *testing.T) {
 	}
 	t.Logf("heap grew %d bytes over steps %d..%d", grown, warm, steps)
 }
+
+// TestWorldOpenedOpsAreTheDeal: WorldOpened.Ops announces each session's
+// share of the stream, and stepping a session commits exactly that many
+// ops before it answers Done.
+func TestWorldOpenedOpsAreTheDeal(t *testing.T) {
+	defer dbtest.Watchdog(t, time.Minute)()
+	srv, addr := startServer(t, Options{})
+	p := costmodel.Default()
+	p.N = 600
+	p.F = 8.0 / p.N
+	p.N1, p.N2 = 3, 3
+	p.K, p.Q = 11, 20
+	pr := dial(t, addr)
+	pr.send(wire.TWorldOpen, &wire.WorldOpen{Params: p, Model: "1", Strategy: "ci", Seed: 5, Clients: 3})
+	opened, ok := pr.recv().(*wire.WorldOpened)
+	if !ok || len(opened.Ops) != 3 || opened.Ops[0]+opened.Ops[1]+opened.Ops[2] != 31 {
+		t.Fatalf("world open answered %+v, want three sessions sharing 31 ops", opened)
+	}
+	for s, want := range opened.Ops {
+		steps := 0
+		for {
+			step, werr := srv.worldNext(opened.World, s)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			if step.Done {
+				break
+			}
+			steps++
+		}
+		if steps != want {
+			t.Errorf("session %d committed %d ops, WorldOpened announced %d", s, steps, want)
+		}
+	}
+}

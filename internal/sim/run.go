@@ -20,16 +20,6 @@ import (
 // returns false — for every other strategy.
 func (r Result) HasColdFraction() bool { return !math.IsNaN(r.ColdFraction) }
 
-// ColdFractionString renders the cold fraction for human-readable output:
-// "n/a" when the strategy records none, so the NaN sentinel never leaks
-// into reports.
-func (r Result) ColdFractionString() string {
-	if !r.HasColdFraction() {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2f", r.ColdFraction)
-}
-
 // Run builds the world for cfg and executes the workload, returning the
 // measured and predicted cost per query.
 func Run(cfg Config) Result {
@@ -39,7 +29,6 @@ func Run(cfg Config) Result {
 // Run executes the configured workload once. The world is consumed: run a
 // fresh Build for another measurement.
 func (w *World) Run() Result {
-	p := w.cfg.Params
 	ops := w.Stream()
 
 	res := Result{Config: w.cfg}
@@ -56,27 +45,34 @@ func (w *World) Run() Result {
 	}
 	res.Counters = w.meter.Snapshot()
 	res.TotalMs = w.meter.Milliseconds()
-	res.ColdFraction = math.NaN()
-	if ci, ok := w.strat.(*proc.CacheInvalidate); ok && !w.cfg.Adaptive {
-		if acc, cold := ci.AccessStats(); acc > 0 {
-			res.ColdFraction = float64(cold) / float64(acc)
-		}
-	}
+	res.ColdFraction = w.ColdFraction()
 	if res.Queries > 0 {
 		res.MsPerQuery = res.TotalMs / float64(res.Queries)
 	}
-	if w.cfg.Adaptive {
-		ci := costmodel.CacheInvalidateCost(w.cfg.Model, p)
-		rc := costmodel.RecomputeCost(w.cfg.Model, p)
-		if ci < rc {
-			res.PredictedMs = ci
-		} else {
-			res.PredictedMs = rc
-		}
-	} else {
-		res.PredictedMs = costmodel.Cost(w.cfg.Model, w.cfg.Strategy, p)
-	}
+	res.PredictedMs = w.cfg.PredictedMs()
 	return res
+}
+
+// ColdFraction is the measured fraction of Cache-and-Invalidate accesses
+// so far that found the cache invalid; NaN for other strategies, under
+// Adaptive, and before the first access.
+func (w *World) ColdFraction() float64 {
+	if ci, ok := w.strat.(*proc.CacheInvalidate); ok && !w.cfg.Adaptive {
+		if acc, cold := ci.AccessStats(); acc > 0 {
+			return float64(cold) / float64(acc)
+		}
+	}
+	return math.NaN()
+}
+
+// PredictedMs is the analytic model's cost per query for the
+// configuration: the strategy's TOT formula, or under Adaptive the
+// cheaper of Cache and Invalidate and Always Recompute.
+func (c Config) PredictedMs() float64 {
+	if c.Adaptive {
+		return math.Min(costmodel.CacheInvalidateCost(c.Model, c.Params), costmodel.RecomputeCost(c.Model, c.Params))
+	}
+	return costmodel.Cost(c.Model, c.Strategy, c.Params)
 }
 
 // Stream draws the world's full operation stream: k update transactions

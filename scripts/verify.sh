@@ -110,13 +110,17 @@ GOMAXPROCS=4 go test -race -count=3 \
 # (TestServedWorldStreamIsCompact, both in ./internal/server), the
 # running history digest replays, is order-sensitive and covers every
 # field, and the compact op stream rebuilds the reference ops in at most
-# 4 bytes per op.
+# 4 bytes per op. The engine deals that stream for every driver: session
+# i of n commits ops i, i+n, … and WorldOpened announces each share; a
+# lock.release event is an update's footprint hold, never a query's; and
+# a served world step allocates no more than before the deal moved
+# (TestWorldStepAllocations).
 GOMAXPROCS=4 go test -race -count=3 ./internal/server
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestStreamBytesPerOp|TestSequenceMatchesReference|TestScheduleStreamMatchesReference|TestCritPathSumsToWall|TestUpdateFootprintBuiltOnce|TestContentionProfile|TestBlameWithoutCritPath' \
+    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestStreamBytesPerOp|TestSequenceMatchesReference|TestScheduleStreamMatchesReference|TestCritPathSumsToWall|TestUpdateFootprintBuiltOnce|TestContentionProfile|TestBlameWithoutCritPath|TestSessionsStepTheirDealtOps|TestLockReleaseIsAnUpdatesHold' \
     ./internal/obs/ ./internal/engine/ ./internal/workload/
 GOMAXPROCS=4 go test -count=1 \
-    -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
+    -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestWorldStepAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
     ./internal/wire/ ./client/
 # Page-image reclamation (docs/MVCC.md, "Reclamation"): version GC hands
 # superseded images to later updates as their buffers, so a reader that
