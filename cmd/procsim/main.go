@@ -320,17 +320,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if ledgerFile != nil && m != served {
 			cfg.Ledger = cache.NewLedger()
 		}
-		// A served world records no spans; the other modes trace into one
-		// tracer, the world's or the engine's.
-		var tracer *obs.Tracer
+		// A served world records no spans; the other modes trace into the
+		// world's tracer.
 		if traceFile != nil && m != served {
-			tracer = obs.NewTracer()
+			cfg.Tracer = obs.NewTracer()
 		}
 		run := runLabel(c)
 		var out cellOut
 		switch m {
 		case sequential:
-			cfg.Tracer = tracer
 			w := sim.Build(cfg)
 			res := w.Run()
 			out.row = newRow(run, cfg, res.Queries, res.Updates, res.TuplesReturned, res.TotalMs, res.Counters)
@@ -343,7 +341,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// contention-share or wasted-work breach fires an EvDetector
 			// event, which auto-dumps the flight ring (docs/DIAGNOSIS.md).
 			e := engine.New(cfg, engine.Options{
-				Clients: *clients, ThinkMeanMs: *think, Recorder: rec, CritPath: *critpath, Tracer: tracer,
+				Clients: *clients, ThinkMeanMs: *think, Recorder: rec, CritPath: *critpath,
 			})
 			if hub != nil {
 				hub.SetSource(e)
@@ -395,7 +393,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if out.bd != nil {
 				records = append(records, obs.BreakdownToRecord(run, *out.bd, out.costs))
 			}
-			for _, sp := range tracer.Records(run) {
+			for _, sp := range cfg.Tracer.Records(run) {
 				records = append(records, sp)
 			}
 			if out.contention != nil {

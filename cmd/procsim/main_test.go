@@ -48,7 +48,9 @@ func shortNames() []string {
 
 // TestClientsTraceCarriesRunRecords: a multi-session in-process trace
 // holds, for every strategy, the run record the drift monitor reads, the
-// cost breakdown and the contention record beside its spans.
+// cost breakdown and the contention record beside its spans: one root op
+// span per committed op, plus the strategy's child spans, each of whose
+// parents is a span of the same run.
 func TestClientsTraceCarriesRunRecords(t *testing.T) {
 	defer dbtest.Watchdog(t, 2*time.Minute)()
 	trace := filepath.Join(t.TempDir(), "c.jsonl")
@@ -57,7 +59,7 @@ func TestClientsTraceCarriesRunRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, breakdowns, contention, spans := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]int{}
+	runs, breakdowns, contention := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, r := range a.Runs {
 		runs[r.Run] = r.Queries+r.Updates == 40 && r.MeasuredMsPerQuery > 0 && r.PredictedMsPerQuery > 0
 	}
@@ -67,13 +69,26 @@ func TestClientsTraceCarriesRunRecords(t *testing.T) {
 	for _, c := range a.Contention {
 		contention[c.Run] = true
 	}
+	ids := map[string]map[int64]bool{}
+	roots, children := map[string]int{}, map[string]int{}
 	for _, sp := range a.Spans {
-		spans[sp.Run]++
+		if ids[sp.Run] == nil {
+			ids[sp.Run] = map[int64]bool{}
+		}
+		ids[sp.Run][sp.ID] = true
+		if sp.Parent != 0 {
+			if !ids[sp.Run][sp.Parent] {
+				t.Errorf("run %q: span %d (%s) has parent %d, no earlier span of the run", sp.Run, sp.ID, sp.Name, sp.Parent)
+			}
+			children[sp.Run]++
+		} else if sp.Name == "op.query" || sp.Name == "op.update" {
+			roots[sp.Run]++
+		}
 	}
 	for _, run := range shortNames() {
-		if !runs[run] || !breakdowns[run] || !contention[run] || spans[run] != 40 {
-			t.Errorf("run %q: run record %v, breakdown %v, contention %v, %d spans (want 40)",
-				run, runs[run], breakdowns[run], contention[run], spans[run])
+		if !runs[run] || !breakdowns[run] || !contention[run] || roots[run] != 40 || children[run] == 0 {
+			t.Errorf("run %q: run record %v, breakdown %v, contention %v, %d root op spans (want 40), %d child spans (want some)",
+				run, runs[run], breakdowns[run], contention[run], roots[run], children[run])
 		}
 	}
 }

@@ -91,8 +91,8 @@ func sequentialTrace(t *testing.T) []byte {
 // record.
 func concurrentTrace(t *testing.T) []byte {
 	cfg := smallConfig(costmodel.UpdateCacheRVM)
-	opt := engine.Options{Clients: 2, Tracer: obs.NewTracer()}
-	e := engine.New(cfg, opt)
+	cfg.Tracer = obs.NewTracer()
+	e := engine.New(cfg, engine.Options{Clients: 2})
 	res := e.Run(context.Background())
 	records := []any{
 		obs.RunRecord{Type: obs.RecordRun, Run: "uc-rvm", Strategy: cfg.Strategy.String(), Model: cfg.Model.String(),
@@ -100,7 +100,7 @@ func concurrentTrace(t *testing.T) []byte {
 			MeasuredMsPerQuery: res.SimTotalMs / float64(res.Queries), PredictedMsPerQuery: cfg.PredictedMs()},
 		obs.BreakdownToRecord("uc-rvm", res.Breakdown, e.World().Meter().Costs()),
 	}
-	for _, sp := range opt.Tracer.Records("uc-rvm") {
+	for _, sp := range cfg.Tracer.Records("uc-rvm") {
 		records = append(records, sp)
 	}
 	records = append(records, telemetry.ContentionRecord{

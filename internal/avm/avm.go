@@ -29,7 +29,6 @@ import (
 	"dbproc/internal/cache"
 	"dbproc/internal/ilock"
 	"dbproc/internal/metric"
-	"dbproc/internal/obs"
 	"dbproc/internal/query"
 	"dbproc/internal/relation"
 	"dbproc/internal/storage"
@@ -94,20 +93,7 @@ type Engine struct {
 	// D_net tuple sets for the current transaction.
 	anet map[int][][]byte
 	dnet map[int][][]byte
-
-	tracer *obs.Tracer
-	ledger *cache.Ledger
 }
-
-// SetTracer attaches a tracer; each Apply then records avm.route and
-// avm.merge child spans covering the two maintenance phases.
-func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
-
-// SetLedger attaches a cache-efficacy ledger; each Apply then records one
-// KindMaintained event per patched view, carrying the view's routing
-// share (screens and delta ops are charged per routed pair, so the share
-// is exact) plus its measured delta-plan and patch cost.
-func (e *Engine) SetLedger(l *cache.Ledger) { e.ledger = l }
 
 // NewEngine creates an empty engine storing view contents in store and
 // using router for rule-indexed change screening.
@@ -183,10 +169,16 @@ func (e *Engine) Prepare(pg *storage.Pager) {
 
 // Apply maintains every registered view after an update transaction that
 // deleted the old tuple values in deleted and inserted the new values in
-// inserted on rel (an in-place modification contributes to both).
+// inserted on rel (an in-place modification contributes to both). A
+// traced pager records avm.route and avm.merge child spans covering the
+// two maintenance phases. When the store has a ledger, Apply records one
+// KindMaintained event per patched view, carrying the view's routing
+// share (screens and delta ops are charged per routed pair, so the share
+// is exact) plus its measured delta-plan and patch cost.
 func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, deleted [][]byte) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	t, l := pg.Tracer(), e.store.LedgerRef()
 	// Maintenance work runs attributed to the avm component; the delta
 	// plans' scan and probe nodes re-scope their own page I/O underneath.
 	meter := pg.Meter()
@@ -205,7 +197,7 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 	}
 	routed := 0
 	var routedBy map[int]int
-	if e.ledger != nil {
+	if l != nil {
 		routedBy = make(map[int]int)
 	}
 	route := func(tup []byte, into map[int][][]byte) {
@@ -225,7 +217,7 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 			})
 		}
 	}
-	rsp := e.tracer.Begin("avm.route")
+	rsp := t.Begin("avm.route")
 	rsp.Set("rel", relName)
 	for _, tup := range deleted {
 		route(tup, e.dnet)
@@ -235,12 +227,12 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 	}
 	rsp.Set("tokens", len(inserted)+len(deleted))
 	rsp.Set("routed", routed)
-	e.tracer.End(rsp)
+	t.End(rsp)
 
 	// Phase 2 — evaluate delta plans and patch stored views:
 	// V_new = V ∪ V(a, B) − V(d, B).
-	msp := e.tracer.Begin("avm.merge")
-	defer e.tracer.End(msp)
+	msp := t.Begin("avm.merge")
+	defer t.End(msp)
 	patched := 0
 	defer func() { msp.Set("views", patched) }()
 	ctx := &query.Ctx{Meter: meter, Pager: pg}
@@ -253,7 +245,7 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 		}
 		patched++
 		var before metric.Counters
-		if e.ledger != nil {
+		if l != nil {
 			before = meter.Snapshot()
 		}
 		v := e.views[id]
@@ -277,14 +269,14 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 			})
 			delete(e.anet, id)
 		}
-		if e.ledger != nil {
+		if l != nil {
 			// Flush so the view's deferred page writes price into its own
 			// event. Views own disjoint files, so per-view flushing never
 			// re-dirties another view's frames; totals are unchanged.
 			pg.Flush()
 			cost := meter.Since(before).Milliseconds(costs) +
 				float64(routedBy[id])*(costs.C1+costs.C3)
-			e.ledger.Record(cache.LedgerEvent{
+			l.Record(cache.LedgerEvent{
 				Entry:   id,
 				Kind:    cache.KindMaintained,
 				Op:      pg.OpToken(),

@@ -57,7 +57,8 @@ func (s *Store) SetObserver(fn func(event string, id, session int)) { s.observer
 
 // SetLedger attaches a cache-efficacy ledger; every subsequent
 // invalidation records a KindInvalidated event naming the invalidating
-// op. Like SetObserver, set it before the store is shared between
+// op, and the strategies holding the store record their events on it
+// (LedgerRef). Like SetObserver, set it before the store is shared between
 // sessions — the field is read without synchronization on the hot path.
 func (s *Store) SetLedger(l *Ledger) { s.ledger = l }
 

@@ -191,8 +191,15 @@ func (p Params) ProcSize() float64 {
 }
 
 // Validate reports whether the parameter set is usable by the model,
-// returning a descriptive error otherwise.
+// returning a descriptive error otherwise. Every field must be finite: a
+// NaN fails every comparison below, so it is refused first.
 func (p Params) Validate() error {
+	for _, v := range [...]float64{p.N, p.S, p.B, p.D, p.K, p.L, p.Q, p.F, p.F2, p.FR2, p.FR3,
+		p.C1, p.C2, p.C3, p.CInval, p.N1, p.N2, p.SF, p.Z} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errParam("every parameter must be finite")
+		}
+	}
 	switch {
 	case p.N <= 0:
 		return errParam("N must be positive")

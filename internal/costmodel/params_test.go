@@ -105,6 +105,14 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.SF = 2 },
 		func(p *Params) { p.Z = 0 },
 		func(p *Params) { p.Z = 1 },
+		func(p *Params) { p.N = math.NaN() },
+		func(p *Params) { p.K = math.Inf(1) },
+		func(p *Params) { p.Q = math.Inf(1) },
+		func(p *Params) { p.C2 = math.Inf(1) },
+		func(p *Params) { p.L = math.NaN() },
+		func(p *Params) { p.F = math.NaN() },
+		func(p *Params) { p.Z = math.NaN() },
+		func(p *Params) { p.FR3 = math.Inf(-1) },
 	}
 	for i, mutate := range bad {
 		p := Default()

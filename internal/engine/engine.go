@@ -33,16 +33,6 @@ type Options struct {
 	// running history digest, so its memory does not grow with the
 	// number of operations it commits.
 	RecordHistory bool
-	// Tracer, when non-nil, records one obs span per operation, named
-	// session.query / session.update and tagged with the session id and
-	// commit sequence. Sessions meter work on private meters, so spans
-	// are adopted fully formed at commit time under the commit mutex: the
-	// trace lists operations in commit order, each placed at the run's
-	// cumulative committed cost. An update's span additionally carries a
-	// wall_wait_ns attribute (its lock wait, a wall-clock quantity absent
-	// from pure simulation traces) and, when it waited, the blame
-	// attributes naming who held the locks.
-	Tracer *obs.Tracer
 	// Recorder, when non-nil, streams flight events: op begin/commit,
 	// per-lock waits with their holders, lock release, and — via the
 	// observers the engine installs on the cache store — validity
@@ -199,9 +189,11 @@ type Engine struct {
 	opt   Options
 	locks *LockTable
 	costs metric.Costs
+	// tracer is Config.Tracer, where commits move sessions' spans.
+	tracer *obs.Tracer
 
 	// commitMu orders commits: the sequence counter, the history digest
-	// fold (and append), the aggregate merge and span adoption form one
+	// fold (and append), the aggregate merge and the span move form one
 	// atomic commit step, taken while the operation's 2PL footprint is
 	// still held. Nothing else runs under it — operation bodies execute in
 	// parallel against the shared substrate (immutable page images,
@@ -269,18 +261,14 @@ type Engine struct {
 	ops     *workload.Stream
 }
 
-// New builds the world for cfg and an engine over it. The Config's
-// Tracer must be nil — strategy-internal spans are single-session
-// machinery; use Options.Tracer for per-session operation spans.
+// New builds the world for cfg and an engine over it. With cfg.Tracer
+// set, each committed op's span tree lands in it in commit order (Exec).
 func New(cfg sim.Config, opt Options) *Engine {
-	if cfg.Tracer != nil {
-		panic("engine: Config.Tracer must be nil in concurrent mode (use Options.Tracer)")
-	}
 	if opt.Clients < 1 {
 		opt.Clients = 1
 	}
 	w := sim.Build(cfg)
-	e := &Engine{w: w, opt: opt, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest,
+	e := &Engine{w: w, opt: opt, tracer: cfg.Tracer, locks: NewLockTable(), costs: w.Meter().Costs(), digest: Digest,
 		histDig: newHistoryDigest(), updateFP: updateFootprint(), gcFP: gcFootprint(),
 		blockers: make(map[blockerKey]*BlockerStat)}
 	e.sessions = make([]*Session, opt.Clients)

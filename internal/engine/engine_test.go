@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -221,8 +222,12 @@ func TestOracleRejectsCorruptedHistory(t *testing.T) {
 func TestRaceStress(t *testing.T) {
 	rec := telemetry.NewRecorder(1 << 14)
 	dumpPath := filepath.Join(os.TempDir(), fmt.Sprintf("dbproc-race-stress-flight-%d.jsonl", os.Getpid()))
-	rec.SetAutoDumpFile(dumpPath)
+	// Detectors fire at test scale, so a green run's auto-dumps are
+	// rendered and discarded; only a stall switches the dump to the file,
+	// before recording the watchdog event that triggers it.
+	rec.SetAutoDumpWriter(io.Discard)
 	defer dbtest.Watchdog(t, 4*time.Minute, func() {
+		rec.SetAutoDumpFile(dumpPath)
 		rec.Record(telemetry.Event{
 			Kind:    telemetry.EvWatchdog,
 			Session: -1,
@@ -251,6 +256,9 @@ func TestRaceStress(t *testing.T) {
 				}
 			})
 		}
+	}
+	if _, err := os.Stat(dumpPath); !os.IsNotExist(err) {
+		t.Errorf("a soak that did not stall left a flight dump at %s (stat: %v)", dumpPath, err)
 	}
 }
 

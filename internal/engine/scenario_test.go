@@ -134,7 +134,8 @@ func TestScenarioPhaseLabels(t *testing.T) {
 	defer dbtest.Watchdog(t, time.Minute)()
 	cfg := scenarioConfig("hot-key-storm", costmodel.CacheInvalidate, costmodel.Model1, 9, 10, 20)
 	tr := obs.NewTracer()
-	e := New(cfg, Options{Clients: 2, Tracer: tr})
+	cfg.Tracer = tr
+	e := New(cfg, Options{Clients: 2})
 	e.Run(context.Background())
 
 	names := map[string]bool{}
@@ -174,7 +175,8 @@ func TestScenarioPhaseLabels(t *testing.T) {
 	// Polite run: no phase attrs, no per-phase series.
 	polite := testConfig(costmodel.CacheInvalidate, costmodel.Model1, 9, 10, 20)
 	ptr := obs.NewTracer()
-	pe := New(polite, Options{Clients: 1, Tracer: ptr})
+	polite.Tracer = ptr
+	pe := New(polite, Options{Clients: 1})
 	pe.Run(context.Background())
 	for _, sp := range ptr.Spans() {
 		if _, ok := sp.Attrs["phase"]; ok {

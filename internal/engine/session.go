@@ -193,7 +193,7 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		out.Digest = e.digest(r.Tuples)
 	}
 
-	// Commit: draw the sequence, adopt the operation's span, merge the
+	// Commit: draw the sequence, move the operation's spans, merge the
 	// session's cost delta into the run aggregate and fold the history
 	// entry into the running digest (keeping it under RecordHistory) — one
 	// atomic step, taken while the 2PL footprint is still held so commit
@@ -210,15 +210,11 @@ func (s *Session) Exec(op workload.Op) OpOutcome {
 		snap = uint64(seq) + 1
 		s.pg.CloseScope(snap)
 	}
-	if t := e.opt.Tracer; t != nil {
-		name := "session.update"
-		if op.Kind == workload.Query {
-			name = "session.query"
-		}
-		sp := t.Adopt(name, e.agg.Total().Milliseconds(e.costs), delta, e.costs)
-		if op.Kind == workload.Query {
-			sp.Set("proc", op.ProcID)
-		}
+	if st := s.pg.Tracer(); st != nil {
+		// The op's span tree, traced on the session's meter, joins the
+		// run's trace at the cost committed before it; its root carries
+		// the session, the commit, the phase and an update's lock wait.
+		sp := e.tracer.Move(st, e.agg.Total())
 		sp.Set("session", s.id)
 		sp.Set("seq", seq)
 		if out.Phase != "" {

@@ -6,10 +6,10 @@
 // Everything here measures *simulated* milliseconds — the C1/C2/C3-priced
 // cost the paper analyzes — not wall-clock time, so traces are exactly
 // reproducible for a given seed. The package depends only on internal/
-// metric; the execution stack (storage, query, proc, avm, rete, sim)
-// threads a *Tracer through its layers, and all tracing calls are nil-safe
-// so a disabled tracer costs one nil check. Package artifact reads the
-// records written here back.
+// metric; the execution stack (query, proc, avm, rete, sim) finds the
+// operation's *Tracer on the storage.Pager it executes on, and all
+// tracing calls are nil-safe so a disabled tracer costs one nil check.
+// Package artifact reads the records written here back.
 //
 // See docs/OBSERVABILITY.md for the trace schema and the procsim/procstat
 // workflow.
@@ -60,9 +60,10 @@ func (s *Span) Set(key string, v any) {
 	s.Attrs[key] = v
 }
 
-// Tracer collects spans for one run. The workload is serial, so spans
-// open and close in LIFO order; Begin parents the new span under the
-// innermost open one.
+// Tracer collects spans for one run, or for one session of a concurrent
+// run (Move). One pager executes one operation at a time, so spans open
+// and close in LIFO order; Begin parents the new span under the innermost
+// open one.
 //
 // All methods are nil-safe: a nil *Tracer is the disabled state and every
 // call on it is a no-op, so instrumented code pays one nil check when
@@ -123,27 +124,38 @@ func (t *Tracer) End(sp *Span) {
 	sp.DurMs = sp.Counters.Milliseconds(t.meter.Costs())
 }
 
-// Adopt appends a completed root span assembled by the caller. It exists for the
-// concurrent engine's commit path: sessions meter their operations on
-// private meters, so there is no shared meter for Begin/End to snapshot;
-// instead each commit hands the tracer the span's placement (startMs, the
-// run's priced cost committed before it) and its measured delta. Callers
-// serialize Adopt calls (the engine holds its commit mutex); the returned
-// span is open for Set until the trace is rendered.
-func (t *Tracer) Adopt(name string, startMs float64, counters metric.Counters, costs metric.Costs) *Span {
-	if t == nil {
+// Move appends src's finished spans — one operation's tree, traced on a
+// session's private meter — and empties src: the concurrent engine's
+// commit step, which serializes the calls. Ids are renumbered in t's
+// sequence; each root starts at at, the run's cost committed before the
+// op, and every other span keeps its offset (in events) from its root, so
+// one session's trace equals one meter's. It returns the last root moved,
+// open for Set until the trace is rendered.
+func (t *Tracer) Move(src *Tracer, at metric.Counters) *Span {
+	if t == nil || src == nil {
 		return nil
 	}
-	sp := &Span{
-		ID:       t.nextID,
-		Name:     name,
-		StartMs:  startMs,
-		Counters: counters,
-		DurMs:    counters.Milliseconds(costs),
+	if len(src.stack) > 0 {
+		panic(fmt.Sprintf("obs: Move with span %q still open", src.stack[len(src.stack)-1].Name))
 	}
-	t.nextID++
-	t.spans = append(t.spans, sp)
-	return sp
+	costs := src.meter.Costs()
+	base := t.nextID - 1
+	var root *Span
+	for _, sp := range src.spans {
+		if sp.Parent == 0 {
+			root = sp
+		} else {
+			sp.Parent += base
+		}
+		sp.ID += base
+		sp.StartMs = at.Add(sp.start.Sub(root.start)).Milliseconds(costs)
+	}
+	t.spans = append(t.spans, src.spans...)
+	t.nextID += int64(len(src.spans))
+	clear(src.spans)
+	src.spans = src.spans[:0]
+	src.nextID = 1
+	return root
 }
 
 // Current returns the innermost open span (nil if none), letting deep

@@ -8,7 +8,6 @@ import (
 	"dbproc/internal/cache"
 	"dbproc/internal/ilock"
 	"dbproc/internal/metric"
-	"dbproc/internal/obs"
 	"dbproc/internal/query"
 	"dbproc/internal/storage"
 )
@@ -40,8 +39,6 @@ type CacheInvalidate struct {
 	// adaptive selects the bypass policy; plain Cache and Invalidate
 	// always caches.
 	adaptive bool
-	tracer   *obs.Tracer
-	ledger   *cache.Ledger
 
 	accesses     atomic.Int64
 	coldAccesses atomic.Int64
@@ -116,15 +113,6 @@ func (s *CacheInvalidate) state(id int) *entryState {
 	v, _ := s.states.LoadOrStore(id, new(entryState))
 	return v.(*entryState)
 }
-
-// SetTracer attaches a tracer; accesses then tag the enclosing op span
-// with the cache state and record a ci.refresh child span on cold paths.
-func (s *CacheInvalidate) SetTracer(t *obs.Tracer) { s.tracer = t }
-
-// SetLedger attaches a cache-efficacy ledger; every access then records
-// a computed (cold, with result digest), hit or bypass event carrying its
-// meter delta, so the ledger's event costs sum to the strategy's run total.
-func (s *CacheInvalidate) SetLedger(l *cache.Ledger) { s.ledger = l }
 
 // AccessStats reports how many procedure accesses the strategy served and
 // how many found the cache invalid — the measured counterpart of the
@@ -213,14 +201,14 @@ func (ls *lockSink) ReadKey(rel string, key int64) {
 // removes, so the footprint never transiently disappears). The install
 // goes through ReplaceAt, which applies the install guard; callers hold
 // the entry's access mutex, so the recompute/replace sequence is
-// single-flight. It returns the result digest when a ledger is attached,
-// 0 otherwise.
+// single-flight. It returns the result digest when the store has a
+// ledger, 0 otherwise.
 func (s *CacheInvalidate) refresh(pg *storage.Pager, d *Definition, snap uint64) uint64 {
 	sink := &lockSink{}
 	keys, recs := query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg, Locks: sink})
 	s.locks.ReplaceOwner(ilock.Owner(d.ID), sink.refs)
 	s.store.MustEntry(cache.ID(d.ID)).ReplaceAt(pg, keys, recs, snap)
-	if s.ledger == nil {
+	if s.store.LedgerRef() == nil {
 		return 0
 	}
 	return cache.ResultDigest(keys, recs)
@@ -233,24 +221,31 @@ func (s *CacheInvalidate) refresh(pg *storage.Pager, d *Definition, snap uint64)
 // reader's snapshot, the reader recomputes at its own snapshot and serves
 // itself without touching the shared file or the owner's i-locks
 // (docs/MVCC.md). pg must be reading at a snapshot (Pager.ReadStamp).
+//
+// A traced pager gets the enclosing op span tagged with the cache state
+// and a ci.refresh child span on cold paths. When the store has a ledger,
+// every access records a computed (cold, with result digest), hit or
+// bypass event carrying its meter delta, so the ledger's event costs sum
+// to the strategy's run total.
 func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 	snap := pg.ReadStamp()
 	s.accesses.Add(1)
 	m := pg.Meter()
+	l := s.store.LedgerRef()
 	var before metric.Counters
-	if s.ledger != nil {
+	if l != nil {
 		before = m.Snapshot()
 	}
 	out, kind, digest := s.access(pg, id, snap)
 	if s.afterUnlock != nil {
 		s.afterUnlock()
 	}
-	if s.ledger != nil {
+	if l != nil {
 		// Page writes are charged at flush time; flush now (idempotent —
 		// the op-level flush then finds the frames clean) so the deferred
 		// write charges land inside this access's delta.
 		pg.Flush()
-		s.ledger.Record(cache.LedgerEvent{
+		l.Record(cache.LedgerEvent{
 			Entry:   id,
 			Kind:    kind,
 			Op:      pg.OpToken(),
@@ -266,6 +261,7 @@ func (s *CacheInvalidate) Access(pg *storage.Pager, id int) [][]byte {
 // its ledger kind and, for a recompute with a ledger attached, the result
 // digest.
 func (s *CacheInvalidate) access(pg *storage.Pager, id int, snap uint64) ([][]byte, string, uint64) {
+	t := pg.Tracer()
 	d := s.mgr.MustGet(id)
 	e := s.store.MustEntry(cache.ID(id))
 	st := s.state(id)
@@ -275,7 +271,7 @@ func (s *CacheInvalidate) access(pg *storage.Pager, id int, snap uint64) ([][]by
 	if st.bypass {
 		if st.sinceBypass++; st.sinceBypass < st.backoff {
 			// Plain recomputation; no cache write, no locks.
-			s.tracer.Current().Set("cache", "bypass")
+			t.Current().Set("cache", "bypass")
 			pg.BeginRecompute()
 			out := query.Run(d.Plan, &query.Ctx{Meter: pg.Meter(), Pager: pg})
 			pg.EndRecompute()
@@ -296,11 +292,11 @@ func (s *CacheInvalidate) access(pg *storage.Pager, id int, snap uint64) ([][]by
 		kind = cache.KindComputed
 		s.coldAccesses.Add(1)
 		if retry {
-			s.tracer.Current().Set("cache", "retry")
+			t.Current().Set("cache", "retry")
 		} else {
-			s.tracer.Current().Set("cache", "cold")
+			t.Current().Set("cache", "cold")
 		}
-		sp := s.tracer.Begin("ci.refresh")
+		sp := t.Begin("ci.refresh")
 		sp.Set("proc", id)
 		pg.BeginRecompute()
 		if !retry && e.ComputedAt() > snap {
@@ -310,7 +306,7 @@ func (s *CacheInvalidate) access(pg *storage.Pager, id int, snap uint64) ([][]by
 			sp.Set("mode", "self")
 			var keys []uint64
 			keys, out = query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: pg.Meter(), Pager: pg})
-			if s.ledger != nil {
+			if s.store.LedgerRef() != nil {
 				digest = cache.ResultDigest(keys, out)
 			}
 			served = true
@@ -318,9 +314,9 @@ func (s *CacheInvalidate) access(pg *storage.Pager, id int, snap uint64) ([][]by
 			digest = s.refresh(pg, d, snap)
 		}
 		pg.EndRecompute()
-		s.tracer.End(sp)
+		t.End(sp)
 	} else {
-		s.tracer.Current().Set("cache", "hit")
+		t.Current().Set("cache", "hit")
 	}
 	if !served {
 		out = e.Records(pg)

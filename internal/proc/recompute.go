@@ -1,7 +1,6 @@
 package proc
 
 import (
-	"dbproc/internal/obs"
 	"dbproc/internal/query"
 	"dbproc/internal/storage"
 )
@@ -10,8 +9,7 @@ import (
 // access: the conventional algorithm (TOT_Recompute in the model). It
 // keeps no cached state, so updates cost it nothing.
 type AlwaysRecompute struct {
-	mgr    *Manager
-	tracer *obs.Tracer
+	mgr *Manager
 }
 
 // NewAlwaysRecompute builds the strategy over the given definitions.
@@ -22,23 +20,21 @@ func NewAlwaysRecompute(mgr *Manager) *AlwaysRecompute {
 // Name implements Strategy.
 func (s *AlwaysRecompute) Name() string { return "Always Recompute" }
 
-// SetTracer attaches a tracer; each access then records a recompute.scan
-// child span covering the plan execution.
-func (s *AlwaysRecompute) SetTracer(t *obs.Tracer) { s.tracer = t }
-
 // Prepare implements Strategy; there is nothing to set up.
 func (s *AlwaysRecompute) Prepare(*storage.Pager) {}
 
-// Access implements Strategy: run the plan, return its output.
+// Access implements Strategy: run the plan, return its output. A traced
+// pager records a recompute.scan child span covering the plan execution.
 func (s *AlwaysRecompute) Access(pg *storage.Pager, id int) [][]byte {
 	d := s.mgr.MustGet(id)
-	sp := s.tracer.Begin("recompute.scan")
+	t := pg.Tracer()
+	sp := t.Begin("recompute.scan")
 	sp.Set("proc", id)
 	pg.BeginRecompute()
 	out := query.Run(d.Plan, &query.Ctx{Meter: pg.Meter(), Pager: pg})
 	pg.EndRecompute()
 	sp.Set("tuples", len(out))
-	s.tracer.End(sp)
+	t.End(sp)
 	return out
 }
 

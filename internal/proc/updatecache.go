@@ -3,7 +3,6 @@ package proc
 import (
 	"dbproc/internal/cache"
 	"dbproc/internal/metric"
-	"dbproc/internal/obs"
 	"dbproc/internal/relation"
 	"dbproc/internal/storage"
 )
@@ -11,7 +10,8 @@ import (
 // Maintainer is a differential view-maintenance engine that keeps every
 // procedure's cached result current; avm.Engine satisfies it directly and
 // rete networks through rete-side adapters built by the simulator. Both
-// methods take the acting session's pager and charge its meter.
+// methods take the acting session's pager and charge its meter; Apply
+// records its maintenance events on the cache store's ledger, if any.
 type Maintainer interface {
 	// Name identifies the algorithm ("AVM" or "RVM").
 	Name() string
@@ -29,13 +29,6 @@ type UpdateCache struct {
 	mgr   *Manager
 	store *cache.Store
 	maint Maintainer
-	// ledger, when set, receives hit events per access. Maintenance
-	// events come from the maintainer itself when it accepts a ledger
-	// (AVM records per view); otherwise maintSelf is false and OnUpdate
-	// records the aggregate maintenance delta under entry −1 (RVM's
-	// shared Rete propagation has no per-view attribution).
-	ledger    *cache.Ledger
-	maintSelf bool
 }
 
 // NewUpdateCache builds the strategy over a cache store whose entries the
@@ -51,39 +44,22 @@ func (s *UpdateCache) Name() string { return "Update Cache (" + s.maint.Name() +
 // attach here).
 func (s *UpdateCache) CacheStore() *cache.Store { return s.store }
 
-// SetTracer forwards the tracer to the maintenance engine if it accepts
-// one; the strategy's own work (a cache read per access) needs no child
-// spans of its own.
-func (s *UpdateCache) SetTracer(t *obs.Tracer) {
-	if st, ok := s.maint.(interface{ SetTracer(*obs.Tracer) }); ok {
-		st.SetTracer(t)
-	}
-}
-
-// SetLedger attaches a cache-efficacy ledger, forwarding it to the
-// maintenance engine when it records its own per-view events.
-func (s *UpdateCache) SetLedger(l *cache.Ledger) {
-	s.ledger = l
-	if sl, ok := s.maint.(interface{ SetLedger(*cache.Ledger) }); ok {
-		sl.SetLedger(l)
-		s.maintSelf = true
-	}
-}
-
 // Prepare implements Strategy.
 func (s *UpdateCache) Prepare(pg *storage.Pager) { s.maint.Prepare(pg) }
 
 // Access implements Strategy: one read of the (always valid) cached
-// result, returned as borrowed tuples.
+// result, returned as borrowed tuples. When the store has a ledger, each
+// access records a hit event carrying its meter delta.
 func (s *UpdateCache) Access(pg *storage.Pager, id int) [][]byte {
 	m := pg.Meter()
+	l := s.store.LedgerRef()
 	var before metric.Counters
-	if s.ledger != nil {
+	if l != nil {
 		before = m.Snapshot()
 	}
 	out := s.store.MustEntry(cache.ID(id)).Records(pg)
-	if s.ledger != nil {
-		s.ledger.Record(cache.LedgerEvent{
+	if l != nil {
+		l.Record(cache.LedgerEvent{
 			Entry:   id,
 			Kind:    cache.KindHit,
 			Op:      pg.OpToken(),
@@ -94,23 +70,10 @@ func (s *UpdateCache) Access(pg *storage.Pager, id int) [][]byte {
 	return out
 }
 
-// OnUpdate implements Strategy.
+// OnUpdate implements Strategy. The maintainer records its own ledger
+// events on the store's ledger: AVM one per patched view, RVM one
+// aggregate event under entry −1 (shared Rete propagation has no per-view
+// attribution).
 func (s *UpdateCache) OnUpdate(pg *storage.Pager, d Delta) {
-	if s.ledger == nil || s.maintSelf {
-		s.maint.Apply(pg, d.Rel, d.Inserted, d.Deleted)
-		return
-	}
-	m := pg.Meter()
-	before := m.Snapshot()
 	s.maint.Apply(pg, d.Rel, d.Inserted, d.Deleted)
-	// Flush so deferred page writes price into this event (idempotent;
-	// the op-level flush then finds the frames clean).
-	pg.Flush()
-	s.ledger.Record(cache.LedgerEvent{
-		Entry:   -1,
-		Kind:    cache.KindMaintained,
-		Op:      pg.OpToken(),
-		Session: pg.Session(),
-		CostMs:  m.Since(before).Milliseconds(m.Costs()),
-	})
 }

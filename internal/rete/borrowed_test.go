@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbproc/internal/cache"
 	"dbproc/internal/dbtest"
 	"dbproc/internal/dbtest/aliastest"
 	"dbproc/internal/tuple"
@@ -28,7 +29,7 @@ func TestReteNodesCopyWhatTheyKeep(t *testing.T) {
 		w := dbtest.NewWorld(dbtest.Config{})
 		w.Pager.SetCharging(false)
 		net := NewNetwork(w.Pager.Disk())
-		eng := NewEngine(net, nil)
+		eng := NewEngine(net, cache.NewStore(w.Pager.Disk()), nil)
 		s1, s2, s3 := w.R1.Schema(), w.R2.Schema(), w.R3.Schema()
 		key := func(sch *tuple.Schema, field string) func([]byte) uint64 {
 			return func(tup []byte) uint64 {

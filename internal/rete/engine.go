@@ -1,7 +1,8 @@
 package rete
 
 import (
-	"dbproc/internal/obs"
+	"dbproc/internal/cache"
+	"dbproc/internal/metric"
 	"dbproc/internal/relation"
 	"dbproc/internal/storage"
 )
@@ -11,14 +12,15 @@ import (
 // and + tokens for the new ones, submitted at the network root.
 type Engine struct {
 	net     *Network
+	store   *cache.Store
 	prepare func(pg *storage.Pager)
-	tracer  *obs.Tracer
 }
 
-// NewEngine wraps net; prepare (may be nil) runs the one-time network fill
+// NewEngine wraps net, whose memories hold the procedures' cached values
+// in store's entries; prepare (may be nil) runs the one-time network fill
 // when the strategy is prepared.
-func NewEngine(net *Network, prepare func(pg *storage.Pager)) *Engine {
-	return &Engine{net: net, prepare: prepare}
+func NewEngine(net *Network, store *cache.Store, prepare func(pg *storage.Pager)) *Engine {
+	return &Engine{net: net, store: store, prepare: prepare}
 }
 
 // Name identifies the algorithm.
@@ -26,10 +28,6 @@ func (e *Engine) Name() string { return "RVM" }
 
 // Network returns the wrapped network.
 func (e *Engine) Network() *Network { return e.net }
-
-// SetTracer attaches a tracer; each Apply then records a rete.propagate
-// span covering the transaction's token propagation.
-func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
 
 // Prepare runs the one-time fill; run it with charging disabled.
 func (e *Engine) Prepare(pg *storage.Pager) {
@@ -40,9 +38,18 @@ func (e *Engine) Prepare(pg *storage.Pager) {
 
 // Apply submits the transaction's deltas as tokens: deletions first, then
 // insertions, so an in-place modification is the paper's "delete followed
-// by insert".
+// by insert". A traced pager records a rete.propagate span covering the
+// propagation. When the store has a ledger, the whole maintenance records
+// one KindMaintained event under entry −1: shared propagation has no
+// per-view attribution.
 func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, deleted [][]byte) {
-	sp := e.tracer.Begin("rete.propagate")
+	m, l := pg.Meter(), e.store.LedgerRef()
+	var before metric.Counters
+	if l != nil {
+		before = m.Snapshot()
+	}
+	t := pg.Tracer()
+	sp := t.Begin("rete.propagate")
 	sp.Set("rel", rel.Schema().Name())
 	sp.Set("tokens", len(inserted)+len(deleted))
 	name := rel.Schema().Name()
@@ -52,5 +59,18 @@ func (e *Engine) Apply(pg *storage.Pager, rel *relation.Relation, inserted, dele
 	for _, tup := range inserted {
 		e.net.Submit(pg, name, Token{Tag: Plus, Tuple: tup})
 	}
-	e.tracer.End(sp)
+	t.End(sp)
+	if l == nil {
+		return
+	}
+	// Flush so deferred page writes price into this event (idempotent;
+	// the op-level flush then finds the frames clean).
+	pg.Flush()
+	l.Record(cache.LedgerEvent{
+		Entry:   -1,
+		Kind:    cache.KindMaintained,
+		Op:      pg.OpToken(),
+		Session: pg.Session(),
+		CostMs:  m.Since(before).Milliseconds(m.Costs()),
+	})
 }

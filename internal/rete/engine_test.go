@@ -3,6 +3,7 @@ package rete
 import (
 	"testing"
 
+	"dbproc/internal/cache"
 	"dbproc/internal/dbtest"
 	"dbproc/internal/storage"
 	"dbproc/internal/tuple"
@@ -17,7 +18,7 @@ func TestEngineAdaptsNetworkToMaintainer(t *testing.T) {
 	tc.Attach(alpha)
 
 	prepared := false
-	eng := NewEngine(net, func(pg *storage.Pager) {
+	eng := NewEngine(net, cache.NewStore(w.Pager.Disk()), func(pg *storage.Pager) {
 		prepared = true
 		w.R1.Tree().ScanAll(w.Pager, func(rec []byte) bool {
 			net.Submit(w.Pager, "r1", Token{Tag: Plus, Tuple: append([]byte(nil), rec...)})
@@ -47,7 +48,7 @@ func TestEngineAdaptsNetworkToMaintainer(t *testing.T) {
 
 func TestEngineNilPrepare(t *testing.T) {
 	w := dbtest.NewWorld(dbtest.Config{})
-	eng := NewEngine(NewNetwork(w.Pager.Disk()), nil)
+	eng := NewEngine(NewNetwork(w.Pager.Disk()), nil, nil)
 	eng.Prepare(w.Pager) // must not panic
 }
 

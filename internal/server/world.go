@@ -53,14 +53,21 @@ func (c *conn) handleWorldOpen(m *wire.WorldOpen) error {
 	if params == (costmodel.Params{}) {
 		params = costmodel.Default()
 	}
+	if err := params.Validate(); err != nil {
+		return c.writeError(wire.CodeParse, err.Error())
+	}
 	if m.Scenario != "" {
 		if _, ok := workload.ByName(m.Scenario); !ok {
 			return c.writeError(wire.CodeParse, fmt.Sprintf("unknown scenario %q", m.Scenario))
 		}
 	}
+	// Sessions are allocated up front: bound them like connections.
 	clients := m.Clients
 	if clients < 1 {
 		clients = 1
+	}
+	if clients > c.srv.opt.MaxConns {
+		return c.writeError(wire.CodeLimit, fmt.Sprintf("%d sessions exceed the %d-connection limit", clients, c.srv.opt.MaxConns))
 	}
 	cfg := sim.Config{
 		Params:           params,

@@ -133,3 +133,37 @@ func TestWorldOpenedOpsAreTheDeal(t *testing.T) {
 		}
 	}
 }
+
+// TestWorldOpenRefusesWhatItCannotBuild: a WorldOpen whose parameters
+// fail Validate is answered with a parse error, not a dead server — the
+// same connection then opens a valid world — and one asking for more
+// sessions than the server admits connections is refused with CodeLimit.
+func TestWorldOpenRefusesWhatItCannotBuild(t *testing.T) {
+	defer dbtest.Watchdog(t, time.Minute)()
+	srv, addr := startServer(t, Options{MaxConns: 4})
+	p := costmodel.Default()
+	p.N = 600
+	p.F = 8.0 / p.N
+	p.N1, p.N2 = 3, 3
+	p.K, p.Q = 4, 6
+	pr := dial(t, addr)
+
+	bad := p
+	bad.N = -1
+	wantError(t, pr.call(wire.TWorldOpen, &wire.WorldOpen{Params: bad, Model: "1", Strategy: "ci", Seed: 1}), wire.CodeParse)
+	bad = p
+	bad.Z = 1
+	wantError(t, pr.call(wire.TWorldOpen, &wire.WorldOpen{Params: bad, Model: "1", Strategy: "ci", Seed: 1}), wire.CodeParse)
+	if n := srv.nWorlds.Load(); n != 0 {
+		t.Fatalf("refused opens hold %d world slots", n)
+	}
+
+	opened, ok := pr.call(wire.TWorldOpen, &wire.WorldOpen{Params: p, Model: "1", Strategy: "ci", Seed: 1, Clients: 4}).(*wire.WorldOpened)
+	if !ok || opened.Sessions != 4 {
+		t.Fatalf("a valid open after refused ones answered %+v", opened)
+	}
+	wantError(t, pr.call(wire.TWorldOpen, &wire.WorldOpen{Params: p, Model: "1", Strategy: "ci", Seed: 1, Clients: 5}), wire.CodeLimit)
+	if n := srv.nWorlds.Load(); n != 1 {
+		t.Fatalf("%d world slots held, want the one valid world's", n)
+	}
+}

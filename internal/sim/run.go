@@ -138,18 +138,20 @@ func (w *World) scoped(update bool, stamp uint64, fn func()) {
 
 // ExecOpOn executes the body of one workload operation on the given
 // session pager, whose scope the caller has opened (ExecOp, the engine's
-// Session.Exec): a fresh frame scope, the op's tracing span, the
-// base-table change plus strategy maintenance for updates, the strategy
-// access for queries. The concurrent engine calls it once per session op;
+// Session.Exec): a fresh frame scope, the op's tracing span on the
+// pager's tracer, the base-table change plus strategy maintenance for
+// updates, the strategy access for queries. The concurrent engine calls it
+// once per session op;
 // update ops consume the shared workload generator and mutate base
 // structures, which is safe because every update footprint is exclusive on
 // r1 and serializes against all other updates.
 func (w *World) ExecOpOn(pg *storage.Pager, op workload.Op) OpResult {
 	pg.BeginOp()
 	pg.SetOpToken(op.Index)
+	t := pg.Tracer()
 	switch op.Kind {
 	case workload.Update:
-		sp := w.tracer.Begin("op.update")
+		sp := t.Begin("op.update")
 		rec := w.drawUpdate(op)
 		delta, _ := w.applyUpdate(pg, rec)
 		sp.Set("rel", delta.Rel.Schema().Name())
@@ -158,10 +160,10 @@ func (w *World) ExecOpOn(pg *storage.Pager, op workload.Op) OpResult {
 		// Flush inside the span so deferred page writes are priced into
 		// the operation that dirtied them.
 		pg.Flush()
-		w.tracer.End(sp)
+		t.End(sp)
 		return OpResult{Op: op, Update: rec}
 	case workload.Query:
-		sp := w.tracer.Begin("op.query")
+		sp := t.Begin("op.query")
 		sp.Set("proc", op.ProcID)
 		out := w.strat.Access(pg, op.ProcID)
 		// Nested procedure calls: the body accesses further procedures,
@@ -177,7 +179,7 @@ func (w *World) ExecOpOn(pg *storage.Pager, op workload.Op) OpResult {
 		}
 		sp.Set("tuples", len(out))
 		pg.Flush()
-		w.tracer.End(sp)
+		t.End(sp)
 		return OpResult{Op: op, Tuples: out}
 	}
 	panic("sim: unknown op kind")

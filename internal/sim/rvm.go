@@ -121,5 +121,5 @@ func (w *World) buildRVM() proc.Strategy {
 			e.MarkValid(pg)
 		}
 	}
-	return proc.NewUpdateCache(w.mgr, store, rete.NewEngine(net, prepare))
+	return proc.NewUpdateCache(w.mgr, store, rete.NewEngine(net, store, prepare))
 }

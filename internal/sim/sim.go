@@ -72,8 +72,9 @@ type Config struct {
 	Adaptive bool
 	// Tracer, when non-nil, records a span per workload operation plus
 	// strategy-internal child spans (recompute scans, CI refreshes, AVM
-	// route/merge phases, Rete propagation). Nil disables tracing at the
-	// cost of one nil check per instrumentation point.
+	// route/merge phases, Rete propagation) in every mode: the engine
+	// moves each session's spans into it at commit. Nil disables tracing
+	// at the cost of one nil check per instrumentation point.
 	Tracer *obs.Tracer
 	// Ledger, when non-nil, receives the cache-efficacy event stream
 	// (docs/DIAGNOSIS.md): per-entry computed/hit/invalidated/maintained
@@ -141,12 +142,11 @@ type World struct {
 	skey []int64
 	p2   []int64
 
-	mgr    *proc.Manager
-	specs  []*procSpec
-	gen    *workload.Generator
-	sched  *workload.Schedule // nil for the polite workload
-	strat  proc.Strategy
-	tracer *obs.Tracer
+	mgr   *proc.Manager
+	specs []*procSpec
+	gen   *workload.Generator
+	sched *workload.Schedule // nil for the polite workload
+	strat proc.Strategy
 
 	// denseBand caches the densest i-lock interval — the skey range
 	// covered by the most procedure bands — for adversarial updates.
@@ -187,20 +187,16 @@ func Build(cfg Config) *World {
 	w.strat.Prepare(w.pager)
 
 	// Attach tracing after Prepare so setup work records no spans. The
-	// tracer is bound late because the meter it prices span deltas against
-	// is created here.
-	if w.tracer = cfg.Tracer; w.tracer != nil {
-		w.tracer.Bind(meter)
-		if st, ok := w.strat.(interface{ SetTracer(*obs.Tracer) }); ok {
-			st.SetTracer(w.tracer)
-		}
-	}
+	// tracer rides on the pager, where every layer an operation runs
+	// through finds it.
+	pager.SetTracer(cfg.Tracer)
 
-	// Attach the efficacy ledger after Prepare so setup work records no
-	// events, and measure each entry's from-scratch recompute baseline on
-	// a throwaway meter (the world's counters stay untouched). The load's
-	// dirty frames are flushed first, so the measuring pager reads the
-	// loaded relations from the disk.
+	// Attach the efficacy ledger to the cache store, where strategies read
+	// it, after Prepare so setup work records no events, and measure each
+	// entry's from-scratch recompute baseline on a throwaway meter (the
+	// world's counters stay untouched). The load's dirty frames are flushed
+	// first, so the measuring pager reads the loaded relations from the
+	// disk.
 	if l := cfg.Ledger; l != nil {
 		pager.BeginOp()
 		for _, id := range w.ProcIDs() {
@@ -209,9 +205,6 @@ func Build(cfg Config) *World {
 			d := w.mgr.MustGet(id)
 			query.Run(d.Plan, &query.Ctx{Meter: bm, Pager: bpg})
 			l.SetBaseline(id, bm.Milliseconds())
-		}
-		if sl, ok := w.strat.(interface{ SetLedger(*cache.Ledger) }); ok {
-			sl.SetLedger(l)
 		}
 		if cs := w.CacheStore(); cs != nil {
 			cs.SetLedger(l)
@@ -225,15 +218,18 @@ func Build(cfg Config) *World {
 }
 
 // SessionPager creates a fresh per-session pager over the world's shared
-// disk, with its own zeroed meter (same cost constants) and the session
-// tag set. A new session pager is in exactly the state Build leaves the
-// world's own pager in — operation scope begun, charging on, meter zero —
-// so a single session executing through it reproduces the sequential run
-// byte for byte.
+// disk, with its own zeroed meter (same cost constants), the session tag
+// set and, when the world traces, its own tracer. A new session pager is
+// in exactly the state Build leaves the world's own pager in — operation
+// scope begun, charging on, meter zero — so a single session executing
+// through it reproduces the sequential run byte for byte, spans included.
 func (w *World) SessionPager(session int) *storage.Pager {
 	m := metric.NewMeter(w.costs)
 	pg := storage.NewPager(w.pager.Disk(), m)
 	pg.SetSession(session)
+	if w.cfg.Tracer != nil {
+		pg.SetTracer(obs.NewTracer())
+	}
 	pg.BeginOp()
 	return pg
 }

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"dbproc/internal/metric"
+	"dbproc/internal/obs"
 )
 
 // PageID names one page on the simulated disk.
@@ -220,6 +221,9 @@ type Pager struct {
 	// entirely in the wall-clock domain: enabling it never touches the
 	// meter, so simulated costs stay byte-identical.
 	wall *WallStats
+	// tracer, when non-nil, records the spans of every layer an operation
+	// runs through on this pager (sim, proc, avm, rete).
+	tracer *obs.Tracer
 }
 
 // WallStats accumulates wall-clock execution segments for one pager's
@@ -281,6 +285,17 @@ func (p *Pager) EnableWallStats() *WallStats {
 
 // Wall returns the attached wall-clock accumulator, nil when disabled.
 func (p *Pager) Wall() *WallStats { return p.wall }
+
+// SetTracer binds t to the pager's meter and records the pager's
+// operations' spans on it; nil (the default) disables tracing.
+func (p *Pager) SetTracer(t *obs.Tracer) {
+	t.Bind(p.meter)
+	p.tracer = t
+}
+
+// Tracer returns the attached tracer, nil when tracing is off (every
+// obs.Tracer method is nil-safe).
+func (p *Pager) Tracer() *obs.Tracer { return p.tracer }
 
 // BeginRecompute opens a cache-miss recompute scope: until the matching
 // EndRecompute, elapsed wall time (minus I/O, which stays in the I/O

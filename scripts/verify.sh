@@ -114,10 +114,13 @@ GOMAXPROCS=4 go test -race -count=3 \
 # i of n commits ops i, i+n, … and WorldOpened announces each share; a
 # lock.release event is an update's footprint hold, never a query's; and
 # a served world step allocates no more than before the deal moved
-# (TestWorldStepAllocations).
+# (TestWorldStepAllocations). Every session traces on its own pager and
+# the commit moves each op's span tree into the run's trace: one session
+# writes sim.Run's trace span for span, and with four the root spans tile
+# the run's cost and every child's parent lies in its own op's tree.
 GOMAXPROCS=4 go test -race -count=3 ./internal/server
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestStreamBytesPerOp|TestSequenceMatchesReference|TestScheduleStreamMatchesReference|TestCritPathSumsToWall|TestUpdateFootprintBuiltOnce|TestContentionProfile|TestBlameWithoutCritPath|TestSessionsStepTheirDealtOps|TestLockReleaseIsAnUpdatesHold' \
+    -run 'TestHistogramWallBound|TestHistogramMerge|TestHistogramConcurrentObserve|TestLatencyDetectorNeedsNoOtherOption|TestHistoryDigest|TestStreamBytesPerOp|TestSequenceMatchesReference|TestScheduleStreamMatchesReference|TestCritPathSumsToWall|TestUpdateFootprintBuiltOnce|TestContentionProfile|TestBlameWithoutCritPath|TestSessionsStepTheirDealtOps|TestLockReleaseIsAnUpdatesHold|TestOneClientTraceMatchesSimRun|TestConcurrentTraceNests' \
     ./internal/obs/ ./internal/engine/ ./internal/workload/
 GOMAXPROCS=4 go test -count=1 \
     -run 'TestCodec|TestDecodeValidatesBeforeAllocating|TestBuffersShrink|TestReaderPeek|TestTracingOffByteIdentity|TestPingAllocations|TestWorldStepAllocations|TestFrameRowsFit|TestOneFrameResultIsOneRequest' \
