@@ -546,7 +546,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Keep the telemetry endpoints up after the run so a live scrape
-	// (procmon, curl, Prometheus) can read the final state; the interrupt
+	// (procstat, curl, Prometheus) can read the final state; the interrupt
 	// that cancels ctx ends it.
 	if hub != nil && ctx.Err() == nil {
 		fmt.Fprintln(stderr, "telemetry: run complete; serving until interrupt")

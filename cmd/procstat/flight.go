@@ -53,6 +53,13 @@ func flightReport(w io.Writer, d *telemetry.Dump, topK int) {
 		fmt.Fprintf(w, "  no lock waits among the retained events\n")
 		return
 	}
+	blockerTable(w, blockers, topK)
+}
+
+// blockerTable renders blockers, sorted by total wait: the wait split by
+// class, then the top K. A blocker with no recorded maximum wait (one
+// read from /metrics, which exports totals only) omits it.
+func blockerTable(w io.Writer, blockers []blockerAgg, topK int) {
 	// Under the MVCC read path the only waits left fall into two causally
 	// distinct classes: queueing behind an update's declared 2PL
 	// footprint, or behind the post-commit version-chain sweep. The split
@@ -74,9 +81,12 @@ func flightReport(w io.Writer, d *telemetry.Dump, topK int) {
 		if holder == "" {
 			holder = "(holder unknown: blame attribution was off)"
 		}
-		fmt.Fprintf(w, "    %-14s %s: %d wait(s), %.3f ms total, max %.3f ms [%s]\n",
-			b.Lock, holder, b.Waits, float64(b.WaitNs)/1e6, float64(b.MaxWaitNs)/1e6,
-			waitClass(b.Lock))
+		maxWait := ""
+		if b.MaxWaitNs > 0 {
+			maxWait = fmt.Sprintf(", max %.3f ms", float64(b.MaxWaitNs)/1e6)
+		}
+		fmt.Fprintf(w, "    %-14s %s: %d wait(s), %.3f ms total%s [%s]\n",
+			b.Lock, holder, b.Waits, float64(b.WaitNs)/1e6, maxWait, waitClass(b.Lock))
 	}
 }
 
@@ -115,6 +125,13 @@ func topBlockers(d *telemetry.Dump) []blockerAgg {
 	for _, b := range agg {
 		out = append(out, *b)
 	}
+	sortBlockers(out)
+	return out
+}
+
+// sortBlockers orders blockers by total wait descending, then by lock
+// and holder.
+func sortBlockers(out []blockerAgg) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].WaitNs != out[j].WaitNs {
 			return out[i].WaitNs > out[j].WaitNs
@@ -124,7 +141,6 @@ func topBlockers(d *telemetry.Dump) []blockerAgg {
 		}
 		return out[i].Holder < out[j].Holder
 	})
-	return out
 }
 
 // Wait classes for blame reporting.

@@ -1,42 +1,43 @@
-// Command procstat is the one reader of every artifact the system writes.
-// It loads its files with one loader (artifact.Load), merges them, and renders
-// a section for each record kind it finds:
+// Command procstat is the one reader of every artifact the system writes
+// and of every running process. It reads each file with one loader
+// (artifact.Set.Add) and renders a section for each record kind found:
 //
 //   - span traces (procsim -trace): the run table, per-operation latency
-//     histograms and per-run span totals, per-component cost breakdowns
-//     and a model-drift summary, all in simulated milliseconds;
-//   - lock-contention records, from a trace or a flight dump: top-K
-//     tables;
-//   - flight-recorder dumps (procsim -flight, an auto-dump, or a
-//     procmon -tail of /events): the event timeline with the
-//     serializability oracle's minimal non-serializable window marked,
-//     detector and fault lines, and the top lock-wait blockers by wait
-//     class;
+//     histograms, per-run span totals (self time: each nested span
+//     counted once), cost breakdowns and a model-drift summary;
+//   - lock-contention records: top-K tables;
+//   - flight-recorder dumps: the event timeline with the minimal
+//     non-serializable window marked, detector and fault lines, and the
+//     top lock-wait blockers by wait class;
 //   - cache-efficacy ledgers (procsim -ledger): per run the dominant
-//     bottleneck, wasted work and net benefit, then a strategy verdict
-//     per (model, clients, seed) from ledger evidence alone;
+//     bottleneck, wasted work and net benefit, then a strategy verdict;
 //   - wire traces (client.Tracer, procserved -trace): the sum-to-total
 //     check and the cross-process merge;
-//   - scenario reports (BENCH_scenarios.json): the winner-region table
-//     and cost grid, with every verdict re-derived from its rows.
+//   - scenario reports (BENCH_scenarios.json): the winner-region table,
+//     every verdict re-derived from its rows.
+//
+// An http:// or https:// operand is a live source (procsim -listen,
+// procserved -telemetry): one GET of /metrics and one of the newest
+// -topk /events render its gauges, latency quantiles, critical-path
+// split, blockers, served request table, contention and event tail.
 //
 // Usage:
 //
-//	procsim -trace out.jsonl            # record a trace
-//	procstat out.jsonl                  # summarize it
+//	procstat out.jsonl                  # summarize a trace
 //	procstat -run ci out.jsonl          # one strategy run (or one scenario) only
 //	procstat -span op.query out.jsonl   # one span name only
 //	procstat -chrome t.json out.jsonl   # export for chrome://tracing
 //	procstat ledger.jsonl flight.jsonl  # diagnose a concurrent run
 //	procstat -chrome merged.json client.jsonl server.jsonl   # merge a wire trace
 //	procstat BENCH_scenarios.json       # hostile-workload winner regions
+//	watch -n 1 procstat http://127.0.0.1:9090   # watch a running process
 //
-// procstat exits 1 if a file holds a record it does not know, a server
-// wire span whose segments do not sum to its wall time, or a scenario
-// verdict its own rows do not reproduce. Multiple files aggregate:
-// histograms and drift entries accumulate across all of them, so a
-// directory of per-seed traces summarizes as one distribution.
-// docs/DIAGNOSIS.md describes the diagnosis sections.
+// procstat exits 1 on a record it does not know, a span whose parent is
+// missing or whose children outcost it, a wire span whose segments do
+// not sum to its wall time, a scenario verdict its rows do not
+// reproduce, or a live GET that fails. Multiple operands aggregate, so
+// per-seed traces summarize as one distribution. docs/DIAGNOSIS.md and
+// docs/TELEMETRY.md describe the sections.
 package main
 
 import (
@@ -44,8 +45,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"dbproc/internal/artifact"
 	"dbproc/internal/obs"
@@ -86,11 +89,33 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return errors.New("no input files (usage: procstat [flags] FILE...)")
+		return errors.New("no input files (usage: procstat [flags] FILE|URL...)")
 	}
-	a, err := artifact.Load(fs.Args()...)
-	if err != nil {
-		return err
+	a := &artifact.Set{}
+	var self []float64 // each span's self time, parallel to a.Spans
+	var live []scrape
+	for _, operand := range fs.Args() {
+		if strings.HasPrefix(operand, "http://") || strings.HasPrefix(operand, "https://") {
+			s, err := readLive(operand, o.topK, a)
+			if err != nil {
+				return err
+			}
+			live = append(live, s)
+			continue
+		}
+		data, err := os.ReadFile(operand)
+		if err != nil {
+			return err
+		}
+		n := len(a.Spans)
+		if err := a.Add(operand, data); err != nil {
+			return err
+		}
+		st, err := selfTimes(a.Spans[n:])
+		if err != nil {
+			return fmt.Errorf("%s: %w", operand, err)
+		}
+		self = append(self, st...)
 	}
 	if len(a.Spans)+len(a.Runs)+len(a.Breakdowns)+len(a.WireSpans)+len(a.Dumps)+
 		len(a.Contention)+len(a.Ledgers)+len(a.Documents) == 0 {
@@ -101,9 +126,13 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if len(a.Spans)+len(a.Runs)+len(a.Breakdowns) > 0 {
-		if err := traceReport(w, a, o); err != nil {
+		if err := traceReport(w, a, self, o); err != nil {
 			return err
 		}
+	}
+	for _, s := range live {
+		fmt.Fprintln(w)
+		scrapeReport(w, s, o.topK)
 	}
 	for _, cr := range a.Contention {
 		if o.keepRun(cr.Run) {
@@ -135,8 +164,8 @@ func run(args []string, w io.Writer) error {
 
 // traceReport renders the span-trace sections: the run table, the span
 // view, the breakdowns and the drift summary, and the Chrome export of
-// the spans.
-func traceReport(w io.Writer, a *artifact.Set, o options) error {
+// the spans. self holds each of a.Spans' self time.
+func traceReport(w io.Writer, a *artifact.Set, self []float64, o options) error {
 	drift := obs.NewDrift(o.driftThreshold)
 	nRuns := 0
 	fmt.Fprintf(w, "%-12s %-22s %-8s %8s %8s %12s %12s %6s\n",
@@ -160,12 +189,14 @@ func traceReport(w io.Writer, a *artifact.Set, o options) error {
 	}
 
 	var spans []obs.SpanRecord
-	for _, sp := range a.Spans {
+	var selfMs []float64
+	for i, sp := range a.Spans {
 		if o.keepRun(sp.Run) && (o.span == "" || sp.Name == o.span) {
 			spans = append(spans, sp)
+			selfMs = append(selfMs, self[i])
 		}
 	}
-	spanView(w, spans, o.topK)
+	spanView(w, spans, selfMs, o.topK)
 
 	for _, bd := range a.Breakdowns {
 		if o.keepRun(bd.Run) {
@@ -183,11 +214,50 @@ func traceReport(w io.Writer, a *artifact.Set, o options) error {
 	return writeChrome(w, o.chrome, func(f io.Writer) error { return obs.WriteChromeTrace(f, spans) })
 }
 
+// selfTimes charges each span its duration minus its children's, so a
+// run's self times sum to its root spans' total: the run's cost, each
+// nested span counted once. spans are one file's, where a span id is
+// unique within its run. A span whose parent is missing from its run,
+// or whose children cost more than it does, makes the trace malformed.
+func selfTimes(spans []obs.SpanRecord) ([]float64, error) {
+	type key struct {
+		run string
+		id  int64
+	}
+	at := make(map[key]int, len(spans))
+	for i, sp := range spans {
+		at[key{sp.Run, sp.ID}] = i
+	}
+	self := make([]float64, len(spans))
+	for i, sp := range spans {
+		self[i] += sp.DurMs
+		if sp.Parent == 0 {
+			continue
+		}
+		p, ok := at[key{sp.Run, sp.Parent}]
+		if !ok {
+			return nil, fmt.Errorf("run %q: span %d (%s) names parent %d, which is not in the run",
+				sp.Run, sp.ID, sp.Name, sp.Parent)
+		}
+		self[p] -= sp.DurMs
+	}
+	for i, sp := range spans {
+		// Children's costs are sums of the same simulated charges as
+		// their parent's, so only rounding may take a self time below 0.
+		if self[i] < -1e-9*math.Max(1, sp.DurMs) {
+			return nil, fmt.Errorf("run %q: span %d (%s) lasts %g ms but its children cost %g ms",
+				sp.Run, sp.ID, sp.Name, sp.DurMs, sp.DurMs-self[i])
+		}
+		self[i] = math.Max(self[i], 0)
+	}
+	return self, nil
+}
+
 // spanView renders span records in one pass: a latency histogram per
 // span name, in first-seen order, then per-run totals — spans,
 // simulated ms, spans carrying lock-wait blame edges — with each run's
-// top span names by total cost.
-func spanView(w io.Writer, spans []obs.SpanRecord, topK int) {
+// top span names by total cost. Totals charge spans[i] its self[i].
+func spanView(w io.Writer, spans []obs.SpanRecord, self []float64, topK int) {
 	if len(spans) == 0 {
 		return
 	}
@@ -202,7 +272,7 @@ func spanView(w io.Writer, spans []obs.SpanRecord, topK int) {
 	var names []string
 	var runs []*runTotal
 	idx := map[string]*runTotal{}
-	for _, sp := range spans {
+	for i, sp := range spans {
 		h := hists[sp.Name]
 		if h == nil {
 			h = obs.NewHistogram(nil)
@@ -217,11 +287,11 @@ func spanView(w io.Writer, spans []obs.SpanRecord, topK int) {
 			runs = append(runs, rt)
 		}
 		rt.spans++
-		rt.durMs += sp.DurMs
+		rt.durMs += self[i]
 		if _, seen := rt.byName[sp.Name]; !seen {
 			rt.names = append(rt.names, sp.Name)
 		}
-		rt.byName[sp.Name] += sp.DurMs
+		rt.byName[sp.Name] += self[i]
 		if _, blamed := sp.Attrs["blame_sessions"]; blamed {
 			rt.blame++
 		}

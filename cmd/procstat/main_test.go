@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -274,6 +276,85 @@ func TestTamperedWireSpanFails(t *testing.T) {
 	_, err := procstat(t, nil, map[string][]byte{"server.jsonl": buf.Bytes()})
 	if err == nil || !strings.Contains(err.Error(), "segments sum") {
 		t.Fatalf("tampered wire span: err = %v", err)
+	}
+}
+
+// TestMalformedSpanTreeFails: a span whose parent is not in its run, or
+// whose children cost more than it does, fails the run.
+func TestMalformedSpanTreeFails(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		tamper     func(sp, parent *obs.SpanRecord)
+	}{
+		{"orphan", "not in the run", func(sp, _ *obs.SpanRecord) { sp.Parent = 1 << 40 }},
+		{"overspent", "children cost", func(sp, parent *obs.SpanRecord) { sp.DurMs = parent.DurMs + 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := &artifact.Set{}
+			if err := a.Add("trace.jsonl", sequentialTrace(t)); err != nil {
+				t.Fatal(err)
+			}
+			at := map[int64]int{}
+			tampered := false
+			for i, sp := range a.Spans {
+				at[sp.ID] = i
+				if p, ok := at[sp.Parent]; ok && sp.Parent != 0 && !tampered {
+					tc.tamper(&a.Spans[i], &a.Spans[p])
+					tampered = true
+				}
+			}
+			if !tampered {
+				t.Fatal("fixture has no nested span")
+			}
+			records := make([]any, len(a.Spans))
+			for i, sp := range a.Spans {
+				records[i] = sp
+			}
+			_, err := procstat(t, nil, map[string][]byte{"trace.jsonl": encode(t, records...)})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to say %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestSpanTotalsCountEachSpanOnce: the span view charges each span its
+// self time, so a run's "span totals" line equals the sum of its root
+// spans and its breakdown TOTAL, for a sequential trace (ci.refresh
+// nests under op.query) and a -clients 2 trace (rete.propagate nests
+// under op.update).
+func TestSpanTotalsCountEachSpanOnce(t *testing.T) {
+	for name, trace := range map[string][]byte{"sequential": sequentialTrace(t), "clients": concurrentTrace(t)} {
+		t.Run(name, func(t *testing.T) {
+			a := &artifact.Set{}
+			if err := a.Add("trace.jsonl", trace); err != nil {
+				t.Fatal(err)
+			}
+			var roots float64
+			nested := 0
+			for _, sp := range a.Spans {
+				if sp.Parent == 0 {
+					roots += sp.DurMs
+				} else if sp.DurMs > 0 {
+					nested++
+				}
+			}
+			if nested == 0 {
+				t.Fatal("fixture has no costed nested span: the test would not tell self time from duration")
+			}
+			out, err := procstat(t, nil, map[string][]byte{"trace.jsonl": trace})
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := regexp.MustCompile(`run "[^"]+": \d+ spans, ([\d.]+) ms simulated`).FindStringSubmatch(out)
+			bd := regexp.MustCompile(`(?m)^  TOTAL .* ([\d.]+)$`).FindStringSubmatch(out)
+			if total == nil || bd == nil {
+				t.Fatalf("no run total or breakdown TOTAL:\n%s", out)
+			}
+			if want := fmt.Sprintf("%.1f", roots); total[1] != want || bd[1] != want {
+				t.Errorf("run total %s ms, breakdown TOTAL %s ms, root spans %s ms: want all equal", total[1], bd[1], want)
+			}
+		})
 	}
 }
 

@@ -85,7 +85,8 @@ func TestFlightRecorderCapturesRun(t *testing.T) {
 
 	// The timeline renders without error and mentions a commit.
 	buf.Reset()
-	rec.Timeline(&buf)
+	events, dropped := rec.Snapshot()
+	telemetry.WriteTimeline(&buf, events, dropped, nil)
 	if !strings.Contains(buf.String(), telemetry.EvOpCommit) {
 		t.Fatalf("timeline missing commits:\n%.400s", buf.String())
 	}

@@ -192,6 +192,68 @@ func WriteMetrics(w interface{ Write([]byte) (int, error) }, ms []Metric) {
 	}
 }
 
+// ParseMetrics reads Prometheus text exposition, as WriteMetrics writes
+// it, back into samples (name, labels, value; Help and Type are left
+// empty). Comment lines, and any line that is not `name[{labels}]
+// value`, are skipped, so a reader renders what it understands.
+func ParseMetrics(text string) []Metric {
+	var out []Metric
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[sp+1:], 64)
+		if err != nil {
+			continue
+		}
+		m := Metric{Name: line[:sp], Value: v}
+		if i := strings.IndexByte(m.Name, '{'); i >= 0 {
+			m.Labels = parseLabels(m.Name[i:])
+			m.Name = m.Name[:i]
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// parseLabels parses `{k="v",...}`, undoing escapeLabel.
+func parseLabels(s string) map[string]string {
+	labels := map[string]string{}
+	s = strings.TrimSuffix(strings.TrimPrefix(s, "{"), "}")
+	for len(s) > 0 {
+		eq := strings.Index(s, `="`)
+		if eq < 0 {
+			break
+		}
+		key := s[:eq]
+		s = s[eq+2:]
+		var b strings.Builder
+		for i := 0; i < len(s); i++ {
+			if s[i] == '\\' && i+1 < len(s) {
+				i++
+				if s[i] == 'n' {
+					b.WriteByte('\n')
+				} else {
+					b.WriteByte(s[i])
+				}
+				continue
+			}
+			if s[i] == '"' {
+				s = strings.TrimPrefix(s[i+1:], ",")
+				break
+			}
+			b.WriteByte(s[i])
+		}
+		labels[key] = b.String()
+	}
+	return labels
+}
+
 func formatLabels(labels map[string]string) string {
 	if len(labels) == 0 {
 		return ""

@@ -2,14 +2,23 @@ package telemetry_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"dbproc/client"
+	"dbproc/internal/costmodel"
+	"dbproc/internal/engine"
+	"dbproc/internal/server"
+	"dbproc/internal/sim"
 	"dbproc/internal/telemetry"
 )
 
@@ -200,6 +209,104 @@ func TestHubEventsTailComplete(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &v); err != nil {
 			t.Fatalf("line %d not valid JSON: %v\n%s", i, err, line)
 		}
+	}
+}
+
+// TestParseMetricsRoundTrip: ParseMetrics reads back exactly what
+// WriteMetrics wrote — every family's samples in order, with their
+// labels and values — for every series a concurrent engine (with
+// critical-path profiling and a blamed lock wait) and the server export,
+// and for label values that need escaping.
+func TestParseMetricsRoundTrip(t *testing.T) {
+	p := costmodel.Default()
+	p.N, p.F = 10_000, 0.01
+	p.N1, p.N2 = 10, 10
+	p.K, p.Q, p.L = 15, 15, 5
+	e := engine.New(sim.Config{Params: p, Model: costmodel.Model1, Strategy: costmodel.CacheInvalidate, Seed: 11},
+		engine.Options{Clients: 2, CritPath: true})
+	var holdout engine.Footprint
+	holdout.Exclusive(engine.RelLock("r1"))
+	h := e.Locks().AcquireAs(holdout, 99, "test holdout")
+	done := make(chan engine.Result, 1)
+	go func() { done <- e.Run(context.Background()) }()
+	time.Sleep(20 * time.Millisecond)
+	h.Release()
+	<-done
+
+	srv := server.New(server.Options{})
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cn.Exec(context.Background(), "create emp (tid, age) cluster on age"); err != nil {
+		t.Fatal(err)
+	}
+	cn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	ms := append(e.TelemetryMetrics(), srv.TelemetryMetrics()...)
+	ms = append(ms,
+		telemetry.Counter("dbproc_lock_wait_seconds_total", "Wall-clock lock wait.", 1.5,
+			map[string]string{"lock": `we"ird\`}),
+		telemetry.Counter("dbproc_lock_wait_seconds_total", "Wall-clock lock wait.", 2.5,
+			map[string]string{"lock": "two\nlines", "world": "3"}))
+	for _, name := range []string{
+		"dbproc_critpath_seconds_total", "dbproc_blame_wait_seconds_total", "dbproc_blame_waits_total",
+		"dbproc_op_latency_wall_ns", "dbproc_sim_events_total", "dbproc_server_request_seconds",
+	} {
+		found := false
+		for _, m := range ms {
+			found = found || m.Name == name
+		}
+		if !found {
+			t.Fatalf("the sources export no %s series", name)
+		}
+	}
+
+	// WriteMetrics groups samples by family, families sorted by name.
+	byName := map[string][]telemetry.Metric{}
+	var names []string
+	for _, m := range ms {
+		if _, ok := byName[m.Name]; !ok {
+			names = append(names, m.Name)
+		}
+		byName[m.Name] = append(byName[m.Name], m)
+	}
+	sort.Strings(names)
+	var want []telemetry.Metric
+	for _, name := range names {
+		for _, m := range byName[name] {
+			m.Help, m.Type = "", ""
+			want = append(want, m)
+		}
+	}
+	var b strings.Builder
+	telemetry.WriteMetrics(&b, ms)
+	got := telemetry.ParseMetrics(b.String())
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d samples, wrote %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("sample %d: parsed %+v, wrote %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestParseMetricsSkipsGarbage: a line that is not `name value` is
+// skipped, not fatal.
+func TestParseMetricsSkipsGarbage(t *testing.T) {
+	got := telemetry.ParseMetrics("# HELP x y\nnot a metric line\nx nan-ish\nok 2\n")
+	if len(got) != 1 || got[0].Name != "ok" || got[0].Value != 2 {
+		t.Fatalf("parsed %+v", got)
 	}
 }
 

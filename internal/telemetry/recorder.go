@@ -12,7 +12,7 @@
 // engine path stays at its pre-telemetry cost.
 //
 // See docs/TELEMETRY.md for the endpoints, the flight-recorder dump
-// format, and the procmon dashboard.
+// format, and reading a live process with procstat.
 package telemetry
 
 import (
@@ -277,16 +277,6 @@ func (r *Recorder) dumpJSONL(w io.Writer, reason string) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Timeline writes a human-readable view of the retained events: one row
-// per event with its wall-clock offset, session, sequence and durations.
-func (r *Recorder) Timeline(w io.Writer) {
-	if r == nil {
-		return
-	}
-	events, dropped := r.Snapshot()
-	WriteTimeline(w, events, dropped, nil)
 }
 
 // WriteTimeline renders events (oldest first) as an aligned table. mark,

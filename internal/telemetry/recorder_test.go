@@ -22,7 +22,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if err := r.DumpJSONL(&bytes.Buffer{}, "x"); err != nil {
 		t.Fatal(err)
 	}
-	r.Timeline(&bytes.Buffer{})
 }
 
 func TestRecorderSnapshotOrderAndWrap(t *testing.T) {
@@ -86,7 +85,8 @@ func TestTimelineRendering(t *testing.T) {
 	r.Op(EvLockAcquire, 2, -1, "rel:r1", 1500000, 0)
 	r.Op(EvOpCommit, 2, 9, "update", 0, 300000)
 	var buf bytes.Buffer
-	r.Timeline(&buf)
+	events, dropped := r.Snapshot()
+	WriteTimeline(&buf, events, dropped, nil)
 	out := buf.String()
 	for _, want := range []string{"2 events retained", "lock.acquire", "rel:r1", "wait=1.5ms", "hold=300", "op.commit"} {
 		if !strings.Contains(out, want) {
@@ -95,7 +95,6 @@ func TestTimelineRendering(t *testing.T) {
 	}
 
 	// mark flags matching rows with '*'.
-	events, dropped := r.Snapshot()
 	buf.Reset()
 	WriteTimeline(&buf, events, dropped, func(ev Event) bool { return ev.Seq == 9 })
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

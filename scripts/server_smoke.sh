@@ -7,7 +7,8 @@
 #      (procsim -connect) and checks the 1-client identity line,
 #   2. runs interactive QUEL statements over the wire (procshell -connect),
 #   3. scrapes /metrics for the server's connection/handle gauges and
-#      admission counters,
+#      admission counters, and renders the served request table from it
+#      with procstat,
 #   4. sends SIGINT and requires a clean graceful drain (exit 0, "bye").
 #
 # Run from the repository root: sh scripts/server_smoke.sh
@@ -25,7 +26,7 @@ mkdir -p "$ART"
 go build -o "$SMOKE/procserved" ./cmd/procserved
 go build -o "$SMOKE/procsim" ./cmd/procsim
 go build -o "$SMOKE/procshell" ./cmd/procshell
-go build -o "$SMOKE/procmon" ./cmd/procmon
+go build -o "$SMOKE/procstat" ./cmd/procstat
 
 "$SMOKE/procserved" -listen 127.0.0.1:0 -telemetry 127.0.0.1:0 \
     >"$ART/served-out.txt" 2>"$ART/served-err.txt" &
@@ -64,7 +65,7 @@ grep -q 'age' "$ART/served-shell.txt" || {
 # The server's own gauges and counters on /metrics: connection-pool
 # gauges present, and the admission/request counters show the traffic
 # the two clients just generated.
-"$SMOKE/procmon" -addr "$TADDR" -raw >"$ART/served-metrics.txt"
+curl -fsS "http://$TADDR/metrics" >"$ART/served-metrics.txt"
 for series in \
     '^dbproc_server_connections ' \
     '^dbproc_server_stmts_open ' \
@@ -81,6 +82,11 @@ REQUESTS=$(sed -n 's/^dbproc_server_requests_total //p' "$ART/served-metrics.txt
 case "$REQUESTS" in
     ''|0) echo "server smoke: FAIL - no requests recorded (got '$REQUESTS')"; exit 1 ;;
 esac
+# The same endpoint read live: procstat renders the per-request-type
+# service-time table from the dbproc_server_request_seconds series.
+"$SMOKE/procstat" "http://$TADDR" >"$ART/served-live.txt"
+grep -q '^    stmt  ' "$ART/served-live.txt" || {
+    echo "server smoke: FAIL - procstat rendered no served request table"; exit 1; }
 
 # Clean drain: SIGINT must exit 0 (set -e enforces) and say goodbye.
 kill -INT "$SRV_PID"

@@ -13,7 +13,7 @@
 #   tier 3: concurrency + parallel sweep guards     (docs/CONCURRENCY.md,
 #           docs/PARALLEL.md: serializability oracle, race-stress soak,
 #           determinism oracles, fuzz smokes), the telemetry smoke
-#           (docs/TELEMETRY.md: -listen endpoints, procmon, procstat),
+#           (docs/TELEMETRY.md: -listen endpoints, curl, procstat),
 #           the diagnosis smoke (docs/DIAGNOSIS.md: -critpath,
 #           -ledger, procstat), and the serving guards
 #           (docs/SERVING.md: wire-frame fuzz smokes, the served race
@@ -235,17 +235,18 @@ sh scripts/server_smoke.sh
 sh scripts/trace_smoke.sh
 
 # Hostile-workload scenario smoke: generate a scaled scenario benchmark,
-# render its winner regions, have procadvisor re-derive the verdicts
+# render its winner regions, have procstat re-derive the verdicts
 # from the row evidence, and soak the 8-session engine under
 # storm-adversarial traffic with the flight recorder armed
 # (docs/SCENARIOS.md).
 sh scripts/scenario_smoke.sh
 
 # Telemetry smoke: a live concurrent procsim must expose /metrics that
-# procmon can scrape (with the run's committed-op and per-lock counters),
-# a flight tail that round-trips through procstat, and a clean SIGINT
-# shutdown.
-echo "telemetry smoke: procsim -listen / procmon / procstat"
+# curl can scrape (with the run's committed-op and per-lock counters),
+# render live through procstat (critical-path panel included), serve a
+# flight tail that round-trips through procstat, and shut down cleanly on
+# SIGINT.
+echo "telemetry smoke: procsim -listen / curl / procstat"
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 # Smoke artifacts (metrics scrape, flight tail, ledger, ledger report) go
@@ -254,7 +255,6 @@ trap 'rm -rf "$SMOKE"' EXIT
 ART="${VERIFY_ARTIFACTS:-$SMOKE}"
 mkdir -p "$ART"
 go build -o "$SMOKE/procsim" ./cmd/procsim
-go build -o "$SMOKE/procmon" ./cmd/procmon
 go build -o "$SMOKE/procstat" ./cmd/procstat
 "$SMOKE/procsim" -N 600 -f 0.0133 -N1 3 -N2 3 -k 15 -q 25 \
     -clients 8 -strategy ci -listen 127.0.0.1:0 \
@@ -276,7 +276,7 @@ for _ in $(seq 1 200); do
     grep -q "run complete" "$ART/err.txt" && break
     sleep 0.1
 done
-"$SMOKE/procmon" -addr "$ADDR" -raw >"$ART/metrics.txt"
+curl -fsS "http://$ADDR/metrics" >"$ART/metrics.txt"
 grep -q '^dbproc_up 1$' "$ART/metrics.txt" || {
     echo "verify: FAIL - /metrics missing dbproc_up"; exit 1; }
 grep -q '^dbproc_ops_committed_total 40$' "$ART/metrics.txt" || {
@@ -286,10 +286,10 @@ grep -q '^dbproc_lock_acquires_total{lock="rel:r1"}' "$ART/metrics.txt" || {
 # The -critpath run must export the critical-path decomposition series.
 grep -q '^dbproc_critpath_seconds_total{segment="compute"}' "$ART/metrics.txt" || {
     echo "verify: FAIL - /metrics missing critical-path segment series"; exit 1; }
-"$SMOKE/procmon" -addr "$ADDR" -blame -n 1 >"$ART/blame.txt"
+"$SMOKE/procstat" "http://$ADDR" >"$ART/blame.txt"
 grep -q 'critical path:' "$ART/blame.txt" || {
-    echo "verify: FAIL - procmon -blame rendered no critical-path panel"; exit 1; }
-"$SMOKE/procmon" -addr "$ADDR" -tail 32 >"$ART/flight-tail.jsonl"
+    echo "verify: FAIL - procstat on the live endpoint rendered no critical-path panel"; exit 1; }
+curl -fsS "http://$ADDR/events?n=32" >"$ART/flight-tail.jsonl"
 "$SMOKE/procstat" "$ART/flight-tail.jsonl" >"$ART/flightview.txt"
 grep -q 'op.commit' "$ART/flightview.txt" || {
     echo "verify: FAIL - flight tail did not round-trip through procstat"; exit 1; }
