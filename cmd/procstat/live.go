@@ -100,7 +100,7 @@ func (ms metrics) byLabel(name, label string) map[string]float64 {
 // contention folds the dbproc_lock_* series into one contention record
 // per world (procserved labels each open world's engine series with its
 // world id), named after the source, its locks in the exported order
-// (by wait). The series carry totals only, so a lock's max wait reads 0.
+// (by wait).
 func (ms metrics) contention(url string) []telemetry.ContentionRecord {
 	series := func(name string) map[string]float64 {
 		out := map[string]float64{}
@@ -109,8 +109,9 @@ func (ms metrics) contention(url string) []telemetry.ContentionRecord {
 		}
 		return out
 	}
-	contended, wait, hold := series("dbproc_lock_contended_total"),
-		series("dbproc_lock_wait_seconds_total"), series("dbproc_lock_hold_seconds_total")
+	contended, wait, hold, maxWait := series("dbproc_lock_contended_total"),
+		series("dbproc_lock_wait_seconds_total"), series("dbproc_lock_hold_seconds_total"),
+		series("dbproc_lock_max_wait_seconds")
 	var out []telemetry.ContentionRecord
 	at, total := map[string]int{}, map[int]float64{}
 	for _, m := range ms.of("dbproc_lock_acquires_total") {
@@ -125,7 +126,8 @@ func (ms metrics) contention(url string) []telemetry.ContentionRecord {
 		}
 		k := fmt.Sprint(m.Labels)
 		out[i].Locks = append(out[i].Locks, telemetry.LockContentionJSON{Name: m.Labels["lock"],
-			Acquires: int64(m.Value), Contended: int64(contended[k]), WaitMs: 1e3 * wait[k], HoldMs: 1e3 * hold[k]})
+			Acquires: int64(m.Value), Contended: int64(contended[k]), WaitMs: 1e3 * wait[k], HoldMs: 1e3 * hold[k],
+			MaxWaitUs: 1e6 * maxWait[k]})
 		total[i] += 1e3 * wait[k]
 	}
 	for i := range out {

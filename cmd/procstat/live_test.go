@@ -105,8 +105,15 @@ func TestLiveRenderBlamePanel(t *testing.T) {
 	if !regexp.MustCompile(`held by session 99 \(test holdout\): \d+ wait\(s\), [\d.]+ ms total`).MatchString(out) {
 		t.Errorf("blocker row lacks its wait count and total:\n%s", out)
 	}
-	// The blocker rows carry the series' totals; /metrics exports no
-	// maximum wait, so none is printed.
+	// The contention table's max wait comes from
+	// dbproc_lock_max_wait_seconds: the holdout kept rel:r1 for 20 ms, so
+	// some session waited for it.
+	row := regexp.MustCompile(`(?m)^  rel:r1 +\d+ +\d+ +[\d.]+ms +[\d.]+% +[\d.]+ms +(\d+)us$`).FindStringSubmatch(out)
+	if row == nil || row[1] == "0" {
+		t.Errorf("the rel:r1 contention row lacks a non-zero max wait:\n%s", out)
+	}
+	// The blocker rows carry the blame series' totals; /metrics exports no
+	// maximum wait per blocker, so none is printed.
 	if regexp.MustCompile(`held by session 99 \(test holdout\): \d+ wait\(s\), [\d.]+ ms total, max`).MatchString(out) {
 		t.Errorf("a scraped blocker row printed a maximum wait:\n%s", out)
 	}

@@ -54,7 +54,7 @@ func newFixtureOver(t *testing.T, wrap func(query.Plan) query.Plan) *fixture {
 			DeltaPlan: func(vs *query.ValuesScan) query.Plan { return wrap(vs) },
 		}},
 	}
-	store.Define(1, s1.Width())
+	store.Define(1, s1.Size(), s1.PerPage(w.Pager.Disk().PageSize()))
 	eng.Register(p1)
 
 	// The maintenance join re-applies C_f2 with an uncharged Refine; the
@@ -98,7 +98,7 @@ func newFixtureOver(t *testing.T, wrap func(query.Plan) query.Plan) *fixture {
 			},
 		},
 	}
-	store.Define(2, joinSchema.Width())
+	store.Define(2, joinSchema.Size(), joinSchema.PerPage(w.Pager.Disk().PageSize()))
 	eng.Register(p2)
 
 	w.Pager.SetCharging(false)

@@ -22,7 +22,7 @@ func paperTree(b *testing.B, n int) (*Tree, *storage.Pager) {
 		binary.LittleEndian.PutUint64(r, uint64(i*2)) // gaps for later inserts
 		recs[i] = r
 	}
-	return BulkLoad(p, 100, 20, Key{Hi: 4}, recs), p
+	return BulkLoad(p, 100, 40, 20, Key{Hi: 4}, recs), p
 }
 
 func BenchmarkInsertDeleteChurn(b *testing.B) {
@@ -78,6 +78,6 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 		m := metric.NewMeter(metric.DefaultCosts())
 		p := storage.NewPager(storage.NewDisk(4000), m)
 		p.SetCharging(false)
-		BulkLoad(p, 100, 20, Key{Hi: 4}, recs)
+		BulkLoad(p, 100, 40, 20, Key{Hi: 4}, recs)
 	}
 }

@@ -1,7 +1,10 @@
 // Package btree implements the clustered B+-tree used as the primary
-// access method of relation R1: leaf pages hold full S-byte tuples in key
-// order (blocking factor ⌊B/S⌋), and internal pages hold d-byte index
-// entries (fanout ⌊B/d⌋), exactly the geometry of the paper's cost model.
+// access method of relation R1: leaf pages hold tuples in key order at the
+// blocking factor ⌊B/S⌋, and internal pages hold d-byte index entries
+// (fanout ⌊B/d⌋), exactly the geometry of the paper's cost model. S sets
+// the blocking factor only: a leaf's image holds its ⌊B/S⌋ records packed,
+// each as long as its attributes (recSize), with no padding out to S or
+// to B. Internal pages keep the stride d and a full B-byte image.
 //
 // Node headers (record counts, sibling links) are kept in an out-of-band
 // in-memory table so the on-page blocking factors match the model exactly;
@@ -78,15 +81,15 @@ type nodeMeta struct {
 	next, prev storage.PageID
 }
 
-// New creates an empty tree. recSize is the record width; indexEntrySize
+// New creates an empty tree. recSize is the bytes a record occupies;
+// leafCap is the leaf blocking factor, the paper's ⌊B/S⌋; indexEntrySize
 // is the paper's d, the bytes reserved per internal index entry (at least
 // 12 are needed for the stored key and child id).
-func New(disk *storage.Disk, recSize, indexEntrySize int, key Key) *Tree {
+func New(disk *storage.Disk, recSize, leafCap, indexEntrySize int, key Key) *Tree {
 	pageSize := disk.PageSize()
-	leafCap := pageSize / recSize
 	fanout := pageSize / indexEntrySize
-	if recSize <= 0 || leafCap < 2 {
-		panic(fmt.Sprintf("btree: need at least 2 records per leaf (recSize %d, page %d)", recSize, pageSize))
+	if recSize <= 0 || leafCap < 2 || leafCap*recSize > pageSize {
+		panic(fmt.Sprintf("btree: need 2 to %d records of %d bytes per leaf, got %d", pageSize/max(recSize, 1), recSize, leafCap))
 	}
 	if indexEntrySize < 12 || fanout < 3 {
 		panic(fmt.Sprintf("btree: index entry size %d invalid for page %d", indexEntrySize, pageSize))
@@ -103,6 +106,7 @@ func New(disk *storage.Disk, recSize, indexEntrySize int, key Key) *Tree {
 		dir:     treeDir{height: 1},
 	}
 	t.dir.root = t.newNode(disk.Alloc(), true)
+	disk.WriteRaw(t.dir.root, make([]byte, t.leafBytes()))
 	t.dir.numLeaves = 1
 	t.dv = disk.RegisterDir(t.snapshotDir, t.restoreDir)
 	return t
@@ -184,6 +188,9 @@ func (t *Tree) writeNode(pg *storage.Pager, id storage.PageID) []byte {
 }
 
 // Leaf record accessors.
+
+// leafBytes is the length of a leaf page's image: leafCap records.
+func (t *Tree) leafBytes() int { return t.leafCap * t.recSize }
 
 func (t *Tree) leafRec(buf []byte, i int) []byte {
 	return buf[i*t.recSize : (i+1)*t.recSize]
@@ -311,7 +318,7 @@ func (t *Tree) insertLeaf(pg *storage.Pager, id storage.PageID, key uint64, rec 
 	t.dir.numLeaves++
 	rm := t.metaMut(rightID)
 	half := m.count / 2
-	rbuf := pg.Overwrite(rightID)
+	rbuf := pg.Overwrite(rightID, t.leafBytes())
 	copy(rbuf, buf[half*t.recSize:m.count*t.recSize])
 	clear(buf[half*t.recSize : m.count*t.recSize])
 	rm.count = m.count - half
@@ -351,7 +358,7 @@ func (t *Tree) insertEntry(pg *storage.Pager, id storage.PageID, pos int, sep ui
 	rightID := t.newNode(pg.AllocPage(), false)
 	rm := t.metaMut(rightID)
 	half := m.count / 2
-	rbuf := pg.Overwrite(rightID)
+	rbuf := pg.Overwrite(rightID, pg.Disk().PageSize())
 	copy(rbuf, buf[half*t.stride:m.count*t.stride])
 	clear(buf[half*t.stride : m.count*t.stride])
 	rm.count = m.count - half

@@ -15,8 +15,8 @@ import (
 // normal rules; load with charging disabled as usual for setup. The pager
 // is only the loading session's handle — the returned tree is bound to
 // its disk and serves any session's pager afterwards.
-func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [][]byte) *Tree {
-	return BulkLoadFunc(pg, recSize, indexEntrySize, key, len(records), func(i int, rec []byte) {
+func BulkLoad(pg *storage.Pager, recSize, leafCap, indexEntrySize int, key Key, records [][]byte) *Tree {
+	return BulkLoadFunc(pg, recSize, leafCap, indexEntrySize, key, len(records), func(i int, rec []byte) {
 		if len(records[i]) != recSize {
 			panic(fmt.Sprintf("btree: record %d has %d bytes, want %d", i, len(records[i]), recSize))
 		}
@@ -27,8 +27,8 @@ func BulkLoad(pg *storage.Pager, recSize, indexEntrySize int, key Key, records [
 // BulkLoadFunc is BulkLoad for n records that fill writes in place:
 // fill(i, rec) writes record i into rec, its zeroed slot on a leaf page,
 // in ascending i. Keys must ascend strictly with i.
-func BulkLoadFunc(pg *storage.Pager, recSize, indexEntrySize int, key Key, n int, fill func(i int, rec []byte)) *Tree {
-	t := New(pg.Disk(), recSize, indexEntrySize, key)
+func BulkLoadFunc(pg *storage.Pager, recSize, leafCap, indexEntrySize int, key Key, n int, fill func(i int, rec []byte)) *Tree {
+	t := New(pg.Disk(), recSize, leafCap, indexEntrySize, key)
 	if n == 0 {
 		return t
 	}
@@ -51,7 +51,7 @@ func BulkLoadFunc(pg *storage.Pager, recSize, indexEntrySize int, key Key, n int
 			t.dir.numLeaves++
 		}
 		m := t.metaMut(id)
-		buf := pg.Overwrite(id)
+		buf := pg.Overwrite(id, t.leafBytes())
 		for i := start; i < end; i++ {
 			rec := t.leafRec(buf, i-start)
 			fill(i, rec)
@@ -78,7 +78,7 @@ func BulkLoadFunc(pg *storage.Pager, recSize, indexEntrySize int, key Key, n int
 			end := min(start+t.fanout, len(level))
 			id := t.newNode(pg.AllocPage(), false)
 			m := t.metaMut(id)
-			buf := pg.Overwrite(id)
+			buf := pg.Overwrite(id, pg.Disk().PageSize())
 			for i := start; i < end; i++ {
 				t.setEntry(buf, i-start, level[i].min, level[i].id)
 			}

@@ -53,7 +53,7 @@ func (c *cowTree) Dump(pg *storage.Pager) [][]byte {
 func TestTreeSnapshotsSurviveUpdates(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		disk := storage.NewDisk(128)
-		c := &cowTree{t: btree.New(disk, 16, 25, btree.Key{Hi: 4}), keys: make(map[uint64]bool)}
+		c := &cowTree{t: btree.New(disk, 16, 8, 25, btree.Key{Hi: 4}), keys: make(map[uint64]bool)}
 		cowtest.Run(t, disk, c, 400, 3, seed)
 	}
 }
@@ -64,7 +64,7 @@ func TestTreeSnapshotsSurviveUpdates(t *testing.T) {
 func TestTreeWriteAfterRead(t *testing.T) {
 	disk := storage.NewDisk(128)
 	pg := storage.NewPager(disk, metric.NewMeter(metric.DefaultCosts()))
-	tr := btree.New(disk, 16, 25, btree.Key{Hi: 4})
+	tr := btree.New(disk, 16, 8, 25, btree.Key{Hi: 4})
 	rng := rand.New(rand.NewSource(1))
 	for k := uint64(10); k < 15; k++ {
 		tr.Insert(pg, cowtest.Rec(k, rng))
@@ -93,7 +93,7 @@ func publishAllocs(n int) float64 {
 		recs[i] = make([]byte, 100)
 		binary.LittleEndian.PutUint64(recs[i], uint64(2*i))
 	}
-	tr := btree.BulkLoad(pg, 100, 20, btree.Key{Hi: 4}, recs)
+	tr := btree.BulkLoad(pg, 100, 40, 20, btree.Key{Hi: 4}, recs)
 	pg.BeginOp()
 
 	const runs = 50

@@ -8,7 +8,7 @@ import "testing"
 // holds it to no allocation.
 func BenchmarkInvalidateLedgerOff(b *testing.B) {
 	s, pg, _ := newStore(0.1)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Invalidate(pg)
@@ -23,7 +23,7 @@ func BenchmarkInvalidateLedgerOff(b *testing.B) {
 // attaching the ledger is an explicit opt-in.
 func BenchmarkInvalidateLedgerOn(b *testing.B) {
 	s, pg, _ := newStore(0.1)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	s.SetLedger(NewLedger())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

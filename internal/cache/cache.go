@@ -95,9 +95,10 @@ func NewStore(disk *storage.Disk) *Store {
 	return &Store{disk: disk, entries: make(map[ID]*Entry)}
 }
 
-// Define creates an (invalid, empty) entry for id with recSize-byte result
-// tuples. Defining an existing id panics.
-func (s *Store) Define(id ID, recSize int) *Entry {
+// Define creates an (invalid, empty) entry for id whose file holds
+// recSize-byte result tuples, perPage to a page (the blocking factor the
+// model's tuple width sets). Defining an existing id panics.
+func (s *Store) Define(id ID, recSize, perPage int) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.entries[id]; dup {
@@ -106,7 +107,7 @@ func (s *Store) Define(id ID, recSize int) *Entry {
 	e := &Entry{
 		id:    id,
 		store: s,
-		file:  storage.NewOrderedFile(s.disk, recSize),
+		file:  storage.NewOrderedFile(s.disk, recSize, perPage),
 	}
 	if !s.maintained {
 		e.file.Unversion()

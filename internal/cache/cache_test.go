@@ -24,7 +24,7 @@ func rec8(v uint64) []byte {
 
 func TestDefineAndLookup(t *testing.T) {
 	s, _, _ := newStore(0)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	if s.Entry(1) != e || s.MustEntry(1) != e {
 		t.Fatal("lookup failed")
 	}
@@ -38,7 +38,7 @@ func TestDefineAndLookup(t *testing.T) {
 		t.Fatal("new entry should start invalid")
 	}
 	for name, fn := range map[string]func(){
-		"redefine":       func() { s.Define(1, 8) },
+		"redefine":       func() { s.Define(1, 8, 4) },
 		"MustEntry miss": func() { s.MustEntry(9) },
 	} {
 		func() {
@@ -54,7 +54,7 @@ func TestDefineAndLookup(t *testing.T) {
 
 func TestReplaceValidatesAndStores(t *testing.T) {
 	s, p, m := newStore(0)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	p.BeginOp()
 	e.ReplaceAt(p, []uint64{1, 2, 3, 4, 5}, [][]byte{rec8(1), rec8(2), rec8(3), rec8(4), rec8(5)}, p.Disk().CommitStamp())
 	p.BeginOp()
@@ -82,7 +82,7 @@ func TestReplaceValidatesAndStores(t *testing.T) {
 
 func TestInvalidateChargesCinval(t *testing.T) {
 	s, p, m := newStore(60)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	e.MarkValid(p)
 	e.Invalidate(p)
 	if e.Valid() {
@@ -102,7 +102,7 @@ func TestInvalidateChargesCinval(t *testing.T) {
 
 func TestMarkValid(t *testing.T) {
 	s, p, m := newStore(60)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	e.MarkValid(p)
 	if !e.Valid() {
 		t.Fatal("MarkValid did not validate")
@@ -117,7 +117,7 @@ func TestMarkValid(t *testing.T) {
 
 func TestDifferentialMaintenanceTouchesOnePage(t *testing.T) {
 	s, p, m := newStore(0)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	keys := make([]uint64, 12)
 	recs := make([][]byte, 12)
 	for i := range keys {
@@ -146,7 +146,7 @@ func TestDifferentialMaintenanceTouchesOnePage(t *testing.T) {
 // the diagnosis hooks cost it a nil check each and no allocation.
 func TestInvalidateLedgerOffAllocatesNothing(t *testing.T) {
 	s, pg, m := newStore(0.1)
-	e := s.Define(1, 8)
+	e := s.Define(1, 8, 4)
 	if allocs := testing.AllocsPerRun(100, func() { e.Invalidate(pg) }); allocs != 0 {
 		t.Fatalf("a ledger-off invalidation made %v allocations, want 0", allocs)
 	}

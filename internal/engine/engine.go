@@ -471,6 +471,7 @@ func (e *Engine) TelemetryMetrics() []telemetry.Metric {
 			telemetry.Counter("dbproc_lock_contended_total", "Lock acquisitions that waited.", float64(c.Contended), lbl),
 			telemetry.Counter("dbproc_lock_wait_seconds_total", "Wall-clock lock wait.", float64(c.WaitNs)/1e9, lbl),
 			telemetry.Counter("dbproc_lock_hold_seconds_total", "Wall-clock lock hold.", float64(c.HoldNs)/1e9, lbl),
+			telemetry.Gauge("dbproc_lock_max_wait_seconds", "Longest single wall-clock wait for the lock.", float64(c.MaxWaitNs)/1e9, lbl),
 		)
 	}
 	wall, simMs := e.latency()
@@ -516,7 +517,11 @@ func (e *Engine) TelemetryMetrics() []telemetry.Metric {
 	// A reuse ratio (reused/reclaimed) well below 1 means updates are
 	// allocating page images again: look at the horizon lag first.
 	reclaimed, reused, pooled, lag := e.w.Disk().ReclaimStats()
+	pages, imageBytes := e.w.Disk().ImageStats()
 	ms = append(ms,
+		telemetry.Gauge("dbproc_disk_pages", "Pages allocated on the world's disk, freed ones included.", float64(pages), nil),
+		telemetry.Gauge("dbproc_disk_image_bytes",
+			"Bytes the pages' newest images hold: each page is sized to its owner's records.", float64(imageBytes), nil),
 		telemetry.Counter("dbproc_mvcc_images_reclaimed_total",
 			"Superseded page images version GC cut off below the horizon.", float64(reclaimed), nil),
 		telemetry.Counter("dbproc_mvcc_images_reused_total",

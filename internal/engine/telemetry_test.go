@@ -232,14 +232,28 @@ func TestTelemetryMetricsSource(t *testing.T) {
 		t.Fatalf("inflight after run = %v", got)
 	}
 	// Per-lock samples must agree with the contention profile.
-	waits := map[string]float64{}
+	waits, maxWaits := map[string]float64{}, map[string]float64{}
 	for _, m := range byName["dbproc_lock_wait_seconds_total"] {
 		waits[m.Labels["lock"]] = m.Value
+	}
+	for _, m := range byName["dbproc_lock_max_wait_seconds"] {
+		maxWaits[m.Labels["lock"]] = m.Value
 	}
 	for _, c := range res.Contention {
 		if got := waits[c.Name]; got != float64(c.WaitNs)/1e9 {
 			t.Fatalf("lock %s wait %v, profile %v", c.Name, got, float64(c.WaitNs)/1e9)
 		}
+		if got := maxWaits[c.Name]; got != float64(c.MaxWaitNs)/1e9 {
+			t.Fatalf("lock %s max wait %v, profile %v", c.Name, got, float64(c.MaxWaitNs)/1e9)
+		}
+	}
+	// The disk gauges read the world's page table at scrape time.
+	pages, imageBytes := e.w.Disk().ImageStats()
+	if got := byName["dbproc_disk_pages"]; len(got) != 1 || got[0].Value != float64(pages) || pages != e.w.Disk().NumPages() {
+		t.Fatalf("dbproc_disk_pages %v, want %d", got, pages)
+	}
+	if got := byName["dbproc_disk_image_bytes"]; len(got) != 1 || got[0].Value != float64(imageBytes) || imageBytes <= 0 {
+		t.Fatalf("dbproc_disk_image_bytes %v, want %d", got, imageBytes)
 	}
 	// Latency quantile gauges exist for both domains.
 	if len(byName["dbproc_op_latency_wall_ns"]) != 4 || len(byName["dbproc_op_latency_sim_ms"]) != 4 {
@@ -280,6 +294,7 @@ func TestMidRunScrapeMonotone(t *testing.T) {
 		"dbproc_lock_acquires_total",
 		"dbproc_lock_contended_total",
 		"dbproc_lock_wait_seconds_total",
+		"dbproc_lock_max_wait_seconds",
 	}
 	isMonotone := map[string]bool{}
 	for _, n := range monotone {

@@ -15,7 +15,7 @@ func paperTable(b *testing.B) (*Table, *storage.Pager) {
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(4000), m)
 	p.SetCharging(false)
-	t := New(p.Disk(), 100, 250, 0)
+	t := New(p.Disk(), 100, 40, 250, 0)
 	rec := make([]byte, 100)
 	for i := uint64(0); i < 10_000; i++ {
 		binary.LittleEndian.PutUint64(rec, i)

@@ -91,7 +91,7 @@ func (c *cowTable) Dump(pg *storage.Pager) [][]byte {
 func TestTableSnapshotsSurviveUpdates(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		disk := storage.NewDisk(64)
-		c := &cowTable{tb: t, t: hashidx.New(disk, 16, 5, 0), count: make(map[uint64]int)}
+		c := &cowTable{tb: t, t: hashidx.New(disk, 16, 4, 5, 0), count: make(map[uint64]int)}
 		cowtest.Run(t, disk, c, 400, 3, seed)
 	}
 }
@@ -102,7 +102,7 @@ func TestTableSnapshotsSurviveUpdates(t *testing.T) {
 func TestTableWriteAfterRead(t *testing.T) {
 	disk := storage.NewDisk(64)
 	pg := storage.NewPager(disk, metric.NewMeter(metric.DefaultCosts()))
-	tbl := hashidx.New(disk, 16, 1, 0)
+	tbl := hashidx.New(disk, 16, 4, 1, 0)
 	rng := rand.New(rand.NewSource(1))
 	for k := uint64(1); k <= 3; k++ {
 		tbl.Insert(pg, cowtest.Rec(k, rng))

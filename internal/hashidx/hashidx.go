@@ -4,7 +4,10 @@
 // overflow chains when a bucket page fills. An equality probe therefore
 // touches one page in the well-sized case, so a batch of k random probes
 // touches ~y(n, m, k) distinct pages — the quantity the cost model charges
-// for index-nested-loop joins.
+// for index-nested-loop joins. The bucket size is the model's: a page
+// holds ⌊B/S⌋ records, set by the tuple width S. Its image holds just
+// those records, packed, each as long as its attributes — no padding out
+// to S or to B.
 //
 // A Table is bound to a Disk; every access method takes the calling
 // session's Pager so concurrent sessions can probe one shared table while
@@ -79,13 +82,13 @@ type bucket struct {
 	keys  []uint64
 }
 
-// New creates an empty hash file with the given number of primary buckets.
-// The hash key of a record is the little-endian uint64 at byte offset
-// keyOff, read in place by every probe.
-func New(disk *storage.Disk, recSize, numBuckets, keyOff int) *Table {
-	perPage := disk.PageSize() / recSize
-	if recSize <= 0 || perPage < 1 {
-		panic(fmt.Sprintf("hashidx: record size %d does not fit page size %d", recSize, disk.PageSize()))
+// New creates an empty hash file of recSize-byte records, perPage to a
+// bucket page (the paper's ⌊B/S⌋), with the given number of primary
+// buckets. The hash key of a record is the little-endian uint64 at byte
+// offset keyOff, read in place by every probe.
+func New(disk *storage.Disk, recSize, perPage, numBuckets, keyOff int) *Table {
+	if recSize <= 0 || perPage < 1 || perPage*recSize > disk.PageSize() {
+		panic(fmt.Sprintf("hashidx: %d records of %d bytes do not fit page size %d", perPage, recSize, disk.PageSize()))
 	}
 	if numBuckets < 1 {
 		panic("hashidx: need at least one bucket")
@@ -176,7 +179,7 @@ func (t *Table) Insert(pg *storage.Pager, rec []byte) {
 	if slot == 0 && n == len(b.pages)*t.perPage {
 		id := pg.AllocPage()
 		b.pages = append(b.pages, id)
-		buf = pg.Overwrite(id)
+		buf = pg.Overwrite(id, t.perPage*t.recSize)
 	} else {
 		buf = pg.Update(b.pages[n/t.perPage])
 	}

@@ -22,7 +22,7 @@ func recFor(key, val uint64) []byte {
 func newTestTable(pageSize, buckets int) (*Table, *storage.Pager, *metric.Meter) {
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(pageSize), m)
-	return New(p.Disk(), 16, buckets, 0), p, m
+	return New(p.Disk(), 16, pageSize/16, buckets, 0), p, m
 }
 
 func TestInsertLookup(t *testing.T) {
@@ -218,9 +218,9 @@ func TestConstructorPanics(t *testing.T) {
 	m := metric.NewMeter(metric.DefaultCosts())
 	p := storage.NewPager(storage.NewDisk(64), m)
 	for name, fn := range map[string]func(){
-		"record too large": func() { New(p.Disk(), 128, 4, 0) },
-		"zero buckets":     func() { New(p.Disk(), 16, 0, 0) },
-		"key past record":  func() { New(p.Disk(), 16, 4, 9) },
+		"record too large": func() { New(p.Disk(), 128, 1, 4, 0) },
+		"zero buckets":     func() { New(p.Disk(), 16, 4, 0, 0) },
+		"key past record":  func() { New(p.Disk(), 16, 4, 4, 9) },
 		"bad record":       func() { tbl, p, _ := newTestTable(64, 4); tbl.Insert(p, make([]byte, 3)) },
 	} {
 		func() {

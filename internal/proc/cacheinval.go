@@ -156,7 +156,7 @@ func (s *CacheInvalidate) Adopt(pg *storage.Pager, id int) {
 		return
 	}
 	d := s.mgr.MustGet(id)
-	s.store.Define(cache.ID(id), d.ResultWidth())
+	d.DefineEntry(s.store, pg.Disk().PageSize())
 	s.refresh(pg, d, setupStamp(pg))
 }
 

@@ -18,6 +18,7 @@ package proc
 import (
 	"fmt"
 
+	"dbproc/internal/cache"
 	"dbproc/internal/query"
 	"dbproc/internal/relation"
 	"dbproc/internal/storage"
@@ -83,8 +84,14 @@ func (d *Definition) ResultKey(tup []byte) uint64 {
 	return tuple.ClusterKey(s.Get(tup, d.keyIdx), s.Get(tup, d.idIdx))
 }
 
-// ResultWidth returns the width in bytes of the procedure's result tuples.
-func (d *Definition) ResultWidth() int { return d.Plan.Schema().Width() }
+// DefineEntry creates the procedure's (invalid, empty) cache entry in
+// store, for a disk of pageSize-byte pages: result tuples are stored at
+// their packed size, as many to a page as the result schema's model width
+// S allows (⌊B/S⌋).
+func (d *Definition) DefineEntry(store *cache.Store, pageSize int) *cache.Entry {
+	s := d.Plan.Schema()
+	return store.Define(cache.ID(d.ID), s.Size(), s.PerPage(pageSize))
+}
 
 // Manager registers procedure definitions.
 type Manager struct {

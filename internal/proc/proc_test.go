@@ -96,8 +96,8 @@ func TestResultKeyOrdersResults(t *testing.T) {
 	if got := d.ResultKey(tup); got != tuple.ClusterKey(3, 7) {
 		t.Fatalf("ResultKey = %d", got)
 	}
-	if d.ResultWidth() != 64 {
-		t.Fatalf("ResultWidth = %d", d.ResultWidth())
+	if got := d.Plan.Schema().Width(); got != 64 {
+		t.Fatalf("result width = %d", got)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestUpdateCacheDelegates(t *testing.T) {
 	d := p1Def(w, 1, 10, 19)
 	m.Define(d)
 	store := cache.NewStore(w.Pager.Disk())
-	entry := store.Define(1, d.ResultWidth())
+	entry := d.DefineEntry(store, w.Pager.Disk().PageSize())
 	keys, recs := query.Materialize(d.Plan, d.ResultKey, &query.Ctx{Meter: w.Meter, Pager: w.Pager})
 	entry.ReplaceAt(w.Pager, keys, recs, w.Pager.Disk().CommitStamp())
 	entry.MarkValid(w.Pager)

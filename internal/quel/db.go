@@ -56,6 +56,11 @@ type Session struct {
 	pager *storage.Pager
 	meter *metric.Meter
 	tx    *Tx // the open transaction, nil outside one
+	// shown keeps the rows each procedure part's last execute returned.
+	// An execute whose tuples hold the same values shares them instead
+	// of rendering another block: a cached result outlives most executes,
+	// and rows handed out are read-only.
+	shown map[int][][]int64
 }
 
 // Open creates an empty database. pageSize and width follow the paper's
@@ -508,11 +513,37 @@ func (s *Session) accessPart(p part) (Section, bool) {
 		valid = s.db.store.MustEntry(cache.ID(p.id)).UsableAt(s.pager.ReadStamp())
 		tuples = s.db.strategy.Access(s.pager, p.id)
 	}
+	if rows, ok := s.shown[p.id]; ok && sameRows(rows, p.sch, tuples) {
+		return Section{Columns: p.columns, Rows: rows}, valid
+	}
 	flat := make([]int64, 0, len(tuples)*p.sch.NumFields())
 	for _, tup := range tuples {
 		flat = appendValues(flat, p.sch, tup)
 	}
-	return Section{Columns: p.columns, Rows: rowHeaders(flat, p.sch.NumFields())}, valid
+	rows := rowHeaders(flat, p.sch.NumFields())
+	if s.shown == nil {
+		s.shown = make(map[int][][]int64)
+	}
+	s.shown[p.id] = rows
+	return Section{Columns: p.columns, Rows: rows}, valid
+}
+
+// sameRows reports whether rows holds exactly the values of tuples.
+func sameRows(rows [][]int64, sch *tuple.Schema, tuples [][]byte) bool {
+	if len(rows) != len(tuples) {
+		return false
+	}
+	for i, tup := range tuples {
+		if len(rows[i]) != sch.NumFields() {
+			return false
+		}
+		for f, v := range rows[i] {
+			if sch.Get(tup, f) != v {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (s *Session) execute(st *ExecuteStmt) (*Result, error) {

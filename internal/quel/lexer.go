@@ -47,7 +47,9 @@ type token struct {
 
 // lex splits one statement into tokens.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// Statements average more than three bytes a token, so one
+	// allocation usually holds them all.
+	toks := make([]token, 0, len(input)/3+2)
 	i := 0
 	for i < len(input) {
 		c := input[i]

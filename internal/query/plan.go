@@ -232,8 +232,7 @@ func newConcat(left, right *tuple.Schema) concat {
 	return concat{left: 8 * left.NumFields(), right: 8 * right.NumFields()}
 }
 
-// into overwrites out's attributes; its padding is never written and
-// stays zero.
+// into overwrites out's attributes, which fill it.
 func (c concat) into(out, ltup, rtup []byte) {
 	copy(out[:c.left], ltup[:c.left])
 	copy(out[c.left:c.left+c.right], rtup[:c.right])
@@ -241,7 +240,7 @@ func (c concat) into(out, ltup, rtup []byte) {
 
 // NewHashJoinProbe builds the join node. The output schema is the child's
 // attributes followed by the table's attributes prefixed with the table's
-// name and an underscore, in a tuple of width bytes.
+// name and an underscore, standing for width-byte tuples in the model.
 func NewHashJoinProbe(child Plan, table *relation.Relation, probeField string, width int) *HashJoinProbe {
 	if table.Hash() == nil {
 		panic("query: HashJoinProbe needs a hash relation")
@@ -271,8 +270,8 @@ func (j *HashJoinProbe) Children() []Plan { return []Plan{j.Child} }
 // the hashidx component, scoped inside the emit callback so the child scan
 // keeps its own attribution.
 func (j *HashJoinProbe) Execute(ctx *Ctx, emit func([]byte) bool) {
-	p := &probe{j: j, ctx: ctx, ls: j.Child.Schema(), emit: emit, width: j.out.Width(), cont: true}
-	p.rows = make([]byte, hashidx.BatchLen*p.width)
+	p := &probe{j: j, ctx: ctx, ls: j.Child.Schema(), emit: emit, size: j.out.Size(), cont: true}
+	p.rows = make([]byte, hashidx.BatchLen*p.size)
 	p.match = p.matched
 	j.Child.Execute(ctx, p.gather)
 	if p.cont && p.n > 0 {
@@ -288,7 +287,7 @@ type probe struct {
 	ls    *tuple.Schema // the child's
 	emit  func([]byte) bool
 	match func(i int, rtup []byte) bool // matched, bound once
-	width int                           // of an output tuple
+	size  int                           // bytes of an output tuple
 	// rows is the batch's output tuples, one slot per gathered child tuple:
 	// gather fills a slot's left half, matched its right half, and the slot
 	// is what is emitted.
@@ -307,7 +306,7 @@ func (p *probe) gather(ltup []byte) bool {
 	if p.ctx.Locks != nil {
 		p.ctx.Locks.ReadKey(p.j.Table.Schema().Name(), int64(key))
 	}
-	copy(p.rows[p.n*p.width:][:p.j.concat.left], ltup)
+	copy(p.rows[p.n*p.size:][:p.j.concat.left], ltup)
 	p.keys[p.n] = key
 	if p.n++; p.n == hashidx.BatchLen {
 		p.flush()
@@ -326,7 +325,7 @@ func (p *probe) flush() {
 // matched emits the join of the i-th gathered tuple with one table record.
 func (p *probe) matched(i int, rtup []byte) bool {
 	c := p.j.concat
-	row := p.rows[i*p.width : (i+1)*p.width]
+	row := p.rows[i*p.size : (i+1)*p.size]
 	copy(row[c.left:c.left+c.right], rtup)
 	p.cont = p.emit(row)
 	return p.cont

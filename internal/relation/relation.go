@@ -38,7 +38,7 @@ func NewBTree(disk *storage.Disk, schema *tuple.Schema, clusterField, idField st
 		clusterField: schema.MustFieldIndex(clusterField),
 		idField:      schema.MustFieldIndex(idField),
 	}
-	r.tree = btree.New(disk, schema.Width(), indexEntrySize, r.treeKey())
+	r.tree = btree.New(disk, schema.Size(), schema.PerPage(disk.PageSize()), indexEntrySize, r.treeKey())
 	return r
 }
 
@@ -55,7 +55,7 @@ func BulkLoadBTree(pg *storage.Pager, schema *tuple.Schema, clusterField, idFiel
 
 // BulkLoadBTreeFunc is BulkLoadBTree for n tuples that fill writes
 // straight into the packed leaves: fill(i, tup) sets tuple i's attributes
-// in tup, a zeroed schema-width slot on a leaf page, in ascending i. The
+// in tup, a zeroed Size-byte slot on a leaf page, in ascending i. The
 // tuples must ascend by (clusterField, idField) with i.
 func BulkLoadBTreeFunc(pg *storage.Pager, schema *tuple.Schema, clusterField, idField string, indexEntrySize, n int, fill func(i int, tup []byte)) *Relation {
 	r := &Relation{
@@ -63,7 +63,7 @@ func BulkLoadBTreeFunc(pg *storage.Pager, schema *tuple.Schema, clusterField, id
 		clusterField: schema.MustFieldIndex(clusterField),
 		idField:      schema.MustFieldIndex(idField),
 	}
-	r.tree = btree.BulkLoadFunc(pg, schema.Width(), indexEntrySize, r.treeKey(), n, func(i int, tup []byte) {
+	r.tree = btree.BulkLoadFunc(pg, schema.Size(), schema.PerPage(pg.Disk().PageSize()), indexEntrySize, r.treeKey(), n, func(i int, tup []byte) {
 		fill(i, tup)
 		r.Key(tup) // range-checks the key parts
 	})
@@ -84,7 +84,7 @@ func NewHash(disk *storage.Disk, schema *tuple.Schema, hashField string, buckets
 		schema:    schema,
 		hashField: schema.MustFieldIndex(hashField),
 	}
-	r.hash = hashidx.New(disk, schema.Width(), buckets, 8*r.hashField)
+	r.hash = hashidx.New(disk, schema.Size(), schema.PerPage(disk.PageSize()), buckets, 8*r.hashField)
 	return r
 }
 

@@ -86,6 +86,8 @@ type Network struct {
 	// naive disables rule-indexed dispatch: the root broadcasts to every
 	// t-const on the token's relation, the paper's literal semantics.
 	naive bool
+	// mems lists every memory node in creation order.
+	mems []*Memory
 }
 
 // SetNaiveDispatch switches between rule-indexed dispatch (the default:
@@ -296,10 +298,16 @@ func (n *Network) NewMemory(sch *tuple.Schema, file *storage.OrderedFile, key fu
 		panic("rete: nil memory key")
 	}
 	if file == nil {
-		file = storage.NewOrderedFile(n.disk, sch.Width())
+		file = storage.NewOrderedFile(n.disk, sch.Size(), sch.PerPage(n.disk.PageSize()))
 	}
-	return &Memory{net: n, sch: sch, file: file, key: key}
+	m := &Memory{net: n, sch: sch, file: file, key: key}
+	n.mems = append(n.mems, m)
+	return m
 }
+
+// Memories returns the network's memory nodes in creation order, those
+// backed by a procedure's cache file included.
+func (n *Network) Memories() []*Memory { return n.mems }
 
 // Attach adds a successor node.
 func (m *Memory) Attach(n Node) { m.succs = append(m.succs, n) }
@@ -374,7 +382,7 @@ type AndNode struct {
 // NewAndNode wires an and-node between two memories, returning it after
 // attaching it to both (left tokens continue from the left memory, right
 // tokens from the right). The output schema is left's attributes followed
-// by right's with rightPrefix, in width-byte tuples.
+// by right's with rightPrefix, standing for width-byte tuples in the model.
 func (n *Network) NewAndNode(left, right *Memory, leftField, rightField, rightPrefix string, width int) *AndNode {
 	a := &AndNode{
 		net:        n,
@@ -407,7 +415,7 @@ type rightInput struct{ a *AndNode }
 func (r rightInput) Activate(pg *storage.Pager, tok Token) { r.a.activateRight(pg, tok) }
 
 // combine writes the join of ltup and rtup into a.joined: left's
-// attributes, then right's, then zero padding (never written).
+// attributes, then right's, which fill it.
 func (a *AndNode) combine(ltup, rtup []byte) []byte {
 	ln, rn := 8*a.leftN, 8*a.right.sch.NumFields()
 	copy(a.joined, ltup[:ln])

@@ -38,6 +38,7 @@ func (w *World) buildRVM() proc.Strategy {
 	// they stay MVCC-versioned like AVM's (docs/MVCC.md).
 	store.SetMaintained()
 	net := rete.NewNetwork(w.pager.Disk())
+	w.net = net
 	net.SetNaiveDispatch(w.cfg.Ablations.NaiveReteDispatch)
 	s1, s2, s3 := w.r1.Schema(), w.r2.Schema(), w.r3.Schema()
 
@@ -63,7 +64,7 @@ func (w *World) buildRVM() proc.Strategy {
 	var entries []*cache.Entry
 
 	for _, spec := range w.specs {
-		entry := store.Define(cache.ID(spec.id), spec.def.ResultWidth())
+		entry := spec.def.DefineEntry(store, w.pager.Disk().PageSize())
 		entries = append(entries, entry)
 		if !spec.isP2 {
 			tc := net.TConst(s1, "skey", spec.band[0], spec.band[1])

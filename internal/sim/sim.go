@@ -30,6 +30,7 @@ import (
 	"dbproc/internal/proc"
 	"dbproc/internal/query"
 	"dbproc/internal/relation"
+	"dbproc/internal/rete"
 	"dbproc/internal/storage"
 	"dbproc/internal/tuple"
 	"dbproc/internal/workload"
@@ -147,6 +148,8 @@ type World struct {
 	gen   *workload.Generator
 	sched *workload.Schedule // nil for the polite workload
 	strat proc.Strategy
+	// net is the RVM strategy's Rete network, nil under the others.
+	net *rete.Network
 
 	// denseBand caches the densest i-lock interval — the skey range
 	// covered by the most procedure bands — for adversarial updates.
@@ -427,7 +430,7 @@ func (w *World) buildAVM() proc.Strategy {
 	eng := avm.NewEngine(store, ilock.NewManager())
 	for _, spec := range w.specs {
 		spec := spec
-		store.Define(cache.ID(spec.id), spec.def.ResultWidth())
+		spec.def.DefineEntry(store, w.pager.Disk().PageSize())
 		view := &avm.View{
 			ID:       spec.id,
 			FullPlan: spec.def.Plan,

@@ -38,9 +38,9 @@ func structures() []struct {
 		return func(rec []byte) bool { *out = append(*out, bytes.Clone(rec)); return len(*out) < 10000 }
 	}
 	ofDisk, trDisk, htDisk := storage.NewDisk(128), storage.NewDisk(128), storage.NewDisk(64)
-	of := storage.NewOrderedFile(ofDisk, 16)
-	tr := btree.New(trDisk, 16, 25, btree.Key{Hi: 4})
-	ht := hashidx.New(htDisk, 16, 5, 0)
+	of := storage.NewOrderedFile(ofDisk, 16, 8)
+	tr := btree.New(trDisk, 16, 8, 25, btree.Key{Hi: 4})
+	ht := hashidx.New(htDisk, 16, 4, 5, 0)
 	return []struct {
 		disk *storage.Disk
 		s    versioned

@@ -35,7 +35,7 @@ func BenchmarkPagerReadCold(b *testing.B) {
 
 func BenchmarkOrderedFileChurn(b *testing.B) {
 	p := benchPager(4000)
-	f := NewOrderedFile(p.Disk(), 100)
+	f := NewOrderedFile(p.Disk(), 100, 40)
 	rec := make([]byte, 100)
 	for i := uint64(0); i < 1000; i++ {
 		binary.LittleEndian.PutUint64(rec, i)
@@ -53,7 +53,7 @@ func BenchmarkOrderedFileChurn(b *testing.B) {
 
 func BenchmarkOrderedFileScan(b *testing.B) {
 	p := benchPager(4000)
-	f := NewOrderedFile(p.Disk(), 100)
+	f := NewOrderedFile(p.Disk(), 100, 40)
 	rec := make([]byte, 100)
 	for i := uint64(0); i < 1000; i++ {
 		f.Insert(p, i, rec)

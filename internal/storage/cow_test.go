@@ -62,7 +62,7 @@ func (c *cowFile) Dump(pg *storage.Pager) [][]byte {
 func TestOrderedFileSnapshotsSurviveUpdates(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		disk := storage.NewDisk(128)
-		c := &cowFile{f: storage.NewOrderedFile(disk, 16), keys: make(map[uint64]bool)}
+		c := &cowFile{f: storage.NewOrderedFile(disk, 16, 8), keys: make(map[uint64]bool)}
 		cowtest.Run(t, disk, c, 400, 3, seed)
 	}
 }
@@ -73,7 +73,7 @@ func TestOrderedFileSnapshotsSurviveUpdates(t *testing.T) {
 func TestOrderedFileWriteAfterRead(t *testing.T) {
 	disk := storage.NewDisk(128)
 	pg := storage.NewPager(disk, metric.NewMeter(metric.DefaultCosts()))
-	f := storage.NewOrderedFile(disk, 16)
+	f := storage.NewOrderedFile(disk, 16, 8)
 	rng := rand.New(rand.NewSource(1))
 	for k := uint64(10); k < 15; k++ {
 		f.Insert(pg, k, cowtest.Rec(k, rng))

@@ -1,6 +1,14 @@
-// Package storage provides the simulated disk substrate: fixed-size pages,
-// an operation-scoped pager that meters page I/O, and a key-clustered
-// file, OrderedFile.
+// Package storage provides the simulated disk substrate: pages of a
+// fixed size B, an operation-scoped pager that meters page I/O, and a
+// key-clustered file, OrderedFile.
+//
+// B bounds what a page holds, and the cost model counts pages, never
+// bytes, so a page's image is only as long as its owner needs: a file of
+// records stores perPage × recSize bytes per page, where perPage is the
+// owner's blocking factor (the paper's ⌊B/S⌋) and recSize the bytes a
+// record's attributes occupy. The owner passes the length when it first
+// writes a fresh page (Pager.Overwrite, Disk.WriteRaw); Update keeps the
+// length of the image it copies.
 //
 // Cost fidelity follows the paper's model: every *distinct* page touched by
 // one logical operation costs one C2 read (plus one C2 write if dirtied);
@@ -106,10 +114,12 @@ func NewDisk(pageSize int) *Disk {
 	d := &Disk{pageSize: pageSize, zero: &pageVer{val: make([]byte, pageSize)}}
 	d.chunks.Store(new([]*[pageChunkLen]page))
 	d.mvcc.active = make(map[uint64]int)
+	d.mvcc.pool = make(map[int][][]byte)
 	return d
 }
 
-// PageSize returns the size of every page in bytes.
+// PageSize returns B, the size of every page in bytes: the most any page
+// image holds.
 func (d *Disk) PageSize() int { return d.pageSize }
 
 // NumPages returns the number of allocated pages (including freed ones,
@@ -166,14 +176,29 @@ func (d *Disk) ReadRaw(id PageID) []byte {
 }
 
 // WriteRaw replaces the page's contents without charging any cost. Use
-// only for bulk setup. The data must be at most one page; it is copied.
+// only for bulk setup. The data must be at most one page; the image is a
+// copy of it at its own length.
 func (d *Disk) WriteRaw(id PageID, data []byte) {
 	if len(data) > d.pageSize {
 		panic(fmt.Sprintf("storage: write of %d bytes exceeds page size %d", len(data), d.pageSize))
 	}
-	img := make([]byte, d.pageSize)
-	copy(img, data)
-	d.page(id).setLive(img)
+	d.page(id).setLive(append([]byte(nil), data...))
+}
+
+// ImageStats reports the allocated pages (freed ones included) and the
+// bytes their newest images hold; the zero image every never-written page
+// shares is not counted. Older versions kept for snapshots and the reclaimed
+// pool are not counted. It walks the page table and is safe to call
+// concurrently with readers and the writer.
+func (d *Disk) ImageStats() (pages int, bytes int64) {
+	n := d.NumPages()
+	chunks := *d.chunks.Load()
+	for id := 0; id < n; id++ {
+		if v := chunks[id/pageChunkLen][id%pageChunkLen].head.Load(); v != d.zero {
+			bytes += int64(len(v.val))
+		}
+	}
+	return n, bytes
 }
 
 // Pager provides metered, operation-scoped access to a Disk. Within one
@@ -524,30 +549,34 @@ func (p *Pager) Read(id PageID) []byte {
 // Read on first access and additionally marks the frame dirty, so the
 // operation's flush charges one page write, attributed to the component
 // that first dirtied the frame. The first Update of a page in an operation
-// copies its image into a private buffer: slices returned by earlier Reads
-// keep the old bytes.
+// copies its image into a private buffer of the image's length: slices
+// returned by earlier Reads keep the old bytes.
 func (p *Pager) Update(id PageID) []byte {
 	f := p.fetch(id)
 	if !f.dirty {
-		buf := p.disk.newImage(false)
+		buf := p.disk.newImage(len(f.data), false)
 		copy(buf, f.data)
 		p.dirty(id, f, buf)
 	}
 	return f.data
 }
 
-// Overwrite returns a zeroed buffer for the page, marking it dirty without
-// charging a read: use it when the previous contents are irrelevant (a
-// freshly allocated or fully rewritten page).
-func (p *Pager) Overwrite(id PageID) []byte {
+// Overwrite returns a zeroed n-byte buffer for the page, at most one page,
+// marking it dirty without charging a read: use it when the previous
+// contents are irrelevant (a freshly allocated or fully rewritten page).
+// n is the page's image length from here on.
+func (p *Pager) Overwrite(id PageID, n int) []byte {
 	f := p.slot(id)
 	if f.data == nil {
 		p.touched = append(p.touched, id)
 	}
-	if f.dirty {
+	switch {
+	case !f.dirty:
+		p.dirty(id, f, p.disk.newImage(n, true))
+	case len(f.data) == n:
 		clear(f.data)
-	} else {
-		p.dirty(id, f, p.disk.newImage(true))
+	default: // still charged to the component that first dirtied it
+		f.data = p.disk.newImage(n, true)
 	}
 	return f.data
 }

@@ -98,7 +98,7 @@ func TestPagerOverwriteSkipsReadCharge(t *testing.T) {
 	id := p.Disk().Alloc()
 	p.Disk().WriteRaw(id, []byte{9, 9, 9})
 	p.BeginOp()
-	buf := p.Overwrite(id)
+	buf := p.Overwrite(id, 100)
 	if buf[0] != 0 {
 		t.Fatal("Overwrite buffer not zeroed")
 	}
@@ -121,11 +121,36 @@ func TestPagerOverwriteAfterReadZeroes(t *testing.T) {
 	if got := p.Read(id)[1]; got != 2 {
 		t.Fatalf("Read saw %d", got)
 	}
-	buf := p.Overwrite(id)
+	buf := p.Overwrite(id, 100)
 	for i, b := range buf {
 		if b != 0 {
 			t.Fatalf("byte %d = %d after Overwrite, want 0", i, b)
 		}
+	}
+}
+
+// TestPagerOverwriteAtNewLength: overwriting a page already dirty in the
+// operation at another length gives a zeroed buffer of the new length, and
+// the one write the flush charges stays with the component that dirtied
+// the page first.
+func TestPagerOverwriteAtNewLength(t *testing.T) {
+	p, m := newTestPager(100)
+	id := p.Disk().Alloc()
+	p.BeginOp()
+	m.SetComponent(metric.CompBTree)
+	p.Overwrite(id, 64)[0] = 1
+	m.SetComponent(metric.CompCache)
+	buf := p.Overwrite(id, 32)
+	if len(buf) != 32 || buf[0] != 0 {
+		t.Fatalf("second Overwrite gave %d bytes, first byte %d; want 32 zeroed", len(buf), buf[0])
+	}
+	p.Flush()
+	bd := m.Breakdown()
+	if bd[metric.CompBTree].PageWrites != 1 || bd.Total().PageWrites != 1 {
+		t.Fatalf("writes by component %v, want one, charged to btree", bd)
+	}
+	if got := len(p.Disk().ReadRaw(id)); got != 32 {
+		t.Fatalf("flushed image is %d bytes, want 32", got)
 	}
 }
 

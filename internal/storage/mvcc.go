@@ -132,17 +132,20 @@ type mvccState struct {
 	gcPages []*page
 	gcDirs  []*DirVersions
 
-	// pool is the LIFO stack of page buffers GCVersions cut off below the
-	// horizon, for Update and Overwrite to work in (docs/MVCC.md). Its own
-	// mutex: whoever runs GC pushes, the next epoch's writer (or a query-time
-	// refresh) pops. The counters are ReclaimStats'.
+	// pool holds the page buffers GCVersions cut off below the horizon, for
+	// Update and Overwrite to work in (docs/MVCC.md): one LIFO stack per
+	// image length, since images are sized to their owner's records and a
+	// buffer is only reused by an owner of the same size. Its own mutex:
+	// whoever runs GC pushes, the next epoch's writer (or a query-time
+	// refresh) pops. The counters are ReclaimStats'; pooled sums the stacks.
 	poolMu sync.Mutex
-	pool   [][]byte
+	pool   map[int][][]byte
 
-	reclaimed, reused, pooled, gcLag atomic.Uint64
+	reclaimed, reused, pooled, gcLag, made atomic.Uint64
 }
 
-// imagePoolCap bounds the pool: a few updates' worth (one dirties ~75 pages).
+// imagePoolCap bounds each size's stack: a few updates' worth (one
+// dirties ~75 pages).
 const imagePoolCap = 256
 
 // EnableMVCC freezes the disk now rather than at its first snapshot or
@@ -316,13 +319,13 @@ func (d *Disk) GCVersions() int {
 				d.reclaimHook(cut.val)
 			}
 			m.reclaimed.Add(1)
-			if len(m.pool) < imagePoolCap {
-				m.pool = append(m.pool, cut.val)
+			if n := len(cut.val); len(m.pool[n]) < imagePoolCap {
+				m.pool[n] = append(m.pool[n], cut.val)
+				m.pooled.Add(1)
 			}
 		}
 		return !pg.queued
 	})
-	m.pooled.Store(uint64(len(m.pool)))
 	m.poolMu.Unlock()
 	m.gcDirs = slices.DeleteFunc(m.gcDirs, func(dv *DirVersions) bool {
 		_, dv.queued = dv.head.Load().prune(horizon)
@@ -338,26 +341,32 @@ func (d *Disk) GCVersions() int {
 	return len(ready)
 }
 
-// newImage returns a page buffer: the most recently reclaimed one, else a
-// fresh one. Its contents are arbitrary unless zero is set; a fresh
-// buffer is zero already.
-func (d *Disk) newImage(zero bool) (buf []byte) {
+// newImage returns an n-byte page buffer: the most recently reclaimed one
+// of that length, else a fresh one. Its contents are arbitrary unless zero
+// is set; a fresh buffer is zero already.
+func (d *Disk) newImage(n int, zero bool) (buf []byte) {
 	m := &d.mvcc
 	m.poolMu.Lock()
-	if n := len(m.pool); n > 0 {
-		buf, m.pool = m.pool[n-1], m.pool[:n-1]
-		m.pooled.Store(uint64(n - 1))
+	if stack := m.pool[n]; len(stack) > 0 {
+		buf, m.pool[n] = stack[len(stack)-1], stack[:len(stack)-1]
+		m.pooled.Add(^uint64(0))
 		m.reused.Add(1)
 	}
 	m.poolMu.Unlock()
 	if buf == nil {
-		return make([]byte, d.pageSize)
+		m.made.Add(1)
+		return make([]byte, n)
 	}
 	if zero {
 		clear(buf)
 	}
 	return buf
 }
+
+// ImagesMade reports the page buffers newImage allocated because no
+// reclaimed buffer of the length was pooled: the images an update could
+// not take from the updates before it.
+func (d *Disk) ImagesMade() uint64 { return d.mvcc.made.Load() }
 
 // OnReclaim is a test aid (cowtest.Poison): GCVersions shows fn every buffer
 // the moment it reclaims it, under its locks. Set before concurrent access.

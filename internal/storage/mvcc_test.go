@@ -67,7 +67,7 @@ func TestSnapshotReadNeverSeesLaterPublish(t *testing.T) {
 // (an unversioned directory) is exempt.
 func TestFreezeRule(t *testing.T) {
 	d := NewDisk(64)
-	versioned, unversioned := NewOrderedFile(d, 8), NewOrderedFile(d, 8)
+	versioned, unversioned := NewOrderedFile(d, 8, 8), NewOrderedFile(d, 8, 8)
 	unversioned.Unversion()
 	p := pagerOn(d)
 	p.BeginOp()
@@ -193,7 +193,7 @@ func TestBeginOpLeavesNoFrameSet(t *testing.T) {
 			p.Read(id)
 		}
 		p.Update(ids[op])[0] = 1
-		p.Overwrite(ids[op+31])
+		p.Overwrite(ids[op+31], 64)
 		p.Flush()
 		p.Update(ids[op+1])[0] = 2
 		p.Drop(ids[op+2])

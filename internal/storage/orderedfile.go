@@ -48,11 +48,13 @@ type ofPage struct {
 	gen  uint64   // the file's gen when this page was created or last copied
 }
 
-// NewOrderedFile creates an empty ordered file with recSize-byte records.
-func NewOrderedFile(disk *Disk, recSize int) *OrderedFile {
-	perPage := disk.PageSize() / recSize
-	if recSize <= 0 || perPage < 1 {
-		panic(fmt.Sprintf("storage: record size %d does not fit page size %d", recSize, disk.PageSize()))
+// NewOrderedFile creates an empty ordered file of recSize-byte records,
+// perPage to a page: the blocking factor comes from the model's tuple
+// width, not from recSize, and each page image holds perPage × recSize
+// bytes.
+func NewOrderedFile(disk *Disk, recSize, perPage int) *OrderedFile {
+	if recSize <= 0 || perPage < 1 || perPage*recSize > disk.PageSize() {
+		panic(fmt.Sprintf("storage: %d records of %d bytes do not fit page size %d", perPage, recSize, disk.PageSize()))
 	}
 	f := &OrderedFile{recSize: recSize, perPage: perPage}
 	f.dv = disk.RegisterDir(f.snapshotDir, f.restoreDir)
@@ -146,7 +148,7 @@ func (f *OrderedFile) Add(pg *Pager, key uint64, rec []byte) bool {
 	if len(f.dir.pages) == 0 {
 		f.dv.MarkDirty()
 		id := pg.AllocPage()
-		buf := pg.Overwrite(id)
+		buf := pg.Overwrite(id, f.pageBytes())
 		copy(buf, rec)
 		f.dir.pages = append(f.dir.pages, &ofPage{id: id, keys: f.newKeys(key), gen: f.gen})
 		f.dir.n = 1
@@ -178,6 +180,9 @@ func (f *OrderedFile) Add(pg *Pager, key uint64, rec []byte) bool {
 	return true
 }
 
+// pageBytes is the length of every page image: perPage records.
+func (f *OrderedFile) pageBytes() int { return f.perPage * f.recSize }
+
 // newKeys returns the key column of a page that starts out holding keys,
 // sized for a full page so that inserts into it never reallocate.
 func (f *OrderedFile) newKeys(keys ...uint64) []uint64 {
@@ -191,7 +196,7 @@ func (f *OrderedFile) split(pg *Pager, pi int) {
 	half := len(p.keys) / 2
 	newID := pg.AllocPage()
 	oldBuf := pg.Update(p.id)
-	newBuf := pg.Overwrite(newID)
+	newBuf := pg.Overwrite(newID, f.pageBytes())
 	copy(newBuf, oldBuf[half*f.recSize:len(p.keys)*f.recSize])
 	clear(oldBuf[half*f.recSize : len(p.keys)*f.recSize])
 	newPage := &ofPage{id: newID, keys: f.newKeys(p.keys[half:]...), gen: f.gen}
@@ -351,9 +356,11 @@ func (f *OrderedFile) Replace(pg *Pager, keys []uint64, recs [][]byte) {
 			end = len(keys)
 		}
 		id := pg.AllocPage()
-		// Update (not Overwrite) so the rebuild charges read+write per
-		// page, matching C_WriteCache = 2·C2·ProcSize.
-		buf := pg.Update(id)
+		// Read, then Overwrite, so the rebuild charges read+write per page
+		// (C_WriteCache = 2·C2·ProcSize), exactly as an Update would, but
+		// the fresh page gets this file's image length.
+		pg.Read(id)
+		buf := pg.Overwrite(id, f.pageBytes())
 		p := &ofPage{id: id, keys: slices.Clone(keys[i:end]), gen: f.gen}
 		for s := i; s < end; s++ {
 			if len(recs[s]) != f.recSize {

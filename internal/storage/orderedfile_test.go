@@ -12,7 +12,7 @@ import (
 func newOrdered(t *testing.T) (*OrderedFile, *Pager) {
 	t.Helper()
 	p, _ := newTestPager(32) // 4 records of 8 bytes per page
-	return NewOrderedFile(p.Disk(), 8), p
+	return NewOrderedFile(p.Disk(), 8, 4), p
 }
 
 func rec8(v uint64) []byte {
@@ -136,7 +136,7 @@ func TestOrderedFileEmptyPageFreed(t *testing.T) {
 
 func TestOrderedFileIOCharges(t *testing.T) {
 	p, m := newTestPager(32)
-	f := NewOrderedFile(p.Disk(), 8)
+	f := NewOrderedFile(p.Disk(), 8, 4)
 	// Load 16 records (4 full pages) without charging.
 	p.SetCharging(false)
 	for k := uint64(0); k < 32; k += 2 {
@@ -177,7 +177,7 @@ func TestOrderedFileIOCharges(t *testing.T) {
 
 func TestOrderedFileReplaceCharges2IOsPerPage(t *testing.T) {
 	p, m := newTestPager(32)
-	f := NewOrderedFile(p.Disk(), 8)
+	f := NewOrderedFile(p.Disk(), 8, 4)
 	keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9} // 3 pages at 4/page
 	recs := make([][]byte, len(keys))
 	for i, k := range keys {
@@ -223,7 +223,7 @@ func TestOrderedFileReplaceValidation(t *testing.T) {
 func TestOrderedFileMatchesReferenceModel(t *testing.T) {
 	f := func(seed int64, opsRaw []uint8) bool {
 		p, _ := newTestPager(32)
-		of := NewOrderedFile(p.Disk(), 8)
+		of := NewOrderedFile(p.Disk(), 8, 4)
 		ref := map[uint64]uint64{}
 		rng := rand.New(rand.NewSource(seed))
 		for _, op := range opsRaw {

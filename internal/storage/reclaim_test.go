@@ -54,9 +54,9 @@ func TestReclaimTakesWhatPruneCuts(t *testing.T) {
 		t.Fatalf("reused %d pooled %d after one Update, want 1 0", reused, pooled)
 	}
 	other := d.Alloc()
-	d.mvcc.pool = append(d.mvcc.pool, make([]byte, 64))
-	d.mvcc.pool[0][5] = 0xDB
-	if buf := w.Overwrite(other); buf[5] != 0 {
+	d.mvcc.pool[64] = append(d.mvcc.pool[64], make([]byte, 64))
+	d.mvcc.pool[64][0][5] = 0xDB
+	if buf := w.Overwrite(other, 64); buf[5] != 0 {
 		t.Fatal("Overwrite handed out a reused buffer without clearing it")
 	}
 }
@@ -88,7 +88,7 @@ func TestReclaimSkipsSharedImages(t *testing.T) {
 	bulk, epochImg := d.page(b).head.Load().prev.Load().val, addr(b)
 	q := pagerOn(d)
 	q.BeginOp()
-	q.Overwrite(b)[0] = 3
+	q.Overwrite(b, 64)[0] = 3
 	q.Flush()
 	live := addr(b)
 	d.GCVersions()
@@ -185,11 +185,94 @@ func TestImagePoolBounded(t *testing.T) {
 	release()
 	d.GCVersions()
 	reclaimed, _, pooled, _ := d.ReclaimStats()
-	if reclaimed != uint64(2*len(ids)) || pooled != imagePoolCap || len(d.mvcc.pool) != imagePoolCap {
-		t.Fatalf("released: reclaimed %d pool %d (len %d), want %d and %d", reclaimed, pooled, len(d.mvcc.pool), 2*len(ids), imagePoolCap)
+	if reclaimed != uint64(2*len(ids)) || pooled != imagePoolCap || len(d.mvcc.pool[64]) != imagePoolCap {
+		t.Fatalf("released: reclaimed %d pool %d (len %d), want %d and %d", reclaimed, pooled, len(d.mvcc.pool[64]), 2*len(ids), imagePoolCap)
 	}
 	write(4) // drains the pool, allocates the rest
 	if _, reused, pooled, _ := d.ReclaimStats(); reused != imagePoolCap || pooled != 0 {
 		t.Fatalf("after the next update: reused %d pool %d, want %d and 0", reused, pooled, imagePoolCap)
+	}
+}
+
+// TestImagePoolSizedReuse: images are as long as their owner's records,
+// so the pool keeps one stack per length. A reclaimed buffer goes back
+// only to a page image of its own length, each length's stack is capped
+// on its own, and the reclaim hook (the poison harness) sees buffers of
+// every length.
+func TestImagePoolSizedReuse(t *testing.T) {
+	const small, large = 16, 48
+	d := NewDisk(64)
+	poisoned := map[int]int{}
+	d.OnReclaim(func(buf []byte) {
+		poisoned[len(buf)]++
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	})
+	ids := make([]PageID, 2*imagePoolCap)
+	for i := range ids {
+		ids[i] = d.Alloc()
+	}
+	sizeOf := func(i int) int {
+		if i%2 == 0 {
+			return small
+		}
+		return large
+	}
+	w := pagerOn(d)
+	w.OpenScope(true)
+	w.BeginOp()
+	for i, id := range ids {
+		w.Overwrite(id, sizeOf(i))[0] = 1
+	}
+	w.CloseScope(1)
+	_, release := d.AcquireSnapshot()
+	for stamp := uint64(2); stamp <= 3; stamp++ {
+		w.OpenScope(true)
+		w.BeginOp()
+		for i, id := range ids {
+			if buf := w.Update(id); len(buf) != sizeOf(i) {
+				t.Fatalf("Update of a %d-byte image gave %d bytes", sizeOf(i), len(buf))
+			}
+		}
+		w.CloseScope(stamp)
+	}
+	release()
+	d.GCVersions()
+
+	// 2 × imagePoolCap images of each length were reclaimed; each stack
+	// keeps its cap.
+	reclaimed, _, pooled, _ := d.ReclaimStats()
+	if reclaimed != uint64(2*len(ids)) || poisoned[small] != len(ids) || poisoned[large] != len(ids) {
+		t.Fatalf("reclaimed %d, poisoned %v; want %d of each length", reclaimed, poisoned, len(ids))
+	}
+	if len(d.mvcc.pool[small]) != imagePoolCap || len(d.mvcc.pool[large]) != imagePoolCap || pooled != 2*imagePoolCap {
+		t.Fatalf("pool holds %d + %d (gauge %d), want %d of each length",
+			len(d.mvcc.pool[small]), len(d.mvcc.pool[large]), pooled, imagePoolCap)
+	}
+
+	// A length the pool has no stack for allocates, and takes nothing.
+	fresh := d.Alloc()
+	w.BeginOp()
+	if buf := w.Overwrite(fresh, 32); len(buf) != 32 {
+		t.Fatalf("Overwrite(32) gave %d bytes", len(buf))
+	}
+	if _, reused, _, _ := d.ReclaimStats(); reused != 0 {
+		t.Fatalf("a 32-byte image reused %d buffers", reused)
+	}
+	// Each length takes the top of its own stack, cleared.
+	for _, n := range []int{small, large} {
+		top := unsafe.SliceData(d.mvcc.pool[n][imagePoolCap-1])
+		other := d.Alloc()
+		buf := w.Overwrite(other, n)
+		if len(buf) != n || unsafe.SliceData(buf) != top || buf[0] != 0 {
+			t.Fatalf("Overwrite(%d) did not get its own length's cleared buffer", n)
+		}
+		if len(d.mvcc.pool[n]) != imagePoolCap-1 {
+			t.Fatalf("the %d-byte stack holds %d after one reuse", n, len(d.mvcc.pool[n]))
+		}
+	}
+	if _, reused, pooled, _ := d.ReclaimStats(); reused != 2 || pooled != 2*imagePoolCap-2 {
+		t.Fatalf("reused %d pool %d, want 2 and %d", reused, pooled, 2*imagePoolCap-2)
 	}
 }

@@ -1,7 +1,11 @@
 // Package tuple defines fixed-width tuples and their schemas. The paper's
 // model uses S-byte tuples throughout (base relations and procedure
-// results alike); a Schema lays out named int64 attributes at the front of
-// an S-byte record, with the remainder as uninterpreted payload padding.
+// results alike), but it only ever uses S through the blocking factor
+// ⌊B/S⌋: its costs count pages, never bytes. A Schema therefore carries
+// two sizes. Width is the model's S, and sets how many records every
+// page-structured file puts on a page (PerPage). Size is what a record
+// occupies in memory and in a page image: its int64 attributes, packed,
+// with none of the padding up to S.
 package tuple
 
 import (
@@ -18,7 +22,8 @@ type Field struct {
 }
 
 // Schema describes the layout of a fixed-width tuple: len(Fields) int64
-// attributes at offsets 0, 8, 16, ..., then padding up to Width bytes.
+// attributes at offsets 0, 8, 16, ..., Size bytes in all, standing for a
+// tuple of Width bytes in the cost model.
 type Schema struct {
 	name   string
 	fields []Field
@@ -26,8 +31,8 @@ type Schema struct {
 	byName map[string]int
 }
 
-// NewSchema builds a schema with the given byte width and attributes. The
-// attributes must fit in the width and names must be unique.
+// NewSchema builds a schema with the given model width S and attributes.
+// The attributes must fit in the width and names must be unique.
 func NewSchema(name string, width int, fields ...Field) *Schema {
 	if width < 8*len(fields) {
 		panic(fmt.Sprintf("tuple: %d fields need %d bytes, width is %d", len(fields), 8*len(fields), width))
@@ -51,8 +56,16 @@ func NewSchema(name string, width int, fields ...Field) *Schema {
 // Name returns the schema's name.
 func (s *Schema) Name() string { return s.name }
 
-// Width returns the tuple width in bytes (the paper's S).
+// Width returns the tuple width in bytes (the paper's S). It sets the
+// blocking factor and nothing else; see Size.
 func (s *Schema) Width() int { return s.width }
+
+// Size returns the bytes a tuple occupies: 8 per attribute.
+func (s *Schema) Size() int { return 8 * len(s.fields) }
+
+// PerPage returns the blocking factor ⌊B/S⌋ for pages of pageSize bytes:
+// how many of these tuples a page holds in the cost model.
+func (s *Schema) PerPage(pageSize int) int { return pageSize / s.width }
 
 // NumFields returns the number of attributes.
 func (s *Schema) NumFields() int { return len(s.fields) }
@@ -77,8 +90,8 @@ func (s *Schema) MustFieldIndex(name string) int {
 	return i
 }
 
-// New returns a zeroed tuple of this schema.
-func (s *Schema) New() []byte { return make([]byte, s.width) }
+// New returns a zeroed tuple of this schema, Size bytes long.
+func (s *Schema) New() []byte { return make([]byte, s.Size()) }
 
 // Get reads attribute i from tup.
 func (s *Schema) Get(tup []byte, i int) int64 {
@@ -103,8 +116,8 @@ func (s *Schema) SetByName(tup []byte, name string, v int64) {
 }
 
 func (s *Schema) check(tup []byte, i int) {
-	if len(tup) != s.width {
-		panic(fmt.Sprintf("tuple: %d-byte tuple for %d-byte schema %q", len(tup), s.width, s.name))
+	if len(tup) != s.Size() {
+		panic(fmt.Sprintf("tuple: %d-byte tuple for %d-byte schema %q", len(tup), s.Size(), s.name))
 	}
 	if i < 0 || i >= len(s.fields) {
 		panic(fmt.Sprintf("tuple: field %d out of range in schema %q", i, s.name))
@@ -125,9 +138,10 @@ func (s *Schema) String(tup []byte) string {
 
 // Concat builds the schema of a join result: left's attributes (names
 // unchanged) followed by right's attributes with rightPrefix prepended, in
-// a tuple of the given width. The paper keeps result tuples at the same
-// S-byte width as base tuples, so the combined attributes must fit within
-// width; joins of narrow attribute sets into S = 100 bytes always do.
+// a tuple of the given model width. The paper keeps result tuples at the
+// same S-byte width as base tuples, so the combined attributes must fit
+// within width; joins of narrow attribute sets into S = 100 bytes always
+// do.
 func Concat(name string, width int, left *Schema, right *Schema, rightPrefix string) *Schema {
 	fields := make([]Field, 0, left.NumFields()+right.NumFields())
 	for _, f := range left.fields {

@@ -17,8 +17,13 @@ func TestSchemaLayout(t *testing.T) {
 	if s.FieldName(2) != "salary" {
 		t.Fatal("FieldName wrong")
 	}
+	// Width is the model's S and sets the blocking factor; a tuple holds
+	// only its attributes.
+	if s.Size() != 24 || s.PerPage(4000) != 40 {
+		t.Fatalf("Size %d, PerPage(4000) %d, want 24 and 40", s.Size(), s.PerPage(4000))
+	}
 	tup := s.New()
-	if len(tup) != 100 {
+	if len(tup) != 24 {
 		t.Fatalf("New() length %d", len(tup))
 	}
 	s.Set(tup, 0, 7)
@@ -40,6 +45,7 @@ func TestSchemaPanics(t *testing.T) {
 		"duplicate field":     func() { NewSchema("x", 32, Field{"a"}, Field{"a"}) },
 		"empty name":          func() { NewSchema("x", 32, Field{""}) },
 		"wrong tuple width":   func() { s.Get(make([]byte, 8), 0) },
+		"padded tuple":        func() { NewSchema("p", 100, Field{"a"}).Get(make([]byte, 100), 0) },
 		"field out of range":  func() { s.Get(s.New(), 2) },
 		"negative field":      func() { s.Set(s.New(), -1, 0) },
 		"unknown byname":      func() { s.GetByName(s.New(), "zzz") },

@@ -131,13 +131,15 @@ GOMAXPROCS=4 go test -count=1 \
 # suite (every reclaimed buffer filled with 0xDB the moment GC takes it:
 # the cowtest harness per structure, every strategy with four sessions
 # against the SI oracle and an unpoisoned twin, borrowed tuples held
-# across reclaiming updates and refreshes) and the four guards (an update
-# reuses its pages, shared images are never pooled, the pool is bounded,
-# a directory mutation copies at most 512 bytes), with GOMAXPROCS raised
-# so GC, the epoch writer and snapshot readers interleave.
+# across reclaiming updates and refreshes) and the guards (an update
+# reuses its pages, shared images are never pooled, the pool is bounded
+# per image length and hands a buffer only to its own length, a world's
+# images are pinned to its owners' packed sizes, a directory mutation
+# copies at most 512 bytes), with GOMAXPROCS raised so GC, the epoch
+# writer and snapshot readers interleave.
 GOMAXPROCS=4 go test -race -count=3 \
-    -run 'SnapshotsSurviveUpdates|TestPoisonOnReclaim|TestAccessResultsSurviveReclamation|TestUpdateReusesItsPages|TestReclaim|TestImagePoolBounded|TestDirectoryMutationCopiesAtMost512B' \
-    ./internal/storage/ ./internal/btree/ ./internal/hashidx/ ./internal/proc/ ./internal/engine/
+    -run 'SnapshotsSurviveUpdates|TestPoisonOnReclaim|TestAccessResultsSurviveReclamation|TestUpdateReusesItsPages|TestReclaim|TestImagePoolBounded|TestImagePoolSizedReuse|TestWorldImageBytes|TestDirectoryMutationCopiesAtMost512B' \
+    ./internal/storage/ ./internal/btree/ ./internal/hashidx/ ./internal/proc/ ./internal/engine/ ./internal/sim/
 # Transaction epochs (docs/MVCC.md, "Abandon"): an abandoned epoch leaves
 # every directory equal to its published copy, gives its pages back and
 # hides from a concurrent snapshot; a failed QUEL update changes nothing
